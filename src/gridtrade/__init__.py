@@ -29,6 +29,7 @@ from .engine import (
     Message,
     MessageLog,
     NSEReport,
+    NSESamplingError,
     ScenarioValidationError,
     check_nse,
     run_fit,

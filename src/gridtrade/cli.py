@@ -24,10 +24,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import ScenarioValidationError, check_nse, run_fit, run_stackelberg
+from .engine import (
+    NSESamplingError,
+    ScenarioValidationError,
+    check_nse,
+    run_fit,
+    run_stackelberg,
+)
 from .model import EnergyUser, FeasibleSet, GridParams, Scenario, validate_scenario
 from .oracle import social_optimality_audit, ve_oracle
-from .vi_solver import PseudoGradient, solve_ve
+from .projection import ProjectionError
+from .vi_solver import ArmijoSearchError, PseudoGradient, solve_ve
 
 log = logging.getLogger(__name__)
 _warned_relaxations: set[tuple[float, int, float]] = set()
@@ -321,38 +328,58 @@ def scenario_from_dict(data: dict) -> Scenario:
     return Scenario(users=users, grid=grid, seed=int(data.get("seed", 0)))
 
 
+def _audit_file(path: Path, trials: int, tol: float) -> tuple[int, str]:
+    """(exit code, report line) for one scenario JSON."""
+    try:
+        scenario = scenario_from_dict(json.loads(path.read_text(encoding="utf-8")))
+        problems = validate_scenario(scenario)
+    except KeyError as exc:
+        problems = [f"missing field {exc}"]
+    except (OSError, TypeError, ValueError) as exc:
+        problems = [f"{type(exc).__name__}: {exc}"]
+    if problems:
+        return 1, f"{path.name}: INVALID ({'; '.join(problems)})"
+    try:
+        outcome = run_stackelberg(scenario)
+    except (ProjectionError, ArmijoSearchError) as exc:
+        return 2, f"{path.name}: NON-CONVERGENT ({type(exc).__name__}: {exc})"
+    if not outcome.converged:
+        return 2, f"{path.name}: NON-CONVERGENT"
+    try:
+        report = check_nse(outcome, scenario, trials=trials, tol=tol)
+    except NSESamplingError as exc:
+        return 1, f"{path.name}: FAIL ({exc})"
+    x_check = ve_oracle(scenario, outcome.stage2.prices)
+    gap = float(np.abs(outcome.stage2.energies - x_check).max())
+    audit = social_optimality_audit(
+        scenario, outcome.stage2.energies, outcome.stage2.prices, samples=trials
+    )
+    ok = report.clean and gap <= 1e-4 and audit.max_abs_gap <= tol
+    return (0 if ok else 1), (
+        f"{path.name}: {'OK' if ok else 'FAIL'} "
+        f"nse_follower={report.max_follower_improvement:.3e} "
+        f"nse_leader={report.max_leader_improvement:.3e} "
+        f"oracle_gap={gap:.3e} social_gap={audit.max_abs_gap:.3e}"
+    )
+
+
 def verify_corpus(corpus: Path, trials: int = 2000, tol: float = 1e-6) -> int:
-    """Audit every scenario JSON in a directory; exit-code semantics."""
+    """Audit every scenario JSON in a directory and print one line each.
+
+    Returns the highest exit code over the files: 2 when a game does not
+    converge, 1 when a file is malformed or invalid or fails its audit,
+    0 when every file passes; 1 for an empty corpus.
+    """
     files = sorted(Path(corpus).glob("*.json"))
     if not files:
         print(f"no scenario files found in {corpus}", file=sys.stderr)
         return 1
-    failed = False
+    worst = 0
     for path in files:
-        scenario = scenario_from_dict(json.loads(path.read_text()))
-        problems = validate_scenario(scenario)
-        if problems:
-            print(f"{path.name}: INVALID ({'; '.join(problems)})")
-            return 1
-        outcome = run_stackelberg(scenario)
-        if not outcome.converged:
-            print(f"{path.name}: NON-CONVERGENT")
-            return 2
-        report = check_nse(outcome, scenario, trials=trials, tol=tol)
-        x_check = ve_oracle(scenario, outcome.stage2.prices)
-        gap = float(np.abs(outcome.stage2.energies - x_check).max())
-        audit = social_optimality_audit(
-            scenario, outcome.stage2.energies, outcome.stage2.prices, samples=trials
-        )
-        ok = report.clean and gap <= 1e-4 and audit.max_abs_gap <= tol
-        failed = failed or not ok
-        print(
-            f"{path.name}: {'OK' if ok else 'FAIL'} "
-            f"nse_follower={report.max_follower_improvement:.3e} "
-            f"nse_leader={report.max_leader_improvement:.3e} "
-            f"oracle_gap={gap:.3e} social_gap={audit.max_abs_gap:.3e}"
-        )
-    return 1 if failed else 0
+        code, line = _audit_file(path, trials, tol)
+        print(line)
+        worst = max(worst, code)
+    return worst
 
 
 def _load_config(path: str | None) -> dict:

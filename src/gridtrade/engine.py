@@ -20,7 +20,8 @@ allocation), or when the solver's own residual test fires first.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,6 +44,14 @@ _KIND_FIELDS = {
     "repeat_bit": {"repeat"},
     "price_update": {"eu_id", "price"},
 }
+
+
+# Batches of leader price draws check_nse makes before giving up.
+_PRICE_BATCHES = 100
+
+
+class NSESamplingError(RuntimeError):
+    """check_nse could not draw enough leader price samples on the slice."""
 
 
 class ScenarioValidationError(ValueError):
@@ -70,39 +79,137 @@ class Message:
             raise ValueError("repeat_bit carries exactly one boolean")
 
 
-@dataclass
-class MessageLog:
-    """Append-only transcript; round numbers never decrease."""
+@dataclass(frozen=True)
+class _RoundBlock:
+    """One follower round: every seller's offer and slack report, then the
+    grid's repeat bit, held as arrays instead of 2n+1 messages."""
 
-    messages: list[Message] = field(default_factory=list)
+    round: int
+    offers: np.ndarray
+    slacks: np.ndarray
+    repeat: bool
+
+    def messages(self) -> list[Message]:
+        r = self.round
+        return (
+            [Message(r, f"eu:{i}", "offer", {"eu_id": i, "energy": e})
+             for i, e in enumerate(self.offers.tolist())]
+            + [Message(r, f"eu:{i}", "slack_report", {"eu_id": i, "slack": s})
+               for i, s in enumerate(self.slacks.tolist())]
+            + [Message(r, PG, "repeat_bit", {"repeat": self.repeat})]
+        )
+
+    def jsonl_lines(self) -> list[str]:
+        """The block's lines exactly as json.dumps(..., sort_keys=True)
+        writes its messages."""
+        r = self.round
+        bit = "true" if self.repeat else "false"
+        return (
+            [f'{{"kind": "offer", "payload": {{"energy": {e}, "eu_id": {i}}}, '
+             f'"round": {r}, "sender": "eu:{i}"}}'
+             for i, e in enumerate(_json_floats(self.offers))]
+            + [f'{{"kind": "slack_report", "payload": {{"eu_id": {i}, "slack": {s}}}, '
+               f'"round": {r}, "sender": "eu:{i}"}}'
+               for i, s in enumerate(_json_floats(self.slacks))]
+            + [f'{{"kind": "repeat_bit", "payload": {{"repeat": {bit}}}, '
+               f'"round": {r}, "sender": "{PG}"}}']
+        )
+
+
+def _json_floats(values: np.ndarray) -> list[str]:
+    """Each value as json.dumps writes it. For a finite float that is
+    float.__repr__; NaN and the infinities take json.dumps itself."""
+    items = values.tolist()
+    if np.isfinite(values).all():
+        return list(map(float.__repr__, items))
+    return list(map(json.dumps, items))
+
+
+def _snapshot(values, name: str) -> np.ndarray:
+    arr = np.array(values, dtype=float)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
+    arr.flags.writeable = False
+    return arr
+
+
+class MessageLog:
+    """Append-only transcript; round numbers never decrease.
+
+    Single messages (announce, price updates) are kept as `Message`
+    objects. A follower round is kept as one block of offer and slack
+    arrays plus the repeat bit, and becomes messages only when `messages`
+    is read; `to_jsonl` renders the blocks without building them.
+    """
+
+    def __init__(self) -> None:
+        self._entries: list[Message | _RoundBlock] = []
+
+    def _check_round(self, rnd) -> None:
+        if self._entries and rnd < self._entries[-1].round:
+            raise ValueError(f"round {rnd} precedes current round {self._entries[-1].round}")
 
     def append(self, message: Message) -> None:
-        if self.messages and message.round < self.messages[-1].round:
+        self._check_round(message.round)
+        self._entries.append(message)
+
+    def append_round(self, round: int, offers, slacks, repeat: bool) -> None:
+        """Record one follower round: offer i and slack i come from seller
+        i, the repeat bit from the grid. The arrays are copied."""
+        rnd = operator.index(round)
+        offers = _snapshot(offers, "offers")
+        slacks = _snapshot(slacks, "slacks")
+        if offers.shape != slacks.shape:
             raise ValueError(
-                f"round {message.round} precedes current round {self.messages[-1].round}"
-            )
-        self.messages.append(message)
+                f"offers and slacks must match, got shapes {offers.shape} and {slacks.shape}")
+        if not isinstance(repeat, bool):
+            raise ValueError("repeat_bit carries exactly one boolean")
+        self._check_round(rnd)
+        self._entries.append(_RoundBlock(rnd, offers, slacks, repeat))
+
+    @property
+    def messages(self) -> list[Message]:
+        """Every message in transcript order, built anew on each read."""
+        out: list[Message] = []
+        for entry in self._entries:
+            if isinstance(entry, _RoundBlock):
+                out += entry.messages()
+            else:
+                out.append(entry)
+        return out
+
+    def __len__(self) -> int:
+        return sum(2 * e.offers.size + 1 if isinstance(e, _RoundBlock) else 1
+                   for e in self._entries)
 
     @property
     def total_rounds(self) -> int:
-        return self.messages[-1].round if self.messages else 0
+        return self._entries[-1].round if self._entries else 0
 
     @property
     def per_eu_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
-        for m in self.messages:
-            if m.sender.startswith("eu:"):
-                counts[int(m.sender[3:])] = counts.get(int(m.sender[3:]), 0) + 1
+        for entry in self._entries:
+            if isinstance(entry, _RoundBlock):
+                for i in range(entry.offers.size):
+                    counts[i] = counts.get(i, 0) + 2
+            elif entry.sender.startswith("eu:"):
+                i = int(entry.sender[3:])
+                counts[i] = counts.get(i, 0) + 1
         return counts
 
     def to_jsonl(self) -> str:
-        return "\n".join(
-            json.dumps(
-                {"round": m.round, "sender": m.sender, "kind": m.kind, "payload": m.payload},
-                sort_keys=True,
-            )
-            for m in self.messages
-        )
+        lines: list[str] = []
+        for entry in self._entries:
+            if isinstance(entry, _RoundBlock):
+                lines += entry.jsonl_lines()
+            else:
+                lines.append(json.dumps(
+                    {"round": entry.round, "sender": entry.sender, "kind": entry.kind,
+                     "payload": entry.payload},
+                    sort_keys=True,
+                ))
+        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -169,14 +276,10 @@ def _follower_stage(scenario, fset, prices, cfg, log, stage, price_round_payload
         elif state["rounds"] == 0 and price_round_payloads:
             for i, price in price_round_payloads:
                 log.append(Message(rnd, PG, "price_update", {"eu_id": i, "price": price}))
-        for i in range(n):
-            log.append(Message(rnd, f"eu:{i}", "offer", {"eu_id": i, "energy": float(record.x[i])}))
-        for i in range(n):
-            log.append(Message(rnd, f"eu:{i}", "slack_report", {"eu_id": i, "slack": float(record.mu[i])}))
         stop = residual_done or _interior_mu_stop(
             record.x, record.mu, state["prev_mu"], fset.upper_bounds
         )
-        log.append(Message(rnd, PG, "repeat_bit", {"repeat": not stop}))
+        log.append_round(rnd, record.x, record.mu, not stop)
         state["prev_mu"] = record.mu
         state["rounds"] += 1
         state["residual"] = record.residual
@@ -255,6 +358,12 @@ def check_nse(outcome: GameOutcome, scenario: Scenario, trials: int,
     budget slice, costed against the energies the prices were optimized for
     (the stage-1 offers); the optimized prices must stay within tol of the
     best sample.
+
+    Leader samples are drawn uniformly from the slice's simplex and kept
+    when they respect p_max. When total_price is n*p_min or n*p_max the
+    slice is one point and every sample is that point. Raises
+    NSESamplingError when 100 batches of `trials` draws keep
+    fewer than `trials` samples, which happens as total_price nears n*p_max.
     """
     if not outcome.converged or outcome.stage2 is None:
         raise ValueError("check_nse requires a converged outcome")
@@ -276,13 +385,26 @@ def check_nse(outcome: GameOutcome, scenario: Scenario, trials: int,
     max_follower = float(gains.max()) if trials else 0.0
 
     x_off = outcome.stage1.energies
-    span = grid.total_price - n * grid.p_min
-    prices = np.empty((0, n))
-    while prices.shape[0] < trials:
-        batch = rng.dirichlet(np.ones(n), size=trials) * span + grid.p_min
-        ok = np.all(batch <= grid.p_max + 1e-12, axis=1)
-        prices = np.vstack([prices, batch[ok]])
-    prices = prices[:trials]
+    if grid.total_price in (n * grid.p_min, n * grid.p_max):
+        # the slice is a single point, which rejection sampling need not hit
+        corner = grid.p_min if grid.total_price == n * grid.p_min else grid.p_max
+        prices = np.full((trials, n), corner)
+    else:
+        span = grid.total_price - n * grid.p_min
+        prices = np.empty((0, n))
+        for _ in range(_PRICE_BATCHES):
+            if prices.shape[0] >= trials:
+                break
+            batch = rng.dirichlet(np.ones(n), size=trials) * span + grid.p_min
+            ok = np.all(batch <= grid.p_max + 1e-12, axis=1)
+            prices = np.vstack([prices, batch[ok]])
+        if prices.shape[0] < trials:
+            raise NSESamplingError(
+                f"only {prices.shape[0]} of {trials} leader price samples fit under "
+                f"p_max={grid.p_max:g} in {_PRICE_BATCHES} batches; total_price "
+                f"{grid.total_price:g} is too close to n*p_max={n * grid.p_max:g}"
+            )
+        prices = prices[:trials]
     base_cost = grid_cost(p2, x_off, grid)
     costs = (x_off * prices ** 2 + grid.cost_linear * prices + grid.cost_const).sum(axis=1)
     improvements = base_cost - costs

@@ -200,6 +200,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     g = scenario.grid
     if not (math.isfinite(g.deficiency) and g.deficiency > 0.0):
         problems.append(f"deficiency must be positive, got {g.deficiency}")
+    for name in ("total_price", "p_min", "p_max"):
+        if not math.isfinite(getattr(g, name)):
+            problems.append(f"{name} must be finite, got {getattr(g, name)}")
     if not (0.0 < g.p_min <= g.p_max):
         problems.append(f"price bounds must satisfy 0 < p_min <= p_max, got ({g.p_min}, {g.p_max})")
     if g.cost_linear.size != n or g.cost_const.size != n:

@@ -17,6 +17,8 @@ from gridtrade.cli import (
     scenario_to_dict,
 )
 from gridtrade.model import validate_scenario
+from gridtrade.projection import ProjectionError
+from gridtrade.vi_solver import ArmijoSearchError
 from tests.conftest import make_scenario
 
 SMALL = dict(n_values=[2, 3], runs=3, output_path="")
@@ -189,6 +191,13 @@ class TestMain:
         assert code == 1
         assert "runs" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--total-price", "nan"), ("--p-max", "inf")])
+    def test_simulate_non_finite_price_exit_one(self, tmp_path, capsys, flag, value):
+        code = main(["simulate", "--preset", "fig2_utility_vs_n", "--n-values", "2",
+                     "--runs", "1", "--out", str(tmp_path), flag, value])
+        assert code == 1
+        assert "must be finite" in capsys.readouterr().err
+
     def test_verify_corpus(self, tmp_path, capsys, peak_scenario):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -208,3 +217,105 @@ class TestMain:
         bad = scenario_to_dict(make_scenario([10.0], 5.0, total_price=500.0))
         (corpus / "bad.json").write_text(json.dumps(bad))
         assert main(["verify", "--corpus", str(corpus)]) == 1
+
+
+def write_corpus(tmp_path, files):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for name, text in files.items():
+        (corpus / name).write_text(text)
+    return str(corpus)
+
+
+class TestVerifyEveryFile:
+    """verify prints one line per file, keeps going after a bad one and
+    exits with the highest code seen (2 over 1 over 0)."""
+
+    @pytest.fixture
+    def good(self, peak_scenario):
+        return json.dumps(scenario_to_dict(peak_scenario))
+
+    def run(self, corpus, capsys):
+        code = main(["verify", "--corpus", corpus, "--trials", "300"])
+        return code, capsys.readouterr().out.splitlines()
+
+    def test_missing_grid_is_invalid(self, tmp_path, capsys, good):
+        data = json.loads(good)
+        del data["grid"]
+        code, out = self.run(write_corpus(tmp_path, {"a.json": json.dumps(data), "b.json": good}),
+                             capsys)
+        assert code == 1
+        assert out[0].startswith("a.json: INVALID (missing field 'grid')")
+        assert out[1].startswith("b.json: OK")
+
+    def test_malformed_json_is_invalid(self, tmp_path, capsys, good):
+        code, out = self.run(write_corpus(tmp_path, {"a.json": "{not json", "b.json": good}),
+                             capsys)
+        assert code == 1
+        assert out[0].startswith("a.json: INVALID (JSONDecodeError")
+        assert out[1].startswith("b.json: OK")
+
+    @pytest.mark.parametrize("field, value", [
+        ("users", 5), ("grid", []), ("cost_linear", "x"), ("surplus", "100"),
+        ("total_price", float("nan")),
+    ])
+    def test_wrong_typed_field_is_invalid(self, tmp_path, capsys, good, field, value):
+        data = json.loads(good)
+        if field in ("users", "grid"):
+            data[field] = value
+        elif field == "surplus":
+            data["users"][0][field] = value
+        else:
+            data["grid"][field] = value
+        code, out = self.run(write_corpus(tmp_path, {"a.json": json.dumps(data), "b.json": good}),
+                             capsys)
+        assert code == 1
+        assert out[0].startswith("a.json: INVALID (")
+        assert out[1].startswith("b.json: OK")
+
+    @pytest.mark.parametrize("error", [ProjectionError, ArmijoSearchError])
+    def test_solver_errors_are_non_convergent(self, tmp_path, capsys, monkeypatch, good,
+                                              error):
+        real = cli.run_stackelberg
+
+        def flaky(scenario, *args, **kwargs):
+            if scenario.seed == 7:
+                raise error("no progress")
+            return real(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_stackelberg", flaky)
+        data = json.loads(good)
+        data["seed"] = 7
+        code, out = self.run(write_corpus(tmp_path, {"a.json": json.dumps(data), "b.json": good}),
+                             capsys)
+        assert code == 2
+        assert out[0] == f"a.json: NON-CONVERGENT ({error.__name__}: no progress)"
+        assert out[1].startswith("b.json: OK")
+
+    def test_unsamplable_price_slice_fails_audit(self, tmp_path, capsys, good):
+        edge = scenario_to_dict(make_scenario([100.0, 120.0, 140.0], 150.0,
+                                              total_price=29.999, p_min=1.0, p_max=10.0))
+        code, out = self.run(write_corpus(tmp_path, {"a.json": json.dumps(edge), "b.json": good}),
+                             capsys)
+        assert code == 1
+        assert out[0].startswith("a.json: FAIL (only 0 of 300 leader price samples")
+        assert out[1].startswith("b.json: OK")
+
+    def test_highest_code_wins(self, tmp_path, capsys, monkeypatch, good):
+        real = cli.run_stackelberg
+
+        def flaky(scenario, *args, **kwargs):
+            if scenario.seed == 7:
+                raise ProjectionError("no progress")
+            return real(scenario, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "run_stackelberg", flaky)
+        stuck = json.loads(good)
+        stuck["seed"] = 7
+        corpus = write_corpus(tmp_path, {
+            "a.json": "[]", "b.json": json.dumps(stuck), "c.json": "{", "d.json": good,
+        })
+        code, out = self.run(corpus, capsys)
+        assert code == 2
+        assert [line.split(":")[0] for line in out] == ["a.json", "b.json", "c.json", "d.json"]
+        assert [line.split()[1] for line in out] == ["INVALID", "NON-CONVERGENT", "INVALID", "OK"]

@@ -1,11 +1,16 @@
 import json
+import signal
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gridtrade.cli import scenario_from_dict
 from gridtrade.engine import (
     Message,
     MessageLog,
+    NSESamplingError,
     ScenarioValidationError,
     check_nse,
     run_fit,
@@ -15,7 +20,35 @@ from gridtrade.model import grid_cost
 from gridtrade.price_opt import optimize_prices
 from tests.conftest import make_scenario
 
+GOLDEN_TRANSCRIPT = Path(__file__).parent / "data" / "peak_transcript.jsonl"
+
 ROUND_ORDER = ("announce", "price_update", "offer", "slack_report", "repeat_bit")
+
+
+def reference_jsonl(log):
+    """The transcript format's definition: one json.dumps line per message."""
+    return "\n".join(
+        json.dumps(
+            {"round": m.round, "sender": m.sender, "kind": m.kind, "payload": m.payload},
+            sort_keys=True,
+        )
+        for m in log.messages
+    )
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError instead of hanging past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def rounds_of(log):
@@ -105,6 +138,14 @@ class TestRunStackelberg:
         with pytest.raises(ScenarioValidationError):
             run_stackelberg(s)
 
+    @pytest.mark.parametrize("field, value", [
+        ("total_price", float("nan")), ("p_min", float("nan")), ("p_max", float("inf")),
+    ])
+    def test_non_finite_price_parameters_raise(self, field, value):
+        s = make_scenario([100.0, 150.0], 120.0, **{field: value})
+        with pytest.raises(ScenarioValidationError, match=field):
+            run_stackelberg(s)
+
     def test_determinism_bit_identical(self, peak_scenario):
         a = run_stackelberg(peak_scenario)
         b = run_stackelberg(peak_scenario)
@@ -168,6 +209,90 @@ class TestMessageLog:
         total_rounds = outcome.stage1.follower_iterations + outcome.stage2.follower_iterations
         assert all(c == 2 * total_rounds for c in counts.values())
 
+    def test_matches_golden_transcript(self, peak_scenario):
+        # written by the per-message json.dumps renderer this log replaced
+        outcome = run_stackelberg(peak_scenario, extra_price_rounds=1)
+        text = outcome.log.to_jsonl()
+        assert text.encode("utf-8") == GOLDEN_TRANSCRIPT.read_bytes()
+        kinds = {json.loads(line)["kind"] for line in text.splitlines()}
+        assert kinds == {"announce", "price_update", "offer", "slack_report", "repeat_bit"}
+
+    @pytest.mark.parametrize("surpluses, deficiency", [
+        ([100.0], 50.0),                      # a single seller
+        ([240.0, 230.0, 64.0, 70.0], 100.0),  # idle sellers in both stages
+        ([200.0, 80.0, 70.0, 150.0, 65.0], 120.0),
+    ])
+    def test_jsonl_matches_reference_renderer(self, surpluses, deficiency):
+        outcome = run_stackelberg(make_scenario(surpluses, deficiency), extra_price_rounds=1)
+        log = outcome.log
+        assert outcome.converged
+        assert log.to_jsonl() == reference_jsonl(log)
+        messages = log.messages
+        assert len(log) == len(messages)
+        assert log.total_rounds == messages[-1].round
+        counts = {}
+        for m in messages:
+            if m.sender.startswith("eu:"):
+                counts[int(m.sender[3:])] = counts.get(int(m.sender[3:]), 0) + 1
+        assert log.per_eu_counts == counts
+
+    def test_integer_valued_announce_fields(self):
+        scenario = scenario_from_dict({
+            "users": [{"id": 0, "surplus": 120}, {"id": 1, "surplus": 90}],
+            "grid": {"deficiency": 100, "total_price": 40, "p_min": 5, "p_max": 35,
+                     "cost_linear": [0.01, 0.01], "cost_const": [1, 1]},
+        })
+        log = run_stackelberg(scenario).log
+        assert log.to_jsonl() == reference_jsonl(log)
+        assert '"deficiency": 100, "n_users": 2, "total_price": 40}' in log.to_jsonl()
+
+    def test_non_finite_round_values_render_like_json_dumps(self):
+        log = MessageLog()
+        log.append(Message(1, "pg", "announce",
+                           {"deficiency": 5.0, "total_price": 3.0, "n_users": 3}))
+        log.append_round(1, [0.0, np.nan, 1e-300], [np.inf, -np.inf, -0.0], True)
+        log.append_round(2, [2.5, 1.0 / 3.0, 7e22], [1.0, 2.0, 3.0], False)
+        assert log.to_jsonl() == reference_jsonl(log)
+        assert len(log) == 1 + 7 + 7
+        assert log.total_rounds == 2
+        assert log.per_eu_counts == {0: 4, 1: 4, 2: 4}
+
+    def test_append_round_validates(self):
+        log = MessageLog()
+        log.append_round(2, [1.0], [2.0], True)
+        with pytest.raises(ValueError):
+            log.append_round(1, [1.0], [2.0], True)
+        with pytest.raises(ValueError):
+            log.append_round(3, [1.0, 2.0], [2.0], True)
+        with pytest.raises(ValueError):
+            log.append_round(3, [[1.0]], [[2.0]], True)
+        for bad_bit in (1, np.bool_(True), None):
+            with pytest.raises(ValueError):
+                log.append_round(3, [1.0], [2.0], bad_bit)
+        with pytest.raises(ValueError):
+            log.append(Message(1, "pg", "repeat_bit", {"repeat": True}))
+        assert len(log) == 3
+
+    def test_append_round_snapshots_its_arrays(self):
+        offers = np.array([1.0, 2.0])
+        slacks = np.array([3.0, 4.0])
+        log = MessageLog()
+        log.append_round(1, offers, slacks, False)
+        before = log.to_jsonl()
+        offers[:] = -1.0
+        slacks[0] = np.nan
+        assert log.to_jsonl() == before
+        assert [m.payload for m in log.messages[:2]] == [
+            {"eu_id": 0, "energy": 1.0}, {"eu_id": 1, "energy": 2.0}]
+
+    def test_messages_are_rebuilt_on_each_read(self, peak_scenario):
+        log = run_stackelberg(peak_scenario).log
+        first = log.messages
+        first[1].payload["energy"] = -5.0
+        first.clear()
+        assert log.messages[1].payload["energy"] == 0.0
+        assert log.to_jsonl() == reference_jsonl(log)
+
 
 class TestCheckNse:
     def test_clean_at_equilibrium(self, peak_scenario):
@@ -209,6 +334,22 @@ class TestCheckNse:
         a = check_nse(outcome, peak_scenario, trials=500, seed=3)
         b = check_nse(outcome, peak_scenario, trials=500, seed=3)
         assert a == b
+
+    def test_single_point_price_slice_at_p_max(self):
+        # total_price = n * p_max leaves one price vector; rejection
+        # sampling over the simplex never draws it
+        s = make_scenario([100.0, 120.0, 140.0], 150.0, total_price=30.0, p_min=1.0, p_max=10.0)
+        outcome = run_stackelberg(s)
+        with time_limit(20):
+            report = check_nse(outcome, s, trials=2000)
+        assert report.clean
+        assert report.max_leader_improvement == pytest.approx(0.0, abs=1e-9)
+
+    def test_exhausted_price_sampling_raises(self):
+        s = make_scenario([100.0, 120.0, 140.0], 150.0, total_price=29.999, p_min=1.0, p_max=10.0)
+        outcome = run_stackelberg(s)
+        with time_limit(20), pytest.raises(NSESamplingError):
+            check_nse(outcome, s, trials=200)
 
 
 class TestRunFit:

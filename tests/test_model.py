@@ -186,3 +186,12 @@ class TestValidateScenario:
         users = (s.users[0], s.users[0])
         report = validate_scenario(Scenario(users, s.grid, s.seed))
         assert any("contiguous" in r for r in report)
+
+    @pytest.mark.parametrize("field, value", [
+        ("total_price", math.nan), ("total_price", math.inf),
+        ("p_min", math.nan), ("p_max", math.nan), ("p_max", math.inf),
+    ])
+    def test_non_finite_price_parameters_reported(self, field, value):
+        s = make_scenario([100.0, 120.0], 50.0, **{field: value})
+        report = validate_scenario(s)
+        assert any(r.startswith(f"{field} must be finite") for r in report), report

@@ -15,17 +15,24 @@ def grid_search_projection(v, fset, steps=200):
     """Brute-force minimizer of ||w - v|| over a fine feasible lattice.
 
     Independent of the production path: enumerates the box lattice and
-    filters by the budget. Only sensible for N <= 3.
+    filters by the budget. Only sensible for 2 <= N <= 3. The last two
+    axes are evaluated as one numpy slab per point of the leading axes,
+    which are walked in itertools.product order; sums are formed in the
+    same order as over a single lattice point, and argmin keeps the first
+    minimum, so ties resolve to the same point as a point-by-point walk.
     """
     axes = [np.linspace(0.0, ub, steps + 1) for ub in fset.upper_bounds]
+    v = np.asarray(v, dtype=float)
+    slab = np.ix_(axes[-2], axes[-1])
     best, best_d = None, np.inf
-    for point in itertools.product(*axes):
-        w = np.array(point)
-        if w.sum() > fset.budget:
-            continue
-        d = float(np.sum((w - v) ** 2))
-        if d < best_d:
-            best, best_d = w, d
+    for head in itertools.product(*axes[:-2]):
+        total = sum(head, 0.0) + slab[0] + slab[1]
+        d = (sum((h - c) ** 2 for h, c in zip(head, v)) + (slab[0] - v[-2]) ** 2
+             + (slab[1] - v[-1]) ** 2)
+        d[total > fset.budget] = np.inf
+        k = np.unravel_index(np.argmin(d), d.shape)
+        if d[k] < best_d:
+            best, best_d = np.array(head + (axes[-2][k[0]], axes[-1][k[1]])), d[k]
     return best
 
 
