@@ -18,12 +18,11 @@ from .vi_solver import (
     PseudoGradient,
     SolverConfig,
     SolverTrace,
-    mu_vector,
     natural_residual,
     solve_ve,
     ve_closed_form,
 )
-from .price_opt import InfeasiblePriceBudget, PriceSolution, optimize_prices, price_grid_oracle
+from .price_opt import InfeasiblePriceBudget, PriceSolution, optimize_prices
 from .engine import (
     GameOutcome,
     Message,
@@ -35,7 +34,7 @@ from .engine import (
     run_fit,
     run_stackelberg,
 )
-from .oracle import OracleReport, social_optimality_audit, ve_oracle
+from .oracle import OracleReport, price_grid_oracle, social_optimality_audit, ve_oracle
 from .cli import ExperimentConfig, run_experiment, sample_scenario
 
 __version__ = "0.1.0"

@@ -1,9 +1,10 @@
-"""Independent verifiers for the follower equilibrium.
+"""Independent verifiers for the follower equilibrium and the leader prices.
 
 Used only by tests and acceptance audits, never by the production path.
 `ve_oracle` maximizes the joint seller utility directly by projected
 gradient ascent, sharing nothing with the extragradient solver except the
 projection primitive (which is itself grid-verified for small N).
+`price_grid_oracle` searches a lattice of the price slice exhaustively.
 """
 
 from __future__ import annotations
@@ -12,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FeasibleSet, Scenario, joint_utility
+from .model import FeasibleSet, GridParams, Scenario, joint_utility
+from .price_opt import InfeasiblePriceBudget, PriceSolution, _solution
 from .projection import project_box_budget
 
 
@@ -79,3 +81,56 @@ def social_optimality_audit(scenario: Scenario, x_star, p, samples: int,
         argmax_case=f"seed={scenario.seed}/sample={idx}",
         trials=samples,
     )
+
+
+def price_grid_oracle(x, grid: GridParams, resolution: float) -> PriceSolution:
+    """Exhaustive lattice search over the price slice; verification only.
+
+    The last coordinate is eliminated by the equality constraint. Cost grows
+    exponentially with N, so only N <= 3 is supported.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n > 3:
+        raise ValueError(f"grid oracle supports N <= 3, got {n}")
+    if resolution <= 0.0:
+        raise ValueError("resolution must be positive")
+    p_min, p_max, target = grid.p_min, grid.p_max, grid.total_price
+
+    if n == 1:
+        if not (p_min <= target <= p_max):
+            raise InfeasiblePriceBudget(f"total_price {target} outside [{p_min}, {p_max}]")
+        p = np.array([target])
+        return _solution(p, float("nan"), x, grid)
+
+    axis = np.arange(p_min, p_max + 0.5 * resolution, resolution)
+    axis = axis[axis <= p_max]
+    if axis[-1] < p_max:
+        axis = np.append(axis, p_max)
+    best_cost = np.inf
+    best = None
+    a, b = grid.cost_linear, grid.cost_const
+    if n == 2:
+        p2 = target - axis
+        ok = (p2 >= p_min - 1e-12) & (p2 <= p_max + 1e-12)
+        if ok.any():
+            c = x[0] * axis[ok] ** 2 + a[0] * axis[ok] + x[1] * p2[ok] ** 2 + a[1] * p2[ok] + b.sum()
+            i = int(np.argmin(c))
+            best_cost = float(c[i])
+            best = np.array([axis[ok][i], p2[ok][i]])
+    else:
+        for p1 in axis:
+            p3 = target - p1 - axis
+            ok = (p3 >= p_min - 1e-12) & (p3 <= p_max + 1e-12)
+            if not ok.any():
+                continue
+            c = (x[0] * p1 ** 2 + a[0] * p1
+                 + x[1] * axis[ok] ** 2 + a[1] * axis[ok]
+                 + x[2] * p3[ok] ** 2 + a[2] * p3[ok] + b.sum())
+            i = int(np.argmin(c))
+            if c[i] < best_cost:
+                best_cost = float(c[i])
+                best = np.array([p1, axis[ok][i], p3[ok][i]])
+    if best is None:
+        raise InfeasiblePriceBudget("no lattice point satisfies the price constraints")
+    return _solution(best, float("nan"), x, grid)

@@ -7,11 +7,14 @@ Two set shapes are needed by the equilibrium solver:
 
 Both projections reduce to one-dimensional duals. For X, the projection of v
 is clamp(v - lam, 0, ub) where the budget multiplier lam solves a monotone
-scalar equation; the map lam -> sum(clamp(v - lam, 0, ub)) is continuous and
-nonincreasing, so bisection brackets lam and an exact active-set solve pins
-it down. For X intersected with a halfspace, a scalar multiplier beta on the
-halfspace constraint plays the same role: w(beta) = P_X(x - beta*n), with
-beta >= 0 chosen so the constraint holds with complementary slackness.
+scalar equation; the map lam -> sum(clamp(v - lam, 0, ub)) is continuous,
+nonincreasing and linear between the 2n breakpoints v - ub and v, so one
+sort of the breakpoints and a cumulative sum locate the piece holding lam,
+and an exact active-set solve on that piece pins it down. For X intersected
+with a halfspace, a scalar multiplier beta on the halfspace constraint plays
+the same role: w(beta) = P_X(x - beta*n), with beta >= 0 chosen so the
+constraint holds with complementary slackness. Each evaluation of w(beta)
+finds its own budget multiplier with the same breakpoint search.
 
 Numerical discipline matters more than usual here. The outer solver drives
 the halfspace gap <n, w(beta) - z> to the square of its own residual, far
@@ -39,12 +42,28 @@ class ProjectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProjectionResult:
-    """Projection onto the box-plus-budget set with its KKT certificate."""
+    """Projection onto the box-plus-budget set with its KKT certificate.
+
+    iterations is the number of breakpoint pieces checked by the budget
+    multiplier search: 0 when the budget does not bind, 1 when the piece
+    found from the cumulative sum certifies, 2 when an exactly rounded
+    search was needed to find it.
+    """
 
     point: np.ndarray
     multiplier: float
     active_budget: bool
     iterations: int
+
+
+def _checked_vector(value, name, shape):
+    """value as a float array, rejected unless finite and of the set's shape."""
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != shape:
+        raise ValueError(f"{name} shape {arr.shape} does not match set dimension {shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"cannot project with a non-finite {name}")
+    return arr
 
 
 def _exact_multiplier(v, ub, budget, lam_guess):
@@ -63,8 +82,57 @@ def _exact_multiplier(v, ub, budget, lam_guess):
     return max(lam, 0.0)
 
 
+def _breakpoint_root(s, lo, hi, target, finish):
+    """Root of f(lam) = sum(clip(s - lam, lo, hi)) = target by breakpoint search.
+
+    f is continuous, nonincreasing and linear between the 2n breakpoints
+    s - hi and s - lo. Sorting them once and accumulating the slope changes
+    gives f at every breakpoint, and searchsorted picks the piece holding the
+    root. `finish(lam_guess)` solves exactly on the active set at lam_guess
+    and returns (result, ok), ok being its own KKT certificate. If the piece
+    from the cumulative sum is rejected, that sum has lost precision at this
+    scale, and the sorted breakpoints are binary-searched again with
+    exactly rounded (fsum) values of f. Returns (result, pieces checked).
+    """
+    n = s.size
+    t = np.concatenate((s - hi, s - lo))
+    order = np.argsort(t, kind="stable")
+    t = t[order]
+    # Past s_i - hi_i component i leaves its upper bound; past s_i - lo_i it
+    # sits at its lower bound, so f(t_k) = sum(hi) + sum_{j<=k} w_j*(t_j - t_k).
+    w = np.where(order < n, 1.0, -1.0)
+    f = hi.sum() + np.cumsum(w * t) - np.cumsum(w) * t
+
+    def guess(k):
+        """A multiplier inside piece k, the interval (t[k-1], t[k])."""
+        if k == 0:
+            return t[0] - (1.0 + abs(t[0]))
+        if k == 2 * n:
+            return t[-1] + (1.0 + abs(t[-1]))
+        return 0.5 * (t[k - 1] + t[k])
+
+    k = int(np.searchsorted(-f, -target))
+    result, ok = finish(guess(k))
+    if ok:
+        return result, 1
+    first, last = 0, 2 * n
+    while first < last:
+        mid = (first + last) // 2
+        if math.fsum(np.clip(s - t[mid], lo, hi)) <= target:
+            last = mid
+        else:
+            first = mid + 1
+    if first != k:
+        result, ok = finish(guess(first))
+        if ok:
+            return result, 2
+    raise ProjectionError(
+        f"no breakpoint piece certifies the multiplier (target {target:.3e}, {n} components)"
+    )
+
+
 def _box_budget_core(v, ub, budget):
-    """Projection onto the box-plus-budget set: returns (point, lam, iters)."""
+    """Projection onto the box-plus-budget set: returns (point, lam, pieces)."""
     x0 = np.clip(v, 0.0, ub)
     if x0.sum() <= budget:
         return x0, 0.0, 0
@@ -73,54 +141,28 @@ def _box_budget_core(v, ub, budget):
     # achievable sum accuracy for far-away inputs.
     floor = 16.0 * np.finfo(float).eps * v.size * max(1.0, float(np.abs(v).max()))
     tol_sum = 1e-12 * max(1.0, budget) + floor
-    lo, hi = 0.0, float(v.max())
-    lam = hi
-    iterations = 0
-    for _ in range(120):
-        lam = 0.5 * (lo + hi)
-        iterations += 1
-        s = np.clip(v - lam, 0.0, ub).sum()
-        close = abs(s - budget) <= tol_sum
-        narrow = (hi - lo) <= 1e-9 * max(1.0, hi)
-        if close or (iterations >= 30 and narrow):
-            lam_exact = _exact_multiplier(v, ub, budget, lam)
-            x = np.clip(v - lam_exact, 0.0, ub)
-            if abs(x.sum() - budget) <= tol_sum:
-                return x, lam_exact, iterations
-            if close:
-                # Active set shifts exactly at the root; the bisected
-                # multiplier already meets the tolerance.
-                return np.clip(v - lam, 0.0, ub), lam, iterations
-        if s > budget:
-            lo = lam
-        else:
-            hi = lam
-        if (hi - lo) <= 1e-17 * max(1.0, hi):
-            break
-    x = np.clip(v - lam, 0.0, ub)
-    if abs(x.sum() - budget) > 10.0 * tol_sum:
-        raise ProjectionError(
-            f"budget bisection stalled: residual {x.sum() - budget:.3e} after {iterations} steps"
-        )
-    return x, lam, iterations
+
+    def finish(lam_guess):
+        lam = _exact_multiplier(v, ub, budget, lam_guess)
+        x = np.clip(v - lam, 0.0, ub)
+        return (x, lam), abs(x.sum() - budget) <= tol_sum
+
+    (x, lam), pieces = _breakpoint_root(v, np.zeros_like(ub), ub, budget, finish)
+    return x, lam, pieces
 
 
 def project_box_budget(v, fset: FeasibleSet) -> ProjectionResult:
     """Euclidean projection of v onto the box-plus-budget set.
 
     If the box-clamped point already satisfies the budget the multiplier is
-    zero; otherwise the budget binds and the multiplier is bracketed by
-    bisection over [0, max(v)] and then solved exactly on the active set.
+    zero; otherwise the budget binds, the breakpoint search finds the piece
+    holding the multiplier, and it is solved exactly on that active set.
     """
-    v = np.asarray(v, dtype=float)
     ub = fset.upper_bounds
-    if v.shape != ub.shape:
-        raise ValueError(f"vector shape {v.shape} does not match set dimension {ub.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("cannot project a non-finite vector")
-    point, lam, iterations = _box_budget_core(v, ub, fset.budget)
+    v = _checked_vector(v, "vector", ub.shape)
+    point, lam, pieces = _box_budget_core(v, ub, fset.budget)
     return ProjectionResult(point=point, multiplier=float(lam),
-                            active_budget=lam > 0.0, iterations=iterations)
+                            active_budget=lam > 0.0, iterations=pieces)
 
 
 def _shifted_move(x, n, beta, ub, budget, sum_x, equality=False):
@@ -128,11 +170,12 @@ def _shifted_move(x, n, beta, ub, budget, sum_x, equality=False):
 
     Solves for the budget multiplier directly in move coordinates
     m(lam) = clamp(-beta*n - lam, -x, ub - x), targeting
-    fsum(m) = budget - sum(x). Bisection only identifies the active set; the
-    accepted move is reassembled as -beta*(n_i - mean(n_free)) - c on free
-    components, which keeps every piece exactly rounded at its own scale.
-    Computing clamp(-beta*n - lam) directly would round at the beta*||n||
-    scale, orders of magnitude above the physical move near convergence.
+    fsum(m) = budget - sum(x). The breakpoint search only identifies the
+    active set; the accepted move is reassembled as
+    -beta*(n_i - mean(n_free)) - c on free components, which keeps every
+    piece exactly rounded at its own scale. Computing clamp(-beta*n - lam)
+    directly would round at the beta*||n|| scale, orders of magnitude above
+    the physical move near convergence.
 
     With equality=True the budget is treated as the equality sum(w) = sum(x)
     and the multiplier may take either sign; the caller uses this to keep
@@ -163,7 +206,8 @@ def _shifted_move(x, n, beta, ub, budget, sum_x, equality=False):
         into the constant term so the move sums to the target exactly. Any
         guessed active set sums to the target by construction, so the
         assembly is accepted only if it also satisfies the KKT set
-        conditions at its own exact multiplier.
+        conditions at its own exact multiplier. Returns
+        ((move, multiplier, free), ok).
         """
         mm = np.clip(s - lam, lo_b, hi_b)
         lower = mm <= lo_b
@@ -172,7 +216,7 @@ def _shifted_move(x, n, beta, ub, budget, sum_x, equality=False):
         k = int(free.sum())
         if k == 0:
             ok = abs(math.fsum(mm) - target) <= 1e-12 * max(1.0, abs(target))
-            return mm, lam, free, ok
+            return (mm, lam, free), ok
         nbar = math.fsum(n[free]) / k
         residue = math.fsum(list(n[free]) + [-k * nbar])
         c = math.fsum(list(hi_b[upper]) + list(lo_b[lower]) + [-target]) / k
@@ -192,56 +236,9 @@ def _shifted_move(x, n, beta, ub, budget, sum_x, equality=False):
         m = np.clip(m, lo_b, hi_b)
         if not equality:
             lam_exact = max(lam_exact, 0.0)
-        return m, lam_exact, free, ok
+        return (m, lam_exact, free), ok
 
-    lam_hi = s_scale + abs(min(target, 0.0)) + float(x.max()) + 1e-300
-    lam_lo = -(lam_hi + float(np.abs(ub).max())) if equality else 0.0
-    if equality:
-        for _ in range(200):
-            if math.fsum(np.clip(s - lam_lo, lo_b, hi_b)) >= target:
-                break
-            lam_lo *= 2.0
-    for _ in range(200):
-        if math.fsum(np.clip(s - lam_hi, lo_b, hi_b)) <= target:
-            break
-        lam_hi *= 2.0
-    lam = lam_hi
-    best = None
-    for _ in range(200):
-        lam = 0.5 * (lam_lo + lam_hi)
-        m, lam_exact, free, ok = assemble(lam)
-        if ok:
-            return m, lam_exact, free
-        if math.fsum(np.clip(s - lam, lo_b, hi_b)) > target:
-            lam_lo = lam
-        else:
-            lam_hi = lam
-        if (lam_hi - lam_lo) <= 1e-17 * max(1.0, lam_hi):
-            break
-    # Breakpoint-straddling final state: accept the better side within the
-    # representability floor of clamp(s - lam) at the |s| scale, repairing
-    # the residual sum gap over the free components so the returned point
-    # does not drift off the budget face and poison later iterations.
-    for lam_try in (lam, lam_lo, lam_hi):
-        m = np.clip(s - lam_try, lo_b, hi_b)
-        gap_try = math.fsum(m) - target
-        if best is None or abs(gap_try) < abs(best[0]):
-            best = (gap_try, m, lam_try)
-    gap_best, m, lam = best
-    m = m.copy()
-    for _ in range(3):
-        free = (m > lo_b) & (m < hi_b)
-        k = int(free.sum())
-        if k == 0 or gap_best == 0.0:
-            break
-        m[free] -= gap_best / k
-        m = np.clip(m, lo_b, hi_b)
-        gap_best = math.fsum(m) - target
-    floor = 128.0 * np.finfo(float).eps * x.size * s_scale
-    if abs(gap_best) > max(1e-9 * max(1.0, budget), floor):
-        raise ProjectionError(f"shifted-move multiplier search stalled (gap {gap_best:.3e})")
-    free = (m > lo_b) & (m < hi_b)
-    return m, max(lam, 0.0), free
+    return _breakpoint_root(s, lo_b, hi_b, target, assemble)[0]
 
 
 def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
@@ -255,19 +252,20 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
     step off the current linear piece usually lands on the root and a
     bracketed regula-falsi finishes. Raises ProjectionError when no bracket
     exists within max_evals gap evaluations (empty or degenerate
-    intersection).
+    intersection), and ValueError when an input is non-finite or does not
+    match the set's dimension.
 
     offset_gap, when given, supplies x - offset_point directly; pass it when
     that difference is known analytically, because forming it by subtraction
     of nearly equal vectors destroys the gap signal.
     """
-    x = np.asarray(x, dtype=float)
-    n = np.asarray(normal, dtype=float)
+    ub = fset.upper_bounds
+    x = _checked_vector(x, "point", ub.shape)
+    n = _checked_vector(normal, "normal", ub.shape)
     if not n.any():
         raise ValueError("halfspace normal must be nonzero")
-    gap = (x - np.asarray(offset_point, dtype=float)) if offset_gap is None \
-        else np.asarray(offset_gap, dtype=float)
-    ub = fset.upper_bounds
+    gap = (x - _checked_vector(offset_point, "offset point", ub.shape)) if offset_gap is None \
+        else _checked_vector(offset_gap, "offset gap", ub.shape)
     budget = fset.budget
     sum_x = math.fsum(x)
 

@@ -191,12 +191,6 @@ def ve_closed_form(F: PseudoGradient, fset: FeasibleSet) -> np.ndarray:
     return project_box_budget(F.surpluses + F.prices, fset).point
 
 
-def mu_vector(x, F: PseudoGradient) -> np.ndarray:
-    """Per-user slack surpluses - x + prices; equalized across users that are
-    strictly inside their boxes at a budget-bound equilibrium."""
-    return F.mu(np.asarray(x, dtype=float))
-
-
 def solve_ve(F: PseudoGradient, fset: FeasibleSet, cfg: SolverConfig | None = None,
              x0=None, on_iteration=None) -> tuple[np.ndarray, SolverTrace]:
     """Run the extragradient iteration from x0 (default: the zero vector).

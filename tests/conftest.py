@@ -1,3 +1,6 @@
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -20,6 +23,21 @@ def make_scenario(surpluses, deficiency, total_price=175.0, p_min=8.45, p_max=17
         cost_const=np.full(n, float(cost_const)),
     )
     return Scenario(users=users, grid=grid, seed=seed)
+
+
+@contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError instead of hanging past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture

@@ -1,6 +1,4 @@
 import json
-import signal
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +16,7 @@ from gridtrade.engine import (
 )
 from gridtrade.model import grid_cost
 from gridtrade.price_opt import optimize_prices
-from tests.conftest import make_scenario
+from tests.conftest import make_scenario, time_limit
 
 GOLDEN_TRANSCRIPT = Path(__file__).parent / "data" / "peak_transcript.jsonl"
 
@@ -34,21 +32,6 @@ def reference_jsonl(log):
         )
         for m in log.messages
     )
-
-
-@contextmanager
-def time_limit(seconds):
-    """Fail with TimeoutError instead of hanging past `seconds`."""
-    def expire(signum, frame):
-        raise TimeoutError(f"still running after {seconds} s")
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.alarm(seconds)
-    try:
-        yield
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def rounds_of(log):

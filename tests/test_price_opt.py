@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from gridtrade.model import GridParams
-from gridtrade.price_opt import InfeasiblePriceBudget, optimize_prices, price_grid_oracle
+from gridtrade.oracle import price_grid_oracle
+from gridtrade.price_opt import InfeasiblePriceBudget, optimize_prices
 
 
 def make_grid(n, p_min, p_max, total, a=None, b=None):

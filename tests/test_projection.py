@@ -1,25 +1,31 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gridtrade.model import FeasibleSet
 from gridtrade.projection import (
     ProjectionError,
+    _shifted_move,
     project_box_budget,
     project_halfspace_then_set,
 )
+from tests.conftest import time_limit
 
 
-def grid_search_projection(v, fset, steps=200):
+def grid_search_projection(v, fset, steps=200, halfspace=None):
     """Brute-force minimizer of ||w - v|| over a fine feasible lattice.
 
     Independent of the production path: enumerates the box lattice and
-    filters by the budget. Only sensible for 2 <= N <= 3. The last two
-    axes are evaluated as one numpy slab per point of the leading axes,
-    which are walked in itertools.product order; sums are formed in the
-    same order as over a single lattice point, and argmin keeps the first
-    minimum, so ties resolve to the same point as a point-by-point walk.
+    filters by the budget and, when halfspace=(normal, offset) is given, by
+    <normal, w - offset> <= 1e-9. Returns None when no lattice point is
+    feasible. Only sensible for 2 <= N <= 3. The last two axes are
+    evaluated as one numpy slab per point of the leading axes, which are
+    walked in itertools.product order; sums are formed in the same order as
+    over a single lattice point, and argmin keeps the first minimum, so ties
+    resolve to the same point as a point-by-point walk.
     """
     axes = [np.linspace(0.0, ub, steps + 1) for ub in fset.upper_bounds]
     v = np.asarray(v, dtype=float)
@@ -29,7 +35,13 @@ def grid_search_projection(v, fset, steps=200):
         total = sum(head, 0.0) + slab[0] + slab[1]
         d = (sum((h - c) ** 2 for h, c in zip(head, v)) + (slab[0] - v[-2]) ** 2
              + (slab[1] - v[-1]) ** 2)
-        d[total > fset.budget] = np.inf
+        infeasible = total > fset.budget
+        if halfspace is not None:
+            normal, offset = halfspace
+            cut = (sum(a * (h - o) for a, h, o in zip(normal, head, offset))
+                   + normal[-2] * (slab[0] - offset[-2]) + normal[-1] * (slab[1] - offset[-1]))
+            infeasible |= cut > 1e-9
+        d[infeasible] = np.inf
         k = np.unravel_index(np.argmin(d), d.shape)
         if d[k] < best_d:
             best, best_d = np.array(head + (axes[-2][k[0]], axes[-1][k[1]])), d[k]
@@ -145,19 +157,7 @@ class TestProjectHalfspaceThenSet:
             normal = rng.normal(size=2)
             offset = rng.uniform(0, ub)
             w = project_halfspace_then_set(x, normal, offset, fs)
-            # dense lattice search over the intersection
-            axes = [np.linspace(0, b, 241) for b in ub]
-            best, best_d = None, np.inf
-            for p1 in axes[0]:
-                for p2 in axes[1]:
-                    cand = np.array([p1, p2])
-                    if cand.sum() > fs.budget:
-                        continue
-                    if float(normal @ (cand - offset)) > 1e-9:
-                        continue
-                    d = float(np.sum((cand - x) ** 2))
-                    if d < best_d:
-                        best, best_d = cand, d
+            best = grid_search_projection(x, fs, steps=240, halfspace=(normal, offset))
             if best is None:
                 continue
             step = float(max(ub)) / 240
@@ -168,6 +168,32 @@ class TestProjectHalfspaceThenSet:
         with pytest.raises(ValueError):
             project_halfspace_then_set(np.array([1.0]), np.array([0.0]), np.array([0.0]), fs)
 
+    @staticmethod
+    def call_with(field, value):
+        """Project a fixed 3-D instance with one argument replaced by value."""
+        fs = FeasibleSet(np.array([3.0, 5.0, 2.0]), 6.0)
+        args = {"x": np.array([1.0, 2.0, 0.5]), "normal": np.array([1.0, -2.0, 0.5]),
+                "offset": np.array([0.5, 1.0, 0.2]), "offset_gap": None}
+        args[field] = value
+        with time_limit(10):
+            project_halfspace_then_set(args["x"], args["normal"], args["offset"], fs,
+                                       offset_gap=args["offset_gap"])
+
+    @pytest.mark.parametrize("field,value", [
+        ("x", [1.0, np.nan, 0.5]), ("normal", [1.0, np.nan, 0.5]),
+        ("offset", [0.5, np.nan, 0.2]), ("normal", [1.0, np.inf, 0.5]),
+        ("x", [1.0, np.inf, 0.5]), ("offset", [0.5, -np.inf, 0.2]),
+        ("offset_gap", [0.1, np.nan, 0.0]),
+    ])
+    def test_non_finite_input_rejected(self, field, value):
+        with pytest.raises(ValueError, match="non-finite"):
+            self.call_with(field, np.array(value))
+
+    @pytest.mark.parametrize("field", ["x", "normal", "offset", "offset_gap"])
+    def test_shape_mismatch_rejected(self, field):
+        with pytest.raises(ValueError, match="does not match"):
+            self.call_with(field, np.array([1.0, 2.0]))
+
     def test_empty_intersection_reported(self):
         fs = FeasibleSet(np.array([3.0, 5.0]), 4.0)
         # halfspace w1 + w2 >= 20 misses the set entirely
@@ -176,3 +202,114 @@ class TestProjectHalfspaceThenSet:
                 np.array([1.0, 1.0]), np.array([-1.0, -1.0]), np.array([10.0, 10.0]), fs,
                 max_evals=500,
             )
+
+
+EPS = np.finfo(float).eps
+# Lattice values make breakpoints coincide across components; the floats
+# cover generic positions between them.
+LATTICE = (0.0, 0.25, 0.5, 1.0, 1.5, 2.0)
+
+
+def magnitudes(draw, n):
+    """Per-component scales from 1e-6 to 1e6; two of them per instance, so
+    some instances mix magnitudes that a cumulative sum cannot resolve."""
+    pair = 10.0 ** np.array(draw(st.lists(st.integers(-6, 6), min_size=2, max_size=2)))
+    return pair[np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))]
+
+
+def unit_values(n, low, high):
+    value = st.one_of(st.sampled_from([u for u in LATTICE if low <= u <= high]),
+                      st.floats(low, high, allow_nan=False, allow_infinity=False))
+    return st.lists(value, min_size=n, max_size=n).map(np.array)
+
+
+@st.composite
+def box_instances(draw):
+    """(v, fset) with n from 1, scales from 1e-6 to 1e6 and shared breakpoints."""
+    n = draw(st.integers(1, 8))
+    scale = magnitudes(draw, n)
+    ub = scale * draw(unit_values(n, 0.25, 2.0))
+    v = scale * (draw(unit_values(n, 0.0, 2.0)) * 2.0 - 1.0)
+    budget = draw(st.floats(0.05, 1.2)) * float(ub.sum())
+    return v, FeasibleSet(ub, budget)
+
+
+@st.composite
+def move_instances(draw, equality):
+    """(x, normal, beta, fset) with x feasible; components at 0 or at ub
+    give moves that are zero-width on one side. With equality=True x is on
+    the budget face."""
+    n = draw(st.integers(1, 8))
+    scale = magnitudes(draw, n)
+    ub = scale * draw(unit_values(n, 0.25, 2.0))
+    x = ub * draw(unit_values(n, 0.0, 1.0))
+    normal = scale * (draw(unit_values(n, 0.0, 2.0)) - 1.0)
+    # Tiny steps are the solver's near-convergence regime: the move is many
+    # orders of magnitude below x, so it must be exact at its own scale.
+    beta = draw(st.one_of(st.sampled_from(LATTICE), st.floats(0.0, 3.0),
+                          st.sampled_from([1e-9, 1e-13, 1e-16, 1e-20])))
+    slack = 0.0 if equality else float(scale.max()) * draw(
+        st.one_of(st.sampled_from(LATTICE), st.floats(0.0, 2.0)))
+    budget = math.fsum(x) + slack
+    assume(budget > 0.0)
+    return x, normal, beta, FeasibleSet(ub, budget)
+
+
+def budget_tolerance(v, budget):
+    """The box projection's certified budget accuracy for input v."""
+    return 1e-12 * max(1.0, budget) + 16.0 * EPS * v.size * max(1.0, float(np.abs(v).max()))
+
+
+class TestBreakpointKernel:
+    @settings(max_examples=400, deadline=None)
+    @given(box_instances())
+    def test_box_budget_certified(self, instance):
+        v, fs = instance
+        ub, budget = fs.upper_bounds, fs.budget
+        try:
+            res = project_box_budget(v, fs)
+        except ProjectionError:
+            return
+        assert res.multiplier >= 0.0
+        assert np.array_equal(res.point, np.clip(v - res.multiplier, 0.0, ub))
+        if res.active_budget:
+            assert abs(math.fsum(res.point) - budget) <= budget_tolerance(v, budget)
+            assert res.iterations in (1, 2)
+        else:
+            assert res.point.sum() <= budget
+            assert res.iterations == 0
+
+    @pytest.mark.parametrize("equality", [False, True])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_shifted_move_matches_box_projection(self, equality, data):
+        x, normal, beta, fs = data.draw(move_instances(equality))
+        ub, budget = fs.upper_bounds, fs.budget
+        try:
+            move, lam, free = _shifted_move(x, normal, beta, ub, budget, math.fsum(x),
+                                            equality=equality)
+        except ProjectionError:
+            return
+        assert np.all(move >= -x) and np.all(move <= ub - x)
+        if not equality:
+            assert lam >= 0.0
+        # KKT at the returned multiplier, at the scale of the move itself:
+        # the move is the clamped shift and meets the budget target.
+        move_scale = float(np.abs(beta * normal).max()) + abs(lam) + float(np.abs(move).max())
+        kkt_tol = 128.0 * EPS * move_scale + 1e-300
+        assert np.abs(move - np.clip(-beta * normal - lam, -x, ub - x)).max() <= kkt_tol
+        slack = budget - math.fsum(x)
+        face_tol = 64.0 * EPS * max(1.0, budget)
+        target = 0.0 if equality or slack <= face_tol else slack
+        if equality or lam > 0.0:
+            assert abs(math.fsum(move) - target) <= x.size * kkt_tol
+        v = x - beta * normal
+        # On the face the budget is an equality and its multiplier may be
+        # negative; shifting v by a constant c makes it positive while the
+        # projection onto {sum(w) = budget} stays clip(v + c - lam', 0, ub).
+        shift = max(0.0, float(np.max(ub - v))) if equality else 0.0
+        ref = project_box_budget(v + shift, fs).point - x
+        scale = max(float(ub.max()), float(np.abs(v).max()), shift)
+        atol = (4.0 * budget_tolerance(v + shift, budget) + face_tol
+                + 64.0 * EPS * x.size * scale)
+        assert np.abs(move - ref).max() <= atol
