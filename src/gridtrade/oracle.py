@@ -5,10 +5,12 @@ Used only by tests and acceptance audits, never by the production path.
 gradient ascent, sharing nothing with the extragradient solver except the
 projection primitive (which is itself grid-verified for small N).
 `price_grid_oracle` searches a lattice of the price slice exhaustively.
+`halfspace_projection_oracle` bisects the halfspace dual over the box projection.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +52,29 @@ def ve_oracle(scenario: Scenario, p, grad_tol: float = 1e-10,
         if mapping <= grad_tol:
             break
     return x
+
+
+def halfspace_projection_oracle(x, normal, offset_point, fset: FeasibleSet,
+                                offset_gap=None) -> np.ndarray:
+    """Projection of feasible x onto X and {w : <normal, w - offset_point> <= 0} by
+    bisection on the cut's dual beta: w(beta) = P_X(x - beta*normal), whose gap
+    <normal, w - offset> falls with beta. offset_gap is as in project_halfspace_then_set."""
+    x, n = np.asarray(x, dtype=float), np.asarray(normal, dtype=float)
+    gap = x - np.asarray(offset_point, dtype=float) if offset_gap is None else offset_gap
+    g_lin = math.fsum((n * gap).tolist())
+
+    def point_and_gap(beta):
+        w = project_box_budget(x - beta * n, fset).point
+        return w, math.fsum((n * (w - x)).tolist()) + g_lin
+
+    # No piece of the gap is steeper than <n, n>, so the root is at least g(0)/<n, n>.
+    lo, hi = 0.0, max(point_and_gap(0.0)[1], 0.0) / math.fsum((n * n).tolist())
+    while point_and_gap(hi)[1] > 0.0:  # overflows to a ValueError if the cut misses X
+        lo, hi = hi, max(2.0 * hi, 5e-324)
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if point_and_gap(mid)[1] > 0.0 else (lo, mid)
+    return point_and_gap(hi)[0]
 
 
 def social_optimality_audit(scenario: Scenario, x_star, p, samples: int,

@@ -33,8 +33,6 @@ class PriceSolution:
     prices: np.ndarray
     dual: float
     cost: float
-    active_lower: tuple[int, ...]
-    active_upper: tuple[int, ...]
 
 
 def _total_at(nu, x, a, p_min, p_max, pos, zero):
@@ -173,14 +171,5 @@ def optimize_prices(x, grid: GridParams, bracket=None) -> PriceSolution:
 
 def _solution(p, nu, x, grid: GridParams) -> PriceSolution:
     p = np.asarray(p, dtype=float)
-    tol = 1e-12 * max(1.0, grid.p_max)
-    lower = tuple(int(i) for i in np.nonzero(p <= grid.p_min + tol)[0])
-    upper = tuple(int(i) for i in np.nonzero(p >= grid.p_max - tol)[0])
-    return PriceSolution(
-        prices=p,
-        dual=float(nu),
-        cost=grid_cost(p, x, grid),
-        active_lower=lower,
-        active_upper=upper,
-    )
+    return PriceSolution(prices=p, dual=float(nu), cost=grid_cost(p, x, grid))
 

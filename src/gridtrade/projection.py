@@ -14,7 +14,9 @@ and an exact active-set solve on that piece pins it down. For X intersected
 with a halfspace, a scalar multiplier beta on the halfspace constraint plays
 the same role: w(beta) = P_X(x - beta*n), with beta >= 0 chosen so the
 constraint holds with complementary slackness. Each evaluation of w(beta)
-finds its own budget multiplier with the same breakpoint search.
+is first solved on the last certified piece (an active set's constants do
+not depend on beta), and the breakpoint search runs only when that piece
+fails its KKT check; on the budget face, the move at beta = 0 is zero.
 
 Numerical discipline matters more than usual here. The outer solver drives
 the halfspace gap <n, w(beta) - z> to the square of its own residual, far
@@ -34,6 +36,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import FeasibleSet
+
+EPS = np.finfo(float).eps
 
 
 class ProjectionError(RuntimeError):
@@ -61,7 +65,7 @@ def _checked_vector(value, name, shape):
     arr = np.asarray(value, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} shape {arr.shape} does not match set dimension {shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"cannot project with a non-finite {name}")
     return arr
 
@@ -77,8 +81,7 @@ def _exact_multiplier(v, ub, budget, lam_guess):
     if n_free == 0:
         return max(lam_guess, 0.0)
     at_upper = shifted >= ub
-    terms = list(v[free]) + list(ub[at_upper]) + [-budget]
-    lam = math.fsum(terms) / n_free
+    lam = math.fsum(v[free].tolist() + ub[at_upper].tolist() + [-budget]) / n_free
     return max(lam, 0.0)
 
 
@@ -118,7 +121,7 @@ def _breakpoint_root(s, lo, hi, target, finish):
     first, last = 0, 2 * n
     while first < last:
         mid = (first + last) // 2
-        if math.fsum(np.clip(s - t[mid], lo, hi)) <= target:
+        if math.fsum(np.minimum(np.maximum(s - t[mid], lo), hi).tolist()) <= target:
             last = mid
         else:
             first = mid + 1
@@ -133,18 +136,18 @@ def _breakpoint_root(s, lo, hi, target, finish):
 
 def _box_budget_core(v, ub, budget):
     """Projection onto the box-plus-budget set: returns (point, lam, pieces)."""
-    x0 = np.clip(v, 0.0, ub)
+    x0 = np.minimum(np.maximum(v, 0.0), ub)
     if x0.sum() <= budget:
         return x0, 0.0, 0
 
     # clamp(v - lam) carries an eps*|v| error per component, which bounds the
     # achievable sum accuracy for far-away inputs.
-    floor = 16.0 * np.finfo(float).eps * v.size * max(1.0, float(np.abs(v).max()))
+    floor = 16.0 * EPS * v.size * max(1.0, float(np.abs(v).max()))
     tol_sum = 1e-12 * max(1.0, budget) + floor
 
     def finish(lam_guess):
         lam = _exact_multiplier(v, ub, budget, lam_guess)
-        x = np.clip(v - lam, 0.0, ub)
+        x = np.minimum(np.maximum(v - lam, 0.0), ub)
         return (x, lam), abs(x.sum() - budget) <= tol_sum
 
     (x, lam), pieces = _breakpoint_root(v, np.zeros_like(ub), ub, budget, finish)
@@ -165,8 +168,9 @@ def project_box_budget(v, fset: FeasibleSet) -> ProjectionResult:
                             active_budget=lam > 0.0, iterations=pieces)
 
 
-def _shifted_move(x, n, beta, ub, budget, sum_x, equality=False):
-    """The move P_X(x - beta*n) - x for feasible x, in difference form.
+def _move_path(x, n, ub, budget, sum_x, equality):
+    """The moves P_X(x - beta*n) - x of the halfspace dual, for feasible x,
+    as a function of beta >= 0 returning (move, multiplier, free mask).
 
     Solves for the budget multiplier directly in move coordinates
     m(lam) = clamp(-beta*n - lam, -x, ub - x), targeting
@@ -175,7 +179,10 @@ def _shifted_move(x, n, beta, ub, budget, sum_x, equality=False):
     -beta*(n_i - mean(n_free)) - c on free components, which keeps every
     piece exactly rounded at its own scale. Computing clamp(-beta*n - lam)
     directly would round at the beta*||n|| scale, orders of magnitude above
-    the physical move near convergence.
+    the physical move near convergence. An active set's constants do not
+    depend on beta, and successive probes of the dual mostly stay on one
+    set, so each move is first assembled on the last certified piece; the
+    breakpoint search runs only when that piece's KKT check fails.
 
     With equality=True the budget is treated as the equality sum(w) = sum(x)
     and the multiplier may take either sign; the caller uses this to keep
@@ -184,61 +191,68 @@ def _shifted_move(x, n, beta, ub, budget, sum_x, equality=False):
     an ulp of slack opens a spurious off-face segment in the dual whose root
     sits within rounding of zero, freezing the caller's iteration.
     """
-    s = -beta * n
-    lo_b = -x
-    hi_b = ub - x
+    lo_b, hi_b, n_max = -x, ub - x, float(np.abs(n).max())
     target = budget - sum_x
-    face_tol = 64.0 * np.finfo(float).eps * max(1.0, budget)
-    if equality or (0.0 <= target <= face_tol):
+    if equality or (0.0 <= target <= 64.0 * EPS * max(1.0, budget)):
         target = 0.0
+    last = None
 
-    m0 = np.clip(s, lo_b, hi_b)
-    if not equality and math.fsum(m0) <= target:
-        free = (m0 > lo_b) & (m0 < hi_b)
-        return m0, 0.0, free
-
-    s_scale = float(np.abs(s).max())
-
-    def assemble(lam):
-        """Decomposed move for the active set identified at lam.
-
-        The mean of n over the free set rounds once; its residue is folded
-        into the constant term so the move sums to the target exactly. Any
-        guessed active set sums to the target by construction, so the
-        assembly is accepted only if it also satisfies the KKT set
-        conditions at its own exact multiplier. Returns
-        ((move, multiplier, free), ok).
-        """
-        mm = np.clip(s - lam, lo_b, hi_b)
-        lower = mm <= lo_b
-        upper = mm >= hi_b
-        free = ~(lower | upper)
-        k = int(free.sum())
-        if k == 0:
-            ok = abs(math.fsum(mm) - target) <= 1e-12 * max(1.0, abs(target))
-            return (mm, lam, free), ok
-        nbar = math.fsum(n[free]) / k
-        residue = math.fsum(list(n[free]) + [-k * nbar])
-        c = math.fsum(list(hi_b[upper]) + list(lo_b[lower]) + [-target]) / k
+    def on_piece(piece, beta, s):
+        """The move of a piece at beta, ((move, multiplier, free), ok). The
+        rounded mean's residue folds into the constant, so any piece's move
+        sums to the target exactly; ok is its KKT test at its own multiplier."""
+        free, k, bound, lo_lim, hi_lim, dev, nbar, residue, c = piece
         c_adj = c - beta * residue / k
-        m_free = -beta * (n - nbar) - c_adj
-        m = np.where(lower, lo_b, np.where(upper, hi_b, m_free))
-        lam_exact = -beta * nbar + c_adj
-        tol_c = 64.0 * np.finfo(float).eps * (s_scale + abs(lam_exact)) + 1e-300
-        shifted = s - lam_exact
-        ok = bool(
-            (equality or lam_exact >= -tol_c)
-            and np.all(m[free] >= lo_b[free] - tol_c)
-            and np.all(m[free] <= hi_b[free] + tol_c)
-            and np.all(shifted[lower] <= lo_b[lower] + tol_c)
-            and np.all(shifted[upper] >= hi_b[upper] - tol_c)
-        )
-        m = np.clip(m, lo_b, hi_b)
-        if not equality:
-            lam_exact = max(lam_exact, 0.0)
-        return (m, lam_exact, free), ok
+        m_free = -beta * dev - c_adj
+        lam = -beta * nbar + c_adj
+        tol = 64.0 * EPS * (beta * n_max + abs(lam)) + 1e-300
+        v = np.where(free, m_free, s - lam)
+        ok = (equality or lam >= -tol) and not ((v < lo_lim - tol) | (v > hi_lim + tol)).any()
+        m = np.minimum(np.maximum(np.where(free, m_free, bound), lo_b), hi_b)
+        return (m, lam if equality else max(lam, 0.0), free), ok
 
-    return _breakpoint_root(s, lo_b, hi_b, target, assemble)[0]
+    def move(beta):
+        s = -beta * n
+        if not equality:
+            m0 = np.minimum(np.maximum(s, lo_b), hi_b)
+            if math.fsum(m0.tolist()) <= target:
+                return m0, 0.0, (m0 > lo_b) & (m0 < hi_b)
+        if last is not None:
+            result, ok = on_piece(last, beta, s)
+            if ok:
+                return result
+
+        def finish(lam):
+            """The move on the piece holding lam, whose constants (see
+            on_piece) do not depend on beta."""
+            nonlocal last
+            mm = np.minimum(np.maximum(s - lam, lo_b), hi_b)
+            lower, upper = mm <= lo_b, mm >= hi_b
+            free = ~(lower | upper)
+            k = int(free.sum())
+            if k == 0:
+                ok = abs(math.fsum(mm.tolist()) - target) <= 1e-12 * max(1.0, abs(target))
+                return (mm, lam, free), ok
+            n_free = n[free].tolist()
+            nbar = math.fsum(n_free) / k
+            piece = (free, k, np.where(lower, lo_b, hi_b),
+                     np.where(free, lo_b, np.where(upper, hi_b, -np.inf)),
+                     np.where(free, hi_b, np.where(lower, lo_b, np.inf)),
+                     n - nbar, nbar, math.fsum(n_free + [-k * nbar]),
+                     math.fsum(hi_b[upper].tolist() + lo_b[lower].tolist() + [-target]) / k)
+            result, ok = on_piece(piece, beta, s)
+            if ok:
+                last = piece
+            return result, ok
+
+        return _breakpoint_root(s, lo_b, hi_b, target, finish)[0]
+
+    return move
+
+
+def _shifted_move(x, n, beta, ub, budget, sum_x, equality=False):
+    """The move P_X(x - beta*n) - x for feasible x; see _move_path."""
+    return _move_path(x, n, ub, budget, sum_x, equality)(beta)
 
 
 def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
@@ -267,7 +281,7 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
     gap = (x - _checked_vector(offset_point, "offset point", ub.shape)) if offset_gap is None \
         else _checked_vector(offset_gap, "offset gap", ub.shape)
     budget = fset.budget
-    sum_x = math.fsum(x)
+    sum_x = math.fsum(x.tolist())
 
     # When x and the offset point both sit on the budget face, their sums
     # differ only by rounding jitter, yet that jitter enters the gap scaled
@@ -275,9 +289,8 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
     # the cut. Centering the normal removes the all-ones component; on the
     # face the centered halfspace is the exact-arithmetic one, and the dual
     # path P_X(x - beta*n) is unchanged where the budget binds.
-    eps = np.finfo(float).eps
-    on_face = (budget - sum_x) <= 64.0 * eps * max(1.0, budget)
-    face_mode = on_face and abs(math.fsum(gap)) <= 256.0 * eps * max(1.0, budget)
+    on_face = (budget - sum_x) <= 64.0 * EPS * max(1.0, budget)
+    face_mode = on_face and abs(math.fsum(gap.tolist())) <= 256.0 * EPS * max(1.0, budget)
     if face_mode:
         # Shifting the normal by a multiple of the all-ones vector leaves the
         # halfspace unchanged on the face. Centering on the gap's support
@@ -285,36 +298,29 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
         # ulp-level facial jitter from being amplified into the gap.
         support = gap != 0.0
         base = n[support] if support.any() else n
-        n = n - math.fsum(base) / base.size
-        if not np.any(np.abs(n) > 8.0 * eps * max(1.0, float(np.abs(normal).max()))):
+        n = n - math.fsum(base.tolist()) / base.size
+        if not np.any(np.abs(n) > 8.0 * EPS * max(1.0, float(np.abs(normal).max()))):
             # Normal was (numerically) a pure budget direction; on the face
             # the constraint is a constant and cannot cut.
             return project_box_budget(x, fset).point
-    nn = math.fsum(n * n)
+    nn = math.fsum((n * n).tolist())
 
-    g_lin = math.fsum(n * gap)
+    g_lin = math.fsum((n * gap).tolist())
+    moves = _move_path(x, n, ub, budget, sum_x, face_mode)
     evals = 0
 
     def g_of(beta: float):
+        """(gap, move, budget multiplier, free mask) at beta."""
         nonlocal evals
         evals += 1
-        delta, lam, free = _shifted_move(x, n, beta, ub, budget, sum_x, equality=face_mode)
-        g = math.fsum(n * delta) + g_lin
-        # Magnitude of the current linear piece's (negative) slope: free
-        # components move against n, centered when the budget binds.
-        nf = n[free]
-        if nf.size == 0:
-            slope = 0.0
-        elif face_mode or lam > 0.0:
-            nbar = math.fsum(nf) / nf.size
-            slope = math.fsum((nf - nbar) ** 2)
-        else:
-            slope = math.fsum(nf * nf)
-        return g, delta, slope
+        delta, lam, free = moves(beta)
+        return math.fsum((n * delta).tolist()) + g_lin, delta, lam, free
 
-    g0, delta0, _ = g_of(0.0)
+    # On the face with x in the box, x is its own projection at beta = 0.
+    in_box = face_mode and ((x >= 0.0) & (x <= ub)).all()
+    g0, delta0 = (g_lin, np.zeros_like(x)) if in_box else g_of(0.0)[:2]
     if g0 <= 0.0:
-        return np.clip(x + delta0, 0.0, ub)
+        return np.minimum(np.maximum(x + delta0, 0.0), ub)
 
     # g is piecewise linear and nonincreasing, so a Newton step along the
     # current piece either lands on the root, crosses into the next piece
@@ -325,9 +331,19 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
     g_hi = g0
     delta_hi = delta0
     while evals < max_evals:
-        g_hi, delta_hi, slope_hi = g_of(hi)
+        g_hi, delta_hi, lam, free = g_of(hi)
         if g_hi <= 0.0:
             break
+        # Magnitude of the current linear piece's (negative) slope: free
+        # components move against n, centered when the budget binds.
+        nf = n[free]
+        if nf.size == 0:
+            slope_hi = 0.0
+        elif face_mode or lam > 0.0:
+            nbar = math.fsum(nf.tolist()) / nf.size
+            slope_hi = math.fsum(((nf - nbar) ** 2).tolist())
+        else:
+            slope_hi = math.fsum((nf * nf).tolist())
         lo, g_lo = hi, g_hi
         hi = hi + g_hi / slope_hi if slope_hi > 0.0 else 8.0 * hi
         if hi <= lo:
@@ -338,10 +354,10 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
         raise ProjectionError(f"no halfspace dual bracket within {max_evals} evaluations")
 
     if g_hi == 0.0:
-        return np.clip(x + delta_hi, 0.0, ub)
+        return np.minimum(np.maximum(x + delta_hi, 0.0), ub)
 
     move_tol = 1e-13 * (1.0 + float(np.abs(x).max()))
-    width_tol = max(move_tol / math.sqrt(nn), 4.0 * np.finfo(float).eps * (1.0 + hi))
+    width_tol = max(move_tol / math.sqrt(nn), 4.0 * EPS * (1.0 + hi))
 
     best_delta = delta_hi
     side = 0
@@ -350,7 +366,7 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
         beta = lo + g_lo * (hi - lo) / denom if denom > 0.0 else 0.5 * (lo + hi)
         if not (lo < beta < hi):
             beta = 0.5 * (lo + hi)
-        g, delta, _ = g_of(beta)
+        g, delta = g_of(beta)[:2]
         if g > 0.0:
             lo, g_lo = beta, g
             if side == -1:
@@ -363,14 +379,14 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
                 g_lo *= 0.5
             side = 1
         else:
-            return np.clip(x + delta, 0.0, ub)
+            return np.minimum(np.maximum(x + delta, 0.0), ub)
     if evals >= max_evals:
         raise ProjectionError(f"halfspace dual search exceeded {max_evals} evaluations")
 
     denom = g_lo - g_hi
     if denom > 0.0:
         beta_star = lo + g_lo * (hi - lo) / denom
-        g_star, delta_star, _ = g_of(beta_star)
+        g_star, delta_star = g_of(beta_star)[:2]
         if g_star <= 0.0:
             best_delta = delta_star
-    return np.clip(x + best_delta, 0.0, ub)
+    return np.minimum(np.maximum(x + best_delta, 0.0), ub)

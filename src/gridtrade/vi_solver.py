@@ -116,14 +116,6 @@ class SolverTrace:
     def residuals(self) -> list[float]:
         return [r.residual for r in self.records]
 
-    def to_csv_rows(self) -> list[tuple]:
-        """Rows (iteration, residual, step, mu_spread) for trace export."""
-        rows = []
-        for rec in self.records:
-            spread = float(rec.mu.max() - rec.mu.min()) if rec.mu.size else 0.0
-            rows.append((rec.iteration, rec.residual, rec.step, spread))
-        return rows
-
 
 def _tidy_iterate(x: np.ndarray, ub: np.ndarray, budget: float) -> np.ndarray:
     """Snap ulp-level bound drift and budget overshoot out of an iterate.
@@ -137,14 +129,14 @@ def _tidy_iterate(x: np.ndarray, ub: np.ndarray, budget: float) -> np.ndarray:
     snap = 4.0 * np.finfo(float).eps * np.maximum(1.0, ub)
     x = np.where(ub - x <= snap, ub, x)
     x = np.where(x <= snap, 0.0, x)
-    excess = math.fsum(x) - budget
+    excess = math.fsum(x.tolist()) - budget
     if excess > 0.0:
         interior = x < ub
         j = int(np.argmax(np.where(interior, x, -np.inf))) if interior.any() \
             else int(np.argmax(x))
         for _ in range(4):
             x[j] -= excess
-            excess = math.fsum(x) - budget
+            excess = math.fsum(x.tolist()) - budget
             if excess <= 0.0:
                 break
     return x
@@ -174,7 +166,7 @@ def natural_residual(x, F: PseudoGradient, fset: FeasibleSet) -> tuple[np.ndarra
             headroom = np.where(free, fset.upper_bounds - r, -np.inf)
             j = int(np.argmax(headroom))
             for _ in range(6):
-                excess = math.fsum(np.concatenate((x, -r)))
+                excess = math.fsum(np.concatenate((x, -r)).tolist())
                 if excess <= 0.0:
                     break
                 r[j] = np.nextafter(r[j] + excess, np.inf)
@@ -230,7 +222,7 @@ def solve_ve(F: PseudoGradient, fset: FeasibleSet, cfg: SolverConfig | None = No
         t = cfg.gamma
         z = x - t * d
         backtracks = 0
-        while math.fsum(F(z) * d) < cfg.delta * dn2:
+        while math.fsum((F(z) * d).tolist()) < cfg.delta * dn2:
             backtracks += 1
             if backtracks > cfg.max_backtracks:
                 raise ArmijoSearchError(

@@ -14,8 +14,9 @@ from gridtrade.engine import (
     run_fit,
     run_stackelberg,
 )
-from gridtrade.model import grid_cost
+from gridtrade.model import FeasibleSet, grid_cost
 from gridtrade.price_opt import optimize_prices
+from gridtrade.vi_solver import PseudoGradient, ve_closed_form
 from tests.conftest import make_scenario, time_limit
 
 GOLDEN_TRANSCRIPT = Path(__file__).parent / "data" / "peak_transcript.jsonl"
@@ -158,6 +159,23 @@ class TestRunStackelberg:
         )
         assert price_rounds == 2
         assert iterated.stage2.grid_cost <= base.stage2.grid_cost + 1e-6
+
+    @pytest.mark.xfail(strict=True, reason="the slack-equalization stop and the residual "
+                       "tolerance are absolute, so below unit scale the first stationary "
+                       "round is reported as converged")
+    def test_small_scale_game_reaches_the_equilibrium(self):
+        # Five sellers with surpluses 1e-6 to 3e-6 and prices near 10: the
+        # stage-2 allocation must match the closed form at its prices and
+        # survive the unilateral-deviation audit.
+        scenario = make_scenario(np.linspace(1e-6, 3e-6, 5), 4e-6, total_price=50.0,
+                                 p_min=8.0, p_max=12.0)
+        outcome = run_stackelberg(scenario)
+        assert outcome.converged
+        x2, prices = outcome.stage2.energies, outcome.stage2.prices
+        ref = ve_closed_form(PseudoGradient(scenario.surpluses, prices),
+                             FeasibleSet(scenario.surpluses, scenario.grid.deficiency))
+        assert np.abs(x2 - ref).max() <= 1e-6 * np.abs(ref).max()
+        assert check_nse(outcome, scenario, 500).follower_violations == 0
 
 
 class TestMessageLog:

@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,10 @@ from gridtrade.vi_solver import (
 )
 from tests.conftest import make_scenario
 
+# Written by the commit before the halfspace projection began reusing dual
+# pieces; rewrite with `python -m tests.test_vi_solver` only on purpose.
+FOLLOWER_GOLDEN = Path(__file__).parent / "data" / "follower_golden.json"
+
 
 def running_example():
     fset = FeasibleSet(np.array([3.0, 5.0]), 4.0)
@@ -25,6 +32,26 @@ def random_instance(rng, n_max=10):
     p = rng.uniform(8.45, 175.0, n)
     budget = float(rng.uniform(0.2, 1.4) * E.sum())
     return PseudoGradient(E, p), FeasibleSet(E, budget)
+
+
+def golden_problems():
+    """(n, budget factor, F, fset) for 40 seeded follower problems: n from 1
+    to 50, budgets from a fifth of the total surplus (iterates on the
+    budget face) to above it (slack)."""
+    rng = np.random.default_rng(2024)
+    sizes = [1, 1, 2, 2, 3, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 15, 17, 19, 21,
+             23, 25, 27, 29, 31, 33, 35, 37, 39, 41, 43, 45, 46, 47, 48, 49, 50, 50, 50, 50]
+    factors = rng.permutation(np.linspace(0.2, 1.4, len(sizes)))
+    for n, factor in zip(sizes, factors):
+        E = rng.uniform(64.0, 240.0, n)
+        p = rng.uniform(8.45, 175.0, n)
+        yield n, float(factor), PseudoGradient(E, p), FeasibleSet(E, float(factor * E.sum()))
+
+
+def golden_record(n, factor, F, fset):
+    x, trace = solve_ve(F, fset)
+    return {"n": n, "budget_factor": factor, "iterations": trace.iterations,
+            "x": [float(v).hex() for v in x]}
 
 
 class TestPseudoGradient:
@@ -166,19 +193,12 @@ class TestSolveVe:
 
 
 class TestTrace:
-    def test_csv_rows_shape(self):
-        F, fset = running_example()
-        _, trace = solve_ve(F, fset)
-        rows = trace.to_csv_rows()
-        assert len(rows) == trace.iterations
-        iteration, residual, step, spread = rows[0]
-        assert iteration == 1 and residual == pytest.approx(np.sqrt(10.0))
-        assert all(len(r) == 4 for r in rows)
-
     def test_residuals_finite_and_final_below_tol(self):
         F, fset = running_example()
         cfg = SolverConfig()
         _, trace = solve_ve(F, fset, cfg)
+        assert trace.records[0].iteration == 1
+        assert trace.residuals[0] == pytest.approx(np.sqrt(10.0))
         assert np.all(np.isfinite(trace.residuals))
         assert trace.residuals[-1] <= cfg.residual_tol
 
@@ -191,3 +211,17 @@ class TestSolverConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+
+class TestFollowerGolden:
+    def test_solutions_and_iterations_bit_identical(self):
+        expected = json.loads(FOLLOWER_GOLDEN.read_text())
+        got = [golden_record(*problem) for problem in golden_problems()]
+        assert len(got) == len(expected) == 40
+        for want, have in zip(expected, got):
+            assert have == want
+
+
+if __name__ == "__main__":
+    FOLLOWER_GOLDEN.write_text(
+        json.dumps([golden_record(*problem) for problem in golden_problems()], indent=1) + "\n")
