@@ -85,29 +85,58 @@ def _exact_multiplier(v, ub, budget, lam_guess):
     return max(lam, 0.0)
 
 
-def _breakpoint_root(s, lo, hi, target, finish):
-    """Root of f(lam) = sum(clip(s - lam, lo, hi)) = target by breakpoint search.
+def _breakpoint_root(s, lo, hi, target, finish, slope=None):
+    """Root of f(lam) = sum(clip(slope*(s - lam), lo, hi)) = target by breakpoint search.
 
-    f is continuous, nonincreasing and linear between the 2n breakpoints
-    s - hi and s - lo. Sorting them once and accumulating the slope changes
-    gives f at every breakpoint, and searchsorted picks the piece holding the
-    root. `finish(lam_guess)` solves exactly on the active set at lam_guess
-    and returns (result, ok), ok being its own KKT certificate. If the piece
-    from the cumulative sum is rejected, that sum has lost precision at this
-    scale, and the sorted breakpoints are binary-searched again with
-    exactly rounded (fsum) values of f. Returns (result, pieces checked).
+    slope holds per-component slopes (None: all 1). Component i falls with
+    slope_i between its breakpoints s_i - hi_i/slope_i and s_i - lo_i/slope_i;
+    an infinite slope makes it a step from hi_i down to lo_i at lam = s_i.
+    Sorting the 2n breakpoints once and accumulating slope changes and drops
+    gives the nonincreasing f at every breakpoint, and searchsorted picks the
+    piece holding the root. The root is on the step that ends or starts that
+    piece instead when the target lies between f's fsum-exact right and left
+    limits there. `finish(lam)` solves exactly at lam and returns (result,
+    ok), ok being its own KKT certificate: on a piece it solves on the active
+    set, on a step the components tied there take what the others leave of
+    the target (the step fill). If the piece is rejected, the cumulative sum
+    has lost precision at this scale, and the sorted breakpoints are
+    binary-searched again with exactly rounded (fsum) values of f.
+    Returns (result, pieces checked).
     """
     n = s.size
-    t = np.concatenate((s - hi, s - lo))
+    unit = slope is None
+    t = np.concatenate((s - hi, s - lo) if unit else (s - hi / slope, s - lo / slope))
     order = np.argsort(t, kind="stable")
     t = t[order]
-    # Past s_i - hi_i component i leaves its upper bound; past s_i - lo_i it
-    # sits at its lower bound, so f(t_k) = sum(hi) + sum_{j<=k} w_j*(t_j - t_k).
+    # Past its first breakpoint component j leaves hi_j, past its second it
+    # sits at lo_j, so f(t_k) = sum(hi) + sum_{j<=k} w_j*(t_j - t_k) with
+    # w_j = +-slope_j, less the drops of the steps up to t_k.
     w = np.where(order < n, 1.0, -1.0)
+    has_steps = False
+    if not unit:
+        w *= np.tile(slope, 2)[order]
+        steps = np.isinf(w)
+        has_steps = bool(steps.any())
+        w[steps] = 0.0
     f = hi.sum() + np.cumsum(w * t) - np.cumsum(w) * t
+    if has_steps:
+        f += np.cumsum(np.where(steps & (order < n), np.tile(lo - hi, 2)[order], 0.0))
 
-    def guess(k):
-        """A multiplier inside piece k, the interval (t[k-1], t[k])."""
+    def right_limit(lam):
+        """The components at lam; a step on lam takes lo, its right limit."""
+        with np.errstate(invalid="ignore"):
+            return np.fmin(np.fmax(s - lam if unit else slope * (s - lam), lo), hi)
+
+    def point(k):
+        """The step that ends or starts piece k if the target lies between
+        f's fsum-exact right and left limits there, else a multiplier inside
+        the piece, the interval (t[k-1], t[k])."""
+        for lam in t[max(k - 1, 0):k + 1][::-1] if has_steps else ():
+            tied = np.isinf(slope) & (s == lam)
+            right = right_limit(lam).tolist()
+            if tied.any() and math.fsum(right) <= target <= math.fsum(
+                    right + (hi - lo)[tied].tolist()):
+                return lam
         if k == 0:
             return t[0] - (1.0 + abs(t[0]))
         if k == 2 * n:
@@ -115,18 +144,18 @@ def _breakpoint_root(s, lo, hi, target, finish):
         return 0.5 * (t[k - 1] + t[k])
 
     k = int(np.searchsorted(-f, -target))
-    result, ok = finish(guess(k))
+    result, ok = finish(point(k))
     if ok:
         return result, 1
     first, last = 0, 2 * n
     while first < last:
         mid = (first + last) // 2
-        if math.fsum(np.minimum(np.maximum(s - t[mid], lo), hi).tolist()) <= target:
+        if math.fsum(right_limit(t[mid]).tolist()) <= target:
             last = mid
         else:
             first = mid + 1
     if first != k:
-        result, ok = finish(guess(first))
+        result, ok = finish(point(first))
         if ok:
             return result, 2
     raise ProjectionError(
@@ -248,11 +277,6 @@ def _move_path(x, n, ub, budget, sum_x, equality):
         return _breakpoint_root(s, lo_b, hi_b, target, finish)[0]
 
     return move
-
-
-def _shifted_move(x, n, beta, ub, budget, sum_x, equality=False):
-    """The move P_X(x - beta*n) - x for feasible x; see _move_path."""
-    return _move_path(x, n, ub, budget, sum_x, equality)(beta)
 
 
 def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,

@@ -1,11 +1,21 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gridtrade.cli import build_config, sample_scenario
+from gridtrade.engine import run_stackelberg
 from gridtrade.model import GridParams
 from gridtrade.oracle import price_grid_oracle
 from gridtrade.price_opt import InfeasiblePriceBudget, optimize_prices
+
+# Written by the commit before optimize_prices moved onto the breakpoint
+# kernel; rewrite with `python -m tests.test_price_opt` only on purpose.
+PRICE_GOLDEN = Path(__file__).parent / "data" / "price_golden.json"
+GOLDEN_SEED = 2
 
 
 def make_grid(n, p_min, p_max, total, a=None, b=None):
@@ -13,6 +23,44 @@ def make_grid(n, p_min, p_max, total, a=None, b=None):
     b = np.full(n, 1.0) if b is None else np.asarray(b, dtype=float)
     return GridParams(deficiency=1.0, total_price=float(total), p_min=float(p_min),
                       p_max=float(p_max), cost_linear=a, cost_const=b)
+
+
+@st.composite
+def price_instances(draw):
+    """(x, grid) with n from 1 to 40, any share of idle sellers, linear
+    costs all tied, drawn from a few values or all distinct, and a target at
+    n*p_min, at n*p_max, inside the slice, or inside an idle seller's step."""
+    n = draw(st.integers(1, 40))
+    share = draw(st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)))
+    idle = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n))) < share
+    # Log-uniform energies put positive sellers inside the slice at a step.
+    energy = st.floats(-3.0, 2.4).map(lambda e: 10.0 ** e)
+    x = np.where(idle, 0.0, draw(st.lists(energy, min_size=n, max_size=n)))
+    costs = st.floats(0.005, 2.0)
+    a = draw(st.one_of(
+        costs.map(lambda c: np.full(n, c)),
+        st.lists(st.sampled_from([0.01, 0.2, 0.46, 1.1]), min_size=n, max_size=n).map(np.array),
+        st.lists(costs, min_size=n, max_size=n).map(np.array)))
+    p_min = draw(st.floats(0.3, 10.0))
+    p_max = p_min + draw(st.floats(0.5, 170.0))
+    where = draw(st.sampled_from(["min", "max", "inside", "step"]))
+    if where == "min":
+        total = n * p_min
+    elif where == "max":
+        total = n * p_max
+    elif where == "inside" or not idle.any():
+        total = n * p_min + draw(st.floats(0.0, 1.0)) * n * (p_max - p_min)
+    else:
+        # At nu = -a_j the sellers tied with idle seller j may take any
+        # price, so the total sweeps the step's jump.
+        nu = -a[draw(st.sampled_from(np.flatnonzero(idle).tolist()))]
+        tied = idle & (a == -nu)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            others = np.clip((-nu - a) / (2.0 * x), p_min, p_max)[~tied]
+        total = math.fsum(others) + tied.sum() * (
+            p_min + draw(st.floats(0.0, 1.0)) * (p_max - p_min))
+        total = min(max(total, n * p_min), n * p_max)
+    return x, make_grid(n, p_min, p_max, total, a=a)
 
 
 class TestOptimizePrices:
@@ -48,6 +96,42 @@ class TestOptimizePrices:
         grid = make_grid(3, 1.0, 10.0, 15.0, a=[0.03, 0.01, 0.02])
         sol = optimize_prices(np.zeros(3), grid)
         assert sol.prices == pytest.approx([1.0, 10.0, 4.0], abs=1e-9)
+
+    def test_mixed_step_fills_the_seller_at_the_threshold(self):
+        # At nu = -1.1 idle seller 1 sits on its step, seller 2 is interior
+        # at 1.5 and idle seller 0 (a = 0.46) is past its step at p_max.
+        grid = make_grid(3, 1.0, 10.0, 13.0, a=[0.46, 1.1, 0.2])
+        x = np.array([0.0, 0.0, 0.3])
+        sol = optimize_prices(x, grid)
+        assert sol.prices == pytest.approx([10.0, 1.5, 1.5], abs=1e-12)
+        assert sol.cost <= price_grid_oracle(x, grid, 0.01).cost + 1e-9
+
+    @settings(max_examples=300, deadline=None)
+    @given(instance=price_instances())
+    def test_bounds_budget_kkt_and_oracle(self, instance):
+        x, grid = instance
+        p_min, p_max, target = grid.p_min, grid.p_max, grid.total_price
+        sol = optimize_prices(x, grid)
+        p, nu = sol.prices, sol.dual
+        assert np.all(p >= p_min) and np.all(p <= p_max)
+        assert abs(math.fsum(p) - target) <= 1e-10 * max(1.0, target)
+        # KKT of every seller, idle ones included, at the returned dual.
+        g = 2.0 * x * p + grid.cost_linear + nu
+        tol = 1e-9 * (1.0 + abs(nu) + float(np.abs(g - nu).max()))
+        assert np.all(g[p < p_max] >= -tol)
+        assert np.all(g[p > p_min] <= tol)
+        if x.size <= 3:
+            oracle = price_grid_oracle(x, grid, (p_max - p_min) / 100.0)
+            assert sol.cost <= oracle.cost + 1e-9
+
+    @pytest.mark.parametrize("run", [42, 72, 78])
+    def test_one_point_slice_is_exact(self, run):
+        # fig3 at n=25 relaxes p_min to 175/25 = 7.0: the slice is one point.
+        scenario = sample_scenario(build_config({}, {"preset": "fig3_cost_vs_n", "seed": 11}),
+                                   25, run)
+        assert scenario.seed == 11025000 + run and scenario.grid.p_min == 7.0
+        outcome = run_stackelberg(scenario)
+        assert np.all(outcome.stage2.prices == 7.0)
 
     def test_infeasible_budget_names_bounds(self):
         grid = make_grid(25, 8.45, 175.0, 175.0)
@@ -99,16 +183,6 @@ class TestOptimizePrices:
         assert worst_stat <= 1e-7
         assert worst_slack <= 1e-7
 
-    def test_uniqueness_across_brackets(self):
-        rng = np.random.default_rng(19)
-        for _ in range(50):
-            n = int(rng.integers(2, 8))
-            x = rng.uniform(0.5, 250.0, n)
-            grid = make_grid(n, 8.45, 175.0, rng.uniform(n * 8.45, n * 175.0))
-            a = optimize_prices(x, grid).prices
-            b = optimize_prices(x, grid, bracket=(-1e7, 1e4)).prices
-            assert np.abs(a - b).max() <= 1e-9
-
     def test_monotone_response_to_own_energy(self):
         # heavier sellers never see their price rise (interior regime)
         grid = make_grid(3, 0.5, 100.0, 30.0, a=[0.01, 0.01, 0.01])
@@ -134,6 +208,47 @@ class TestOptimizePrices:
             assert sol.cost <= oracle.cost + 1e-9
 
 
+def golden_scenario(preset, n, run):
+    return sample_scenario(build_config({}, {"preset": preset, "seed": GOLDEN_SEED}), n, run)
+
+
+def golden_games():
+    """(preset, n, run) of the seeded games whose price inputs the golden
+    file holds: fig2 and fig3 at n from 5 to 20, and fig3 at n=500, whose
+    price slice is a single point that its idle sellers fill."""
+    for preset in ("fig2_utility_vs_n", "fig3_cost_vs_n"):
+        for n in (5, 10, 15, 20):
+            for run in range(5):
+                yield preset, n, run
+    for run in range(8):
+        yield "fig3_cost_vs_n", 500, run
+
+
+def golden_records():
+    """Each golden game's stage-1 and stage-2 energies, as optimize_prices
+    inputs, with the float.hex of the prices they get."""
+    for preset, n, run in golden_games():
+        scenario = golden_scenario(preset, n, run)
+        outcome = run_stackelberg(scenario)
+        for stage, result in ((1, outcome.stage1), (2, outcome.stage2)):
+            prices = optimize_prices(result.energies, scenario.grid).prices
+            yield {"preset": preset, "n": n, "run": run, "stage": stage,
+                   "x": [float(v).hex() for v in result.energies],
+                   "prices": [float(v).hex() for v in prices]}
+
+
+class TestPriceGolden:
+    def test_prices_bit_identical(self):
+        records = json.loads(PRICE_GOLDEN.read_text())
+        assert len(records) == 2 * len(list(golden_games()))
+        for record in records:
+            grid = golden_scenario(record["preset"], record["n"], record["run"]).grid
+            x = np.array([float.fromhex(v) for v in record["x"]])
+            prices = optimize_prices(x, grid).prices
+            assert [float(v).hex() for v in prices] == record["prices"], \
+                (record["preset"], record["n"], record["run"], record["stage"])
+
+
 class TestPriceGridOracle:
     def test_single_user(self):
         grid = make_grid(1, 1.0, 10.0, 4.0)
@@ -152,3 +267,8 @@ class TestPriceGridOracle:
             sol = optimize_prices(x, grid)
             oracle = price_grid_oracle(x, grid, 1e-3)
             assert np.abs(sol.prices - oracle.prices).max() <= 2e-3 + 1e-9
+
+
+if __name__ == "__main__":
+    PRICE_GOLDEN.write_text(
+        "[\n" + ",\n".join(json.dumps(record) for record in golden_records()) + "\n]\n")

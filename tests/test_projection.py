@@ -9,7 +9,7 @@ from gridtrade.model import FeasibleSet
 from gridtrade.oracle import halfspace_projection_oracle
 from gridtrade.projection import (
     ProjectionError,
-    _shifted_move,
+    _move_path,
     project_box_budget,
     project_halfspace_then_set,
 )
@@ -287,8 +287,7 @@ class TestBreakpointKernel:
         x, normal, beta, fs = data.draw(move_instances(equality))
         ub, budget = fs.upper_bounds, fs.budget
         try:
-            move, lam, free = _shifted_move(x, normal, beta, ub, budget, math.fsum(x),
-                                            equality=equality)
+            move, lam, free = _move_path(x, normal, ub, budget, math.fsum(x), equality)(beta)
         except ProjectionError:
             return
         assert np.all(move >= -x) and np.all(move <= ub - x)
