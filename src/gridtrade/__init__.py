@@ -28,7 +28,6 @@ from .engine import (
     Message,
     MessageLog,
     NSEReport,
-    NSESamplingError,
     ScenarioValidationError,
     check_nse,
     run_fit,

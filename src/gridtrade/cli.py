@@ -25,7 +25,6 @@ from pathlib import Path
 import numpy as np
 
 from .engine import (
-    NSESamplingError,
     ScenarioValidationError,
     check_nse,
     run_fit,
@@ -345,10 +344,7 @@ def _audit_file(path: Path, trials: int, tol: float) -> tuple[int, str]:
         return 2, f"{path.name}: NON-CONVERGENT ({type(exc).__name__}: {exc})"
     if not outcome.converged:
         return 2, f"{path.name}: NON-CONVERGENT"
-    try:
-        report = check_nse(outcome, scenario, trials=trials, tol=tol)
-    except NSESamplingError as exc:
-        return 1, f"{path.name}: FAIL ({exc})"
+    report = check_nse(outcome, scenario, trials=trials, tol=tol)
     x_check = ve_oracle(scenario, outcome.stage2.prices)
     gap = float(np.abs(outcome.stage2.energies - x_check).max())
     audit = social_optimality_audit(

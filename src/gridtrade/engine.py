@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,14 +44,6 @@ _KIND_FIELDS = {
     "repeat_bit": {"repeat"},
     "price_update": {"eu_id", "price"},
 }
-
-
-# Batches of leader price draws check_nse makes before giving up.
-_PRICE_BATCHES = 100
-
-
-class NSESamplingError(RuntimeError):
-    """check_nse could not draw enough leader price samples on the slice."""
 
 
 class ScenarioValidationError(ValueError):
@@ -359,11 +351,9 @@ def check_nse(outcome: GameOutcome, scenario: Scenario, trials: int,
     (the stage-1 offers); the optimized prices must stay within tol of the
     best sample.
 
-    Leader samples are drawn uniformly from the slice's simplex and kept
-    when they respect p_max. When total_price is n*p_min or n*p_max the
-    slice is one point and every sample is that point. Raises
-    NSESamplingError when 100 batches of `trials` draws keep
-    fewer than `trials` samples, which happens as total_price nears n*p_max.
+    Leader samples are uniform draws from the slice's simplex, each draw
+    above p_max projected onto the slice (see _leader_prices), so every
+    valid scenario is audited, up to total_price = n*p_max.
     """
     if not outcome.converged or outcome.stage2 is None:
         raise ValueError("check_nse requires a converged outcome")
@@ -385,26 +375,7 @@ def check_nse(outcome: GameOutcome, scenario: Scenario, trials: int,
     max_follower = float(gains.max()) if trials else 0.0
 
     x_off = outcome.stage1.energies
-    if grid.total_price in (n * grid.p_min, n * grid.p_max):
-        # the slice is a single point, which rejection sampling need not hit
-        corner = grid.p_min if grid.total_price == n * grid.p_min else grid.p_max
-        prices = np.full((trials, n), corner)
-    else:
-        span = grid.total_price - n * grid.p_min
-        prices = np.empty((0, n))
-        for _ in range(_PRICE_BATCHES):
-            if prices.shape[0] >= trials:
-                break
-            batch = rng.dirichlet(np.ones(n), size=trials) * span + grid.p_min
-            ok = np.all(batch <= grid.p_max + 1e-12, axis=1)
-            prices = np.vstack([prices, batch[ok]])
-        if prices.shape[0] < trials:
-            raise NSESamplingError(
-                f"only {prices.shape[0]} of {trials} leader price samples fit under "
-                f"p_max={grid.p_max:g} in {_PRICE_BATCHES} batches; total_price "
-                f"{grid.total_price:g} is too close to n*p_max={n * grid.p_max:g}"
-            )
-        prices = prices[:trials]
+    prices = _leader_prices(rng, grid, trials)
     base_cost = grid_cost(p2, x_off, grid)
     costs = (x_off * prices ** 2 + grid.cost_linear * prices + grid.cost_const).sum(axis=1)
     improvements = base_cost - costs
@@ -420,6 +391,22 @@ def check_nse(outcome: GameOutcome, scenario: Scenario, trials: int,
         max_leader_improvement=max_leader,
         tolerance=tol,
     )
+
+
+def _leader_prices(rng, grid, trials) -> np.ndarray:
+    """`trials` price vectors on the slice {sum p = total_price, p_min <= p <= p_max}.
+
+    Each row is a uniform draw from the slice's simplex. A row above p_max
+    is replaced by its Euclidean projection onto the slice, the minimizer
+    of sum(p**2 - 2*v*p): the grid's price problem at unit energies.
+    """
+    n = grid.cost_linear.size
+    span = grid.total_price - n * grid.p_min
+    prices = rng.dirichlet(np.ones(n), size=trials) * span + grid.p_min
+    for row in np.flatnonzero(np.any(prices > grid.p_max, axis=1)):
+        shifted = replace(grid, cost_linear=-2.0 * prices[row])
+        prices[row] = optimize_prices(np.ones(n), shifted).prices
+    return prices
 
 
 def run_fit(scenario: Scenario, tariff: float) -> EquilibriumResult:

@@ -38,6 +38,8 @@ import numpy as np
 from .model import FeasibleSet
 
 EPS = np.finfo(float).eps
+# Gap evaluations one halfspace projection may spend on its dual search.
+_MAX_EVALS = 10_000
 
 
 class ProjectionError(RuntimeError):
@@ -280,7 +282,7 @@ def _move_path(x, n, ub, budget, sum_x, equality):
 
 
 def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
-                               max_evals: int = 10_000, offset_gap=None) -> np.ndarray:
+                               offset_gap=None) -> np.ndarray:
     """Euclidean projection of x onto X intersected with the halfspace
     {w : <normal, w - offset_point> <= 0}, for feasible x.
 
@@ -289,7 +291,7 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
     is continuous, nonincreasing and piecewise linear in beta, so a Newton
     step off the current linear piece usually lands on the root and a
     bracketed regula-falsi finishes. Raises ProjectionError when no bracket
-    exists within max_evals gap evaluations (empty or degenerate
+    exists within _MAX_EVALS gap evaluations (empty or degenerate
     intersection), and ValueError when an input is non-finite or does not
     match the set's dimension.
 
@@ -354,7 +356,7 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
     hi = g0 / nn
     g_hi = g0
     delta_hi = delta0
-    while evals < max_evals:
+    while evals < _MAX_EVALS:
         g_hi, delta_hi, lam, free = g_of(hi)
         if g_hi <= 0.0:
             break
@@ -375,7 +377,7 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
         if hi > 1e300:
             raise ProjectionError("halfspace dual bracket diverged; intersection may be empty")
     else:
-        raise ProjectionError(f"no halfspace dual bracket within {max_evals} evaluations")
+        raise ProjectionError(f"no halfspace dual bracket within {_MAX_EVALS} evaluations")
 
     if g_hi == 0.0:
         return np.minimum(np.maximum(x + delta_hi, 0.0), ub)
@@ -385,7 +387,7 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 
     best_delta = delta_hi
     side = 0
-    while (hi - lo) > width_tol and evals < max_evals:
+    while (hi - lo) > width_tol and evals < _MAX_EVALS:
         denom = g_lo - g_hi
         beta = lo + g_lo * (hi - lo) / denom if denom > 0.0 else 0.5 * (lo + hi)
         if not (lo < beta < hi):
@@ -404,8 +406,8 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
             side = 1
         else:
             return np.minimum(np.maximum(x + delta, 0.0), ub)
-    if evals >= max_evals:
-        raise ProjectionError(f"halfspace dual search exceeded {max_evals} evaluations")
+    if evals >= _MAX_EVALS:
+        raise ProjectionError(f"halfspace dual search exceeded {_MAX_EVALS} evaluations")
 
     denom = g_lo - g_hi
     if denom > 0.0:

@@ -1,20 +1,22 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gridtrade.cli import scenario_from_dict
 from gridtrade.engine import (
     Message,
     MessageLog,
-    NSESamplingError,
     ScenarioValidationError,
+    _leader_prices,
     check_nse,
     run_fit,
     run_stackelberg,
 )
-from gridtrade.model import FeasibleSet, grid_cost
+from gridtrade.model import FeasibleSet, GridParams, grid_cost
 from gridtrade.price_opt import optimize_prices
 from gridtrade.vi_solver import PseudoGradient, ve_closed_form
 from tests.conftest import make_scenario, time_limit
@@ -337,8 +339,8 @@ class TestCheckNse:
         assert a == b
 
     def test_single_point_price_slice_at_p_max(self):
-        # total_price = n * p_max leaves one price vector; rejection
-        # sampling over the simplex never draws it
+        # total_price = n * p_max leaves one price vector, onto which every
+        # draw from the simplex is projected
         s = make_scenario([100.0, 120.0, 140.0], 150.0, total_price=30.0, p_min=1.0, p_max=10.0)
         outcome = run_stackelberg(s)
         with time_limit(20):
@@ -346,11 +348,60 @@ class TestCheckNse:
         assert report.clean
         assert report.max_leader_improvement == pytest.approx(0.0, abs=1e-9)
 
-    def test_exhausted_price_sampling_raises(self):
+    def test_price_slice_just_below_n_p_max(self):
+        # almost no simplex draw fits under p_max here; the projected draws
+        # still give a full, clean audit
         s = make_scenario([100.0, 120.0, 140.0], 150.0, total_price=29.999, p_min=1.0, p_max=10.0)
         outcome = run_stackelberg(s)
-        with time_limit(20), pytest.raises(NSESamplingError):
-            check_nse(outcome, s, trials=200)
+        with time_limit(20):
+            report = check_nse(outcome, s, trials=2000)
+        assert report.clean
+        assert report.leader_trials == 2000
+
+
+@st.composite
+def price_slices(draw):
+    """GridParams with n from 1 to 40 and total_price at n*p_min, at n*p_max,
+    within 1e-6 relative of n*p_max, or anywhere inside the slice."""
+    n = draw(st.integers(1, 40))
+    p_min = draw(st.floats(0.3, 10.0))
+    p_max = p_min + draw(st.floats(0.0, 170.0))
+    where = draw(st.sampled_from(["min", "max", "near_max", "inside"]))
+    if where == "min":
+        total = n * p_min
+    elif where == "max":
+        total = n * p_max
+    elif where == "near_max":
+        total = n * p_max * (1.0 - draw(st.floats(0.0, 1e-6)))
+    else:
+        total = n * p_min + draw(st.floats(0.0, 1.0)) * n * (p_max - p_min)
+    total = min(max(total, n * p_min), n * p_max)
+    return GridParams(deficiency=1.0, total_price=total, p_min=p_min, p_max=p_max,
+                      cost_linear=np.full(n, 0.01), cost_const=np.ones(n))
+
+
+class TestLeaderPrices:
+    @settings(max_examples=200, deadline=None)
+    @given(grid=price_slices(), trials=st.integers(0, 60), seed=st.integers(0, 2 ** 32 - 1))
+    def test_samples_lie_on_the_slice(self, grid, trials, seed):
+        n, total = grid.cost_linear.size, grid.total_price
+        prices = _leader_prices(np.random.default_rng(seed), grid, trials)
+        assert prices.shape == (trials, n)
+        assert np.all(prices >= grid.p_min) and np.all(prices <= grid.p_max)
+        for row in prices.tolist():
+            assert abs(math.fsum(row) - total) <= 1e-10 * max(1.0, total)
+        # rows already inside the bounds are the simplex draws themselves
+        drawn = np.random.default_rng(seed).dirichlet(np.ones(n), size=trials) \
+            * (total - n * grid.p_min) + grid.p_min
+        kept = np.all(drawn <= grid.p_max, axis=1)
+        assert np.array_equal(prices[kept], drawn[kept])
+        # the others are projections, p = clip(v - t, p_min, p_max) for one t:
+        # no shift v - p below p_max exceeds one above p_min
+        for v, p in zip(drawn[~kept], prices[~kept]):
+            shift = v - p
+            below, above = shift[p < grid.p_max], shift[p > grid.p_min]
+            assert below.max(initial=-np.inf) <= above.min(initial=np.inf) \
+                + 1e-9 * max(1.0, grid.p_max)
 
 
 class TestRunFit:

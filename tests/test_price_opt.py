@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gridtrade.cli import build_config, sample_scenario
 from gridtrade.engine import run_stackelberg
@@ -23,6 +23,12 @@ def make_grid(n, p_min, p_max, total, a=None, b=None):
     b = np.full(n, 1.0) if b is None else np.asarray(b, dtype=float)
     return GridParams(deficiency=1.0, total_price=float(total), p_min=float(p_min),
                       p_max=float(p_max), cost_linear=a, cost_const=b)
+
+
+def inside_total(n, p_min, p_max, u):
+    """n*p_min plus the share u of the slice's width, clamped to
+    [n*p_min, n*p_max]: at u = 1 rounding can land one ulp above n*p_max."""
+    return min(max(n * p_min + u * n * (p_max - p_min), n * p_min), n * p_max)
 
 
 @st.composite
@@ -49,7 +55,7 @@ def price_instances(draw):
     elif where == "max":
         total = n * p_max
     elif where == "inside" or not idle.any():
-        total = n * p_min + draw(st.floats(0.0, 1.0)) * n * (p_max - p_min)
+        total = inside_total(n, p_min, p_max, draw(st.floats(0.0, 1.0)))
     else:
         # At nu = -a_j the sellers tied with idle seller j may take any
         # price, so the total sweeps the step's jump.
@@ -108,6 +114,10 @@ class TestOptimizePrices:
 
     @settings(max_examples=300, deadline=None)
     @given(instance=price_instances())
+    # Unclamped, this "inside" total is 257.1876295085789, one ulp above n*p_max.
+    @example(instance=(np.ones(29), make_grid(
+        29, 3.05801699700851, 8.868538948571684,
+        inside_total(29, 3.05801699700851, 8.868538948571684, 1.0), a=np.ones(29))))
     def test_bounds_budget_kkt_and_oracle(self, instance):
         x, grid = instance
         p_min, p_max, target = grid.p_min, grid.p_max, grid.total_price

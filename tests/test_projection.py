@@ -200,8 +200,7 @@ class TestProjectHalfspaceThenSet:
         # halfspace w1 + w2 >= 20 misses the set entirely
         with pytest.raises(ProjectionError):
             project_halfspace_then_set(
-                np.array([1.0, 1.0]), np.array([-1.0, -1.0]), np.array([10.0, 10.0]), fs,
-                max_evals=500,
+                np.array([1.0, 1.0]), np.array([-1.0, -1.0]), np.array([10.0, 10.0]), fs
             )
 
 
