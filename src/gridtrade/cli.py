@@ -166,12 +166,13 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, cfg: ExperimentConfig, columns, rows) -> None:
-    """Atomic CSV write: header comment with the full config, then data."""
+def _write_csv(path: Path, cfg: ExperimentConfig, build: str, columns, rows) -> None:
+    """Atomic CSV write: header comment with the full config and build id,
+    then data."""
     path.parent.mkdir(parents=True, exist_ok=True)
     buf = io.StringIO()
     header = json.dumps(dataclasses.asdict(cfg), sort_keys=True, separators=(",", ":"))
-    buf.write(f"# config={header} build={_build_id()}\r\n")
+    buf.write(f"# config={header} build={build}\r\n")
     writer = csv.writer(buf)
     writer.writerow(columns)
     for row in rows:
@@ -265,11 +266,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     if problems:
         raise ValueError("; ".join(problems))
     outdir = Path(cfg.output_path)
+    build = _build_id()
     written = []
 
     if cfg.preset == "fig1_convergence":
         path = outdir / "fig1_convergence.csv"
-        _write_csv(path, cfg, ("iteration", "eu_id", "surplus", "utility"), _fig1_rows(cfg))
+        _write_csv(path, cfg, build, ("iteration", "eu_id", "surplus", "utility"), _fig1_rows(cfg))
         return [path]
 
     per_run = _sweep(cfg)
@@ -277,17 +279,17 @@ def run_experiment(cfg: ExperimentConfig) -> list[Path]:
         path = outdir / "per_run.csv"
         cols = ("n", "run", "nsg_utility", "fit_utility", "nsg_cost_model",
                 "nsg_payment", "fit_cost_model", "fit_payment")
-        _write_csv(path, cfg, cols, [tuple(r[c] for c in cols) for r in per_run])
+        _write_csv(path, cfg, build, cols, [tuple(r[c] for c in cols) for r in per_run])
         written.append(path)
 
     if cfg.preset in ("fig2_utility_vs_n", "custom"):
         path = outdir / ("fig2_utility_vs_n.csv" if cfg.preset != "custom" else "utility_vs_n.csv")
-        _write_csv(path, cfg, ("n", "scheme", "mean_utility", "std"),
+        _write_csv(path, cfg, build, ("n", "scheme", "mean_utility", "std"),
                    _fig2_rows(per_run, cfg.n_values))
         written.append(path)
     if cfg.preset in ("fig3_cost_vs_n", "custom"):
         path = outdir / ("fig3_cost_vs_n.csv" if cfg.preset != "custom" else "cost_vs_n.csv")
-        _write_csv(path, cfg, ("n", "scheme", "mean_cost", "std", "accounting_variant"),
+        _write_csv(path, cfg, build, ("n", "scheme", "mean_cost", "std", "accounting_variant"),
                    _fig3_rows(per_run, cfg.n_values))
         written.append(path)
     return written

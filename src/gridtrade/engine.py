@@ -10,6 +10,12 @@ exchange can be replayed or audited against the round grammar
 
     (announce offer* slack* repeat)*  price*  (offer* slack* repeat)*
 
+The transcript is stored in columns: a follower round as its offer and
+slack arrays plus the repeat bit, a price stage as its price array. The
+JSON-lines export renders those columns with one line template per kind
+and size and formats each distinct float64 bit pattern once; its bytes
+are those of one json.dumps(..., sort_keys=True) line per message.
+
 The grid's stop rule mirrors the slack-equalization idea: it stops a stage
 when the interior slack values agree within tolerance AND have stopped
 moving between rounds (equal slacks alone are not sufficient: with one
@@ -91,21 +97,30 @@ class _RoundBlock:
             + [Message(r, PG, "repeat_bit", {"repeat": self.repeat})]
         )
 
-    def jsonl_lines(self) -> list[str]:
-        """The block's lines exactly as json.dumps(..., sort_keys=True)
-        writes its messages."""
-        r = self.round
-        bit = "true" if self.repeat else "false"
-        return (
-            [f'{{"kind": "offer", "payload": {{"energy": {e}, "eu_id": {i}}}, '
-             f'"round": {r}, "sender": "eu:{i}"}}'
-             for i, e in enumerate(_json_floats(self.offers))]
-            + [f'{{"kind": "slack_report", "payload": {{"eu_id": {i}, "slack": {s}}}, '
-               f'"round": {r}, "sender": "eu:{i}"}}'
-               for i, s in enumerate(_json_floats(self.slacks))]
-            + [f'{{"kind": "repeat_bit", "payload": {{"repeat": {bit}}}, '
-               f'"round": {r}, "sender": "{PG}"}}']
-        )
+
+@dataclass(frozen=True)
+class _PriceBlock:
+    """One price stage: the grid's price update to every seller, held as
+    one array instead of n messages."""
+
+    round: int
+    prices: np.ndarray
+
+    def messages(self) -> list[Message]:
+        return [Message(self.round, PG, "price_update", {"eu_id": i, "price": p})
+                for i, p in enumerate(self.prices.tolist())]
+
+
+# One line per seller as json.dumps(..., sort_keys=True) writes it; after
+# `% {"i": i}` the value and the round are left as %s slots.
+_LINES = {
+    "offer": ('{"kind": "offer", "payload": {"energy": %%s, "eu_id": %(i)d}, '
+              '"round": %%s, "sender": "eu:%(i)d"}'),
+    "slack_report": ('{"kind": "slack_report", "payload": {"eu_id": %(i)d, "slack": %%s}, '
+                     '"round": %%s, "sender": "eu:%(i)d"}'),
+    "price_update": ('{"kind": "price_update", "payload": {"eu_id": %(i)d, "price": %%s}, '
+                     f'"round": %%s, "sender": "{PG}"}}'),
+}
 
 
 def _json_floats(values: np.ndarray) -> list[str]:
@@ -128,14 +143,18 @@ def _snapshot(values, name: str) -> np.ndarray:
 class MessageLog:
     """Append-only transcript; round numbers never decrease.
 
-    Single messages (announce, price updates) are kept as `Message`
-    objects. A follower round is kept as one block of offer and slack
-    arrays plus the repeat bit, and becomes messages only when `messages`
-    is read; `to_jsonl` renders the blocks without building them.
+    Single messages (the announce) are kept as `Message` objects. A
+    follower round is kept as one block of offer and slack arrays plus the
+    repeat bit, and a price stage as one block holding the price array;
+    blocks become messages only when `messages` is read. `to_jsonl`
+    renders the blocks column by column without building messages: it
+    formats each distinct float64 bit pattern once and fills one line
+    template per kind and column size. The bytes are those of the
+    per-message json.dumps renderer.
     """
 
     def __init__(self) -> None:
-        self._entries: list[Message | _RoundBlock] = []
+        self._entries: list[Message | _RoundBlock | _PriceBlock] = []
 
     def _check_round(self, rnd) -> None:
         if self._entries and rnd < self._entries[-1].round:
@@ -159,20 +178,35 @@ class MessageLog:
         self._check_round(rnd)
         self._entries.append(_RoundBlock(rnd, offers, slacks, repeat))
 
+    def append_prices(self, round: int, prices) -> None:
+        """Record one price stage: the grid sends price i to seller i. The
+        array is copied."""
+        rnd = operator.index(round)
+        prices = _snapshot(prices, "prices")
+        self._check_round(rnd)
+        self._entries.append(_PriceBlock(rnd, prices))
+
     @property
     def messages(self) -> list[Message]:
         """Every message in transcript order, built anew on each read."""
         out: list[Message] = []
         for entry in self._entries:
-            if isinstance(entry, _RoundBlock):
+            if isinstance(entry, (_RoundBlock, _PriceBlock)):
                 out += entry.messages()
             else:
                 out.append(entry)
         return out
 
     def __len__(self) -> int:
-        return sum(2 * e.offers.size + 1 if isinstance(e, _RoundBlock) else 1
-                   for e in self._entries)
+        total = 0
+        for entry in self._entries:
+            if isinstance(entry, _RoundBlock):
+                total += 2 * entry.offers.size + 1
+            elif isinstance(entry, _PriceBlock):
+                total += entry.prices.size
+            else:
+                total += 1
+        return total
 
     @property
     def total_rounds(self) -> int:
@@ -185,19 +219,55 @@ class MessageLog:
             if isinstance(entry, _RoundBlock):
                 for i in range(entry.offers.size):
                     counts[i] = counts.get(i, 0) + 2
-            elif entry.sender.startswith("eu:"):
+            elif not isinstance(entry, _PriceBlock) and entry.sender.startswith("eu:"):
                 i = int(entry.sender[3:])
                 counts[i] = counts.get(i, 0) + 1
         return counts
 
     def to_jsonl(self) -> str:
-        lines: list[str] = []
+        columns = []
         for entry in self._entries:
             if isinstance(entry, _RoundBlock):
-                lines += entry.jsonl_lines()
+                columns += (entry.offers, entry.slacks)
+            elif isinstance(entry, _PriceBlock):
+                columns.append(entry.prices)
+        texts = []
+        if columns:
+            # keyed on bits, so -0.0 and 0.0 keep their own spelling
+            bits, inverse = np.unique(np.concatenate(columns).view(np.int64),
+                                      return_inverse=True)
+            distinct = np.array(_json_floats(bits.view(np.float64)), dtype=object)
+            texts = distinct[inverse].tolist()
+        templates: dict[tuple[str, int], str] = {}
+        lines: list[str] = []
+        start = 0
+
+        def fill(kind: str, rnd: str, n: int) -> None:
+            nonlocal start
+            if n == 0:
+                return
+            template = templates.get((kind, n))
+            if template is None:
+                template = templates[kind, n] = "\n".join(
+                    _LINES[kind] % {"i": i} for i in range(n))
+            slots = [rnd] * (2 * n)
+            slots[0::2] = texts[start:start + n]
+            start += n
+            lines.append(template % tuple(slots))
+
+        for entry in self._entries:
+            r = entry.round
+            if isinstance(entry, _RoundBlock):
+                fill("offer", str(r), entry.offers.size)
+                fill("slack_report", str(r), entry.slacks.size)
+                bit = "true" if entry.repeat else "false"
+                lines.append(f'{{"kind": "repeat_bit", "payload": {{"repeat": {bit}}}, '
+                             f'"round": {r}, "sender": "{PG}"}}')
+            elif isinstance(entry, _PriceBlock):
+                fill("price_update", str(r), entry.prices.size)
             else:
                 lines.append(json.dumps(
-                    {"round": entry.round, "sender": entry.sender, "kind": entry.kind,
+                    {"round": r, "sender": entry.sender, "kind": entry.kind,
                      "payload": entry.payload},
                     sort_keys=True,
                 ))
@@ -247,7 +317,7 @@ def _interior_mu_stop(x, mu, prev_mu, upper_bounds):
     return stationary and spread <= tol
 
 
-def _follower_stage(scenario, fset, prices, cfg, log, stage, price_round_payloads=None):
+def _follower_stage(scenario, fset, prices, cfg, log, stage):
     """Run one follower best-response loop, logging a round per iteration.
 
     Returns (allocation, rounds, residual, converged).
@@ -265,9 +335,8 @@ def _follower_stage(scenario, fset, prices, cfg, log, stage, price_round_payload
                 "total_price": grid.total_price,
                 "n_users": n,
             }))
-        elif state["rounds"] == 0 and price_round_payloads:
-            for i, price in price_round_payloads:
-                log.append(Message(rnd, PG, "price_update", {"eu_id": i, "price": price}))
+        elif state["rounds"] == 0:
+            log.append_prices(rnd, prices)
         stop = residual_done or _interior_mu_stop(
             record.x, record.mu, state["prev_mu"], fset.upper_bounds
         )
@@ -329,10 +398,7 @@ def run_stackelberg(scenario: Scenario, cfg: SolverConfig | None = None,
     conv2 = True
     for _ in range(1 + max(extra_price_rounds, 0)):
         p_star = optimize_prices(offered, grid).prices
-        payloads = [(i, float(p_star[i])) for i in range(n)]
-        x2, rounds2, res2, conv2 = _follower_stage(
-            scenario, fset, p_star, cfg, log, stage=2, price_round_payloads=payloads
-        )
+        x2, rounds2, res2, conv2 = _follower_stage(scenario, fset, p_star, cfg, log, stage=2)
         stage2 = _stage_result(scenario, x2, p_star, rounds2, res2)
         offered = x2
         if not conv2:

@@ -224,7 +224,7 @@ def _move_path(x, n, ub, budget, sum_x, equality):
     """
     lo_b, hi_b, n_max = -x, ub - x, float(np.abs(n).max())
     target = budget - sum_x
-    if equality or (0.0 <= target <= 64.0 * EPS * max(1.0, budget)):
+    if equality or (0.0 <= target <= 64.0 * EPS * budget):
         target = 0.0
     last = None
 
@@ -315,8 +315,8 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
     # the cut. Centering the normal removes the all-ones component; on the
     # face the centered halfspace is the exact-arithmetic one, and the dual
     # path P_X(x - beta*n) is unchanged where the budget binds.
-    on_face = (budget - sum_x) <= 64.0 * EPS * max(1.0, budget)
-    face_mode = on_face and abs(math.fsum(gap.tolist())) <= 256.0 * EPS * max(1.0, budget)
+    on_face = (budget - sum_x) <= 64.0 * EPS * budget
+    face_mode = on_face and abs(math.fsum(gap.tolist())) <= 256.0 * EPS * budget
     if face_mode:
         # Shifting the normal by a multiple of the all-ones vector leaves the
         # halfspace unchanged on the face. Centering on the gap's support

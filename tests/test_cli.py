@@ -157,6 +157,20 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             run_experiment(small_cfg(tmp_path, runs=0))
 
+    def test_build_id_resolved_once_per_run(self, tmp_path, monkeypatch):
+        calls = []
+        build_id = cli._build_id
+
+        def counted():
+            calls.append(1)
+            return build_id()
+
+        monkeypatch.setattr(cli, "_build_id", counted)
+        paths = run_experiment(small_cfg(tmp_path, dump_per_run=True))
+        assert len(paths) == 3 and len(calls) == 1
+        headers = {read_csv(p)[0] for p in paths}
+        assert len(headers) == 1 and headers.pop().endswith(f" build={build_id()}")
+
 
 class TestScenarioJson:
     def test_round_trip(self, peak_scenario):

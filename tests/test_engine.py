@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridtrade.cli import scenario_from_dict
+from gridtrade.cli import build_config, sample_scenario, scenario_from_dict
 from gridtrade.engine import (
     Message,
     MessageLog,
@@ -226,11 +226,12 @@ class TestMessageLog:
         ([200.0, 80.0, 70.0, 150.0, 65.0], 120.0),
     ])
     def test_jsonl_matches_reference_renderer(self, surpluses, deficiency):
-        outcome = run_stackelberg(make_scenario(surpluses, deficiency), extra_price_rounds=1)
+        outcome = run_stackelberg(make_scenario(surpluses, deficiency), extra_price_rounds=2)
         log = outcome.log
         assert outcome.converged
         assert log.to_jsonl() == reference_jsonl(log)
         messages = log.messages
+        assert [m.kind for m in messages].count("price_update") == 3 * len(surpluses)
         assert len(log) == len(messages)
         assert log.total_rounds == messages[-1].round
         counts = {}
@@ -260,6 +261,33 @@ class TestMessageLog:
         assert log.total_rounds == 2
         assert log.per_eu_counts == {0: 4, 1: 4, 2: 4}
 
+    def test_renderer_at_bench_scale(self):
+        # a fig3 n=500 game: idle sellers, the one-point price slice at
+        # p_min = 175/500 and about 16 rounds
+        cfg = build_config({}, {"preset": "fig3_cost_vs_n"})
+        scenario = sample_scenario(cfg, 500, 0)
+        outcome = run_stackelberg(scenario)
+        log = outcome.log
+        assert outcome.converged and log.total_rounds > 10
+        assert (outcome.stage2.energies == 0.0).any()
+        assert scenario.grid.p_min == 175.0 / 500
+        assert log.to_jsonl() == reference_jsonl(log)
+
+    def test_empty_round_and_non_finite_prices_render_like_json_dumps(self):
+        log = MessageLog()
+        log.append(Message(1, "pg", "announce",
+                           {"deficiency": 5.0, "total_price": 3.0, "n_users": 5}))
+        log.append_round(1, [], [], True)
+        log.append_prices(2, [np.nan, np.inf, -np.inf, -0.0, 0.0])
+        log.append_round(2, [0.0, -0.0, 0.1, np.nan, 5e-324], [-0.0] * 5, False)
+        text = log.to_jsonl()
+        assert text == reference_jsonl(log)
+        assert "" not in text.split("\n")
+        assert '"price": -0.0}' in text and '"price": 0.0}' in text
+        assert len(log) == 1 + 1 + 5 + 11
+        assert log.total_rounds == 2
+        assert log.per_eu_counts == {i: 2 for i in range(5)}
+
     def test_append_round_validates(self):
         log = MessageLog()
         log.append_round(2, [1.0], [2.0], True)
@@ -287,6 +315,27 @@ class TestMessageLog:
         assert log.to_jsonl() == before
         assert [m.payload for m in log.messages[:2]] == [
             {"eu_id": 0, "energy": 1.0}, {"eu_id": 1, "energy": 2.0}]
+
+    def test_append_prices_validates(self):
+        log = MessageLog()
+        log.append_prices(2, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            log.append_prices(1, [1.0, 2.0])
+        with pytest.raises(ValueError):
+            log.append_prices(3, [[1.0, 2.0]])
+        assert len(log) == 2
+        assert log.total_rounds == 2
+        assert log.per_eu_counts == {}
+
+    def test_append_prices_snapshots_its_array(self):
+        prices = np.array([1.5, 2.5])
+        log = MessageLog()
+        log.append_prices(1, prices)
+        before = log.to_jsonl()
+        prices[:] = np.nan
+        assert log.to_jsonl() == before
+        assert [m.payload for m in log.messages] == [
+            {"eu_id": 0, "price": 1.5}, {"eu_id": 1, "price": 2.5}]
 
     def test_messages_are_rebuilt_on_each_read(self, peak_scenario):
         log = run_stackelberg(peak_scenario).log

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from gridtrade.model import FeasibleSet
 from gridtrade.oracle import halfspace_projection_oracle
@@ -354,6 +354,10 @@ def halfspace_instances(draw):
 class TestHalfspaceOracle:
     @settings(max_examples=300, deadline=None)
     @given(halfspace_instances())
+    # a budget far below 1 with x off its face: tolerances must scale with
+    # the budget, or the whole slack is snapped away and the bracket diverges
+    @example(instance=(np.zeros(3), np.array([-1.0, -1.0, 0.0]), np.array([0.0, 1e-20, 5e-21]),
+                       np.array([0.0, -1e-20, -5e-21]), FeasibleSet(np.full(3, 0.25), 3e-20)))
     def test_matches_bisection_oracle(self, instance):
         x, normal, offset, gap, fs = instance
         w = project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
