@@ -16,7 +16,11 @@ the same role: w(beta) = P_X(x - beta*n), with beta >= 0 chosen so the
 constraint holds with complementary slackness. Each evaluation of w(beta)
 is first solved on the last certified piece (an active set's constants do
 not depend on beta), and the breakpoint search runs only when that piece
-fails its KKT check; on the budget face, the move at beta = 0 is zero.
+fails its KKT check. Before any piece has certified, the active set of x's
+own bounds stands in for it: x is the previous projection's output, so
+that set is the previous projection's last piece, and near convergence the
+first probe usually stays on it. On the budget face, the move at beta = 0
+is zero.
 
 Numerical discipline matters more than usual here. The outer solver drives
 the halfspace gap <n, w(beta) - z> to the square of its own residual, far
@@ -212,8 +216,9 @@ def _move_path(x, n, ub, budget, sum_x, equality):
     directly would round at the beta*||n|| scale, orders of magnitude above
     the physical move near convergence. An active set's constants do not
     depend on beta, and successive probes of the dual mostly stay on one
-    set, so each move is first assembled on the last certified piece; the
-    breakpoint search runs only when that piece's KKT check fails.
+    set, so each move is first assembled on the last certified piece, or
+    on x's own bound set (lower x <= 0, upper x >= ub) until one certifies;
+    the breakpoint search runs only when that piece's KKT check fails.
 
     With equality=True the budget is treated as the equality sum(w) = sum(x)
     and the multiplier may take either sign; the caller uses this to keep
@@ -226,7 +231,22 @@ def _move_path(x, n, ub, budget, sum_x, equality):
     target = budget - sum_x
     if equality or (0.0 <= target <= 64.0 * EPS * budget):
         target = 0.0
-    last = None
+    last, seeded = None, False
+
+    def piece_of(lower, upper):
+        """The beta-free constants of the piece whose components in `lower`
+        and `upper` sit at their bounds, or None when no component is free."""
+        free = ~(lower | upper)
+        k = int(free.sum())
+        if k == 0:
+            return None
+        n_free = n[free].tolist()
+        nbar = math.fsum(n_free) / k
+        return (free, k, np.where(lower, lo_b, hi_b),
+                np.where(free, lo_b, np.where(upper, hi_b, -np.inf)),
+                np.where(free, hi_b, np.where(lower, lo_b, np.inf)),
+                n - nbar, nbar, math.fsum(n_free + [-k * nbar]),
+                math.fsum(hi_b[upper].tolist() + lo_b[lower].tolist() + [-target]) / k)
 
     def on_piece(piece, beta, s):
         """The move of a piece at beta, ((move, multiplier, free), ok). The
@@ -243,11 +263,16 @@ def _move_path(x, n, ub, budget, sum_x, equality):
         return (m, lam if equality else max(lam, 0.0), free), ok
 
     def move(beta):
+        nonlocal last, seeded
         s = -beta * n
         if not equality:
             m0 = np.minimum(np.maximum(s, lo_b), hi_b)
             if math.fsum(m0.tolist()) <= target:
                 return m0, 0.0, (m0 > lo_b) & (m0 < hi_b)
+        if not seeded:
+            # Until a piece certifies, try x's own bounds: the last piece of
+            # the projection that produced x.
+            seeded, last = True, piece_of(x <= 0.0, x >= ub)
         if last is not None:
             result, ok = on_piece(last, beta, s)
             if ok:
@@ -258,19 +283,10 @@ def _move_path(x, n, ub, budget, sum_x, equality):
             on_piece) do not depend on beta."""
             nonlocal last
             mm = np.minimum(np.maximum(s - lam, lo_b), hi_b)
-            lower, upper = mm <= lo_b, mm >= hi_b
-            free = ~(lower | upper)
-            k = int(free.sum())
-            if k == 0:
+            piece = piece_of(mm <= lo_b, mm >= hi_b)
+            if piece is None:
                 ok = abs(math.fsum(mm.tolist()) - target) <= 1e-12 * max(1.0, abs(target))
-                return (mm, lam, free), ok
-            n_free = n[free].tolist()
-            nbar = math.fsum(n_free) / k
-            piece = (free, k, np.where(lower, lo_b, hi_b),
-                     np.where(free, lo_b, np.where(upper, hi_b, -np.inf)),
-                     np.where(free, hi_b, np.where(lower, lo_b, np.inf)),
-                     n - nbar, nbar, math.fsum(n_free + [-k * nbar]),
-                     math.fsum(hi_b[upper].tolist() + lo_b[lower].tolist() + [-target]) / k)
+                return (mm, lam, np.zeros(mm.shape, dtype=bool)), ok
             result, ok = on_piece(piece, beta, s)
             if ok:
                 last = piece

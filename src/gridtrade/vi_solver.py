@@ -12,11 +12,15 @@ identity that solution is also the projection of (surpluses + prices) onto X,
 which `ve_closed_form` exposes as an independent cross-check.
 
 `solve_ve` runs the hyperplane-projection (extragradient) method: per
-iteration one projection builds the natural residual map r(x), an Armijo
+iteration the natural residual map r(x) = P_X(x - F(x)) is formed, an Armijo
 backtracking search places a trial point z on the segment [x, r(x)], and the
 iterate is projected onto X intersected with the separating halfspace
 {w : <F(z), w - z> <= 0}, which always contains the solution. Distances to
-the solution are therefore nonincreasing along the iteration.
+the solution are therefore nonincreasing along the iteration. Since
+x - F(x) = surpluses + prices for every x, r(x) is projected once per solve
+(the anchor, the same point `ve_closed_form` returns) and each iteration only
+compensates its budget sum against x. The halfspace projection seeds its
+dual with the active set of the iterate's own bounds (see `projection`).
 """
 
 from __future__ import annotations
@@ -27,7 +31,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import FeasibleSet
-from .projection import project_box_budget, project_halfspace_then_set
+from .projection import (
+    ProjectionResult,
+    _checked_vector,
+    project_box_budget,
+    project_halfspace_then_set,
+)
 
 
 class ArmijoSearchError(RuntimeError):
@@ -117,43 +126,24 @@ class SolverTrace:
         return [r.residual for r in self.records]
 
 
-def _tidy_iterate(x: np.ndarray, ub: np.ndarray, budget: float) -> np.ndarray:
-    """Snap ulp-level bound drift and budget overshoot out of an iterate.
-
-    A component left one ulp off its box bound carries a large deviation in
-    the separating-halfspace normal, so the cut spends itself on rounding
-    noise and the iteration freezes; the same happens when sum(x) exceeds
-    the budget by an ulp. Both corrections move x by O(eps * scale), far
-    below every tolerance in play.
-    """
-    snap = 4.0 * np.finfo(float).eps * np.maximum(1.0, ub)
-    x = np.where(ub - x <= snap, ub, x)
-    x = np.where(x <= snap, 0.0, x)
-    excess = math.fsum(x.tolist()) - budget
-    if excess > 0.0:
-        interior = x < ub
-        j = int(np.argmax(np.where(interior, x, -np.inf))) if interior.any() \
-            else int(np.argmax(x))
-        for _ in range(4):
-            x[j] -= excess
-            excess = math.fsum(x.tolist()) - budget
-            if excess <= 0.0:
-                break
-    return x
-
-
-def natural_residual(x, F: PseudoGradient, fset: FeasibleSet) -> tuple[np.ndarray, float]:
+def natural_residual(x, F: PseudoGradient, fset: FeasibleSet,
+                     anchor: ProjectionResult | None = None) -> tuple[np.ndarray, float]:
     """The projected point r = P_X(x - F(x)) and the norm ||x - r||.
 
-    The norm vanishes exactly at solutions of VI(X, F). When the budget binds
-    at r, rounding that leaves sum(r) a few ulps below the budget is pushed
-    back up; together with iterates kept weakly inside the budget this
-    guarantees sum(x - r) <= 0, which the step acceptance rule relies on.
+    Because F(x) = x - surpluses - prices, x - F(x) is surpluses + prices
+    for every x, so r is one point per problem: `anchor`, the projection of
+    surpluses + prices onto X, computed here when omitted. The norm vanishes
+    exactly at solutions of VI(X, F). When the budget binds at r, rounding
+    that leaves sum(r) a few ulps below sum(x) is pushed back up on a copy;
+    this guarantees sum(x - r) <= 0, which the step acceptance rule relies
+    on. Raises ValueError when x is non-finite or does not match the set's
+    dimension.
     """
-    x = np.asarray(x, dtype=float)
-    proj = project_box_budget(x - F(x), fset)
-    r = proj.point
-    if proj.active_budget:
+    x = _checked_vector(x, "iterate", fset.upper_bounds.shape)
+    if anchor is None:
+        anchor = project_box_budget(F.surpluses + F.prices, fset)
+    r = anchor.point
+    if anchor.active_budget:
         # The step acceptance rule needs sum(x - r) <= 0 in exact arithmetic;
         # comparing separately rounded sums leaves an ulp of the budget in
         # play, which the face multiplier amplifies past the Armijo margin.
@@ -177,8 +167,9 @@ def ve_closed_form(F: PseudoGradient, fset: FeasibleSet) -> np.ndarray:
     """The unique equilibrium, computed directly.
 
     Because F(x) = x - c with c = surpluses + prices, the VI solution is
-    exactly P_X(c). Kept separate from the iterative path so it can serve as
-    a verification oracle.
+    exactly P_X(c). `solve_ve` projects the same point once per solve as the
+    anchor of its natural map but never takes it as an iterate, so this
+    stays an independent verification oracle.
     """
     return project_box_budget(F.surpluses + F.prices, fset).point
 
@@ -204,10 +195,11 @@ def solve_ve(F: PseudoGradient, fset: FeasibleSet, cfg: SolverConfig | None = No
     if not fset.contains(x, tol=1e-9):
         raise ValueError("initial iterate is not feasible")
 
+    anchor = project_box_budget(F.surpluses + F.prices, fset)
     trace = SolverTrace()
     trace.stop_reason = "max_iterations"
     for iteration in range(1, cfg.max_iterations + 1):
-        r, residual = natural_residual(x, F, fset)
+        r, residual = natural_residual(x, F, fset, anchor)
         mu = F.mu(x)
         if residual <= cfg.residual_tol:
             record = IterationRecord(iteration, x, residual, 0.0, x, mu)
@@ -242,6 +234,5 @@ def solve_ve(F: PseudoGradient, fset: FeasibleSet, cfg: SolverConfig | None = No
         # x - z equals t*d analytically; passing it keeps the halfspace gap
         # resolvable when d is small.
         x = project_halfspace_then_set(x, F(z), z, fset, offset_gap=t * d)
-        x = _tidy_iterate(x, fset.upper_bounds, fset.budget)
     final = trace.records[-1]
     return final.x, trace

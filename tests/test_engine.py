@@ -213,7 +213,8 @@ class TestMessageLog:
         assert all(c == 2 * total_rounds for c in counts.values())
 
     def test_matches_golden_transcript(self, peak_scenario):
-        # written by the per-message json.dumps renderer this log replaced
+        # written by reference_jsonl, the per-message json.dumps renderer,
+        # when the solver began projecting its natural map once per solve
         outcome = run_stackelberg(peak_scenario, extra_price_rounds=1)
         text = outcome.log.to_jsonl()
         assert text.encode("utf-8") == GOLDEN_TRANSCRIPT.read_bytes()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from gridtrade import projection
 from gridtrade.model import FeasibleSet
 from gridtrade.oracle import halfspace_projection_oracle
 from gridtrade.projection import (
@@ -351,9 +352,27 @@ def halfspace_instances(draw):
     return x, normal, offset, gap, FeasibleSet(ub, budget)
 
 
+def face_instance(normal):
+    """A solver-like halfspace instance: x on the budget face with one
+    seller at 0, the gap an exact transfer, and a normal with no positive
+    entry."""
+    x, gap = np.array([1.0, 2.0, 0.0]), np.array([0.25, -0.25, 0.0])
+    return x, np.array(normal), x - gap, gap, FeasibleSet(np.full(3, 4.0), 3.0)
+
+
+# At the first probe the idle seller stays at 0, so x's own bound set is
+# the piece and certifies.
+SEED_CERTIFIES = face_instance([-1.0, -2.0, -0.5])
+# Here the idle seller leaves 0 at the first probe: x's bound set fails its
+# KKT test and the breakpoint search runs.
+SEED_FAILS = face_instance([-1.0, -2.0, -3.0])
+
+
 class TestHalfspaceOracle:
     @settings(max_examples=300, deadline=None)
     @given(halfspace_instances())
+    @example(instance=SEED_CERTIFIES)
+    @example(instance=SEED_FAILS)
     # a budget far below 1 with x off its face: tolerances must scale with
     # the budget, or the whole slack is snapped away and the bracket diverges
     @example(instance=(np.zeros(3), np.array([-1.0, -1.0, 0.0]), np.array([0.0, 1e-20, 5e-21]),
@@ -365,6 +384,20 @@ class TestHalfspaceOracle:
         scale = max(float(np.abs(x).max()), float(fs.upper_bounds.max()),
                     float(np.abs(offset).max()))
         assert np.abs(w - ref).max() <= 1e-9 * scale
+
+    @pytest.mark.parametrize("instance,searches", [(SEED_CERTIFIES, 0), (SEED_FAILS, 1)])
+    def test_certified_seed_skips_the_breakpoint_search(self, instance, searches, monkeypatch):
+        calls = []
+        search = projection._breakpoint_root
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(projection, "_breakpoint_root", counted)
+        x, normal, offset, gap, fs = instance
+        project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
+        assert len(calls) == searches
 
     @pytest.mark.xfail(strict=True, reason="face mode projects onto the budget face "
                        "intersected with the halfspace, even where the projection "

@@ -1,11 +1,15 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gridtrade import vi_solver
 from gridtrade.model import FeasibleSet, joint_utility
 from gridtrade.oracle import ve_oracle
+from gridtrade.projection import project_box_budget
 from gridtrade.vi_solver import (
     PseudoGradient,
     SolverConfig,
@@ -15,8 +19,10 @@ from gridtrade.vi_solver import (
 )
 from tests.conftest import make_scenario
 
-# Written by the commit before the halfspace projection began reusing dual
-# pieces; rewrite with `python -m tests.test_vi_solver` only on purpose.
+# Written when the solver began projecting its natural map once per solve
+# and stopped snapping iterates onto their bounds; that moved 21 of the 40
+# records by at most 3.3e-13 relative and kept every iteration count.
+# Rewrite with `python -m tests.test_vi_solver` only on purpose.
 FOLLOWER_GOLDEN = Path(__file__).parent / "data" / "follower_golden.json"
 
 
@@ -52,6 +58,25 @@ def golden_record(n, factor, F, fset):
     x, trace = solve_ve(F, fset)
     return {"n": n, "budget_factor": factor, "iterations": trace.iterations,
             "x": [float(v).hex() for v in x]}
+
+
+@st.composite
+def residual_instances(draw):
+    """(x, F, fset) with n from 1 to 12 at one scale from 1e-6 to 1e6 and x
+    feasible; an x drawn in the box that overfills the budget is pulled to
+    within 1e-14 of the budget face, where the residual's compensation acts."""
+    n = draw(st.integers(1, 12))
+    scale = 10.0 ** draw(st.integers(-6, 6))
+    units = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array)
+    E = scale * (0.25 + 1.75 * draw(units))
+    F = PseudoGradient(E, scale * 2.0 * draw(units))
+    fset = FeasibleSet(E, draw(st.floats(0.05, 1.25)) * float(E.sum()))
+    x = E * draw(units)
+    total = math.fsum(x.tolist())
+    if total > fset.budget:
+        x *= (1.0 - 1e-14) * fset.budget / total
+    assert fset.contains(x)
+    return x, F, fset
 
 
 class TestPseudoGradient:
@@ -91,6 +116,35 @@ class TestNaturalResidual:
         r2, n2 = natural_residual(x, F, fset)
         assert np.array_equal(r1, r2) and n1 == n2
 
+    def test_rejects_misshapen_iterate(self):
+        F, fset = running_example()
+        with pytest.raises(ValueError, match="does not match"):
+            natural_residual(np.array([1.0]), F, fset)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_iterate(self, bad):
+        F, fset = running_example()
+        with pytest.raises(ValueError, match="non-finite"):
+            natural_residual(np.array([bad, 1.0]), F, fset)
+
+    def test_anchor_is_left_untouched(self):
+        F, fset = running_example()
+        anchor = project_box_budget(F.surpluses + F.prices, fset)
+        before = anchor.point.copy()
+        # x overfills the budget by an ulp, so r is compensated upward
+        r, _ = natural_residual(np.array([1.0, np.nextafter(3.0, 4.0)]), F, fset, anchor)
+        assert np.array_equal(anchor.point, before)
+        assert math.fsum(r.tolist()) >= 1.0 + np.nextafter(3.0, 4.0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(residual_instances())
+    def test_anchor_matches_projecting_the_natural_map(self, instance):
+        x, F, fset = instance
+        anchor = project_box_budget(F.surpluses + F.prices, fset)
+        _, residual = natural_residual(x, F, fset, anchor)
+        direct = float(np.linalg.norm(x - project_box_budget(x - F(x), fset).point))
+        assert abs(residual - direct) <= 1e-12 * float((F.surpluses + F.prices).max())
+
 
 class TestSolveVe:
     def test_running_example(self):
@@ -112,6 +166,21 @@ class TestSolveVe:
         x, trace = solve_ve(F, fset, x0=x0)
         assert trace.iterations == 1
         assert trace.converged
+
+    def test_projects_the_natural_map_once_per_solve(self, monkeypatch):
+        calls = []
+
+        def counted(v, fset):
+            calls.append(1)
+            return project_box_budget(v, fset)
+
+        monkeypatch.setattr(vi_solver, "project_box_budget", counted)
+        rng = np.random.default_rng(5)
+        for problem in [running_example()] + [random_instance(rng) for _ in range(5)]:
+            calls.clear()
+            _, trace = solve_ve(*problem)
+            assert trace.converged and trace.iterations > 1
+            assert len(calls) == 1
 
     def test_infeasible_start_rejected(self):
         F, fset = running_example()
