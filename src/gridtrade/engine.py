@@ -299,13 +299,13 @@ class NSEReport:
         return self.follower_violations == 0 and self.leader_violations == 0
 
 
-def _interior_mu_stop(x, mu, prev_mu, upper_bounds):
+def _interior_mu_stop(x, mu, prev_mu, margin, upper_limit):
     """Slack-equalization stop: interior spread within tolerance and slack
-    values stationary between rounds."""
+    values stationary between rounds. A seller is interior when its offer
+    lies strictly between margin and upper_limit."""
     if prev_mu is None:
         return False
-    margin = 1e-6 * np.maximum(1.0, upper_bounds)
-    interior = (x > margin) & (x < upper_bounds - margin)
+    interior = (x > margin) & (x < upper_limit)
     if interior.sum() >= 2:
         vals = mu[interior]
         tol = 1e-6 * (1.0 + abs(float(vals.mean())))
@@ -326,6 +326,8 @@ def _follower_stage(scenario, fset, prices, cfg, log, stage):
     state = {"prev_mu": None, "rounds": 0, "residual": float("nan")}
     n = scenario.n_users
     grid = scenario.grid
+    margin = 1e-6 * np.maximum(1.0, fset.upper_bounds)
+    upper_limit = fset.upper_bounds - margin
 
     def on_iteration(record, residual_done):
         rnd = log.total_rounds + 1
@@ -338,7 +340,7 @@ def _follower_stage(scenario, fset, prices, cfg, log, stage):
         elif state["rounds"] == 0:
             log.append_prices(rnd, prices)
         stop = residual_done or _interior_mu_stop(
-            record.x, record.mu, state["prev_mu"], fset.upper_bounds
+            record.x, record.mu, state["prev_mu"], margin, upper_limit
         )
         log.append_round(rnd, record.x, record.mu, not stop)
         state["prev_mu"] = record.mu

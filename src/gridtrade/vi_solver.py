@@ -150,16 +150,16 @@ def natural_residual(x, F: PseudoGradient, fset: FeasibleSet,
         # The compensation must land on a component that is strictly inside
         # its box (where the marginal value equals the face multiplier), or
         # it would itself tilt the acceptance inner product.
-        free = (r > 0.0) & (r < fset.upper_bounds)
-        if free.any():
+        excess = math.fsum(np.concatenate((x, -r)).tolist())
+        free = (r > 0.0) & (r < fset.upper_bounds) if excess > 0.0 else False
+        if np.any(free):
             r = r.copy()
-            headroom = np.where(free, fset.upper_bounds - r, -np.inf)
-            j = int(np.argmax(headroom))
+            j = int(np.argmax(np.where(free, fset.upper_bounds - r, -np.inf)))
             for _ in range(6):
+                r[j] = np.nextafter(r[j] + excess, np.inf)
                 excess = math.fsum(np.concatenate((x, -r)).tolist())
                 if excess <= 0.0:
                     break
-                r[j] = np.nextafter(r[j] + excess, np.inf)
     return r, float(np.linalg.norm(x - r))
 
 
@@ -213,8 +213,9 @@ def solve_ve(F: PseudoGradient, fset: FeasibleSet, cfg: SolverConfig | None = No
         dn2 = residual * residual
         t = cfg.gamma
         z = x - t * d
+        Fz = F(z)
         backtracks = 0
-        while math.fsum((F(z) * d).tolist()) < cfg.delta * dn2:
+        while math.fsum((Fz * d).tolist()) < cfg.delta * dn2:
             backtracks += 1
             if backtracks > cfg.max_backtracks:
                 raise ArmijoSearchError(
@@ -223,6 +224,7 @@ def solve_ve(F: PseudoGradient, fset: FeasibleSet, cfg: SolverConfig | None = No
                 )
             t *= cfg.beta
             z = x - t * d
+            Fz = F(z)
 
         record = IterationRecord(iteration, x, residual, t, z, mu)
         trace.records.append(record)
@@ -233,6 +235,6 @@ def solve_ve(F: PseudoGradient, fset: FeasibleSet, cfg: SolverConfig | None = No
             break
         # x - z equals t*d analytically; passing it keeps the halfspace gap
         # resolvable when d is small.
-        x = project_halfspace_then_set(x, F(z), z, fset, offset_gap=t * d)
+        x = project_halfspace_then_set(x, Fz, z, fset, offset_gap=t * d)
     final = trace.records[-1]
     return final.x, trace
