@@ -13,14 +13,19 @@ sort of the breakpoints and a cumulative sum locate the piece holding lam,
 and an exact active-set solve on that piece pins it down. For X intersected
 with a halfspace, a scalar multiplier beta on the halfspace constraint plays
 the same role: w(beta) = P_X(x - beta*n), with beta >= 0 chosen so the
-constraint holds with complementary slackness. Each evaluation of w(beta)
-is first solved on the last certified piece (an active set's constants do
-not depend on beta), and the breakpoint search runs only when that piece
-fails its KKT check. Before any piece has certified, the active set of x's
-own bounds stands in for it: x is the previous projection's output, so
-that set is the previous projection's last piece, and near convergence the
-first probe usually stays on it. On the budget face, the move at beta = 0
-is zero.
+constraint holds with complementary slackness. The gap of the cut is
+piecewise linear in beta, and every probe of beta is a Newton step along
+the piece of one end of the bracket holding the root. A piece (an active
+set) holds over the whole step, so a probe that lands with gap <= 0 on the
+piece it was stepped from is the root, and the search ends there. Each
+evaluation of w(beta) is first solved on the last certified piece (an
+active set's constants do not depend on beta), and the breakpoint search
+runs only when that piece fails its KKT check. Before any piece has
+certified, the active set of x's own bounds stands in for it: x is the
+previous projection's output, so that set is the previous projection's
+last piece, and near convergence the first probe usually stays on it. With
+x in the box and within the budget, the move at beta = 0 is zero and x's
+bound set is the piece there, so that probe is already a Newton step.
 
 Numerical discipline matters more than usual here. The outer solver drives
 the halfspace gap <n, w(beta) - z> to the square of its own residual, far
@@ -36,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -237,16 +243,17 @@ def _move_path(x, n, ub, budget, sum_x, equality):
         """The beta-free constants of the piece whose components in `lower`
         and `upper` sit at their bounds, or None when no component is free."""
         free = ~(lower | upper)
-        k = int(free.sum())
+        k = int(np.count_nonzero(free))
         if k == 0:
             return None
         n_free = n[free].tolist()
         nbar = math.fsum(n_free) / k
-        return (free, k, np.where(lower, lo_b, hi_b),
+        bound = np.where(lower, lo_b, hi_b)
+        return (free, k, bound,
                 np.where(free, lo_b, np.where(upper, hi_b, -np.inf)),
                 np.where(free, hi_b, np.where(lower, lo_b, np.inf)),
                 n - nbar, nbar, math.fsum(n_free + [-k * nbar]),
-                math.fsum(hi_b[upper].tolist() + lo_b[lower].tolist() + [-target]) / k)
+                math.fsum(bound[~free].tolist() + [-target]) / k)
 
     def on_piece(piece, beta, s):
         """The move of a piece at beta, ((move, multiplier, free), ok). The
@@ -297,6 +304,110 @@ def _move_path(x, n, ub, budget, sum_x, equality):
     return move
 
 
+class _Probe(NamedTuple):
+    """One evaluation of the halfspace dual: the gap g at beta, and the move
+    and budget multiplier there. The piece it lies on is identified by its
+    free mask, its at-upper mask and whether the budget binds; `piece` packs
+    the three for comparison."""
+
+    beta: float
+    g: float
+    move: np.ndarray | float
+    lam: float
+    free: np.ndarray
+    binds: bool
+    piece: tuple
+
+
+def _halfspace_dual(x, n, gap, ub, budget, sum_x, face_mode):
+    """The projection of feasible x onto X (onto the budget face when
+    face_mode) intersected with {w : <n, w - x + gap> <= 0}, returned as
+    (point, beta, budget multiplier).
+
+    The gap g(beta) = <n, w(beta) - x + gap> is continuous, nonincreasing
+    and piecewise linear. Each probe is a Newton step along the piece of one
+    end of the bracket [lo, hi] that holds the root: from lo's piece until a
+    probe lands with g <= 0, then leftward from hi's piece, from lo's piece
+    when that step does not fall strictly inside the bracket, and a bisection
+    only when neither does. The KKT conditions of a fixed active set are
+    affine in beta, so a piece holds over the whole step and g is affine
+    along it: a probe with computed g <= 0 on the piece it was stepped from
+    is that piece's root, and is returned. When no step fits a bracket
+    narrower than the rounding of beta (or than a 1e-13 relative move of x),
+    its hi end is returned. Every returned point has computed g <= 0.
+    """
+    g_lin = math.fsum((n * gap).tolist())
+    moves = _move_path(x, n, ub, budget, sum_x, face_mode)
+    hi_b = ub - x
+    evals = 0
+
+    def probe(beta):
+        nonlocal evals
+        evals += 1
+        delta, lam, free = moves(beta)
+        binds = face_mode or lam > 0.0
+        return _Probe(beta, math.fsum((n * delta).tolist()) + g_lin, delta, lam, free, binds,
+                      (free.tobytes(), (delta >= hi_b).tobytes(), binds))
+
+    def step(p):
+        """The root of p's piece, or inf when the piece is flat. Free
+        components move against n, centered when the budget binds."""
+        nf = n[p.free]
+        if p.binds and nf.size:
+            nf = nf - math.fsum(nf.tolist()) / nf.size
+        slope = math.fsum((nf * nf).tolist())
+        return p.beta + p.g / slope if slope > 0.0 else math.inf
+
+    def result(p):
+        return np.minimum(np.maximum(x + p.move, 0.0), ub), p.beta, p.lam
+
+    if (face_mode or sum_x <= budget) and x.min() >= 0.0 and hi_b.min() >= 0.0:
+        # With x in the box and within the budget (or on the face) the move
+        # at beta = 0 is zero, so x's own bound set is a valid piece there
+        # and the first probe is already a Newton step.
+        free = (x > 0.0) & (hi_b > 0.0)
+        lo = _Probe(0.0, g_lin, 0.0, 0.0, free, face_mode,
+                    (free.tobytes(), (hi_b <= 0.0).tobytes(), face_mode))
+    else:
+        lo = probe(0.0)
+    if lo.g <= 0.0:
+        return result(lo)
+
+    hi = None
+    while evals < _MAX_EVALS:
+        if hi is not None:
+            origin, beta = hi, step(hi)
+        if hi is None or not lo.beta < beta < hi.beta:
+            # A step from lo always advances, so a g rounded above zero at a
+            # piece's root cannot stall the search.
+            origin, beta = lo, max(step(lo), lo.beta * (1.0 + 4.0 * EPS) + 5e-324)
+        if hi is None:
+            if beta == math.inf:
+                # No piece is steeper than <n, n>, so lo.g/<n, n> cannot
+                # overshoot; growing by 8 gets off a long flat piece quickly.
+                beta = max(8.0 * lo.beta, lo.beta + lo.g / math.fsum((n * n).tolist()))
+            if beta > 1e300:
+                raise ProjectionError("halfspace dual bracket diverged; intersection may be empty")
+        elif not lo.beta < beta < hi.beta:
+            # The fallback stop: a bracket narrower than beta's rounding, or
+            # than a move of 1e-13 relative to x.
+            width_tol = max(1e-13 * (1.0 + float(np.abs(x).max()))
+                            / math.sqrt(math.fsum((n * n).tolist())), 4.0 * EPS * (1.0 + hi.beta))
+            if hi.beta - lo.beta <= width_tol:
+                return result(hi)
+            origin, beta = None, 0.5 * (lo.beta + hi.beta)
+        p = probe(beta)
+        if p.g > 0.0:
+            lo = p
+        elif p.g == 0.0 or (origin is not None and p.piece == origin.piece):
+            return result(p)
+        else:
+            hi = p
+    if hi is None:
+        raise ProjectionError(f"no halfspace dual bracket within {_MAX_EVALS} evaluations")
+    raise ProjectionError(f"halfspace dual search exceeded {_MAX_EVALS} evaluations")
+
+
 def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
                                offset_gap=None) -> np.ndarray:
     """Euclidean projection of x onto X intersected with the halfspace
@@ -304,12 +415,16 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 
     The halfspace constraint carries a single dual beta >= 0 with
     w(beta) = P_X(x - beta*normal); its gap g(beta) = <normal, w - offset>
-    is continuous, nonincreasing and piecewise linear in beta, so a Newton
-    step off the current linear piece usually lands on the root and a
-    bracketed regula-falsi finishes. Raises ProjectionError when no bracket
-    exists within _MAX_EVALS gap evaluations (empty or degenerate
-    intersection), and ValueError when an input is non-finite or does not
-    match the set's dimension.
+    is continuous, nonincreasing and piecewise linear in beta. Each probe
+    is a Newton step along the piece of one end of the bracket holding the
+    root, and the search ends when a probe with g <= 0 lands on the piece it
+    was stepped from: g is affine on that piece, so the probe is its root.
+    On the budget face the search runs on the face with a centered normal;
+    where the original halfspace's budget multiplier comes out negative
+    there, the projection leaves the face and is redone on X. Raises
+    ProjectionError when no bracket exists within _MAX_EVALS gap evaluations
+    (empty or degenerate intersection), and ValueError when an input is
+    non-finite or does not match the set's dimension.
 
     offset_gap, when given, supplies x - offset_point directly; pass it when
     that difference is known analytically, because forming it by subtraction
@@ -332,103 +447,24 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
     # face the centered halfspace is the exact-arithmetic one, and the dual
     # path P_X(x - beta*n) is unchanged where the budget binds.
     on_face = (budget - sum_x) <= 64.0 * EPS * budget
-    face_mode = on_face and abs(math.fsum(gap.tolist())) <= 256.0 * EPS * budget
-    if face_mode:
+    if on_face and abs(math.fsum(gap.tolist())) <= 256.0 * EPS * budget:
         # Shifting the normal by a multiple of the all-ones vector leaves the
         # halfspace unchanged on the face. Centering on the gap's support
         # (where the normal's dominant component is constant) stops the
         # ulp-level facial jitter from being amplified into the gap.
         support = gap != 0.0
         base = n[support] if support.any() else n
-        n = n - math.fsum(base.tolist()) / base.size
-        if not np.any(np.abs(n) > 8.0 * EPS * max(1.0, float(np.abs(normal).max()))):
+        shift = math.fsum(base.tolist()) / base.size
+        n_face = n - shift
+        if float(np.abs(n_face).max()) <= 8.0 * EPS * max(1.0, float(np.abs(n).max())):
             # Normal was (numerically) a pure budget direction; on the face
             # the constraint is a constant and cannot cut.
             return project_box_budget(x, fset).point
-    nn = math.fsum((n * n).tolist())
-
-    g_lin = math.fsum((n * gap).tolist())
-    moves = _move_path(x, n, ub, budget, sum_x, face_mode)
-    evals = 0
-
-    def g_of(beta: float):
-        """(gap, move, budget multiplier, free mask) at beta."""
-        nonlocal evals
-        evals += 1
-        delta, lam, free = moves(beta)
-        return math.fsum((n * delta).tolist()) + g_lin, delta, lam, free
-
-    # On the face with x in the box, x is its own projection at beta = 0.
-    in_box = face_mode and ((x >= 0.0) & (x <= ub)).all()
-    g0, delta0 = (g_lin, np.zeros_like(x)) if in_box else g_of(0.0)[:2]
-    if g0 <= 0.0:
-        return np.minimum(np.maximum(x + delta0, 0.0), ub)
-
-    # g is piecewise linear and nonincreasing, so a Newton step along the
-    # current piece either lands on the root, crosses into the next piece
-    # (at most one crossing per step), or overshoots and brackets the root.
-    # The first probe g0/<n, n> cannot overshoot: no piece is steeper.
-    lo, g_lo = 0.0, g0
-    hi = g0 / nn
-    g_hi = g0
-    delta_hi = delta0
-    while evals < _MAX_EVALS:
-        g_hi, delta_hi, lam, free = g_of(hi)
-        if g_hi <= 0.0:
-            break
-        # Magnitude of the current linear piece's (negative) slope: free
-        # components move against n, centered when the budget binds.
-        nf = n[free]
-        if nf.size == 0:
-            slope_hi = 0.0
-        elif face_mode or lam > 0.0:
-            nbar = math.fsum(nf.tolist()) / nf.size
-            slope_hi = math.fsum(((nf - nbar) ** 2).tolist())
-        else:
-            slope_hi = math.fsum((nf * nf).tolist())
-        lo, g_lo = hi, g_hi
-        hi = hi + g_hi / slope_hi if slope_hi > 0.0 else 8.0 * hi
-        if hi <= lo:
-            hi = 2.0 * lo
-        if hi > 1e300:
-            raise ProjectionError("halfspace dual bracket diverged; intersection may be empty")
-    else:
-        raise ProjectionError(f"no halfspace dual bracket within {_MAX_EVALS} evaluations")
-
-    if g_hi == 0.0:
-        return np.minimum(np.maximum(x + delta_hi, 0.0), ub)
-
-    move_tol = 1e-13 * (1.0 + float(np.abs(x).max()))
-    width_tol = max(move_tol / math.sqrt(nn), 4.0 * EPS * (1.0 + hi))
-
-    best_delta = delta_hi
-    side = 0
-    while (hi - lo) > width_tol and evals < _MAX_EVALS:
-        denom = g_lo - g_hi
-        beta = lo + g_lo * (hi - lo) / denom if denom > 0.0 else 0.5 * (lo + hi)
-        if not (lo < beta < hi):
-            beta = 0.5 * (lo + hi)
-        g, delta = g_of(beta)[:2]
-        if g > 0.0:
-            lo, g_lo = beta, g
-            if side == -1:
-                g_hi *= 0.5
-            side = -1
-        elif g < 0.0:
-            hi, g_hi = beta, g
-            best_delta = delta
-            if side == 1:
-                g_lo *= 0.5
-            side = 1
-        else:
-            return np.minimum(np.maximum(x + delta, 0.0), ub)
-    if evals >= _MAX_EVALS:
-        raise ProjectionError(f"halfspace dual search exceeded {_MAX_EVALS} evaluations")
-
-    denom = g_lo - g_hi
-    if denom > 0.0:
-        beta_star = lo + g_lo * (hi - lo) / denom
-        g_star, delta_star = g_of(beta_star)[:2]
-        if g_star <= 0.0:
-            best_delta = delta_star
-    return np.minimum(np.maximum(x + best_delta, 0.0), ub)
+        point, beta, lam = _halfspace_dual(x, n_face, gap, ub, budget, sum_x, True)
+        # The face multiplier lam belongs to the centered normal; the budget
+        # multiplier of the original halfspace is lam - beta*shift. Where it
+        # is negative the projection leaves the face, and the face is the
+        # wrong set to project onto.
+        if lam - beta * shift >= -64.0 * EPS * (abs(lam) + beta * abs(shift)):
+            return point
+    return _halfspace_dual(x, n, gap, ub, budget, sum_x, False)[0]

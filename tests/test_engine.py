@@ -214,7 +214,8 @@ class TestMessageLog:
 
     def test_matches_golden_transcript(self, peak_scenario):
         # written by reference_jsonl, the per-message json.dumps renderer,
-        # when the solver began projecting its natural map once per solve
+        # when the halfspace dual search began ending on the first probe
+        # certified on its own piece
         outcome = run_stackelberg(peak_scenario, extra_price_rounds=1)
         text = outcome.log.to_jsonl()
         assert text.encode("utf-8") == GOLDEN_TRANSCRIPT.read_bytes()

@@ -322,11 +322,10 @@ def halfspace_instances(draw):
 
     On the budget face the gap is a set of exact transfers between disjoint
     pairs of components, so it sums to exactly zero and the projection runs
-    in face mode. Face mode projects onto the face intersected with the
-    halfspace, which is the projection onto X intersected with it only when
-    that projection stays on the face. A normal with no positive entry
-    ensures this, and the solver's normals F(z) = z - E - p have none,
-    since z <= E and p > 0 (see test_face_mode_projection_leaving_the_face).
+    in face mode. Half of these normals have no positive entry, like the
+    solver's normals F(z) = z - E - p (z <= E and p > 0), and the projection
+    stays on the face; the other half have either sign, so the projection
+    may leave the face (see test_face_mode_projection_leaving_the_face).
     Off the face the offset is any point of X at most half as full as the
     budget, and the normal has either sign.
     """
@@ -341,7 +340,9 @@ def halfspace_instances(draw):
         moved = room * draw(unit_values(len(pairs), 0.0, 1.0))
         gap = np.zeros(n)
         gap[pairs[:, 0]], gap[pairs[:, 1]] = moved, -moved
-        budget, normal, offset = math.fsum(x), -np.abs(normal), x - gap
+        if draw(st.booleans()):
+            normal = -np.abs(normal)
+        budget, offset = math.fsum(x), x - gap
     else:
         budget = math.fsum(x) + float(scale.max()) * draw(
             st.one_of(st.sampled_from(LATTICE), st.floats(0.0, 2.0)))
@@ -361,11 +362,65 @@ def face_instance(normal):
 
 
 # At the first probe the idle seller stays at 0, so x's own bound set is
-# the piece and certifies.
+# the piece and certifies; the root lies on it.
 SEED_CERTIFIES = face_instance([-1.0, -2.0, -0.5])
 # Here the idle seller leaves 0 at the first probe: x's bound set fails its
 # KKT test and the breakpoint search runs.
 SEED_FAILS = face_instance([-1.0, -2.0, -3.0])
+
+
+def hex_array(values):
+    return np.array([float.fromhex(v) for v in values.split()])
+
+
+# The 11th halfspace projection of the fig2 preset's game (n=10, run=3) at
+# seed 41. The piece of its dual at beta = 0 is nearly flat, and a
+# regula falsi search of the dual took 50 gap evaluations on it.
+CRAWL = (
+    hex_array("""0x1.255604490cd0dp+5 0x1.58aca7a28edfap+5 0x1.55f56f2caea1dp+5
+                 0x1.5f6506596f329p+5 0x1.83e0c7ea24dadp+5 0x1.669d295cb204bp+5 0x0.0p+0
+                 0x1.532127586d5a1p+5 0x1.21af1a4c6d73ep+5 0x1.4d54aba294cd9p+5"""),
+    hex_array("""-0x1.3638c9927b97ep+7 -0x1.392c8415d3082p+7 -0x1.39048a1326ec3p+7
+                 -0x1.398f70d4fc734p+7 -0x1.3ba87eee79648p+7 -0x1.39f9b65f6c6c9p+7
+                 -0x1.e8449dc5abd27p+6 -0x1.38dae4491409ep+7 -0x1.3603072604bc8p+7
+                 -0x1.388587ea3ac75p+7"""),
+    hex_array("""0x1.8c7962693eaf0p+3 0x1.76d05af1c7152p+5 0x1.683ae9b0ce885p+5
+                 0x1.9ae70268f3321p+5 0x1.2f6979c5603b9p+6 0x1.c1abca8574097p+5 0x0.0p+0
+                 0x1.590969def20f6p+5 0x1.3e06d9a99cc66p+3 0x1.39e5820099c33p+5"""),
+    hex_array("""0x1.846f575d7a4a2p+4 -0x1.e23b34f38357bp+1 -0x1.2457a841fe67dp+1
+                 -0x1.dc0fe07c1ffbdp+2 -0x1.b5e457413738bp+4 -0x1.6c3a84a308131p+3 0x0.0p+0
+                 -0x1.7a10a1a12d543p-1 0x1.a45ac7c40c849p+4 0x1.36f29a1fb0a59p+1"""),
+    FeasibleSet(hex_array("""0x1.1233f2a55238cp+6 0x1.85fa346bde671p+7 0x1.822cde18f427ep+7
+                             0x1.8f62cb08d2d96p+7 0x1.c276d56ac31bep+7 0x1.997e429a63089p+7
+                             0x1.c677d0f8df05ap+6 0x1.7e36d85a6a275p+7 0x1.38fd0e5a38228p+7
+                             0x1.76188203fad1cp+7"""), float.fromhex("0x1.7c00000000000p+8")),
+)
+
+
+def count_evaluations(monkeypatch):
+    """A list that grows by one per gap evaluation of the halfspace dual."""
+    calls = []
+    make = projection._move_path
+
+    def counted_path(*args):
+        move = make(*args)
+
+        def counted(beta):
+            calls.append(beta)
+            return move(beta)
+        return counted
+
+    monkeypatch.setattr(projection, "_move_path", counted_path)
+    return calls
+
+
+def assert_matches_oracle(instance):
+    x, normal, offset, gap, fs = instance
+    w = project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
+    ref = halfspace_projection_oracle(x, normal, offset, fs, offset_gap=gap)
+    scale = max(float(np.abs(x).max()), float(fs.upper_bounds.max()),
+                float(np.abs(offset).max()))
+    assert np.abs(w - ref).max() <= 1e-9 * scale
 
 
 class TestHalfspaceOracle:
@@ -378,12 +433,19 @@ class TestHalfspaceOracle:
     @example(instance=(np.zeros(3), np.array([-1.0, -1.0, 0.0]), np.array([0.0, 1e-20, 5e-21]),
                        np.array([0.0, -1e-20, -5e-21]), FeasibleSet(np.full(3, 0.25), 3e-20)))
     def test_matches_bisection_oracle(self, instance):
-        x, normal, offset, gap, fs = instance
-        w = project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
-        ref = halfspace_projection_oracle(x, normal, offset, fs, offset_gap=gap)
-        scale = max(float(np.abs(x).max()), float(fs.upper_bounds.max()),
-                    float(np.abs(offset).max()))
-        assert np.abs(w - ref).max() <= 1e-9 * scale
+        assert_matches_oracle(instance)
+
+    def test_flat_first_piece_takes_few_evaluations(self, monkeypatch):
+        calls = count_evaluations(monkeypatch)
+        assert_matches_oracle(CRAWL)
+        assert 1 <= len(calls) <= 8
+
+    def test_root_on_the_bound_set_piece_takes_one_evaluation(self, monkeypatch):
+        # In the box on the face, x's own bound set is the piece at beta = 0,
+        # so the first probe is a Newton step on it and lands on the root.
+        calls = count_evaluations(monkeypatch)
+        assert_matches_oracle(SEED_CERTIFIES)
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("instance,searches", [(SEED_CERTIFIES, 0), (SEED_FAILS, 1)])
     def test_certified_seed_skips_the_breakpoint_search(self, instance, searches, monkeypatch):
@@ -399,10 +461,10 @@ class TestHalfspaceOracle:
         project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
         assert len(calls) == searches
 
-    @pytest.mark.xfail(strict=True, reason="face mode projects onto the budget face "
-                       "intersected with the halfspace, even where the projection "
-                       "onto the set intersected with it leaves the face")
     def test_face_mode_projection_leaving_the_face(self):
+        # x and the offset point sit on the face, so the search runs in face
+        # mode; the original halfspace's budget multiplier at its result is
+        # negative, and the projection is redone off the face.
         fs = FeasibleSet(np.array([10.0, 10.0]), 10.0)
         x, normal, offset = np.array([5.0, 5.0]), np.array([1.5, 1.0]), np.array([4.0, 6.0])
         ref = halfspace_projection_oracle(x, normal, offset, fs)

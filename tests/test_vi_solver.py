@@ -19,9 +19,9 @@ from gridtrade.vi_solver import (
 )
 from tests.conftest import make_scenario
 
-# Written when the solver began projecting its natural map once per solve
-# and stopped snapping iterates onto their bounds; that moved 21 of the 40
-# records by at most 3.3e-13 relative and kept every iteration count.
+# Written when the halfspace dual search began ending on the first probe
+# certified on its own piece; that moved 16 of the 40 records by at most
+# 1.4e-14 relative and kept every iteration count.
 # Rewrite with `python -m tests.test_vi_solver` only on purpose.
 FOLLOWER_GOLDEN = Path(__file__).parent / "data" / "follower_golden.json"
 
