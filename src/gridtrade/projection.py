@@ -460,11 +460,17 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
             # Normal was (numerically) a pure budget direction; on the face
             # the constraint is a constant and cannot cut.
             return project_box_budget(x, fset).point
-        point, beta, lam = _halfspace_dual(x, n_face, gap, ub, budget, sum_x, True)
-        # The face multiplier lam belongs to the centered normal; the budget
-        # multiplier of the original halfspace is lam - beta*shift. Where it
-        # is negative the projection leaves the face, and the face is the
-        # wrong set to project onto.
-        if lam - beta * shift >= -64.0 * EPS * (abs(lam) + beta * abs(shift)):
-            return point
+        try:
+            point, beta, lam = _halfspace_dual(x, n_face, gap, ub, budget, sum_x, True)
+        except ProjectionError:
+            # No point of the face meets the halfspace (the offset point is
+            # outside the box), so the projection, if any, leaves the face.
+            pass
+        else:
+            # The face multiplier lam belongs to the centered normal; the
+            # budget multiplier of the original halfspace is lam - beta*shift.
+            # Where it is negative the projection leaves the face, and the
+            # face is the wrong set to project onto.
+            if lam - beta * shift >= -64.0 * EPS * (abs(lam) + beta * abs(shift)):
+                return point
     return _halfspace_dual(x, n, gap, ub, budget, sum_x, False)[0]

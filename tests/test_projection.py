@@ -471,3 +471,12 @@ class TestHalfspaceOracle:
         assert ref == pytest.approx([62.0 / 13.0, 63.0 / 13.0], abs=1e-12)
         w = project_halfspace_then_set(x, normal, offset, fs)
         assert np.abs(w - ref).max() <= 1e-9
+
+    def test_face_mode_with_no_point_of_the_face_in_the_halfspace(self):
+        # The offset point is on the face's plane but outside the box, and
+        # {w : w1 + 2*w2 <= 8} misses the face; the set still meets it.
+        fs = FeasibleSet(np.array([10.0, 10.0]), 10.0)
+        x, normal, offset = np.array([5.0, 5.0]), np.array([1.0, 2.0]), np.array([12.0, -2.0])
+        w = project_halfspace_then_set(x, normal, offset, fs)
+        assert w == pytest.approx([3.6, 2.2], abs=1e-12)
+        assert np.abs(w - halfspace_projection_oracle(x, normal, offset, fs)).max() <= 1e-9
