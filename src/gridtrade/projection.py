@@ -305,10 +305,9 @@ def _move_path(x, n, ub, budget, sum_x, equality):
 
 
 class _Probe(NamedTuple):
-    """One evaluation of the halfspace dual: the gap g at beta, and the move
-    and budget multiplier there. The piece it lies on is identified by its
-    free mask, its at-upper mask and whether the budget binds; `piece` packs
-    the three for comparison."""
+    """One evaluation of the halfspace dual at beta. `piece` identifies the
+    piece it lies on: its free mask, its at-upper mask and whether the
+    budget binds."""
 
     beta: float
     g: float
@@ -324,17 +323,12 @@ def _halfspace_dual(x, n, gap, ub, budget, sum_x, face_mode):
     face_mode) intersected with {w : <n, w - x + gap> <= 0}, returned as
     (point, beta, budget multiplier).
 
-    The gap g(beta) = <n, w(beta) - x + gap> is continuous, nonincreasing
-    and piecewise linear. Each probe is a Newton step along the piece of one
-    end of the bracket [lo, hi] that holds the root: from lo's piece until a
-    probe lands with g <= 0, then leftward from hi's piece, from lo's piece
-    when that step does not fall strictly inside the bracket, and a bisection
-    only when neither does. The KKT conditions of a fixed active set are
-    affine in beta, so a piece holds over the whole step and g is affine
-    along it: a probe with computed g <= 0 on the piece it was stepped from
-    is that piece's root, and is returned. When no step fits a bracket
-    narrower than the rounding of beta (or than a 1e-13 relative move of x),
-    its hi end is returned. Every returned point has computed g <= 0.
+    Probes of beta step along the piece of one end of the bracket [lo, hi]:
+    from lo's piece until a probe lands with g <= 0, then leftward from hi's
+    piece, from lo's piece when that step leaves the bracket, and bisecting
+    only when neither fits. A probe with computed g <= 0 on the piece it was
+    stepped from is that piece's root and is returned; when no step fits a
+    bracket narrower than beta's rounding, its hi end is.
     """
     g_lin = math.fsum((n * gap).tolist())
     moves = _move_path(x, n, ub, budget, sum_x, face_mode)

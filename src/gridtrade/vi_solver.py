@@ -151,15 +151,16 @@ def natural_residual(x, F: PseudoGradient, fset: FeasibleSet,
         # its box (where the marginal value equals the face multiplier), or
         # it would itself tilt the acceptance inner product.
         excess = math.fsum(np.concatenate((x, -r)).tolist())
-        free = (r > 0.0) & (r < fset.upper_bounds) if excess > 0.0 else False
-        if np.any(free):
-            r = r.copy()
-            j = int(np.argmax(np.where(free, fset.upper_bounds - r, -np.inf)))
-            for _ in range(6):
-                r[j] = np.nextafter(r[j] + excess, np.inf)
-                excess = math.fsum(np.concatenate((x, -r)).tolist())
-                if excess <= 0.0:
-                    break
+        if excess > 0.0:
+            free = (r > 0.0) & (r < fset.upper_bounds)
+            if free.any():
+                r = r.copy()
+                j = int(np.argmax(np.where(free, fset.upper_bounds - r, -np.inf)))
+                for _ in range(6):
+                    r[j] = np.nextafter(r[j] + excess, np.inf)
+                    excess = math.fsum(np.concatenate((x, -r)).tolist())
+                    if excess <= 0.0:
+                        break
     return r, float(np.linalg.norm(x - r))
 
 
