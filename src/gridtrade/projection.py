@@ -415,7 +415,8 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
     was stepped from: g is affine on that piece, so the probe is its root.
     On the budget face the search runs on the face with a centered normal;
     where the original halfspace's budget multiplier comes out negative
-    there, the projection leaves the face and is redone on X. Raises
+    there, or the face misses the halfspace, the projection leaves the face
+    and is redone on X. Raises
     ProjectionError when no bracket exists within _MAX_EVALS gap evaluations
     (empty or degenerate intersection), and ValueError when an input is
     non-finite or does not match the set's dimension.
