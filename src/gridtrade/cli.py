@@ -24,12 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import (
-    ScenarioValidationError,
-    check_nse,
-    run_fit,
-    run_stackelberg,
-)
+from .engine import check_nse, run_fit, run_stackelberg
 from .model import EnergyUser, FeasibleSet, GridParams, Scenario, validate_scenario
 from .oracle import social_optimality_audit, ve_oracle
 from .projection import ProjectionError
@@ -73,6 +68,10 @@ class ExperimentConfig:
     dump_per_run: bool = False
 
     def validate(self) -> list[str]:
+        wrong = [f"{f.name} must be {f.type}" for f in dataclasses.fields(self)
+                 if not _FIELD_CHECKS[f.type](getattr(self, f.name))]
+        if wrong:
+            return wrong
         problems = []
         if self.preset not in PRESETS:
             problems.append(f"unknown preset {self.preset!r}")
@@ -95,6 +94,26 @@ class ExperimentConfig:
         if self.fit_tariff <= 0:
             problems.append("fit_tariff must be positive")
         return problems
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# One check per ExperimentConfig field annotation; a config file can hold
+# any JSON value, so the types are checked before the values are.
+_FIELD_CHECKS = {
+    "str": lambda v: isinstance(v, str),
+    "bool": lambda v: isinstance(v, bool),
+    "int": _is_int,
+    "float": _is_real,
+    "list[int]": lambda v: isinstance(v, list) and all(map(_is_int, v)),
+    "list[float]": lambda v: isinstance(v, list) and all(map(_is_real, v)),
+}
 
 
 def _parse_deficiency_rule(rule: str):
@@ -229,29 +248,24 @@ def _mean_std(values):
     return float(arr.mean()), float(arr.std(ddof=1)) if arr.size > 1 else 0.0
 
 
-def _fig2_rows(per_run, n_values):
+# (scheme, per-run key) for fig2; fig3 adds the accounting variant.
+_FIG2_COLUMNS = (("nsg", "nsg_utility"), ("fit", "fit_utility"))
+_FIG3_COLUMNS = (
+    ("nsg", "nsg_cost_model", "modelled_cost"),
+    ("nsg", "nsg_payment", "direct_payment"),
+    ("fit", "fit_cost_model", "modelled_cost"),
+    ("fit", "fit_payment", "direct_payment"),
+)
+
+
+def _aggregate(per_run, n_values, columns):
+    """One (n, scheme, mean, std, *rest) row per n and per column."""
     rows = []
     for n in n_values:
         runs = [r for r in per_run if r["n"] == n]
-        for scheme, key in (("nsg", "nsg_utility"), ("fit", "fit_utility")):
+        for scheme, key, *rest in columns:
             mean, std = _mean_std([r[key] for r in runs])
-            rows.append((n, scheme, mean, std))
-    return rows
-
-
-def _fig3_rows(per_run, n_values):
-    rows = []
-    variants = (
-        ("nsg", "modelled_cost", "nsg_cost_model"),
-        ("nsg", "direct_payment", "nsg_payment"),
-        ("fit", "modelled_cost", "fit_cost_model"),
-        ("fit", "direct_payment", "fit_payment"),
-    )
-    for n in n_values:
-        runs = [r for r in per_run if r["n"] == n]
-        for scheme, variant, key in variants:
-            mean, std = _mean_std([r[key] for r in runs])
-            rows.append((n, scheme, mean, std, variant))
+            rows.append((n, scheme, mean, std, *rest))
     return rows
 
 
@@ -285,12 +299,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[Path]:
     if cfg.preset in ("fig2_utility_vs_n", "custom"):
         path = outdir / ("fig2_utility_vs_n.csv" if cfg.preset != "custom" else "utility_vs_n.csv")
         _write_csv(path, cfg, build, ("n", "scheme", "mean_utility", "std"),
-                   _fig2_rows(per_run, cfg.n_values))
+                   _aggregate(per_run, cfg.n_values, _FIG2_COLUMNS))
         written.append(path)
     if cfg.preset in ("fig3_cost_vs_n", "custom"):
         path = outdir / ("fig3_cost_vs_n.csv" if cfg.preset != "custom" else "cost_vs_n.csv")
         _write_csv(path, cfg, build, ("n", "scheme", "mean_cost", "std", "accounting_variant"),
-                   _fig3_rows(per_run, cfg.n_values))
+                   _aggregate(per_run, cfg.n_values, _FIG3_COLUMNS))
         written.append(path)
     return written
 
@@ -395,7 +409,8 @@ def build_config(file_values: dict, flag_values: dict) -> ExperimentConfig:
     merged.update({k: v for k, v in flag_values.items() if v is not None})
     preset = merged.get("preset", "custom")
     base = dataclasses.asdict(ExperimentConfig())
-    base.update(_PRESET_OVERRIDES.get(preset, {}))
+    if isinstance(preset, str):  # any other type is left to validate()
+        base.update(_PRESET_OVERRIDES.get(preset, {}))
     base.update(merged)
     known = {f.name for f in dataclasses.fields(ExperimentConfig)}
     unknown = set(base) - known
@@ -415,9 +430,16 @@ def _parse_float_pair(text: str) -> list[float]:
     return parts
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is invalid input: one line on stderr and exit 1 (exit
+    2 means non-convergence)."""
+
+    def error(self, message):
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="gridtrade",
-                                     description="Energy-trading game simulator")
+    parser = _Parser(prog="gridtrade", description="Energy-trading game simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run an experiment preset")
@@ -444,22 +466,14 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "verify":
+        if args.trials < 1:
+            ver.error("argument --trials: must be at least 1")
         return verify_corpus(Path(args.corpus), trials=args.trials)
 
-    flag_fields = {
-        "preset", "seed", "runs", "output_path", "n_values", "surplus_range",
-        "total_price", "p_min", "p_max", "fit_tariff", "deficiency_rule",
-        "cost_linear", "cost_const", "dump_per_run",
-    }
-    flags = {k: getattr(args, k) for k in flag_fields}
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:
-        cfg = build_config(_load_config(args.config), flags)
-        problems = cfg.validate()
-        if problems:
-            print("; ".join(problems), file=sys.stderr)
-            return 1
-        written = run_experiment(cfg)
-    except (ValueError, ScenarioValidationError) as exc:
+        written = run_experiment(build_config(_load_config(args.config), flags))
+    except (OSError, ValueError) as exc:
         print(str(exc), file=sys.stderr)
         return 1
     except RuntimeError as exc:

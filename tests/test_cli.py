@@ -92,6 +92,12 @@ class TestConfig:
         assert ExperimentConfig(deficiency_rule="nope").validate()
         assert ExperimentConfig() .validate() == []
 
+    def test_validation_checks_types_first(self):
+        assert ExperimentConfig(runs="5").validate() == ["runs must be int"]
+        assert ExperimentConfig(n_values=[2, 3.0], surplus_range=[64, "x"]).validate() == [
+            "n_values must be list[int]", "surplus_range must be list[float]"]
+        assert ExperimentConfig(seed=True, total_price=175).validate() == ["seed must be int"]
+
 
 class TestRunExperiment:
     def test_fig1_trace_schema_and_ordering(self, tmp_path):
@@ -231,6 +237,64 @@ class TestMain:
         bad = scenario_to_dict(make_scenario([10.0], 5.0, total_price=500.0))
         (corpus / "bad.json").write_text(json.dumps(bad))
         assert main(["verify", "--corpus", str(corpus)]) == 1
+
+
+def one_line_error(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and err.endswith("\n"), err
+    return err
+
+
+class TestInvalidInputExitsOne:
+    """Invalid input of any kind ends in one line on stderr and exit 1."""
+
+    @pytest.mark.parametrize("values, field", [
+        ({"runs": "5"}, "runs"),
+        ({"n_values": 5}, "n_values"),
+        ({"surplus_range": [64, "x"]}, "surplus_range"),
+        ({"deficiency_rule": 5}, "deficiency_rule"),
+        ({"preset": ["fig2_utility_vs_n"]}, "preset"),
+        ({"dump_per_run": "yes"}, "dump_per_run"),
+    ])
+    def test_wrong_typed_config_field(self, tmp_path, capsys, values, field):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(values, output_path=str(tmp_path / "out"))))
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        assert field in one_line_error(capsys)
+        assert not (tmp_path / "out").exists()
+
+    def test_missing_config_file(self, tmp_path, capsys):
+        assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 1
+        assert "absent.json" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("trials", ["-1", "0"])
+    def test_verify_trials_below_one(self, tmp_path, capsys, peak_scenario, trials):
+        corpus = write_corpus(tmp_path, {"a.json": json.dumps(scenario_to_dict(peak_scenario))})
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--corpus", corpus, "--trials", trials])
+        assert exc.value.code == 1
+        assert "--trials" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--runs", "abc"],
+        ["verify"],
+        ["simulate", "--surplus-range", "1"],
+        ["simulate", "--preset", "fig9"],
+        [],
+    ])
+    def test_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "error:" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"], ["verify", "-h"]])
+    def test_help_exits_zero(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 def write_corpus(tmp_path, files):
