@@ -25,7 +25,6 @@ from .vi_solver import (
 from .price_opt import InfeasiblePriceBudget, PriceSolution, optimize_prices
 from .engine import (
     GameOutcome,
-    Message,
     MessageLog,
     NSEReport,
     ScenarioValidationError,

@@ -10,11 +10,12 @@ exchange can be replayed or audited against the round grammar
 
     (announce offer* slack* repeat)*  price*  (offer* slack* repeat)*
 
-The transcript is stored in columns: a follower round as its offer and
-slack arrays plus the repeat bit, a price stage as its price array. The
-JSON-lines export renders those columns with one line template per kind
-and size and formats each distinct float64 bit pattern once; its bytes
-are those of one json.dumps(..., sort_keys=True) line per message.
+The transcript is stored in columns: an announce as its three fields, a
+follower round as its offer and slack arrays plus the repeat bit, a price
+stage as its price array. Messages exist only as JSON lines, rendered
+from those columns with one line template per kind and size, each
+distinct float64 bit pattern formatted once; the bytes are those of one
+json.dumps(..., sort_keys=True) line per message.
 
 The grid's stop rule mirrors the slack-equalization idea: it stops a stage
 when the interior slack values agree within tolerance AND have stopped
@@ -43,14 +44,6 @@ from .vi_solver import PseudoGradient, SolverConfig, solve_ve
 
 PG = "pg"
 
-_KIND_FIELDS = {
-    "announce": {"deficiency", "total_price", "n_users"},
-    "offer": {"eu_id", "energy"},
-    "slack_report": {"eu_id", "slack"},
-    "repeat_bit": {"repeat"},
-    "price_update": {"eu_id", "price"},
-}
-
 
 class ScenarioValidationError(ValueError):
     """run_stackelberg was handed a scenario that fails validation."""
@@ -61,20 +54,14 @@ class ScenarioValidationError(ValueError):
 
 
 @dataclass(frozen=True)
-class Message:
-    round: int
-    sender: str
-    kind: str
-    payload: dict
+class _Announce:
+    """The grid's announce, its fields kept as given, so integer values
+    render as integers."""
 
-    def __post_init__(self):
-        fields = _KIND_FIELDS.get(self.kind)
-        if fields is None:
-            raise ValueError(f"unknown message kind {self.kind!r}")
-        if set(self.payload) != fields:
-            raise ValueError(f"{self.kind} payload must have fields {sorted(fields)}")
-        if self.kind == "repeat_bit" and not isinstance(self.payload["repeat"], bool):
-            raise ValueError("repeat_bit carries exactly one boolean")
+    round: int
+    deficiency: float
+    total_price: float
+    n_users: int
 
 
 @dataclass(frozen=True)
@@ -87,16 +74,6 @@ class _RoundBlock:
     slacks: np.ndarray
     repeat: bool
 
-    def messages(self) -> list[Message]:
-        r = self.round
-        return (
-            [Message(r, f"eu:{i}", "offer", {"eu_id": i, "energy": e})
-             for i, e in enumerate(self.offers.tolist())]
-            + [Message(r, f"eu:{i}", "slack_report", {"eu_id": i, "slack": s})
-               for i, s in enumerate(self.slacks.tolist())]
-            + [Message(r, PG, "repeat_bit", {"repeat": self.repeat})]
-        )
-
 
 @dataclass(frozen=True)
 class _PriceBlock:
@@ -105,10 +82,6 @@ class _PriceBlock:
 
     round: int
     prices: np.ndarray
-
-    def messages(self) -> list[Message]:
-        return [Message(self.round, PG, "price_update", {"eu_id": i, "price": p})
-                for i, p in enumerate(self.prices.tolist())]
 
 
 # One line per seller as json.dumps(..., sort_keys=True) writes it; after
@@ -143,26 +116,28 @@ def _snapshot(values, name: str) -> np.ndarray:
 class MessageLog:
     """Append-only transcript; round numbers never decrease.
 
-    Single messages (the announce) are kept as `Message` objects. A
-    follower round is kept as one block of offer and slack arrays plus the
-    repeat bit, and a price stage as one block holding the price array;
-    blocks become messages only when `messages` is read. `to_jsonl`
-    renders the blocks column by column without building messages: it
-    formats each distinct float64 bit pattern once and fills one line
-    template per kind and column size. The bytes are those of the
-    per-message json.dumps renderer.
+    The announce is kept as its three fields, a follower round as one block
+    of offer and slack arrays plus the repeat bit, and a price stage as one
+    block holding the price array. Messages exist only as JSON lines:
+    `to_jsonl` and `messages` render the blocks column by column, format
+    each distinct float64 bit pattern once and fill one line template per
+    kind and column size. The bytes are those of the per-message
+    json.dumps renderer.
     """
 
     def __init__(self) -> None:
-        self._entries: list[Message | _RoundBlock | _PriceBlock] = []
+        self._entries: list[_Announce | _RoundBlock | _PriceBlock] = []
 
     def _check_round(self, rnd) -> None:
         if self._entries and rnd < self._entries[-1].round:
             raise ValueError(f"round {rnd} precedes current round {self._entries[-1].round}")
 
-    def append(self, message: Message) -> None:
-        self._check_round(message.round)
-        self._entries.append(message)
+    def append_announce(self, round: int, deficiency, total_price, n_users) -> None:
+        """Record the grid's announce of its deficiency, its price budget
+        and the network size."""
+        rnd = operator.index(round)
+        self._check_round(rnd)
+        self._entries.append(_Announce(rnd, deficiency, total_price, n_users))
 
     def append_round(self, round: int, offers, slacks, repeat: bool) -> None:
         """Record one follower round: offer i and slack i come from seller
@@ -187,15 +162,11 @@ class MessageLog:
         self._entries.append(_PriceBlock(rnd, prices))
 
     @property
-    def messages(self) -> list[Message]:
-        """Every message in transcript order, built anew on each read."""
-        out: list[Message] = []
-        for entry in self._entries:
-            if isinstance(entry, (_RoundBlock, _PriceBlock)):
-                out += entry.messages()
-            else:
-                out.append(entry)
-        return out
+    def messages(self) -> list[str]:
+        """Every message as its JSON line, in transcript order, rendered
+        anew on each read."""
+        text = self._render()
+        return text.split("\n") if text else []
 
     def __len__(self) -> int:
         total = 0
@@ -212,19 +183,11 @@ class MessageLog:
     def total_rounds(self) -> int:
         return self._entries[-1].round if self._entries else 0
 
-    @property
-    def per_eu_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for entry in self._entries:
-            if isinstance(entry, _RoundBlock):
-                for i in range(entry.offers.size):
-                    counts[i] = counts.get(i, 0) + 2
-            elif not isinstance(entry, _PriceBlock) and entry.sender.startswith("eu:"):
-                i = int(entry.sender[3:])
-                counts[i] = counts.get(i, 0) + 1
-        return counts
-
     def to_jsonl(self) -> str:
+        """The transcript as JSON lines, one per message."""
+        return self._render()
+
+    def _render(self) -> str:
         columns = []
         for entry in self._entries:
             if isinstance(entry, _RoundBlock):
@@ -266,9 +229,10 @@ class MessageLog:
             elif isinstance(entry, _PriceBlock):
                 fill("price_update", str(r), entry.prices.size)
             else:
+                payload = {"deficiency": entry.deficiency, "total_price": entry.total_price,
+                           "n_users": entry.n_users}
                 lines.append(json.dumps(
-                    {"round": r, "sender": entry.sender, "kind": entry.kind,
-                     "payload": entry.payload},
+                    {"round": r, "sender": PG, "kind": "announce", "payload": payload},
                     sort_keys=True,
                 ))
         return "\n".join(lines)
@@ -332,11 +296,7 @@ def _follower_stage(scenario, fset, prices, cfg, log, stage):
     def on_iteration(record, residual_done):
         rnd = log.total_rounds + 1
         if stage == 1:
-            log.append(Message(rnd, PG, "announce", {
-                "deficiency": grid.deficiency,
-                "total_price": grid.total_price,
-                "n_users": n,
-            }))
+            log.append_announce(rnd, grid.deficiency, grid.total_price, n)
         elif state["rounds"] == 0:
             log.append_prices(rnd, prices)
         stop = residual_done or _interior_mu_stop(

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gridtrade.engine as engine
 from gridtrade.cli import build_config, sample_scenario, scenario_from_dict
 from gridtrade.engine import (
-    Message,
     MessageLog,
     ScenarioValidationError,
     _leader_prices,
@@ -26,21 +26,77 @@ GOLDEN_TRANSCRIPT = Path(__file__).parent / "data" / "peak_transcript.jsonl"
 ROUND_ORDER = ("announce", "price_update", "offer", "slack_report", "repeat_bit")
 
 
-def reference_jsonl(log):
-    """The transcript format's definition: one json.dumps line per message."""
-    return "\n".join(
-        json.dumps(
-            {"round": m.round, "sender": m.sender, "kind": m.kind, "payload": m.payload},
-            sort_keys=True,
-        )
-        for m in log.messages
-    )
+class RecordingLog(MessageLog):
+    """A MessageLog that also keeps the values of every accepted append, so
+    a test can render the reference transcript from what went in."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def append_announce(self, round, deficiency, total_price, n_users):
+        super().append_announce(round, deficiency, total_price, n_users)
+        self.calls.append(("announce", round, {
+            "deficiency": deficiency, "total_price": total_price, "n_users": n_users}))
+
+    def append_round(self, round, offers, slacks, repeat):
+        super().append_round(round, offers, slacks, repeat)
+        self.calls.append(("round", round, np.array(offers, dtype=float).tolist(),
+                           np.array(slacks, dtype=float).tolist(), repeat))
+
+    def append_prices(self, round, prices):
+        super().append_prices(round, prices)
+        self.calls.append(("prices", round, np.array(prices, dtype=float).tolist()))
+
+
+@pytest.fixture
+def recording(monkeypatch):
+    """Make run_stackelberg record its transcript in a RecordingLog."""
+    monkeypatch.setattr(engine, "MessageLog", RecordingLog)
+
+
+def reference_jsonl(calls):
+    """The transcript format's definition: one json.dumps line per message,
+    rendered from the values a RecordingLog was handed."""
+    def line(rnd, sender, kind, payload):
+        return json.dumps({"round": rnd, "sender": sender, "kind": kind, "payload": payload},
+                          sort_keys=True)
+
+    lines = []
+    for what, rnd, *values in calls:
+        if what == "announce":
+            lines.append(line(rnd, "pg", "announce", values[0]))
+        elif what == "round":
+            offers, slacks, repeat = values
+            lines += [line(rnd, f"eu:{i}", "offer", {"eu_id": i, "energy": e})
+                      for i, e in enumerate(offers)]
+            lines += [line(rnd, f"eu:{i}", "slack_report", {"eu_id": i, "slack": s})
+                      for i, s in enumerate(slacks)]
+            lines.append(line(rnd, "pg", "repeat_bit", {"repeat": repeat}))
+        else:
+            lines += [line(rnd, "pg", "price_update", {"eu_id": i, "price": p})
+                      for i, p in enumerate(values[0])]
+    return "\n".join(lines)
+
+
+def parsed(log):
+    """The exported transcript, one dict per message."""
+    return [json.loads(line) for line in log.to_jsonl().split("\n")]
+
+
+def per_seller_counts(log):
+    counts = {}
+    for m in parsed(log):
+        if m["sender"].startswith("eu:"):
+            i = int(m["sender"][3:])
+            counts[i] = counts.get(i, 0) + 1
+    return counts
 
 
 def rounds_of(log):
     rounds = {}
-    for m in log.messages:
-        rounds.setdefault(m.round, []).append(m)
+    for m in parsed(log):
+        rounds.setdefault(m["round"], []).append(m["kind"])
     return [rounds[r] for r in sorted(rounds)]
 
 
@@ -48,8 +104,7 @@ def assert_log_grammar(log, n_users):
     """Round structure: (announce offer* slack* repeat)* price-round
     (offer* slack* repeat)*; kinds ordered within each round."""
     stage = 1
-    for batch in rounds_of(log):
-        kinds = [m.kind for m in batch]
+    for kinds in rounds_of(log):
         order = [ROUND_ORDER.index(k) for k in kinds]
         assert order == sorted(order), f"out-of-order round: {kinds}"
         assert kinds[-1] == "repeat_bit"
@@ -146,18 +201,18 @@ class TestRunStackelberg:
 
     def test_announce_carries_network_size(self, peak_scenario):
         outcome = run_stackelberg(peak_scenario)
-        first = outcome.log.messages[0]
-        assert first.kind == "announce"
-        assert first.payload["n_users"] == 5
-        assert first.payload["deficiency"] == peak_scenario.grid.deficiency
+        first = parsed(outcome.log)[0]
+        assert first["kind"] == "announce" and first["sender"] == "pg"
+        assert first["payload"] == {"deficiency": peak_scenario.grid.deficiency,
+                                    "total_price": 175.0, "n_users": 5}
 
     def test_extra_price_rounds_appends_stages(self, peak_scenario):
         base = run_stackelberg(peak_scenario)
         iterated = run_stackelberg(peak_scenario, extra_price_rounds=1)
         assert iterated.converged
         price_rounds = sum(
-            1 for m in iterated.log.messages
-            if m.kind == "price_update" and m.payload["eu_id"] == 0
+            1 for m in parsed(iterated.log)
+            if m["kind"] == "price_update" and m["payload"]["eu_id"] == 0
         )
         assert price_rounds == 2
         assert iterated.stage2.grid_cost <= base.stage2.grid_cost + 1e-6
@@ -183,30 +238,30 @@ class TestRunStackelberg:
 class TestMessageLog:
     def test_round_monotonicity_enforced(self):
         log = MessageLog()
-        log.append(Message(1, "pg", "repeat_bit", {"repeat": True}))
+        log.append_announce(2, 5.0, 3.0, 1)
         with pytest.raises(ValueError):
-            log.append(Message(0, "pg", "repeat_bit", {"repeat": False}))
+            log.append_announce(1, 5.0, 3.0, 1)
+        with pytest.raises(TypeError):
+            log.append_announce(2.0, 5.0, 3.0, 1)
+        log.append_announce(2, 5.0, 3.0, 1)
+        assert len(log) == 2 and log.total_rounds == 2
 
-    def test_repeat_bit_single_boolean(self):
-        with pytest.raises(ValueError):
-            Message(1, "pg", "repeat_bit", {"repeat": 1})
-        with pytest.raises(ValueError):
-            Message(1, "pg", "repeat_bit", {"repeat": True, "extra": 2})
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError):
-            Message(1, "pg", "gossip", {})
+    def test_empty_log_has_no_messages(self):
+        log = MessageLog()
+        assert log.messages == []
+        assert len(log) == 0 and log.total_rounds == 0
+        assert log.to_jsonl() == ""
 
     def test_jsonl_round_trip(self, peak_scenario):
         outcome = run_stackelberg(peak_scenario)
         lines = outcome.log.to_jsonl().splitlines()
-        assert len(lines) == len(outcome.log.messages)
-        parsed = [json.loads(line) for line in lines]
-        assert {"round", "sender", "kind", "payload"} == set(parsed[0])
+        assert lines == outcome.log.messages
+        assert len(lines) == len(outcome.log)
+        assert {"round", "sender", "kind", "payload"} == set(json.loads(lines[0]))
 
     def test_per_eu_counts(self, peak_scenario):
         outcome = run_stackelberg(peak_scenario)
-        counts = outcome.log.per_eu_counts
+        counts = per_seller_counts(outcome.log)
         assert set(counts) == set(range(5))
         # one offer + one slack report per round per seller
         total_rounds = outcome.stage1.follower_iterations + outcome.stage2.follower_iterations
@@ -227,43 +282,39 @@ class TestMessageLog:
         ([240.0, 230.0, 64.0, 70.0], 100.0),  # idle sellers in both stages
         ([200.0, 80.0, 70.0, 150.0, 65.0], 120.0),
     ])
-    def test_jsonl_matches_reference_renderer(self, surpluses, deficiency):
+    def test_jsonl_matches_reference_renderer(self, recording, surpluses, deficiency):
         outcome = run_stackelberg(make_scenario(surpluses, deficiency), extra_price_rounds=2)
         log = outcome.log
         assert outcome.converged
-        assert log.to_jsonl() == reference_jsonl(log)
-        messages = log.messages
-        assert [m.kind for m in messages].count("price_update") == 3 * len(surpluses)
-        assert len(log) == len(messages)
-        assert log.total_rounds == messages[-1].round
-        counts = {}
-        for m in messages:
-            if m.sender.startswith("eu:"):
-                counts[int(m.sender[3:])] = counts.get(int(m.sender[3:]), 0) + 1
-        assert log.per_eu_counts == counts
+        assert log.to_jsonl() == reference_jsonl(log.calls)
+        messages = parsed(log)
+        assert [m["kind"] for m in messages].count("price_update") == 3 * len(surpluses)
+        assert len(log) == len(messages) == len(log.messages)
+        assert log.total_rounds == messages[-1]["round"]
+        rounds = sum(1 for m in messages if m["kind"] == "repeat_bit")
+        assert per_seller_counts(log) == {i: 2 * rounds for i in range(len(surpluses))}
 
-    def test_integer_valued_announce_fields(self):
+    def test_integer_valued_announce_fields(self, recording):
         scenario = scenario_from_dict({
             "users": [{"id": 0, "surplus": 120}, {"id": 1, "surplus": 90}],
             "grid": {"deficiency": 100, "total_price": 40, "p_min": 5, "p_max": 35,
                      "cost_linear": [0.01, 0.01], "cost_const": [1, 1]},
         })
         log = run_stackelberg(scenario).log
-        assert log.to_jsonl() == reference_jsonl(log)
+        assert log.to_jsonl() == reference_jsonl(log.calls)
         assert '"deficiency": 100, "n_users": 2, "total_price": 40}' in log.to_jsonl()
 
     def test_non_finite_round_values_render_like_json_dumps(self):
-        log = MessageLog()
-        log.append(Message(1, "pg", "announce",
-                           {"deficiency": 5.0, "total_price": 3.0, "n_users": 3}))
+        log = RecordingLog()
+        log.append_announce(1, 5.0, 3.0, 3)
         log.append_round(1, [0.0, np.nan, 1e-300], [np.inf, -np.inf, -0.0], True)
         log.append_round(2, [2.5, 1.0 / 3.0, 7e22], [1.0, 2.0, 3.0], False)
-        assert log.to_jsonl() == reference_jsonl(log)
+        assert log.to_jsonl() == reference_jsonl(log.calls)
         assert len(log) == 1 + 7 + 7
         assert log.total_rounds == 2
-        assert log.per_eu_counts == {0: 4, 1: 4, 2: 4}
+        assert per_seller_counts(log) == {0: 4, 1: 4, 2: 4}
 
-    def test_renderer_at_bench_scale(self):
+    def test_renderer_at_bench_scale(self, recording):
         # a fig3 n=500 game: idle sellers, the one-point price slice at
         # p_min = 175/500 and about 16 rounds
         cfg = build_config({}, {"preset": "fig3_cost_vs_n"})
@@ -273,22 +324,24 @@ class TestMessageLog:
         assert outcome.converged and log.total_rounds > 10
         assert (outcome.stage2.energies == 0.0).any()
         assert scenario.grid.p_min == 175.0 / 500
-        assert log.to_jsonl() == reference_jsonl(log)
+        text = log.to_jsonl()
+        assert text == reference_jsonl(log.calls)
+        # what the bench counts per game
+        assert len(log.messages) == len(log) == len(text.split("\n"))
 
     def test_empty_round_and_non_finite_prices_render_like_json_dumps(self):
-        log = MessageLog()
-        log.append(Message(1, "pg", "announce",
-                           {"deficiency": 5.0, "total_price": 3.0, "n_users": 5}))
+        log = RecordingLog()
+        log.append_announce(1, 5.0, 3.0, 5)
         log.append_round(1, [], [], True)
         log.append_prices(2, [np.nan, np.inf, -np.inf, -0.0, 0.0])
         log.append_round(2, [0.0, -0.0, 0.1, np.nan, 5e-324], [-0.0] * 5, False)
         text = log.to_jsonl()
-        assert text == reference_jsonl(log)
+        assert text == reference_jsonl(log.calls)
         assert "" not in text.split("\n")
         assert '"price": -0.0}' in text and '"price": 0.0}' in text
-        assert len(log) == 1 + 1 + 5 + 11
+        assert len(log) == len(log.messages) == 1 + 1 + 5 + 11
         assert log.total_rounds == 2
-        assert log.per_eu_counts == {i: 2 for i in range(5)}
+        assert per_seller_counts(log) == {i: 2 for i in range(5)}
 
     def test_append_round_validates(self):
         log = MessageLog()
@@ -303,7 +356,7 @@ class TestMessageLog:
             with pytest.raises(ValueError):
                 log.append_round(3, [1.0], [2.0], bad_bit)
         with pytest.raises(ValueError):
-            log.append(Message(1, "pg", "repeat_bit", {"repeat": True}))
+            log.append_announce(1, 5.0, 3.0, 1)
         assert len(log) == 3
 
     def test_append_round_snapshots_its_arrays(self):
@@ -315,7 +368,7 @@ class TestMessageLog:
         offers[:] = -1.0
         slacks[0] = np.nan
         assert log.to_jsonl() == before
-        assert [m.payload for m in log.messages[:2]] == [
+        assert [json.loads(line)["payload"] for line in log.messages[:2]] == [
             {"eu_id": 0, "energy": 1.0}, {"eu_id": 1, "energy": 2.0}]
 
     def test_append_prices_validates(self):
@@ -327,7 +380,7 @@ class TestMessageLog:
             log.append_prices(3, [[1.0, 2.0]])
         assert len(log) == 2
         assert log.total_rounds == 2
-        assert log.per_eu_counts == {}
+        assert per_seller_counts(log) == {}
 
     def test_append_prices_snapshots_its_array(self):
         prices = np.array([1.5, 2.5])
@@ -336,16 +389,16 @@ class TestMessageLog:
         before = log.to_jsonl()
         prices[:] = np.nan
         assert log.to_jsonl() == before
-        assert [m.payload for m in log.messages] == [
+        assert [json.loads(line)["payload"] for line in log.messages] == [
             {"eu_id": 0, "price": 1.5}, {"eu_id": 1, "price": 2.5}]
 
-    def test_messages_are_rebuilt_on_each_read(self, peak_scenario):
+    def test_messages_are_rebuilt_on_each_read(self, recording, peak_scenario):
         log = run_stackelberg(peak_scenario).log
         first = log.messages
-        first[1].payload["energy"] = -5.0
+        first[1] = "{}"
         first.clear()
-        assert log.messages[1].payload["energy"] == 0.0
-        assert log.to_jsonl() == reference_jsonl(log)
+        assert json.loads(log.messages[1])["payload"] == {"energy": 0.0, "eu_id": 0}
+        assert "\n".join(log.messages) == log.to_jsonl() == reference_jsonl(log.calls)
 
 
 class TestCheckNse:
