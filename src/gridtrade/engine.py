@@ -43,6 +43,7 @@ from .price_opt import optimize_prices
 from .vi_solver import PseudoGradient, SolverConfig, solve_ve
 
 PG = "pg"
+Message = str  # one transcript message: its JSON line
 
 
 class ScenarioValidationError(ValueError):
@@ -132,7 +133,7 @@ class MessageLog:
         if self._entries and rnd < self._entries[-1].round:
             raise ValueError(f"round {rnd} precedes current round {self._entries[-1].round}")
 
-    def append_announce(self, round: int, deficiency, total_price, n_users) -> None:
+    def append(self, round: int, deficiency, total_price, n_users) -> None:
         """Record the grid's announce of its deficiency, its price budget
         and the network size."""
         rnd = operator.index(round)
@@ -162,7 +163,7 @@ class MessageLog:
         self._entries.append(_PriceBlock(rnd, prices))
 
     @property
-    def messages(self) -> list[str]:
+    def messages(self) -> list[Message]:
         """Every message as its JSON line, in transcript order, rendered
         anew on each read."""
         text = self._render()
@@ -231,10 +232,8 @@ class MessageLog:
             else:
                 payload = {"deficiency": entry.deficiency, "total_price": entry.total_price,
                            "n_users": entry.n_users}
-                lines.append(json.dumps(
-                    {"round": r, "sender": PG, "kind": "announce", "payload": payload},
-                    sort_keys=True,
-                ))
+                lines.append(json.dumps({"round": r, "sender": PG, "kind": "announce",
+                                         "payload": payload}, sort_keys=True))
         return "\n".join(lines)
 
 
@@ -296,7 +295,7 @@ def _follower_stage(scenario, fset, prices, cfg, log, stage):
     def on_iteration(record, residual_done):
         rnd = log.total_rounds + 1
         if stage == 1:
-            log.append_announce(rnd, grid.deficiency, grid.total_price, n)
+            log.append(rnd, grid.deficiency, grid.total_price, n)
         elif state["rounds"] == 0:
             log.append_prices(rnd, prices)
         stop = residual_done or _interior_mu_stop(

@@ -34,8 +34,8 @@ class RecordingLog(MessageLog):
         super().__init__()
         self.calls = []
 
-    def append_announce(self, round, deficiency, total_price, n_users):
-        super().append_announce(round, deficiency, total_price, n_users)
+    def append(self, round, deficiency, total_price, n_users):
+        super().append(round, deficiency, total_price, n_users)
         self.calls.append(("announce", round, {
             "deficiency": deficiency, "total_price": total_price, "n_users": n_users}))
 
@@ -238,12 +238,12 @@ class TestRunStackelberg:
 class TestMessageLog:
     def test_round_monotonicity_enforced(self):
         log = MessageLog()
-        log.append_announce(2, 5.0, 3.0, 1)
+        log.append(2, 5.0, 3.0, 1)
         with pytest.raises(ValueError):
-            log.append_announce(1, 5.0, 3.0, 1)
+            log.append(1, 5.0, 3.0, 1)
         with pytest.raises(TypeError):
-            log.append_announce(2.0, 5.0, 3.0, 1)
-        log.append_announce(2, 5.0, 3.0, 1)
+            log.append(2.0, 5.0, 3.0, 1)
+        log.append(2, 5.0, 3.0, 1)
         assert len(log) == 2 and log.total_rounds == 2
 
     def test_empty_log_has_no_messages(self):
@@ -306,7 +306,7 @@ class TestMessageLog:
 
     def test_non_finite_round_values_render_like_json_dumps(self):
         log = RecordingLog()
-        log.append_announce(1, 5.0, 3.0, 3)
+        log.append(1, 5.0, 3.0, 3)
         log.append_round(1, [0.0, np.nan, 1e-300], [np.inf, -np.inf, -0.0], True)
         log.append_round(2, [2.5, 1.0 / 3.0, 7e22], [1.0, 2.0, 3.0], False)
         assert log.to_jsonl() == reference_jsonl(log.calls)
@@ -331,7 +331,7 @@ class TestMessageLog:
 
     def test_empty_round_and_non_finite_prices_render_like_json_dumps(self):
         log = RecordingLog()
-        log.append_announce(1, 5.0, 3.0, 5)
+        log.append(1, 5.0, 3.0, 5)
         log.append_round(1, [], [], True)
         log.append_prices(2, [np.nan, np.inf, -np.inf, -0.0, 0.0])
         log.append_round(2, [0.0, -0.0, 0.1, np.nan, 5e-324], [-0.0] * 5, False)
@@ -356,7 +356,7 @@ class TestMessageLog:
             with pytest.raises(ValueError):
                 log.append_round(3, [1.0], [2.0], bad_bit)
         with pytest.raises(ValueError):
-            log.append_announce(1, 5.0, 3.0, 1)
+            log.append(1, 5.0, 3.0, 1)
         assert len(log) == 3
 
     def test_append_round_snapshots_its_arrays(self):
