@@ -232,8 +232,10 @@ class MessageLog:
             else:
                 payload = {"deficiency": entry.deficiency, "total_price": entry.total_price,
                            "n_users": entry.n_users}
-                lines.append(json.dumps({"round": r, "sender": PG, "kind": "announce",
-                                         "payload": payload}, sort_keys=True))
+                lines.append(json.dumps(
+                    {"round": r, "sender": PG, "kind": "announce", "payload": payload},
+                    sort_keys=True,
+                ))
         return "\n".join(lines)
 
 
