@@ -16,6 +16,7 @@ import dataclasses
 import io
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -81,16 +82,17 @@ class ExperimentConfig:
             problems.append("n_values must be positive")
         if self.runs < 1:
             problems.append("runs must be at least 1")
-        if len(self.surplus_range) != 2 or not self.surplus_range[0] < self.surplus_range[1]:
-            problems.append("surplus_range must be [low, high] with low < high")
+        if len(self.surplus_range) != 2 or not (
+                -math.inf < self.surplus_range[0] < self.surplus_range[1] < math.inf):
+            problems.append("surplus_range must be [low, high], both finite, with low < high")
         if self.seed < 0:
             problems.append("seed must be nonnegative")
         try:
             _parse_deficiency_rule(self.deficiency_rule)
         except ValueError as exc:
             problems.append(str(exc))
-        if self.cost_linear <= 0 or self.cost_const <= 0:
-            problems.append("cost coefficients must be positive")
+        if not (0 < self.cost_linear < math.inf and 0 < self.cost_const < math.inf):
+            problems.append("cost coefficients must be positive and finite")
         if self.fit_tariff <= 0:
             problems.append("fit_tariff must be positive")
         return problems

@@ -13,8 +13,9 @@ exchange can be replayed or audited against the round grammar
 The transcript is stored in columns: an announce as its three fields, a
 follower round as its offer and slack arrays plus the repeat bit, a price
 stage as its price array. Messages exist only as JSON lines, rendered
-from those columns with one line template per kind and size, each
-distinct float64 bit pattern formatted once; the bytes are those of one
+from those columns: each distinct float64 bit pattern is formatted once,
+and a block of n lines is joined from its kind's cached fixed text with
+the value and round texts set in between. The bytes are those of one
 json.dumps(..., sort_keys=True) line per message.
 
 The grid's stop rule mirrors the slack-equalization idea: it stops a stage
@@ -97,6 +98,29 @@ _LINES = {
 }
 
 
+# Per kind, the fixed text of lines 0, 1, ... around their slots. Line i's
+# text does not depend on the block size, so one pair of lists, grown on
+# demand, serves every size. In fragments, [4i] leads into line i's value
+# (closing line i-1 first), [4i+2] runs from that value to the round, and
+# [4i+1] and [4i+3] are the slots a block fills; tails[i] closes line i.
+_FRAGMENTS: dict[str, tuple[list[str], list[str]]] = {kind: ([], []) for kind in _LINES}
+
+
+def _fragments(kind: str, n: int) -> tuple[list[str], list[str]]:
+    """The kind's fragments and tails, covering at least n lines. Growth
+    builds new lists and swaps them in, so a reader never sees a half-grown
+    pair."""
+    fragments, tails = _FRAGMENTS[kind]
+    if len(tails) < n:
+        fragments, tails = fragments[:], tails[:]
+        for i in range(len(tails), n):
+            head, mid, tail = (_LINES[kind] % {"i": i}).split("%s")
+            fragments += (tails[-1] + "\n" + head if i else head, "", mid, "")
+            tails.append(tail)
+        _FRAGMENTS[kind] = fragments, tails
+    return fragments, tails
+
+
 def _json_floats(values: np.ndarray) -> list[str]:
     """Each value as json.dumps writes it. For a finite float that is
     float.__repr__; NaN and the infinities take json.dumps itself."""
@@ -120,10 +144,11 @@ class MessageLog:
     The announce is kept as its three fields, a follower round as one block
     of offer and slack arrays plus the repeat bit, and a price stage as one
     block holding the price array. Messages exist only as JSON lines:
-    `to_jsonl` and `messages` render the blocks column by column, format
-    each distinct float64 bit pattern once and fill one line template per
-    kind and column size. The bytes are those of the per-message
-    json.dumps renderer.
+    `to_jsonl` and `messages` render the blocks column by column and format
+    each distinct float64 bit pattern once. A block of n lines copies the
+    first 4n of its kind's cached fragments, sets the value texts and the
+    round into their slots and joins them once. The bytes are those of the
+    per-message json.dumps renderer.
     """
 
     def __init__(self) -> None:
@@ -202,7 +227,6 @@ class MessageLog:
                                       return_inverse=True)
             distinct = np.array(_json_floats(bits.view(np.float64)), dtype=object)
             texts = distinct[inverse].tolist()
-        templates: dict[tuple[str, int], str] = {}
         lines: list[str] = []
         start = 0
 
@@ -210,14 +234,13 @@ class MessageLog:
             nonlocal start
             if n == 0:
                 return
-            template = templates.get((kind, n))
-            if template is None:
-                template = templates[kind, n] = "\n".join(
-                    _LINES[kind] % {"i": i} for i in range(n))
-            slots = [rnd] * (2 * n)
-            slots[0::2] = texts[start:start + n]
+            fragments, tails = _fragments(kind, n)
+            parts = fragments[:4 * n]
+            parts[1::4] = texts[start:start + n]
+            parts[3::4] = [rnd] * n
+            parts.append(tails[n - 1])
             start += n
-            lines.append(template % tuple(slots))
+            lines.append("".join(parts))
 
         for entry in self._entries:
             r = entry.round

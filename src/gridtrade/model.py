@@ -210,10 +210,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             f"cost vectors must have length {n}, got a:{g.cost_linear.size} b:{g.cost_const.size}"
         )
     else:
-        if not np.all(g.cost_linear > 0.0):
-            problems.append("all linear cost coefficients a_i must be positive")
-        if not np.all(g.cost_const > 0.0):
-            problems.append("all constant cost terms b_i must be positive")
+        if not np.all((g.cost_linear > 0.0) & np.isfinite(g.cost_linear)):
+            problems.append("all linear cost coefficients a_i must be positive and finite")
+        if not np.all((g.cost_const > 0.0) & np.isfinite(g.cost_const)):
+            problems.append("all constant cost terms b_i must be positive and finite")
     if n * g.p_min > g.total_price or g.total_price > n * g.p_max:
         problems.append(
             f"total_price {g.total_price:g} outside feasible range "

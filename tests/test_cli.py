@@ -1,6 +1,9 @@
 import csv
 import json
 import logging
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -198,6 +201,18 @@ class TestMain:
         out = capsys.readouterr().out
         assert "fig1_convergence.csv" in out
 
+    def test_python_dash_m_gridtrade(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridtrade", "simulate", "--preset", "fig1_convergence",
+             "--out", str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.strip() == str(tmp_path / "fig1_convergence.csv")
+
     def test_simulate_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({
@@ -289,6 +304,29 @@ class TestInvalidInputExitsOne:
         assert exc.value.code == 1
         assert "error:" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("flags", [
+        ["--surplus-range", "64,inf"],
+        ["--surplus-range=-inf,5"],
+        ["--cost-linear", "inf"],
+        ["--cost-const", "inf", "--dump-per-run"],
+    ])
+    def test_non_finite_flag(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert main(["simulate", "--preset", "fig2_utility_vs_n", "--n-values", "2",
+                     "--runs", "1", "--out", str(out), *flags]) == 1
+        assert "finite" in one_line_error(capsys)
+        assert not out.exists()
+
+    def test_non_finite_surplus_range_in_config_file(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        out = tmp_path / "out"
+        # 1e400 overflows to inf when the file is read
+        cfg_path.write_text('{"surplus_range": [64, 1e400], "n_values": [2], "runs": 1, '
+                            f'"output_path": {json.dumps(str(out))}}}')
+        assert main(["simulate", "--config", str(cfg_path)]) == 1
+        assert "surplus_range" in one_line_error(capsys)
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"], ["verify", "-h"]])
     def test_help_exits_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -349,6 +387,17 @@ class TestVerifyEveryFile:
                              capsys)
         assert code == 1
         assert out[0].startswith("a.json: INVALID (")
+        assert out[1].startswith("b.json: OK")
+
+    @pytest.mark.parametrize("field", ["cost_linear", "cost_const"])
+    def test_non_finite_cost_is_invalid(self, tmp_path, capsys, good, field):
+        data = json.loads(good)
+        data["grid"][field][0] = "huge"
+        # 1e400 overflows to inf when the file is read
+        text = json.dumps(data).replace('"huge"', "1e400")
+        code, out = self.run(write_corpus(tmp_path, {"a.json": text, "b.json": good}), capsys)
+        assert code == 1
+        assert out[0].startswith("a.json: INVALID (") and "finite" in out[0], out[0]
         assert out[1].startswith("b.json: OK")
 
     @pytest.mark.parametrize("error", [ProjectionError, ArmijoSearchError])

@@ -1,5 +1,7 @@
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -342,6 +344,73 @@ class TestMessageLog:
         assert len(log) == len(log.messages) == 1 + 1 + 5 + 11
         assert log.total_rounds == 2
         assert per_seller_counts(log) == {i: 2 for i in range(5)}
+
+    @pytest.fixture
+    def fresh_fragments(self, monkeypatch):
+        """An empty fragment cache, so the test sees it grow from nothing."""
+        monkeypatch.setattr(engine, "_FRAGMENTS", {kind: ([], []) for kind in engine._LINES})
+
+    def test_block_sizes_interleaved_share_the_fragments(self, fresh_fragments):
+        # sizes out of order in one process: 3 after 500 renders from the
+        # lists that 500 grew
+        rng = np.random.default_rng(13)
+        for n in (1, 3, 500, 3):
+            log = RecordingLog()
+            log.append(1, 5.0, 3.0, n)
+            log.append_round(1, rng.uniform(0, 240, n), rng.normal(size=n), True)
+            log.append_prices(2, rng.uniform(0.35, 175, n))
+            log.append_round(2, rng.uniform(0, 240, n), -rng.random(n), False)
+            assert log.to_jsonl() == reference_jsonl(log.calls)
+        assert all(len(tails) == 500 for _, tails in engine._FRAGMENTS.values())
+
+    def test_empty_round_among_extra_price_stages(self, recording):
+        # a game with two extra price stages, replayed with an empty round
+        # before each price stage
+        game = run_stackelberg(make_scenario([200.0, 80.0, 70.0, 150.0, 65.0], 120.0),
+                               extra_price_rounds=2).log
+        log = RecordingLog()
+        for what, rnd, *values in game.calls:
+            if what == "announce":
+                log.append(rnd, **values[0])
+            elif what == "round":
+                log.append_round(rnd, *values)
+            else:
+                log.append_round(rnd, [], [], False)
+                log.append_prices(rnd, values[0])
+        kinds = [m["kind"] for m in parsed(log)]
+        assert kinds.count("price_update") == 3 * 5
+        assert kinds.count("repeat_bit") == sum(c[0] != "announce" for c in game.calls)
+        assert log.to_jsonl() == reference_jsonl(log.calls)
+
+    def test_fragment_cache_is_bounded_by_the_largest_block(self, fresh_fragments):
+        for n in range(1, 61):
+            log = MessageLog()
+            log.append_round(n, np.arange(n, dtype=float), np.zeros(n), False)
+            log.append_prices(n, np.ones(n))
+            log.to_jsonl()
+        assert set(engine._FRAGMENTS) == {"offer", "slack_report", "price_update"}
+        for fragments, tails in engine._FRAGMENTS.values():
+            assert len(tails) == 60 and len(fragments) == 4 * 60
+
+    def test_threads_growing_the_cache_render_correctly(self, monkeypatch):
+        logs = []
+        for n in (7, 40, 3, 120, 60, 1):
+            log = RecordingLog()
+            log.append_round(1, np.arange(n) / 3.0, -np.arange(n, dtype=float), True)
+            log.append_prices(2, np.full(n, 0.35))
+            logs.append(log)
+        expected = [reference_jsonl(log.calls) for log in logs] * 4
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(8) as pool:
+                for _ in range(10):
+                    monkeypatch.setattr(engine, "_FRAGMENTS",
+                                        {kind: ([], []) for kind in engine._LINES})
+                    rendered = pool.map(MessageLog.to_jsonl, logs * 4, timeout=60)
+                    assert list(rendered) == expected
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_append_round_validates(self):
         log = MessageLog()

@@ -195,3 +195,9 @@ class TestValidateScenario:
         s = make_scenario([100.0, 120.0], 50.0, **{field: value})
         report = validate_scenario(s)
         assert any(r.startswith(f"{field} must be finite") for r in report), report
+
+    @pytest.mark.parametrize("field, name", [("cost_linear", "a_i"), ("cost_const", "b_i")])
+    def test_non_finite_cost_coefficients_reported(self, field, name):
+        s = make_scenario([100.0, 120.0], 50.0, **{field: math.inf})
+        report = validate_scenario(s)
+        assert any(name in r and "finite" in r for r in report), report
