@@ -82,9 +82,10 @@ class ExperimentConfig:
             problems.append("n_values must be positive")
         if self.runs < 1:
             problems.append("runs must be at least 1")
+        # a nonnegative low keeps high - low, the sampler's width, finite
         if len(self.surplus_range) != 2 or not (
-                -math.inf < self.surplus_range[0] < self.surplus_range[1] < math.inf):
-            problems.append("surplus_range must be [low, high], both finite, with low < high")
+                0 <= self.surplus_range[0] < self.surplus_range[1] < math.inf):
+            problems.append("surplus_range must be [low, high], finite, with 0 <= low < high")
         if self.seed < 0:
             problems.append("seed must be nonnegative")
         try:

@@ -307,6 +307,7 @@ class TestInvalidInputExitsOne:
     @pytest.mark.parametrize("flags", [
         ["--surplus-range", "64,inf"],
         ["--surplus-range=-inf,5"],
+        ["--surplus-range=-1e308,1e308"],  # finite ends, but high - low overflows
         ["--cost-linear", "inf"],
         ["--cost-const", "inf", "--dump-per-run"],
     ])
