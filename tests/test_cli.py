@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import logging
 import os
@@ -181,6 +182,31 @@ class TestRunExperiment:
         assert len(headers) == 1 and headers.pop().endswith(f" build={build_id()}")
 
 
+# SHA-256 of each CSV body, everything after the "# config=... build=..."
+# line, written by `simulate --dump-per-run --runs 20 --seed 11`.
+SWEEP_CSV_SHA256 = {
+    "fig2_utility_vs_n": {
+        "per_run.csv": "15268f4a4675593804010ec2fe419890afcfa79c003f98a99e2b9e04912e1493",
+        "fig2_utility_vs_n.csv": "a3c5c305513b15928a30e503a23de8f0cdf45da696499211ad42c4422ad1265e",
+    },
+    "fig3_cost_vs_n": {
+        "per_run.csv": "61bf633cacc5ae3126ae27fad44be3bc1da2c041106c36d2547ab9bedad93ee8",
+        "fig3_cost_vs_n.csv": "38eba17d8c72c9f579c69ad0da32a342eaf0e32ebd9d7ff0f745b384c2caeea8",
+    },
+}
+
+
+class TestSweepCsvPins:
+    @pytest.mark.parametrize("preset", sorted(SWEEP_CSV_SHA256))
+    def test_csv_bodies_match_their_pinned_hashes(self, tmp_path, capsys, preset):
+        out = tmp_path / preset
+        assert main(["simulate", "--preset", preset, "--runs", "20", "--seed", "11",
+                     "--dump-per-run", "--out", str(out)]) == 0
+        for name, digest in SWEEP_CSV_SHA256[preset].items():
+            body = (out / name).read_bytes().split(b"\r\n", 1)[1]
+            assert hashlib.sha256(body).hexdigest() == digest, name
+
+
 class TestScenarioJson:
     def test_round_trip(self, peak_scenario):
         data = scenario_to_dict(peak_scenario)
@@ -326,6 +352,23 @@ class TestInvalidInputExitsOne:
                             f'"output_path": {json.dumps(str(out))}}}')
         assert main(["simulate", "--config", str(cfg_path)]) == 1
         assert "surplus_range" in one_line_error(capsys)
+        assert not out.exists()
+
+    def test_non_finite_figure(self, tmp_path):
+        # Surpluses near the float limit overflow the flat tariff's utility;
+        # the run must name the figure instead of writing inf into the CSVs.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridtrade", "simulate", "--preset", "fig2_utility_vs_n",
+             "--runs", "1", "--n-values", "2", "--surplus-range", "1e307,1.7e308",
+             "--dump-per-run", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.count("\n") == 1, proc.stderr
+        assert "(n=2, run=0)" in proc.stderr and "fit_utility" in proc.stderr
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"], ["verify", "-h"]])

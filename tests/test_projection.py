@@ -131,6 +131,21 @@ class TestProjectBoxBudget:
         with pytest.raises(ValueError):
             project_box_budget(np.array([1.0, 2.0]), fs)
 
+    @pytest.mark.xfail(strict=True, reason="the piece's acceptance test allows a sum error "
+                       "of 16*eps*n*max|v|, far above a budget of 380 when |v| is near 1e200, "
+                       "so the zero vector is certified")
+    def test_huge_inputs_meet_the_budget_or_raise(self):
+        # The fig2 game at surplus range [1e200, 1e201], n = 2, deficiency
+        # 380: the anchor of its first stage, surpluses plus the uniform price.
+        surpluses = np.array([float.fromhex("0x1.a50adab2e8276p+666"),
+                              float.fromhex("0x1.97d946aa9c5f2p+666")])
+        fs = FeasibleSet(surpluses, 380.0)
+        try:
+            res = project_box_budget(surpluses + 87.5, fs)
+        except ProjectionError:
+            return
+        assert abs(math.fsum(res.point) - 380.0) <= 1e-9 * 380.0
+
 
 class TestProjectHalfspaceThenSet:
     def test_point_in_both_sets_unchanged(self):
