@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import check_nse, run_fit, run_stackelberg
+from .engine import check_nse, run_fit, run_games, run_stackelberg
 from .model import EnergyUser, FeasibleSet, GridParams, Scenario, validate_scenario
 from .oracle import social_optimality_audit, ve_oracle
 from .projection import ProjectionError
@@ -223,27 +223,50 @@ def _fig1_rows(cfg: ExperimentConfig):
 
 
 def _sweep(cfg: ExperimentConfig):
-    """All per-run figures for the utility and cost sweeps."""
+    """All per-run figures for the utility and cost sweeps.
+
+    The runs at each n are played in lockstep by run_games. A figure that
+    is not finite raises ValueError naming its run and field, before any
+    file is written.
+    """
     per_run = []
     for n in cfg.n_values:
-        for run in range(cfg.runs):
-            scenario = sample_scenario(cfg, n, run)
-            outcome = run_stackelberg(scenario)
-            if not outcome.converged:
-                raise RuntimeError(f"run (n={n}, run={run}) did not converge")
-            fit = run_fit(scenario, cfg.fit_tariff)
-            nsg = outcome.stage2
-            per_run.append({
-                "n": n,
-                "run": run,
-                "nsg_utility": nsg.total_utility / n,
-                "fit_utility": fit.total_utility / n,
-                "nsg_cost_model": nsg.grid_cost,
-                "nsg_payment": float((nsg.prices * nsg.energies).sum()),
-                "fit_cost_model": fit.grid_cost,
-                "fit_payment": float((fit.prices * fit.energies).sum()),
-            })
+        scenarios = [sample_scenario(cfg, n, run) for run in range(cfg.runs)]
+        # Figures that overflow are reported below, one line per run.
+        with np.errstate(over="ignore", invalid="ignore"):
+            outcomes = _play(scenarios, n)
+            for run, (scenario, outcome) in enumerate(zip(scenarios, outcomes)):
+                if not outcome.converged:
+                    raise RuntimeError(f"run (n={n}, run={run}) did not converge")
+                fit = run_fit(scenario, cfg.fit_tariff)
+                nsg = outcome.stage2
+                figures = {
+                    "nsg_utility": nsg.total_utility / n,
+                    "fit_utility": fit.total_utility / n,
+                    "nsg_cost_model": nsg.grid_cost,
+                    "nsg_payment": float((nsg.prices * nsg.energies).sum()),
+                    "fit_cost_model": fit.grid_cost,
+                    "fit_payment": float((fit.prices * fit.energies).sum()),
+                }
+                for key, value in figures.items():
+                    if not math.isfinite(value):
+                        raise ValueError(f"run (n={n}, run={run}): {key} is not finite ({value})")
+                per_run.append({"n": n, "run": run, **figures})
     return per_run
+
+
+def _play(scenarios, n):
+    """run_games over the runs at n. A solver error is raised again from the
+    first run that raises it when played alone, naming that run."""
+    try:
+        return run_games(scenarios)
+    except (ProjectionError, ArmijoSearchError):
+        for run, scenario in enumerate(scenarios):
+            try:
+                run_stackelberg(scenario)
+            except (ProjectionError, ArmijoSearchError) as exc:
+                raise type(exc)(f"run (n={n}, run={run}): {exc}") from exc
+        raise
 
 
 def _mean_std(values):

@@ -41,7 +41,8 @@ from .model import (
     validate_scenario,
 )
 from .price_opt import optimize_prices
-from .vi_solver import PseudoGradient, SolverConfig, solve_ve
+from .projection import _box_budget_rows, _take
+from .vi_solver import SolverConfig, _extragradient
 
 PG = "pg"
 Message = str  # one transcript message: its JSON line
@@ -288,53 +289,75 @@ class NSEReport:
 
 
 def _interior_mu_stop(x, mu, prev_mu, margin, upper_limit):
-    """Slack-equalization stop: interior spread within tolerance and slack
-    values stationary between rounds. A seller is interior when its offer
-    lies strictly between margin and upper_limit."""
-    if prev_mu is None:
-        return False
+    """Slack-equalization stop, per row: interior spread within tolerance
+    and slack values stationary between rounds. A seller is interior when
+    its offer lies strictly between margin and upper_limit. The spread, the
+    peak and the movement are exact maxima of the batch; the interior mean
+    is taken per row, as numpy rounds it for that row alone."""
     interior = (x > margin) & (x < upper_limit)
-    if interior.sum() >= 2:
-        vals = mu[interior]
-        tol = 1e-6 * (1.0 + abs(float(vals.mean())))
-        spread = float(vals.max() - vals.min())
-    else:
-        tol = 1e-6 * (1.0 + float(np.abs(mu).max()))
-        spread = 0.0
-    stationary = float(np.abs(mu - prev_mu).max()) <= tol
-    return stationary and spread <= tol
+    top = np.where(interior, mu, -np.inf).max(axis=1)
+    bottom = np.where(interior, mu, np.inf).min(axis=1)
+    spread = (top - bottom).tolist()
+    reach = np.maximum(np.abs(top), np.abs(bottom)).tolist()
+    peak = np.abs(mu).max(axis=1).tolist()
+    moved = np.abs(mu - prev_mu).max(axis=1).tolist()
+    stops = []
+    for j, count in enumerate(interior.sum(axis=1).tolist()):
+        if count < 2:
+            stops.append(moved[j] <= 1e-6 * (1.0 + peak[j]))
+        elif max(moved[j], spread[j]) > 2e-6 * (1.0 + reach[j]):
+            # The mean lies within the interior values, so the tolerance
+            # below cannot reach this bound: no need to take the mean.
+            stops.append(False)
+        else:
+            tol = 1e-6 * (1.0 + abs(float(mu[j][interior[j]].mean())))
+            stops.append(moved[j] <= tol and spread[j] <= tol)
+    return stops
 
 
-def _follower_stage(scenario, fset, prices, cfg, log, stage):
-    """Run one follower best-response loop, logging a round per iteration.
+def _follower_stage(scenarios, s, prices, cfg, logs, stage):
+    """Run one follower best-response loop per game, in lockstep, logging a
+    round per iteration into each game's own log.
 
-    Returns (allocation, rounds, residual, converged).
+    s and prices hold one row per game. Returns (allocations, rounds,
+    residuals, converged), one row or entry per game.
     """
-    F = PseudoGradient(scenario.surpluses, prices)
-    state = {"prev_mu": None, "rounds": 0, "residual": float("nan")}
-    n = scenario.n_users
-    grid = scenario.grid
-    margin = 1e-6 * np.maximum(1.0, fset.upper_bounds)
-    upper_limit = fset.upper_bounds - margin
+    m, n = s.shape
+    c = s + prices
+    if not np.isfinite(c).all():
+        raise ValueError("cannot project with a non-finite vector")
+    budget = [sc.grid.deficiency for sc in scenarios]
+    anchor, lam, _ = _box_budget_rows(c, s, budget)
+    margin = 1e-6 * np.maximum(1.0, s)
+    upper_limit = s - margin
+    prev_mu = np.zeros_like(s)
+    rounds = [0] * m
+    residual = [float("nan")] * m
 
-    def on_iteration(record, residual_done):
-        rnd = log.total_rounds + 1
-        if stage == 1:
-            log.append(rnd, grid.deficiency, grid.total_price, n)
-        elif state["rounds"] == 0:
-            log.append_prices(rnd, prices)
-        stop = residual_done or _interior_mu_stop(
-            record.x, record.mu, state["prev_mu"], margin, upper_limit
-        )
-        log.append_round(rnd, record.x, record.mu, not stop)
-        state["prev_mu"] = record.mu
-        state["rounds"] += 1
-        state["residual"] = record.residual
-        return stop
+    def on_iteration(iteration, rows, x, res, steps, z, mu, done):
+        if done:
+            stops = [True] * len(rows)
+        else:
+            stops = _interior_mu_stop(x, mu, _take(prev_mu, rows), _take(margin, rows),
+                                      _take(upper_limit, rows))
+        for j, r in enumerate(rows.tolist()):
+            log = logs[r]
+            rnd = log.total_rounds + 1
+            if stage == 1:
+                grid = scenarios[r].grid
+                log.append(rnd, grid.deficiency, grid.total_price, n)
+            elif rounds[r] == 0:
+                log.append_prices(rnd, prices[r])
+            stops[j] = stops[j] and rounds[r] > 0
+            log.append_round(rnd, x[j], mu[j], not stops[j])
+            rounds[r] += 1
+            residual[r] = res[j]
+        prev_mu[rows] = mu
+        return stops
 
-    x, trace = solve_ve(F, fset, cfg, on_iteration=on_iteration)
-    converged = trace.stop_reason in ("residual", "caller")
-    return x, state["rounds"], state["residual"], converged
+    x, reasons = _extragradient(np.zeros_like(s), s, prices, s, budget, anchor,
+                                [v > 0.0 for v in lam], cfg, on_iteration)
+    return x, rounds, residual, [reason in ("residual", "caller") for reason in reasons]
 
 
 def _stage_result(scenario, x, prices, rounds, residual) -> EquilibriumResult:
@@ -352,44 +375,71 @@ def _stage_result(scenario, x, prices, rounds, residual) -> EquilibriumResult:
     )
 
 
+def run_games(scenarios, cfg: SolverConfig | None = None,
+              extra_price_rounds: int = 0) -> list[GameOutcome]:
+    """Play the two-stage game of each scenario, all of one network size, in
+    lockstep, and return one outcome per scenario.
+
+    One follower engine iterates every game's sellers as one row of a
+    (games, sellers) batch, and a game leaves the batch when its stage
+    stops; prices are optimized per game. Each game keeps its own transcript,
+    and its outcome is the same, bit for bit, whichever games share its
+    batch. Raises ValueError for scenarios of mixed size and
+    ScenarioValidationError for the first invalid one.
+    """
+    scenarios = list(scenarios)
+    if not scenarios:
+        return []
+    n = scenarios[0].n_users
+    if any(sc.n_users != n for sc in scenarios):
+        raise ValueError("run_games plays scenarios of one network size, got sizes "
+                         f"{sorted({sc.n_users for sc in scenarios})}")
+    for scenario in scenarios:
+        problems = validate_scenario(scenario)
+        if problems:
+            raise ScenarioValidationError(problems)
+    if cfg is None:
+        cfg = SolverConfig()
+
+    m = len(scenarios)
+    s = np.array([sc.surpluses for sc in scenarios], dtype=float)
+    logs = [MessageLog() for _ in scenarios]
+    uniform = np.array([np.full(n, sc.grid.total_price / n) for sc in scenarios])
+    x1, rounds1, res1, conv1 = _follower_stage(scenarios, s, uniform, cfg, logs, stage=1)
+    stage1 = [_stage_result(sc, x1[i], uniform[i], rounds1[i], res1[i])
+              for i, sc in enumerate(scenarios)]
+    stage2, converged = [None] * m, list(conv1)
+
+    live = [i for i in range(m) if conv1[i]]
+    offered = x1
+    for _ in range(1 + max(extra_price_rounds, 0)):
+        if not live:
+            break
+        games = [scenarios[i] for i in live]
+        p_star = np.array([optimize_prices(offered[i], scenarios[i].grid).prices for i in live])
+        x2, rounds2, res2, conv2 = _follower_stage(games, s[live], p_star, cfg,
+                                                   [logs[i] for i in live], stage=2)
+        offered = np.empty_like(s)
+        for j, i in enumerate(live):
+            stage2[i] = _stage_result(scenarios[i], x2[j], p_star[j], rounds2[j], res2[j])
+            offered[i] = x2[j]
+            converged[i] = conv2[j]
+        live = [i for j, i in enumerate(live) if conv2[j]]
+    return [GameOutcome(stage1=stage1[i], stage2=stage2[i], log=logs[i], converged=converged[i])
+            for i in range(m)]
+
+
 def run_stackelberg(scenario: Scenario, cfg: SolverConfig | None = None,
                     extra_price_rounds: int = 0) -> GameOutcome:
     """Play the two-stage game and return both stage equilibria with the
-    full message transcript.
+    full message transcript: run_games with a batch of one.
 
     Stage 1 announces the scenario and solves the followers' problem at the
     uniform price; stage 2 optimizes prices against the offered energies and
     re-solves. extra_price_rounds > 0 repeats the price-optimize/re-solve
     exchange that many additional times (exploratory mode, off by default).
     """
-    problems = validate_scenario(scenario)
-    if problems:
-        raise ScenarioValidationError(problems)
-    if cfg is None:
-        cfg = SolverConfig()
-
-    grid = scenario.grid
-    n = scenario.n_users
-    fset = FeasibleSet(scenario.surpluses, grid.deficiency)
-    log = MessageLog()
-
-    uniform = np.full(n, grid.total_price / n)
-    x1, rounds1, res1, conv1 = _follower_stage(scenario, fset, uniform, cfg, log, stage=1)
-    stage1 = _stage_result(scenario, x1, uniform, rounds1, res1)
-    if not conv1:
-        return GameOutcome(stage1=stage1, stage2=None, log=log, converged=False)
-
-    offered = x1
-    stage2 = None
-    conv2 = True
-    for _ in range(1 + max(extra_price_rounds, 0)):
-        p_star = optimize_prices(offered, grid).prices
-        x2, rounds2, res2, conv2 = _follower_stage(scenario, fset, p_star, cfg, log, stage=2)
-        stage2 = _stage_result(scenario, x2, p_star, rounds2, res2)
-        offered = x2
-        if not conv2:
-            break
-    return GameOutcome(stage1=stage1, stage2=stage2, log=log, converged=conv1 and conv2)
+    return run_games([scenario], cfg, extra_price_rounds)[0]
 
 
 def check_nse(outcome: GameOutcome, scenario: Scenario, trials: int,

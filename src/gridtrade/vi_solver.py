@@ -26,14 +26,20 @@ dual with the active set of the iterate's own bounds (see `projection`).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import compress, repeat
 
 import numpy as np
 
 from .model import FeasibleSet
 from .projection import (
     ProjectionResult,
+    _any,
     _checked_vector,
+    _col,
+    _halfspace_rows,
+    _take,
     project_box_budget,
     project_halfspace_then_set,
 )
@@ -239,3 +245,129 @@ def solve_ve(F: PseudoGradient, fset: FeasibleSet, cfg: SolverConfig | None = No
         x = project_halfspace_then_set(x, Fz, z, fset, offset_gap=t * d)
     final = trace.records[-1]
     return final.x, trace
+
+
+def _residual_rows(x, anchor, active, ub):
+    """natural_residual over rows: per row of x, the projected point r (the
+    row of `anchor`, compensated where `active` says its budget binds) and
+    the norm ||x - r||, each rounded as natural_residual rounds it."""
+    r = anchor
+    bound = list(compress(range(len(active)), active))
+    if bound:
+        # The step acceptance rule needs sum(x - r) <= 0 in exact arithmetic;
+        # comparing separately rounded sums leaves an ulp of the budget in
+        # play, which the face multiplier amplifies past the Armijo margin.
+        # The compensation must land on a component that is strictly inside
+        # its box (where the marginal value equals the face multiplier), or
+        # it would itself tilt the acceptance inner product.
+        terms = np.concatenate((_take(x, bound), -_take(anchor, bound)), axis=1).tolist()
+        excess = list(map(math.fsum, terms))
+        over = list(compress(range(len(excess)), map(operator.gt, excess, repeat(0.0))))
+        if over:
+            at = bound if len(over) == len(bound) else [bound[j] for j in over]
+            ra, ua = _take(anchor, at), _take(ub, at)
+            free = (ra > 0.0) & (ra < ua)
+            cols = np.argmax(np.where(free, ua - ra, -np.inf), axis=1).tolist()
+            dim = x.shape[1]
+            for j, i, col, any_free in zip(over, at, cols, _any(free, axis=1).tolist()):
+                if not any_free:
+                    continue
+                if r is anchor:
+                    r = anchor.copy()
+                e, t, ri = excess[j], terms[j], r[i]
+                for _ in range(6):
+                    ri[col] = value = math.nextafter(-t[dim + col] + e, math.inf)
+                    t[dim + col] = -value
+                    e = math.fsum(t)
+                    if e <= 0.0:
+                        break
+    d = x - r
+    return r, list(map(math.sqrt, map(np.dot, d, d)))
+
+
+def _extragradient(x, s, p, ub, budget, anchor, active, cfg, on_iteration):
+    """The extragradient iteration over rows of independent problems
+    F_r(x) = x - s_r - p_r on their box-plus-budget sets, in lockstep.
+
+    Row r starts from x[r]; anchor[r] is the projection of s_r + p_r and
+    active[r] whether its budget binds there. Each row takes its own
+    Armijo step and stops on its own test, and a row that stops leaves the
+    batch. After each row's residual test,
+    on_iteration(iteration, rows, x, residuals, steps, z, mu, done) sees the
+    live rows, their labels in `rows`: with done=True the rows that stop on
+    their residual (steps None, z = x), and with done=False, after the
+    Armijo search, the rest; it returns per row whether to halt it there.
+    Returns each row's final iterate and stop reason (`residual`, `caller`
+    or `max_iterations`). A row's path is solve_ve's, bit for bit.
+    """
+    rows = np.arange(len(x))
+    final = np.empty_like(x)
+    stops = ["max_iterations"] * len(x)
+    budget, active = list(budget), list(active)
+
+    def leave(sel, reason):
+        """Record the rows at positions sel as stopped and return the
+        positions that stay."""
+        final[rows[sel]] = x[sel]
+        for r in rows[sel]:
+            stops[r] = reason
+        gone = set(sel)
+        return [j for j in range(len(rows)) if j not in gone]
+
+    tol, gamma, shrink, delta = cfg.residual_tol, cfg.gamma, cfg.beta, cfg.delta
+    for iteration in range(1, cfg.max_iterations + 1):
+        r, res = _residual_rows(x, anchor, active, ub)
+        mu = s - x + p
+        done = [] if min(res) > tol else [j for j, v in enumerate(res) if v <= tol]
+        if done:
+            at = _take(rows, done)
+            on_iteration(iteration, at, _take(x, done), [res[j] for j in done], None,
+                         _take(x, done), _take(mu, done), True)
+            kept = leave(done, "residual")
+            if not kept:
+                break
+            rows, x, s, p, ub, anchor, r, mu = (
+                a[kept] for a in (rows, x, s, p, ub, anchor, r, mu))
+            res, budget, active = ([a[j] for j in kept] for a in (res, budget, active))
+
+        d = x - r
+        t = [gamma] * len(x)
+        z = x - gamma * d
+        fz = z - s - p
+        need = [delta * (v * v) for v in res]
+        short = [j for j, a, v in zip(range(len(need)), map(math.fsum, (fz * d).tolist()), need)
+                 if a < v]
+        backtracks = 0
+        while short:
+            backtracks += 1
+            if backtracks > cfg.max_backtracks:
+                raise ArmijoSearchError(
+                    f"no acceptable step within {cfg.max_backtracks} backtracks "
+                    f"at iteration {iteration} (residual {res[short[0]]:.3e})"
+                )
+            for j in short:
+                t[j] *= shrink
+            ds = _take(d, short)
+            zs = _take(x, short) - _col([t[j] for j in short]) * ds
+            fzs = zs - _take(s, short) - _take(p, short)
+            if len(short) == len(x):
+                z, fz = zs, fzs
+            else:
+                z[short], fz[short] = zs, fzs
+            short = [j for j, a in zip(short, map(math.fsum, (fzs * ds).tolist())) if a < need[j]]
+
+        halt = on_iteration(iteration, rows, x, res, t, z, mu, False)
+        if any(halt):
+            kept = leave([j for j, v in enumerate(halt) if v], "caller")
+            if not kept:
+                break
+            rows, x, s, p, ub, anchor, z, fz, d = (
+                a[kept] for a in (rows, x, s, p, ub, anchor, z, fz, d))
+            t, budget, active = ([a[j] for j in kept] for a in (t, budget, active))
+        if iteration == cfg.max_iterations:
+            leave(list(range(len(rows))), "max_iterations")
+            break
+        # x - z equals t*d analytically; passing it keeps the halfspace gap
+        # resolvable when d is small.
+        x = _halfspace_rows(x, fz, _col(t) * d, ub, budget)
+    return final, stops

@@ -207,6 +207,47 @@ class TestSweepCsvPins:
             assert hashlib.sha256(body).hexdigest() == digest, name
 
 
+class TestLockstepSweep:
+    """A sweep plays each n's runs as one batch; a run's figures do not
+    depend on the batch, and a failing run is named."""
+
+    def test_fewer_runs_give_the_leading_rows(self, tmp_path):
+        def rows(runs):
+            out = tmp_path / f"runs{runs}"
+            assert main(["simulate", "--preset", "fig2_utility_vs_n", "--runs", str(runs),
+                         "--seed", "11", "--dump-per-run", "--out", str(out)]) == 0
+            lines = (out / "per_run.csv").read_bytes().split(b"\r\n")[2:-1]
+            by_n = {}
+            for line in lines:
+                by_n.setdefault(line.split(b",")[0], []).append(line)
+            return by_n
+
+        few, many = rows(3), rows(10)
+        assert few.keys() == many.keys()
+        for n, lines in few.items():
+            assert len(lines) == 3 and lines == many[n][:3]
+
+    @pytest.mark.parametrize("error", [ProjectionError, ArmijoSearchError])
+    def test_failing_run_is_named(self, tmp_path, capsys, monkeypatch, error):
+        import gridtrade.engine as engine
+
+        cfg = small_cfg(tmp_path, preset="fig2_utility_vs_n", n_values=[4], runs=3)
+        bad = sample_scenario(cfg, 4, 1).seed
+        real = engine._follower_stage
+
+        def failing(scenarios, *args, **kwargs):
+            if any(sc.seed == bad for sc in scenarios):
+                raise error("no progress")
+            return real(scenarios, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "_follower_stage", failing)
+        with pytest.raises(error, match=r"run \(n=4, run=1\): no progress"):
+            cli._sweep(cfg)
+        assert main(["simulate", "--preset", "fig2_utility_vs_n", "--n-values", "4",
+                     "--runs", "3", "--out", str(tmp_path / "out")]) == 2
+        assert "(n=4, run=1)" in one_line_error(capsys)
+
+
 class TestScenarioJson:
     def test_round_trip(self, peak_scenario):
         data = scenario_to_dict(peak_scenario)

@@ -237,6 +237,62 @@ class TestRunStackelberg:
         assert check_nse(outcome, scenario, 500).follower_violations == 0
 
 
+def fig_scenarios(preset, n, runs, seed=1):
+    cfg = build_config({}, {"preset": preset, "seed": seed})
+    return [sample_scenario(cfg, n, run) for run in range(runs)]
+
+
+def assert_same_game(batched, alone):
+    """Two outcomes of one game agree bit for bit, transcript included."""
+    assert batched.converged == alone.converged
+    for a, b in ((batched.stage1, alone.stage1), (batched.stage2, alone.stage2)):
+        assert (a is None) == (b is None)
+        if a is None:
+            continue
+        assert a.energies.tobytes() == b.energies.tobytes()
+        assert a.prices.tobytes() == b.prices.tobytes()
+        assert a.follower_iterations == b.follower_iterations
+        assert np.float64(a.vi_residual).tobytes() == np.float64(b.vi_residual).tobytes()
+    assert batched.log.to_jsonl() == alone.log.to_jsonl()
+
+
+class TestRunGames:
+    """run_games plays same-size games in lockstep; each game's outcome does
+    not depend on which games share its batch."""
+
+    @pytest.mark.parametrize("extra", [0, 2])
+    def test_batch_matches_each_game_alone_in_either_order(self, extra):
+        scenarios = fig_scenarios("fig2_utility_vs_n", 5, 10)
+        alone = [run_stackelberg(sc, extra_price_rounds=extra) for sc in scenarios]
+        forward = engine.run_games(scenarios, extra_price_rounds=extra)
+        backward = engine.run_games(scenarios[::-1], extra_price_rounds=extra)[::-1]
+        for a, b, c in zip(forward, backward, alone):
+            assert_same_game(a, c)
+            assert_same_game(b, c)
+
+    def test_rows_stopping_on_different_rounds(self):
+        # fig2 and fig3 games at one n differ in deficiency, so their stages
+        # stop on different rounds and rows leave the batch at different times.
+        scenarios = (fig_scenarios("fig2_utility_vs_n", 7, 4)
+                     + fig_scenarios("fig3_cost_vs_n", 7, 4))
+        outcomes = engine.run_games(scenarios)
+        assert len({o.stage1.follower_iterations for o in outcomes}) > 1
+        assert len({o.stage2.follower_iterations for o in outcomes}) > 1
+        for outcome, scenario in zip(outcomes, scenarios):
+            assert_same_game(outcome, run_stackelberg(scenario))
+
+    def test_empty_batch_and_mixed_sizes(self):
+        assert engine.run_games([]) == []
+        with pytest.raises(ValueError, match="one network size"):
+            engine.run_games(fig_scenarios("fig2_utility_vs_n", 5, 1)
+                             + fig_scenarios("fig2_utility_vs_n", 6, 1))
+
+    def test_invalid_scenario_in_a_batch_raises(self):
+        bad = make_scenario([10.0, 20.0], deficiency=-1.0)
+        with pytest.raises(ScenarioValidationError):
+            engine.run_games(fig_scenarios("fig2_utility_vs_n", 2, 2) + [bad])
+
+
 class TestMessageLog:
     def test_round_monotonicity_enforced(self):
         log = MessageLog()

@@ -240,9 +240,10 @@ def unit_values(n, low, high):
 
 
 @st.composite
-def box_instances(draw):
-    """(v, fset) with n from 1, scales from 1e-6 to 1e6 and shared breakpoints."""
-    n = draw(st.integers(1, 8))
+def box_instances(draw, n=None):
+    """(v, fset) with n from 1 (or the n given), scales from 1e-6 to 1e6 and
+    shared breakpoints."""
+    n = draw(st.integers(1, 8)) if n is None else n
     scale = magnitudes(draw, n)
     ub = scale * draw(unit_values(n, 0.25, 2.0))
     v = scale * (draw(unit_values(n, 0.0, 2.0)) * 2.0 - 1.0)
@@ -315,7 +316,9 @@ class TestBreakpointKernel:
         assert np.abs(move - np.clip(-beta * normal - lam, -x, ub - x)).max() <= kkt_tol
         slack = budget - math.fsum(x)
         face_tol = 64.0 * EPS * max(1.0, budget)
-        target = 0.0 if equality or slack <= face_tol else slack
+        # _move_path snaps a slack of at most 64 eps of the budget itself,
+        # so below unit budgets a slack under face_tol can still be a target.
+        target = 0.0 if equality or 0.0 <= slack <= 64.0 * EPS * budget else slack
         if equality or lam > 0.0:
             assert abs(math.fsum(move) - target) <= x.size * kkt_tol
         v = x - beta * normal
@@ -331,9 +334,10 @@ class TestBreakpointKernel:
 
 
 @st.composite
-def halfspace_instances(draw):
-    """(x, normal, offset, gap, fset) with x feasible, n from 1 to 60 and
-    per-component scales from 1e-6 to 1e6, components of x at 0 and at ub.
+def halfspace_instances(draw, n=None):
+    """(x, normal, offset, gap, fset) with x feasible, n from 1 to 60 (or the
+    n given) and per-component scales from 1e-6 to 1e6, components of x at 0
+    and at ub.
 
     On the budget face the gap is a set of exact transfers between disjoint
     pairs of components, so it sums to exactly zero and the projection runs
@@ -344,7 +348,7 @@ def halfspace_instances(draw):
     Off the face the offset is any point of X at most half as full as the
     budget, and the normal has either sign.
     """
-    n = draw(st.integers(1, 60))
+    n = draw(st.integers(1, 60)) if n is None else n
     scale = magnitudes(draw, n)
     ub = scale * draw(unit_values(n, 0.25, 2.0))
     x = ub * draw(unit_values(n, 0.0, 1.0))
@@ -495,3 +499,45 @@ class TestHalfspaceOracle:
         w = project_halfspace_then_set(x, normal, offset, fs)
         assert w == pytest.approx([3.6, 2.2], abs=1e-12)
         assert np.abs(w - halfspace_projection_oracle(x, normal, offset, fs)).max() <= 1e-9
+
+
+def stacked(values):
+    return np.array(list(values))
+
+
+class TestRowCores:
+    """The row cores the engine runs on round each row as the one-vector
+    functions round it, whatever shares its batch."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_box_budget_rows_match_project_box_budget(self, data):
+        n = data.draw(st.integers(1, 8))
+        batch = data.draw(st.lists(box_instances(n), min_size=1, max_size=4))
+        try:
+            alone = [project_box_budget(v, fs) for v, fs in batch]
+        except ProjectionError:
+            return
+        points, lams, pieces = projection._box_budget_rows(
+            stacked(v for v, _ in batch), stacked(fs.upper_bounds for _, fs in batch),
+            [fs.budget for _, fs in batch])
+        for res, point, lam, checked in zip(alone, points, lams, pieces):
+            assert point.tobytes() == res.point.tobytes()
+            assert (lam, checked) == (res.multiplier, res.iterations)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_halfspace_rows_match_project_halfspace_then_set(self, data):
+        n = data.draw(st.integers(1, 12))
+        batch = data.draw(st.lists(halfspace_instances(n), min_size=1, max_size=4))
+        try:
+            alone = [project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
+                     for x, normal, offset, gap, fs in batch]
+        except ProjectionError:
+            return
+        points = projection._halfspace_rows(
+            stacked(b[0] for b in batch), stacked(b[1] for b in batch),
+            stacked(b[3] for b in batch), stacked(b[4].upper_bounds for b in batch),
+            [b[4].budget for b in batch])
+        for point, want in zip(points, alone):
+            assert point.tobytes() == want.tobytes()

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridtrade import vi_solver
+from gridtrade import projection, vi_solver
 from gridtrade.model import FeasibleSet, joint_utility
 from gridtrade.oracle import ve_oracle
 from gridtrade.projection import project_box_budget
@@ -294,3 +294,35 @@ class TestFollowerGolden:
 if __name__ == "__main__":
     FOLLOWER_GOLDEN.write_text(
         json.dumps([golden_record(*problem) for problem in golden_problems()], indent=1) + "\n")
+
+
+class TestRowLoop:
+    """The engine's loop over rows follows each row's solve_ve path bit for
+    bit, whichever rows share its batch and whenever they stop."""
+
+    @pytest.mark.parametrize("n", [1, 3, 17])
+    def test_rows_match_solve_ve(self, n):
+        rng = np.random.default_rng(n)
+        problems = []
+        for factor in (0.3, 0.6, 1.2, 0.9):
+            s = rng.uniform(64.0, 240.0, n)
+            problems.append((PseudoGradient(s, rng.uniform(8.45, 175.0, n)),
+                             FeasibleSet(s, factor * float(s.sum()))))
+        alone = [solve_ve(F, fs) for F, fs in problems]
+        s = np.array([F.surpluses for F, _ in problems])
+        p = np.array([F.prices for F, _ in problems])
+        budget = [fs.budget for _, fs in problems]
+        anchor, lam, _ = projection._box_budget_rows(s + p, s, budget)
+        seen = [[] for _ in problems]
+
+        def on_iteration(iteration, rows, x, res, steps, z, mu, done):
+            for j, r in enumerate(rows):
+                seen[r].append((x[j].tobytes(), res[j], 0.0 if done else steps[j]))
+            return [False] * len(rows)
+
+        final, stops = vi_solver._extragradient(
+            np.zeros_like(s), s, p, s, budget, anchor, [v > 0.0 for v in lam], SolverConfig(),
+            on_iteration)
+        for (x, trace), row, stop, path in zip(alone, final, stops, seen):
+            assert row.tobytes() == x.tobytes() and stop == trace.stop_reason
+            assert path == [(r.x.tobytes(), r.residual, r.step) for r in trace.records]
