@@ -18,6 +18,12 @@ and a block of n lines is joined from its kind's cached fixed text with
 the value and round texts set in between. The bytes are those of one
 json.dumps(..., sort_keys=True) line per message.
 
+Games of one network size can be played in lockstep (run_games): one
+follower loop iterates every game's sellers as one row of a (games,
+sellers) batch, each game keeps its own transcript, and its outcome does
+not depend on which games share the batch. run_stackelberg is a batch of
+one.
+
 The grid's stop rule mirrors the slack-equalization idea: it stops a stage
 when the interior slack values agree within tolerance AND have stopped
 moving between rounds (equal slacks alone are not sufficient: with one

@@ -486,8 +486,7 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 
 # Row reductions, called directly: ndarray's methods add a Python-level
 # wrapper to each call, and the batches here are small.
-_any, _max, _min, _sum = (np.logical_or.reduce, np.maximum.reduce, np.minimum.reduce,
-                          np.add.reduce)
+_any, _max, _sum = np.logical_or.reduce, np.maximum.reduce, np.add.reduce
 
 
 def _take(a, rows):
@@ -786,55 +785,35 @@ def _move_path_rows(x, n, ub, budget, sum_x, equality, hi_b=None, n_max=None, bo
             nr, lb, hb = n, lo_b, hi_b
         else:
             nr, lb, hb = n[rows], lo_b[rows], hi_b[rows]
-        if k == 1:
-            # A lone row takes the stages below without gathering.
-            (r,), nb = rows, -beta[0]
-            s = nb * nr
-            if not equality:
-                m0 = np.minimum(np.maximum(s, lb), hb)
-                if math.fsum(m0[0].tolist()) <= target[r]:
-                    return m0, [0.0], (m0 > lb) & (m0 < hb), {}
-            if not seeded[r]:
-                lower, upper = bounds or (x <= 0.0, hi_b <= 0.0)
-                if m > 1:
-                    lower, upper = lower[rows], upper[rows]
-                keep(rows, *piece_of(rows, lower, upper), (True,))
+        nb = -np.array(beta)[:, None]
+        s = nb * nr
+        if not equality:
+            m0 = np.minimum(np.maximum(s, lb), hb)
+            inside = list(map(operator.le, _row_fsums(m0),
+                              target if k == m else [target[r] for r in rows]))
+            if all(inside):
+                return m0, [0.0] * k, (m0 > lb) & (m0 < hb), {}
+            if any(inside):
+                return _split(move, rows, beta, inside)
+        if not all(map(seeded.__getitem__, rows)):
+            fresh = [r for r in rows if not seeded[r]]
+            lower, upper = bounds or (x <= 0.0, hi_b <= 0.0)
+            if len(fresh) < m:
+                lower, upper = lower[fresh], upper[fresh]
+            new, pieces = piece_of(fresh, lower, upper)
+            keep(fresh, new, pieces, [True] * len(fresh))
+            for r in fresh:
                 seeded[r] = True
-            if scalars[r] is not None:
-                ok, mv, lam, free = on_piece(arrays if m == 1 else tuple(a[rows] for a in arrays),
-                                             (scalars[r],), rows, beta, nb, s, lb, hb)
-                if ok[0]:
-                    return mv, lam, free, {}
-        else:
-            nb = -np.array(beta)[:, None]
-            s = nb * nr
-            if not equality:
-                m0 = np.minimum(np.maximum(s, lb), hb)
-                inside = list(map(operator.le, _row_fsums(m0),
-                                  target if k == m else [target[r] for r in rows]))
-                if all(inside):
-                    return m0, [0.0] * k, (m0 > lb) & (m0 < hb), {}
-                if any(inside):
-                    return _split(move, rows, beta, inside)
-            if not all(map(seeded.__getitem__, rows)):
-                fresh = [r for r in rows if not seeded[r]]
-                lower, upper = bounds or (x <= 0.0, hi_b <= 0.0)
-                if len(fresh) < m:
-                    lower, upper = lower[fresh], upper[fresh]
-                new, pieces = piece_of(fresh, lower, upper)
-                keep(fresh, new, pieces, [True] * len(fresh))
-                for r in fresh:
-                    seeded[r] = True
-            has = list(map(scalars.__getitem__, rows))
-            if all(has):
-                ok, mv, lam, free = on_piece(arrays if k == m else tuple(a[rows] for a in arrays),
-                                             has, rows, beta, nb, s, lb, hb)
-                if all(ok):
-                    return mv, lam, free, {}
-                if any(ok):
-                    return _split(move, rows, beta, ok, (mv, lam, free))
-            elif any(has):
-                return _split(move, rows, beta, has)
+        has = list(map(scalars.__getitem__, rows))
+        if all(has):
+            ok, mv, lam, free = on_piece(arrays if k == m else tuple(a[rows] for a in arrays),
+                                         has, rows, beta, nb, s, lb, hb)
+            if all(ok):
+                return mv, lam, free, {}
+            if any(ok):
+                return _split(move, rows, beta, ok, (mv, lam, free))
+        elif any(has):
+            return _split(move, rows, beta, has)
         # No row here has a piece that certifies at its beta: search for one.
         out = []
 
@@ -1001,14 +980,6 @@ def _halfspace_dual_rows(x, n, gap, ub, budget, sum_x, face_mode, n_max=None):
     def probe(rows, betas):
         """The probes of rows at betas; None for a row whose move failed."""
         delta, lams, free, failed = moves(rows, betas)
-        if len(rows) == 1:
-            (r,), (lam,), (d,), (fr,) = rows, lams, delta, free
-            if failed:
-                errors[r] = failed[0]
-                return [None]
-            binds = face_mode or lam > 0.0
-            return [_Probe(betas[0], math.fsum((n[r] * d).tolist()) + g_lin[r], d, lam, fr, binds,
-                           (fr.tobytes(), (d >= hi_b[r]).tobytes(), binds))]
         if len(rows) == m:
             g, upper = (n * delta).tolist(), delta >= hi_b
         else:
@@ -1027,31 +998,6 @@ def _halfspace_dual_rows(x, n, gap, ub, budget, sum_x, face_mode, n_max=None):
     # beta = 0 is zero, so x's own bound set is a valid piece there and the
     # first probe is already a Newton step.
     lowest = np.minimum(x, hi_b).min(axis=1).tolist()
-    if m == 1:
-        # A lone row needs no gathering: ask its search and answer in turn.
-        if lowest[0] >= 0.0 and (face_mode or sum_x[0] <= budget[0]):
-            p, evals = _Probe(0.0, g_lin[0], 0.0, 0.0, free0[0], face_mode,
-                              (free0[0].tobytes(), upper[0].tobytes(), face_mode)), 0
-        else:
-            (p,), evals = probe([0], [0.0]), 1
-        if p is not None and p.g > 0.0:
-            search, rows, answer = _bracket(p, n[0], x[0], evals), [0], None
-            try:
-                while True:
-                    beta = search.send(answer)
-                    if beta.__class__ is _Probe:
-                        p = beta
-                        break
-                    (answer,) = probe(rows, [beta])
-                    if answer is None:
-                        p = None
-                        break
-            except ProjectionError as exc:
-                errors[0], p = exc, None
-        final[0] = p
-        shift = p.move if p is not None else 0.0
-        return np.minimum(np.maximum(x + shift, 0.0), ub), final, errors
-
     lo, start = [None] * m, []
     for r in range(m):
         if lowest[r] >= 0.0 and (face_mode or sum_x[r] <= budget[r]):
@@ -1092,29 +1038,6 @@ def _halfspace_dual_rows(x, n, gap, ub, budget, sum_x, face_mode, n_max=None):
     return np.minimum(np.maximum(x + shift, 0.0), ub), final, errors
 
 
-def _halfspace_lone(x, normal, gap, ub, budget, sum_x):
-    """_halfspace_rows for a batch of one row: the same face test, centering
-    and fallback, with the row's scalars kept as floats."""
-    if budget - sum_x <= 64.0 * EPS * budget and abs(math.fsum(gap[0].tolist())) <= 256.0 * EPS * budget:
-        row = normal[0]
-        base = row[gap[0] != 0.0]
-        if not base.size:
-            base = row
-        shift = math.fsum(base.tolist()) / base.size
-        n_face = normal - shift
-        peak = float(np.abs(n_face).max())
-        if peak <= 8.0 * EPS * max(1.0, float(np.abs(row).max())):
-            return _box_budget_rows(x, ub, [budget])[0]
-        point, (p,), errors = _halfspace_dual_rows(x, n_face, gap, ub, [budget], [sum_x], True, [peak])
-        if p is not None and p.lam - p.beta * shift >= -64.0 * EPS * (
-                abs(p.lam) + p.beta * abs(shift)):
-            return point
-    point, _, errors = _halfspace_dual_rows(x, normal, gap, ub, [budget], [sum_x], False)
-    if errors:
-        raise errors[0]
-    return point
-
-
 def _halfspace_rows(x, normal, gap, ub, budget):
     """Rows of feasible x projected onto their sets X intersected with the
     halfspaces {w : <normal, w - x + gap> <= 0}: the row core of
@@ -1128,8 +1051,6 @@ def _halfspace_rows(x, normal, gap, ub, budget):
     # the cut. Centering the normal removes the all-ones component; on the
     # face the centered halfspace is the exact-arithmetic one, and the dual
     # path P_X(x - beta*n) is unchanged where the budget binds.
-    if m == 1:
-        return _halfspace_lone(x, normal, gap, ub, budget[0], sum_x[0])
     face, plain = [], []
     for r, (b, sx) in enumerate(zip(budget, sum_x)):
         if b - sx <= 64.0 * EPS * b and abs(math.fsum(gap[r].tolist())) <= 256.0 * EPS * b:
