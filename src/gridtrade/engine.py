@@ -344,8 +344,10 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
         if done:
             stops = [True] * len(rows)
         else:
-            stops = _interior_mu_stop(x, mu, _take(prev_mu, rows), _take(margin, rows),
-                                      _take(upper_limit, rows))
+            # A stage's first round has no previous slacks to compare with.
+            stops = [stop and rounds[r] > 0 for stop, r in zip(_interior_mu_stop(
+                x, mu, _take(prev_mu, rows), _take(margin, rows), _take(upper_limit, rows)),
+                rows.tolist())]
         for j, r in enumerate(rows.tolist()):
             log = logs[r]
             rnd = log.total_rounds + 1
@@ -354,7 +356,6 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
                 log.append(rnd, grid.deficiency, grid.total_price, n)
             elif rounds[r] == 0:
                 log.append_prices(rnd, prices[r])
-            stops[j] = stops[j] and rounds[r] > 0
             log.append_round(rnd, x[j], mu[j], not stops[j])
             rounds[r] += 1
             residual[r] = res[j]

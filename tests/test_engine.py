@@ -20,7 +20,7 @@ from gridtrade.engine import (
 )
 from gridtrade.model import FeasibleSet, GridParams, grid_cost
 from gridtrade.price_opt import optimize_prices
-from gridtrade.vi_solver import PseudoGradient, ve_closed_form
+from gridtrade.vi_solver import PseudoGradient, SolverConfig, ve_closed_form
 from tests.conftest import make_scenario, time_limit
 
 GOLDEN_TRANSCRIPT = Path(__file__).parent / "data" / "peak_transcript.jsonl"
@@ -280,6 +280,16 @@ class TestRunGames:
         assert len({o.stage2.follower_iterations for o in outcomes}) > 1
         for outcome, scenario in zip(outcomes, scenarios):
             assert_same_game(outcome, run_stackelberg(scenario))
+
+    def test_residual_stop_on_a_stages_first_round_ends_the_stage(self, peak_scenario):
+        # With a loose tolerance every stage stops on its residual at once:
+        # each follower round's repeat bit is false, batched or alone.
+        loose = SolverConfig(residual_tol=1e9)
+        for outcome in (run_stackelberg(peak_scenario, loose),
+                        engine.run_games([peak_scenario] * 2, loose)[1]):
+            repeats = [m["payload"]["repeat"] for m in parsed(outcome.log)
+                       if m["kind"] == "repeat_bit"]
+            assert outcome.converged and repeats == [False, False]
 
     def test_empty_batch_and_mixed_sizes(self):
         assert engine.run_games([]) == []
