@@ -670,7 +670,7 @@ def _box_budget_rows(v, ub, budget):
     return x, lam, pieces
 
 
-def _move_path_rows(x, n, ub, budget, sum_x, equality, hi_b=None, n_max=None, bounds=None):
+def _move_path_rows(x, n, ub, budget, sum_x, equality, hi_b, bounds, n_max=None):
     """The moves P_X(x - beta*n) - x of the halfspace dual, for rows of
     feasible x, as a function move(rows, beta) of an ascending list of rows
     and one beta >= 0 each. It returns (moves, multipliers, free masks,
@@ -699,13 +699,11 @@ def _move_path_rows(x, n, ub, budget, sum_x, equality, hi_b=None, n_max=None, bo
     an ulp of slack opens a spurious off-face segment in the dual whose root
     sits within rounding of zero, freezing the caller's iteration.
 
-    hi_b (ub - x), n_max (each row's largest |n|) and bounds (the masks
-    x <= 0 and x >= ub) are computed here unless the caller has them.
+    The caller passes hi_b, ub - x, and bounds, the masks x <= 0 and
+    x >= ub; n_max, each row's largest |n|, is computed unless given.
     """
     m = len(x)
     lo_b = -x
-    if hi_b is None:
-        hi_b = ub - x
     if n_max is None:
         n_max = _max(np.abs(n), axis=1).tolist()
     target = [0.0 if equality or (0.0 <= b - sx <= 64.0 * EPS * b) else b - sx
@@ -764,18 +762,15 @@ def _move_path_rows(x, n, ub, budget, sum_x, equality, hi_b=None, n_max=None, bo
         piece's move sums to the target exactly; ok is its KKT test at its
         own multiplier."""
         free, bound, lo_lim, hi_lim, dev = piece_arrays
-        if len(pieces) == 1:
-            ca, lc, tc = _at_beta(pieces[0], beta[0], n_max[rows[0]])
-            lam, tol = [lc], [tc]
+        c_adj, lam, tol = map(list, zip(*map(_at_beta, pieces, beta, map(n_max.__getitem__, rows))))
+        m_free = nb * dev - _col(c_adj)
+        tc = _col(tol)
+        v = np.where(free, m_free, s - _col(lam))
+        bad = _any((v < lo_lim - tc) | (v > hi_lim + tc), axis=1).tolist()
+        if equality:
+            ok = [not b for b in bad]
         else:
-            c_adj, lam, tol = map(list, zip(*map(_at_beta, pieces, beta,
-                                                 map(n_max.__getitem__, rows))))
-            ca, lc, tc = (np.array(a)[:, None] for a in (c_adj, lam, tol))
-        m_free = nb * dev - ca
-        v = np.where(free, m_free, s - lc)
-        ok = list(map(operator.not_, _any((v < lo_lim - tc) | (v > hi_lim + tc), axis=1).tolist()))
-        if not equality:
-            ok = list(map(operator.and_, ok, map(operator.ge, lam, map(operator.neg, tol))))
+            ok = [not b and value >= -t for b, value, t in zip(bad, lam, tol)]
             lam = [max(value, 0.0) for value in lam]
         return ok, np.minimum(np.maximum(np.where(free, m_free, bound), lb), hb), lam, free
 
@@ -797,7 +792,7 @@ def _move_path_rows(x, n, ub, budget, sum_x, equality, hi_b=None, n_max=None, bo
                 return _split(move, rows, beta, inside)
         if not all(map(seeded.__getitem__, rows)):
             fresh = [r for r in rows if not seeded[r]]
-            lower, upper = bounds or (x <= 0.0, hi_b <= 0.0)
+            lower, upper = bounds
             if len(fresh) < m:
                 lower, upper = lower[fresh], upper[fresh]
             new, pieces = piece_of(fresh, lower, upper)
@@ -881,7 +876,7 @@ def _split(move, rows, beta, ok, done=None):
     k = len(rows)
     parts = []
     for flag in (True, False):
-        at = [j for j in range(k) if ok[j] is flag or bool(ok[j]) is flag]
+        at = [j for j in range(k) if bool(ok[j]) is flag]
         if flag and done is not None:
             mv, lam, free = done
             parts.append((at, mv[at], [lam[j] for j in at], free[at], {}))
@@ -974,18 +969,18 @@ def _halfspace_dual_rows(x, n, gap, ub, budget, sum_x, face_mode, n_max=None):
     # x >= ub); the components free of both move first.
     lower, upper = x <= 0.0, hi_b <= 0.0
     free0 = ~(lower | upper)
-    moves = _move_path_rows(x, n, ub, budget, sum_x, face_mode, hi_b, n_max, (lower, upper))
+    moves = _move_path_rows(x, n, ub, budget, sum_x, face_mode, hi_b, (lower, upper), n_max)
     final, errors = [None] * m, {}
 
     def probe(rows, betas):
         """The probes of rows at betas; None for a row whose move failed."""
         delta, lams, free, failed = moves(rows, betas)
         if len(rows) == m:
-            g, upper = (n * delta).tolist(), delta >= hi_b
+            g, at_upper = (n * delta).tolist(), delta >= hi_b
         else:
-            g, upper = (n[rows] * delta).tolist(), delta >= hi_b[rows]
+            g, at_upper = (n[rows] * delta).tolist(), delta >= hi_b[rows]
         probes = []
-        for r, beta, lam, gr, d, fr, up in zip(rows, betas, lams, g, delta, free, upper):
+        for r, beta, lam, gr, d, fr, up in zip(rows, betas, lams, g, delta, free, at_upper):
             binds = face_mode or lam > 0.0
             probes.append(_Probe(beta, math.fsum(gr) + g_lin[r], d, lam, fr, binds,
                                  (fr.tobytes(), up.tobytes(), binds)))

@@ -26,9 +26,7 @@ dual with the active set of the iterate's own bounds (see `projection`).
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from itertools import compress, repeat
 
 import numpy as np
 
@@ -252,7 +250,7 @@ def _residual_rows(x, anchor, active, ub):
     row of `anchor`, compensated where `active` says its budget binds) and
     the norm ||x - r||, each rounded as natural_residual rounds it."""
     r = anchor
-    bound = list(compress(range(len(active)), active))
+    bound = [i for i, a in enumerate(active) if a]
     if bound:
         # The step acceptance rule needs sum(x - r) <= 0 in exact arithmetic;
         # comparing separately rounded sums leaves an ulp of the budget in
@@ -262,7 +260,7 @@ def _residual_rows(x, anchor, active, ub):
         # it would itself tilt the acceptance inner product.
         terms = np.concatenate((_take(x, bound), -_take(anchor, bound)), axis=1).tolist()
         excess = list(map(math.fsum, terms))
-        over = list(compress(range(len(excess)), map(operator.gt, excess, repeat(0.0))))
+        over = [j for j, e in enumerate(excess) if e > 0.0]
         if over:
             at = bound if len(over) == len(bound) else [bound[j] for j in over]
             ra, ua = _take(anchor, at), _take(ub, at)
@@ -318,7 +316,7 @@ def _extragradient(x, s, p, ub, budget, anchor, active, cfg, on_iteration):
     for iteration in range(1, cfg.max_iterations + 1):
         r, res = _residual_rows(x, anchor, active, ub)
         mu = s - x + p
-        done = [] if min(res) > tol else [j for j, v in enumerate(res) if v <= tol]
+        done = [j for j, v in enumerate(res) if v <= tol]
         if done:
             at = _take(rows, done)
             on_iteration(iteration, at, _take(x, done), [res[j] for j in done], None,
@@ -335,8 +333,7 @@ def _extragradient(x, s, p, ub, budget, anchor, active, cfg, on_iteration):
         z = x - gamma * d
         fz = z - s - p
         need = [delta * (v * v) for v in res]
-        short = [j for j, a, v in zip(range(len(need)), map(math.fsum, (fz * d).tolist()), need)
-                 if a < v]
+        short = [j for j, a in enumerate(map(math.fsum, (fz * d).tolist())) if a < need[j]]
         backtracks = 0
         while short:
             backtracks += 1
