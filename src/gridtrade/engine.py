@@ -48,7 +48,7 @@ from .model import (
 )
 from .price_opt import optimize_prices
 from .projection import _box_budget_rows, _take
-from .vi_solver import SolverConfig, _extragradient
+from .vi_solver import PseudoGradient, SolverConfig, _extragradient, solve_ve
 
 PG = "pg"
 Message = str  # one transcript message: its JSON line
@@ -329,11 +329,7 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
     residuals, converged), one row or entry per game.
     """
     m, n = s.shape
-    c = s + prices
-    if not np.isfinite(c).all():
-        raise ValueError("cannot project with a non-finite vector")
     budget = [sc.grid.deficiency for sc in scenarios]
-    anchor, lam, _ = _box_budget_rows(c, s, budget)
     margin = 1e-6 * np.maximum(1.0, s)
     upper_limit = s - margin
     prev_mu = np.zeros_like(s)
@@ -362,6 +358,23 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
         prev_mu[rows] = mu
         return stops
 
+    if m == 1:
+        # A lone game takes the one-vector solver, whose path each row of
+        # the batch follows bit for bit: through the row cores a batch of
+        # one pays their bookkeeping in Python on every round.
+        lone = np.zeros(1, dtype=int)
+
+        def record(rec, done):
+            return on_iteration(rec.iteration, lone, rec.x[None], [rec.residual], [rec.step],
+                                rec.z[None], rec.mu[None], done)[0]
+
+        x, trace = solve_ve(PseudoGradient(s[0], prices[0]), FeasibleSet(s[0], budget[0]), cfg,
+                            on_iteration=record)
+        return x[None], rounds, residual, [trace.stop_reason in ("residual", "caller")]
+    c = s + prices
+    if not np.isfinite(c).all():
+        raise ValueError("cannot project with a non-finite vector")
+    anchor, lam, _ = _box_budget_rows(c, s, budget)
     x, reasons = _extragradient(np.zeros_like(s), s, prices, s, budget, anchor,
                                 [v > 0.0 for v in lam], cfg, on_iteration)
     return x, rounds, residual, [reason in ("residual", "caller") for reason in reasons]
