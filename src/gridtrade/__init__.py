@@ -30,6 +30,7 @@ from .engine import (
     ScenarioValidationError,
     check_nse,
     run_fit,
+    run_games,
     run_stackelberg,
 )
 from .oracle import OracleReport, price_grid_oracle, social_optimality_audit, ve_oracle
