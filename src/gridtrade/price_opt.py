@@ -6,12 +6,12 @@ sum(x_i*p_i**2 + a_i*p_i + b_i) over the price slice
 multiplier nu makes the problem one-dimensional: a seller with x_i > 0 has
 p_i(nu) = clip((-nu - a_i) / (2 x_i), p_min, p_max), of slope 1/(2 x_i), and
 an idle seller (x_i = 0, linear cost) is a step from p_max down to p_min at
-nu = -a_i. projection._breakpoint_root finds the piece or step of the
-nonincreasing total that holds the root. On a piece, an active-set solve
-pins nu exactly. On a step, nu = -a_i, and the idle sellers tied there take
-the budget the others leave, in index order, up to p_max each; breakpoint
-order already puts price on the cheapest linear coefficients first, as the
-KKT conditions demand.
+nu = -a_i. projection._breakpoint_rows, on a batch of one, finds the piece
+or step of the nonincreasing total that holds the root. On a piece, an
+active-set solve pins nu exactly. On a step, nu = -a_i, and the idle
+sellers tied there take the budget the others leave, in index order, up to
+p_max each; breakpoint order already puts price on the cheapest linear
+coefficients first, as the KKT conditions demand.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GridParams, grid_cost
-from .projection import _breakpoint_root
+from .projection import _breakpoint_rows, _uncertified
 
 
 class InfeasiblePriceBudget(ValueError):
@@ -61,9 +61,12 @@ def optimize_prices(x, grid: GridParams) -> PriceSolution:
     with np.errstate(divide="ignore"):
         slope = 0.5 / x
 
-    def finish(nu):
-        """((p, nu), ok): the step fill on an idle seller's step, else the
-        exact solve on the active set at nu."""
+    found = []
+
+    def finish(rows, nus):
+        """[ok], keeping (p, nu): the step fill on an idle seller's step,
+        else the exact solve on the active set at nu."""
+        nu = nus[0]
         with np.errstate(divide="ignore", invalid="ignore"):
             raw = (-nu - a) / (2.0 * x)
         interior = (raw > p_min) & (raw < p_max)
@@ -76,20 +79,22 @@ def optimize_prices(x, grid: GridParams) -> PriceSolution:
                 add = min(max(remaining, 0.0), p_max - p_min)
                 p[i] = p_min + add
                 remaining -= add
-            ok = abs(remaining) <= tol_sum
-            return (p, nu), ok and abs(math.fsum(p.tolist()) - target) <= tol_sum
+            found.append((p, nu))
+            return [abs(remaining) <= tol_sum and abs(math.fsum(p.tolist()) - target) <= tol_sum]
         if interior.any():
             inv = 1.0 / (2.0 * x[interior])
             fixed_sum = math.fsum(p[~interior].tolist())
             nu = -(target - fixed_sum + math.fsum((a[interior] * inv).tolist())) \
                 / math.fsum(inv.tolist())
             p[interior] = (-nu - a[interior]) / (2.0 * x[interior])
-        ok = (p_min - 1e-9 <= p.min() and p.max() <= p_max + 1e-9
-              and abs(math.fsum(p.tolist()) - target) <= tol_sum)
-        return (np.clip(p, p_min, p_max), nu), ok
+        found.append((np.clip(p, p_min, p_max), nu))
+        return [p_min - 1e-9 <= p.min() and p.max() <= p_max + 1e-9
+                and abs(math.fsum(p.tolist()) - target) <= tol_sum]
 
-    (p, nu), _ = _breakpoint_root(-a, np.full(n, p_min), np.full(n, p_max), target,
-                                  finish, slope)
+    if _breakpoint_rows(-a[None], np.full((1, n), p_min), np.full((1, n), p_max), [target],
+                        finish, slope[None])[0] is None:
+        raise _uncertified(target, n)
+    p, nu = found[-1]
     return _solution(p, nu, x, grid)
 
 

@@ -83,131 +83,20 @@ def _checked_vector(value, name, shape):
     return arr
 
 
-def _exact_multiplier(v, ub, budget, lam_guess):
-    """Multiplier solved on the active set identified at lam_guess.
-
-    fsum keeps the small difference of budget-sized sums exactly rounded.
-    """
-    shifted = v - lam_guess
-    free = (shifted > 0.0) & (shifted < ub)
-    n_free = int(free.sum())
-    if n_free == 0:
-        return max(lam_guess, 0.0)
-    at_upper = shifted >= ub
-    lam = math.fsum(v[free].tolist() + ub[at_upper].tolist() + [-budget]) / n_free
-    return max(lam, 0.0)
-
-
-def _breakpoint_root(s, lo, hi, target, finish, slope=None):
-    """Root of f(lam) = sum(clip(slope*(s - lam), lo, hi)) = target by breakpoint search.
-
-    slope holds per-component slopes (None: all 1). Component i falls with
-    slope_i between its breakpoints s_i - hi_i/slope_i and s_i - lo_i/slope_i;
-    an infinite slope makes it a step from hi_i down to lo_i at lam = s_i.
-    Sorting the 2n breakpoints once and accumulating slope changes and drops
-    gives the nonincreasing f at every breakpoint, and searchsorted picks the
-    piece holding the root. The root is on the step that ends or starts that
-    piece instead when the target lies between f's fsum-exact right and left
-    limits there. `finish(lam)` solves exactly at lam and returns (result,
-    ok), ok being its own KKT certificate: on a piece it solves on the active
-    set, on a step the components tied there take what the others leave of
-    the target (the step fill). If the piece is rejected, the cumulative sum
-    has lost precision at this scale, and the sorted breakpoints are
-    binary-searched again with exactly rounded (fsum) values of f.
-    Returns (result, pieces checked).
-    """
-    n = s.size
-    unit = slope is None
-    t = np.concatenate((s - hi, s - lo) if unit else (s - hi / slope, s - lo / slope))
-    order = np.argsort(t, kind="stable")
-    t = t[order]
-    # Past its first breakpoint component j leaves hi_j, past its second it
-    # sits at lo_j, so f(t_k) = sum(hi) + sum_{j<=k} w_j*(t_j - t_k) with
-    # w_j = +-slope_j, less the drops of the steps up to t_k.
-    w = np.where(order < n, 1.0, -1.0)
-    has_steps = False
-    if not unit:
-        w *= np.tile(slope, 2)[order]
-        steps = np.isinf(w)
-        has_steps = bool(steps.any())
-        w[steps] = 0.0
-    f = hi.sum() + np.cumsum(w * t) - np.cumsum(w) * t
-    if has_steps:
-        f += np.cumsum(np.where(steps & (order < n), np.tile(lo - hi, 2)[order], 0.0))
-
-    def right_limit(lam):
-        """The components at lam; a step on lam takes lo, its right limit."""
-        with np.errstate(invalid="ignore"):
-            return np.fmin(np.fmax(s - lam if unit else slope * (s - lam), lo), hi)
-
-    def point(k):
-        """The step that ends or starts piece k if the target lies between
-        f's fsum-exact right and left limits there, else a multiplier inside
-        the piece, the interval (t[k-1], t[k])."""
-        for lam in t[max(k - 1, 0):k + 1][::-1] if has_steps else ():
-            tied = np.isinf(slope) & (s == lam)
-            right = right_limit(lam).tolist()
-            if tied.any() and math.fsum(right) <= target <= math.fsum(
-                    right + (hi - lo)[tied].tolist()):
-                return lam
-        if k == 0:
-            return t[0] - (1.0 + abs(t[0]))
-        if k == 2 * n:
-            return t[-1] + (1.0 + abs(t[-1]))
-        return 0.5 * (t[k - 1] + t[k])
-
-    k = int(np.searchsorted(-f, -target))
-    result, ok = finish(point(k))
-    if ok:
-        return result, 1
-    first, last = 0, 2 * n
-    while first < last:
-        mid = (first + last) // 2
-        if math.fsum(right_limit(t[mid]).tolist()) <= target:
-            last = mid
-        else:
-            first = mid + 1
-    if first != k:
-        result, ok = finish(point(first))
-        if ok:
-            return result, 2
-    raise ProjectionError(
-        f"no breakpoint piece certifies the multiplier (target {target:.3e}, {n} components)"
-    )
-
-
-def _box_budget_core(v, ub, budget):
-    """Projection onto the box-plus-budget set: returns (point, lam, pieces)."""
-    x0 = np.minimum(np.maximum(v, 0.0), ub)
-    if x0.sum() <= budget:
-        return x0, 0.0, 0
-
-    # clamp(v - lam) carries an eps*|v| error per component, which bounds the
-    # achievable sum accuracy for far-away inputs.
-    floor = 16.0 * EPS * v.size * max(1.0, float(np.abs(v).max()))
-    tol_sum = 1e-12 * max(1.0, budget) + floor
-
-    def finish(lam_guess):
-        lam = _exact_multiplier(v, ub, budget, lam_guess)
-        x = np.minimum(np.maximum(v - lam, 0.0), ub)
-        return (x, lam), abs(x.sum() - budget) <= tol_sum
-
-    (x, lam), pieces = _breakpoint_root(v, np.zeros_like(ub), ub, budget, finish)
-    return x, lam, pieces
-
-
 def project_box_budget(v, fset: FeasibleSet) -> ProjectionResult:
     """Euclidean projection of v onto the box-plus-budget set.
 
     If the box-clamped point already satisfies the budget the multiplier is
     zero; otherwise the budget binds, the breakpoint search finds the piece
     holding the multiplier, and it is solved exactly on that active set.
+    This is the row core _box_budget_rows on a batch of one.
     """
     ub = fset.upper_bounds
     v = _checked_vector(v, "vector", ub.shape)
-    point, lam, pieces = _box_budget_core(v, ub, fset.budget)
-    return ProjectionResult(point=point, multiplier=float(lam),
-                            active_budget=lam > 0.0, iterations=pieces)
+    points, lams, pieces = _box_budget_rows(v[None], ub[None], [fset.budget])
+    lam = float(lams[0])
+    return ProjectionResult(point=points[0], multiplier=lam,
+                            active_budget=lam > 0.0, iterations=pieces[0])
 
 
 def _move_path(x, n, ub, budget, sum_x, equality):
@@ -286,21 +175,28 @@ def _move_path(x, n, ub, budget, sum_x, equality):
             if ok:
                 return result
 
-        def finish(lam):
-            """The move on the piece holding lam, whose constants (see
+        found = []
+
+        def finish(rows, lams):
+            """The move on the piece holding lams[0], whose constants (see
             on_piece) do not depend on beta."""
             nonlocal last
+            lam = lams[0]
             mm = np.minimum(np.maximum(s - lam, lo_b), hi_b)
             piece = piece_of(mm <= lo_b, mm >= hi_b)
             if piece is None:
                 ok = abs(math.fsum(mm.tolist()) - target) <= 1e-12 * max(1.0, abs(target))
-                return (mm, lam, np.zeros(mm.shape, dtype=bool)), ok
+                found.append((mm, lam, np.zeros(mm.shape, dtype=bool)))
+                return [ok]
             result, ok = on_piece(piece, beta, s)
             if ok:
                 last = piece
-            return result, ok
+            found.append(result)
+            return [ok]
 
-        return _breakpoint_root(s, lo_b, hi_b, target, finish)[0]
+        if _breakpoint_rows(s[None], lo_b[None], hi_b[None], [target], finish)[0] is None:
+            raise _uncertified(target, n.size)
+        return found[-1]
 
     return move
 
@@ -322,85 +218,35 @@ class _Probe(NamedTuple):
 def _halfspace_dual(x, n, gap, ub, budget, sum_x, face_mode):
     """The projection of feasible x onto X (onto the budget face when
     face_mode) intersected with {w : <n, w - x + gap> <= 0}, returned as
-    (point, beta, budget multiplier).
-
-    Probes of beta step along the piece of one end of the bracket [lo, hi]:
-    from lo's piece until a probe lands with g <= 0, then leftward from hi's
-    piece, from lo's piece when that step leaves the bracket, and bisecting
-    only when neither fits. A probe with computed g <= 0 on the piece it was
-    stepped from is that piece's root and is returned; when no step fits a
-    bracket narrower than beta's rounding, its hi end is.
+    (point, beta, budget multiplier). The search over beta is _bracket's,
+    the same one each row of _halfspace_dual_rows runs.
     """
     g_lin = math.fsum((n * gap).tolist())
     moves = _move_path(x, n, ub, budget, sum_x, face_mode)
     hi_b = ub - x
-    evals = 0
 
     def probe(beta):
-        nonlocal evals
-        evals += 1
         delta, lam, free = moves(beta)
         binds = face_mode or lam > 0.0
         return _Probe(beta, math.fsum((n * delta).tolist()) + g_lin, delta, lam, free, binds,
                       (free.tobytes(), (delta >= hi_b).tobytes(), binds))
-
-    def step(p):
-        """The root of p's piece, or inf when the piece is flat. Free
-        components move against n, centered when the budget binds."""
-        nf = n[p.free]
-        if p.binds and nf.size:
-            nf = nf - math.fsum(nf.tolist()) / nf.size
-        slope = math.fsum((nf * nf).tolist())
-        return p.beta + p.g / slope if slope > 0.0 else math.inf
-
-    def result(p):
-        return np.minimum(np.maximum(x + p.move, 0.0), ub), p.beta, p.lam
 
     if (face_mode or sum_x <= budget) and x.min() >= 0.0 and hi_b.min() >= 0.0:
         # With x in the box and within the budget (or on the face) the move
         # at beta = 0 is zero, so x's own bound set is a valid piece there
         # and the first probe is already a Newton step.
         free = (x > 0.0) & (hi_b > 0.0)
-        lo = _Probe(0.0, g_lin, 0.0, 0.0, free, face_mode,
-                    (free.tobytes(), (hi_b <= 0.0).tobytes(), face_mode))
+        p = _Probe(0.0, g_lin, 0.0, 0.0, free, face_mode,
+                   (free.tobytes(), (hi_b <= 0.0).tobytes(), face_mode))
+        evals = 0
     else:
-        lo = probe(0.0)
-    if lo.g <= 0.0:
-        return result(lo)
-
-    hi = None
-    while evals < _MAX_EVALS:
-        if hi is not None:
-            origin, beta = hi, step(hi)
-        if hi is None or not lo.beta < beta < hi.beta:
-            # A step from lo always advances, so a g rounded above zero at a
-            # piece's root cannot stall the search.
-            origin, beta = lo, max(step(lo), lo.beta * (1.0 + 4.0 * EPS) + 5e-324)
-        if hi is None:
-            if beta == math.inf:
-                # No piece is steeper than <n, n>, so lo.g/<n, n> cannot
-                # overshoot; growing by 8 gets off a long flat piece quickly.
-                beta = max(8.0 * lo.beta, lo.beta + lo.g / math.fsum((n * n).tolist()))
-            if beta > 1e300:
-                raise ProjectionError("halfspace dual bracket diverged; intersection may be empty")
-        elif not lo.beta < beta < hi.beta:
-            # The fallback stop: a bracket narrower than beta's rounding, or
-            # than a move of 1e-13 relative to x.
-            width_tol = max(1e-13 * (1.0 + float(np.abs(x).max()))
-                            / math.sqrt(math.fsum((n * n).tolist())), 4.0 * EPS * (1.0 + hi.beta))
-            if hi.beta - lo.beta <= width_tol:
-                return result(hi)
-            origin, beta = None, 0.5 * (lo.beta + hi.beta)
-        p = probe(beta)
-        if p.g > 0.0:
-            lo = p
-        elif p.g == 0.0 or (origin is not None and p.piece == origin.piece):
-            return result(p)
-        else:
-            hi = p
-    if hi is None:
-        raise ProjectionError(f"no halfspace dual bracket within {_MAX_EVALS} evaluations")
-    raise ProjectionError(f"halfspace dual search exceeded {_MAX_EVALS} evaluations")
+        p, evals = probe(0.0), 1
+    if p.g > 0.0:
+        search = _bracket(p, n, x, evals)
+        p = next(search)
+        while p.__class__ is not _Probe:
+            p = search.send(probe(p))
+    return np.minimum(np.maximum(x + p.move, 0.0), ub), p.beta, p.lam
 
 
 def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
@@ -476,13 +322,21 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 # each takes (rows, n) arrays of independent problems and keeps every row's
 # multiplier, bracket, certified piece and stop to itself. Elementwise work
 # runs on the whole batch; exactly rounded sums, norms and the scalar
-# control of each search run row by row, so a row rounds as it does alone
-# and as the one-vector functions above round it. A row leaves the batch
-# when its search ends, and rows are gathered only when they take
-# different branches. The one-vector functions stay the entry points for a
-# single problem: through the row cores a lone row pays the batch
-# bookkeeping in Python on every call, which costs more than the numpy work
-# of a small problem.
+# control of each search run row by row, so a row rounds as it does alone.
+# A row leaves the batch when its search ends, and rows are gathered only
+# when they take different branches.
+#
+# The one-vector code above runs three of them on a batch of one, where the
+# batch costs nothing measurable: project_box_budget is _box_budget_rows,
+# and _breakpoint_rows and _bracket are the only breakpoint search and
+# bracket search. It keeps its own code where a lone row would pay the
+# batch bookkeeping in Python on every call, more than the numpy work of a
+# small problem: _move_path, _halfspace_dual's probes and
+# project_halfspace_then_set, and vi_solver's natural_residual and
+# solve_ve. On follower_tight (items_per_s, seed 211, 10 s runs on 2
+# cores) running _move_path as _move_path_rows cost 20%,
+# project_halfspace_then_set as _halfspace_rows 32%, and natural_residual
+# as _residual_rows about 7% more.
 
 # Row reductions, called directly: ndarray's methods add a Python-level
 # wrapper to each call, and the batches here are small.

@@ -1,16 +1,19 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from gridtrade import price_opt
 from gridtrade.cli import build_config, sample_scenario
 from gridtrade.engine import run_stackelberg
 from gridtrade.model import GridParams
 from gridtrade.oracle import price_grid_oracle
 from gridtrade.price_opt import InfeasiblePriceBudget, optimize_prices
+from gridtrade.projection import ProjectionError
 
 # Written by the commit before optimize_prices moved onto the breakpoint
 # kernel; rewrite with `python -m tests.test_price_opt` only on purpose.
@@ -148,6 +151,12 @@ class TestOptimizePrices:
         with pytest.raises(InfeasiblePriceBudget) as err:
             optimize_prices(np.ones(25), grid)
         assert "211.25" in str(err.value) and "4375" in str(err.value)
+
+    def test_uncertified_multiplier_raises(self, monkeypatch):
+        monkeypatch.setattr(price_opt, "_breakpoint_rows",
+                            lambda s, lo, hi, target, finish, slope: [None])
+        with pytest.raises(ProjectionError, match=re.escape("(target 6.000e+00, 2 components)")):
+            optimize_prices(np.array([1.0, 2.0]), make_grid(2, 1.0, 5.0, 6.0))
 
     def test_rejects_negative_energy(self):
         grid = make_grid(2, 1.0, 10.0, 11.0)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -333,6 +334,31 @@ class TestBreakpointKernel:
         assert np.abs(move - ref).max() <= atol
 
 
+def no_piece_certifies(s, lo, hi, target, finish, slope=None):
+    """A breakpoint search in which no row's piece certifies."""
+    return [None] * len(target)
+
+
+class TestUncertifiedSearch:
+    """A search that no breakpoint piece certifies ends in ProjectionError
+    naming its target and component count."""
+
+    def test_box_projection_raises(self, monkeypatch):
+        monkeypatch.setattr(projection, "_breakpoint_rows", no_piece_certifies)
+        fs = FeasibleSet(np.array([3.0, 5.0]), 4.0)
+        with pytest.raises(ProjectionError, match=re.escape("(target 4.000e+00, 2 components)")):
+            project_box_budget(np.array([4.0, 6.0]), fs)
+
+    def test_move_raises(self, monkeypatch):
+        monkeypatch.setattr(projection, "_breakpoint_rows", no_piece_certifies)
+        # At beta = 1 the seller at 0 leaves x's bound set, whose KKT test
+        # fails, so the move searches for its piece.
+        x, normal = np.array([1.0, 2.0, 0.0]), np.array([-1.0, -2.0, -3.0])
+        move = _move_path(x, normal, np.full(3, 4.0), 3.5, 3.0, False)
+        with pytest.raises(ProjectionError, match=re.escape("(target 5.000e-01, 3 components)")):
+            move(1.0)
+
+
 @st.composite
 def halfspace_instances(draw, n=None):
     """(x, normal, offset, gap, fset) with x feasible, n from 1 to 60 (or the
@@ -433,13 +459,29 @@ def count_evaluations(monkeypatch):
     return calls
 
 
+def cut_slack(w, ref, x, normal, gap, ub):
+    """How far w and ref may lie apart because each solve rounds the cut.
+
+    Both evaluate the gap <n, w - x + gap> from products at the scale of
+    n_i*(ub_i + |gap_i|), so each knows it only to about eps times their sum.
+    A gap error d moves a projection by d/||n_F|| along n_F, the normal on
+    the components F free in either result; where n_F is far smaller than
+    n that exceeds a bound relative to the inputs' scale. 0 when no
+    component is free or n vanishes on F."""
+    rounding = EPS * math.fsum((np.abs(normal) * (ub + np.abs(gap))).tolist())
+    free = ((w > 0.0) & (w < ub)) | ((ref > 0.0) & (ref < ub))
+    norm = math.sqrt(math.fsum((normal[free] ** 2).tolist()))
+    return 2.0 * rounding / norm if norm > 0.0 else 0.0
+
+
 def assert_matches_oracle(instance):
     x, normal, offset, gap, fs = instance
     w = project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
     ref = halfspace_projection_oracle(x, normal, offset, fs, offset_gap=gap)
     scale = max(float(np.abs(x).max()), float(fs.upper_bounds.max()),
                 float(np.abs(offset).max()))
-    assert np.abs(w - ref).max() <= 1e-9 * scale
+    bound = 1e-9 * scale + cut_slack(w, ref, x, normal, gap, fs.upper_bounds)
+    assert np.abs(w - ref).max() <= bound
 
 
 class TestHalfspaceOracle:
@@ -451,6 +493,12 @@ class TestHalfspaceOracle:
     # the budget, or the whole slack is snapped away and the bracket diverges
     @example(instance=(np.zeros(3), np.array([-1.0, -1.0, 0.0]), np.array([0.0, 1e-20, 5e-21]),
                        np.array([0.0, -1e-20, -5e-21]), FeasibleSet(np.full(3, 0.25), 3e-20)))
+    # an ill-conditioned cut: only {0} meets it, and w1 enters the gap with
+    # weight 5e-3 against rounding of eps*1.25e9, so both solves pin w1 only
+    # to about 5e-5, twice the bound relative to the inputs' scale
+    @example(instance=(np.array([1.25e-3, 1.25e4]), np.array([5e-3, 1e5]), np.zeros(2),
+                       np.array([1.25e-3, 1.25e4]),
+                       FeasibleSet(np.array([2.5e-3, 2.5e4]), 12500.00125)))
     def test_matches_bisection_oracle(self, instance):
         assert_matches_oracle(instance)
 
@@ -469,13 +517,13 @@ class TestHalfspaceOracle:
     @pytest.mark.parametrize("instance,searches", [(SEED_CERTIFIES, 0), (SEED_FAILS, 1)])
     def test_certified_seed_skips_the_breakpoint_search(self, instance, searches, monkeypatch):
         calls = []
-        search = projection._breakpoint_root
+        search = projection._breakpoint_rows
 
         def counted(*args, **kwargs):
             calls.append(1)
             return search(*args, **kwargs)
 
-        monkeypatch.setattr(projection, "_breakpoint_root", counted)
+        monkeypatch.setattr(projection, "_breakpoint_rows", counted)
         x, normal, offset, gap, fs = instance
         project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
         assert len(calls) == searches
@@ -506,24 +554,28 @@ def stacked(values):
 
 
 class TestRowCores:
-    """The row cores the engine runs on round each row as the one-vector
-    functions round it, whatever shares its batch."""
+    """The row cores the engine runs on round each row as it rounds alone,
+    whatever shares its batch."""
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_box_budget_rows_match_project_box_budget(self, data):
+    def test_box_budget_rows_are_batch_independent(self, data):
         n = data.draw(st.integers(1, 8))
         batch = data.draw(st.lists(box_instances(n), min_size=1, max_size=4))
+
+        def rows(instances):
+            return projection._box_budget_rows(
+                stacked(v for v, _ in instances), stacked(fs.upper_bounds for _, fs in instances),
+                [fs.budget for _, fs in instances])
+
         try:
-            alone = [project_box_budget(v, fs) for v, fs in batch]
+            alone = [rows([instance]) for instance in batch]
         except ProjectionError:
             return
-        points, lams, pieces = projection._box_budget_rows(
-            stacked(v for v, _ in batch), stacked(fs.upper_bounds for _, fs in batch),
-            [fs.budget for _, fs in batch])
-        for res, point, lam, checked in zip(alone, points, lams, pieces):
-            assert point.tobytes() == res.point.tobytes()
-            assert (lam, checked) == (res.multiplier, res.iterations)
+        points, lams, pieces = rows(batch)
+        for (point_1, lams_1, pieces_1), point, lam, checked in zip(alone, points, lams, pieces):
+            assert point.tobytes() == point_1[0].tobytes()
+            assert (lam, checked) == (lams_1[0], pieces_1[0])
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
