@@ -327,16 +327,16 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 # when they take different branches.
 #
 # The one-vector code above runs three of them on a batch of one, where the
-# batch costs nothing measurable: project_box_budget is _box_budget_rows,
-# and _breakpoint_rows and _bracket are the only breakpoint search and
-# bracket search. It keeps its own code where a lone row would pay the
-# batch bookkeeping in Python on every call, more than the numpy work of a
-# small problem: _move_path, _halfspace_dual's probes and
-# project_halfspace_then_set, and vi_solver's natural_residual and
-# solve_ve. On follower_tight (items_per_s, seed 211, 10 s runs on 2
-# cores) running _move_path as _move_path_rows cost 20%,
+# batch costs little (5% of follower_tight's items_per_s, seed 211, on 2
+# cores): project_box_budget is _box_budget_rows, and _breakpoint_rows and
+# _bracket are the only breakpoint search and bracket search. It keeps its
+# own code where a lone row would pay the batch bookkeeping in Python on
+# every call, more than the numpy work of a small problem: _move_path,
+# _halfspace_dual's probes and project_halfspace_then_set, and vi_solver's
+# natural_residual and solve_ve. On follower_tight (10 s runs) running
+# _move_path as _move_path_rows cost 20% of items_per_s,
 # project_halfspace_then_set as _halfspace_rows 32%, and natural_residual
-# as _residual_rows about 7% more.
+# as _residual_rows about 7% more on top.
 
 # Row reductions, called directly: ndarray's methods add a Python-level
 # wrapper to each call, and the batches here are small.
