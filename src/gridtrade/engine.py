@@ -336,7 +336,7 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
     rounds = [0] * m
     residual = [float("nan")] * m
 
-    def on_iteration(iteration, rows, x, res, steps, z, mu, done):
+    def on_iteration(iteration, rows, x, res, steps, mu, done):
         if done:
             stops = [True] * len(rows)
         else:
@@ -366,7 +366,7 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
 
         def record(rec, done):
             return on_iteration(rec.iteration, lone, rec.x[None], [rec.residual], [rec.step],
-                                rec.z[None], rec.mu[None], done)[0]
+                                rec.mu[None], done)[0]
 
         x, trace = solve_ve(PseudoGradient(s[0], prices[0]), FeasibleSet(s[0], budget[0]), cfg,
                             on_iteration=record)

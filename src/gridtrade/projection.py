@@ -42,13 +42,16 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .model import FeasibleSet
 
-EPS = np.finfo(float).eps
+EPS = float(np.finfo(float).eps)
+# Reductions, called directly: ndarray's methods add a Python-level wrapper
+# to each call, and the arrays here are small.
+_all, _any = np.logical_and.reduce, np.logical_or.reduce
+_min, _max, _sum = np.minimum.reduce, np.maximum.reduce, np.add.reduce
 # Gap evaluations one halfspace projection may spend on its dual search.
 _MAX_EVALS = 10_000
 
@@ -78,7 +81,7 @@ def _checked_vector(value, name, shape):
     arr = np.asarray(value, dtype=float)
     if arr.shape != shape:
         raise ValueError(f"{name} shape {arr.shape} does not match set dimension {shape}")
-    if not np.isfinite(arr).all():
+    if not _all(np.isfinite(arr)):
         raise ValueError(f"cannot project with a non-finite {name}")
     return arr
 
@@ -101,7 +104,12 @@ def project_box_budget(v, fset: FeasibleSet) -> ProjectionResult:
 
 def _move_path(x, n, ub, budget, sum_x, equality):
     """The moves P_X(x - beta*n) - x of the halfspace dual, for feasible x,
-    as a function of beta >= 0 returning (move, multiplier, free mask).
+    as (move, seed slope): move is a function of beta >= 0 returning (move,
+    multiplier, free mask, slope), where slope is the sum of the centered
+    n**2 over the free components of the move's piece (the Newton slope of
+    the dual on it where the budget binds), None for a move inside the
+    budget. seed slope is that of x's own bound set (below) when equality,
+    and None otherwise.
 
     Solves for the budget multiplier directly in move coordinates
     m(lam) = clamp(-beta*n - lam, -x, ub - x), targeting
@@ -123,11 +131,10 @@ def _move_path(x, n, ub, budget, sum_x, equality):
     an ulp of slack opens a spurious off-face segment in the dual whose root
     sits within rounding of zero, freezing the caller's iteration.
     """
-    lo_b, hi_b, n_max = -x, ub - x, float(np.abs(n).max())
+    lo_b, hi_b, n_max = -x, ub - x, float(_max(np.abs(n)))
     target = budget - sum_x
     if equality or (0.0 <= target <= 64.0 * EPS * budget):
         target = 0.0
-    last, seeded = None, False
 
     def piece_of(lower, upper):
         """The beta-free constants of the piece whose components in `lower`
@@ -139,25 +146,35 @@ def _move_path(x, n, ub, budget, sum_x, equality):
         n_free = n[free].tolist()
         nbar = math.fsum(n_free) / k
         bound = np.where(lower, lo_b, hi_b)
+        dev = n - nbar
+        centered = dev[free]
         return (free, k, bound,
                 np.where(free, lo_b, np.where(upper, hi_b, -np.inf)),
                 np.where(free, hi_b, np.where(lower, lo_b, np.inf)),
-                n - nbar, nbar, math.fsum(n_free + [-k * nbar]),
-                math.fsum(bound[~free].tolist() + [-target]) / k)
+                dev, nbar, math.fsum(n_free + [-k * nbar]),
+                math.fsum(bound[~free].tolist() + [-target]) / k,
+                math.fsum((centered * centered).tolist()))
+
+    # Until a piece certifies, try x's own bounds: the last piece of the
+    # projection that produced x. On the face the first move always needs
+    # it; off the face the first move may stay inside the budget.
+    last, seeded = None, equality
+    if equality:
+        last = piece_of(x <= 0.0, x >= ub)
 
     def on_piece(piece, beta, s):
         """The move of a piece at beta, ((move, multiplier, free), ok). The
         rounded mean's residue folds into the constant, so any piece's move
         sums to the target exactly; ok is its KKT test at its own multiplier."""
-        free, k, bound, lo_lim, hi_lim, dev, nbar, residue, c = piece
+        free, k, bound, lo_lim, hi_lim, dev, nbar, residue, c, slope = piece
         c_adj = c - beta * residue / k
         m_free = -beta * dev - c_adj
         lam = -beta * nbar + c_adj
         tol = 64.0 * EPS * (beta * n_max + abs(lam)) + 1e-300
         v = np.where(free, m_free, s - lam)
-        ok = (equality or lam >= -tol) and not ((v < lo_lim - tol) | (v > hi_lim + tol)).any()
+        ok = (equality or lam >= -tol) and not _any((v < lo_lim - tol) | (v > hi_lim + tol))
         m = np.minimum(np.maximum(np.where(free, m_free, bound), lo_b), hi_b)
-        return (m, lam if equality else max(lam, 0.0), free), ok
+        return (m, lam if equality else max(lam, 0.0), free, slope), ok
 
     def move(beta):
         nonlocal last, seeded
@@ -165,10 +182,8 @@ def _move_path(x, n, ub, budget, sum_x, equality):
         if not equality:
             m0 = np.minimum(np.maximum(s, lo_b), hi_b)
             if math.fsum(m0.tolist()) <= target:
-                return m0, 0.0, (m0 > lo_b) & (m0 < hi_b)
+                return m0, 0.0, (m0 > lo_b) & (m0 < hi_b), None
         if not seeded:
-            # Until a piece certifies, try x's own bounds: the last piece of
-            # the projection that produced x.
             seeded, last = True, piece_of(x <= 0.0, x >= ub)
         if last is not None:
             result, ok = on_piece(last, beta, s)
@@ -186,7 +201,7 @@ def _move_path(x, n, ub, budget, sum_x, equality):
             piece = piece_of(mm <= lo_b, mm >= hi_b)
             if piece is None:
                 ok = abs(math.fsum(mm.tolist()) - target) <= 1e-12 * max(1.0, abs(target))
-                found.append((mm, lam, np.zeros(mm.shape, dtype=bool)))
+                found.append((mm, lam, np.zeros(mm.shape, dtype=bool), 0.0))
                 return [ok]
             result, ok = on_piece(piece, beta, s)
             if ok:
@@ -198,55 +213,40 @@ def _move_path(x, n, ub, budget, sum_x, equality):
             raise _uncertified(target, n.size)
         return found[-1]
 
-    return move
-
-
-class _Probe(NamedTuple):
-    """One evaluation of the halfspace dual at beta. `piece` identifies the
-    piece it lies on: its free mask, its at-upper mask and whether the
-    budget binds."""
-
-    beta: float
-    g: float
-    move: np.ndarray | float
-    lam: float
-    free: np.ndarray
-    binds: bool
-    piece: tuple
+    return move, (last[-1] if last is not None else 0.0) if equality else None
 
 
 def _halfspace_dual(x, n, gap, ub, budget, sum_x, face_mode):
     """The projection of feasible x onto X (onto the budget face when
     face_mode) intersected with {w : <n, w - x + gap> <= 0}, returned as
-    (point, beta, budget multiplier). The search over beta is _bracket's,
-    the same one each row of _halfspace_dual_rows runs.
+    (point, beta, budget multiplier). The search over beta is _bracket's on
+    a batch of one, the same search each row of _halfspace_dual_rows runs.
     """
     g_lin = math.fsum((n * gap).tolist())
-    moves = _move_path(x, n, ub, budget, sum_x, face_mode)
+    moves, seed_slope = _move_path(x, n, ub, budget, sum_x, face_mode)
     hi_b = ub - x
 
-    def probe(beta):
-        delta, lam, free = moves(beta)
+    def probe(rows, betas):
+        delta, lam, free, slope = moves(betas[0])
         binds = face_mode or lam > 0.0
-        return _Probe(beta, math.fsum((n * delta).tolist()) + g_lin, delta, lam, free, binds,
-                      (free.tobytes(), (delta >= hi_b).tobytes(), binds))
+        return ([math.fsum((n * delta).tolist()) + g_lin], [lam], [binds], free[None],
+                (delta >= hi_b)[None], delta[None],
+                [slope if binds and slope is not None else math.nan], {})
 
-    if (face_mode or sum_x <= budget) and x.min() >= 0.0 and hi_b.min() >= 0.0:
+    if (face_mode or sum_x <= budget) and _min(x) >= 0.0 and _min(hi_b) >= 0.0:
         # With x in the box and within the budget (or on the face) the move
         # at beta = 0 is zero, so x's own bound set is a valid piece there
         # and the first probe is already a Newton step.
-        free = (x > 0.0) & (hi_b > 0.0)
-        p = _Probe(0.0, g_lin, 0.0, 0.0, free, face_mode,
-                   (free.tobytes(), (hi_b <= 0.0).tobytes(), face_mode))
+        lo = ([g_lin], [0.0], [face_mode], ((x > 0.0) & (hi_b > 0.0))[None], (hi_b <= 0.0)[None],
+              np.zeros((1, x.size)), [math.nan if seed_slope is None else seed_slope])
         evals = 0
     else:
-        p, evals = probe(0.0), 1
-    if p.g > 0.0:
-        search = _bracket(p, n, x, evals)
-        p = next(search)
-        while p.__class__ is not _Probe:
-            p = search.send(probe(p))
-    return np.minimum(np.maximum(x + p.move, 0.0), ub), p.beta, p.lam
+        lo, evals = probe(None, [0.0])[:-1], 1
+    errors = {}
+    moved, beta, lam = _bracket(n[None], x[None], lo, [evals], probe, errors)
+    if errors:
+        raise errors[0]
+    return np.minimum(np.maximum(x + moved[0], 0.0), ub), beta[0], lam[0]
 
 
 def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
@@ -275,7 +275,7 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
     ub = fset.upper_bounds
     x = _checked_vector(x, "point", ub.shape)
     n = _checked_vector(normal, "normal", ub.shape)
-    if not n.any():
+    if not _any(n):
         raise ValueError("halfspace normal must be nonzero")
     gap = (x - _checked_vector(offset_point, "offset point", ub.shape)) if offset_gap is None \
         else _checked_vector(offset_gap, "offset gap", ub.shape)
@@ -295,10 +295,10 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
         # (where the normal's dominant component is constant) stops the
         # ulp-level facial jitter from being amplified into the gap.
         support = gap != 0.0
-        base = n[support] if support.any() else n
+        base = n[support] if _any(support) else n
         shift = math.fsum(base.tolist()) / base.size
         n_face = n - shift
-        if float(np.abs(n_face).max()) <= 8.0 * EPS * max(1.0, float(np.abs(n).max())):
+        if float(_max(np.abs(n_face))) <= 8.0 * EPS * max(1.0, float(_max(np.abs(n)))):
             # Normal was (numerically) a pure budget direction; on the face
             # the constraint is a constant and cannot cut.
             return project_box_budget(x, fset).point
@@ -338,11 +338,6 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 # project_halfspace_then_set as _halfspace_rows 32%, and natural_residual
 # as _residual_rows about 7% more on top.
 
-# Row reductions, called directly: ndarray's methods add a Python-level
-# wrapper to each call, and the batches here are small.
-_any, _max, _sum = np.logical_or.reduce, np.maximum.reduce, np.add.reduce
-
-
 def _take(a, rows):
     """The rows of `a` at the ascending index array `rows`; `a` itself when
     those are all of its rows, so a batch whose rows agree gathers nothing."""
@@ -366,7 +361,7 @@ def _masked_rows(a, mask):
     entries), a batch is padded with zeros, which leave such a sum as it
     is."""
     if len(a) == 1:
-        return [a[0][mask[0]].tolist()]
+        return [a[mask].tolist()]
     return np.where(mask, a, 0.0).tolist()
 
 
@@ -524,13 +519,14 @@ def _box_budget_rows(v, ub, budget):
     return x, lam, pieces
 
 
-def _move_path_rows(x, n, ub, budget, sum_x, equality, hi_b, bounds, n_max=None):
-    """The moves P_X(x - beta*n) - x of the halfspace dual, for rows of
-    feasible x, as a function move(rows, beta) of an ascending list of rows
-    and one beta >= 0 each. It returns (moves, multipliers, free masks,
-    failed): one row or entry per row asked for, and the ProjectionError of
-    each position among them whose breakpoint search found no certified
-    piece.
+def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
+    """The halfspace dual's probes for rows of feasible x, at the moves
+    P_X(x - beta*n) - x: returns probe(rows, betas), which probes the
+    ascending list rows at one beta >= 0 each and returns their probe
+    columns (see _bracket), the gap of row r being <n, move> + g_lin[r];
+    and the slope of each row's bound-set piece, defined below. A position
+    whose breakpoint search finds no certified piece gets its
+    ProjectionError in the columns' dict of failures.
 
     Solves for the budget multiplier directly in move coordinates
     m(lam) = clamp(-beta*n - lam, -x, ub - x), targeting
@@ -543,8 +539,10 @@ def _move_path_rows(x, n, ub, budget, sum_x, equality, hi_b, bounds, n_max=None)
     depend on beta, and successive probes of the dual mostly stay on one
     set, so each row's move is first assembled on its last certified piece,
     or on x's own bound set (lower x <= 0, upper x >= ub) until one
-    certifies; the breakpoint search runs only when that piece's KKT check
-    fails.
+    certifies; the breakpoint search runs only on the rows whose piece
+    fails its KKT check. Each piece also keeps its slope, the sum of the
+    centered n**2 over its free components, which is the Newton slope of a
+    probe on it where the budget binds.
 
     With equality=True the budget is treated as the equality sum(w) = sum(x)
     and the multiplier may take either sign; the caller uses this to keep
@@ -556,335 +554,405 @@ def _move_path_rows(x, n, ub, budget, sum_x, equality, hi_b, bounds, n_max=None)
     The caller passes hi_b, ub - x, and bounds, the masks x <= 0 and
     x >= ub; n_max, each row's largest |n|, is computed unless given.
     """
-    m = len(x)
+    m, dim = x.shape
     lo_b = -x
-    if n_max is None:
-        n_max = _max(np.abs(n), axis=1).tolist()
+    peak = _max(np.abs(n), axis=1) if n_max is None else np.array(n_max)
     target = [0.0 if equality or (0.0 <= b - sx <= 64.0 * EPS * b) else b - sx
               for b, sx in zip(budget, sum_x)]
-    # Each row's last piece: the arrays (free, bound, lo_lim, hi_lim, dev)
-    # stacked over all rows, never written in place since probes keep
-    # views of them, and per row the scalars (k, nbar, residue, c), or None
-    # until the row has a piece. A row's first move seeds it with x's own
-    # bound set: the last piece of the projection that produced x.
-    arrays, scalars, seeded = None, [None] * m, [False] * m
 
-    def piece_of(rows, lower, upper):
+    def piece_of(rows, lower, upper, nr, lb, hb):
         """The pieces of rows whose components in lower and upper sit at
-        their bounds: their arrays, and per row their scalars, None when no
-        component is free. The free mean's residue folds into c."""
+        their bounds: the free mask, the arrays (bound, lo_lim, hi_lim, dev)
+        and the scalars (k, nbar, residue, c, slope, count), each stacked on
+        axis 0. count is the number of free components, and k is 1 where
+        there are none. The free mean's residue folds into c."""
         free = ~(lower | upper)
-        nr, lb, hb = (n, lo_b, hi_b) if len(rows) == m else (n[rows], lo_b[rows], hi_b[rows])
         bound = np.where(lower, lb, hb)
         n_free, fixed = _masked_rows(nr, free), _masked_rows(bound, ~free)
         counts = [len(n_free[0])] if len(rows) == 1 else _sum(free, axis=1).tolist()
-        pieces, nbar = [], []
+        ks, means, residues, cs = [], [], [], []
         for r, k, n_free, fixed in zip(rows, counts, n_free, fixed):
             if k:
                 mean = math.fsum(n_free) / k
                 n_free.append(-k * mean)
                 fixed.append(-target[r])
-                pieces.append((k, mean, math.fsum(n_free), math.fsum(fixed) / k))
-                nbar.append(mean)
+                ks.append(k), means.append(mean)
+                residues.append(math.fsum(n_free)), cs.append(math.fsum(fixed) / k)
             else:
-                pieces.append(None), nbar.append(0.0)
-        return (free, bound, np.where(free, lb, np.where(upper, hb, -np.inf)),
-                np.where(free, hb, np.where(lower, lb, np.inf)), nr - _col(nbar)), pieces
+                ks.append(1), means.append(0.0), residues.append(0.0), cs.append(0.0)
+        dev = nr - np.array(means)[:, None]
+        slopes = list(map(math.fsum, _masked_rows(dev * dev, free)))
+        return free, np.array((bound, np.where(free, lb, np.where(upper, hb, -np.inf)),
+                               np.where(free, hb, np.where(lower, lb, np.inf)), dev)), \
+            np.array((ks, means, residues, cs, slopes, counts), dtype=float)
 
-    def keep(rows, new, pieces, ok):
-        """Make the pieces of rows where ok holds their rows' last."""
-        nonlocal arrays
-        if len(rows) == m and all(ok) and None not in pieces:
-            arrays, scalars[:] = new, pieces
-            return
-        sel = [j for j, (p, good) in enumerate(zip(pieces, ok)) if good and p is not None]
-        if sel:
-            dst = [rows[j] for j in sel]
-            stores = []
-            for store, fresh in zip(arrays or [None] * len(new), new):
-                store = np.zeros((m,) + fresh.shape[1:], fresh.dtype) if store is None \
-                    else store.copy()
-                store[dst] = fresh[sel]
-                stores.append(store)
-            arrays = tuple(stores)
-            for j, r in zip(sel, dst):
-                scalars[r] = pieces[j]
+    # Each row's last piece, written in place, seeded with x's own bound
+    # set: the last piece of the projection that produced x.
+    stores = piece_of(range(m), *bounds, n, lo_b, hi_b)
 
-    def on_piece(piece_arrays, pieces, rows, beta, nb, s, lb, hb):
-        """The moves of pieces at beta, as (ok, moves, multipliers, free
-        masks). The rounded mean's residue folds into the constant, so any
-        piece's move sums to the target exactly; ok is its KKT test at its
-        own multiplier."""
-        free, bound, lo_lim, hi_lim, dev = piece_arrays
-        c_adj, lam, tol = map(list, zip(*map(_at_beta, pieces, beta, map(n_max.__getitem__, rows))))
-        m_free = nb * dev - _col(c_adj)
-        tc = _col(tol)
-        v = np.where(free, m_free, s - _col(lam))
-        bad = _any((v < lo_lim - tc) | (v > hi_lim + tc), axis=1).tolist()
-        if equality:
-            ok = [not b for b in bad]
-        else:
-            ok = [not b and value >= -t for b, value, t in zip(bad, lam, tol)]
-            lam = [max(value, 0.0) for value in lam]
-        return ok, np.minimum(np.maximum(np.where(free, m_free, bound), lb), hb), lam, free
+    def on_piece(free, arrays, scalars, beta, nb, s, lb, hb, peak):
+        """The moves of pieces at beta (an array; nb is -beta as a column),
+        as (ok, moves, multipliers). The rounded mean's residue folds into
+        the constant, so any piece's move sums to the target exactly; ok is
+        its KKT test at its own multiplier, false where no component is
+        free."""
+        bound, lo_lim, hi_lim, dev = arrays
+        k, nbar, residue, c, _, count = scalars
+        c_adj = c - beta * residue / k
+        lam = nb[:, 0] * nbar + c_adj
+        tol = 64.0 * EPS * (beta * peak + np.abs(lam)) + 1e-300
+        m_free = nb * dev - c_adj[:, None]
+        tc = tol[:, None]
+        v = np.where(free, m_free, s - lam[:, None])
+        ok = (count > 0.0) & ~_any((v < lo_lim - tc) | (v > hi_lim + tc), axis=1)
+        if not equality:
+            ok &= lam >= -tol
+            lam = np.where(lam < 0.0, 0.0, lam)
+        return ok, np.minimum(np.maximum(np.where(free, m_free, bound), lb), hb), lam
 
-    def move(rows, beta):
+    def probe(rows, betas):
         k = len(rows)
         if k == m:
-            nr, lb, hb = n, lo_b, hi_b
+            nr, lb, hb, pk = n, lo_b, hi_b, peak
+            free, arrays, scalars = stores
         else:
-            nr, lb, hb = n[rows], lo_b[rows], hi_b[rows]
-        nb = -np.array(beta)[:, None]
+            at = np.array(rows)
+            nr, lb, hb, pk = n[at], lo_b[at], hi_b[at], peak[at]
+            free, arrays, scalars = stores[0][at], stores[1][:, at], stores[2][:, at]
+        beta = np.array(betas)
+        nb = -beta[:, None]
         s = nb * nr
+        inside = None
         if not equality:
             m0 = np.minimum(np.maximum(s, lb), hb)
             inside = list(map(operator.le, _row_fsums(m0),
                               target if k == m else [target[r] for r in rows]))
-            if all(inside):
-                return m0, [0.0] * k, (m0 > lb) & (m0 < hb), {}
-            if any(inside):
-                return _split(move, rows, beta, inside)
-        if not all(map(seeded.__getitem__, rows)):
-            fresh = [r for r in rows if not seeded[r]]
-            lower, upper = bounds
-            if len(fresh) < m:
-                lower, upper = lower[fresh], upper[fresh]
-            new, pieces = piece_of(fresh, lower, upper)
-            keep(fresh, new, pieces, [True] * len(fresh))
-            for r in fresh:
-                seeded[r] = True
-        has = list(map(scalars.__getitem__, rows))
-        if all(has):
-            ok, mv, lam, free = on_piece(arrays if k == m else tuple(a[rows] for a in arrays),
-                                         has, rows, beta, nb, s, lb, hb)
-            if all(ok):
-                return mv, lam, free, {}
-            if any(ok):
-                return _split(move, rows, beta, ok, (mv, lam, free))
-        elif any(has):
-            return _split(move, rows, beta, has)
-        # No row here has a piece that certifies at its beta: search for one.
-        out = []
-
-        def finish(sub, lam_guess):
-            """The moves on the pieces holding lam_guess at the positions
-            sub, whose constants (see on_piece) do not depend on beta."""
-            whole = len(sub) == k
-            sr = rows if whole else [rows[i] for i in sub]
-            ss, ls, hs = (s, lb, hb) if whole else (s[sub], lb[sub], hb[sub])
-            mm = np.minimum(np.maximum(ss - _col(lam_guess), ls), hs)
-            new, pieces = piece_of(sr, mm <= ls, mm >= hs)
-            if None in pieces:
-                # A row with no free component has no multiplier of its
-                # own: its move is the clamp at lam_guess.
-                ok = [abs(total - target[r]) <= 1e-12 * max(1.0, abs(target[r]))
-                      for total, r in zip(_row_fsums(mm), sr)]
-                mv, lam, free = mm.copy(), list(lam_guess), new[0]
-                have = [j for j, p in enumerate(pieces) if p is not None]
-                if have:
-                    bs = [beta[i] for i in (sub if not whole else range(k))]
-                    oh, mh, lh, _ = on_piece(tuple(a[have] for a in new), [pieces[j] for j in have],
-                                             [sr[j] for j in have], [bs[j] for j in have],
-                                             -_col([bs[j] for j in have]), ss[have], ls[have],
-                                             hs[have])
-                    mv[have] = mh
-                    for j, value, good in zip(have, lh, oh):
-                        lam[j], ok[j] = value, good
-            else:
-                bs = beta if whole else [beta[i] for i in sub]
-                ok, mv, lam, free = on_piece(new, pieces, sr, bs, -_col(bs), ss, ls, hs)
-            keep(sr, new, pieces, ok)
-            out.append((sub, ok, mv, lam, free))
-            return ok
-
-        targets = target if k == m else [target[r] for r in rows]
-        checked = _breakpoint_rows(s, lb, hb, targets, finish)
-        failed = {j: _uncertified(targets[j], x.shape[1])
-                  for j, c in enumerate(checked) if c is None}
-        (sub, ok, mv, lam, free), *later = out
-        if not later and not failed:
-            return mv, lam, free, failed
-        moves, lams, frees = np.zeros_like(s), [0.0] * k, np.zeros(s.shape, dtype=bool)
-        for sub, ok, mv, lam, free in out:
-            for i, j, good in zip(sub, range(len(sub)), ok):
-                if good:
-                    moves[i], lams[i], frees[i] = mv[j], lam[j], free[j]
-        return moves, lams, frees, failed
-
-    return move
-
-
-def _at_beta(piece, beta, peak):
-    """A piece's (constant, multiplier, KKT tolerance) at beta; peak is the
-    row's largest |n|."""
-    k, nbar, residue, c = piece
-    c_adj = c - beta * residue / k
-    lam = -beta * nbar + c_adj
-    return c_adj, lam, 64.0 * EPS * (beta * peak + abs(lam)) + 1e-300
-
-
-def _split(move, rows, beta, ok, done=None):
-    """move over rows whose positions part ways: the positions where ok
-    holds, whose results are `done` when given, and the others, each
-    evaluated as a batch of its own and merged back in order."""
-    k = len(rows)
-    parts = []
-    for flag in (True, False):
-        at = [j for j in range(k) if bool(ok[j]) is flag]
-        if flag and done is not None:
-            mv, lam, free = done
-            parts.append((at, mv[at], [lam[j] for j in at], free[at], {}))
+        if inside is not None and all(inside):
+            ok, mv, lam = np.ones(k, dtype=bool), m0, np.zeros(k)
+            free, slope = (m0 > lb) & (m0 < hb), [math.nan] * k
         else:
-            parts.append((at, *move([rows[j] for j in at], [beta[j] for j in at])))
-    shape = parts[0][1].shape[1:]
-    moves, lams, frees, failed = np.zeros((k,) + shape), [0.0] * k, np.zeros((k,) + shape, bool), {}
-    for at, mv, lam, free, errs in parts:
-        moves[at], frees[at] = mv, free
-        for j, value in zip(at, lam):
-            lams[j] = value
-        for i, err in errs.items():
-            failed[at[i]] = err
-    return moves, lams, frees, failed
+            ok, mv, lam = on_piece(free, arrays, scalars, beta, nb, s, lb, hb, pk)
+            slope = scalars[4].tolist()
+            if inside is not None and any(inside):
+                at = np.array(inside)
+                mv, lam = np.where(at[:, None], m0, mv), np.where(at, 0.0, lam)
+                free = np.where(at[:, None], (m0 > lb) & (m0 < hb), free)
+                ok |= at
+            elif k == m:
+                # The stored masks are written in place as pieces move on.
+                free = free.copy()
+        failed = {}
+        if not ok.all():
+            # The rows whose piece fails at their beta search for one.
+            at = np.flatnonzero(~ok)
+            need = at.tolist()
+            if len(need) < k:
+                at_rows = [rows[j] for j in need]
+                ss, ls, hs, bs, ns, ps = s[at], lb[at], hb[at], beta[at], nr[at], pk[at]
+            else:
+                at_rows, ss, ls, hs, bs, ns, ps = rows, s, lb, hb, beta, nr, pk
+            targets = [target[r] for r in at_rows]
+            found = []
+
+            def finish(sub, lam_guess):
+                """The moves on the pieces holding lam_guess at the positions
+                sub of need, whose constants (see on_piece) do not depend on
+                beta."""
+                if len(sub) == len(need):
+                    sr, s2, l2, h2, b2, n2, p2 = at_rows, ss, ls, hs, bs, ns, ps
+                else:
+                    sr = [at_rows[i] for i in sub]
+                    s2, l2, h2, b2, n2, p2 = ss[sub], ls[sub], hs[sub], bs[sub], ns[sub], ps[sub]
+                guess = np.array(lam_guess)
+                mm = np.minimum(np.maximum(s2 - guess[:, None], l2), h2)
+                new = piece_of(sr, mm <= l2, mm >= h2, n2, l2, h2)
+                got, mv2, lam2 = on_piece(*new, b2, -b2[:, None], s2, l2, h2, p2)
+                empty = new[2][5] == 0.0
+                if empty.any():
+                    # A row with no free component has no multiplier of its
+                    # own: its move is the clamp at lam_guess.
+                    for j, total in zip(np.flatnonzero(empty).tolist(), _row_fsums(mm[empty])):
+                        t = targets[sub[j]]
+                        got[j] = abs(total - t) <= 1e-12 * max(1.0, abs(t))
+                    mv2[empty], lam2[empty] = mm[empty], guess[empty]
+                    keep = got & ~empty
+                else:
+                    keep = got
+                found.append((sub, got, mv2, lam2, new[0], new[2][4]))
+                if not keep.all():
+                    sr = [r for r, good in zip(sr, keep.tolist()) if good]
+                    new = new[0][keep], new[1][:, keep], new[2][:, keep]
+                stores[0][sr], stores[1][:, sr], stores[2][:, sr] = new
+                return got.tolist()
+
+            checked = _breakpoint_rows(ss, ls, hs, targets, finish)
+            (sub, got, mv2, lam2, free2, slope2), *later = found
+            if len(need) == k and not later and got.all():
+                mv, lam, free, slope = mv2, lam2, free2, slope2.tolist()
+            else:
+                for sub, got, mv2, lam2, free2, slope2 in found:
+                    pos = [need[i] for i, good in zip(sub, got.tolist()) if good]
+                    mv[pos], lam[pos], free[pos] = mv2[got], lam2[got], free2[got]
+                    for j, value in zip(pos, slope2[got].tolist()):
+                        slope[j] = value
+            for j, c in enumerate(checked):
+                if c is None:
+                    failed[need[j]] = _uncertified(targets[j], dim)
+        lam = lam.tolist()
+        g = [math.fsum(terms) + g_lin[r] for terms, r in zip((nr * mv).tolist(), rows)]
+        if equality:
+            binds = [True] * k
+        else:
+            binds = [value > 0.0 for value in lam]
+            slope = [v if b else math.nan for v, b in zip(slope, binds)]
+        return g, lam, binds, free, mv >= hb, mv, slope, failed
+
+    return probe, stores[2][4].tolist()
 
 
-def _bracket(lo, n, x, evals):
-    """One row's search for the root of its gap, as a generator: it yields
-    each beta to probe and is sent the probe, and it yields the final probe
-    (a _Probe, not a float) when the search ends. lo is the probe at
-    beta = 0 and evals the evaluations spent on it.
+def _newton_steps(n, free, binds, beta, g, slopes):
+    """Per probe, the root of its piece, beta + g/slope, or inf when the
+    piece is flat. The slope is the sum of n**2 over the free components,
+    centered where the budget binds: slopes holds each one known from its
+    piece, nan where none is, and those are summed here exactly, over rows
+    padded with zeros (a lone row is indexed, see _masked_rows)."""
+    if len(n) == 1:
+        slope = slopes[0]
+        if slope != slope:
+            n_free = n[free]
+            if binds[0] and n_free.size:
+                n_free = n_free - math.fsum(n_free.tolist()) / n_free.size
+            slope = math.fsum((n_free * n_free).tolist())
+        return [beta[0] + g[0] / slope if slope > 0.0 else math.inf]
+    todo = [j for j, v in enumerate(slopes) if v != v]
+    if todo:
+        slopes = list(slopes)
+        if len(todo) < len(slopes):
+            n, free, binds = n[todo], free[todo], [binds[j] for j in todo]
+        if any(binds):
+            n_free = _masked_rows(n, free)
+            counts = _sum(free, axis=1).tolist()
+            means = [math.fsum(v) / k if b and k else 0.0
+                     for v, k, b in zip(n_free, counts, binds)]
+            if any(means):
+                n = n - _col(means)
+        for j, v in zip(todo, map(math.fsum, _masked_rows(n * n, free))):
+            slopes[j] = v
+    return [b + v / slope if slope > 0.0 else math.inf for b, v, slope in zip(beta, g, slopes)]
 
-    Probes of beta step along the piece of one end of the bracket [lo, hi]:
-    from lo's piece until a probe lands with g <= 0, then leftward from hi's
-    piece, from lo's piece when that step leaves the bracket, and bisecting
-    only when neither fits. A probe with computed g <= 0 on the piece it was
-    stepped from is that piece's root and is returned; when no step fits a
-    bracket narrower than beta's rounding, its hi end is.
+
+def _bracket(n, x, lo, evals, probe, errors):
+    """The search for the root of each row's gap, for all rows in lockstep.
+
+    A probe at beta is columns over rows: (g, lam, binds, free, at_upper,
+    move, slope), the gap, the budget multiplier and whether it binds per
+    row, the (rows, n) masks of the free and at-upper components and the
+    moves, and per row the slope of its piece (see _newton_steps). lo is the
+    probe of every row at beta = 0 and evals the evaluations spent on it;
+    probe(rows, betas) probes the ascending list rows, one beta each, and
+    returns those columns and a dict from each position whose move failed
+    to its ProjectionError. Returns per row the move, beta and multiplier
+    of its final probe, as three lists. A row in errors on entry is
+    skipped, and a row whose search fails gets its error there.
+
+    Per row, probes of beta step along the piece of one end of the bracket
+    [lo, hi]: from lo's piece until a probe lands with g <= 0, then leftward
+    from hi's piece, from lo's piece when that step leaves the bracket, and
+    bisecting only when neither fits. A probe with computed g <= 0 on the
+    piece it was stepped from is that piece's root and is final; when no
+    step fits a bracket narrower than beta's rounding, its hi end is. A
+    piece is a probe's free mask, at-upper mask and whether the budget
+    binds. The rule runs row by row, once per round; the probes, the
+    comparisons of pieces and their Newton steps run on all live rows at
+    once.
     """
-    def step(p):
-        """The root of p's piece, or inf when the piece is flat. Free
-        components move against n, centered when the budget binds."""
-        nf = n[p.free]
-        if p.binds and nf.size:
-            nf = nf - math.fsum(nf.tolist()) / nf.size
-        slope = math.fsum((nf * nf).tolist())
-        return p.beta + p.g / slope if slope > 0.0 else math.inf
+    g0, lam0, binds0, free0, up0, move0, slope0 = lo
+    m = len(g0)
+    out_move, out_beta, out_lam = [None] * m, [0.0] * m, list(lam0)
+    rows = [r for r, g in enumerate(g0) if g > 0.0 and r not in errors]
+    if len(rows) < m:
+        # A row whose gap at beta = 0 is not positive is its own root.
+        for r, g in enumerate(g0):
+            if not g > 0.0:
+                out_move[r] = move0[r]
+        if not rows:
+            return out_move, out_beta, out_lam
+        at = np.array(rows)
+        n, free0, up0 = n[at], free0[at], up0[at]
+        g0, binds0, slope0, evals = ([a[r] for r in rows] for a in (g0, binds0, slope0, evals))
 
-    hi = None
-    while evals < _MAX_EVALS:
-        if hi is not None:
-            origin, beta = hi, step(hi)
-        if hi is None or not lo.beta < beta < hi.beta:
+    def pick(r, j, st):
+        """The next beta of row r, at position j, whose bracket is st, and
+        the end it steps from (0 lo, 1 hi, None for a bisection); None for
+        the beta when the row's search ends here."""
+        lo_beta, g, lo_step, _, hi_beta, hi_step, hi_lam, _, hi_move, spent = st
+        if spent >= _MAX_EVALS:
+            errors[r] = ProjectionError(
+                f"no halfspace dual bracket within {_MAX_EVALS} evaluations" if hi_beta is None
+                else f"halfspace dual search exceeded {_MAX_EVALS} evaluations")
+            return None, None
+        if hi_beta is not None:
+            side, beta = 1, hi_step
+        if hi_beta is None or not lo_beta < beta < hi_beta:
             # A step from lo always advances, so a g rounded above zero at a
             # piece's root cannot stall the search.
-            origin, beta = lo, max(step(lo), lo.beta * (1.0 + 4.0 * EPS) + 5e-324)
-        if hi is None:
+            side, beta = 0, max(lo_step, lo_beta * (1.0 + 4.0 * EPS) + 5e-324)
+        if hi_beta is None:
             if beta == math.inf:
-                # No piece is steeper than <n, n>, so lo.g/<n, n> cannot
+                # No piece is steeper than <n, n>, so g/<n, n> cannot
                 # overshoot; growing by 8 gets off a long flat piece quickly.
-                beta = max(8.0 * lo.beta, lo.beta + lo.g / math.fsum((n * n).tolist()))
+                beta = max(8.0 * lo_beta, lo_beta + g / math.fsum((n[j] * n[j]).tolist()))
             if beta > 1e300:
-                raise ProjectionError("halfspace dual bracket diverged; intersection may be empty")
-        elif not lo.beta < beta < hi.beta:
+                errors[r] = ProjectionError(
+                    "halfspace dual bracket diverged; intersection may be empty")
+                return None, None
+        elif not lo_beta < beta < hi_beta:
             # The fallback stop: a bracket narrower than beta's rounding, or
             # than a move of 1e-13 relative to x.
-            width_tol = max(1e-13 * (1.0 + float(np.abs(x).max()))
-                            / math.sqrt(math.fsum((n * n).tolist())), 4.0 * EPS * (1.0 + hi.beta))
-            if hi.beta - lo.beta <= width_tol:
-                yield hi
-            origin, beta = None, 0.5 * (lo.beta + hi.beta)
-        p = yield beta
-        evals += 1
-        if p.g > 0.0:
-            lo = p
-        elif p.g == 0.0 or (origin is not None and p.piece == origin.piece):
-            yield p
+            width_tol = max(1e-13 * (1.0 + float(_max(np.abs(x[r]))))
+                            / math.sqrt(math.fsum((n[j] * n[j]).tolist())),
+                            4.0 * EPS * (1.0 + hi_beta))
+            if hi_beta - lo_beta <= width_tol:
+                out_move[r], out_beta[r], out_lam[r] = hi_move, hi_beta, hi_lam
+                return None, None
+            side, beta = None, 0.5 * (lo_beta + hi_beta)
+        return beta, side
+
+    def take(sel):
+        """Keep the rows at the positions sel."""
+        nonlocal rows, state, n, lo_free, lo_up, hi_free, hi_up
+        rows, state = [rows[j] for j in sel], [state[j] for j in sel]
+        at = np.array(sel)
+        n, lo_free, lo_up = n[at], lo_free[at], lo_up[at]
+        if hi_free is not None:
+            hi_free, hi_up = hi_free[at], hi_up[at]
+
+    # Per row its bracket: [lo beta, lo g, lo's Newton step, lo binds, hi
+    # beta, hi's Newton step, hi multiplier, hi binds, hi move, evaluations];
+    # hi beta is None until a probe lands with g <= 0. lo's and hi's masks
+    # are columns over the same rows.
+    lo_free, lo_up, hi_free, hi_up = free0, up0, None, None
+    state, betas, origin, go = [], [], [], []
+    for j, (r, g, step, b, spent) in enumerate(zip(
+            rows, g0, _newton_steps(n, free0, binds0, [0.0] * len(rows), g0, slope0), binds0,
+            evals)):
+        st = [0.0, g, step, b, None, None, None, None, None, spent]
+        state.append(st)
+        beta, side = pick(r, j, st)
+        if beta is not None:
+            go.append(j)
+            betas.append(beta)
+            origin.append(side)
+    if len(go) < len(rows):
+        if not go:
+            return out_move, out_beta, out_lam
+        take(go)
+    while True:
+        g, lam, binds, free, up, move, slope, failed = probe(rows, betas)
+        same = None
+        stay, to_lo = [], []
+        for j, (r, st, gj, side) in enumerate(zip(rows, state, g, origin)):
+            st[9] += 1
+            if failed and j in failed:
+                errors[r] = failed[j]
+            elif gj > 0.0:
+                stay.append(j)
+                to_lo.append(True)
+            else:
+                if same is None and gj != 0.0 and side is not None:
+                    # The pieces of the probes' origins, compared by row.
+                    if 1 in origin:
+                        on_hi = np.array([s == 1 for s in origin])[:, None]
+                        o_free = np.where(on_hi, hi_free, lo_free)
+                        o_up = np.where(on_hi, hi_up, lo_up)
+                    else:
+                        o_free, o_up = lo_free, lo_up
+                    same = _all((free == o_free) & (up == o_up), 1).tolist()
+                if gj == 0.0 or (side is not None and same[j]
+                                 and binds[j] == st[3 if side == 0 else 7]):
+                    out_move[r], out_beta[r], out_lam[r] = move[j], betas[j], lam[j]
+                else:
+                    stay.append(j)
+                    to_lo.append(False)
+        if len(stay) < len(rows):
+            if not stay:
+                break
+            take(stay)
+            g, lam, binds, betas, slope = ([a[j] for j in stay] for a in (g, lam, binds, betas,
+                                                                         slope))
+            at = np.array(stay)
+            free, up, move = free[at], up[at], move[at]
+        if all(to_lo):
+            lo_free, lo_up = free, up
+        elif not any(to_lo):
+            hi_free, hi_up = free, up
         else:
-            hi = p
-    if hi is None:
-        raise ProjectionError(f"no halfspace dual bracket within {_MAX_EVALS} evaluations")
-    raise ProjectionError(f"halfspace dual search exceeded {_MAX_EVALS} evaluations")
+            low = np.array(to_lo)[:, None]
+            lo_free, lo_up = np.where(low, free, lo_free), np.where(low, up, lo_up)
+            hi_free, hi_up = (free, up) if hi_free is None else (
+                np.where(low, hi_free, free), np.where(low, hi_up, up))
+        nxt, origin, go = [], [], []
+        for j, (r, st, low, beta, step) in enumerate(zip(
+                rows, state, to_lo, betas, _newton_steps(n, free, binds, betas, g, slope))):
+            if low:
+                st[:4] = beta, g[j], step, binds[j]
+            else:
+                st[4:9] = beta, step, lam[j], binds[j], move[j]
+            beta, side = pick(r, j, st)
+            if beta is not None:
+                go.append(j)
+                nxt.append(beta)
+                origin.append(side)
+        betas = nxt
+        if len(go) < len(rows):
+            if not go:
+                break
+            take(go)
+    return out_move, out_beta, out_lam
 
 
 def _halfspace_dual_rows(x, n, gap, ub, budget, sum_x, face_mode, n_max=None):
     """Rows of feasible x projected onto X (onto the budget face when
     face_mode) intersected with {w : <n, w - x + gap> <= 0}, returned as
-    (points, final probes, errors). errors maps a row whose search failed
-    to its ProjectionError; that row's point is undefined and its final
-    probe None.
+    (points, betas, multipliers, errors). errors maps a row whose search
+    failed to its ProjectionError; that row's point, beta and multiplier
+    are undefined.
 
-    Each row searches its own bracket (see _bracket); the rows probe in
-    lockstep, one batched move per round, and a row leaves when its search
-    ends. n_max, each row's largest |n|, is computed unless given.
+    The rows search their brackets in lockstep (see _bracket), one batched
+    move per round, and a row leaves when its search ends. n_max, each
+    row's largest |n|, is computed unless given.
     """
     m = len(x)
-    g_lin = list(map(math.fsum, (n * gap).tolist()))
+    g_lin = _row_fsums(n * gap)
     hi_b = ub - x
     # x's bound sets: at zero, and at ub (where ub - x <= 0 exactly when
     # x >= ub); the components free of both move first.
     lower, upper = x <= 0.0, hi_b <= 0.0
-    free0 = ~(lower | upper)
-    moves = _move_path_rows(x, n, ub, budget, sum_x, face_mode, hi_b, (lower, upper), n_max)
-    final, errors = [None] * m, {}
-
-    def probe(rows, betas):
-        """The probes of rows at betas; None for a row whose move failed."""
-        delta, lams, free, failed = moves(rows, betas)
-        if len(rows) == m:
-            g, at_upper = (n * delta).tolist(), delta >= hi_b
-        else:
-            g, at_upper = (n[rows] * delta).tolist(), delta >= hi_b[rows]
-        probes = []
-        for r, beta, lam, gr, d, fr, up in zip(rows, betas, lams, g, delta, free, at_upper):
-            binds = face_mode or lam > 0.0
-            probes.append(_Probe(beta, math.fsum(gr) + g_lin[r], d, lam, fr, binds,
-                                 (fr.tobytes(), up.tobytes(), binds)))
-        if failed:
-            for j, err in failed.items():
-                errors[rows[j]], probes[j] = err, None
-        return probes
-
+    probe, seed_slope = _move_path_rows(x, n, hi_b, (lower, upper), budget, sum_x, face_mode,
+                                        g_lin, n_max)
     # With x in the box and within the budget (or on the face) the move at
     # beta = 0 is zero, so x's own bound set is a valid piece there and the
     # first probe is already a Newton step.
-    lowest = np.minimum(x, hi_b).min(axis=1).tolist()
-    lo, start = [None] * m, []
-    for r in range(m):
-        if lowest[r] >= 0.0 and (face_mode or sum_x[r] <= budget[r]):
-            lo[r] = _Probe(0.0, g_lin[r], 0.0, 0.0, free0[r], face_mode,
-                           (free0[r].tobytes(), upper[r].tobytes(), face_mode))
-        else:
-            start.append(r)
+    lowest = _min(np.minimum(x, hi_b), 1).tolist()
+    start = [r for r in range(m)
+             if not (lowest[r] >= 0.0 and (face_mode or sum_x[r] <= budget[r]))]
+    g, lam, binds = list(g_lin), [0.0] * m, [face_mode] * m
+    free, moved = ~(lower | upper), np.zeros_like(x)
+    slope = seed_slope if face_mode else [math.nan] * m
+    evals, errors = [0] * m, {}
     if start:
-        for r, p in zip(start, probe(start, [0.0] * len(start))):
-            lo[r] = p
-    # Each search yields betas until it yields its final probe.
-    pending = []
-    for r, p in enumerate(lo):
-        if p is not None:
-            if p.g <= 0.0:
-                final[r] = p
-            else:
-                pending.append((r, _bracket(p, n[r], x[r], 1 if r in start else 0), None))
-    while pending:
-        rows, betas, searches = [], [], []
-        for r, search, answer in pending:
-            try:
-                beta = search.send(answer)
-            except ProjectionError as exc:
-                errors[r] = exc
-                continue
-            if beta.__class__ is _Probe:
-                final[r] = beta
-            else:
-                rows.append(r), betas.append(beta), searches.append(search)
-        pending = [(r, search, p) for r, search, p in
-                   zip(rows, searches, probe(rows, betas) if rows else ()) if p is not None]
-
-    shift = np.zeros(x.shape)
-    for r, p in enumerate(final):
-        if p is not None:
-            shift[r] = p.move
-    return np.minimum(np.maximum(x + shift, 0.0), ub), final, errors
+        g_s, lam_s, binds_s, free_s, up_s, moved_s, slope_s, failed = probe(
+            start, [0.0] * len(start))
+        free[start], upper[start], moved[start] = free_s, up_s, moved_s
+        for j, r in enumerate(start):
+            g[r], lam[r], binds[r], slope[r], evals[r] = g_s[j], lam_s[j], binds_s[j], slope_s[j], 1
+            if j in failed:
+                errors[r] = failed[j]
+    out, betas, lams = _bracket(n, x, (g, lam, binds, free, upper, moved, slope), evals, probe,
+                                errors)
+    for r in errors:
+        out[r] = moved[r]
+    return np.minimum(np.maximum(x + np.array(out), 0.0), ub), betas, lams, errors
 
 
 def _halfspace_rows(x, normal, gap, ub, budget):
@@ -901,8 +969,8 @@ def _halfspace_rows(x, normal, gap, ub, budget):
     # face the centered halfspace is the exact-arithmetic one, and the dual
     # path P_X(x - beta*n) is unchanged where the budget binds.
     face, plain = [], []
-    for r, (b, sx) in enumerate(zip(budget, sum_x)):
-        if b - sx <= 64.0 * EPS * b and abs(math.fsum(gap[r].tolist())) <= 256.0 * EPS * b:
+    for r, (b, sx, sg) in enumerate(zip(budget, sum_x, _row_fsums(gap))):
+        if b - sx <= 64.0 * EPS * b and abs(sg) <= 256.0 * EPS * b:
             face.append(r)
         else:
             plain.append(r)
@@ -914,12 +982,13 @@ def _halfspace_rows(x, normal, gap, ub, budget):
         # ulp-level facial jitter from being amplified into the gap.
         whole = len(face) == m
         nf, gf = (normal, gap) if whole else (normal[face], gap[face])
-        shift = []
-        for row, mask in zip(nf, gf != 0.0):
-            base = row[mask]
-            if not base.size:
-                base = row
-            shift.append(math.fsum(base.tolist()) / base.size)
+        support = gf != 0.0
+        counts = _sum(support, 1).tolist()
+        if 0 in counts:
+            # A row with no support centers on its whole normal.
+            support |= ~_any(support, 1)[:, None]
+            counts = [c or nf.shape[1] for c in counts]
+        shift = [total / c for total, c in zip(map(math.fsum, _masked_rows(nf, support)), counts)]
         n_face = nf - _col(shift)
         # A normal that is (numerically) a pure budget direction is a
         # constant on the face and cannot cut.
@@ -935,20 +1004,20 @@ def _halfspace_rows(x, normal, gap, ub, budget):
             n_face, gf = n_face[keep], gf[keep]
             shift, peak = [shift[j] for j in keep], [peak[j] for j in keep]
         if face:
-            points, final, errors = _halfspace_dual_rows(
+            points, betas, lams, errors = _halfspace_dual_rows(
                 *((x, n_face, gf, ub, budget, sum_x) if whole else
                   (x[face], n_face, gf, ub[face], [budget[r] for r in face],
                    [sum_x[r] for r in face])), True, peak)
             kept = []
-            for i, (r, p, sh) in enumerate(zip(face, final, shift)):
+            for i, (r, beta, lam, sh) in enumerate(zip(face, betas, lams, shift)):
                 # A failed face search means no point of the face meets the
                 # halfspace (the offset point is outside the box). Otherwise
                 # the face multiplier lam belongs to the centered normal, and
                 # the original halfspace's budget multiplier is
                 # lam - beta*shift; where it is negative the projection
                 # leaves the face. Either way the face is the wrong set.
-                if p is not None and p.lam - p.beta * sh >= -64.0 * EPS * (
-                        abs(p.lam) + p.beta * abs(sh)):
+                if i not in errors and lam - beta * sh >= -64.0 * EPS * (
+                        abs(lam) + beta * abs(sh)):
                     kept.append(i)
                 else:
                     plain.append(r)
@@ -960,7 +1029,7 @@ def _halfspace_rows(x, normal, gap, ub, budget):
     if plain:
         plain.sort()
         whole = len(plain) == m
-        points, _, errors = _halfspace_dual_rows(
+        points, _, _, errors = _halfspace_dual_rows(
             *((x, normal, gap, ub, budget, sum_x) if whole else
               (x[plain], normal[plain], gap[plain], ub[plain], [budget[r] for r in plain],
                [sum_x[r] for r in plain])), False)

@@ -165,7 +165,8 @@ def natural_residual(x, F: PseudoGradient, fset: FeasibleSet,
                     excess = math.fsum(np.concatenate((x, -r)).tolist())
                     if excess <= 0.0:
                         break
-    return r, float(np.linalg.norm(x - r))
+    d = x - r
+    return r, math.sqrt(np.dot(d, d))
 
 
 def ve_closed_form(F: PseudoGradient, fset: FeasibleSet) -> np.ndarray:
@@ -291,10 +292,10 @@ def _extragradient(x, s, p, ub, budget, anchor, active, cfg, on_iteration):
     active[r] whether its budget binds there. Each row takes its own
     Armijo step and stops on its own test, and a row that stops leaves the
     batch. After each row's residual test,
-    on_iteration(iteration, rows, x, residuals, steps, z, mu, done) sees the
+    on_iteration(iteration, rows, x, residuals, steps, mu, done) sees the
     live rows, their labels in `rows`: with done=True the rows that stop on
-    their residual (steps None, z = x), and with done=False, after the
-    Armijo search, the rest; it returns per row whether to halt it there.
+    their residual (steps None), and with done=False, after the Armijo
+    search, the rest; it returns per row whether to halt it there.
     Returns each row's final iterate and stop reason (`residual`, `caller`
     or `max_iterations`). A row's path is solve_ve's, bit for bit.
     """
@@ -320,7 +321,7 @@ def _extragradient(x, s, p, ub, budget, anchor, active, cfg, on_iteration):
         if done:
             at = _take(rows, done)
             on_iteration(iteration, at, _take(x, done), [res[j] for j in done], None,
-                         _take(x, done), _take(mu, done), True)
+                         _take(mu, done), True)
             kept = leave(done, "residual")
             if not kept:
                 break
@@ -330,8 +331,7 @@ def _extragradient(x, s, p, ub, budget, anchor, active, cfg, on_iteration):
 
         d = x - r
         t = [gamma] * len(x)
-        z = x - gamma * d
-        fz = z - s - p
+        fz = x - gamma * d - s - p
         need = [delta * (v * v) for v in res]
         short = [j for j, a in enumerate(map(math.fsum, (fz * d).tolist())) if a < need[j]]
         backtracks = 0
@@ -348,18 +348,18 @@ def _extragradient(x, s, p, ub, budget, anchor, active, cfg, on_iteration):
             zs = _take(x, short) - _col([t[j] for j in short]) * ds
             fzs = zs - _take(s, short) - _take(p, short)
             if len(short) == len(x):
-                z, fz = zs, fzs
+                fz = fzs
             else:
-                z[short], fz[short] = zs, fzs
+                fz[short] = fzs
             short = [j for j, a in zip(short, map(math.fsum, (fzs * ds).tolist())) if a < need[j]]
 
-        halt = on_iteration(iteration, rows, x, res, t, z, mu, False)
+        halt = on_iteration(iteration, rows, x, res, t, mu, False)
         if any(halt):
             kept = leave([j for j, v in enumerate(halt) if v], "caller")
             if not kept:
                 break
-            rows, x, s, p, ub, anchor, z, fz, d = (
-                a[kept] for a in (rows, x, s, p, ub, anchor, z, fz, d))
+            rows, x, s, p, ub, anchor, fz, d = (
+                a[kept] for a in (rows, x, s, p, ub, anchor, fz, d))
             t, budget, active = ([a[j] for j in kept] for a in (t, budget, active))
         if iteration == cfg.max_iterations:
             leave(list(range(len(rows))), "max_iterations")

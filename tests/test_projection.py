@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import re
@@ -304,7 +305,7 @@ class TestBreakpointKernel:
         x, normal, beta, fs = data.draw(move_instances(equality))
         ub, budget = fs.upper_bounds, fs.budget
         try:
-            move, lam, free = _move_path(x, normal, ub, budget, math.fsum(x), equality)(beta)
+            move, lam, free, _ = _move_path(x, normal, ub, budget, math.fsum(x), equality)[0](beta)
         except ProjectionError:
             return
         assert np.all(move >= -x) and np.all(move <= ub - x)
@@ -354,7 +355,7 @@ class TestUncertifiedSearch:
         # At beta = 1 the seller at 0 leaves x's bound set, whose KKT test
         # fails, so the move searches for its piece.
         x, normal = np.array([1.0, 2.0, 0.0]), np.array([-1.0, -2.0, -3.0])
-        move = _move_path(x, normal, np.full(3, 4.0), 3.5, 3.0, False)
+        move, _ = _move_path(x, normal, np.full(3, 4.0), 3.5, 3.0, False)
         with pytest.raises(ProjectionError, match=re.escape("(target 5.000e-01, 3 components)")):
             move(1.0)
 
@@ -448,12 +449,12 @@ def count_evaluations(monkeypatch):
     make = projection._move_path
 
     def counted_path(*args):
-        move = make(*args)
+        move, seed_slope = make(*args)
 
         def counted(beta):
             calls.append(beta)
             return move(beta)
-        return counted
+        return counted, seed_slope
 
     monkeypatch.setattr(projection, "_move_path", counted_path)
     return calls
@@ -553,6 +554,52 @@ def stacked(values):
     return np.array(list(values))
 
 
+def halfspace_rows(batch):
+    """The instances of batch, (x, normal, offset, gap, fset) each, projected
+    as the rows of one call to the row core."""
+    return projection._halfspace_rows(
+        stacked(b[0] for b in batch), stacked(b[1] for b in batch), stacked(b[3] for b in batch),
+        stacked(b[4].upper_bounds for b in batch), [b[4].budget for b in batch])
+
+
+def record_row_probes(monkeypatch):
+    """Per row of x, keyed by its bytes, the betas at which the row core's
+    halfspace dual probes it, in order."""
+    seen = collections.defaultdict(list)
+    make = projection._move_path_rows
+
+    def recorded_path(x, *args):
+        probe, seed_slope = make(x, *args)
+        keys = [row.tobytes() for row in x]
+
+        def recorded(rows, betas):
+            for r, beta in zip(rows, betas):
+                seen[keys[r]].append(beta)
+            return probe(rows, betas)
+        return recorded, seed_slope
+
+    monkeypatch.setattr(projection, "_move_path_rows", recorded_path)
+    return seen
+
+
+def two_seller(x, normal, offset, ub, budget):
+    """A halfspace instance of two sellers, its gap formed by subtraction."""
+    x, offset = np.array(x), np.array(offset)
+    return x, np.array(normal), offset, x - offset, FeasibleSet(np.array(ub), budget)
+
+
+# The instances of test_empty_intersection_reported,
+# test_face_mode_with_no_point_of_the_face_in_the_halfspace and
+# test_face_mode_projection_leaving_the_face, and three that project
+# without trouble: one already inside its halfspace, two off their faces.
+EMPTY = two_seller([1.0, 1.0], [-1.0, -1.0], [10.0, 10.0], [3.0, 5.0], 4.0)
+NO_FACE_POINT = two_seller([5.0, 5.0], [1.0, 2.0], [12.0, -2.0], [10.0, 10.0], 10.0)
+LEAVES_FACE = two_seller([5.0, 5.0], [1.5, 1.0], [4.0, 6.0], [10.0, 10.0], 10.0)
+EASY = [two_seller([0.5, 1.0], [1.0, 0.0], [2.0, 0.0], [3.0, 5.0], 4.0),
+        two_seller([1.0, 2.5], [1.0, 0.5], [0.5, 0.5], [3.0, 5.0], 6.0),
+        two_seller([2.0, 0.0], [-1.0, 2.0], [2.5, 1.0], [4.0, 2.0], 5.0)]
+
+
 class TestRowCores:
     """The row cores the engine runs on round each row as it rounds alone,
     whatever shares its batch."""
@@ -587,9 +634,56 @@ class TestRowCores:
                      for x, normal, offset, gap, fs in batch]
         except ProjectionError:
             return
-        points = projection._halfspace_rows(
-            stacked(b[0] for b in batch), stacked(b[1] for b in batch),
-            stacked(b[3] for b in batch), stacked(b[4].upper_bounds for b in batch),
-            [b[4].budget for b in batch])
-        for point, want in zip(points, alone):
+        for point, want in zip(halfspace_rows(batch), alone):
             assert point.tobytes() == want.tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_rows_probe_the_betas_they_probe_alone(self, data):
+        # A search that took other probes but landed on the same point
+        # would pass the byte comparison above; this one would not.
+        n = data.draw(st.integers(1, 12))
+        batch = data.draw(st.lists(halfspace_instances(n), min_size=1, max_size=10))
+        assume(len({b[0].tobytes() for b in batch}) == len(batch))
+        alone = []
+        for x, normal, offset, gap, fs in batch:
+            with pytest.MonkeyPatch.context() as patch:
+                calls = count_evaluations(patch)
+                try:
+                    project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
+                except ProjectionError:
+                    return
+            alone.append(calls)
+        with pytest.MonkeyPatch.context() as patch:
+            seen = record_row_probes(patch)
+            halfspace_rows(batch)
+        assert [seen[b[0].tobytes()] for b in batch] == alone
+
+    def test_batch_with_an_empty_intersection_raises(self):
+        with pytest.raises(ProjectionError):
+            halfspace_rows([LEAVES_FACE, EASY[0], EMPTY, EASY[1]])
+
+    def test_batch_row_whose_face_misses_the_halfspace(self):
+        # The row's face search fails; it is redone off the face, as alone,
+        # and the rows around it are not disturbed.
+        batch = [EASY[0], NO_FACE_POINT, LEAVES_FACE, EASY[1], EASY[2]]
+        alone = [project_halfspace_then_set(x, normal, offset, fs)
+                 for x, normal, offset, _, fs in batch]
+        assert alone[1] == pytest.approx([3.6, 2.2], abs=1e-12)
+        for point, want in zip(halfspace_rows(batch), alone):
+            assert point.tobytes() == want.tobytes()
+
+    def test_one_bracket_search_serves_both_paths(self, monkeypatch):
+        batches = []
+        search = projection._bracket
+
+        def counted(n, *args):
+            batches.append(len(n))
+            return search(n, *args)
+
+        monkeypatch.setattr(projection, "_bracket", counted)
+        x, normal, offset, gap, fs = SEED_FAILS
+        project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
+        assert batches == [1]
+        halfspace_rows([SEED_FAILS, SEED_CERTIFIES])
+        assert batches == [1, 2]

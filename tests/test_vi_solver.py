@@ -315,7 +315,7 @@ class TestRowLoop:
         anchor, lam, _ = projection._box_budget_rows(s + p, s, budget)
         seen = [[] for _ in problems]
 
-        def on_iteration(iteration, rows, x, res, steps, z, mu, done):
+        def on_iteration(iteration, rows, x, res, steps, mu, done):
             for j, r in enumerate(rows):
                 seen[r].append((x[j].tobytes(), res[j], 0.0 if done else steps[j]))
             return [False] * len(rows)
