@@ -104,12 +104,10 @@ def project_box_budget(v, fset: FeasibleSet) -> ProjectionResult:
 
 def _move_path(x, n, ub, budget, sum_x, equality):
     """The moves P_X(x - beta*n) - x of the halfspace dual, for feasible x,
-    as (move, seed slope): move is a function of beta >= 0 returning (move,
-    multiplier, free mask, slope), where slope is the sum of the centered
-    n**2 over the free components of the move's piece (the Newton slope of
-    the dual on it where the budget binds), None for a move inside the
-    budget. seed slope is that of x's own bound set (below) when equality,
-    and None otherwise.
+    as (move, seed slope): move(beta >= 0) returns (move, multiplier, free
+    mask, slope), slope being the sum of the centered n**2 over the free
+    components of the move's piece (None for a move inside the budget), and
+    seed slope is that of x's own bound set when equality, else None.
 
     Solves for the budget multiplier directly in move coordinates
     m(lam) = clamp(-beta*n - lam, -x, ub - x), targeting
@@ -320,23 +318,16 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 
 # Row cores. The engine plays a sweep's games in lockstep through these:
 # each takes (rows, n) arrays of independent problems and keeps every row's
-# multiplier, bracket, certified piece and stop to itself. Elementwise work
-# runs on the whole batch; exactly rounded sums, norms and the scalar
-# control of each search run row by row, so a row rounds as it does alone.
-# A row leaves the batch when its search ends, and rows are gathered only
-# when they take different branches.
+# multiplier, bracket, certified piece and stop to itself. Elementwise work,
+# the halfspace dual's probes, piece comparisons and Newton steps run on the
+# live rows as columns; exactly rounded sums and each search's scalar rule
+# run row by row, so a row rounds as it does alone. A row leaves the batch
+# when its search ends.
 #
-# The one-vector code above runs three of them on a batch of one, where the
-# batch costs little (5% of follower_tight's items_per_s, seed 211, on 2
-# cores): project_box_budget is _box_budget_rows, and _breakpoint_rows and
-# _bracket are the only breakpoint search and bracket search. It keeps its
-# own code where a lone row would pay the batch bookkeeping in Python on
-# every call, more than the numpy work of a small problem: _move_path,
-# _halfspace_dual's probes and project_halfspace_then_set, and vi_solver's
-# natural_residual and solve_ve. On follower_tight (10 s runs) running
-# _move_path as _move_path_rows cost 20% of items_per_s,
-# project_halfspace_then_set as _halfspace_rows 32%, and natural_residual
-# as _residual_rows about 7% more on top.
+# The one-vector code above shares _box_budget_rows, _breakpoint_rows and
+# _bracket with them, and keeps its own moves and probes (_move_path) and
+# vi_solver's solve_ve, where a batch of one would pay the row bookkeeping
+# on every call. MEASURED
 
 def _take(a, rows):
     """The rows of `a` at the ascending index array `rows`; `a` itself when
@@ -520,36 +511,14 @@ def _box_budget_rows(v, ub, budget):
 
 
 def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
-    """The halfspace dual's probes for rows of feasible x, at the moves
-    P_X(x - beta*n) - x: returns probe(rows, betas), which probes the
-    ascending list rows at one beta >= 0 each and returns their probe
-    columns (see _bracket), the gap of row r being <n, move> + g_lin[r];
-    and the slope of each row's bound-set piece, defined below. A position
-    whose breakpoint search finds no certified piece gets its
-    ProjectionError in the columns' dict of failures.
-
-    Solves for the budget multiplier directly in move coordinates
-    m(lam) = clamp(-beta*n - lam, -x, ub - x), targeting
-    fsum(m) = budget - sum(x). The breakpoint search only identifies the
-    active set; the accepted move is reassembled as
-    -beta*(n_i - mean(n_free)) - c on free components, which keeps every
-    piece exactly rounded at its own scale. Computing clamp(-beta*n - lam)
-    directly would round at the beta*||n|| scale, orders of magnitude above
-    the physical move near convergence. An active set's constants do not
-    depend on beta, and successive probes of the dual mostly stay on one
-    set, so each row's move is first assembled on its last certified piece,
-    or on x's own bound set (lower x <= 0, upper x >= ub) until one
-    certifies; the breakpoint search runs only on the rows whose piece
-    fails its KKT check. Each piece also keeps its slope, the sum of the
-    centered n**2 over its free components, which is the Newton slope of a
-    probe on it where the budget binds.
-
-    With equality=True the budget is treated as the equality sum(w) = sum(x)
-    and the multiplier may take either sign; the caller uses this to keep
-    iterates on the budget face when that is where the geometry lives.
-    Otherwise a genuine slack below the face tolerance is snapped to zero:
-    an ulp of slack opens a spurious off-face segment in the dual whose root
-    sits within rounding of zero, freezing the caller's iteration.
+    """_move_path over rows of feasible x, as the halfspace dual's probes:
+    returns probe(rows, betas), which probes the ascending list rows at one
+    beta >= 0 each and returns their probe columns (see _bracket), the gap
+    of row r being <n, move> + g_lin[r], and the slope of each row's own
+    bound set. Each row's move is first assembled on its last certified
+    piece, held with the others' as columns; the breakpoint search runs on
+    the rows whose piece fails its KKT check, and a position whose search
+    certifies no piece gets its ProjectionError in the dict of failures.
 
     The caller passes hi_b, ub - x, and bounds, the masks x <= 0 and
     x >= ub; n_max, each row's largest |n|, is computed unless given.
@@ -561,11 +530,10 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
               for b, sx in zip(budget, sum_x)]
 
     def piece_of(rows, lower, upper, nr, lb, hb):
-        """The pieces of rows whose components in lower and upper sit at
-        their bounds: the free mask, the arrays (bound, lo_lim, hi_lim, dev)
-        and the scalars (k, nbar, residue, c, slope, count), each stacked on
-        axis 0. count is the number of free components, and k is 1 where
-        there are none. The free mean's residue folds into c."""
+        """piece_of of _move_path for rows: the free masks, the arrays (bound,
+        lo_lim, hi_lim, dev) and the scalars (k, nbar, residue, c, slope,
+        count) stacked on axis 0; count is the number of free components,
+        and k is 1 where there are none."""
         free = ~(lower | upper)
         bound = np.where(lower, lb, hb)
         n_free, fixed = _masked_rows(nr, free), _masked_rows(bound, ~free)
@@ -591,10 +559,8 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
     stores = piece_of(range(m), *bounds, n, lo_b, hi_b)
 
     def on_piece(free, arrays, scalars, beta, nb, s, lb, hb, peak):
-        """The moves of pieces at beta (an array; nb is -beta as a column),
-        as (ok, moves, multipliers). The rounded mean's residue folds into
-        the constant, so any piece's move sums to the target exactly; ok is
-        its KKT test at its own multiplier, false where no component is
+        """on_piece of _move_path for rows at beta (nb is -beta as a
+        column): (ok, moves, multipliers), ok false where no component is
         free."""
         bound, lo_lim, hi_lim, dev = arrays
         k, nbar, residue, c, _, count = scalars
@@ -656,8 +622,7 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
 
             def finish(sub, lam_guess):
                 """The moves on the pieces holding lam_guess at the positions
-                sub of need, whose constants (see on_piece) do not depend on
-                beta."""
+                sub of need."""
                 if len(sub) == len(need):
                     sr, s2, l2, h2, b2, n2, p2 = at_rows, ss, ls, hs, bs, ns, ps
                 else:
@@ -711,11 +676,10 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
 
 
 def _newton_steps(n, free, binds, beta, g, slopes):
-    """Per probe, the root of its piece, beta + g/slope, or inf when the
-    piece is flat. The slope is the sum of n**2 over the free components,
-    centered where the budget binds: slopes holds each one known from its
-    piece, nan where none is, and those are summed here exactly, over rows
-    padded with zeros (a lone row is indexed, see _masked_rows)."""
+    """Per probe, the root beta + g/slope of its piece, inf when the piece is
+    flat. The slope is the sum of n**2 over the free components, centered
+    where the budget binds; slopes holds those its piece knew and nan for
+    the others, which are summed here exactly (see _masked_rows)."""
     if len(n) == 1:
         slope = slopes[0]
         if slope != slope:
@@ -724,47 +688,35 @@ def _newton_steps(n, free, binds, beta, g, slopes):
                 n_free = n_free - math.fsum(n_free.tolist()) / n_free.size
             slope = math.fsum((n_free * n_free).tolist())
         return [beta[0] + g[0] / slope if slope > 0.0 else math.inf]
-    todo = [j for j, v in enumerate(slopes) if v != v]
-    if todo:
-        slopes = list(slopes)
-        if len(todo) < len(slopes):
-            n, free, binds = n[todo], free[todo], [binds[j] for j in todo]
+    if any(v != v for v in slopes):
         if any(binds):
-            n_free = _masked_rows(n, free)
             counts = _sum(free, axis=1).tolist()
             means = [math.fsum(v) / k if b and k else 0.0
-                     for v, k, b in zip(n_free, counts, binds)]
+                     for v, k, b in zip(_masked_rows(n, free), counts, binds)]
             if any(means):
                 n = n - _col(means)
-        for j, v in zip(todo, map(math.fsum, _masked_rows(n * n, free))):
-            slopes[j] = v
+        slopes = [v if v == v else new for v, new in zip(
+            slopes, map(math.fsum, _masked_rows(n * n, free)))]
     return [b + v / slope if slope > 0.0 else math.inf for b, v, slope in zip(beta, g, slopes)]
 
 
 def _bracket(n, x, lo, evals, probe, errors):
-    """The search for the root of each row's gap, for all rows in lockstep.
+    """The search for the root of each row's gap, all rows in lockstep.
 
-    A probe at beta is columns over rows: (g, lam, binds, free, at_upper,
-    move, slope), the gap, the budget multiplier and whether it binds per
-    row, the (rows, n) masks of the free and at-upper components and the
-    moves, and per row the slope of its piece (see _newton_steps). lo is the
-    probe of every row at beta = 0 and evals the evaluations spent on it;
-    probe(rows, betas) probes the ascending list rows, one beta each, and
-    returns those columns and a dict from each position whose move failed
-    to its ProjectionError. Returns per row the move, beta and multiplier
-    of its final probe, as three lists. A row in errors on entry is
-    skipped, and a row whose search fails gets its error there.
+    A probe is columns over rows: (g, lam, binds, free, at_upper, move,
+    slope), the gap, budget multiplier and whether it binds, the (rows, n)
+    masks of the free and at-upper components, the moves, and the slope of
+    the piece (see _newton_steps). lo holds every row's probe at beta = 0
+    and evals the evaluations spent on it. probe(rows, betas) probes the
+    ascending list rows and returns the columns and a dict from each
+    position whose move failed to its ProjectionError. Returns the move,
+    beta and multiplier of each row's final probe as lists; a row in errors
+    on entry is skipped, and a failed row's error is added there.
 
-    Per row, probes of beta step along the piece of one end of the bracket
-    [lo, hi]: from lo's piece until a probe lands with g <= 0, then leftward
-    from hi's piece, from lo's piece when that step leaves the bracket, and
-    bisecting only when neither fits. A probe with computed g <= 0 on the
-    piece it was stepped from is that piece's root and is final; when no
-    step fits a bracket narrower than beta's rounding, its hi end is. A
-    piece is a probe's free mask, at-upper mask and whether the budget
-    binds. The rule runs row by row, once per round; the probes, the
-    comparisons of pieces and their Newton steps run on all live rows at
-    once.
+    Per row, probes step along the piece of one end of the bracket [lo, hi]
+    (see project_halfspace_then_set); a piece is a probe's free mask,
+    at-upper mask and whether the budget binds. The rule runs row by row;
+    the probes, the comparisons of pieces and the Newton steps are batched.
     """
     g0, lam0, binds0, free0, up0, move0, slope0 = lo
     m = len(g0)
@@ -782,9 +734,8 @@ def _bracket(n, x, lo, evals, probe, errors):
         g0, binds0, slope0, evals = ([a[r] for r in rows] for a in (g0, binds0, slope0, evals))
 
     def pick(r, j, st):
-        """The next beta of row r, at position j, whose bracket is st, and
-        the end it steps from (0 lo, 1 hi, None for a bisection); None for
-        the beta when the row's search ends here."""
+        """Row r's next beta and the end it steps from (0 lo, 1 hi, None for
+        a bisection), or None when its search ends; j is its position."""
         lo_beta, g, lo_step, _, hi_beta, hi_step, hi_lam, _, hi_move, spent = st
         if spent >= _MAX_EVALS:
             errors[r] = ProjectionError(
@@ -836,13 +787,10 @@ def _bracket(n, x, lo, evals, probe, errors):
     for j, (r, g, step, b, spent) in enumerate(zip(
             rows, g0, _newton_steps(n, free0, binds0, [0.0] * len(rows), g0, slope0), binds0,
             evals)):
-        st = [0.0, g, step, b, None, None, None, None, None, spent]
-        state.append(st)
-        beta, side = pick(r, j, st)
+        state.append([0.0, g, step, b, None, None, None, None, None, spent])
+        beta, side = pick(r, j, state[-1])
         if beta is not None:
-            go.append(j)
-            betas.append(beta)
-            origin.append(side)
+            go.append(j), betas.append(beta), origin.append(side)
     if len(go) < len(rows):
         if not go:
             return out_move, out_beta, out_lam
@@ -856,8 +804,7 @@ def _bracket(n, x, lo, evals, probe, errors):
             if failed and j in failed:
                 errors[r] = failed[j]
             elif gj > 0.0:
-                stay.append(j)
-                to_lo.append(True)
+                stay.append(j), to_lo.append(True)
             else:
                 if same is None and gj != 0.0 and side is not None:
                     # The pieces of the probes' origins, compared by row.
@@ -872,8 +819,7 @@ def _bracket(n, x, lo, evals, probe, errors):
                                  and binds[j] == st[3 if side == 0 else 7]):
                     out_move[r], out_beta[r], out_lam[r] = move[j], betas[j], lam[j]
                 else:
-                    stay.append(j)
-                    to_lo.append(False)
+                    stay.append(j), to_lo.append(False)
         if len(stay) < len(rows):
             if not stay:
                 break
@@ -900,9 +846,7 @@ def _bracket(n, x, lo, evals, probe, errors):
                 st[4:9] = beta, step, lam[j], binds[j], move[j]
             beta, side = pick(r, j, st)
             if beta is not None:
-                go.append(j)
-                nxt.append(beta)
-                origin.append(side)
+                go.append(j), nxt.append(beta), origin.append(side)
         betas = nxt
         if len(go) < len(rows):
             if not go:
@@ -913,14 +857,11 @@ def _bracket(n, x, lo, evals, probe, errors):
 
 def _halfspace_dual_rows(x, n, gap, ub, budget, sum_x, face_mode, n_max=None):
     """Rows of feasible x projected onto X (onto the budget face when
-    face_mode) intersected with {w : <n, w - x + gap> <= 0}, returned as
-    (points, betas, multipliers, errors). errors maps a row whose search
-    failed to its ProjectionError; that row's point, beta and multiplier
-    are undefined.
-
-    The rows search their brackets in lockstep (see _bracket), one batched
-    move per round, and a row leaves when its search ends. n_max, each
-    row's largest |n|, is computed unless given.
+    face_mode) intersected with {w : <n, w - x + gap> <= 0}, the rows
+    searching in lockstep (see _bracket): returns (points, betas,
+    multipliers, errors), errors mapping a row whose search failed to its
+    ProjectionError (its other entries are undefined). n_max, each row's
+    largest |n|, is computed unless given.
     """
     m = len(x)
     g_lin = _row_fsums(n * gap)
@@ -962,12 +903,8 @@ def _halfspace_rows(x, normal, gap, ub, budget):
     ProjectionError for the first row whose search fails."""
     m = len(x)
     sum_x = _row_fsums(x)
-    # When x and the offset point both sit on the budget face, their sums
-    # differ only by rounding jitter, yet that jitter enters the gap scaled
-    # by the large all-ones component of the normal and can erase or invert
-    # the cut. Centering the normal removes the all-ones component; on the
-    # face the centered halfspace is the exact-arithmetic one, and the dual
-    # path P_X(x - beta*n) is unchanged where the budget binds.
+    # Rows on the budget face project on the face with a centered normal,
+    # as project_halfspace_then_set explains.
     face, plain = [], []
     for r, (b, sx, sg) in enumerate(zip(budget, sum_x, _row_fsums(gap))):
         if b - sx <= 64.0 * EPS * b and abs(sg) <= 256.0 * EPS * b:
@@ -976,10 +913,6 @@ def _halfspace_rows(x, normal, gap, ub, budget):
             plain.append(r)
     out = None
     if face:
-        # Shifting the normal by a multiple of the all-ones vector leaves the
-        # halfspace unchanged on the face. Centering on the gap's support
-        # (where the normal's dominant component is constant) stops the
-        # ulp-level facial jitter from being amplified into the gap.
         whole = len(face) == m
         nf, gf = (normal, gap) if whole else (normal[face], gap[face])
         support = gf != 0.0
@@ -1010,12 +943,8 @@ def _halfspace_rows(x, normal, gap, ub, budget):
                    [sum_x[r] for r in face])), True, peak)
             kept = []
             for i, (r, beta, lam, sh) in enumerate(zip(face, betas, lams, shift)):
-                # A failed face search means no point of the face meets the
-                # halfspace (the offset point is outside the box). Otherwise
-                # the face multiplier lam belongs to the centered normal, and
-                # the original halfspace's budget multiplier is
-                # lam - beta*shift; where it is negative the projection
-                # leaves the face. Either way the face is the wrong set.
+                # A failed face search, or a negative budget multiplier of the
+                # original halfspace, sends the row off the face.
                 if i not in errors and lam - beta * sh >= -64.0 * EPS * (
                         abs(lam) + beta * abs(sh)):
                     kept.append(i)
