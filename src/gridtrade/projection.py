@@ -161,18 +161,20 @@ def _move_path(x, n, ub, budget, sum_x, equality):
         last = piece_of(x <= 0.0, x >= ub)
 
     def on_piece(piece, beta, s):
-        """The move of a piece at beta, ((move, multiplier, free), ok). The
-        rounded mean's residue folds into the constant, so any piece's move
-        sums to the target exactly; ok is its KKT test at its own multiplier."""
+        """The move of a piece at beta, ((move, multiplier, free, slope), ok),
+        the move None unless ok. The rounded mean's residue folds into the
+        constant, so any piece's move sums to the target exactly; ok is its
+        KKT test at its own multiplier."""
         free, k, bound, lo_lim, hi_lim, dev, nbar, residue, c, slope = piece
         c_adj = c - beta * residue / k
         m_free = -beta * dev - c_adj
         lam = -beta * nbar + c_adj
         tol = 64.0 * EPS * (beta * n_max + abs(lam)) + 1e-300
         v = np.where(free, m_free, s - lam)
-        ok = (equality or lam >= -tol) and not _any((v < lo_lim - tol) | (v > hi_lim + tol))
+        if not ((equality or lam >= -tol) and not _any((v < lo_lim - tol) | (v > hi_lim + tol))):
+            return None, False
         m = np.minimum(np.maximum(np.where(free, m_free, bound), lo_b), hi_b)
-        return (m, lam if equality else max(lam, 0.0), free, slope), ok
+        return (m, lam if equality else max(lam, 0.0), free, slope), True
 
     def move(beta):
         nonlocal last, seeded
@@ -204,7 +206,7 @@ def _move_path(x, n, ub, budget, sum_x, equality):
             result, ok = on_piece(piece, beta, s)
             if ok:
                 last = piece
-            found.append(result)
+                found.append(result)
             return [ok]
 
         if _breakpoint_rows(s[None], lo_b[None], hi_b[None], [target], finish)[0] is None:
@@ -406,7 +408,7 @@ def _breakpoint_rows(s, lo, hi, target, finish, slope=None):
     m, n = s.shape
     unit = slope is None
     t = np.concatenate((s - hi, s - lo) if unit else (s - hi / slope, s - lo / slope), axis=1)
-    order = np.argsort(t, axis=1, kind="stable")
+    order = t.argsort(1, kind="stable")
     # order indexes within each row; as indices into the flattened rows it
     # needs each row's offset, which a lone row does not.
     flat = order if m == 1 else order + np.arange(0, 2 * n * m, 2 * n)[:, None]
@@ -422,7 +424,7 @@ def _breakpoint_rows(s, lo, hi, target, finish, slope=None):
         steps = np.isinf(w)
         has_steps = bool(steps.any())
         w[steps] = 0.0
-    f = _sum(hi, axis=1, keepdims=True) + np.cumsum(w * t, axis=1) - np.cumsum(w, axis=1) * t
+    f = _sum(hi, axis=1, keepdims=True) + (w * t).cumsum(1) - w.cumsum(1) * t
     if has_steps:
         f += np.cumsum(np.where(steps & entering, np.tile(lo - hi, 2).ravel()[flat], 0.0), axis=1)
 
@@ -449,7 +451,7 @@ def _breakpoint_rows(s, lo, hi, target, finish, slope=None):
         return 0.5 * (tr[k - 1] + tr[k])
 
     drop = -f
-    ks = [int(np.searchsorted(drop[r], -target[r])) for r in range(m)]
+    ks = [int(row.searchsorted(-b)) for row, b in zip(drop, target)]
     ok = finish(list(range(m)), [point(r, k) for r, k in enumerate(ks)])
     pieces = [1 if good else None for good in ok]
     retry = []
@@ -742,12 +744,11 @@ def _bracket(n, x, lo, evals, probe, errors):
                 f"no halfspace dual bracket within {_MAX_EVALS} evaluations" if hi_beta is None
                 else f"halfspace dual search exceeded {_MAX_EVALS} evaluations")
             return None, None
-        if hi_beta is not None:
-            side, beta = 1, hi_step
-        if hi_beta is None or not lo_beta < beta < hi_beta:
-            # A step from lo always advances, so a g rounded above zero at a
-            # piece's root cannot stall the search.
-            side, beta = 0, max(lo_step, lo_beta * (1.0 + 4.0 * EPS) + 5e-324)
+        if hi_beta is not None and lo_beta < hi_step < hi_beta:
+            return hi_step, 1
+        # A step from lo always advances, so a g rounded above zero at a
+        # piece's root cannot stall the search.
+        beta = max(lo_step, lo_beta * (1.0 + 4.0 * EPS) + 5e-324)
         if hi_beta is None:
             if beta == math.inf:
                 # No piece is steeper than <n, n>, so g/<n, n> cannot
@@ -766,8 +767,8 @@ def _bracket(n, x, lo, evals, probe, errors):
             if hi_beta - lo_beta <= width_tol:
                 out_move[r], out_beta[r], out_lam[r] = hi_move, hi_beta, hi_lam
                 return None, None
-            side, beta = None, 0.5 * (lo_beta + hi_beta)
-        return beta, side
+            return 0.5 * (lo_beta + hi_beta), None
+        return beta, 0
 
     def take(sel):
         """Keep the rows at the positions sel."""
