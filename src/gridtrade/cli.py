@@ -376,7 +376,7 @@ def _audit_file(path: Path, trials: int, tol: float) -> tuple[int, str]:
         problems = validate_scenario(scenario)
     except KeyError as exc:
         problems = [f"missing field {exc}"]
-    except (OSError, TypeError, ValueError) as exc:
+    except (OSError, TypeError, ValueError, OverflowError) as exc:
         problems = [f"{type(exc).__name__}: {exc}"]
     if problems:
         return 1, f"{path.name}: INVALID ({'; '.join(problems)})"

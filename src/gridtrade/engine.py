@@ -22,7 +22,8 @@ Games of one network size can be played in lockstep (run_games): one
 follower loop iterates every game's sellers as one row of a (games,
 sellers) batch, each game keeps its own transcript, and its outcome does
 not depend on which games share the batch. run_stackelberg is a batch of
-one.
+one, played by the same loop, whose lone row takes the one-vector residual
+and projection (see vi_solver).
 
 The grid's stop rule mirrors the slack-equalization idea: it stops a stage
 when the interior slack values agree within tolerance AND have stopped
@@ -41,14 +42,13 @@ import numpy as np
 
 from .model import (
     EquilibriumResult,
-    FeasibleSet,
     Scenario,
     grid_cost,
     validate_scenario,
 )
 from .price_opt import optimize_prices
 from .projection import _box_budget_rows, _take
-from .vi_solver import PseudoGradient, SolverConfig, _extragradient, solve_ve
+from .vi_solver import SolverConfig, _extragradient
 
 PG = "pg"
 Message = str  # one transcript message: its JSON line
@@ -336,7 +336,7 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
     rounds = [0] * m
     residual = [float("nan")] * m
 
-    def on_iteration(iteration, rows, x, res, steps, mu, done):
+    def on_iteration(iteration, rows, x, res, steps, d, mu, done):
         if done:
             stops = [True] * len(rows)
         else:
@@ -358,25 +358,12 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
         prev_mu[rows] = mu
         return stops
 
-    if m == 1:
-        # A lone game takes the one-vector solver, whose path each row of
-        # the batch follows bit for bit: through the row cores a batch of
-        # one pays their bookkeeping in Python on every round.
-        lone = np.zeros(1, dtype=int)
-
-        def record(rec, done):
-            return on_iteration(rec.iteration, lone, rec.x[None], [rec.residual], [rec.step],
-                                rec.mu[None], done)[0]
-
-        x, trace = solve_ve(PseudoGradient(s[0], prices[0]), FeasibleSet(s[0], budget[0]), cfg,
-                            on_iteration=record)
-        return x[None], rounds, residual, [trace.stop_reason in ("residual", "caller")]
     c = s + prices
     if not np.isfinite(c).all():
         raise ValueError("cannot project with a non-finite vector")
     anchor, lam, _ = _box_budget_rows(c, s, budget)
-    x, reasons = _extragradient(np.zeros_like(s), s, prices, s, budget, anchor,
-                                [v > 0.0 for v in lam], cfg, on_iteration)
+    x, reasons = _extragradient(np.zeros_like(s), s, prices, s, budget, anchor, lam, cfg,
+                                on_iteration)
     return x, rounds, residual, [reason in ("residual", "caller") for reason in reasons]
 
 

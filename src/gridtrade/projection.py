@@ -325,11 +325,13 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 # run row by row, so a row rounds as it does alone. A row leaves the batch
 # when its search ends.
 #
-# The one-vector code above shares _box_budget_rows, _breakpoint_rows and
-# _bracket with them, and keeps its own moves and probes (_move_path) and
-# vi_solver's solve_ve, where a batch of one would pay the row bookkeeping
-# on every call: follower_tight's solves (seed 211, CPU time) took 1.5x as
-# long with their projections run as _halfspace_rows on batches of one.
+# The one-vector projection above shares _box_budget_rows, _breakpoint_rows
+# and _bracket with them and keeps its own moves and probes (_move_path).
+# vi_solver's loop projects a lone row with it and a batch of several with
+# _halfspace_rows, as each costs the other's workload dear (bench, seed
+# 211): run as _halfspace_rows on batches of one, follower_tight lost about
+# 36% of its throughput, and with its rows projected one at a time, sweep
+# lost about 40%.
 
 def _take(a, rows):
     """The rows of `a` at the ascending index array `rows`; `a` itself when

@@ -21,6 +21,17 @@ x - F(x) = surpluses + prices for every x, r(x) is projected once per solve
 (the anchor, the same point `ve_closed_form` returns) and each iteration only
 compensates its budget sum against x. The halfspace projection seeds its
 dual with the active set of the iterate's own bounds (see `projection`).
+
+One loop, `_extragradient`, runs the iteration for every caller: the engine
+on a (games, sellers) batch of independent problems, `solve_ve` on a batch
+of one. A batch of several rows forms its residuals and projections with
+the row cores, and a lone row (a lone problem, or a batch's last live row)
+with the one-vector `natural_residual` and `project_halfspace_then_set`.
+Both paths stay because each is the cheap one for its batch size (bench,
+seed 211): the row projection on a batch of one costs `follower_tight`
+about 36% of its throughput, and one-vector projections per row cost
+`sweep` about 40%. The shared loop itself costs a lone problem about 6%
+against a loop of its own.
 """
 
 from __future__ import annotations
@@ -188,7 +199,7 @@ def solve_ve(F: PseudoGradient, fset: FeasibleSet, cfg: SolverConfig | None = No
     tolerance; otherwise backtrack for the largest step t = gamma * beta**m
     whose trial point z = x - t*(x - r) satisfies
     <F(z), x - r> >= delta * ||x - r||**2, then project x onto X intersected
-    with {w : <F(z), w - z> <= 0}.
+    with {w : <F(z), w - z> <= 0}. This is _extragradient on a batch of one.
 
     `on_iteration(record, residual_converged)` is invoked once per iteration
     when given; returning True halts the solve after that record (used by the
@@ -203,47 +214,20 @@ def solve_ve(F: PseudoGradient, fset: FeasibleSet, cfg: SolverConfig | None = No
 
     anchor = project_box_budget(F.surpluses + F.prices, fset)
     trace = SolverTrace()
-    trace.stop_reason = "max_iterations"
-    for iteration in range(1, cfg.max_iterations + 1):
-        r, residual = natural_residual(x, F, fset, anchor)
-        mu = F.mu(x)
-        if residual <= cfg.residual_tol:
-            record = IterationRecord(iteration, x, residual, 0.0, x, mu)
-            trace.records.append(record)
-            trace.stop_reason = "residual"
-            if on_iteration is not None:
-                on_iteration(record, True)
-            break
 
-        d = x - r
-        dn2 = residual * residual
-        t = cfg.gamma
-        z = x - t * d
-        Fz = F(z)
-        backtracks = 0
-        while math.fsum((Fz * d).tolist()) < cfg.delta * dn2:
-            backtracks += 1
-            if backtracks > cfg.max_backtracks:
-                raise ArmijoSearchError(
-                    f"no acceptable step within {cfg.max_backtracks} backtracks "
-                    f"at iteration {iteration} (residual {residual:.3e})"
-                )
-            t *= cfg.beta
-            z = x - t * d
-            Fz = F(z)
+    def record(iteration, rows, x, res, steps, d, mu, done):
+        # z is x on the residual stop, else the accepted trial point x - t*d.
+        x, t = x[0], 0.0 if done else steps[0]
+        rec = IterationRecord(iteration, x, res[0], t, x if done else x - t * d[0], mu[0])
+        trace.records.append(rec)
+        return [on_iteration is not None and on_iteration(rec, done)]
 
-        record = IterationRecord(iteration, x, residual, t, z, mu)
-        trace.records.append(record)
-        if on_iteration is not None and on_iteration(record, False):
-            trace.stop_reason = "caller"
-            break
-        if iteration == cfg.max_iterations:
-            break
-        # x - z equals t*d analytically; passing it keeps the halfspace gap
-        # resolvable when d is small.
-        x = project_halfspace_then_set(x, Fz, z, fset, offset_gap=t * d)
-    final = trace.records[-1]
-    return final.x, trace
+    final, stops = _extragradient(x[None], F.surpluses[None], F.prices[None],
+                                  fset.upper_bounds[None], [fset.budget], anchor.point[None],
+                                  [anchor.multiplier], cfg, record)
+    trace.stop_reason = stops[0]
+    # A copy, not a view that keeps the (1, n) batch alive.
+    return final[0].copy(), trace
 
 
 def _residual_rows(x, anchor, active, ub):
@@ -284,25 +268,35 @@ def _residual_rows(x, anchor, active, ub):
     return r, list(map(math.sqrt, map(np.dot, d, d)))
 
 
-def _extragradient(x, s, p, ub, budget, anchor, active, cfg, on_iteration):
+def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration):
     """The extragradient iteration over rows of independent problems
     F_r(x) = x - s_r - p_r on their box-plus-budget sets, in lockstep.
 
     Row r starts from x[r]; anchor[r] is the projection of s_r + p_r and
-    active[r] whether its budget binds there. Each row takes its own
-    Armijo step and stops on its own test, and a row that stops leaves the
-    batch. After each row's residual test,
-    on_iteration(iteration, rows, x, residuals, steps, mu, done) sees the
-    live rows, their labels in `rows`: with done=True the rows that stop on
-    their residual (steps None), and with done=False, after the Armijo
-    search, the rest; it returns per row whether to halt it there.
-    Returns each row's final iterate and stop reason (`residual`, `caller`
-    or `max_iterations`). A row's path is solve_ve's, bit for bit.
+    lam[r] its budget multiplier. Each row takes its own Armijo step and
+    stops on its own test, and a row that stops leaves the batch. After each
+    row's residual test, on_iteration(iteration, rows, x, residuals, steps,
+    d, mu, done) sees the live rows, their labels in `rows`: with done=True
+    the rows that stop on their residual (steps and d None), and with
+    done=False, after the Armijo search, the rest, whose trial points are
+    x - steps*d; it returns per row whether to halt it there. Returns each
+    row's final iterate and stop reason (`residual`, `caller` or
+    `max_iterations`). A row's path does not depend on the rows beside it:
+    several rows take the row cores, a lone row (alone from the start or
+    the last one left) the one-vector calls, which round the same.
     """
     rows = np.arange(len(x))
     final = np.empty_like(x)
     stops = ["max_iterations"] * len(x)
-    budget, active = list(budget), list(active)
+    budget, lam = list(budget), list(lam)
+    active = [v > 0.0 for v in lam]
+    lone = None
+
+    def alone():
+        """The one live row as the one-vector calls take it: its operator,
+        set and natural-map anchor."""
+        return (PseudoGradient(s[0], p[0]), FeasibleSet(ub[0], budget[0]),
+                ProjectionResult(anchor[0], lam[0], active[0], 0))
 
     def leave(sel, reason):
         """Record the rows at positions sel as stopped and return the
@@ -315,19 +309,24 @@ def _extragradient(x, s, p, ub, budget, anchor, active, cfg, on_iteration):
 
     tol, gamma, shrink, delta = cfg.residual_tol, cfg.gamma, cfg.beta, cfg.delta
     for iteration in range(1, cfg.max_iterations + 1):
-        r, res = _residual_rows(x, anchor, active, ub)
+        if len(x) == 1:
+            lone = lone or alone()
+            r, v = natural_residual(x[0], *lone)
+            r, res = r[None], [v]
+        else:
+            r, res = _residual_rows(x, anchor, active, ub)
         mu = s - x + p
         done = [j for j, v in enumerate(res) if v <= tol]
         if done:
             at = _take(rows, done)
-            on_iteration(iteration, at, _take(x, done), [res[j] for j in done], None,
+            on_iteration(iteration, at, _take(x, done), [res[j] for j in done], None, None,
                          _take(mu, done), True)
             kept = leave(done, "residual")
             if not kept:
                 break
             rows, x, s, p, ub, anchor, r, mu = (
                 a[kept] for a in (rows, x, s, p, ub, anchor, r, mu))
-            res, budget, active = ([a[j] for j in kept] for a in (res, budget, active))
+            res, budget, lam, active = ([a[j] for j in kept] for a in (res, budget, lam, active))
 
         d = x - r
         t = [gamma] * len(x)
@@ -353,18 +352,23 @@ def _extragradient(x, s, p, ub, budget, anchor, active, cfg, on_iteration):
                 fz[short] = fzs
             short = [j for j, a in zip(short, map(math.fsum, (fzs * ds).tolist())) if a < need[j]]
 
-        halt = on_iteration(iteration, rows, x, res, t, mu, False)
+        halt = on_iteration(iteration, rows, x, res, t, d, mu, False)
         if any(halt):
             kept = leave([j for j, v in enumerate(halt) if v], "caller")
             if not kept:
                 break
             rows, x, s, p, ub, anchor, fz, d = (
                 a[kept] for a in (rows, x, s, p, ub, anchor, fz, d))
-            t, budget, active = ([a[j] for j in kept] for a in (t, budget, active))
+            t, budget, lam, active = ([a[j] for j in kept] for a in (t, budget, lam, active))
         if iteration == cfg.max_iterations:
             leave(list(range(len(rows))), "max_iterations")
             break
         # x - z equals t*d analytically; passing it keeps the halfspace gap
         # resolvable when d is small.
-        x = _halfspace_rows(x, fz, _col(t) * d, ub, budget)
+        if len(x) == 1:
+            lone = lone or alone()
+            x = project_halfspace_then_set(x[0], fz[0], None, lone[1],
+                                           offset_gap=t[0] * d[0])[None]
+        else:
+            x = _halfspace_rows(x, fz, _col(t) * d, ub, budget)
     return final, stops

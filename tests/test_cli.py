@@ -459,10 +459,12 @@ class TestVerifyEveryFile:
     @pytest.mark.parametrize("field, value", [
         ("users", 5), ("grid", []), ("cost_linear", "x"), ("surplus", "100"),
         ("total_price", float("nan")),
+        # written as Infinity, which reads back as inf, as 1e400 does
+        ("seed", 1e400),
     ])
     def test_wrong_typed_field_is_invalid(self, tmp_path, capsys, good, field, value):
         data = json.loads(good)
-        if field in ("users", "grid"):
+        if field in ("users", "grid", "seed"):
             data[field] = value
         elif field == "surplus":
             data["users"][0][field] = value

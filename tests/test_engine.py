@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gridtrade.engine as engine
+import gridtrade.vi_solver as vi_solver
 from gridtrade.cli import build_config, sample_scenario, scenario_from_dict
 from gridtrade.engine import (
     MessageLog,
@@ -280,6 +281,34 @@ class TestRunGames:
         assert len({o.stage2.follower_iterations for o in outcomes}) > 1
         for outcome, scenario in zip(outcomes, scenarios):
             assert_same_game(outcome, run_stackelberg(scenario))
+
+    def test_last_live_row_takes_the_one_vector_calls(self, monkeypatch, peak_scenario):
+        # The first game plays stage 1 longer, the second stage 2. Once the
+        # batch falls to one row, the survivor forms its residual with
+        # natural_residual and projects with project_halfspace_then_set, one
+        # call each per round it plays alone, and keeps its bytes.
+        s = peak_scenario.surpluses
+        games = [make_scenario(s, f * s.sum(), seed=5) for f in (0.1, 0.3)]
+        alone = [run_stackelberg(sc) for sc in games]
+        gaps = [abs(a.follower_iterations - b.follower_iterations) for a, b in
+                ((alone[0].stage1, alone[1].stage1), (alone[0].stage2, alone[1].stage2))]
+        assert alone[0].stage1.follower_iterations > alone[1].stage1.follower_iterations
+        assert alone[0].stage2.follower_iterations < alone[1].stage2.follower_iterations
+        calls = {"natural_residual": 0, "project_halfspace_then_set": 0}
+
+        def counted(name):
+            real = getattr(vi_solver, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(vi_solver, name, counted(name))
+        for outcome, single in zip(engine.run_games(games), alone):
+            assert_same_game(outcome, single)
+        assert calls == dict.fromkeys(calls, sum(gaps))
 
     def test_residual_stop_on_a_stages_first_round_ends_the_stage(self, peak_scenario):
         # With a loose tolerance every stage stops on its residual at once:

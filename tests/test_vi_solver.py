@@ -272,6 +272,24 @@ class TestTrace:
         assert trace.residuals[-1] <= cfg.residual_tol
 
 
+class TestIterationRecord:
+    def test_z_is_the_accepted_trial_point(self):
+        # z is x - t*(x - r) for a step, with r the natural map at x, and x
+        # itself on the residual stop: the loop hands over d = x - r and the
+        # record forms z from it, rather than rebuilding z from F(z).
+        steps = 0
+        for _, _, F, fset in golden_problems():
+            _, trace = solve_ve(F, fset)
+            *stepped, last = trace.records
+            assert last.step == 0.0 and last.z.tobytes() == last.x.tobytes()
+            for rec in stepped:
+                assert rec.step > 0.0
+                r, _ = natural_residual(rec.x, F, fset)
+                assert rec.z.tobytes() == (rec.x - rec.step * (rec.x - r)).tobytes()
+            steps += len(stepped)
+        assert steps > 100
+
+
 class TestSolverConfig:
     @pytest.mark.parametrize("kwargs", [
         {"gamma": 0.0}, {"gamma": 1.5}, {"beta": 1.0}, {"delta": 0.0},
@@ -297,8 +315,9 @@ if __name__ == "__main__":
 
 
 class TestRowLoop:
-    """The engine's loop over rows follows each row's solve_ve path bit for
-    bit, whichever rows share its batch and whenever they stop."""
+    """Each row of a batch follows its solve_ve path bit for bit, whichever
+    rows share its batch and whenever they stop: through the row cores while
+    the batch has several rows, as alone once it has one."""
 
     @pytest.mark.parametrize("n", [1, 3, 17])
     def test_rows_match_solve_ve(self, n):
@@ -315,14 +334,13 @@ class TestRowLoop:
         anchor, lam, _ = projection._box_budget_rows(s + p, s, budget)
         seen = [[] for _ in problems]
 
-        def on_iteration(iteration, rows, x, res, steps, mu, done):
+        def on_iteration(iteration, rows, x, res, steps, d, mu, done):
             for j, r in enumerate(rows):
                 seen[r].append((x[j].tobytes(), res[j], 0.0 if done else steps[j]))
             return [False] * len(rows)
 
         final, stops = vi_solver._extragradient(
-            np.zeros_like(s), s, p, s, budget, anchor, [v > 0.0 for v in lam], SolverConfig(),
-            on_iteration)
+            np.zeros_like(s), s, p, s, budget, anchor, lam, SolverConfig(), on_iteration)
         for (x, trace), row, stop, path in zip(alone, final, stops, seen):
             assert row.tobytes() == x.tobytes() and stop == trace.stop_reason
             assert path == [(r.x.tobytes(), r.residual, r.step) for r in trace.records]
