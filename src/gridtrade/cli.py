@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import io
 import json
 import logging
@@ -25,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import check_nse, run_fit, run_games, run_stackelberg
+from .engine import _fit_rows, check_nse, run_games, run_stackelberg
 from .model import EnergyUser, FeasibleSet, GridParams, Scenario, validate_scenario
 from .oracle import social_optimality_audit, ve_oracle
 from .projection import ProjectionError
@@ -168,7 +169,10 @@ def sample_scenario(cfg: ExperimentConfig, n: int, run_index: int) -> Scenario:
     return Scenario(users=users, grid=grid, seed=cfg.seed * 10**6 + n * 10**3 + run_index)
 
 
+@functools.cache
 def _build_id() -> str:
+    """`git describe` of the checkout the package was imported from, asked
+    once per process: the imported code cannot change while it runs."""
     try:
         out = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -225,9 +229,10 @@ def _fig1_rows(cfg: ExperimentConfig):
 def _sweep(cfg: ExperimentConfig):
     """All per-run figures for the utility and cost sweeps.
 
-    The runs at each n are played in lockstep by run_games. A figure that
-    is not finite raises ValueError naming its run and field, before any
-    file is written.
+    The runs at each n are played in lockstep by run_games, and their
+    flat-tariff baselines and figures are computed as rows. A run that did
+    not converge, or a figure that is not finite, raises naming its run
+    (and field), before any file is written.
     """
     per_run = []
     for n in cfg.n_values:
@@ -235,24 +240,36 @@ def _sweep(cfg: ExperimentConfig):
         # Figures that overflow are reported below, one line per run.
         with np.errstate(over="ignore", invalid="ignore"):
             outcomes = _play(scenarios, n)
-            for run, (scenario, outcome) in enumerate(zip(scenarios, outcomes)):
-                if not outcome.converged:
-                    raise RuntimeError(f"run (n={n}, run={run}) did not converge")
-                fit = run_fit(scenario, cfg.fit_tariff)
-                nsg = outcome.stage2
-                figures = {
-                    "nsg_utility": nsg.total_utility / n,
-                    "fit_utility": fit.total_utility / n,
-                    "nsg_cost_model": nsg.grid_cost,
-                    "nsg_payment": float((nsg.prices * nsg.energies).sum()),
-                    "fit_cost_model": fit.grid_cost,
-                    "fit_payment": float((fit.prices * fit.energies).sum()),
-                }
-                for key, value in figures.items():
-                    if not math.isfinite(value):
-                        raise ValueError(f"run (n={n}, run={run}): {key} is not finite ({value})")
-                per_run.append({"n": n, "run": run, **figures})
+            played = next((run for run, o in enumerate(outcomes) if not o.converged),
+                          len(outcomes))
+            nsg = [outcome.stage2 for outcome in outcomes[:played]]
+            fit = _fit_rows(scenarios[:played], cfg.fit_tariff) if played else []
+            columns = {
+                "nsg_utility": [r.total_utility / n for r in nsg],
+                "fit_utility": [r.total_utility / n for r in fit],
+                "nsg_cost_model": [r.grid_cost for r in nsg],
+                "nsg_payment": _payments(nsg),
+                "fit_cost_model": [r.grid_cost for r in fit],
+                "fit_payment": _payments(fit),
+            }
+        for run in range(played):
+            figures = {key: values[run] for key, values in columns.items()}
+            for key, value in figures.items():
+                if not math.isfinite(value):
+                    raise ValueError(f"run (n={n}, run={run}): {key} is not finite ({value})")
+            per_run.append({"n": n, "run": run, **figures})
+        if played < len(outcomes):
+            raise RuntimeError(f"run (n={n}, run={played}) did not converge")
     return per_run
+
+
+def _payments(results) -> list[float]:
+    """sum(prices * energies) of each result, as row sums of the stacked
+    (runs, n) arrays."""
+    if not results:
+        return []
+    prices = np.array([r.prices for r in results])
+    return np.add.reduce(prices * np.array([r.energies for r in results]), axis=1).tolist()
 
 
 def _play(scenarios, n):
@@ -366,7 +383,16 @@ def scenario_from_dict(data: dict) -> Scenario:
         cost_linear=np.asarray(g["cost_linear"], dtype=float),
         cost_const=np.asarray(g["cost_const"], dtype=float),
     )
-    return Scenario(users=users, grid=grid, seed=int(data.get("seed", 0)))
+    return Scenario(users=users, grid=grid, seed=_seed(data.get("seed", 0)))
+
+
+def _seed(value) -> int:
+    """A scenario seed: an integer, or a float without a fractional part
+    (JSON writes 7 and 7.0 alike), as an int. Raises ValueError for
+    anything else."""
+    if _is_int(value) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"seed must be an integer, got {value!r}")
 
 
 def _audit_file(path: Path, trials: int, tol: float) -> tuple[int, str]:

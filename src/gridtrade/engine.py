@@ -20,10 +20,12 @@ json.dumps(..., sort_keys=True) line per message.
 
 Games of one network size can be played in lockstep (run_games): one
 follower loop iterates every game's sellers as one row of a (games,
-sellers) batch, each game keeps its own transcript, and its outcome does
-not depend on which games share the batch. run_stackelberg is a batch of
-one, played by the same loop, whose lone row takes the one-vector residual
-and projection (see vi_solver).
+sellers) batch, one breakpoint search prices every live game of a stage
+(price_opt._price_rows), and the stage results are row arithmetic. Each
+game keeps its own transcript, and its outcome does not depend on which
+games share the batch. run_stackelberg is a batch of one, played by the
+same code, whose lone row takes the one-vector residual and projection
+(see vi_solver).
 
 The grid's stop rule mirrors the slack-equalization idea: it stops a stage
 when the interior slack values agree within tolerance AND have stopped
@@ -36,18 +38,19 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import (
     EquilibriumResult,
     Scenario,
+    _grid_cost_rows,
     grid_cost,
     validate_scenario,
 )
-from .price_opt import optimize_prices
-from .projection import _box_budget_rows, _take
+from .price_opt import _price_rows
+from .projection import _any, _box_budget_rows, _max, _min, _sum, _take
 from .vi_solver import SolverConfig, _extragradient
 
 PG = "pg"
@@ -186,6 +189,12 @@ class MessageLog:
         self._check_round(rnd)
         self._entries.append(_RoundBlock(rnd, offers, slacks, repeat))
 
+    def _append_frozen_round(self, round: int, offers, slacks, repeat: bool) -> None:
+        """append_round for the engine's lockstep rounds: offers and slacks
+        are read-only rows of the round's one copy and the round follows the
+        log's last, so nothing is copied or checked again."""
+        self._entries.append(_RoundBlock(round, offers, slacks, repeat))
+
     def append_prices(self, round: int, prices) -> None:
         """Record one price stage: the grid sends price i to seller i. The
         array is copied."""
@@ -299,25 +308,27 @@ def _interior_mu_stop(x, mu, prev_mu, margin, upper_limit):
     and slack values stationary between rounds. A seller is interior when
     its offer lies strictly between margin and upper_limit. The spread, the
     peak and the movement are exact maxima of the batch; the interior mean
-    is taken per row, as numpy rounds it for that row alone."""
+    is taken per row, as numpy rounds it for that row alone. At a sweep's
+    batch sizes the per-row tests cost less as Python floats than as
+    column operations."""
     interior = (x > margin) & (x < upper_limit)
-    top = np.where(interior, mu, -np.inf).max(axis=1)
-    bottom = np.where(interior, mu, np.inf).min(axis=1)
-    spread = (top - bottom).tolist()
-    reach = np.maximum(np.abs(top), np.abs(bottom)).tolist()
-    peak = np.abs(mu).max(axis=1).tolist()
-    moved = np.abs(mu - prev_mu).max(axis=1).tolist()
+    top = _max(np.where(interior, mu, -np.inf), axis=1).tolist()
+    bottom = _min(np.where(interior, mu, np.inf), axis=1).tolist()
+    peak = _max(np.abs(mu), axis=1).tolist()
+    moved = _max(np.abs(mu - prev_mu), axis=1).tolist()
     stops = []
-    for j, count in enumerate(interior.sum(axis=1).tolist()):
+    for j, count in enumerate(_sum(interior, axis=1).tolist()):
         if count < 2:
             stops.append(moved[j] <= 1e-6 * (1.0 + peak[j]))
-        elif max(moved[j], spread[j]) > 2e-6 * (1.0 + reach[j]):
+            continue
+        spread = top[j] - bottom[j]
+        if max(moved[j], spread) > 2e-6 * (1.0 + max(abs(top[j]), abs(bottom[j]))):
             # The mean lies within the interior values, so the tolerance
             # below cannot reach this bound: no need to take the mean.
             stops.append(False)
         else:
             tol = 1e-6 * (1.0 + abs(float(mu[j][interior[j]].mean())))
-            stops.append(moved[j] <= tol and spread[j] <= tol)
+            stops.append(moved[j] <= tol and spread <= tol)
     return stops
 
 
@@ -344,6 +355,8 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
             stops = [stop and rounds[r] > 0 for stop, r in zip(_interior_mu_stop(
                 x, mu, _take(prev_mu, rows), _take(margin, rows), _take(upper_limit, rows)),
                 rows.tolist())]
+        # One read-only copy of the round; each game's block holds its row.
+        offers, slacks = _frozen(x), _frozen(mu)
         for j, r in enumerate(rows.tolist()):
             log = logs[r]
             rnd = log.total_rounds + 1
@@ -352,7 +365,7 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
                 log.append(rnd, grid.deficiency, grid.total_price, n)
             elif rounds[r] == 0:
                 log.append_prices(rnd, prices[r])
-            log.append_round(rnd, x[j], mu[j], not stops[j])
+            log._append_frozen_round(rnd, offers[j], slacks[j], not stops[j])
             rounds[r] += 1
             residual[r] = res[j]
         prev_mu[rows] = mu
@@ -367,19 +380,32 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
     return x, rounds, residual, [reason in ("residual", "caller") for reason in reasons]
 
 
-def _stage_result(scenario, x, prices, rounds, residual) -> EquilibriumResult:
-    surpluses = scenario.surpluses
-    utilities = surpluses * x - 0.5 * x * x + prices * x
-    return EquilibriumResult(
-        energies=x,
-        prices=prices,
-        utilities=utilities,
-        total_utility=float(utilities.sum()),
-        grid_cost=grid_cost(prices, x, scenario.grid),
-        follower_iterations=rounds,
-        vi_residual=residual,
-        mu_values=surpluses - x + prices,
-    )
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """A read-only copy of a."""
+    a = a.copy()
+    a.flags.writeable = False
+    return a
+
+
+def _stage_result(s, x, prices, a, b, rounds, residuals) -> list[EquilibriumResult]:
+    """One stage result per row of the (games, n) arrays: surpluses s,
+    energies x, prices, and the grid's cost coefficients a and b. Each
+    game's totals are row sums, which round as the game's own sums do."""
+    utilities = s * x - 0.5 * x * x + prices * x
+    totals = _sum(utilities, axis=1).tolist()
+    costs = _grid_cost_rows(prices, x, a, b)
+    mu = s - x + prices
+    return [EquilibriumResult(energies=x[i], prices=prices[i], utilities=utilities[i],
+                              total_utility=totals[i], grid_cost=costs[i],
+                              follower_iterations=rounds[i], vi_residual=residuals[i],
+                              mu_values=mu[i])
+            for i in range(len(x))]
+
+
+def _costs(scenarios):
+    """The grid's cost coefficients a and b, one row per scenario."""
+    return (np.array([sc.grid.cost_linear for sc in scenarios]),
+            np.array([sc.grid.cost_const for sc in scenarios]))
 
 
 def run_games(scenarios, cfg: SolverConfig | None = None,
@@ -387,12 +413,13 @@ def run_games(scenarios, cfg: SolverConfig | None = None,
     """Play the two-stage game of each scenario, all of one network size, in
     lockstep, and return one outcome per scenario.
 
-    One follower engine iterates every game's sellers as one row of a
-    (games, sellers) batch, and a game leaves the batch when its stage
-    stops; prices are optimized per game. Each game keeps its own transcript,
-    and its outcome is the same, bit for bit, whichever games share its
-    batch. Raises ValueError for scenarios of mixed size and
-    ScenarioValidationError for the first invalid one.
+    Both halves of each exchange work on the live games as rows of a
+    (games, sellers) batch: one follower loop iterates every game's sellers
+    and a game leaves the batch when its stage stops, one breakpoint search
+    prices every live game, and each stage's results are row arithmetic.
+    Each game keeps its own transcript, and its outcome is the same, bit for
+    bit, whichever games share its batch. Raises ValueError for scenarios of
+    mixed size and ScenarioValidationError for the first invalid one.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -410,11 +437,12 @@ def run_games(scenarios, cfg: SolverConfig | None = None,
 
     m = len(scenarios)
     s = np.array([sc.surpluses for sc in scenarios], dtype=float)
+    a, b = _costs(scenarios)
+    grids = [sc.grid for sc in scenarios]
     logs = [MessageLog() for _ in scenarios]
-    uniform = np.array([np.full(n, sc.grid.total_price / n) for sc in scenarios])
+    uniform = np.array([np.full(n, g.total_price / n) for g in grids])
     x1, rounds1, res1, conv1 = _follower_stage(scenarios, s, uniform, cfg, logs, stage=1)
-    stage1 = [_stage_result(sc, x1[i], uniform[i], rounds1[i], res1[i])
-              for i, sc in enumerate(scenarios)]
+    stage1 = _stage_result(s, x1, uniform, a, b, rounds1, res1)
     stage2, converged = [None] * m, list(conv1)
 
     live = [i for i in range(m) if conv1[i]]
@@ -422,13 +450,16 @@ def run_games(scenarios, cfg: SolverConfig | None = None,
     for _ in range(1 + max(extra_price_rounds, 0)):
         if not live:
             break
-        games = [scenarios[i] for i in live]
-        p_star = np.array([optimize_prices(offered[i], scenarios[i].grid).prices for i in live])
-        x2, rounds2, res2, conv2 = _follower_stage(games, s[live], p_star, cfg,
-                                                   [logs[i] for i in live], stage=2)
+        p_star, _ = _price_rows(offered[live], a[live], [grids[i].p_min for i in live],
+                                [grids[i].p_max for i in live],
+                                [grids[i].total_price for i in live])
+        x2, rounds2, res2, conv2 = _follower_stage([scenarios[i] for i in live], s[live],
+                                                   p_star, cfg, [logs[i] for i in live],
+                                                   stage=2)
+        results = _stage_result(s[live], x2, p_star, a[live], b[live], rounds2, res2)
         offered = np.empty_like(s)
         for j, i in enumerate(live):
-            stage2[i] = _stage_result(scenarios[i], x2[j], p_star[j], rounds2[j], res2[j])
+            stage2[i] = results[j]
             offered[i] = x2[j]
             converged[i] = conv2[j]
         live = [i for j, i in enumerate(live) if conv2[j]]
@@ -507,14 +538,17 @@ def _leader_prices(rng, grid, trials) -> np.ndarray:
 
     Each row is a uniform draw from the slice's simplex. A row above p_max
     is replaced by its Euclidean projection onto the slice, the minimizer
-    of sum(p**2 - 2*v*p): the grid's price problem at unit energies.
+    of sum(p**2 - 2*v*p): the grid's price problem at unit energies, solved
+    for all such rows in one batch.
     """
     n = grid.cost_linear.size
     span = grid.total_price - n * grid.p_min
     prices = rng.dirichlet(np.ones(n), size=trials) * span + grid.p_min
-    for row in np.flatnonzero(np.any(prices > grid.p_max, axis=1)):
-        shifted = replace(grid, cost_linear=-2.0 * prices[row])
-        prices[row] = optimize_prices(np.ones(n), shifted).prices
+    over = np.flatnonzero(_any(prices > grid.p_max, axis=1))
+    if over.size:
+        k = over.size
+        prices[over] = _price_rows(np.ones((k, n)), -2.0 * prices[over], [grid.p_min] * k,
+                                   [grid.p_max] * k, [grid.total_price] * k)[0]
     return prices
 
 
@@ -524,11 +558,16 @@ def run_fit(scenario: Scenario, tariff: float) -> EquilibriumResult:
     grid's need. Utilities and grid cost use the same functionals as the
     game so the schemes are directly comparable.
     """
+    return _fit_rows([scenario], tariff)[0]
+
+
+def _fit_rows(scenarios, tariff: float) -> list[EquilibriumResult]:
+    """run_fit for each scenario, all of one network size, as rows."""
     if not tariff > 0.0:
         raise ValueError(f"tariff must be positive, got {tariff}")
-    surpluses = scenario.surpluses
-    total = surpluses.sum()
-    scale = min(1.0, scenario.grid.deficiency / total)
-    x = surpluses * scale
-    prices = np.full(scenario.n_users, float(tariff))
-    return _stage_result(scenario, x, prices, rounds=0, residual=0.0)
+    s = np.array([sc.surpluses for sc in scenarios], dtype=float)
+    deficiency = np.array([sc.grid.deficiency for sc in scenarios], dtype=float)
+    x = s * np.minimum(1.0, deficiency / _sum(s, axis=1))[:, None]
+    prices = np.full(s.shape, float(tariff))
+    m = len(scenarios)
+    return _stage_result(s, x, prices, *_costs(scenarios), [0] * m, [0.0] * m)

@@ -172,9 +172,16 @@ def grid_cost(p, x, grid: GridParams) -> float:
     n = grid.cost_linear.size
     if p.size != n or x.size != n:
         raise ValueError(f"expected vectors of length {n}, got p:{p.size} x:{x.size}")
-    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(x))):
+    return _grid_cost_rows(p[None], x[None], grid.cost_linear[None], grid.cost_const[None])[0]
+
+
+def _grid_cost_rows(p, x, a, b) -> list[float]:
+    """grid_cost of each row of the (rows, n) arrays p and x at the rows of
+    the cost coefficients a and b. A row sum rounds as the sum of that row
+    alone does."""
+    if not (np.isfinite(p).all() and np.isfinite(x).all()):
         raise ValueError("non-finite price or energy input")
-    return float(np.sum(x * p * p + grid.cost_linear * p + grid.cost_const))
+    return np.add.reduce(x * p * p + a * p + b, axis=1).tolist()
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:

@@ -6,12 +6,18 @@ sum(x_i*p_i**2 + a_i*p_i + b_i) over the price slice
 multiplier nu makes the problem one-dimensional: a seller with x_i > 0 has
 p_i(nu) = clip((-nu - a_i) / (2 x_i), p_min, p_max), of slope 1/(2 x_i), and
 an idle seller (x_i = 0, linear cost) is a step from p_max down to p_min at
-nu = -a_i. projection._breakpoint_rows, on a batch of one, finds the piece
-or step of the nonincreasing total that holds the root. On a piece, an
-active-set solve pins nu exactly. On a step, nu = -a_i, and the idle
-sellers tied there take the budget the others leave, in index order, up to
-p_max each; breakpoint order already puts price on the cheapest linear
-coefficients first, as the KKT conditions demand.
+nu = -a_i. projection._breakpoint_rows finds the piece or step of the
+nonincreasing total that holds the root. On a piece, an active-set solve
+pins nu exactly. On a step, nu = -a_i, and the idle sellers tied there take
+the budget the others leave, in index order, up to p_max each; breakpoint
+order already puts price on the cheapest linear coefficients first, as the
+KKT conditions demand.
+
+_price_rows prices a batch of independent rows, each with its own energies,
+costs, bounds and target, in one breakpoint search: the engine prices every
+live game of a stage at once, and check_nse projects its price draws the
+same way. optimize_prices is _price_rows on a batch of one, and each row of
+a batch gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -22,7 +28,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import GridParams, grid_cost
-from .projection import _breakpoint_rows, _uncertified
+from .projection import (
+    _all,
+    _any,
+    _breakpoint_rows,
+    _col,
+    _masked_rows,
+    _max,
+    _min,
+    _row_fsums,
+    _sum,
+    _take,
+    _uncertified,
+)
 
 
 class InfeasiblePriceBudget(ValueError):
@@ -39,7 +57,8 @@ class PriceSolution:
 
 
 def optimize_prices(x, grid: GridParams) -> PriceSolution:
-    """Exact constrained minimizer of the grid cost for offered energies x.
+    """Exact constrained minimizer of the grid cost for offered energies x:
+    _price_rows on a batch of one.
 
     Raises InfeasiblePriceBudget when N*p_min <= total_price <= N*p_max
     fails, and projection.ProjectionError when no piece certifies.
@@ -49,53 +68,111 @@ def optimize_prices(x, grid: GridParams) -> PriceSolution:
     n = a.size
     if x.size != n:
         raise ValueError(f"expected {n} energies, got {x.size}")
-    if np.any(x < 0.0) or not np.all(np.isfinite(x)):
+    prices, duals = _price_rows(x.reshape(1, n), a[None], [grid.p_min], [grid.p_max],
+                                [grid.total_price])
+    return _solution(prices[0], duals[0], x, grid)
+
+
+def _price_rows(x, a, p_min, p_max, target):
+    """The grid's prices for each row r of the (rows, n) arrays x and a:
+    the minimizer of sum(x[r]*p**2 + a[r]*p) over the slice of p_min[r],
+    p_max[r] and target[r]. Returns (prices, duals), prices a (rows, n)
+    array. One breakpoint search serves every row, and each row rounds as
+    it does alone. Raises ValueError for negative or non-finite energies,
+    InfeasiblePriceBudget or projection.ProjectionError for the first row
+    that fails.
+    """
+    if not _all(np.isfinite(x), axis=None) or _any(x < 0.0, axis=None):
         raise ValueError("energies must be finite and nonnegative")
-    p_min, p_max, target = float(grid.p_min), float(grid.p_max), float(grid.total_price)
-    if n * p_min > target or target > n * p_max:
-        raise InfeasiblePriceBudget(
-            f"total_price {target:g} outside [{n * p_min:.6g}, {n * p_max:.6g}] "
-            f"for {n} users with bounds ({p_min:g}, {p_max:g})"
-        )
-    tol_sum = 1e-10 * max(1.0, target)
+    m, n = x.shape
+    p_min, p_max, target = ([float(v) for v in col] for col in (p_min, p_max, target))
+    for lo, hi, total in zip(p_min, p_max, target):
+        if n * lo > total or total > n * hi:
+            raise InfeasiblePriceBudget(
+                f"total_price {total:g} outside [{n * lo:.6g}, {n * hi:.6g}] "
+                f"for {n} users with bounds ({lo:g}, {hi:g})"
+            )
+    tol_sum = [1e-10 * max(1.0, total) for total in target]
+    lo_all, hi_all = _full(p_min, n), _full(p_max, n)
+    # An idle seller (x_i = 0) has an infinite slope; its raw price below is
+    # +-inf or nan, never interior.
     with np.errstate(divide="ignore"):
         slope = 0.5 / x
-
-    found = []
+    idle = np.isinf(slope)
+    prices = np.empty_like(x)
+    duals = [0.0] * m
 
     def finish(rows, nus):
-        """[ok], keeping (p, nu): the step fill on an idle seller's step,
-        else the exact solve on the active set at nu."""
-        nu = nus[0]
+        """Per row, [ok] with its (p, nu) kept: the step fill on an idle
+        seller's step, else the exact solve on the active set at nu."""
+        ar, lo, hi = _take(a, rows), _take(lo_all, rows), _take(hi_all, rows)
+        twice = 2.0 * _take(x, rows)
+        neg = -_col(nus)
         with np.errstate(divide="ignore", invalid="ignore"):
-            raw = (-nu - a) / (2.0 * x)
-        interior = (raw > p_min) & (raw < p_max)
-        p = np.where(raw >= p_max, p_max, p_min)
-        tied = np.isinf(slope) & (a == -nu)
-        if tied.any():
-            p[interior] = raw[interior]
-            remaining = target - math.fsum(p[~tied].tolist()) - int(tied.sum()) * p_min
-            for i in np.flatnonzero(tied):
-                add = min(max(remaining, 0.0), p_max - p_min)
-                p[i] = p_min + add
-                remaining -= add
-            found.append((p, nu))
-            return [abs(remaining) <= tol_sum and abs(math.fsum(p.tolist()) - target) <= tol_sum]
-        if interior.any():
-            inv = 1.0 / (2.0 * x[interior])
-            fixed_sum = math.fsum(p[~interior].tolist())
-            nu = -(target - fixed_sum + math.fsum((a[interior] * inv).tolist())) \
-                / math.fsum(inv.tolist())
-            p[interior] = (-nu - a[interior]) / (2.0 * x[interior])
-        found.append((np.clip(p, p_min, p_max), nu))
-        return [p_min - 1e-9 <= p.min() and p.max() <= p_max + 1e-9
-                and abs(math.fsum(p.tolist()) - target) <= tol_sum]
+            raw = (neg - ar) / twice
+        interior = (raw > lo) & (raw < hi)
+        p = np.where(raw >= hi, hi, lo)
+        tied = _take(idle, rows) & (ar == neg)
+        ok, piece = [], []
+        for j, (r, on_step) in enumerate(zip(rows, _any(tied, axis=1).tolist())):
+            if on_step:
+                ok.append(_step_fill(p[j], raw[j], interior[j], tied[j], p_min[r], p_max[r],
+                                     target[r], tol_sum[r]))
+                prices[r], duals[r] = p[j], nus[j]
+            else:
+                ok.append(False)
+                piece.append(j)
+        if not piece:
+            return ok
+        # The rows on a piece: nu solved exactly on the active set.
+        rows = [rows[j] for j in piece]
+        ar, twice, lo, hi, p, interior = (
+            _take(v, piece) for v in (ar, twice, lo, hi, p, interior))
+        nu = [nus[j] for j in piece]
+        counts = _sum(interior, axis=1).tolist()
+        if any(counts):
+            with np.errstate(divide="ignore"):
+                inv = 1.0 / twice
+            for i, (r, n_free, fixed, lin, den) in enumerate(zip(
+                    rows, counts, map(math.fsum, _masked_rows(p, ~interior)),
+                    map(math.fsum, _masked_rows(ar * inv, interior)),
+                    map(math.fsum, _masked_rows(inv, interior)))):
+                if n_free:
+                    nu[i] = -(target[r] - fixed + lin) / den
+            with np.errstate(divide="ignore", invalid="ignore"):
+                p = np.where(interior, (-_col(nu) - ar) / twice, p)
+        clipped = np.minimum(np.maximum(p, lo), hi)
+        for j, r, v, low, high, total, row in zip(
+                piece, rows, nu, _min(p, axis=1).tolist(), _max(p, axis=1).tolist(),
+                _row_fsums(p), clipped):
+            ok[j] = (p_min[r] - 1e-9 <= low and high <= p_max[r] + 1e-9
+                     and abs(total - target[r]) <= tol_sum[r])
+            prices[r], duals[r] = row, v
+        return ok
 
-    if _breakpoint_rows(-a[None], np.full((1, n), p_min), np.full((1, n), p_max), [target],
-                        finish, slope[None])[0] is None:
-        raise _uncertified(target, n)
-    p, nu = found[-1]
-    return _solution(p, nu, x, grid)
+    pieces = _breakpoint_rows(-a, lo_all, hi_all, target, finish, slope)
+    for r, checked in enumerate(pieces):
+        if checked is None:
+            raise _uncertified(target[r], n)
+    return prices, duals
+
+
+def _full(values, n):
+    """(rows, n), row r filled with values[r]."""
+    return np.repeat(np.array(values)[:, None], n, axis=1)
+
+
+def _step_fill(p, raw, interior, tied, p_min, p_max, target, tol_sum) -> bool:
+    """The step fill, in place on one row's p: the idle sellers tied on the
+    step take what the others leave of the target, in index order, up to
+    p_max each. Returns its certificate."""
+    p[interior] = raw[interior]
+    remaining = target - math.fsum(p[~tied].tolist()) - int(tied.sum()) * p_min
+    for i in np.flatnonzero(tied):
+        add = min(max(remaining, 0.0), p_max - p_min)
+        p[i] = p_min + add
+        remaining -= add
+    return abs(remaining) <= tol_sum and abs(math.fsum(p.tolist()) - target) <= tol_sum
 
 
 def _solution(p, nu, x, grid: GridParams) -> PriceSolution:

@@ -224,7 +224,7 @@ def solve_ve(F: PseudoGradient, fset: FeasibleSet, cfg: SolverConfig | None = No
 
     final, stops = _extragradient(x[None], F.surpluses[None], F.prices[None],
                                   fset.upper_bounds[None], [fset.budget], anchor.point[None],
-                                  [anchor.multiplier], cfg, record)
+                                  [anchor.multiplier], cfg, record, lone=(F, fset, anchor))
     trace.stop_reason = stops[0]
     # A copy, not a view that keeps the (1, n) batch alive.
     return final[0].copy(), trace
@@ -268,7 +268,7 @@ def _residual_rows(x, anchor, active, ub):
     return r, list(map(math.sqrt, map(np.dot, d, d)))
 
 
-def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration):
+def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=None):
     """The extragradient iteration over rows of independent problems
     F_r(x) = x - s_r - p_r on their box-plus-budget sets, in lockstep.
 
@@ -283,14 +283,15 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration):
     row's final iterate and stop reason (`residual`, `caller` or
     `max_iterations`). A row's path does not depend on the rows beside it:
     several rows take the row cores, a lone row (alone from the start or
-    the last one left) the one-vector calls, which round the same.
+    the last one left) the one-vector calls, which round the same. A batch
+    of one may pass its (operator, set, anchor projection) as `lone`;
+    otherwise they are built from the row when it is first alone.
     """
     rows = np.arange(len(x))
     final = np.empty_like(x)
     stops = ["max_iterations"] * len(x)
     budget, lam = list(budget), list(lam)
     active = [v > 0.0 for v in lam]
-    lone = None
 
     def alone():
         """The one live row as the one-vector calls take it: its operator,

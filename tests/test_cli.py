@@ -181,6 +181,22 @@ class TestRunExperiment:
         headers = {read_csv(p)[0] for p in paths}
         assert len(headers) == 1 and headers.pop().endswith(f" build={build_id()}")
 
+    def test_build_id_asked_of_git_once_per_process(self, tmp_path, monkeypatch):
+        calls = []
+        real = subprocess.run
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli.subprocess, "run", counted)
+        cli._build_id.cache_clear()
+        first = run_experiment(small_cfg(tmp_path / "a", preset="fig2_utility_vs_n"))
+        second = run_experiment(small_cfg(tmp_path / "b", preset="fig2_utility_vs_n"))
+        assert len(calls) == 1 and calls[0][:2] == ["git", "describe"]
+        assert read_csv(first[0])[0].endswith(f" build={cli._build_id()}")
+        assert read_csv(second[0])[0].endswith(f" build={cli._build_id()}")
+
 
 # SHA-256 of each CSV body, everything after the "# config=... build=..."
 # line, written by `simulate --dump-per-run --runs 20 --seed 11`.
@@ -255,6 +271,11 @@ class TestScenarioJson:
         assert np.array_equal(clone.surpluses, peak_scenario.surpluses)
         assert clone.grid.total_price == peak_scenario.grid.total_price
         assert clone.seed == peak_scenario.seed
+
+    def test_seed_without_a_fractional_part_is_an_integer(self, peak_scenario):
+        data = dict(scenario_to_dict(peak_scenario), seed=7.0)
+        seed = scenario_from_dict(json.loads(json.dumps(data))).seed
+        assert seed == 7 and type(seed) is int
 
 
 class TestMain:
@@ -412,6 +433,23 @@ class TestInvalidInputExitsOne:
         assert "(n=2, run=0)" in proc.stderr and "fit_utility" in proc.stderr
         assert not out.exists()
 
+    def test_non_finite_figure_of_a_later_run(self, tmp_path):
+        # At seed 2, run 0's surpluses sum past the float limit, so its flat
+        # tariff buys nothing and its figures stay finite; run 1 overflows.
+        # The batch's figures are rows, and the first bad run is named.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridtrade", "simulate", "--preset", "fig2_utility_vs_n",
+             "--runs", "4", "--n-values", "2", "--surplus-range", "1e307,1.7e308",
+             "--seed", "2", "--dump-per-run", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == "run (n=2, run=1): fit_utility is not finite (inf)\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("argv", [["--help"], ["simulate", "--help"], ["verify", "-h"]])
     def test_help_exits_zero(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -461,6 +499,8 @@ class TestVerifyEveryFile:
         ("total_price", float("nan")),
         # written as Infinity, which reads back as inf, as 1e400 does
         ("seed", 1e400),
+        # int() would read each of these as seed 1
+        ("seed", 1.5), ("seed", True), ("seed", "1"),
     ])
     def test_wrong_typed_field_is_invalid(self, tmp_path, capsys, good, field, value):
         data = json.loads(good)

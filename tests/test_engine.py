@@ -2,6 +2,7 @@ import json
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,11 @@ class RecordingLog(MessageLog):
         super().append_round(round, offers, slacks, repeat)
         self.calls.append(("round", round, np.array(offers, dtype=float).tolist(),
                            np.array(slacks, dtype=float).tolist(), repeat))
+
+    def _append_frozen_round(self, round, offers, slacks, repeat):
+        # the engine's lockstep rounds come in here, past append_round
+        super()._append_frozen_round(round, offers, slacks, repeat)
+        self.calls.append(("round", round, offers.tolist(), slacks.tolist(), repeat))
 
     def append_prices(self, round, prices):
         super().append_prices(round, prices)
@@ -254,7 +260,28 @@ def assert_same_game(batched, alone):
         assert a.prices.tobytes() == b.prices.tobytes()
         assert a.follower_iterations == b.follower_iterations
         assert np.float64(a.vi_residual).tobytes() == np.float64(b.vi_residual).tobytes()
+        assert a.utilities.tobytes() == b.utilities.tobytes()
+        assert a.mu_values.tobytes() == b.mu_values.tobytes()
+        assert float(a.total_utility).hex() == float(b.total_utility).hex()
+        assert float(a.grid_cost).hex() == float(b.grid_cost).hex()
     assert batched.log.to_jsonl() == alone.log.to_jsonl()
+
+
+def game_figures(scenario, x, prices):
+    """A stage's figures as one game computes them alone: (utilities,
+    total utility, grid cost, slack values)."""
+    s, grid = scenario.surpluses, scenario.grid
+    utilities = s * x - 0.5 * x * x + prices * x
+    cost = float(np.sum(x * prices * prices + grid.cost_linear * prices + grid.cost_const))
+    return utilities, float(utilities.sum()), cost, s - x + prices
+
+
+def assert_figures(result, scenario):
+    utilities, total, cost, mu = game_figures(scenario, result.energies, result.prices)
+    assert result.utilities.tobytes() == utilities.tobytes()
+    assert result.total_utility.hex() == total.hex()
+    assert result.grid_cost.hex() == cost.hex()
+    assert result.mu_values.tobytes() == mu.tobytes()
 
 
 class TestRunGames:
@@ -319,6 +346,44 @@ class TestRunGames:
             repeats = [m["payload"]["repeat"] for m in parsed(outcome.log)
                        if m["kind"] == "repeat_bit"]
             assert outcome.converged and repeats == [False, False]
+
+    def test_stage_results_are_each_games_own_figures(self):
+        # n = 23 and 41 run numpy's pairwise sums past one block of eight
+        for n in (7, 23, 41):
+            scenarios = (fig_scenarios("fig2_utility_vs_n", n, 5)
+                         + fig_scenarios("fig3_cost_vs_n", n, 5))
+            for outcome, scenario in zip(engine.run_games(scenarios), scenarios):
+                assert_figures(outcome.stage1, scenario)
+                assert_figures(outcome.stage2, scenario)
+
+    def test_stage_result_rows_match_a_batch_of_one(self):
+        scenarios = fig_scenarios("fig3_cost_vs_n", 23, 6)
+        rng = np.random.default_rng(3)
+        s = np.array([sc.surpluses for sc in scenarios])
+        x = rng.uniform(0.0, 1.0, s.shape) * s
+        p = rng.uniform(1.0, 20.0, s.shape)
+        a, b = engine._costs(scenarios)
+        rows = engine._stage_result(s, x, p, a, b, list(range(6)), [0.5] * 6)
+        for i, (row, scenario) in enumerate(zip(rows, scenarios)):
+            (alone,) = engine._stage_result(s[i:i + 1], x[i:i + 1], p[i:i + 1], a[i:i + 1],
+                                            b[i:i + 1], [i], [0.5])
+            assert_figures(row, scenario)
+            assert row.follower_iterations == alone.follower_iterations == i
+            for field in ("utilities", "mu_values", "energies", "prices"):
+                assert getattr(row, field).tobytes() == getattr(alone, field).tobytes()
+            assert (row.total_utility, row.grid_cost) == (alone.total_utility, alone.grid_cost)
+
+    def test_transcript_rounds_are_read_only(self, peak_scenario):
+        games = [make_scenario(peak_scenario.surpluses, f * peak_scenario.surpluses.sum())
+                 for f in (0.2, 0.5)]
+        for outcome in engine.run_games(games):
+            blocks = [e for e in outcome.log._entries if isinstance(e, engine._RoundBlock)]
+            assert blocks
+            for block in blocks:
+                assert not block.offers.flags.writeable
+                assert not block.slacks.flags.writeable
+                with pytest.raises(ValueError):
+                    block.offers[0] = -1.0
 
     def test_empty_batch_and_mixed_sizes(self):
         assert engine.run_games([]) == []
@@ -671,8 +736,40 @@ class TestLeaderPrices:
             assert below.max(initial=-np.inf) <= above.min(initial=np.inf) \
                 + 1e-9 * max(1.0, grid.p_max)
 
+    @pytest.mark.parametrize("n, total", [(4, 200.0), (9, 175.0), (30, 175.0)])
+    def test_projections_are_the_per_row_solves(self, n, total):
+        # each draw above p_max is solved in one batch; every row matches
+        # optimize_prices on that row alone, bit for bit
+        grid = GridParams(deficiency=1.0, total_price=total, p_min=1.0, p_max=3.0 * total / n,
+                          cost_linear=np.full(n, 0.01), cost_const=np.ones(n))
+        prices = _leader_prices(np.random.default_rng(8), grid, 300)
+        drawn = np.random.default_rng(8).dirichlet(np.ones(n), size=300) \
+            * (total - n * grid.p_min) + grid.p_min
+        over = np.any(drawn > grid.p_max, axis=1)
+        assert 0 < over.sum() < 300
+        for v, p in zip(drawn[over], prices[over]):
+            alone = optimize_prices(np.ones(n), replace(grid, cost_linear=-2.0 * v)).prices
+            assert p.tobytes() == alone.tobytes()
+
 
 class TestRunFit:
+    def test_rows_match_each_game_alone(self):
+        for n in (5, 23):
+            scenarios = (fig_scenarios("fig2_utility_vs_n", n, 6)
+                         + fig_scenarios("fig3_cost_vs_n", n, 6))
+            rows = engine._fit_rows(scenarios, 60.0)
+            for row, scenario in zip(rows, scenarios):
+                s = scenario.surpluses
+                x = s * min(1.0, scenario.grid.deficiency / s.sum())
+                assert row.energies.tobytes() == x.tobytes()
+                assert np.all(row.prices == 60.0)
+                assert_figures(row, scenario)
+                alone = run_fit(scenario, 60.0)
+                assert alone.energies.tobytes() == x.tobytes()
+                assert (alone.total_utility, alone.grid_cost) == (row.total_utility,
+                                                                  row.grid_cost)
+                assert row.follower_iterations == 0 and row.vi_residual == 0.0
+
     def test_slack_grid_takes_everything(self):
         s = make_scenario([30.0, 40.0], 100.0)
         res = run_fit(s, 60.0)

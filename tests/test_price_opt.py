@@ -268,6 +268,74 @@ class TestPriceGolden:
                 (record["preset"], record["n"], record["run"], record["stage"])
 
 
+def batch_prices(xs, grids):
+    """_price_rows on one row per (energies, grid) pair."""
+    return price_opt._price_rows(
+        np.array(xs), np.array([g.cost_linear for g in grids]), [g.p_min for g in grids],
+        [g.p_max for g in grids], [g.total_price for g in grids])
+
+
+class TestPriceRows:
+    """_price_rows prices every row of a batch, and each row gets the bits
+    optimize_prices gives it alone."""
+
+    @staticmethod
+    def golden_inputs():
+        """(n, x, grid, float.hex of the prices) of each golden record."""
+        for record in json.loads(PRICE_GOLDEN.read_text()):
+            grid = golden_scenario(record["preset"], record["n"], record["run"]).grid
+            yield record["n"], np.array([float.fromhex(v) for v in record["x"]]), grid, \
+                record["prices"]
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_golden_inputs_batched_by_n(self, order):
+        by_n = {}
+        for n, x, grid, want in self.golden_inputs():
+            by_n.setdefault(n, []).append((x, grid, want))
+        assert sorted(by_n) == [5, 10, 15, 20, 500]
+        idle_fill = False
+        for n, group in by_n.items():
+            group = group[::order]
+            prices, duals = batch_prices([x for x, _, _ in group], [g for _, g, _ in group])
+            for row, dual, (x, grid, want) in zip(prices, duals, group):
+                alone = optimize_prices(x, grid)
+                assert [float(v).hex() for v in row] == want == \
+                    [float(v).hex() for v in alone.prices]
+                assert float(dual).hex() == alone.dual.hex()
+                idle_fill |= 0.35000000000001774 in row.tolist()
+        # the one-point slice whose first tied idle seller is a few ulps off
+        assert idle_fill
+
+    def test_rows_with_their_own_costs_bounds_and_targets(self):
+        # instances of every kind (steps, one-point slices, all idle) in one
+        # batch per n, solved alone and batched in both orders
+        rng = np.random.default_rng(23)
+        for n in (1, 3, 8):
+            rows = []
+            for k in range(12):
+                x = np.where(rng.random(n) < 0.3 * (k % 3), 0.0, rng.uniform(0.0, 250.0, n))
+                p_min = rng.uniform(0.5, 10.0)
+                p_max = p_min + rng.uniform(0.0, 170.0) * (k % 4 != 0)
+                total = inside_total(n, p_min, p_max, rng.random())
+                rows.append((x, make_grid(n, p_min, p_max, total, a=rng.uniform(0.005, 2.0, n))))
+            alone = [optimize_prices(x, grid) for x, grid in rows]
+            for order in (1, -1):
+                batch = rows[::order]
+                prices, duals = batch_prices([x for x, _ in batch], [g for _, g in batch])
+                for row, dual, sol in zip(prices, duals, alone[::order]):
+                    assert row.tobytes() == sol.prices.tobytes()
+                    assert float(dual).hex() == sol.dual.hex()
+
+    def test_first_failing_row_raises(self):
+        x = np.ones((3, 2))
+        a = np.full((3, 2), 0.01)
+        with pytest.raises(InfeasiblePriceBudget, match="total_price 30"):
+            price_opt._price_rows(x, a, [1.0] * 3, [10.0] * 3, [5.0, 30.0, 40.0])
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            price_opt._price_rows(np.array([[1.0, 1.0], [1.0, -1.0]]), a[:2], [1.0] * 2,
+                                  [10.0] * 2, [5.0] * 2)
+
+
 class TestPriceGridOracle:
     def test_single_user(self):
         grid = make_grid(1, 1.0, 10.0, 4.0)
