@@ -95,8 +95,8 @@ class ExperimentConfig:
             problems.append(str(exc))
         if not (0 < self.cost_linear < math.inf and 0 < self.cost_const < math.inf):
             problems.append("cost coefficients must be positive and finite")
-        if self.fit_tariff <= 0:
-            problems.append("fit_tariff must be positive")
+        if not 0 < self.fit_tariff < math.inf:
+            problems.append("fit_tariff must be positive and finite")
         return problems
 
 

@@ -189,11 +189,11 @@ class MessageLog:
         self._check_round(rnd)
         self._entries.append(_RoundBlock(rnd, offers, slacks, repeat))
 
-    def _append_frozen_round(self, round: int, offers, slacks, repeat: bool) -> None:
-        """append_round for the engine's lockstep rounds: offers and slacks
-        are read-only rows of the round's one copy and the round follows the
-        log's last, so nothing is copied or checked again."""
-        self._entries.append(_RoundBlock(round, offers, slacks, repeat))
+    def _append_frozen(self, entry: _Announce | _RoundBlock) -> None:
+        """append or append_round for the engine's lockstep rounds: a round
+        block's arrays are read-only rows of the round's one copy and the
+        round follows the log's last, so nothing is copied or checked again."""
+        self._entries.append(entry)
 
     def append_prices(self, round: int, prices) -> None:
         """Record one price stage: the grid sends price i to seller i. The
@@ -362,10 +362,10 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
             rnd = log.total_rounds + 1
             if stage == 1:
                 grid = scenarios[r].grid
-                log.append(rnd, grid.deficiency, grid.total_price, n)
+                log._append_frozen(_Announce(rnd, grid.deficiency, grid.total_price, n))
             elif rounds[r] == 0:
                 log.append_prices(rnd, prices[r])
-            log._append_frozen_round(rnd, offers[j], slacks[j], not stops[j])
+            log._append_frozen(_RoundBlock(rnd, offers[j], slacks[j], not stops[j]))
             rounds[r] += 1
             residual[r] = res[j]
         prev_mu[rows] = mu

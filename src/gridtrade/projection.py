@@ -102,7 +102,7 @@ def project_box_budget(v, fset: FeasibleSet) -> ProjectionResult:
                             active_budget=lam > 0.0, iterations=pieces[0])
 
 
-def _move_path(x, n, ub, budget, sum_x, equality):
+def _move_path(x, n, hi_b, bounds, budget, sum_x, equality):
     """The moves P_X(x - beta*n) - x of the halfspace dual, for feasible x,
     as (move, seed slope): move(beta >= 0) returns (move, multiplier, free
     mask, slope), slope being the sum of the centered n**2 over the free
@@ -110,7 +110,7 @@ def _move_path(x, n, ub, budget, sum_x, equality):
     seed slope is that of x's own bound set when equality, else None.
 
     Solves for the budget multiplier directly in move coordinates
-    m(lam) = clamp(-beta*n - lam, -x, ub - x), targeting
+    m(lam) = clamp(-beta*n - lam, -x, hi_b), hi_b = ub - x, targeting
     fsum(m) = budget - sum(x). The breakpoint search only identifies the
     active set; the accepted move is reassembled as
     -beta*(n_i - mean(n_free)) - c on free components, which keeps every
@@ -119,7 +119,7 @@ def _move_path(x, n, ub, budget, sum_x, equality):
     the physical move near convergence. An active set's constants do not
     depend on beta, and successive probes of the dual mostly stay on one
     set, so each move is first assembled on the last certified piece, or
-    on x's own bound set (lower x <= 0, upper x >= ub) until one certifies;
+    on x's bound set `bounds` (masks x <= 0, hi_b <= 0) until one certifies;
     the breakpoint search runs only when that piece's KKT check fails.
 
     With equality=True the budget is treated as the equality sum(w) = sum(x)
@@ -129,7 +129,7 @@ def _move_path(x, n, ub, budget, sum_x, equality):
     an ulp of slack opens a spurious off-face segment in the dual whose root
     sits within rounding of zero, freezing the caller's iteration.
     """
-    lo_b, hi_b, n_max = -x, ub - x, float(_max(np.abs(n)))
+    lo_b, n_max = -x, float(_max(np.abs(n)))
     target = budget - sum_x
     if equality or (0.0 <= target <= 64.0 * EPS * budget):
         target = 0.0
@@ -158,7 +158,7 @@ def _move_path(x, n, ub, budget, sum_x, equality):
     # needs (its slope gives the first Newton step); off the face it may not.
     last, seeded = None, equality
     if equality:
-        last = piece_of(x <= 0.0, x >= ub)
+        last = piece_of(*bounds)
 
     def on_piece(piece, beta, s):
         """The move of a piece at beta, ((move, multiplier, free, slope), ok),
@@ -184,7 +184,7 @@ def _move_path(x, n, ub, budget, sum_x, equality):
             if math.fsum(m0.tolist()) <= target:
                 return m0, 0.0, (m0 > lo_b) & (m0 < hi_b), None
         if not seeded:
-            seeded, last = True, piece_of(x <= 0.0, x >= ub)
+            seeded, last = True, piece_of(*bounds)
         if last is not None:
             result, ok = on_piece(last, beta, s)
             if ok:
@@ -222,8 +222,9 @@ def _halfspace_dual(x, n, gap, ub, budget, sum_x, face_mode):
     (point, beta, budget multiplier). The search over beta is _bracket's on
     a batch of one, the same search each row of _halfspace_dual_rows runs."""
     g_lin = math.fsum((n * gap).tolist())
-    moves, seed_slope = _move_path(x, n, ub, budget, sum_x, face_mode)
     hi_b = ub - x
+    lower, upper = x <= 0.0, hi_b <= 0.0
+    moves, seed_slope = _move_path(x, n, hi_b, (lower, upper), budget, sum_x, face_mode)
 
     def probe(rows, betas):
         delta, lam, free, slope = moves(betas[0])
@@ -236,7 +237,7 @@ def _halfspace_dual(x, n, gap, ub, budget, sum_x, face_mode):
         # With x in the box and within the budget (or on the face) the move
         # at beta = 0 is zero, so x's own bound set is a valid piece there
         # and the first probe is already a Newton step.
-        lo = ([g_lin], [0.0], [face_mode], ((x > 0.0) & (hi_b > 0.0))[None], (hi_b <= 0.0)[None],
+        lo = ([g_lin], [0.0], [face_mode], ~(lower | upper)[None], upper[None],
               np.zeros((1, x.size)), [math.nan if seed_slope is None else seed_slope])
         evals = 0
     else:
@@ -262,10 +263,10 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
     On the budget face the search runs on the face with a centered normal;
     where the original halfspace's budget multiplier comes out negative
     there, or the face misses the halfspace, the projection leaves the face
-    and is redone on X. Raises
-    ProjectionError when no bracket exists within _MAX_EVALS gap evaluations
-    (empty or degenerate intersection), and ValueError when an input is
-    non-finite or does not match the set's dimension.
+    and is redone on X. Raises ProjectionError when no bracket exists within
+    _MAX_EVALS gap evaluations (empty or degenerate intersection), and
+    ValueError when an input is non-finite or does not match the set's
+    dimension, or the normal is zero.
 
     offset_gap, when given, supplies x - offset_point directly; pass it when
     that difference is known analytically, because forming it by subtraction
@@ -274,11 +275,15 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
     ub = fset.upper_bounds
     x = _checked_vector(x, "point", ub.shape)
     n = _checked_vector(normal, "normal", ub.shape)
-    if not _any(n):
-        raise ValueError("halfspace normal must be nonzero")
     gap = (x - _checked_vector(offset_point, "offset point", ub.shape)) if offset_gap is None \
         else _checked_vector(offset_gap, "offset gap", ub.shape)
-    budget = fset.budget
+    return _halfspace_then_set(x, n, gap, ub, fset.budget)
+
+
+def _halfspace_then_set(x, n, gap, ub, budget):
+    """project_halfspace_then_set on its checked inputs, gap = x - offset_point."""
+    if not _any(n):
+        raise ValueError("halfspace normal must be nonzero")
     sum_x = math.fsum(x.tolist())
 
     # When x and the offset point both sit on the budget face, their sums
@@ -300,7 +305,7 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
         if float(_max(np.abs(n_face))) <= 8.0 * EPS * max(1.0, float(_max(np.abs(n)))):
             # Normal was (numerically) a pure budget direction; on the face
             # the constraint is a constant and cannot cut.
-            return project_box_budget(x, fset).point
+            return _box_budget_rows(x[None], ub[None], [budget])[0][0]
         try:
             point, beta, lam = _halfspace_dual(x, n_face, gap, ub, budget, sum_x, True)
         except ProjectionError:
@@ -327,11 +332,12 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 #
 # The one-vector projection above shares _box_budget_rows, _breakpoint_rows
 # and _bracket with them and keeps its own moves and probes (_move_path).
-# vi_solver's loop projects a lone row with it and a batch of several with
-# _halfspace_rows, as each costs the other's workload dear (bench, seed
-# 211): run as _halfspace_rows on batches of one, follower_tight lost about
-# 36% of its throughput, and with its rows projected one at a time, sweep
-# lost about 40%.
+# Only public entry points check inputs: vi_solver's loop projects a lone
+# row with _halfspace_then_set after one finiteness test of its normal (the
+# public call's checks took 4% of follower_tight's solve time), and several
+# with _halfspace_rows. Each costs the other's workload dear (bench, seed
+# 211): _halfspace_rows on batches of one cost follower_tight 36% of its
+# throughput, and rows projected one at a time cost sweep 40%.
 
 def _take(a, rows):
     """The rows of `a` at the ascending index array `rows`; `a` itself when

@@ -25,13 +25,13 @@ dual with the active set of the iterate's own bounds (see `projection`).
 One loop, `_extragradient`, runs the iteration for every caller: the engine
 on a (games, sellers) batch of independent problems, `solve_ve` on a batch
 of one. A batch of several rows forms its residuals and projections with
-the row cores, and a lone row (a lone problem, or a batch's last live row)
-with the one-vector `natural_residual` and `project_halfspace_then_set`.
-Both paths stay because each is the cheap one for its batch size (bench,
-seed 211): the row projection on a batch of one costs `follower_tight`
-about 36% of its throughput, and one-vector projections per row cost
-`sweep` about 40%. The shared loop itself costs a lone problem about 6%
-against a loop of its own.
+the row cores, a lone row (a lone problem, or a batch's last live row) with
+the public `natural_residual`, which checks the iterate, and the core of
+`project_halfspace_then_set` after one finiteness test of the round's
+normal. Each path is the cheap one for its batch size (bench, seed 211):
+the row projection on a batch of one costs `follower_tight` about 36% of
+its throughput, and one-vector projections per row cost `sweep` about 40%.
+The shared loop costs a lone problem about 3% against a loop of its own.
 """
 
 from __future__ import annotations
@@ -44,13 +44,14 @@ import numpy as np
 from .model import FeasibleSet
 from .projection import (
     ProjectionResult,
+    _all,
     _any,
     _checked_vector,
     _col,
     _halfspace_rows,
+    _halfspace_then_set,
     _take,
     project_box_budget,
-    project_halfspace_then_set,
 )
 
 
@@ -193,7 +194,8 @@ def ve_closed_form(F: PseudoGradient, fset: FeasibleSet) -> np.ndarray:
 
 def solve_ve(F: PseudoGradient, fset: FeasibleSet, cfg: SolverConfig | None = None,
              x0=None, on_iteration=None) -> tuple[np.ndarray, SolverTrace]:
-    """Run the extragradient iteration from x0 (default: the zero vector).
+    """Run the extragradient iteration from x0 (default: the zero vector,
+    feasible because a FeasibleSet has ub > 0 and budget > 0).
 
     Per iteration: compute r(x) and stop if the natural residual is within
     tolerance; otherwise backtrack for the largest step t = gamma * beta**m
@@ -209,7 +211,7 @@ def solve_ve(F: PseudoGradient, fset: FeasibleSet, cfg: SolverConfig | None = No
     if cfg is None:
         cfg = SolverConfig()
     x = np.zeros(fset.dim) if x0 is None else np.asarray(x0, dtype=float)
-    if not fset.contains(x, tol=1e-9):
+    if x0 is not None and not fset.contains(x, tol=1e-9):
         raise ValueError("initial iterate is not feasible")
 
     anchor = project_box_budget(F.surpluses + F.prices, fset)
@@ -367,9 +369,10 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=Non
         # x - z equals t*d analytically; passing it keeps the halfspace gap
         # resolvable when d is small.
         if len(x) == 1:
-            lone = lone or alone()
-            x = project_halfspace_then_set(x[0], fz[0], None, lone[1],
-                                           offset_gap=t[0] * d[0])[None]
+            # The core's one check here: fz is non-finite when x or t*d is.
+            if not _all(np.isfinite(fz[0])):
+                raise ValueError("cannot project with a non-finite normal")
+            x = _halfspace_then_set(x[0], fz[0], t[0] * d[0], ub[0], budget[0])[None]
         else:
             x = _halfspace_rows(x, fz, _col(t) * d, ub, budget)
     return final, stops

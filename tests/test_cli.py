@@ -416,6 +416,28 @@ class TestInvalidInputExitsOne:
         assert "surplus_range" in one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("source", ["flag", "file"])
+    def test_non_finite_fit_tariff(self, tmp_path, capsys, monkeypatch, source, value):
+        def no_games(scenarios):
+            raise AssertionError("a game was played")
+        monkeypatch.setattr(cli, "run_games", no_games)
+        monkeypatch.setattr(cli, "run_stackelberg", no_games)
+        out = tmp_path / "out"
+        if source == "flag":
+            argv = ["simulate", "--preset", "fig2_utility_vs_n", "--n-values", "2",
+                    "--runs", "1", "--out", str(out), "--fit-tariff", value]
+        else:
+            cfg_path = tmp_path / "cfg.json"
+            # json writes float("inf") and float("nan") as Infinity and NaN
+            cfg_path.write_text(json.dumps({"preset": "fig2_utility_vs_n", "n_values": [2],
+                                            "runs": 1, "fit_tariff": float(value),
+                                            "output_path": str(out)}))
+            argv = ["simulate", "--config", str(cfg_path)]
+        assert main(argv) == 1
+        assert "fit_tariff must be positive and finite" in one_line_error(capsys)
+        assert not out.exists()
+
     def test_non_finite_figure(self, tmp_path):
         # Surpluses near the float limit overflow the flat tariff's utility;
         # the run must name the figure instead of writing inf into the CSVs.

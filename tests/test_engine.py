@@ -48,10 +48,17 @@ class RecordingLog(MessageLog):
         self.calls.append(("round", round, np.array(offers, dtype=float).tolist(),
                            np.array(slacks, dtype=float).tolist(), repeat))
 
-    def _append_frozen_round(self, round, offers, slacks, repeat):
-        # the engine's lockstep rounds come in here, past append_round
-        super()._append_frozen_round(round, offers, slacks, repeat)
-        self.calls.append(("round", round, offers.tolist(), slacks.tolist(), repeat))
+    def _append_frozen(self, entry):
+        # the engine's lockstep announces and rounds come in here, past
+        # append and append_round
+        super()._append_frozen(entry)
+        if isinstance(entry, engine._Announce):
+            self.calls.append(("announce", entry.round, {
+                "deficiency": entry.deficiency, "total_price": entry.total_price,
+                "n_users": entry.n_users}))
+        else:
+            self.calls.append(("round", entry.round, entry.offers.tolist(),
+                               entry.slacks.tolist(), entry.repeat))
 
     def append_prices(self, round, prices):
         super().append_prices(round, prices)
@@ -312,8 +319,9 @@ class TestRunGames:
     def test_last_live_row_takes_the_one_vector_calls(self, monkeypatch, peak_scenario):
         # The first game plays stage 1 longer, the second stage 2. Once the
         # batch falls to one row, the survivor forms its residual with
-        # natural_residual and projects with project_halfspace_then_set, one
-        # call each per round it plays alone, and keeps its bytes.
+        # natural_residual and projects with _halfspace_then_set, the core of
+        # project_halfspace_then_set, one call each per round it plays
+        # alone, and keeps its bytes.
         s = peak_scenario.surpluses
         games = [make_scenario(s, f * s.sum(), seed=5) for f in (0.1, 0.3)]
         alone = [run_stackelberg(sc) for sc in games]
@@ -321,7 +329,7 @@ class TestRunGames:
                 ((alone[0].stage1, alone[1].stage1), (alone[0].stage2, alone[1].stage2))]
         assert alone[0].stage1.follower_iterations > alone[1].stage1.follower_iterations
         assert alone[0].stage2.follower_iterations < alone[1].stage2.follower_iterations
-        calls = {"natural_residual": 0, "project_halfspace_then_set": 0}
+        calls = {"natural_residual": 0, "_halfspace_then_set": 0}
 
         def counted(name):
             real = getattr(vi_solver, name)

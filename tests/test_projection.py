@@ -305,7 +305,8 @@ class TestBreakpointKernel:
         x, normal, beta, fs = data.draw(move_instances(equality))
         ub, budget = fs.upper_bounds, fs.budget
         try:
-            move, lam, free, _ = _move_path(x, normal, ub, budget, math.fsum(x), equality)[0](beta)
+            move, lam, free, _ = _move_path(x, normal, ub - x, (x <= 0.0, x >= ub), budget,
+                                            math.fsum(x), equality)[0](beta)
         except ProjectionError:
             return
         assert np.all(move >= -x) and np.all(move <= ub - x)
@@ -355,7 +356,8 @@ class TestUncertifiedSearch:
         # At beta = 1 the seller at 0 leaves x's bound set, whose KKT test
         # fails, so the move searches for its piece.
         x, normal = np.array([1.0, 2.0, 0.0]), np.array([-1.0, -2.0, -3.0])
-        move, _ = _move_path(x, normal, np.full(3, 4.0), 3.5, 3.0, False)
+        ub = np.full(3, 4.0)
+        move, _ = _move_path(x, normal, ub - x, (x <= 0.0, x >= ub), 3.5, 3.0, False)
         with pytest.raises(ProjectionError, match=re.escape("(target 5.000e-01, 3 components)")):
             move(1.0)
 

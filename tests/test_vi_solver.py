@@ -344,3 +344,18 @@ class TestRowLoop:
         for (x, trace), row, stop, path in zip(alone, final, stops, seen):
             assert row.tobytes() == x.tobytes() and stop == trace.stop_reason
             assert path == [(r.x.tobytes(), r.residual, r.step) for r in trace.records]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_lone_row_rejects_a_non_finite_normal(self, bad):
+        # The anchor is finite, so the residual passes; the price row makes
+        # the round's normal F(z) non-finite, which the lone row's one check
+        # must reject before projecting.
+        F, fset = running_example()
+        s, p, ub = F.surpluses[None], F.prices[None], fset.upper_bounds[None]
+        anchor, lam, _ = projection._box_budget_rows(s + p, ub, [fset.budget])
+        assert np.all(anchor > 0.0)
+        p = p.copy()
+        p[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite normal"):
+            vi_solver._extragradient(np.zeros_like(s), s, p, ub, [fset.budget], anchor, lam,
+                                     SolverConfig(), lambda *args: [False])
