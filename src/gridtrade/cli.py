@@ -97,6 +97,11 @@ class ExperimentConfig:
             problems.append("cost coefficients must be positive and finite")
         if not 0 < self.fit_tariff < math.inf:
             problems.append("fit_tariff must be positive and finite")
+        if not 0 < self.total_price < math.inf:
+            problems.append(f"total_price must be finite and positive, got {self.total_price}")
+        if not 0 < self.p_min <= self.p_max < math.inf:
+            problems.append("price bounds must be finite and satisfy 0 < p_min <= p_max, "
+                            f"got ({self.p_min}, {self.p_max})")
         return problems
 
 
@@ -126,11 +131,12 @@ def _parse_deficiency_rule(rule: str):
         v = float(value)
     except ValueError:
         raise ValueError(f"bad deficiency_rule {rule!r}") from None
-    if kind == "surplus_fraction" and v > 0:
+    if kind == "surplus_fraction" and 0 < v < math.inf:
         return lambda surpluses: v * float(surpluses.sum())
-    if kind == "fixed" and v > 0:
+    if kind == "fixed" and 0 < v < math.inf:
         return lambda surpluses: v
-    raise ValueError(f"bad deficiency_rule {rule!r}; use surplus_fraction:<f> or fixed:<kwh>")
+    raise ValueError(f"bad deficiency_rule {rule!r}; use surplus_fraction:<f> or fixed:<kwh>, "
+                     "positive and finite")
 
 
 def sample_scenario(cfg: ExperimentConfig, n: int, run_index: int) -> Scenario:

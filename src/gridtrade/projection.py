@@ -102,153 +102,6 @@ def project_box_budget(v, fset: FeasibleSet) -> ProjectionResult:
                             active_budget=lam > 0.0, iterations=pieces[0])
 
 
-def _move_path(x, n, hi_b, bounds, budget, sum_x, equality):
-    """The moves P_X(x - beta*n) - x of the halfspace dual, for feasible x,
-    as (move, seed slope): move(beta >= 0) returns (move, multiplier, free
-    mask, slope), slope being the sum of the centered n**2 over the free
-    components of the move's piece (None for a move inside the budget), and
-    seed slope is that of x's own bound set when equality, else None.
-
-    Solves for the budget multiplier directly in move coordinates
-    m(lam) = clamp(-beta*n - lam, -x, hi_b), hi_b = ub - x, targeting
-    fsum(m) = budget - sum(x). The breakpoint search only identifies the
-    active set; the accepted move is reassembled as
-    -beta*(n_i - mean(n_free)) - c on free components, which keeps every
-    piece exactly rounded at its own scale. Computing clamp(-beta*n - lam)
-    directly would round at the beta*||n|| scale, orders of magnitude above
-    the physical move near convergence. An active set's constants do not
-    depend on beta, and successive probes of the dual mostly stay on one
-    set, so each move is first assembled on the last certified piece, or
-    on x's bound set `bounds` (masks x <= 0, hi_b <= 0) until one certifies;
-    the breakpoint search runs only when that piece's KKT check fails.
-
-    With equality=True the budget is treated as the equality sum(w) = sum(x)
-    and the multiplier may take either sign; the caller uses this to keep
-    iterates on the budget face when that is where the geometry lives.
-    Otherwise a genuine slack below the face tolerance is snapped to zero:
-    an ulp of slack opens a spurious off-face segment in the dual whose root
-    sits within rounding of zero, freezing the caller's iteration.
-    """
-    lo_b, n_max = -x, float(_max(np.abs(n)))
-    target = budget - sum_x
-    if equality or (0.0 <= target <= 64.0 * EPS * budget):
-        target = 0.0
-
-    def piece_of(lower, upper):
-        """The beta-free constants of the piece whose components in `lower`
-        and `upper` sit at their bounds, or None when no component is free."""
-        free = ~(lower | upper)
-        k = int(np.count_nonzero(free))
-        if k == 0:
-            return None
-        n_free = n[free].tolist()
-        nbar = math.fsum(n_free) / k
-        bound = np.where(lower, lo_b, hi_b)
-        dev = n - nbar
-        centered = dev[free]
-        return (free, k, bound,
-                np.where(free, lo_b, np.where(upper, hi_b, -np.inf)),
-                np.where(free, hi_b, np.where(lower, lo_b, np.inf)),
-                dev, nbar, math.fsum(n_free + [-k * nbar]),
-                math.fsum(bound[~free].tolist() + [-target]) / k,
-                math.fsum((centered * centered).tolist()))
-
-    # Until a piece certifies, try x's own bounds: the last piece of the
-    # projection that produced x, which on the face the first move always
-    # needs (its slope gives the first Newton step); off the face it may not.
-    last, seeded = None, equality
-    if equality:
-        last = piece_of(*bounds)
-
-    def on_piece(piece, beta, s):
-        """The move of a piece at beta, ((move, multiplier, free, slope), ok),
-        the move None unless ok. The rounded mean's residue folds into the
-        constant, so any piece's move sums to the target exactly; ok is its
-        KKT test at its own multiplier."""
-        free, k, bound, lo_lim, hi_lim, dev, nbar, residue, c, slope = piece
-        c_adj = c - beta * residue / k
-        m_free = -beta * dev - c_adj
-        lam = -beta * nbar + c_adj
-        tol = 64.0 * EPS * (beta * n_max + abs(lam)) + 1e-300
-        v = np.where(free, m_free, s - lam)
-        if not ((equality or lam >= -tol) and not _any((v < lo_lim - tol) | (v > hi_lim + tol))):
-            return None, False
-        m = np.minimum(np.maximum(np.where(free, m_free, bound), lo_b), hi_b)
-        return (m, lam if equality else max(lam, 0.0), free, slope), True
-
-    def move(beta):
-        nonlocal last, seeded
-        s = -beta * n
-        if not equality:
-            m0 = np.minimum(np.maximum(s, lo_b), hi_b)
-            if math.fsum(m0.tolist()) <= target:
-                return m0, 0.0, (m0 > lo_b) & (m0 < hi_b), None
-        if not seeded:
-            seeded, last = True, piece_of(*bounds)
-        if last is not None:
-            result, ok = on_piece(last, beta, s)
-            if ok:
-                return result
-
-        found = []
-
-        def finish(rows, lams):
-            """The move on the piece holding lams[0], whose constants (see
-            on_piece) do not depend on beta."""
-            nonlocal last
-            lam = lams[0]
-            mm = np.minimum(np.maximum(s - lam, lo_b), hi_b)
-            piece = piece_of(mm <= lo_b, mm >= hi_b)
-            if piece is None:
-                ok = abs(math.fsum(mm.tolist()) - target) <= 1e-12 * max(1.0, abs(target))
-                found.append((mm, lam, np.zeros(mm.shape, dtype=bool), 0.0))
-                return [ok]
-            result, ok = on_piece(piece, beta, s)
-            if ok:
-                last = piece
-                found.append(result)
-            return [ok]
-
-        if _breakpoint_rows(s[None], lo_b[None], hi_b[None], [target], finish)[0] is None:
-            raise _uncertified(target, n.size)
-        return found[-1]
-
-    return move, (last[-1] if last is not None else 0.0) if equality else None
-
-
-def _halfspace_dual(x, n, gap, ub, budget, sum_x, face_mode):
-    """The projection of feasible x onto X (onto the budget face when
-    face_mode) intersected with {w : <n, w - x + gap> <= 0}, returned as
-    (point, beta, budget multiplier). The search over beta is _bracket's on
-    a batch of one, the same search each row of _halfspace_dual_rows runs."""
-    g_lin = math.fsum((n * gap).tolist())
-    hi_b = ub - x
-    lower, upper = x <= 0.0, hi_b <= 0.0
-    moves, seed_slope = _move_path(x, n, hi_b, (lower, upper), budget, sum_x, face_mode)
-
-    def probe(rows, betas):
-        delta, lam, free, slope = moves(betas[0])
-        binds = face_mode or lam > 0.0
-        return ([math.fsum((n * delta).tolist()) + g_lin], [lam], [binds], free[None],
-                (delta >= hi_b)[None], delta[None],
-                [slope if binds and slope is not None else math.nan], {})
-
-    if (face_mode or sum_x <= budget) and _min(x) >= 0.0 and _min(hi_b) >= 0.0:
-        # With x in the box and within the budget (or on the face) the move
-        # at beta = 0 is zero, so x's own bound set is a valid piece there
-        # and the first probe is already a Newton step.
-        lo = ([g_lin], [0.0], [face_mode], ~(lower | upper)[None], upper[None],
-              np.zeros((1, x.size)), [math.nan if seed_slope is None else seed_slope])
-        evals = 0
-    else:
-        lo, evals = probe(None, [0.0])[:-1], 1
-    errors = {}
-    moved, beta, lam = _bracket(n[None], x[None], lo, [evals], probe, errors)
-    if errors:
-        raise errors[0]
-    return np.minimum(np.maximum(x + moved[0], 0.0), ub), beta[0], lam[0]
-
-
 def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
                                offset_gap=None) -> np.ndarray:
     """Euclidean projection of x onto X intersected with the halfspace
@@ -270,56 +123,17 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 
     offset_gap, when given, supplies x - offset_point directly; pass it when
     that difference is known analytically, because forming it by subtraction
-    of nearly equal vectors destroys the gap signal.
+    of nearly equal vectors destroys the gap signal. This is the row core
+    _halfspace_rows on a batch of one.
     """
     ub = fset.upper_bounds
     x = _checked_vector(x, "point", ub.shape)
     n = _checked_vector(normal, "normal", ub.shape)
     gap = (x - _checked_vector(offset_point, "offset point", ub.shape)) if offset_gap is None \
         else _checked_vector(offset_gap, "offset gap", ub.shape)
-    return _halfspace_then_set(x, n, gap, ub, fset.budget)
-
-
-def _halfspace_then_set(x, n, gap, ub, budget):
-    """project_halfspace_then_set on its checked inputs, gap = x - offset_point."""
     if not _any(n):
         raise ValueError("halfspace normal must be nonzero")
-    sum_x = math.fsum(x.tolist())
-
-    # When x and the offset point both sit on the budget face, their sums
-    # differ only by rounding jitter, yet that jitter enters the gap scaled
-    # by the large all-ones component of the normal and can erase or invert
-    # the cut. Centering the normal removes the all-ones component; on the
-    # face the centered halfspace is the exact-arithmetic one, and the dual
-    # path P_X(x - beta*n) is unchanged where the budget binds.
-    on_face = (budget - sum_x) <= 64.0 * EPS * budget
-    if on_face and abs(math.fsum(gap.tolist())) <= 256.0 * EPS * budget:
-        # Shifting the normal by a multiple of the all-ones vector leaves the
-        # halfspace unchanged on the face. Centering on the gap's support
-        # (where the normal's dominant component is constant) stops the
-        # ulp-level facial jitter from being amplified into the gap.
-        support = gap != 0.0
-        base = n[support] if _any(support) else n
-        shift = math.fsum(base.tolist()) / base.size
-        n_face = n - shift
-        if float(_max(np.abs(n_face))) <= 8.0 * EPS * max(1.0, float(_max(np.abs(n)))):
-            # Normal was (numerically) a pure budget direction; on the face
-            # the constraint is a constant and cannot cut.
-            return _box_budget_rows(x[None], ub[None], [budget])[0][0]
-        try:
-            point, beta, lam = _halfspace_dual(x, n_face, gap, ub, budget, sum_x, True)
-        except ProjectionError:
-            # No point of the face meets the halfspace (the offset point is
-            # outside the box), so the projection, if any, leaves the face.
-            pass
-        else:
-            # The face multiplier lam belongs to the centered normal; the
-            # budget multiplier of the original halfspace is lam - beta*shift.
-            # Where it is negative the projection leaves the face, and the
-            # face is the wrong set to project onto.
-            if lam - beta * shift >= -64.0 * EPS * (abs(lam) + beta * abs(shift)):
-                return point
-    return _halfspace_dual(x, n, gap, ub, budget, sum_x, False)[0]
+    return _halfspace_rows(x[None], n[None], gap[None], ub[None], [fset.budget])[0]
 
 
 # Row cores. The engine plays a sweep's games in lockstep through these:
@@ -330,14 +144,14 @@ def _halfspace_then_set(x, n, gap, ub, budget):
 # run row by row, so a row rounds as it does alone. A row leaves the batch
 # when its search ends.
 #
-# The one-vector projection above shares _box_budget_rows, _breakpoint_rows
-# and _bracket with them and keeps its own moves and probes (_move_path).
-# Only public entry points check inputs: vi_solver's loop projects a lone
-# row with _halfspace_then_set after one finiteness test of its normal (the
-# public call's checks took 4% of follower_tight's solve time), and several
-# with _halfspace_rows. Each costs the other's workload dear (bench, seed
-# 211): _halfspace_rows on batches of one cost follower_tight 36% of its
-# throughput, and rows projected one at a time cost sweep 40%.
+# The public projections above are these cores on a batch of one, behind
+# their input checks, and vi_solver's loop projects every batch size with
+# _halfspace_rows. The only choice made by batch size is the halfspace
+# dual's probe: a lone row takes _move_path, which assembles its moves on
+# one vector, and several rows take _move_path_rows, which on a lone row
+# makes follower_tight's solves take 42% longer (in process, seed 211).
+# The rest of the row code makes them take about 8% longer than the
+# one-vector projection and residual it replaced.
 
 def _take(a, rows):
     """The rows of `a` at the ascending index array `rows`; `a` itself when
@@ -366,6 +180,15 @@ def _masked_rows(a, mask):
     return np.where(mask, a, 0.0).tolist()
 
 
+def _counted_rows(a, mask):
+    """_masked_rows of a and mask, and the number of entries mask holds in
+    each row."""
+    if len(a) == 1:
+        kept = a[mask].tolist()
+        return [kept], [len(kept)]
+    return np.where(mask, a, 0.0).tolist(), _sum(mask, axis=1).tolist()
+
+
 def _uncertified(target, n):
     return ProjectionError(
         f"no breakpoint piece certifies the multiplier (target {target:.3e}, {n} components)")
@@ -380,8 +203,7 @@ def _exact_multiplier_rows(v, ub, budget, lam_guess):
     shifted = v - _col(lam_guess)
     free = (shifted > 0.0) & (shifted < ub)
     at_upper = shifted >= ub
-    v_free = _masked_rows(v, free)
-    counts = [len(v_free[0])] if len(v) == 1 else _sum(free, axis=1).tolist()
+    v_free, counts = _counted_rows(v, free)
     lam = []
     for n_free, v_free, ub_upper, b, guess in zip(counts, v_free, _masked_rows(ub, at_upper),
                                                    budget, lam_guess):
@@ -521,14 +343,16 @@ def _box_budget_rows(v, ub, budget):
 
 
 def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
-    """_move_path over rows of feasible x, as the halfspace dual's probes:
-    returns probe(rows, betas), which probes the ascending list rows at one
+    """The moves P_X(x - beta*n) - x over rows of feasible x, as the
+    halfspace dual's probes, assembled as _move_path explains: returns
+    probe(rows, betas), which probes the ascending list rows at one
     beta >= 0 each and returns their probe columns (see _bracket), the gap
     of row r being <n, move> + g_lin[r], and the slope of each row's own
-    bound set. Each row's move is first assembled on its last certified
-    piece, held with the others' as columns; the breakpoint search runs on
-    the rows whose piece fails its KKT check, and a position whose search
-    certifies no piece gets its ProjectionError in the dict of failures.
+    bound set (nan unless equality). Each row's move is first assembled on
+    its last certified piece, held with the others' as columns; the
+    breakpoint search runs on the rows whose piece fails its KKT check, and
+    a position whose search certifies no piece gets its ProjectionError in
+    the dict of failures.
 
     The caller passes hi_b, ub - x, and bounds, the masks x <= 0 and
     x >= ub; n_max, each row's largest |n|, is computed unless given.
@@ -546,8 +370,7 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
         and k is 1 where there are none."""
         free = ~(lower | upper)
         bound = np.where(lower, lb, hb)
-        n_free, fixed = _masked_rows(nr, free), _masked_rows(bound, ~free)
-        counts = [len(n_free[0])] if len(rows) == 1 else _sum(free, axis=1).tolist()
+        (n_free, counts), fixed = _counted_rows(nr, free), _masked_rows(bound, ~free)
         ks, means, residues, cs = [], [], [], []
         for r, k, n_free, fixed in zip(rows, counts, n_free, fixed):
             if k:
@@ -682,7 +505,133 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
             slope = [v if b else math.nan for v, b in zip(slope, binds)]
         return g, lam, binds, free, mv >= hb, mv, slope, failed
 
-    return probe, stores[2][4].tolist()
+    return probe, stores[2][4].tolist() if equality else [math.nan] * m
+
+
+def _move_path(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
+    """_move_path_rows for a batch of one: the same probe(rows, betas) and
+    seed slopes, the moves assembled on one vector with scalar bookkeeping,
+    which a lone row runs faster than columns.
+
+    Solves for the budget multiplier directly in move coordinates
+    m(lam) = clamp(-beta*n - lam, -x, hi_b), hi_b = ub - x, targeting
+    fsum(m) = budget - sum(x). The breakpoint search only identifies the
+    active set; the accepted move is reassembled as
+    -beta*(n_i - mean(n_free)) - c on free components, which keeps every
+    piece exactly rounded at its own scale. Computing clamp(-beta*n - lam)
+    directly would round at the beta*||n|| scale, orders of magnitude above
+    the physical move near convergence. An active set's constants do not
+    depend on beta, and successive probes of the dual mostly stay on one
+    set, so each move is first assembled on the last certified piece, or
+    on x's bound set `bounds` (masks x <= 0, hi_b <= 0) until one certifies;
+    the breakpoint search runs only when that piece's KKT check fails.
+
+    With equality=True the budget is treated as the equality sum(w) = sum(x)
+    and the multiplier may take either sign; the caller uses this to keep
+    iterates on the budget face when that is where the geometry lives.
+    Otherwise a genuine slack below the face tolerance is snapped to zero:
+    an ulp of slack opens a spurious off-face segment in the dual whose root
+    sits within rounding of zero, freezing the caller's iteration.
+    """
+    x, n, hi_b, g_lin, budget = x[0], n[0], hi_b[0], g_lin[0], budget[0]
+    lo_b = -x
+    n_max = float(_max(np.abs(n))) if n_max is None else n_max[0]
+    target = budget - sum_x[0]
+    if equality or (0.0 <= target <= 64.0 * EPS * budget):
+        target = 0.0
+
+    def piece_of(lower, upper):
+        """The beta-free constants of the piece whose components in `lower`
+        and `upper` sit at their bounds, or None when no component is free."""
+        free = ~(lower | upper)
+        k = int(np.count_nonzero(free))
+        if k == 0:
+            return None
+        n_free = n[free].tolist()
+        nbar = math.fsum(n_free) / k
+        bound = np.where(lower, lo_b, hi_b)
+        dev = n - nbar
+        centered = dev[free]
+        return (free, k, bound,
+                np.where(free, lo_b, np.where(upper, hi_b, -np.inf)),
+                np.where(free, hi_b, np.where(lower, lo_b, np.inf)),
+                dev, nbar, math.fsum(n_free + [-k * nbar]),
+                math.fsum(bound[~free].tolist() + [-target]) / k,
+                math.fsum((centered * centered).tolist()))
+
+    # Until a piece certifies, try x's own bounds: the last piece of the
+    # projection that produced x, which on the face the first move always
+    # needs (its slope gives the first Newton step); off the face it may not.
+    seeded, last = equality, piece_of(bounds[0][0], bounds[1][0]) if equality else None
+
+    def on_piece(piece, beta, s):
+        """The move of a piece at beta as (move, multiplier, free, slope), or
+        None when it fails. The rounded mean's residue folds into the
+        constant, so any piece's move sums to the target exactly; the piece
+        holds when it passes its KKT test at its own multiplier."""
+        free, k, bound, lo_lim, hi_lim, dev, nbar, residue, c, slope = piece
+        c_adj = c - beta * residue / k
+        m_free = -beta * dev - c_adj
+        lam = -beta * nbar + c_adj
+        tol = 64.0 * EPS * (beta * n_max + abs(lam)) + 1e-300
+        v = np.where(free, m_free, s - lam)
+        if not ((equality or lam >= -tol) and not _any((v < lo_lim - tol) | (v > hi_lim + tol))):
+            return None
+        m = np.minimum(np.maximum(np.where(free, m_free, bound), lo_b), hi_b)
+        return m, lam if equality else max(lam, 0.0), free, slope
+
+    def move(beta):
+        """The move at beta as (move, multiplier, free, slope), slope None
+        for a move inside the budget; None when no piece certifies."""
+        nonlocal last, seeded
+        s = -beta * n
+        if not equality:
+            m0 = np.minimum(np.maximum(s, lo_b), hi_b)
+            if math.fsum(m0.tolist()) <= target:
+                return m0, 0.0, (m0 > lo_b) & (m0 < hi_b), None
+        if not seeded:
+            seeded, last = True, piece_of(bounds[0][0], bounds[1][0])
+        if last is not None:
+            result = on_piece(last, beta, s)
+            if result is not None:
+                return result
+
+        found = []
+
+        def finish(rows, lams):
+            """The move on the piece holding lams[0], whose constants (see
+            on_piece) do not depend on beta."""
+            nonlocal last
+            lam = lams[0]
+            mm = np.minimum(np.maximum(s - lam, lo_b), hi_b)
+            piece = piece_of(mm <= lo_b, mm >= hi_b)
+            if piece is None:
+                found.append((mm, lam, np.zeros(mm.shape, dtype=bool), 0.0))
+                return [abs(math.fsum(mm.tolist()) - target) <= 1e-12 * max(1.0, abs(target))]
+            result = on_piece(piece, beta, s)
+            if result is not None:
+                last = piece
+                found.append(result)
+            return [result is not None]
+
+        if _breakpoint_rows(s[None], lo_b[None], hi_b[None], [target], finish)[0] is None:
+            return None
+        return found[-1]
+
+    def probe(rows, betas):
+        result = move(betas[0])
+        if result is None:
+            # _bracket drops a failed row, so its columns are placeholders.
+            blank = np.zeros((1, x.size), dtype=bool)
+            return ([math.nan], [0.0], [False], blank, blank, np.zeros((1, x.size)), [math.nan],
+                    {0: _uncertified(target, x.size)})
+        delta, lam, free, slope = result
+        binds = equality or lam > 0.0
+        return ([math.fsum((n * delta).tolist()) + g_lin], [lam], [binds], free[None],
+                (delta >= hi_b)[None], delta[None],
+                [slope if binds and slope is not None else math.nan], {})
+
+    return probe, [(last[-1] if last is not None else 0.0) if equality else math.nan]
 
 
 def _newton_steps(n, free, binds, beta, g, slopes):
@@ -701,9 +650,8 @@ def _newton_steps(n, free, binds, beta, g, slopes):
         return [beta[0] + g[0] / slope if slope > 0.0 else math.inf]
     if any(v != v for v in slopes):
         if any(binds):
-            counts = _sum(free, axis=1).tolist()
             means = [math.fsum(v) / k if b and k else 0.0
-                     for v, k, b in zip(_masked_rows(n, free), counts, binds)]
+                     for v, k, b in zip(*_counted_rows(n, free), binds)]
             if any(means):
                 n = n - _col(means)
         slopes = [v if v == v else new for v, new in zip(
@@ -731,13 +679,11 @@ def _bracket(n, x, lo, evals, probe, errors):
     """
     g0, lam0, binds0, free0, up0, move0, slope0 = lo
     m = len(g0)
-    out_move, out_beta, out_lam = [None] * m, [0.0] * m, list(lam0)
+    # A row whose gap at beta = 0 is not positive is its own root, and a
+    # failed row keeps its move there.
+    out_move, out_beta, out_lam = list(move0), [0.0] * m, list(lam0)
     rows = [r for r, g in enumerate(g0) if g > 0.0 and r not in errors]
     if len(rows) < m:
-        # A row whose gap at beta = 0 is not positive is its own root.
-        for r, g in enumerate(g0):
-            if not g > 0.0:
-                out_move[r] = move0[r]
         if not rows:
             return out_move, out_beta, out_lam
         at = np.array(rows)
@@ -865,7 +811,7 @@ def _bracket(n, x, lo, evals, probe, errors):
     return out_move, out_beta, out_lam
 
 
-def _halfspace_dual_rows(x, n, gap, ub, budget, sum_x, face_mode, n_max=None):
+def _halfspace_dual_rows(x, ub, budget, sum_x, n, gap, face_mode, n_max=None):
     """Rows of feasible x projected onto X (onto the budget face when
     face_mode) intersected with {w : <n, w - x + gap> <= 0}, the rows
     searching in lockstep (see _bracket): returns (points, betas,
@@ -879,18 +825,17 @@ def _halfspace_dual_rows(x, n, gap, ub, budget, sum_x, face_mode, n_max=None):
     # x's bound sets: at zero, and at ub (where ub - x <= 0 exactly when
     # x >= ub); the components free of both move first.
     lower, upper = x <= 0.0, hi_b <= 0.0
-    probe, seed_slope = _move_path_rows(x, n, hi_b, (lower, upper), budget, sum_x, face_mode,
-                                        g_lin, n_max)
+    # The probe is the one part chosen by batch size (see the note above).
+    probe, seed_slope = (_move_path if m == 1 else _move_path_rows)(
+        x, n, hi_b, (lower, upper), budget, sum_x, face_mode, g_lin, n_max)
     # With x in the box and within the budget (or on the face) the move at
     # beta = 0 is zero, so x's own bound set is a valid piece there and the
     # first probe is already a Newton step.
     lowest = _min(np.minimum(x, hi_b), 1).tolist()
     start = [r for r in range(m)
              if not (lowest[r] >= 0.0 and (face_mode or sum_x[r] <= budget[r]))]
-    g, lam, binds = list(g_lin), [0.0] * m, [face_mode] * m
-    free, moved = ~(lower | upper), np.zeros_like(x)
-    slope = seed_slope if face_mode else [math.nan] * m
-    evals, errors = [0] * m, {}
+    g, lam, binds, slope = list(g_lin), [0.0] * m, [face_mode] * m, seed_slope
+    free, moved, evals, errors = ~(lower | upper), np.zeros(x.shape), [0] * m, {}
     if start:
         g_s, lam_s, binds_s, free_s, up_s, moved_s, slope_s, failed = probe(
             start, [0.0] * len(start))
@@ -901,8 +846,6 @@ def _halfspace_dual_rows(x, n, gap, ub, budget, sum_x, face_mode, n_max=None):
                 errors[r] = failed[j]
     out, betas, lams = _bracket(n, x, (g, lam, binds, free, upper, moved, slope), evals, probe,
                                 errors)
-    for r in errors:
-        out[r] = moved[r]
     return np.minimum(np.maximum(x + np.array(out), 0.0), ub), betas, lams, errors
 
 
@@ -913,47 +856,60 @@ def _halfspace_rows(x, normal, gap, ub, budget):
     ProjectionError for the first row whose search fails."""
     m = len(x)
     sum_x = _row_fsums(x)
-    # Rows on the budget face project on the face with a centered normal,
-    # as project_halfspace_then_set explains.
+    # When x and the offset point both sit on the budget face, their sums
+    # differ only by rounding jitter, yet that jitter enters the gap scaled
+    # by the large all-ones component of the normal and can erase or invert
+    # the cut. Centering the normal removes the all-ones component; on the
+    # face the centered halfspace is the exact-arithmetic one, and the dual
+    # path P_X(x - beta*n) is unchanged where the budget binds. Such rows
+    # project on the face.
     face, plain = [], []
     for r, (b, sx, sg) in enumerate(zip(budget, sum_x, _row_fsums(gap))):
-        if b - sx <= 64.0 * EPS * b and abs(sg) <= 256.0 * EPS * b:
-            face.append(r)
-        else:
-            plain.append(r)
+        (face if b - sx <= 64.0 * EPS * b and abs(sg) <= 256.0 * EPS * b else plain).append(r)
+
+    def rows_of(at):
+        """x, ub, budget and sum_x of the rows at the ascending list `at`."""
+        if len(at) == m:
+            return x, ub, budget, sum_x
+        return x[at], ub[at], [budget[r] for r in at], [sum_x[r] for r in at]
+
     out = None
     if face:
-        whole = len(face) == m
-        nf, gf = (normal, gap) if whole else (normal[face], gap[face])
-        support = gf != 0.0
-        counts = _sum(support, 1).tolist()
+        nf, gf = _take(normal, face), _take(gap, face)
+        # Shifting the normal by a multiple of the all-ones vector leaves the
+        # halfspace unchanged on the face. Centering on the gap's support
+        # (where the normal's dominant component is constant) stops the
+        # ulp-level facial jitter from being amplified into the gap.
+        n_sup, counts = _counted_rows(nf, gf != 0.0)
         if 0 in counts:
             # A row with no support centers on its whole normal.
-            support |= ~_any(support, 1)[:, None]
+            n_sup = [v if c else row for v, c, row in zip(n_sup, counts, nf.tolist())]
             counts = [c or nf.shape[1] for c in counts]
-        shift = [total / c for total, c in zip(map(math.fsum, _masked_rows(nf, support)), counts)]
+        shift = [math.fsum(v) / c for v, c in zip(n_sup, counts)]
         n_face = nf - _col(shift)
-        # A normal that is (numerically) a pure budget direction is a
-        # constant on the face and cannot cut.
+        # A normal that is (numerically) a pure budget direction cannot cut
+        # the face: max|n_face| <= 8 eps max(1, max|nf|), tested first against
+        # the bound max|nf| <= 2 (max|n_face| + |shift|).
         peak = _max(np.abs(n_face), axis=1).tolist()
-        flat = list(map(operator.le, peak,
-                        [8.0 * EPS * max(1.0, a) for a in _max(np.abs(nf), axis=1).tolist()]))
+        flat = [p <= 16.0 * EPS * max(0.5, p + abs(sh)) for p, sh in zip(peak, shift)]
+        if any(flat):
+            flat = list(map(operator.le, peak, [8.0 * EPS * max(1.0, a)
+                                                for a in _max(np.abs(nf), axis=1).tolist()]))
         if any(flat):
             at = [r for r, v in zip(face, flat) if v]
             out = np.empty_like(x)
             out[at] = _box_budget_rows(x[at], ub[at], [budget[r] for r in at])[0]
             keep = [j for j, v in enumerate(flat) if not v]
-            face, whole = [face[j] for j in keep], False
+            face = [face[j] for j in keep]
             n_face, gf = n_face[keep], gf[keep]
             shift, peak = [shift[j] for j in keep], [peak[j] for j in keep]
         if face:
-            points, betas, lams, errors = _halfspace_dual_rows(
-                *((x, n_face, gf, ub, budget, sum_x) if whole else
-                  (x[face], n_face, gf, ub[face], [budget[r] for r in face],
-                   [sum_x[r] for r in face])), True, peak)
+            points, betas, lams, errors = _halfspace_dual_rows(*rows_of(face), n_face, gf, True,
+                                                               peak)
             kept = []
             for i, (r, beta, lam, sh) in enumerate(zip(face, betas, lams, shift)):
-                # A failed face search, or a negative budget multiplier of the
+                # A failed face search (no point of the face meets the cut),
+                # or a negative budget multiplier lam - beta*shift of the
                 # original halfspace, sends the row off the face.
                 if i not in errors and lam - beta * sh >= -64.0 * EPS * (
                         abs(lam) + beta * abs(sh)):
@@ -967,14 +923,11 @@ def _halfspace_rows(x, normal, gap, ub, budget):
                 out[[face[i] for i in kept]] = points[kept]
     if plain:
         plain.sort()
-        whole = len(plain) == m
-        points, _, _, errors = _halfspace_dual_rows(
-            *((x, normal, gap, ub, budget, sum_x) if whole else
-              (x[plain], normal[plain], gap[plain], ub[plain], [budget[r] for r in plain],
-               [sum_x[r] for r in plain])), False)
+        points, _, _, errors = _halfspace_dual_rows(*rows_of(plain), _take(normal, plain),
+                                                    _take(gap, plain), False)
         if errors:
             raise errors[min(errors)]
-        if whole:
+        if len(plain) == m:
             return points
         out = np.empty_like(x) if out is None else out
         out[plain] = points

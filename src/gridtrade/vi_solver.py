@@ -24,14 +24,16 @@ dual with the active set of the iterate's own bounds (see `projection`).
 
 One loop, `_extragradient`, runs the iteration for every caller: the engine
 on a (games, sellers) batch of independent problems, `solve_ve` on a batch
-of one. A batch of several rows forms its residuals and projections with
-the row cores, a lone row (a lone problem, or a batch's last live row) with
-the public `natural_residual`, which checks the iterate, and the core of
-`project_halfspace_then_set` after one finiteness test of the round's
-normal. Each path is the cheap one for its batch size (bench, seed 211):
-the row projection on a batch of one costs `follower_tight` about 36% of
-its throughput, and one-vector projections per row cost `sweep` about 40%.
-The shared loop costs a lone problem about 3% against a loop of its own.
+of one. Every batch size runs the same row code: the residuals of
+`_residual_rows` and the projections of `projection._halfspace_rows`, after
+one finiteness test of the round's normals. A lone row (a lone problem, or
+a batch's last live row) forms its residual through the public
+`natural_residual`, which checks the iterate and is `_residual_rows` on a
+batch of one, so the bench counts a lone solve's rounds by its calls. The
+halfspace dual's probe is the one part chosen by batch size (see
+`projection`). Against the separate one-vector projection and residual
+this replaced, the row code makes a lone problem's solve take about 8%
+longer (`follower_tight`, seed 211, in process).
 """
 
 from __future__ import annotations
@@ -45,11 +47,9 @@ from .model import FeasibleSet
 from .projection import (
     ProjectionResult,
     _all,
-    _any,
     _checked_vector,
     _col,
     _halfspace_rows,
-    _halfspace_then_set,
     _take,
     project_box_budget,
 )
@@ -85,9 +85,10 @@ class PseudoGradient:
 class SolverConfig:
     """Tuning knobs for the extragradient solver.
 
-    gamma is the initial Armijo step in (0, 1], beta the backtracking ratio
-    and delta the acceptance coefficient, both in (0, 1). Convergence is
-    declared on the natural residual ||x - r(x)||.
+    gamma is the initial Armijo step, beta the backtracking ratio and delta
+    the acceptance coefficient, all in (0, 1): at a step of 1 the trial
+    point is r(x), the solution itself, whose cut only supports X.
+    Convergence is declared on the natural residual ||x - r(x)||.
     """
 
     gamma: float = 0.95
@@ -98,8 +99,8 @@ class SolverConfig:
     max_backtracks: int = 60
 
     def __post_init__(self):
-        if not (0.0 < self.gamma <= 1.0):
-            raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
+        if not (0.0 < self.gamma < 1.0):
+            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         if not (0.0 < self.beta < 1.0):
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         if not (0.0 < self.delta < 1.0):
@@ -153,32 +154,14 @@ def natural_residual(x, F: PseudoGradient, fset: FeasibleSet,
     that leaves sum(r) a few ulps below sum(x) is pushed back up on a copy;
     this guarantees sum(x - r) <= 0, which the step acceptance rule relies
     on. Raises ValueError when x is non-finite or does not match the set's
-    dimension.
+    dimension. This is _residual_rows on a batch of one.
     """
-    x = _checked_vector(x, "iterate", fset.upper_bounds.shape)
+    ub = fset.upper_bounds
+    x = _checked_vector(x, "iterate", ub.shape)
     if anchor is None:
         anchor = project_box_budget(F.surpluses + F.prices, fset)
-    r = anchor.point
-    if anchor.active_budget:
-        # The step acceptance rule needs sum(x - r) <= 0 in exact arithmetic;
-        # comparing separately rounded sums leaves an ulp of the budget in
-        # play, which the face multiplier amplifies past the Armijo margin.
-        # The compensation must land on a component that is strictly inside
-        # its box (where the marginal value equals the face multiplier), or
-        # it would itself tilt the acceptance inner product.
-        excess = math.fsum(np.concatenate((x, -r)).tolist())
-        if excess > 0.0:
-            free = (r > 0.0) & (r < fset.upper_bounds)
-            if free.any():
-                r = r.copy()
-                j = int(np.argmax(np.where(free, fset.upper_bounds - r, -np.inf)))
-                for _ in range(6):
-                    r[j] = np.nextafter(r[j] + excess, np.inf)
-                    excess = math.fsum(np.concatenate((x, -r)).tolist())
-                    if excess <= 0.0:
-                        break
-    d = x - r
-    return r, math.sqrt(np.dot(d, d))
+    r, norms = _residual_rows(x[None], anchor.point[None], [anchor.active_budget], ub[None])
+    return r[0], norms[0]
 
 
 def ve_closed_form(F: PseudoGradient, fset: FeasibleSet) -> np.ndarray:
@@ -254,8 +237,9 @@ def _residual_rows(x, anchor, active, ub):
             free = (ra > 0.0) & (ra < ua)
             cols = np.argmax(np.where(free, ua - ra, -np.inf), axis=1).tolist()
             dim = x.shape[1]
-            for j, i, col, any_free in zip(over, at, cols, _any(free, axis=1).tolist()):
-                if not any_free:
+            for j, i, col, row_free in zip(over, at, cols, free):
+                if not row_free[col]:
+                    # argmax found no free component.
                     continue
                 if r is anchor:
                     r = anchor.copy()
@@ -267,7 +251,7 @@ def _residual_rows(x, anchor, active, ub):
                     if e <= 0.0:
                         break
     d = x - r
-    return r, list(map(math.sqrt, map(np.dot, d, d)))
+    return r, [math.sqrt(row.dot(row)) for row in d]
 
 
 def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=None):
@@ -283,10 +267,10 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=Non
     done=False, after the Armijo search, the rest, whose trial points are
     x - steps*d; it returns per row whether to halt it there. Returns each
     row's final iterate and stop reason (`residual`, `caller` or
-    `max_iterations`). A row's path does not depend on the rows beside it:
-    several rows take the row cores, a lone row (alone from the start or
-    the last one left) the one-vector calls, which round the same. A batch
-    of one may pass its (operator, set, anchor projection) as `lone`;
+    `max_iterations`). A row's path does not depend on the rows beside it.
+    A lone row (alone from the start or the last one left) forms its
+    residual with natural_residual, which rounds as _residual_rows; a batch
+    of one may pass its (operator, set, anchor projection) as `lone`,
     otherwise they are built from the row when it is first alone.
     """
     rows = np.arange(len(x))
@@ -296,8 +280,8 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=Non
     active = [v > 0.0 for v in lam]
 
     def alone():
-        """The one live row as the one-vector calls take it: its operator,
-        set and natural-map anchor."""
+        """The one live row as natural_residual takes it: its operator, set
+        and natural-map anchor."""
         return (PseudoGradient(s[0], p[0]), FeasibleSet(ub[0], budget[0]),
                 ProjectionResult(anchor[0], lam[0], active[0], 0))
 
@@ -366,13 +350,10 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=Non
         if iteration == cfg.max_iterations:
             leave(list(range(len(rows))), "max_iterations")
             break
+        # The projection's one check: fz is non-finite when x or t*d is.
+        if not _all(np.isfinite(fz).ravel()):
+            raise ValueError("cannot project with a non-finite normal")
         # x - z equals t*d analytically; passing it keeps the halfspace gap
         # resolvable when d is small.
-        if len(x) == 1:
-            # The core's one check here: fz is non-finite when x or t*d is.
-            if not _all(np.isfinite(fz[0])):
-                raise ValueError("cannot project with a non-finite normal")
-            x = _halfspace_then_set(x[0], fz[0], t[0] * d[0], ub[0], budget[0])[None]
-        else:
-            x = _halfspace_rows(x, fz, _col(t) * d, ub, budget)
+        x = _halfspace_rows(x, fz, _col(t) * d, ub, budget)
     return final, stops

@@ -438,6 +438,32 @@ class TestInvalidInputExitsOne:
         assert "fit_tariff must be positive and finite" in one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--total-price", "-5"], "total_price must be finite and positive, got -5.0"),
+        (["--total-price", "0"], "total_price must be finite and positive, got 0.0"),
+        (["--total-price", "inf"], "total_price must be finite and positive, got inf"),
+        (["--p-min", "-1"], "0 < p_min <= p_max, got (-1.0, 175.0)"),
+        (["--p-min", "nan"], "0 < p_min <= p_max, got (nan, 175.0)"),
+        (["--p-min", "10", "--p-max", "5"], "0 < p_min <= p_max, got (10.0, 5.0)"),
+        (["--p-max", "inf"], "0 < p_min <= p_max, got (8.45, inf)"),
+        (["--deficiency-rule", "fixed:inf"], "bad deficiency_rule 'fixed:inf'"),
+        (["--deficiency-rule", "surplus_fraction:inf"],
+         "bad deficiency_rule 'surplus_fraction:inf'"),
+    ], ids=["total_price_negative", "total_price_zero", "total_price_inf", "p_min_negative",
+            "p_min_nan", "p_min_above_p_max", "p_max_inf", "fixed_inf", "fraction_inf"])
+    def test_bad_price_or_deficiency_names_its_field(self, tmp_path, capsys, monkeypatch,
+                                                      flags, message):
+        # Each is reported as the user set it, before any scenario is drawn:
+        # not as a relaxed p_min or a game's deficiency.
+        def no_games(scenarios):
+            raise AssertionError("a game was played")
+        monkeypatch.setattr(cli, "run_games", no_games)
+        out = tmp_path / "out"
+        assert main(["simulate", "--preset", "fig2_utility_vs_n", "--n-values", "2",
+                     "--runs", "1", "--out", str(out), *flags]) == 1
+        assert message in one_line_error(capsys)
+        assert not out.exists()
+
     def test_non_finite_figure(self, tmp_path):
         # Surpluses near the float limit overflow the flat tariff's utility;
         # the run must name the figure instead of writing inf into the CSVs.

@@ -305,6 +305,30 @@ class TestRunGames:
             assert_same_game(a, c)
             assert_same_game(b, c)
 
+    def test_rows_backtracking_in_different_rounds(self, monkeypatch):
+        # A first step of 0.99 backtracks to 0.495 wherever a row sits on its
+        # budget face; the rows of a batch reach their faces in different
+        # rounds, so some rounds backtrack only part of the batch.
+        cfg = SolverConfig(gamma=0.99)
+        scenarios = fig_scenarios("fig2_utility_vs_n", 5, 4)
+        alone = [run_stackelberg(sc, cfg) for sc in scenarios]
+        steps = []
+        loop = engine._extragradient
+
+        def recorded(*args):
+            on_iteration = args[8]
+
+            def seen(iteration, rows, x, res, t, d, mu, done):
+                if not done:
+                    steps.append(set(t))
+                return on_iteration(iteration, rows, x, res, t, d, mu, done)
+            return loop(*args[:8], seen)
+
+        monkeypatch.setattr(engine, "_extragradient", recorded)
+        for outcome, single in zip(engine.run_games(scenarios, cfg), alone):
+            assert_same_game(outcome, single)
+        assert {0.99, 0.495} in steps
+
     def test_rows_stopping_on_different_rounds(self):
         # fig2 and fig3 games at one n differ in deficiency, so their stages
         # stop on different rounds and rows leave the batch at different times.
@@ -319,9 +343,8 @@ class TestRunGames:
     def test_last_live_row_takes_the_one_vector_calls(self, monkeypatch, peak_scenario):
         # The first game plays stage 1 longer, the second stage 2. Once the
         # batch falls to one row, the survivor forms its residual with
-        # natural_residual and projects with _halfspace_then_set, the core of
-        # project_halfspace_then_set, one call each per round it plays
-        # alone, and keeps its bytes.
+        # natural_residual and projects as a batch of one, one call each per
+        # round it plays alone, and keeps its bytes.
         s = peak_scenario.surpluses
         games = [make_scenario(s, f * s.sum(), seed=5) for f in (0.1, 0.3)]
         alone = [run_stackelberg(sc) for sc in games]
@@ -329,18 +352,19 @@ class TestRunGames:
                 ((alone[0].stage1, alone[1].stage1), (alone[0].stage2, alone[1].stage2))]
         assert alone[0].stage1.follower_iterations > alone[1].stage1.follower_iterations
         assert alone[0].stage2.follower_iterations < alone[1].stage2.follower_iterations
-        calls = {"natural_residual": 0, "_halfspace_then_set": 0}
+        calls = {"natural_residual": 0, "lone projections": 0}
+        residual, rows = vi_solver.natural_residual, vi_solver._halfspace_rows
 
-        def counted(name):
-            real = getattr(vi_solver, name)
+        def counted_residual(*args):
+            calls["natural_residual"] += 1
+            return residual(*args)
 
-            def call(*args, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            return call
+        def counted_rows(x, *args):
+            calls["lone projections"] += len(x) == 1
+            return rows(x, *args)
 
-        for name in calls:
-            monkeypatch.setattr(vi_solver, name, counted(name))
+        monkeypatch.setattr(vi_solver, "natural_residual", counted_residual)
+        monkeypatch.setattr(vi_solver, "_halfspace_rows", counted_rows)
         for outcome, single in zip(engine.run_games(games), alone):
             assert_same_game(outcome, single)
         assert calls == dict.fromkeys(calls, sum(gaps))

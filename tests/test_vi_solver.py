@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -298,6 +299,37 @@ class TestSolverConfig:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_unit_gamma_rejected(self):
+        # With t = 1 the trial point z is the anchor P_X(c), the solution
+        # itself, and the cut through it only supports X: binding-budget
+        # solves then run out of iterations or find no dual bracket.
+        with pytest.raises(ValueError, match=re.escape("gamma must be in (0, 1), got 1.0")):
+            SolverConfig(gamma=1.0)
+
+
+class TestArmijo:
+    """Backtracking. <F(z), d> >= (1 - t)*||d||**2 for z = x - t*d, so the
+    default first step 0.95 <= 1 - delta never backtracks; a first step
+    above 1 - delta does wherever x sits on the budget face."""
+
+    def test_backtracks_to_half_the_first_step(self):
+        F, fset = running_example()
+        x, trace = solve_ve(F, fset, SolverConfig(gamma=0.99))
+        steps = {rec.step for rec in trace.records}
+        assert trace.converged and steps == {0.99, 0.495, 0.0}
+        assert np.abs(x - ve_closed_form(F, fset)).max() <= 1e-9
+
+    def test_out_of_backtracks_raises(self):
+        # 0.99 * 0.98 = 0.9702 still exceeds 1 - delta = 0.96: a round on
+        # the face needs two backtracks.
+        F, fset = running_example()
+        _, trace = solve_ve(F, fset, SolverConfig(gamma=0.99, beta=0.98))
+        assert trace.converged and 0.99 * 0.98 * 0.98 in {rec.step for rec in trace.records}
+        with pytest.raises(vi_solver.ArmijoSearchError, match="within 1 backtracks"):
+            solve_ve(F, fset, SolverConfig(gamma=0.99, beta=0.98, max_backtracks=1))
+        # One backtrack is within a limit of one.
+        assert solve_ve(F, fset, SolverConfig(gamma=0.99, max_backtracks=1))[1].converged
 
 
 class TestFollowerGolden:
