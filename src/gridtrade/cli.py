@@ -149,7 +149,12 @@ def sample_scenario(cfg: ExperimentConfig, n: int, run_index: int) -> Scenario:
     rng = np.random.default_rng([cfg.seed, n, run_index])
     low, high = cfg.surplus_range
     surpluses = rng.uniform(low, high, n)
-    deficiency = _parse_deficiency_rule(cfg.deficiency_rule)(surpluses)
+    with np.errstate(over="ignore"):  # reported below, in one line
+        deficiency = _parse_deficiency_rule(cfg.deficiency_rule)(surpluses)
+        if not math.isfinite(deficiency):
+            raise ValueError(f"run (n={n}, run={run_index}): deficiency_rule "
+                             f"{cfg.deficiency_rule!r} gives a deficiency that is not finite "
+                             f"({deficiency}) for surpluses summing to {surpluses.sum()}")
     p_min = cfg.p_min
     if n * p_min > cfg.total_price:
         p_min = cfg.total_price / n
@@ -218,7 +223,8 @@ def _fig1_rows(cfg: ExperimentConfig):
     """Per-iteration per-user utility trace at the optimized prices."""
     n = cfg.n_values[0]
     scenario = sample_scenario(cfg, n, 0)
-    outcome = run_stackelberg(scenario)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is one line
+        outcome = _play([scenario], n)[0]
     if not outcome.converged:
         raise RuntimeError("convergence trace scenario did not converge")
     p_star = outcome.stage2.prices
@@ -280,15 +286,20 @@ def _payments(results) -> list[float]:
 
 def _play(scenarios, n):
     """run_games over the runs at n. A solver error is raised again from the
-    first run that raises it when played alone, naming that run."""
+    first run that raises it when played alone, naming that run. A sum that
+    overflows the float range is invalid input: a ValueError naming the run
+    and the fields that scale it."""
     try:
         return run_games(scenarios)
-    except (ProjectionError, ArmijoSearchError):
+    except (ProjectionError, ArmijoSearchError, OverflowError):
         for run, scenario in enumerate(scenarios):
             try:
                 run_stackelberg(scenario)
             except (ProjectionError, ArmijoSearchError) as exc:
                 raise type(exc)(f"run (n={n}, run={run}): {exc}") from exc
+            except OverflowError as exc:
+                raise ValueError(f"run (n={n}, run={run}): its sums overflow the float range "
+                                 f"({exc}); surplus_range or total_price is too large") from exc
         raise
 
 
@@ -410,6 +421,12 @@ def _audit_file(path: Path, trials: int, tol: float) -> tuple[int, str]:
         problems = [f"missing field {exc}"]
     except (OSError, TypeError, ValueError, OverflowError) as exc:
         problems = [f"{type(exc).__name__}: {exc}"]
+    if not problems:
+        # the game and the audits sum over the sellers
+        with np.errstate(over="ignore"):
+            total = float(scenario.surpluses.sum())
+        if not math.isfinite(total):
+            problems = [f"the surpluses' sum is not finite ({total})"]
     if problems:
         return 1, f"{path.name}: INVALID ({'; '.join(problems)})"
     try:

@@ -13,10 +13,11 @@ exchange can be replayed or audited against the round grammar
 The transcript is stored in columns: an announce as its three fields, a
 follower round as its offer and slack arrays plus the repeat bit, a price
 stage as its price array. Messages exist only as JSON lines, rendered
-from those columns: each distinct float64 bit pattern is formatted once,
-and a block of n lines is joined from its kind's cached fixed text with
-the value and round texts set in between. The bytes are those of one
-json.dumps(..., sort_keys=True) line per message.
+from those columns: one orjson call formats every float of the log, and a
+block of n lines is joined from its kind's cached fixed text with the
+value and round texts set in between. The bytes are those of one
+json.dumps(..., sort_keys=True) line per message. orjson is imported when
+a transcript is first rendered, so `import gridtrade` does not load it.
 
 Games of one network size can be played in lockstep (run_games): one
 follower loop iterates every game's sellers as one row of a (games,
@@ -132,12 +133,24 @@ def _fragments(kind: str, n: int) -> tuple[list[str], list[str]]:
 
 
 def _json_floats(values: np.ndarray) -> list[str]:
-    """Each value as json.dumps writes it. For a finite float that is
-    float.__repr__; NaN and the infinities take json.dumps itself."""
-    items = values.tolist()
-    if np.isfinite(values).all():
-        return list(map(float.__repr__, items))
-    return list(map(json.dumps, items))
+    """Each value as json.dumps writes it, formatted by one orjson call.
+
+    For ±0.0 and every float with 1e-4 <= |v| < 1e16, orjson writes
+    float.__repr__'s text, which is json.dumps's. It writes the others as
+    null, 1e-5 or 1e16 where json.dumps writes NaN, 1e-05 or 1e+16, so
+    those are set again one by one.
+    """
+    import orjson
+
+    if not values.size:
+        return []
+    texts = orjson.dumps(values, option=orjson.OPT_SERIALIZE_NUMPY)[1:-1].decode().split(",")
+    magnitude = np.abs(values)
+    # NaN fails both comparisons, so it lands among the others too
+    others = ~((magnitude >= 1e-4) & (magnitude < 1e16)) & (values != 0.0)
+    for i in np.flatnonzero(others).tolist():
+        texts[i] = json.dumps(float(values[i]))
+    return texts
 
 
 def _snapshot(values, name: str) -> np.ndarray:
@@ -154,11 +167,11 @@ class MessageLog:
     The announce is kept as its three fields, a follower round as one block
     of offer and slack arrays plus the repeat bit, and a price stage as one
     block holding the price array. Messages exist only as JSON lines:
-    `to_jsonl` and `messages` render the blocks column by column and format
-    each distinct float64 bit pattern once. A block of n lines copies the
-    first 4n of its kind's cached fragments, sets the value texts and the
-    round into their slots and joins them once. The bytes are those of the
-    per-message json.dumps renderer.
+    `to_jsonl` and `messages` render the blocks column by column, and one
+    _json_floats call formats every float of the log. A block of n lines
+    copies the first 4n of its kind's cached fragments, sets the value texts
+    and the round into their slots and joins them once. The bytes are those
+    of the per-message json.dumps renderer.
     """
 
     def __init__(self) -> None:
@@ -236,13 +249,7 @@ class MessageLog:
                 columns += (entry.offers, entry.slacks)
             elif isinstance(entry, _PriceBlock):
                 columns.append(entry.prices)
-        texts = []
-        if columns:
-            # keyed on bits, so -0.0 and 0.0 keep their own spelling
-            bits, inverse = np.unique(np.concatenate(columns).view(np.int64),
-                                      return_inverse=True)
-            distinct = np.array(_json_floats(bits.view(np.float64)), dtype=object)
-            texts = distinct[inverse].tolist()
+        texts = _json_floats(np.concatenate(columns)) if columns else []
         lines: list[str] = []
         start = 0
 

@@ -5,6 +5,7 @@ import logging
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -263,6 +264,21 @@ class TestLockstepSweep:
                      "--runs", "3", "--out", str(tmp_path / "out")]) == 2
         assert "(n=4, run=1)" in one_line_error(capsys)
 
+    def test_run_that_does_not_converge_exits_two(self, tmp_path, capsys, monkeypatch):
+        # the batch raises nothing; run 1's outcome comes back unconverged
+        real = cli.run_games
+
+        def stalling(scenarios):
+            return [replace(o, converged=False) if run == 1 else o
+                    for run, o in enumerate(real(scenarios))]
+
+        monkeypatch.setattr(cli, "run_games", stalling)
+        out = tmp_path / "out"
+        assert main(["simulate", "--preset", "fig2_utility_vs_n", "--n-values", "4",
+                     "--runs", "3", "--dump-per-run", "--out", str(out)]) == 2
+        assert one_line_error(capsys) == "run (n=4, run=1) did not converge\n"
+        assert not out.exists()
+
 
 class TestScenarioJson:
     def test_round_trip(self, peak_scenario):
@@ -300,6 +316,18 @@ class TestMain:
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == ""
         assert proc.stdout.strip() == str(tmp_path / "fig1_convergence.csv")
+
+    def test_cli_import_leaves_orjson_unloaded(self):
+        # orjson formats transcripts only; `import gridtrade.cli` (what the
+        # console script and the bench's setup time import) must not load it
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, gridtrade.cli; print('orjson' in sys.modules)"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
     def test_simulate_config_file(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
@@ -464,6 +492,34 @@ class TestInvalidInputExitsOne:
         assert message in one_line_error(capsys)
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_surplus_sum_past_the_float_limit_names_surplus_range(self, tmp_path, capsys):
+        # five surpluses near the float limit: the box projection's sum of
+        # the free surpluses overflows before the budget is subtracted
+        out = tmp_path / "out"
+        assert main(["simulate", "--preset", "fig2_utility_vs_n", "--n-values", "5",
+                     "--runs", "1", "--surplus-range", "1e307,1.7e308",
+                     "--out", str(out)]) == 1
+        err = one_line_error(capsys)
+        assert "(n=5, run=0)" in err and "surplus_range" in err and "overflow" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_deficiency_past_the_float_limit_names_the_rule(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # the fraction is finite, its product with the surplus sum is not
+        def no_games(scenarios):
+            raise AssertionError("a game was played")
+        monkeypatch.setattr(cli, "run_games", no_games)
+        out = tmp_path / "out"
+        assert main(["simulate", "--preset", "fig2_utility_vs_n", "--n-values", "5",
+                     "--runs", "1", "--deficiency-rule", "surplus_fraction:1e308",
+                     "--out", str(out)]) == 1
+        err = one_line_error(capsys)
+        assert "(n=5, run=0)" in err and "deficiency_rule 'surplus_fraction:1e308'" in err
+        assert "deficiency that is not finite (inf)" in err
+        assert not out.exists()
+
     def test_non_finite_figure(self, tmp_path):
         # Surpluses near the float limit overflow the flat tariff's utility;
         # the run must name the figure instead of writing inf into the CSVs.
@@ -593,6 +649,38 @@ class TestVerifyEveryFile:
         assert code == 2
         assert out[0] == f"a.json: NON-CONVERGENT ({error.__name__}: no progress)"
         assert out[1].startswith("b.json: OK")
+
+    def test_unconverged_game_is_non_convergent(self, tmp_path, capsys, monkeypatch, good):
+        # run_stackelberg raises nothing; its outcome comes back unconverged
+        real = cli.run_stackelberg
+
+        def stalling(scenario, *args, **kwargs):
+            outcome = real(scenario, *args, **kwargs)
+            return replace(outcome, converged=False) if scenario.seed == 7 else outcome
+
+        monkeypatch.setattr(cli, "run_stackelberg", stalling)
+        data = json.loads(good)
+        data["seed"] = 7
+        code, out = self.run(write_corpus(tmp_path, {"a.json": json.dumps(data), "b.json": good}),
+                             capsys)
+        assert code == 2
+        assert out[0] == "a.json: NON-CONVERGENT"
+        assert out[1].startswith("b.json: OK")
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_surplus_sum_past_the_float_limit_is_invalid(self, tmp_path, capsys, good, n):
+        # at n 5 the game's projection overflows; at n 2 it plays, but the
+        # audit's sums overflow
+        edge = scenario_to_dict(make_scenario([1.7e308, 1e308, 1.5e308, 1.2e308, 1.1e308][:n],
+                                              380.0))
+        code, out = self.run(write_corpus(tmp_path, {"a.json": json.dumps(edge), "b.json": good}),
+                             capsys)
+        assert code == 1
+        assert out[0].startswith("a.json: INVALID (") and "surplus" in out[0], out[0]
+        assert "not finite" in out[0]
+        assert out[1].startswith("b.json: OK")
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_price_slice_just_below_n_p_max_passes_audit(self, tmp_path, capsys, good):
         edge = scenario_to_dict(make_scenario([100.0, 120.0, 140.0], 150.0,

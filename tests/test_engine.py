@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import gridtrade.engine as engine
 import gridtrade.vi_solver as vi_solver
@@ -28,6 +28,14 @@ from tests.conftest import make_scenario, time_limit
 GOLDEN_TRANSCRIPT = Path(__file__).parent / "data" / "peak_transcript.jsonl"
 
 ROUND_ORDER = ("announce", "price_update", "offer", "slack_report", "repeat_bit")
+
+# Where orjson's float text and json.dumps's part ways (see
+# engine._json_floats): the non-finite values, zero, the subnormals, the
+# largest float, and 1e-4 and 1e16 with their neighbours one ulp either side.
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.225073858507201e-308,
+               sys.float_info.min, sys.float_info.max] + [
+    v for edge in (1e-4, 1e16)
+    for v in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))]
 
 
 class RecordingLog(MessageLog):
@@ -536,6 +544,17 @@ class TestMessageLog:
         assert len(log) == len(log.messages) == 1 + 1 + 5 + 11
         assert log.total_rounds == 2
         assert per_seller_counts(log) == {i: 2 for i in range(5)}
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(st.floats(), st.sampled_from(EDGE_FLOATS)), max_size=40),
+           st.booleans())
+    @example(EDGE_FLOATS + [-v for v in EDGE_FLOATS], True)
+    @example([], False)
+    def test_json_floats_match_json_dumps(self, values, frozen):
+        # orjson formats [1e-4, 1e16) and zero; the rest are set one by one
+        arr = np.array(values, dtype=float)
+        arr.flags.writeable = not frozen  # log columns are read-only
+        assert engine._json_floats(arr) == [json.dumps(v) for v in values]
 
     @pytest.fixture
     def fresh_fragments(self, monkeypatch):
