@@ -25,8 +25,8 @@ sellers) batch, one breakpoint search prices every live game of a stage
 (price_opt._price_rows), and the stage results are row arithmetic. Each
 game keeps its own transcript, and its outcome does not depend on which
 games share the batch. run_stackelberg is a batch of one, played by the
-same code, whose lone row takes the one-vector residual and projection
-(see vi_solver).
+same row code; only its halfspace dual's probe works on one vector (see
+vi_solver).
 
 The grid's stop rule mirrors the slack-equalization idea: it stops a stage
 when the interior slack values agree within tolerance AND have stopped
@@ -354,7 +354,7 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
     rounds = [0] * m
     residual = [float("nan")] * m
 
-    def on_iteration(iteration, rows, x, res, steps, d, mu, done):
+    def on_iteration(iteration, rows, x, res, steps, z, mu, done):
         if done:
             stops = [True] * len(rows)
         else:

@@ -149,9 +149,8 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 # _halfspace_rows. The only choice made by batch size is the halfspace
 # dual's probe: a lone row takes _move_path, which assembles its moves on
 # one vector, and several rows take _move_path_rows, which on a lone row
-# makes follower_tight's solves take 42% longer (in process, seed 211).
-# The rest of the row code makes them take about 8% longer than the
-# one-vector projection and residual it replaced.
+# gives the same bytes but makes follower_tight's solves take 46% longer
+# (in process, seed 211).
 
 def _take(a, rows):
     """The rows of `a` at the ascending index array `rows`; `a` itself when
@@ -535,28 +534,33 @@ def _move_path(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
     """
     x, n, hi_b, g_lin, budget = x[0], n[0], hi_b[0], g_lin[0], budget[0]
     lo_b = -x
-    n_max = float(_max(np.abs(n))) if n_max is None else n_max[0]
+    # Only a move on a piece needs the largest |n|; off the face a move
+    # inside the budget does not.
+    n_max = None if n_max is None else n_max[0]
     target = budget - sum_x[0]
     if equality or (0.0 <= target <= 64.0 * EPS * budget):
         target = 0.0
 
     def piece_of(lower, upper):
         """The beta-free constants of the piece whose components in `lower`
-        and `upper` sit at their bounds, or None when no component is free."""
+        and `upper` sit at their bounds, or None when no component is free.
+        Its limits hold each component's KKT interval: a free one's box, and
+        the side of its bound that a clamped one's unclamped value must lie
+        on. The move takes hi_lim at the clamped components: a lower one's
+        bound, or inf at an upper one, which the clamp takes down to ub - x."""
         free = ~(lower | upper)
         k = int(np.count_nonzero(free))
         if k == 0:
             return None
         n_free = n[free].tolist()
         nbar = math.fsum(n_free) / k
-        bound = np.where(lower, lo_b, hi_b)
         dev = n - nbar
         centered = dev[free]
-        return (free, k, bound,
+        return (free, k,
                 np.where(free, lo_b, np.where(upper, hi_b, -np.inf)),
                 np.where(free, hi_b, np.where(lower, lo_b, np.inf)),
                 dev, nbar, math.fsum(n_free + [-k * nbar]),
-                math.fsum(bound[~free].tolist() + [-target]) / k,
+                math.fsum(lo_b[lower].tolist() + hi_b[upper].tolist() + [-target]) / k,
                 math.fsum((centered * centered).tolist()))
 
     # Until a piece certifies, try x's own bounds: the last piece of the
@@ -569,7 +573,10 @@ def _move_path(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
         None when it fails. The rounded mean's residue folds into the
         constant, so any piece's move sums to the target exactly; the piece
         holds when it passes its KKT test at its own multiplier."""
-        free, k, bound, lo_lim, hi_lim, dev, nbar, residue, c, slope = piece
+        nonlocal n_max
+        if n_max is None:
+            n_max = float(_max(np.abs(n)))
+        free, k, lo_lim, hi_lim, dev, nbar, residue, c, slope = piece
         c_adj = c - beta * residue / k
         m_free = -beta * dev - c_adj
         lam = -beta * nbar + c_adj
@@ -577,7 +584,7 @@ def _move_path(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
         v = np.where(free, m_free, s - lam)
         if not ((equality or lam >= -tol) and not _any((v < lo_lim - tol) | (v > hi_lim + tol))):
             return None
-        m = np.minimum(np.maximum(np.where(free, m_free, bound), lo_b), hi_b)
+        m = np.minimum(np.maximum(np.where(free, m_free, hi_lim), lo_b), hi_b)
         return m, lam if equality else max(lam, 0.0), free, slope
 
     def move(beta):
@@ -668,9 +675,10 @@ def _bracket(n, x, lo, evals, probe, errors):
     the piece (see _newton_steps). lo holds every row's probe at beta = 0
     and evals the evaluations spent on it. probe(rows, betas) probes the
     ascending list rows and returns the columns and a dict from each
-    position whose move failed to its ProjectionError. Returns the move,
-    beta and multiplier of each row's final probe as lists; a row in errors
-    on entry is skipped, and a failed row's error is added there.
+    position whose move failed to its ProjectionError. Returns the moves of
+    each row's final probe, written over lo's moves in place, and their
+    betas and multipliers as lists; a row in errors on entry is skipped, and
+    a failed row's error is added there.
 
     Per row, probes step along the piece of one end of the bracket [lo, hi]
     (see project_halfspace_then_set); a piece is a probe's free mask,
@@ -681,7 +689,7 @@ def _bracket(n, x, lo, evals, probe, errors):
     m = len(g0)
     # A row whose gap at beta = 0 is not positive is its own root, and a
     # failed row keeps its move there.
-    out_move, out_beta, out_lam = list(move0), [0.0] * m, list(lam0)
+    out_move, out_beta, out_lam = move0, [0.0] * m, list(lam0)
     rows = [r for r, g in enumerate(g0) if g > 0.0 and r not in errors]
     if len(rows) < m:
         if not rows:
@@ -770,7 +778,11 @@ def _bracket(n, x, lo, evals, probe, errors):
                         o_up = np.where(on_hi, hi_up, lo_up)
                     else:
                         o_free, o_up = lo_free, lo_up
-                    same = _all((free == o_free) & (up == o_up), 1).tolist()
+                    if free.tobytes() == o_free.tobytes() and up.tobytes() == o_up.tobytes():
+                        # Every row's probe stayed on its origin's piece.
+                        same = [True] * len(rows)
+                    else:
+                        same = _all((free == o_free) & (up == o_up), 1).tolist()
                 if gj == 0.0 or (side is not None and same[j]
                                  and binds[j] == st[3 if side == 0 else 7]):
                     out_move[r], out_beta[r], out_lam[r] = move[j], betas[j], lam[j]
@@ -823,19 +835,20 @@ def _halfspace_dual_rows(x, ub, budget, sum_x, n, gap, face_mode, n_max=None):
     g_lin = _row_fsums(n * gap)
     hi_b = ub - x
     # x's bound sets: at zero, and at ub (where ub - x <= 0 exactly when
-    # x >= ub); the components free of both move first.
-    lower, upper = x <= 0.0, hi_b <= 0.0
+    # x >= ub); the components free of both move first. Each row's least
+    # distance to its bounds also says whether x is in its box.
+    lower, upper, low = x <= 0.0, hi_b <= 0.0, np.minimum(x, hi_b)
     # The probe is the one part chosen by batch size (see the note above).
     probe, seed_slope = (_move_path if m == 1 else _move_path_rows)(
         x, n, hi_b, (lower, upper), budget, sum_x, face_mode, g_lin, n_max)
     # With x in the box and within the budget (or on the face) the move at
     # beta = 0 is zero, so x's own bound set is a valid piece there and the
     # first probe is already a Newton step.
-    lowest = _min(np.minimum(x, hi_b), 1).tolist()
+    lowest = _min(low, 1).tolist()
     start = [r for r in range(m)
              if not (lowest[r] >= 0.0 and (face_mode or sum_x[r] <= budget[r]))]
     g, lam, binds, slope = list(g_lin), [0.0] * m, [face_mode] * m, seed_slope
-    free, moved, evals, errors = ~(lower | upper), np.zeros(x.shape), [0] * m, {}
+    free, moved, evals, errors = low > 0.0, np.zeros(x.shape), [0] * m, {}
     if start:
         g_s, lam_s, binds_s, free_s, up_s, moved_s, slope_s, failed = probe(
             start, [0.0] * len(start))
@@ -846,7 +859,7 @@ def _halfspace_dual_rows(x, ub, budget, sum_x, n, gap, face_mode, n_max=None):
                 errors[r] = failed[j]
     out, betas, lams = _bracket(n, x, (g, lam, binds, free, upper, moved, slope), evals, probe,
                                 errors)
-    return np.minimum(np.maximum(x + np.array(out), 0.0), ub), betas, lams, errors
+    return np.minimum(np.maximum(x + out, 0.0), ub), betas, lams, errors
 
 
 def _halfspace_rows(x, normal, gap, ub, budget):

@@ -19,8 +19,9 @@ iterate is projected onto X intersected with the separating halfspace
 the solution are therefore nonincreasing along the iteration. Since
 x - F(x) = surpluses + prices for every x, r(x) is projected once per solve
 (the anchor, the same point `ve_closed_form` returns) and each iteration only
-compensates its budget sum against x. The halfspace projection seeds its
-dual with the active set of the iterate's own bounds (see `projection`).
+compensates its budget sum against x, on a component the solve also picks
+once. The halfspace projection seeds its dual with the active set of the
+iterate's own bounds (see `projection`).
 
 One loop, `_extragradient`, runs the iteration for every caller: the engine
 on a (games, sellers) batch of independent problems, `solve_ve` on a batch
@@ -31,9 +32,9 @@ a batch's last live row) forms its residual through the public
 `natural_residual`, which checks the iterate and is `_residual_rows` on a
 batch of one, so the bench counts a lone solve's rounds by its calls. The
 halfspace dual's probe is the one part chosen by batch size (see
-`projection`). Against the separate one-vector projection and residual
-this replaced, the row code makes a lone problem's solve take about 8%
-longer (`follower_tight`, seed 211, in process).
+`projection`). With the rest on the row code, a lone problem's solve takes
+about 1.5% less time than with the separate one-vector projection and
+residual that code replaced (`follower_tight`, seed 211, in process).
 """
 
 from __future__ import annotations
@@ -144,7 +145,8 @@ class SolverTrace:
 
 
 def natural_residual(x, F: PseudoGradient, fset: FeasibleSet,
-                     anchor: ProjectionResult | None = None) -> tuple[np.ndarray, float]:
+                     anchor: ProjectionResult | None = None,
+                     compensation=None) -> tuple[np.ndarray, float]:
     """The projected point r = P_X(x - F(x)) and the norm ||x - r||.
 
     Because F(x) = x - surpluses - prices, x - F(x) is surpluses + prices
@@ -153,14 +155,18 @@ def natural_residual(x, F: PseudoGradient, fset: FeasibleSet,
     exactly at solutions of VI(X, F). When the budget binds at r, rounding
     that leaves sum(r) a few ulps below sum(x) is pushed back up on a copy;
     this guarantees sum(x - r) <= 0, which the step acceptance rule relies
-    on. Raises ValueError when x is non-finite or does not match the set's
-    dimension. This is _residual_rows on a batch of one.
+    on. `compensation` is where that happens, _compensation of the anchor on
+    a batch of one, which a solve takes once; it is computed here when
+    omitted. Raises ValueError when x is non-finite or does not match the
+    set's dimension. This is _residual_rows on a batch of one.
     """
     ub = fset.upper_bounds
     x = _checked_vector(x, "iterate", ub.shape)
     if anchor is None:
         anchor = project_box_budget(F.surpluses + F.prices, fset)
-    r, norms = _residual_rows(x[None], anchor.point[None], [anchor.active_budget], ub[None])
+    if compensation is None:
+        compensation = _compensation(anchor.point[None], [anchor.active_budget], ub[None])
+    r, norms = _residual_rows(x[None], anchor.point[None], compensation)
     return r[0], norms[0]
 
 
@@ -200,10 +206,10 @@ def solve_ve(F: PseudoGradient, fset: FeasibleSet, cfg: SolverConfig | None = No
     anchor = project_box_budget(F.surpluses + F.prices, fset)
     trace = SolverTrace()
 
-    def record(iteration, rows, x, res, steps, d, mu, done):
-        # z is x on the residual stop, else the accepted trial point x - t*d.
+    def record(iteration, rows, x, res, steps, z, mu, done):
+        # z is x on the residual stop, else the accepted trial point.
         x, t = x[0], 0.0 if done else steps[0]
-        rec = IterationRecord(iteration, x, res[0], t, x if done else x - t * d[0], mu[0])
+        rec = IterationRecord(iteration, x, res[0], t, x if done else z[0], mu[0])
         trace.records.append(rec)
         return [on_iteration is not None and on_iteration(rec, done)]
 
@@ -215,35 +221,47 @@ def solve_ve(F: PseudoGradient, fset: FeasibleSet, cfg: SolverConfig | None = No
     return final[0].copy(), trace
 
 
-def _residual_rows(x, anchor, active, ub):
-    """natural_residual over rows: per row of x, the projected point r (the
-    row of `anchor`, compensated where `active` says its budget binds) and
-    the norm ||x - r||, each rounded as natural_residual rounds it."""
-    r = anchor
+def _compensation(anchor, active, ub):
+    """Per row of `anchor`, where _residual_rows compensates its budget sum:
+    None unless `active` says the budget binds there and a component lies
+    strictly inside its box, else (the column of the one with the most
+    headroom, the row's entries negated as a list). It depends only on the
+    anchor and the bounds, so a solve takes it once."""
+    plan = [None] * len(anchor)
     bound = [i for i, a in enumerate(active) if a]
     if bound:
-        # The step acceptance rule needs sum(x - r) <= 0 in exact arithmetic;
-        # comparing separately rounded sums leaves an ulp of the budget in
-        # play, which the face multiplier amplifies past the Armijo margin.
         # The compensation must land on a component that is strictly inside
         # its box (where the marginal value equals the face multiplier), or
         # it would itself tilt the acceptance inner product.
-        terms = np.concatenate((_take(x, bound), -_take(anchor, bound)), axis=1).tolist()
-        excess = list(map(math.fsum, terms))
-        over = [j for j, e in enumerate(excess) if e > 0.0]
-        if over:
-            at = bound if len(over) == len(bound) else [bound[j] for j in over]
-            ra, ua = _take(anchor, at), _take(ub, at)
-            free = (ra > 0.0) & (ra < ua)
-            cols = np.argmax(np.where(free, ua - ra, -np.inf), axis=1).tolist()
-            dim = x.shape[1]
-            for j, i, col, row_free in zip(over, at, cols, free):
-                if not row_free[col]:
-                    # argmax found no free component.
-                    continue
+        ra, ua = _take(anchor, bound), _take(ub, bound)
+        free = (ra > 0.0) & (ra < ua)
+        cols = np.argmax(np.where(free, ua - ra, -np.inf), axis=1).tolist()
+        for i, col, row_free, negated in zip(bound, cols, free, (-ra).tolist()):
+            if row_free[col]:
+                plan[i] = col, negated
+    return plan
+
+
+def _residual_rows(x, anchor, compensation):
+    """natural_residual over rows: per row of x, the projected point r (the
+    row of `anchor`, compensated where `compensation`, its _compensation,
+    says) and the norm ||x - r||, each rounded as natural_residual rounds
+    it."""
+    r = anchor
+    at = [i for i, c in enumerate(compensation) if c is not None]
+    if at:
+        # The step acceptance rule needs sum(x - r) <= 0 in exact arithmetic;
+        # comparing separately rounded sums leaves an ulp of the budget in
+        # play, which the face multiplier amplifies past the Armijo margin.
+        dim = x.shape[1]
+        for i, row in zip(at, _take(x, at).tolist()):
+            col, negated = compensation[i]
+            t = row + negated
+            e = math.fsum(t)
+            if e > 0.0:
                 if r is anchor:
                     r = anchor.copy()
-                e, t, ri = excess[j], terms[j], r[i]
+                ri = r[i]
                 for _ in range(6):
                     ri[col] = value = math.nextafter(-t[dim + col] + e, math.inf)
                     t[dim + col] = -value
@@ -262,10 +280,10 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=Non
     lam[r] its budget multiplier. Each row takes its own Armijo step and
     stops on its own test, and a row that stops leaves the batch. After each
     row's residual test, on_iteration(iteration, rows, x, residuals, steps,
-    d, mu, done) sees the live rows, their labels in `rows`: with done=True
-    the rows that stop on their residual (steps and d None), and with
+    z, mu, done) sees the live rows, their labels in `rows`: with done=True
+    the rows that stop on their residual (steps and z None), and with
     done=False, after the Armijo search, the rest, whose trial points are
-    x - steps*d; it returns per row whether to halt it there. Returns each
+    z = x - steps*d; it returns per row whether to halt it there. Returns each
     row's final iterate and stop reason (`residual`, `caller` or
     `max_iterations`). A row's path does not depend on the rows beside it.
     A lone row (alone from the start or the last one left) forms its
@@ -277,13 +295,13 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=Non
     final = np.empty_like(x)
     stops = ["max_iterations"] * len(x)
     budget, lam = list(budget), list(lam)
-    active = [v > 0.0 for v in lam]
+    plan = _compensation(anchor, [v > 0.0 for v in lam], ub)
 
     def alone():
         """The one live row as natural_residual takes it: its operator, set
         and natural-map anchor."""
         return (PseudoGradient(s[0], p[0]), FeasibleSet(ub[0], budget[0]),
-                ProjectionResult(anchor[0], lam[0], active[0], 0))
+                ProjectionResult(anchor[0], lam[0], lam[0] > 0.0, 0))
 
     def leave(sel, reason):
         """Record the rows at positions sel as stopped and return the
@@ -298,10 +316,10 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=Non
     for iteration in range(1, cfg.max_iterations + 1):
         if len(x) == 1:
             lone = lone or alone()
-            r, v = natural_residual(x[0], *lone)
+            r, v = natural_residual(x[0], *lone, plan)
             r, res = r[None], [v]
         else:
-            r, res = _residual_rows(x, anchor, active, ub)
+            r, res = _residual_rows(x, anchor, plan)
         mu = s - x + p
         done = [j for j, v in enumerate(res) if v <= tol]
         if done:
@@ -313,11 +331,15 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=Non
                 break
             rows, x, s, p, ub, anchor, r, mu = (
                 a[kept] for a in (rows, x, s, p, ub, anchor, r, mu))
-            res, budget, lam, active = ([a[j] for j in kept] for a in (res, budget, lam, active))
+            res, budget, lam, plan = ([a[j] for j in kept] for a in (res, budget, lam, plan))
 
         d = x - r
         t = [gamma] * len(x)
-        fz = x - gamma * d - s - p
+        # The trial points z and steps t*d are kept as rows backtrack: the
+        # round callback takes z, the projection t*d.
+        td = gamma * d
+        z = x - td
+        fz = z - s - p
         need = [delta * (v * v) for v in res]
         short = [j for j, a in enumerate(map(math.fsum, (fz * d).tolist())) if a < need[j]]
         backtracks = 0
@@ -331,22 +353,23 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=Non
             for j in short:
                 t[j] *= shrink
             ds = _take(d, short)
-            zs = _take(x, short) - _col([t[j] for j in short]) * ds
+            tds = _col([t[j] for j in short]) * ds
+            zs = _take(x, short) - tds
             fzs = zs - _take(s, short) - _take(p, short)
             if len(short) == len(x):
-                fz = fzs
+                td, z, fz = tds, zs, fzs
             else:
-                fz[short] = fzs
+                td[short], z[short], fz[short] = tds, zs, fzs
             short = [j for j, a in zip(short, map(math.fsum, (fzs * ds).tolist())) if a < need[j]]
 
-        halt = on_iteration(iteration, rows, x, res, t, d, mu, False)
+        halt = on_iteration(iteration, rows, x, res, t, z, mu, False)
         if any(halt):
             kept = leave([j for j, v in enumerate(halt) if v], "caller")
             if not kept:
                 break
-            rows, x, s, p, ub, anchor, fz, d = (
-                a[kept] for a in (rows, x, s, p, ub, anchor, fz, d))
-            t, budget, lam, active = ([a[j] for j in kept] for a in (t, budget, lam, active))
+            rows, x, s, p, ub, anchor, fz, td = (
+                a[kept] for a in (rows, x, s, p, ub, anchor, fz, td))
+            budget, lam, plan = ([a[j] for j in kept] for a in (budget, lam, plan))
         if iteration == cfg.max_iterations:
             leave(list(range(len(rows))), "max_iterations")
             break
@@ -355,5 +378,5 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=Non
             raise ValueError("cannot project with a non-finite normal")
         # x - z equals t*d analytically; passing it keeps the halfspace gap
         # resolvable when d is small.
-        x = _halfspace_rows(x, fz, _col(t) * d, ub, budget)
+        x = _halfspace_rows(x, fz, td, ub, budget)
     return final, stops

@@ -370,6 +370,26 @@ class TestUncertifiedSearch:
         with pytest.raises(ProjectionError, match=re.escape("(target 5.000e-01, 3 components)")):
             raise failed[0]
 
+    def test_failed_probe_inside_the_search_raises(self, monkeypatch):
+        # The first Newton probe leaves x's bound set, so its move searches
+        # for a piece, and the bracket search hands the failure on.
+        monkeypatch.setattr(projection, "_breakpoint_rows", no_piece_certifies)
+        x, normal, offset, gap, fs = SEED_FAILS
+        with pytest.raises(ProjectionError, match=re.escape(
+                "no breakpoint piece certifies the multiplier (target 0.000e+00, 3 components)")):
+            project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
+
+    def test_failed_probe_at_beta_zero_raises(self, monkeypatch):
+        # x lies 1 above its budget, so the dual first probes beta = 0, where
+        # the seller at 0.1 cannot give up its share of the excess on x's
+        # bound set: that move searches for a piece too.
+        monkeypatch.setattr(projection, "_breakpoint_rows", no_piece_certifies)
+        x, normal, gap = np.array([0.1, 3.9]), np.array([1.0, 2.0]), np.array([0.5, 0.25])
+        fs = FeasibleSet(np.full(2, 4.0), 3.0)
+        with pytest.raises(ProjectionError, match=re.escape(
+                "no breakpoint piece certifies the multiplier (target -1.000e+00, 2 components)")):
+            project_halfspace_then_set(x, normal, x - gap, fs, offset_gap=gap)
+
 
 @st.composite
 def halfspace_instances(draw, n=None):
@@ -582,6 +602,20 @@ class TestHalfspaceOracle:
         assert_matches_oracle((x, normal, offset, x - offset,
                                FeasibleSet(np.full(4, 0.25), 0.0625)))
 
+    @pytest.mark.xfail(strict=True, raises=ProjectionError, reason=(
+        "known defect: with bounds and normal components 1e8 apart, no piece of the plain "
+        "dual's move certifies, so the projection raises where the oracle solves it"))
+    def test_mixed_scale_bounds_and_normal(self):
+        # Hypothesis drew this instance once in test_matches_bisection_oracle.
+        # x and the offset point sit on the budget face, and the projection
+        # leaves the face for the plain dual, whose move search fails; the
+        # oracle's point is (0,..., 18750.0005, 6249.999625, 0, 0, 0).
+        x = np.array([0.0] * 4 + [6.25e-5, 6.25e-5, 2.5e4] + [0.0] * 4)
+        normal = np.array([-1e-3] * 5 + [-7.5e-4, -7.5e4, -1e5] + [-1e-3] * 3)
+        offset = np.array([0.0] * 4 + [6.25e-5, 6.25e-5, 1.875e4, 6.25e3] + [0.0] * 3)
+        ub = np.array([2.5e-4] * 6 + [2.5e4] * 2 + [2.5e-4] * 3)
+        assert_matches_oracle((x, normal, offset, x - offset, FeasibleSet(ub, 25000.000125)))
+
     def test_face_mode_with_no_point_of_the_face_in_the_halfspace(self):
         # The offset point is on the face's plane but outside the box, and
         # {w : w1 + 2*w2 <= 8} misses the face; the set still meets it.
@@ -590,6 +624,68 @@ class TestHalfspaceOracle:
         w = project_halfspace_then_set(x, normal, offset, fs)
         assert w == pytest.approx([3.6, 2.2], abs=1e-12)
         assert np.abs(w - halfspace_projection_oracle(x, normal, offset, fs)).max() <= 1e-9
+
+
+# A lone row whose dual search takes three probes: a Newton step from x's
+# bound set lands with g > 0, the next with g < 0 on another piece, and a
+# step back from that one ends the search.
+THREE_PROBES = (
+    hex_array("0x1.2c46efdb89dbfp+2 0x1.74fa7335efd58p-2 0x1.abf976646655ep+1"),
+    hex_array("-0x1.866405ab3d289p-12 -0x1.08f0ff11e7c3ep-10 0x1.7830afdf63b7ep-11"),
+    hex_array("-0x1.b9cf3f9f7c760p+0 -0x1.a6be0264041d6p+0 0x1.19b455d339070p+0"),
+    FeasibleSet(hex_array("0x1.214c7c0a4d35fp+3 0x1.794803906a1f9p+0 0x1.15aee8e15ae79p+2"),
+                float.fromhex("0x1.1a99aa59b7c59p+3")),
+)
+
+
+class TestLoneSearchExits:
+    """The lone row's exits from the halfspace dual's search, and its own
+    Newton step."""
+
+    def project(self, x, normal, gap, fs):
+        return project_halfspace_then_set(x, normal, x - gap, fs, offset_gap=gap)
+
+    def test_three_probes_without_a_cap(self, monkeypatch):
+        calls = count_evaluations(monkeypatch)
+        w = self.project(*THREE_PROBES)
+        assert len(calls) == 3
+        assert [v.hex() for v in w] == [
+            "0x1.747706b670e9bp+2", "0x1.794803906a1f9p+0", "0x1.2b73f10ce5798p+0"]
+
+    def test_evaluation_cap_before_a_bracket(self, monkeypatch):
+        # The first probe lands with g > 0, and the cap stops the search
+        # before any probe has closed a bracket.
+        monkeypatch.setattr(projection, "_MAX_EVALS", 1)
+        x, normal, offset, gap, fs = SEED_FAILS
+        with pytest.raises(ProjectionError,
+                           match="^no halfspace dual bracket within 1 evaluations$"):
+            project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
+
+    def test_evaluation_cap_inside_a_bracket(self, monkeypatch):
+        monkeypatch.setattr(projection, "_MAX_EVALS", 2)
+        with pytest.raises(ProjectionError,
+                           match="^halfspace dual search exceeded 2 evaluations$"):
+            self.project(*THREE_PROBES)
+
+    def test_cap_spent_at_beta_zero_takes_no_step(self, monkeypatch):
+        # x lies above its budget, so the probe at beta = 0 spends the one
+        # evaluation allowed, and no row takes a first step.
+        monkeypatch.setattr(projection, "_MAX_EVALS", 1)
+        x, fs = np.array([1.0, 2.0, 0.75]), FeasibleSet(np.full(3, 4.0), 3.5)
+        with pytest.raises(ProjectionError,
+                           match="^no halfspace dual bracket within 1 evaluations$"):
+            self.project(x, np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.25, 0.0]), fs)
+
+    def test_newton_step_of_a_lone_row_centers_where_the_budget_binds(self):
+        # The slope is unknown (nan), so it is summed over the free
+        # components, centered because the budget binds: (1.5**2) * 2.
+        n, free = np.array([[1.0, 2.0, 4.0]]), np.array([[True, False, True]])
+        step = projection._newton_steps(n, free, [True], [0.5], [3.0], [math.nan])
+        assert step == [0.5 + 3.0 / 4.5]
+        pair = projection._newton_steps(np.repeat(n, 2, axis=0), np.repeat(free, 2, axis=0),
+                                        [True, False], [0.5, 0.5], [3.0, 3.0],
+                                        [math.nan, math.nan])
+        assert pair == [step[0], 0.5 + 3.0 / 17.0]
 
 
 def stacked(values):

@@ -137,6 +137,17 @@ class TestNaturalResidual:
         assert np.array_equal(anchor.point, before)
         assert math.fsum(r.tolist()) >= 1.0 + np.nextafter(3.0, 4.0)
 
+    def test_binding_budget_with_no_free_component_is_not_compensated(self):
+        # The anchor (1, 0) fills the budget with both sellers at a bound, so
+        # no component can take the compensation: x's excess of 1e-16 over
+        # the anchor's sum stays, and r is the anchor itself.
+        F = PseudoGradient(np.array([1.0, 0.25]), np.array([1.0, 0.25]))
+        fset = FeasibleSet(np.array([1.0, 1.0]), 1.0)
+        anchor = project_box_budget(F.surpluses + F.prices, fset)
+        assert anchor.active_budget and np.array_equal(anchor.point, [1.0, 0.0])
+        r, norm = natural_residual(np.array([1.0, 1e-16]), F, fset)
+        assert np.array_equal(r, [1.0, 0.0]) and norm == 1e-16
+
     @settings(max_examples=200, deadline=None)
     @given(residual_instances())
     def test_anchor_matches_projecting_the_natural_map(self, instance):
