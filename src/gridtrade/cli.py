@@ -433,6 +433,8 @@ def _audit_file(path: Path, trials: int, tol: float) -> tuple[int, str]:
         outcome = run_stackelberg(scenario)
     except (ProjectionError, ArmijoSearchError) as exc:
         return 2, f"{path.name}: NON-CONVERGENT ({type(exc).__name__}: {exc})"
+    except OverflowError as exc:
+        return 1, f"{path.name}: INVALID ({exc})"
     if not outcome.converged:
         return 2, f"{path.name}: NON-CONVERGENT"
     report = check_nse(outcome, scenario, trials=trials, tol=tol)

@@ -28,6 +28,15 @@ games share the batch. run_stackelberg is a batch of one, played by the
 same row code; only its halfspace dual's probe works on one vector (see
 vi_solver).
 
+The follower loop is deterministic, so a stage played again at the same
+prices is the same stage round for round. A price stage whose price row has
+the bytes of the stage the game last played is therefore replayed, not
+solved: the price block, then that stage's round blocks renumbered. This
+happens where the price slice is one point, n*p_min = total_price: 10 of
+the 50 `sweep` benchmark games (n = 25), 9 to 17 of the 64 `large_n`
+games by seed, and all 100 n = 25 runs of a default fig2 `simulate` (97 of
+fig3's).
+
 The grid's stop rule mirrors the slack-equalization idea: it stops a stage
 when the interior slack values agree within tolerance AND have stopped
 moving between rounds (equal slacks alone are not sufficient: with one
@@ -378,9 +387,11 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
         prev_mu[rows] = mu
         return stops
 
-    c = s + prices
+    # s and prices are finite, so a non-finite sum is an overflow, raised here
+    with np.errstate(over="ignore"):
+        c = s + prices
     if not np.isfinite(c).all():
-        raise ValueError("cannot project with a non-finite vector")
+        raise OverflowError("a surplus plus its price is not finite")
     anchor, lam, _ = _box_budget_rows(c, s, budget)
     x, reasons = _extragradient(np.zeros_like(s), s, prices, s, budget, anchor, lam, cfg,
                                 on_iteration)
@@ -425,8 +436,17 @@ def run_games(scenarios, cfg: SolverConfig | None = None,
     and a game leaves the batch when its stage stops, one breakpoint search
     prices every live game, and each stage's results are row arithmetic.
     Each game keeps its own transcript, and its outcome is the same, bit for
-    bit, whichever games share its batch. Raises ValueError for scenarios of
-    mixed size and ScenarioValidationError for the first invalid one.
+    bit, whichever games share its batch.
+
+    A game whose new price row has the bytes of the prices of the stage it
+    last played replays that stage (see the module docstring): its round
+    blocks share that stage's read-only arrays, and its stage-2 result is
+    that stage's EquilibriumResult object, stage1 itself when stage 1 is
+    replayed. Only the other games go through the follower loop.
+
+    Raises ValueError for scenarios of mixed size, ScenarioValidationError
+    for the first invalid one, and OverflowError when a surplus plus its
+    price overflows the float range.
     """
     scenarios = list(scenarios)
     if not scenarios:
@@ -450,28 +470,49 @@ def run_games(scenarios, cfg: SolverConfig | None = None,
     uniform = np.array([np.full(n, g.total_price / n) for g in grids])
     x1, rounds1, res1, conv1 = _follower_stage(scenarios, s, uniform, cfg, logs, stage=1)
     stage1 = _stage_result(s, x1, uniform, a, b, rounds1, res1)
-    stage2, converged = [None] * m, list(conv1)
+    converged = list(conv1)
 
+    # Each game's last stage: its result and where its entries begin in its log.
+    latest, starts = list(stage1), [0] * m
     live = [i for i in range(m) if conv1[i]]
-    offered = x1
     for _ in range(1 + max(extra_price_rounds, 0)):
         if not live:
             break
-        p_star, _ = _price_rows(offered[live], a[live], [grids[i].p_min for i in live],
-                                [grids[i].p_max for i in live],
+        p_star, _ = _price_rows(np.array([latest[i].energies for i in live]), a[live],
+                                [grids[i].p_min for i in live], [grids[i].p_max for i in live],
                                 [grids[i].total_price for i in live])
-        x2, rounds2, res2, conv2 = _follower_stage([scenarios[i] for i in live], s[live],
-                                                   p_star, cfg, [logs[i] for i in live],
-                                                   stage=2)
-        results = _stage_result(s[live], x2, p_star, a[live], b[live], rounds2, res2)
-        offered = np.empty_like(s)
+        solve = []
         for j, i in enumerate(live):
-            stage2[i] = results[j]
-            offered[i] = x2[j]
-            converged[i] = conv2[j]
-        live = [i for j, i in enumerate(live) if conv2[j]]
-    return [GameOutcome(stage1=stage1[i], stage2=stage2[i], log=logs[i], converged=converged[i])
+            start, starts[i] = starts[i], len(logs[i]._entries)
+            if p_star[j].tobytes() == latest[i].prices.tobytes():
+                _replay(logs[i], start, p_star[j])
+            else:
+                solve.append(j)
+        if solve:
+            games = [live[j] for j in solve]
+            x2, rounds2, res2, conv2 = _follower_stage(
+                [scenarios[i] for i in games], s[games], p_star[solve], cfg,
+                [logs[i] for i in games], stage=2)
+            results = _stage_result(s[games], x2, p_star[solve], a[games], b[games], rounds2,
+                                    res2)
+            for i, result, conv in zip(games, results, conv2):
+                latest[i], converged[i] = result, conv
+        live = [i for i in live if converged[i]]
+    # A game that converged in stage 1 has played stage 2 at least once.
+    return [GameOutcome(stage1=stage1[i], stage2=latest[i] if conv1[i] else None, log=logs[i],
+                        converged=converged[i])
             for i in range(m)]
+
+
+def _replay(log: MessageLog, start: int, prices: np.ndarray) -> None:
+    """Log the follower stage whose entries begin at log._entries[start]
+    again at the same prices: the price block, then that stage's round
+    blocks renumbered from the price block's round, sharing their arrays."""
+    blocks = [e for e in log._entries[start:] if isinstance(e, _RoundBlock)]
+    rnd = log.total_rounds + 1
+    log.append_prices(rnd, prices)
+    for k, block in enumerate(blocks):
+        log._append_frozen(_RoundBlock(rnd + k, block.offers, block.slacks, block.repeat))
 
 
 def run_stackelberg(scenario: Scenario, cfg: SolverConfig | None = None,

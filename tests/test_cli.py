@@ -198,6 +198,17 @@ class TestRunExperiment:
         assert read_csv(first[0])[0].endswith(f" build={cli._build_id()}")
         assert read_csv(second[0])[0].endswith(f" build={cli._build_id()}")
 
+    def test_build_id_without_git_is_unreleased(self, monkeypatch):
+        def no_git(*args, **kwargs):
+            raise FileNotFoundError("git")
+
+        monkeypatch.setattr(cli.subprocess, "run", no_git)
+        cli._build_id.cache_clear()
+        try:
+            assert cli._build_id() == "unreleased"
+        finally:
+            cli._build_id.cache_clear()
+
 
 # SHA-256 of each CSV body, everything after the "# config=... build=..."
 # line, written by `simulate --dump-per-run --runs 20 --seed 11`.
@@ -395,6 +406,13 @@ class TestInvalidInputExitsOne:
         assert field in one_line_error(capsys)
         assert not (tmp_path / "out").exists()
 
+    def test_config_file_holding_an_array(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps([{"runs": 5}]))
+        assert main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+        assert one_line_error(capsys) == "config file must hold a JSON object\n"
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 1
         assert "absent.json" in one_line_error(capsys)
@@ -502,6 +520,20 @@ class TestInvalidInputExitsOne:
                      "--out", str(out)]) == 1
         err = one_line_error(capsys)
         assert "(n=5, run=0)" in err and "surplus_range" in err and "overflow" in err
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_surplus_plus_price_past_the_float_limit_names_the_run(self, tmp_path, capsys):
+        # the sums fit, but a seller's surplus plus its price, the stage's
+        # vector, does not
+        out = tmp_path / "out"
+        assert main(["simulate", "--preset", "fig2_utility_vs_n", "--n-values", "5",
+                     "--runs", "1", "--surplus-range", "1e307,1.7e308",
+                     "--total-price", "1.7e308", "--p-max", "1.7e308",
+                     "--out", str(out)]) == 1
+        err = one_line_error(capsys)
+        assert "run (n=5, run=0)" in err and "overflow" in err
+        assert "surplus_range" in err and "total_price" in err
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -679,6 +711,18 @@ class TestVerifyEveryFile:
         assert code == 1
         assert out[0].startswith("a.json: INVALID (") and "surplus" in out[0], out[0]
         assert "not finite" in out[0]
+        assert out[1].startswith("b.json: OK")
+        assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_surplus_plus_price_past_the_float_limit_is_invalid(self, tmp_path, capsys, good):
+        # the lone surplus is finite, its sum with the price is not
+        edge = scenario_to_dict(make_scenario([1.7e308], 380.0, total_price=1.7e308, p_min=1.0,
+                                              p_max=1.7e308))
+        code, out = self.run(write_corpus(tmp_path, {"a.json": json.dumps(edge), "b.json": good}),
+                             capsys)
+        assert code == 1
+        assert out[0] == "a.json: INVALID (a surplus plus its price is not finite)", out[0]
         assert out[1].startswith("b.json: OK")
         assert "Traceback" not in capsys.readouterr().err
 

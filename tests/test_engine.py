@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import sys
@@ -264,21 +265,25 @@ def fig_scenarios(preset, n, runs, seed=1):
     return [sample_scenario(cfg, n, run) for run in range(runs)]
 
 
+def assert_same_result(a, b):
+    """Two stage results agree bit for bit, field for field."""
+    assert a.energies.tobytes() == b.energies.tobytes()
+    assert a.prices.tobytes() == b.prices.tobytes()
+    assert a.follower_iterations == b.follower_iterations
+    assert np.float64(a.vi_residual).tobytes() == np.float64(b.vi_residual).tobytes()
+    assert a.utilities.tobytes() == b.utilities.tobytes()
+    assert a.mu_values.tobytes() == b.mu_values.tobytes()
+    assert float(a.total_utility).hex() == float(b.total_utility).hex()
+    assert float(a.grid_cost).hex() == float(b.grid_cost).hex()
+
+
 def assert_same_game(batched, alone):
     """Two outcomes of one game agree bit for bit, transcript included."""
     assert batched.converged == alone.converged
     for a, b in ((batched.stage1, alone.stage1), (batched.stage2, alone.stage2)):
         assert (a is None) == (b is None)
-        if a is None:
-            continue
-        assert a.energies.tobytes() == b.energies.tobytes()
-        assert a.prices.tobytes() == b.prices.tobytes()
-        assert a.follower_iterations == b.follower_iterations
-        assert np.float64(a.vi_residual).tobytes() == np.float64(b.vi_residual).tobytes()
-        assert a.utilities.tobytes() == b.utilities.tobytes()
-        assert a.mu_values.tobytes() == b.mu_values.tobytes()
-        assert float(a.total_utility).hex() == float(b.total_utility).hex()
-        assert float(a.grid_cost).hex() == float(b.grid_cost).hex()
+        if a is not None:
+            assert_same_result(a, b)
     assert batched.log.to_jsonl() == alone.log.to_jsonl()
 
 
@@ -435,6 +440,102 @@ class TestRunGames:
         bad = make_scenario([10.0, 20.0], deficiency=-1.0)
         with pytest.raises(ScenarioValidationError):
             engine.run_games(fig_scenarios("fig2_utility_vs_n", 2, 2) + [bad])
+
+
+@pytest.fixture
+def solved(monkeypatch):
+    """Per _follower_stage call, its stage and the seeds of the games it
+    solves; a replayed stage makes no call."""
+    calls = []
+    follower_stage = engine._follower_stage
+
+    def recorded(scenarios, *args, stage):
+        calls.append((stage, [sc.seed for sc in scenarios]))
+        return follower_stage(scenarios, *args, stage=stage)
+
+    monkeypatch.setattr(engine, "_follower_stage", recorded)
+    return calls
+
+
+# SHA-256 of the concatenated to_jsonl texts of 48 games: fig2_utility_vs_n
+# then fig3_cost_vs_n at seed 41; per preset n in (1, 3, 5, 25, 40, 500),
+# per n runs 0 and 1 (sample_scenario), per run extra_price_rounds 0 then 2.
+TRANSCRIPTS_48_SHA256 = "f93718fb3088f34f4de4cfe56ab2960f2045f2af3f545bfd1b5f34fc844b3862"
+
+
+class TestReplayedStage:
+    """A price stage whose price row has the bytes of the prices of the
+    stage the game last played is that stage replayed, not solved again."""
+
+    @pytest.mark.parametrize("batched", [False, True], ids=["alone", "batched"])
+    def test_48_game_transcripts_match_their_pinned_hash(self, batched):
+        # n 1, 25 and 40 and the extra price rounds replay stages
+        digest = hashlib.sha256()
+        for preset in ("fig2_utility_vs_n", "fig3_cost_vs_n"):
+            for n in (1, 3, 5, 25, 40, 500):
+                scenarios = fig_scenarios(preset, n, 2, seed=41)
+                by_extra = {extra: engine.run_games(scenarios, extra_price_rounds=extra)
+                            if batched else
+                            [run_stackelberg(sc, extra_price_rounds=extra) for sc in scenarios]
+                            for extra in (0, 2)}
+                for run in range(2):
+                    for extra in (0, 2):
+                        digest.update(by_extra[extra][run].log.to_jsonl().encode())
+        assert digest.hexdigest() == TRANSCRIPTS_48_SHA256
+
+    @pytest.mark.parametrize("n, extra, solved_runs", [
+        # fig3 at seed 1: at n 500 run 0 replays stage 1 as its stage 2; at
+        # n 20 runs 1 and 3 replay their stage 2 as stage 3, run 5 its
+        # stage 3 as stage 4
+        (500, 0, [[0, 1, 2, 3], [1, 2, 3]]),
+        (20, 2, [[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5], [0, 2, 4, 5], [0, 2, 4]]),
+    ], ids=["n500", "n20-extra2"])
+    def test_batch_mixing_replayed_and_solved_games_matches_each_alone(
+            self, solved, n, extra, solved_runs):
+        scenarios = fig_scenarios("fig3_cost_vs_n", n, len(solved_runs[0]))
+        alone = [run_stackelberg(sc, extra_price_rounds=extra) for sc in scenarios]
+        del solved[:]
+        forward = engine.run_games(scenarios, extra_price_rounds=extra)
+        assert solved == [(1 if k == 0 else 2, [scenarios[r].seed for r in runs])
+                          for k, runs in enumerate(solved_runs)]
+        backward = engine.run_games(scenarios[::-1], extra_price_rounds=extra)[::-1]
+        for a, b, c in zip(forward, backward, alone):
+            assert_same_game(a, c)
+            assert_same_game(b, c)
+
+    def test_price_row_one_ulp_away_is_solved(self, monkeypatch, solved):
+        # at fig2 n 25 the price slice is one point: stage 2 replays stage 1
+        (scenario,) = fig_scenarios("fig2_utility_vs_n", 25, 1)
+        replayed = run_stackelberg(scenario)
+        assert [stage for stage, _ in solved] == [1]
+        price_rows = engine._price_rows
+
+        def nudged(*args):
+            prices, duals = price_rows(*args)
+            prices[0, 3] = np.nextafter(prices[0, 3], np.inf)
+            return prices, duals
+
+        monkeypatch.setattr(engine, "_price_rows", nudged)
+        del solved[:]
+        outcome = run_stackelberg(scenario)
+        assert [stage for stage, _ in solved] == [1, 2]
+        assert outcome.stage2.prices[3] == np.nextafter(replayed.stage2.prices[3], np.inf)
+        assert outcome.log.to_jsonl() != replayed.log.to_jsonl()
+
+    def test_replayed_stage_is_the_stage_solved_at_its_prices(self, recording, solved):
+        (scenario,) = fig_scenarios("fig2_utility_vs_n", 25, 1)
+        outcome = run_stackelberg(scenario)
+        assert [stage for stage, _ in solved] == [1]
+        # both stages again, by hand, into a fresh log
+        s, cfg, log = scenario.surpluses[None], SolverConfig(), RecordingLog()
+        engine._follower_stage([scenario], s, outcome.stage1.prices[None], cfg, [log], stage=1)
+        prices = outcome.stage2.prices[None]
+        x, rounds, res, conv = engine._follower_stage([scenario], s, prices, cfg, [log], stage=2)
+        (direct,) = engine._stage_result(s, x, prices, *engine._costs([scenario]), rounds, res)
+        assert conv == [True]
+        assert_same_result(outcome.stage2, direct)
+        assert outcome.log.calls == log.calls
+        assert outcome.log.to_jsonl() == log.to_jsonl()
 
 
 class TestMessageLog:

@@ -96,6 +96,11 @@ class TestPseudoGradient:
             lhs = float((F(u) - F(v)) @ (u - v))
             assert lhs == pytest.approx(float(((u - v) ** 2).sum()), abs=1e-12 * (1 + lhs))
 
+    @pytest.mark.parametrize("prices", [[1.0, 2.0, 3.0], [[1.0, 2.0]], 4.0])
+    def test_rejects_prices_of_another_shape(self, prices):
+        with pytest.raises(ValueError, match="matching shapes"):
+            PseudoGradient([10.0, 20.0], prices)
+
 
 class TestNaturalResidual:
     def test_zero_at_solution(self):
