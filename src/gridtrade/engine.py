@@ -28,10 +28,11 @@ games share the batch. run_stackelberg is a batch of one, played by the
 same row code; only its halfspace dual's probe works on one vector (see
 vi_solver).
 
-The follower loop is deterministic, so a stage played again at the same
-prices is the same stage round for round. A price stage whose price row has
-the bytes of the stage the game last played is therefore replayed, not
-solved: the price block, then that stage's round blocks renumbered. This
+The grid sets its prices once: each game plays one price stage. The
+follower loop is deterministic, so a stage played again at the same prices
+is the same stage round for round. A game whose optimized price row has the
+bytes of its uniform row therefore replays stage 1 as stage 2, not solving
+it again: the price block, then stage 1's round blocks renumbered. This
 happens where the price slice is one point, n*p_min = total_price: 10 of
 the 50 `sweep` benchmark games (n = 25), 9 to 17 of the 64 `large_n`
 games by seed, and all 100 n = 25 runs of a default fig2 `simulate` (97 of
@@ -426,23 +427,21 @@ def _costs(scenarios):
             np.array([sc.grid.cost_const for sc in scenarios]))
 
 
-def run_games(scenarios, cfg: SolverConfig | None = None,
-              extra_price_rounds: int = 0) -> list[GameOutcome]:
+def run_games(scenarios, cfg: SolverConfig | None = None) -> list[GameOutcome]:
     """Play the two-stage game of each scenario, all of one network size, in
     lockstep, and return one outcome per scenario.
 
     Both halves of each exchange work on the live games as rows of a
     (games, sellers) batch: one follower loop iterates every game's sellers
     and a game leaves the batch when its stage stops, one breakpoint search
-    prices every live game, and each stage's results are row arithmetic.
-    Each game keeps its own transcript, and its outcome is the same, bit for
-    bit, whichever games share its batch.
+    prices every game that converged in stage 1, and each stage's results
+    are row arithmetic. Each game keeps its own transcript, and its outcome
+    is the same, bit for bit, whichever games share its batch.
 
-    A game whose new price row has the bytes of the prices of the stage it
-    last played replays that stage (see the module docstring): its round
-    blocks share that stage's read-only arrays, and its stage-2 result is
-    that stage's EquilibriumResult object, stage1 itself when stage 1 is
-    replayed. Only the other games go through the follower loop.
+    A game whose optimized price row has the bytes of its uniform row
+    replays stage 1 (see the module docstring): its stage-2 round blocks
+    share stage 1's read-only arrays, and its stage-2 result is stage1
+    itself. Only the other games go through the follower loop again.
 
     Raises ValueError for scenarios of mixed size, ScenarioValidationError
     for the first invalid one, and OverflowError when a surplus plus its
@@ -470,22 +469,19 @@ def run_games(scenarios, cfg: SolverConfig | None = None,
     uniform = np.array([np.full(n, g.total_price / n) for g in grids])
     x1, rounds1, res1, conv1 = _follower_stage(scenarios, s, uniform, cfg, logs, stage=1)
     stage1 = _stage_result(s, x1, uniform, a, b, rounds1, res1)
+    stage2: list[EquilibriumResult | None] = [None] * m
     converged = list(conv1)
 
-    # Each game's last stage: its result and where its entries begin in its log.
-    latest, starts = list(stage1), [0] * m
     live = [i for i in range(m) if conv1[i]]
-    for _ in range(1 + max(extra_price_rounds, 0)):
-        if not live:
-            break
-        p_star, _ = _price_rows(np.array([latest[i].energies for i in live]), a[live],
-                                [grids[i].p_min for i in live], [grids[i].p_max for i in live],
+    if live:
+        p_star, _ = _price_rows(x1[live], a[live], [grids[i].p_min for i in live],
+                                [grids[i].p_max for i in live],
                                 [grids[i].total_price for i in live])
         solve = []
         for j, i in enumerate(live):
-            start, starts[i] = starts[i], len(logs[i]._entries)
-            if p_star[j].tobytes() == latest[i].prices.tobytes():
-                _replay(logs[i], start, p_star[j])
+            if p_star[j].tobytes() == uniform[i].tobytes():
+                _replay(logs[i], p_star[j])
+                stage2[i] = stage1[i]
             else:
                 solve.append(j)
         if solve:
@@ -496,36 +492,31 @@ def run_games(scenarios, cfg: SolverConfig | None = None,
             results = _stage_result(s[games], x2, p_star[solve], a[games], b[games], rounds2,
                                     res2)
             for i, result, conv in zip(games, results, conv2):
-                latest[i], converged[i] = result, conv
-        live = [i for i in live if converged[i]]
-    # A game that converged in stage 1 has played stage 2 at least once.
-    return [GameOutcome(stage1=stage1[i], stage2=latest[i] if conv1[i] else None, log=logs[i],
-                        converged=converged[i])
+                stage2[i], converged[i] = result, conv
+    return [GameOutcome(stage1=stage1[i], stage2=stage2[i], log=logs[i], converged=converged[i])
             for i in range(m)]
 
 
-def _replay(log: MessageLog, start: int, prices: np.ndarray) -> None:
-    """Log the follower stage whose entries begin at log._entries[start]
-    again at the same prices: the price block, then that stage's round
-    blocks renumbered from the price block's round, sharing their arrays."""
-    blocks = [e for e in log._entries[start:] if isinstance(e, _RoundBlock)]
+def _replay(log: MessageLog, prices: np.ndarray) -> None:
+    """Log stage 1 again as stage 2, at the same prices: the price block,
+    then stage 1's round blocks renumbered from the price block's round,
+    sharing their arrays."""
+    blocks = [e for e in log._entries if isinstance(e, _RoundBlock)]
     rnd = log.total_rounds + 1
     log.append_prices(rnd, prices)
     for k, block in enumerate(blocks):
         log._append_frozen(_RoundBlock(rnd + k, block.offers, block.slacks, block.repeat))
 
 
-def run_stackelberg(scenario: Scenario, cfg: SolverConfig | None = None,
-                    extra_price_rounds: int = 0) -> GameOutcome:
+def run_stackelberg(scenario: Scenario, cfg: SolverConfig | None = None) -> GameOutcome:
     """Play the two-stage game and return both stage equilibria with the
     full message transcript: run_games with a batch of one.
 
     Stage 1 announces the scenario and solves the followers' problem at the
-    uniform price; stage 2 optimizes prices against the offered energies and
-    re-solves. extra_price_rounds > 0 repeats the price-optimize/re-solve
-    exchange that many additional times (exploratory mode, off by default).
+    uniform price; stage 2 optimizes prices against the offered energies
+    once and re-solves.
     """
-    return run_games([scenario], cfg, extra_price_rounds)[0]
+    return run_games([scenario], cfg)[0]
 
 
 def check_nse(outcome: GameOutcome, scenario: Scenario, trials: int,

@@ -117,6 +117,15 @@ class TestRunExperiment:
         by_surplus = sorted(final.values())
         assert all(a[1] < b[1] for a, b in zip(by_surplus, by_surplus[1:]))
 
+    def test_fig1_trace_that_does_not_converge_exits_two(self, tmp_path, capsys, monkeypatch):
+        real = cli.run_games
+        monkeypatch.setattr(cli, "run_games", lambda scenarios: [
+            replace(o, converged=False) for o in real(scenarios)])
+        out = tmp_path / "out"
+        assert main(["simulate", "--preset", "fig1_convergence", "--out", str(out)]) == 2
+        assert one_line_error(capsys) == "convergence trace scenario did not converge\n"
+        assert not out.exists()
+
     def test_fig2_schema_and_aggregation(self, tmp_path):
         cfg = small_cfg(tmp_path, preset="fig2_utility_vs_n", dump_per_run=True)
         paths = run_experiment(cfg)
@@ -276,18 +285,33 @@ class TestLockstepSweep:
         assert "(n=4, run=1)" in one_line_error(capsys)
 
     def test_run_that_does_not_converge_exits_two(self, tmp_path, capsys, monkeypatch):
-        # the batch raises nothing; run 1's outcome comes back unconverged
+        # the batch raises nothing; one run's outcome comes back unconverged.
+        # When that is run 0, no run is played and every figure list is empty.
         real = cli.run_games
+        for stalled in (1, 0):
+            def stalling(scenarios, stalled=stalled):
+                return [replace(o, converged=False) if run == stalled else o
+                        for run, o in enumerate(real(scenarios))]
 
-        def stalling(scenarios):
-            return [replace(o, converged=False) if run == 1 else o
-                    for run, o in enumerate(real(scenarios))]
+            monkeypatch.setattr(cli, "run_games", stalling)
+            out = tmp_path / f"out{stalled}"
+            assert main(["simulate", "--preset", "fig2_utility_vs_n", "--n-values", "4",
+                         "--runs", "3", "--dump-per-run", "--out", str(out)]) == 2
+            assert one_line_error(capsys) == f"run (n=4, run={stalled}) did not converge\n"
+            assert not out.exists()
 
-        monkeypatch.setattr(cli, "run_games", stalling)
+    def test_batch_error_that_no_run_raises_alone_exits_two(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # every run plays alone without error, so the batch's own error is
+        # raised as it came
+        def failing(scenarios):
+            raise ProjectionError("no progress in the batch")
+
+        monkeypatch.setattr(cli, "run_games", failing)
         out = tmp_path / "out"
         assert main(["simulate", "--preset", "fig2_utility_vs_n", "--n-values", "4",
-                     "--runs", "3", "--dump-per-run", "--out", str(out)]) == 2
-        assert one_line_error(capsys) == "run (n=4, run=1) did not converge\n"
+                     "--runs", "3", "--out", str(out)]) == 2
+        assert one_line_error(capsys) == "no progress in the batch\n"
         assert not out.exists()
 
 
@@ -405,6 +429,20 @@ class TestInvalidInputExitsOne:
         assert main(["simulate", "--config", str(cfg_path)]) == 1
         assert field in one_line_error(capsys)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("values, flags, message", [
+        ({"preset": "nope"}, [], "unknown preset 'nope'"),
+        ({}, ["--n-values", "0,5"], "n_values must be positive"),
+        ({}, ["--seed", "-1"], "seed must be nonnegative"),
+    ], ids=["preset", "n_values", "seed"])
+    def test_out_of_range_config_value_names_its_field(self, tmp_path, capsys, values, flags,
+                                                        message):
+        out = tmp_path / "out"
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(dict(values, output_path=str(out))))
+        assert main(["simulate", "--config", str(cfg_path), *flags]) == 1
+        assert one_line_error(capsys) == message + "\n"
+        assert not out.exists()
 
     def test_config_file_holding_an_array(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"

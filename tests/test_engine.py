@@ -127,7 +127,8 @@ def rounds_of(log):
 
 def assert_log_grammar(log, n_users):
     """Round structure: (announce offer* slack* repeat)* price-round
-    (offer* slack* repeat)*; kinds ordered within each round."""
+    (offer* slack* repeat)*, with one price block; kinds ordered within
+    each round."""
     stage = 1
     for kinds in rounds_of(log):
         order = [ROUND_ORDER.index(k) for k in kinds]
@@ -231,17 +232,6 @@ class TestRunStackelberg:
         assert first["payload"] == {"deficiency": peak_scenario.grid.deficiency,
                                     "total_price": 175.0, "n_users": 5}
 
-    def test_extra_price_rounds_appends_stages(self, peak_scenario):
-        base = run_stackelberg(peak_scenario)
-        iterated = run_stackelberg(peak_scenario, extra_price_rounds=1)
-        assert iterated.converged
-        price_rounds = sum(
-            1 for m in parsed(iterated.log)
-            if m["kind"] == "price_update" and m["payload"]["eu_id"] == 0
-        )
-        assert price_rounds == 2
-        assert iterated.stage2.grid_cost <= base.stage2.grid_cost + 1e-6
-
     @pytest.mark.xfail(strict=True, reason="the slack-equalization stop and the residual "
                        "tolerance are absolute, so below unit scale the first stationary "
                        "round is reported as converged")
@@ -308,12 +298,11 @@ class TestRunGames:
     """run_games plays same-size games in lockstep; each game's outcome does
     not depend on which games share its batch."""
 
-    @pytest.mark.parametrize("extra", [0, 2])
-    def test_batch_matches_each_game_alone_in_either_order(self, extra):
+    def test_batch_matches_each_game_alone_in_either_order(self):
         scenarios = fig_scenarios("fig2_utility_vs_n", 5, 10)
-        alone = [run_stackelberg(sc, extra_price_rounds=extra) for sc in scenarios]
-        forward = engine.run_games(scenarios, extra_price_rounds=extra)
-        backward = engine.run_games(scenarios[::-1], extra_price_rounds=extra)[::-1]
+        alone = [run_stackelberg(sc) for sc in scenarios]
+        forward = engine.run_games(scenarios)
+        backward = engine.run_games(scenarios[::-1])[::-1]
         for a, b, c in zip(forward, backward, alone):
             assert_same_game(a, c)
             assert_same_game(b, c)
@@ -381,6 +370,24 @@ class TestRunGames:
         for outcome, single in zip(engine.run_games(games), alone):
             assert_same_game(outcome, single)
         assert calls == dict.fromkeys(calls, sum(gaps))
+
+    @pytest.mark.parametrize("max_iterations, played_stage2", [
+        (6, [False, False, False]),  # every game stops in stage 1: none is priced
+        (8, [False, True, False]),   # game 1 is priced, then stops in stage 2
+    ], ids=["none-priced", "mixed"])
+    def test_games_that_do_not_converge_match_each_alone(self, peak_scenario, max_iterations,
+                                                         played_stage2):
+        s = peak_scenario.surpluses
+        games = [make_scenario(s, f * s.sum(), seed=5) for f in (0.1, 0.3, 0.5)]
+        cfg = SolverConfig(max_iterations=max_iterations)
+        alone = [run_stackelberg(sc, cfg) for sc in games]
+        assert [o.stage2 is not None for o in alone] == played_stage2
+        assert not any(o.converged for o in alone)
+        forward = engine.run_games(games, cfg)
+        backward = engine.run_games(games[::-1], cfg)[::-1]
+        for a, b, c in zip(forward, backward, alone):
+            assert_same_game(a, c)
+            assert_same_game(b, c)
 
     def test_residual_stop_on_a_stages_first_round_ends_the_stage(self, peak_scenario):
         # With a loose tolerance every stage stops on its residual at once:
@@ -457,48 +464,44 @@ def solved(monkeypatch):
     return calls
 
 
-# SHA-256 of the concatenated to_jsonl texts of 48 games: fig2_utility_vs_n
+# SHA-256 of the concatenated to_jsonl texts of 24 games: fig2_utility_vs_n
 # then fig3_cost_vs_n at seed 41; per preset n in (1, 3, 5, 25, 40, 500),
-# per n runs 0 and 1 (sample_scenario), per run extra_price_rounds 0 then 2.
-TRANSCRIPTS_48_SHA256 = "f93718fb3088f34f4de4cfe56ab2960f2045f2af3f545bfd1b5f34fc844b3862"
+# per n runs 0 and 1 (sample_scenario).
+TRANSCRIPTS_24_SHA256 = "800a1595849730a73e1e778447472aee86dfe95f5da4b4ecf1e8e8cf0ee37700"
 
 
 class TestReplayedStage:
-    """A price stage whose price row has the bytes of the prices of the
-    stage the game last played is that stage replayed, not solved again."""
+    """A game whose optimized price row has the bytes of its uniform row
+    replays stage 1 as its stage 2, not solving it again."""
 
     @pytest.mark.parametrize("batched", [False, True], ids=["alone", "batched"])
-    def test_48_game_transcripts_match_their_pinned_hash(self, batched):
-        # n 1, 25 and 40 and the extra price rounds replay stages
+    def test_24_game_transcripts_match_their_pinned_hash(self, batched):
+        # n 1, 25 and 40 replay stage 1
         digest = hashlib.sha256()
         for preset in ("fig2_utility_vs_n", "fig3_cost_vs_n"):
             for n in (1, 3, 5, 25, 40, 500):
                 scenarios = fig_scenarios(preset, n, 2, seed=41)
-                by_extra = {extra: engine.run_games(scenarios, extra_price_rounds=extra)
-                            if batched else
-                            [run_stackelberg(sc, extra_price_rounds=extra) for sc in scenarios]
-                            for extra in (0, 2)}
-                for run in range(2):
-                    for extra in (0, 2):
-                        digest.update(by_extra[extra][run].log.to_jsonl().encode())
-        assert digest.hexdigest() == TRANSCRIPTS_48_SHA256
+                outcomes = (engine.run_games(scenarios) if batched
+                            else [run_stackelberg(sc) for sc in scenarios])
+                for outcome in outcomes:
+                    digest.update(outcome.log.to_jsonl().encode())
+        assert digest.hexdigest() == TRANSCRIPTS_24_SHA256
 
-    @pytest.mark.parametrize("n, extra, solved_runs", [
-        # fig3 at seed 1: at n 500 run 0 replays stage 1 as its stage 2; at
-        # n 20 runs 1 and 3 replay their stage 2 as stage 3, run 5 its
-        # stage 3 as stage 4
-        (500, 0, [[0, 1, 2, 3], [1, 2, 3]]),
-        (20, 2, [[0, 1, 2, 3, 4, 5], [0, 1, 2, 3, 4, 5], [0, 2, 4, 5], [0, 2, 4]]),
-    ], ids=["n500", "n20-extra2"])
+    @pytest.mark.parametrize("preset, n, solved_runs", [
+        # at seed 1: fig3 n 500 run 0 replays stage 1 as its stage 2; at
+        # fig2 n 25 the price slice is one point, so every run replays
+        ("fig3_cost_vs_n", 500, [[0, 1, 2, 3], [1, 2, 3]]),
+        ("fig2_utility_vs_n", 25, [[0, 1, 2, 3]]),
+    ], ids=["n500", "n25-all-replayed"])
     def test_batch_mixing_replayed_and_solved_games_matches_each_alone(
-            self, solved, n, extra, solved_runs):
-        scenarios = fig_scenarios("fig3_cost_vs_n", n, len(solved_runs[0]))
-        alone = [run_stackelberg(sc, extra_price_rounds=extra) for sc in scenarios]
+            self, solved, preset, n, solved_runs):
+        scenarios = fig_scenarios(preset, n, len(solved_runs[0]))
+        alone = [run_stackelberg(sc) for sc in scenarios]
         del solved[:]
-        forward = engine.run_games(scenarios, extra_price_rounds=extra)
+        forward = engine.run_games(scenarios)
         assert solved == [(1 if k == 0 else 2, [scenarios[r].seed for r in runs])
                           for k, runs in enumerate(solved_runs)]
-        backward = engine.run_games(scenarios[::-1], extra_price_rounds=extra)[::-1]
+        backward = engine.run_games(scenarios[::-1])[::-1]
         for a, b, c in zip(forward, backward, alone):
             assert_same_game(a, c)
             assert_same_game(b, c)
@@ -574,7 +577,7 @@ class TestMessageLog:
         # written by reference_jsonl, the per-message json.dumps renderer,
         # when the halfspace dual search began ending on the first probe
         # certified on its own piece
-        outcome = run_stackelberg(peak_scenario, extra_price_rounds=1)
+        outcome = run_stackelberg(peak_scenario)
         text = outcome.log.to_jsonl()
         assert text.encode("utf-8") == GOLDEN_TRANSCRIPT.read_bytes()
         kinds = {json.loads(line)["kind"] for line in text.splitlines()}
@@ -586,12 +589,12 @@ class TestMessageLog:
         ([200.0, 80.0, 70.0, 150.0, 65.0], 120.0),
     ])
     def test_jsonl_matches_reference_renderer(self, recording, surpluses, deficiency):
-        outcome = run_stackelberg(make_scenario(surpluses, deficiency), extra_price_rounds=2)
+        outcome = run_stackelberg(make_scenario(surpluses, deficiency))
         log = outcome.log
         assert outcome.converged
         assert log.to_jsonl() == reference_jsonl(log.calls)
         messages = parsed(log)
-        assert [m["kind"] for m in messages].count("price_update") == 3 * len(surpluses)
+        assert [m["kind"] for m in messages].count("price_update") == len(surpluses)
         assert len(log) == len(messages) == len(log.messages)
         assert log.total_rounds == messages[-1]["round"]
         rounds = sum(1 for m in messages if m["kind"] == "repeat_bit")
@@ -675,11 +678,10 @@ class TestMessageLog:
             assert log.to_jsonl() == reference_jsonl(log.calls)
         assert all(len(tails) == 500 for _, tails in engine._FRAGMENTS.values())
 
-    def test_empty_round_among_extra_price_stages(self, recording):
-        # a game with two extra price stages, replayed with an empty round
-        # before each price stage
-        game = run_stackelberg(make_scenario([200.0, 80.0, 70.0, 150.0, 65.0], 120.0),
-                               extra_price_rounds=2).log
+    def test_empty_round_before_the_price_stage(self, recording):
+        # a game's transcript, recorded again with an empty round before
+        # its price stage
+        game = run_stackelberg(make_scenario([200.0, 80.0, 70.0, 150.0, 65.0], 120.0)).log
         log = RecordingLog()
         for what, rnd, *values in game.calls:
             if what == "announce":
@@ -690,7 +692,7 @@ class TestMessageLog:
                 log.append_round(rnd, [], [], False)
                 log.append_prices(rnd, values[0])
         kinds = [m["kind"] for m in parsed(log)]
-        assert kinds.count("price_update") == 3 * 5
+        assert kinds.count("price_update") == 5
         assert kinds.count("repeat_bit") == sum(c[0] != "announce" for c in game.calls)
         assert log.to_jsonl() == reference_jsonl(log.calls)
 

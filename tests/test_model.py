@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -140,6 +141,8 @@ class TestGridCost:
             grid_cost([1.0], [1.0, 2.0], g)
         with pytest.raises(ValueError):
             grid_cost([1.0, float("nan")], [1.0, 2.0], g)
+        with pytest.raises(ValueError, match="cost_linear must be one-dimensional"):
+            replace(g, cost_linear=np.full((2, 1), 0.01))
 
 
 class TestFeasibleSet:
@@ -150,6 +153,8 @@ class TestFeasibleSet:
         assert not fs.contains([-0.1, 0.0])         # lower box
         assert not fs.contains([3.5, 0.0])          # upper box
         assert fs.contains([2.0, 2.1], tol=0.2)
+        assert not fs.contains([1.0, 1.0, 1.0])     # shape
+        assert not fs.contains([[1.0, 3.0]])
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):
@@ -177,9 +182,18 @@ class TestValidateScenario:
         assert any("a_i" in r for r in report)
 
     def test_reports_all_violations(self):
-        s = make_scenario([100.0, -5.0], -2.0)
-        report = validate_scenario(s)
-        assert len(report) >= 2
+        s = make_scenario([100.0, -5.0], -2.0, seed=-1)
+        grid = replace(s.grid, cost_linear=np.full(3, 0.01))
+        assert validate_scenario(Scenario(s.users, grid, s.seed)) == [
+            "user 1: surplus must be positive and finite, got -5.0",
+            "deficiency must be positive, got -2.0",
+            "cost vectors must have length 2, got a:3 b:2",
+            "seed must be nonnegative, got -1",
+        ]
+
+    def test_no_users_is_the_only_report(self):
+        s = make_scenario([100.0], -2.0, seed=-1)
+        assert validate_scenario(Scenario((), s.grid, s.seed)) == ["scenario has no users"]
 
     def test_duplicate_ids(self):
         s = make_scenario([100.0, 120.0], 50.0)

@@ -162,6 +162,8 @@ class TestOptimizePrices:
         grid = make_grid(2, 1.0, 10.0, 11.0)
         with pytest.raises(ValueError):
             optimize_prices(np.array([-1.0, 2.0]), grid)
+        with pytest.raises(ValueError, match="expected 2 energies, got 3"):
+            optimize_prices(np.ones(3), grid)
 
     def test_budget_and_bounds_always_met(self):
         rng = np.random.default_rng(11)
@@ -343,8 +345,19 @@ class TestPriceGridOracle:
 
     def test_rejects_large_n(self):
         grid = make_grid(4, 1.0, 10.0, 20.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="N <= 3, got 4"):
             price_grid_oracle(np.ones(4), grid, 1e-2)
+
+    @pytest.mark.parametrize("resolution", [0.0, -1e-3])
+    def test_rejects_nonpositive_resolution(self, resolution):
+        grid = make_grid(2, 1.0, 10.0, 11.0)
+        with pytest.raises(ValueError, match="resolution must be positive"):
+            price_grid_oracle(np.ones(2), grid, resolution)
+
+    @pytest.mark.parametrize("n, total", [(1, 11.0), (2, 21.0)])
+    def test_budget_outside_the_slice_raises(self, n, total):
+        with pytest.raises(InfeasiblePriceBudget):
+            price_grid_oracle(np.ones(n), make_grid(n, 1.0, 10.0, total), 1e-2)
 
     def test_two_user_argmin_near_solver(self):
         rng = np.random.default_rng(37)
