@@ -13,7 +13,8 @@ exchange can be replayed or audited against the round grammar
 The transcript is stored in columns: an announce as its three fields, a
 follower round as its offer and slack arrays plus the repeat bit, a price
 stage as its price array. Messages exist only as JSON lines, rendered
-from those columns: one orjson call formats every float of the log, and a
+from those columns: one orjson call formats every float of the log, each
+array once (a replayed stage's blocks share stage 1's arrays), and a
 block of n lines is joined from its kind's cached fixed text with the
 value and round texts set in between. The bytes are those of one
 json.dumps(..., sort_keys=True) line per message. orjson is imported when
@@ -33,10 +34,10 @@ follower loop is deterministic, so a stage played again at the same prices
 is the same stage round for round. A game whose optimized price row has the
 bytes of its uniform row therefore replays stage 1 as stage 2, not solving
 it again: the price block, then stage 1's round blocks renumbered. This
-happens where the price slice is one point, n*p_min = total_price: 10 of
-the 50 `sweep` benchmark games (n = 25), 9 to 17 of the 64 `large_n`
-games by seed, and all 100 n = 25 runs of a default fig2 `simulate` (97 of
-fig3's).
+happens where the price slice is one point, n*p_min = total_price, which
+price_opt prices exactly at p_min: 10 of the 50 `sweep` benchmark games
+(n = 25), all 64 `large_n` games (n = 500), and all 100 n = 25 runs of a
+default fig2 or fig3 `simulate`.
 
 The grid's stop rule mirrors the slack-equalization idea: it stops a stage
 when the interior slack values agree within tolerance AND have stopped
@@ -178,10 +179,10 @@ class MessageLog:
     of offer and slack arrays plus the repeat bit, and a price stage as one
     block holding the price array. Messages exist only as JSON lines:
     `to_jsonl` and `messages` render the blocks column by column, and one
-    _json_floats call formats every float of the log. A block of n lines
-    copies the first 4n of its kind's cached fragments, sets the value texts
-    and the round into their slots and joins them once. The bytes are those
-    of the per-message json.dumps renderer.
+    _json_floats call formats every distinct array of the log once. A block
+    of n lines copies the first 4n of its kind's cached fragments, sets the
+    value texts and the round into their slots and joins them once. The
+    bytes are those of the per-message json.dumps renderer.
     """
 
     def __init__(self) -> None:
@@ -253,38 +254,49 @@ class MessageLog:
         return self._render()
 
     def _render(self) -> str:
+        # Each distinct array, by identity, is formatted once: a replayed
+        # stage's blocks share stage 1's arrays. starts[id] is where an
+        # array's texts begin.
         columns = []
+        starts: dict[int, int] = {}
+        size = 0
         for entry in self._entries:
             if isinstance(entry, _RoundBlock):
-                columns += (entry.offers, entry.slacks)
+                arrays = (entry.offers, entry.slacks)
             elif isinstance(entry, _PriceBlock):
-                columns.append(entry.prices)
+                arrays = (entry.prices,)
+            else:
+                continue
+            for values in arrays:
+                if id(values) not in starts:
+                    starts[id(values)] = size
+                    size += values.size
+                    columns.append(values)
         texts = _json_floats(np.concatenate(columns)) if columns else []
         lines: list[str] = []
-        start = 0
 
-        def fill(kind: str, rnd: str, n: int) -> None:
-            nonlocal start
+        def fill(kind: str, rnd: str, values: np.ndarray) -> None:
+            n = values.size
             if n == 0:
                 return
             fragments, tails = _fragments(kind, n)
             parts = fragments[:4 * n]
+            start = starts[id(values)]
             parts[1::4] = texts[start:start + n]
             parts[3::4] = [rnd] * n
             parts.append(tails[n - 1])
-            start += n
             lines.append("".join(parts))
 
         for entry in self._entries:
             r = entry.round
             if isinstance(entry, _RoundBlock):
-                fill("offer", str(r), entry.offers.size)
-                fill("slack_report", str(r), entry.slacks.size)
+                fill("offer", str(r), entry.offers)
+                fill("slack_report", str(r), entry.slacks)
                 bit = "true" if entry.repeat else "false"
                 lines.append(f'{{"kind": "repeat_bit", "payload": {{"repeat": {bit}}}, '
                              f'"round": {r}, "sender": "{PG}"}}')
             elif isinstance(entry, _PriceBlock):
-                fill("price_update", str(r), entry.prices.size)
+                fill("price_update", str(r), entry.prices)
             else:
                 payload = {"deficiency": entry.deficiency, "total_price": entry.total_price,
                            "n_users": entry.n_users}
@@ -473,26 +485,24 @@ def run_games(scenarios, cfg: SolverConfig | None = None) -> list[GameOutcome]:
     converged = list(conv1)
 
     live = [i for i in range(m) if conv1[i]]
-    if live:
-        p_star, _ = _price_rows(x1[live], a[live], [grids[i].p_min for i in live],
-                                [grids[i].p_max for i in live],
-                                [grids[i].total_price for i in live])
-        solve = []
-        for j, i in enumerate(live):
-            if p_star[j].tobytes() == uniform[i].tobytes():
-                _replay(logs[i], p_star[j])
-                stage2[i] = stage1[i]
-            else:
-                solve.append(j)
-        if solve:
-            games = [live[j] for j in solve]
-            x2, rounds2, res2, conv2 = _follower_stage(
-                [scenarios[i] for i in games], s[games], p_star[solve], cfg,
-                [logs[i] for i in games], stage=2)
-            results = _stage_result(s[games], x2, p_star[solve], a[games], b[games], rounds2,
-                                    res2)
-            for i, result, conv in zip(games, results, conv2):
-                stage2[i], converged[i] = result, conv
+    p_star, _ = _price_rows(x1[live], a[live], [grids[i].p_min for i in live],
+                            [grids[i].p_max for i in live],
+                            [grids[i].total_price for i in live])
+    solve = []
+    for j, i in enumerate(live):
+        if p_star[j].tobytes() == uniform[i].tobytes():
+            _replay(logs[i], p_star[j])
+            stage2[i] = stage1[i]
+        else:
+            solve.append(j)
+    if solve:
+        games = [live[j] for j in solve]
+        x2, rounds2, res2, conv2 = _follower_stage(
+            [scenarios[i] for i in games], s[games], p_star[solve], cfg,
+            [logs[i] for i in games], stage=2)
+        results = _stage_result(s[games], x2, p_star[solve], a[games], b[games], rounds2, res2)
+        for i, result, conv in zip(games, results, conv2):
+            stage2[i], converged[i] = result, conv
     return [GameOutcome(stage1=stage1[i], stage2=stage2[i], log=logs[i], converged=converged[i])
             for i in range(m)]
 

@@ -13,6 +13,14 @@ the budget the others leave, in index order, up to p_max each; breakpoint
 order already puts price on the cheapest linear coefficients first, as the
 KKT conditions demand.
 
+A row whose slice is one point in floating point, n*p_min == total_price
+(else n*p_max == total_price), is priced at that bound in every component,
+without a search: n copies of the bound fsum to the one rounded product,
+the target. Its dual is a KKT multiplier of that point,
+-min_i(2*x_i*p_min + a_i) at p_min and -max_i(2*x_i*p_max + a_i) at p_max.
+The search would leave a seller a few ulps off where the bound is not
+exactly representable (fig3 at n=500 relaxes p_min to 175/500).
+
 _price_rows prices a batch of independent rows, each with its own energies,
 costs, bounds and target, in one breakpoint search: the engine prices every
 live game of a stage at once, and check_nse projects its price draws the
@@ -77,8 +85,9 @@ def _price_rows(x, a, p_min, p_max, target):
     """The grid's prices for each row r of the (rows, n) arrays x and a:
     the minimizer of sum(x[r]*p**2 + a[r]*p) over the slice of p_min[r],
     p_max[r] and target[r]. Returns (prices, duals), prices a (rows, n)
-    array. One breakpoint search serves every row, and each row rounds as
-    it does alone. Raises ValueError for negative or non-finite energies,
+    array. A one-point row takes its bound (see the module docstring), and
+    one breakpoint search serves the other rows; each row rounds as it does
+    alone. Raises ValueError for negative or non-finite energies,
     InfeasiblePriceBudget or projection.ProjectionError for the first row
     that fails.
     """
@@ -92,6 +101,31 @@ def _price_rows(x, a, p_min, p_max, target):
                 f"total_price {total:g} outside [{n * lo:.6g}, {n * hi:.6g}] "
                 f"for {n} users with bounds ({lo:g}, {hi:g})"
             )
+    prices = np.empty_like(x)
+    duals = [0.0] * m
+    at_min = [n * lo == total for lo, total in zip(p_min, target)]
+    at_max = [n * hi == total for hi, total in zip(p_max, target)]
+    point = [r for r in range(m) if at_min[r] or at_max[r]]
+    rest = [r for r in range(m) if not (at_min[r] or at_max[r])]
+    if point:
+        bound = _col([p_min[r] if at_min[r] else p_max[r] for r in point])
+        prices[point] = bound
+        marginal = 2.0 * _take(x, point) * bound + _take(a, point)
+        for r, low, high in zip(point, _min(marginal, axis=1).tolist(),
+                                _max(marginal, axis=1).tolist()):
+            duals[r] = -low if at_min[r] else -high
+    if rest:
+        bounds = ([col[r] for r in rest] for col in (p_min, p_max, target))
+        prices[rest], searched = _searched_rows(_take(x, rest), _take(a, rest), *bounds)
+        for r, dual in zip(rest, searched):
+            duals[r] = dual
+    return prices, duals
+
+
+def _searched_rows(x, a, p_min, p_max, target):
+    """_price_rows by one breakpoint search over every row, the rows checked
+    and their bounds and targets floats."""
+    m, n = x.shape
     tol_sum = [1e-10 * max(1.0, total) for total in target]
     lo_all, hi_all = _full(p_min, n), _full(p_max, n)
     # An idle seller (x_i = 0) has an infinite slope; its raw price below is

@@ -467,7 +467,7 @@ def solved(monkeypatch):
 # SHA-256 of the concatenated to_jsonl texts of 24 games: fig2_utility_vs_n
 # then fig3_cost_vs_n at seed 41; per preset n in (1, 3, 5, 25, 40, 500),
 # per n runs 0 and 1 (sample_scenario).
-TRANSCRIPTS_24_SHA256 = "800a1595849730a73e1e778447472aee86dfe95f5da4b4ecf1e8e8cf0ee37700"
+TRANSCRIPTS_24_SHA256 = "1da369dd71c9605f7a95ec304543c65ca3857a544835b69db5961cba875f468b"
 
 
 class TestReplayedStage:
@@ -476,7 +476,7 @@ class TestReplayedStage:
 
     @pytest.mark.parametrize("batched", [False, True], ids=["alone", "batched"])
     def test_24_game_transcripts_match_their_pinned_hash(self, batched):
-        # n 1, 25 and 40 replay stage 1
+        # n 1, 25, 40 and 500 replay stage 1
         digest = hashlib.sha256()
         for preset in ("fig2_utility_vs_n", "fig3_cost_vs_n"):
             for n in (1, 3, 5, 25, 40, 500):
@@ -487,15 +487,19 @@ class TestReplayedStage:
                     digest.update(outcome.log.to_jsonl().encode())
         assert digest.hexdigest() == TRANSCRIPTS_24_SHA256
 
-    @pytest.mark.parametrize("preset, n, solved_runs", [
-        # at seed 1: fig3 n 500 run 0 replays stage 1 as its stage 2; at
-        # fig2 n 25 the price slice is one point, so every run replays
-        ("fig3_cost_vs_n", 500, [[0, 1, 2, 3], [1, 2, 3]]),
-        ("fig2_utility_vs_n", 25, [[0, 1, 2, 3]]),
-    ], ids=["n500", "n25-all-replayed"])
+    @pytest.mark.parametrize("preset, raised, solved_runs", [
+        # at seed 1 and n 25 the price slice is one point, so every run
+        # replays; raising total_price widens the slice of fig3 runs 1 and 2
+        ("fig3_cost_vs_n", [1, 2], [[0, 1, 2, 3], [1, 2]]),
+        ("fig2_utility_vs_n", [], [[0, 1, 2, 3]]),
+    ], ids=["n25-mixed", "n25-all-replayed"])
     def test_batch_mixing_replayed_and_solved_games_matches_each_alone(
-            self, solved, preset, n, solved_runs):
-        scenarios = fig_scenarios(preset, n, len(solved_runs[0]))
+            self, solved, preset, raised, solved_runs):
+        scenarios = fig_scenarios(preset, 25, len(solved_runs[0]))
+        for r in raised:
+            grid = scenarios[r].grid
+            scenarios[r] = replace(scenarios[r], grid=replace(
+                grid, total_price=grid.total_price + 10.0 * r))
         alone = [run_stackelberg(sc) for sc in scenarios]
         del solved[:]
         forward = engine.run_games(scenarios)
@@ -620,7 +624,7 @@ class TestMessageLog:
         assert log.total_rounds == 2
         assert per_seller_counts(log) == {0: 4, 1: 4, 2: 4}
 
-    def test_renderer_at_bench_scale(self, recording):
+    def test_renderer_at_bench_scale(self, recording, monkeypatch):
         # a fig3 n=500 game: idle sellers, the one-point price slice at
         # p_min = 175/500 and about 16 rounds
         cfg = build_config({}, {"preset": "fig3_cost_vs_n"})
@@ -630,10 +634,35 @@ class TestMessageLog:
         assert outcome.converged and log.total_rounds > 10
         assert (outcome.stage2.energies == 0.0).any()
         assert scenario.grid.p_min == 175.0 / 500
+        # stage 2 replays stage 1, so its round blocks share stage 1's
+        # arrays, and each of those is formatted once
+        assert outcome.stage2 is outcome.stage1
+        sizes = []
+        json_floats = engine._json_floats
+
+        def counted(values):
+            sizes.append(values.size)
+            return json_floats(values)
+
+        monkeypatch.setattr(engine, "_json_floats", counted)
         text = log.to_jsonl()
+        assert sizes == [2 * 500 * outcome.stage1.follower_iterations + 500]
         assert text == reference_jsonl(log.calls)
         # what the bench counts per game
         assert len(log.messages) == len(log) == len(text.split("\n"))
+
+    def test_blocks_sharing_arrays_render_like_json_dumps(self):
+        # two round blocks share one array (in either column), a price block
+        # shares it too, and a third round block holds equal values in a
+        # distinct array
+        values, other = engine._frozen(np.array([0.1, 1e-5, 2.5])), engine._frozen(-np.ones(3))
+        log = RecordingLog()
+        log.append(1, 5.0, 3.0, 3)
+        log._append_frozen(engine._RoundBlock(1, values, other, True))
+        log.append_prices(2, values)
+        log._append_frozen(engine._RoundBlock(2, other, values, True))
+        log._append_frozen(engine._RoundBlock(3, engine._frozen(values), values, False))
+        assert log.to_jsonl() == reference_jsonl(log.calls)
 
     def test_empty_round_and_non_finite_prices_render_like_json_dumps(self):
         log = RecordingLog()

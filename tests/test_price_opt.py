@@ -16,7 +16,9 @@ from gridtrade.price_opt import InfeasiblePriceBudget, optimize_prices
 from gridtrade.projection import ProjectionError
 
 # Written by the commit before optimize_prices moved onto the breakpoint
-# kernel; rewrite with `python -m tests.test_price_opt` only on purpose.
+# kernel; rewrite with `python -m tests.test_price_opt` only on purpose. The
+# ten one-point n=500 price entries were since set to p_min in place: the
+# writer would also rewrite the energies, which later follower changes moved.
 PRICE_GOLDEN = Path(__file__).parent / "data" / "price_golden.json"
 GOLDEN_SEED = 2
 
@@ -137,14 +139,22 @@ class TestOptimizePrices:
             oracle = price_grid_oracle(x, grid, (p_max - p_min) / 100.0)
             assert sol.cost <= oracle.cost + 1e-9
 
-    @pytest.mark.parametrize("run", [42, 72, 78])
-    def test_one_point_slice_is_exact(self, run):
-        # fig3 at n=25 relaxes p_min to 175/25 = 7.0: the slice is one point.
-        scenario = sample_scenario(build_config({}, {"preset": "fig3_cost_vs_n", "seed": 11}),
-                                   25, run)
-        assert scenario.seed == 11025000 + run and scenario.grid.p_min == 7.0
+    @pytest.mark.parametrize("seed, n, run", [
+        (11, 25, 42), (11, 25, 72), (11, 25, 78), (1, 25, 22), (1, 25, 32), (1, 25, 57),
+        (GOLDEN_SEED, 500, 0)],
+        ids=["42", "72", "78", "seed1-22", "seed1-32", "seed1-57", "n500-0"])
+    def test_one_point_slice_is_exact(self, seed, n, run):
+        # fig3 relaxes p_min to 175/n: the slice is one point. 175/500 is
+        # not exactly representable, yet 500 times it rounds to 175.0.
+        scenario = sample_scenario(build_config({}, {"preset": "fig3_cost_vs_n", "seed": seed}),
+                                   n, run)
+        grid = scenario.grid
+        assert scenario.seed == seed * 1_000_000 + n * 1000 + run
+        assert grid.p_min == 175.0 / n and n * grid.p_min == grid.total_price
         outcome = run_stackelberg(scenario)
-        assert np.all(outcome.stage2.prices == 7.0)
+        assert np.all(outcome.stage2.prices == grid.p_min)
+        # the uniform stage-1 prices again, so stage 2 replays stage 1
+        assert outcome.stage2 is outcome.stage1
 
     def test_infeasible_budget_names_bounds(self):
         grid = make_grid(25, 8.45, 175.0, 175.0)
@@ -236,7 +246,7 @@ def golden_scenario(preset, n, run):
 def golden_games():
     """(preset, n, run) of the seeded games whose price inputs the golden
     file holds: fig2 and fig3 at n from 5 to 20, and fig3 at n=500, whose
-    price slice is a single point that its idle sellers fill."""
+    price slice is a single point."""
     for preset in ("fig2_utility_vs_n", "fig3_cost_vs_n"):
         for n in (5, 10, 15, 20):
             for run in range(5):
@@ -295,7 +305,6 @@ class TestPriceRows:
         for n, x, grid, want in self.golden_inputs():
             by_n.setdefault(n, []).append((x, grid, want))
         assert sorted(by_n) == [5, 10, 15, 20, 500]
-        idle_fill = False
         for n, group in by_n.items():
             group = group[::order]
             prices, duals = batch_prices([x for x, _, _ in group], [g for _, g, _ in group])
@@ -304,9 +313,8 @@ class TestPriceRows:
                 assert [float(v).hex() for v in row] == want == \
                     [float(v).hex() for v in alone.prices]
                 assert float(dual).hex() == alone.dual.hex()
-                idle_fill |= 0.35000000000001774 in row.tolist()
-        # the one-point slice whose first tied idle seller is a few ulps off
-        assert idle_fill
+                # the one-point slice at p_min = 175/500, exact in every seller
+                assert n != 500 or np.all(row == grid.p_min)
 
     def test_rows_with_their_own_costs_bounds_and_targets(self):
         # instances of every kind (steps, one-point slices, all idle) in one
@@ -327,6 +335,46 @@ class TestPriceRows:
                 for row, dual, sol in zip(prices, duals, alone[::order]):
                     assert row.tobytes() == sol.prices.tobytes()
                     assert float(dual).hex() == sol.dual.hex()
+
+    def test_one_point_rows_take_their_bound(self):
+        # rows at n*p_min and at n*p_max whose bounds are not exactly
+        # representable (a breakpoint search, step fill or active-set solve,
+        # leaves one seller a few ulps off there), a row with p_min == p_max
+        # and an ordinary row, batched in both orders
+        n = 9
+        at_min, at_max = 161.19558182533066, 79.63504769312318
+        rows = [
+            (np.array([23.451020166982396, 0.0, 0.0, 0.0, 84.4231037608741, 0.0, 0.0,
+                       67.6689351831066, 6.0802712958056055]),
+             make_grid(n, at_min / n, 58.30765968963921, at_min,
+                       a=[0.46, 0.2, 0.46, 0.01, 0.2, 0.46, 0.01, 0.01, 0.2])),
+            (np.array([36.78325299951154, 54.56026450612871, 34.387939588142466,
+                       99.47667098707564, 85.67870832307996, 93.62285746592993,
+                       89.20704424867024, 24.73111200972089, 32.09258077569286]),
+             make_grid(n, 1.2164361725688435, at_max / n, at_max,
+                       a=[0.2, 0.01, 0.01, 0.01, 0.2, 0.01, 0.01, 0.2, 0.2])),
+            (np.linspace(0.0, 8.0, n), make_grid(n, 3.3, 3.3, n * 3.3)),
+            (np.linspace(1.0, 9.0, n), make_grid(n, 1.0, 40.0, 100.0)),
+        ]
+        bounds = [rows[0][1].p_min, rows[1][1].p_max, 3.3, None]
+        alone = [optimize_prices(x, grid) for x, grid in rows]
+        for (x, grid), sol, bound in zip(rows, alone, bounds):
+            p = sol.prices
+            if bound is not None:
+                assert n * bound == grid.total_price
+                assert np.all(p == bound) and math.fsum(p) == grid.total_price
+            # KKT of every seller at the returned dual
+            g = 2.0 * x * p + grid.cost_linear + sol.dual
+            tol = 1e-12 * (1.0 + abs(sol.dual))
+            assert np.all(g[p < grid.p_max] >= -tol) and np.all(g[p > grid.p_min] <= tol)
+            if bound is not None:
+                assert 0.0 in g.tolist()  # the multiplier of the cheapest seller
+        for order in (1, -1):
+            batch = rows[::order]
+            prices, duals = batch_prices([x for x, _ in batch], [g for _, g in batch])
+            for row, dual, sol in zip(prices, duals, alone[::order]):
+                assert row.tobytes() == sol.prices.tobytes()
+                assert float(dual).hex() == sol.dual.hex()
 
     def test_first_failing_row_raises(self):
         x = np.ones((3, 2))
