@@ -224,7 +224,7 @@ def _fig1_rows(cfg: ExperimentConfig):
     n = cfg.n_values[0]
     scenario = sample_scenario(cfg, n, 0)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is one line
-        outcome = _play([scenario], n)[0]
+        outcome = _play([scenario], [(n, 0)])[0]
     if not outcome.converged:
         raise RuntimeError("convergence trace scenario did not converge")
     p_star = outcome.stage2.prices
@@ -241,21 +241,25 @@ def _fig1_rows(cfg: ExperimentConfig):
 def _sweep(cfg: ExperimentConfig):
     """All per-run figures for the utility and cost sweeps.
 
-    The runs at each n are played in lockstep by run_games, and their
-    flat-tariff baselines and figures are computed as rows. A run that did
-    not converge, or a figure that is not finite, raises naming its run
-    (and field), before any file is written.
+    Every (n, run) of the experiment is played in one lockstep batch by
+    run_games; then, n by n, the flat-tariff baselines and figures are
+    computed as rows. A run that did not converge, or a figure that is not
+    finite, raises naming its run (and field), before any file is written.
     """
+    keys = [(n, run) for n in cfg.n_values for run in range(cfg.runs)]
+    scenarios = [sample_scenario(cfg, n, run) for n, run in keys]
+    # Figures that overflow are reported below, one line per run.
+    with np.errstate(over="ignore", invalid="ignore"):
+        games = _play(scenarios, keys)
     per_run = []
-    for n in cfg.n_values:
-        scenarios = [sample_scenario(cfg, n, run) for run in range(cfg.runs)]
-        # Figures that overflow are reported below, one line per run.
+    for k, n in enumerate(cfg.n_values):
+        at = slice(k * cfg.runs, (k + 1) * cfg.runs)
+        outcomes = games[at]
         with np.errstate(over="ignore", invalid="ignore"):
-            outcomes = _play(scenarios, n)
             played = next((run for run, o in enumerate(outcomes) if not o.converged),
                           len(outcomes))
             nsg = [outcome.stage2 for outcome in outcomes[:played]]
-            fit = _fit_rows(scenarios[:played], cfg.fit_tariff) if played else []
+            fit = _fit_rows(scenarios[at][:played], cfg.fit_tariff) if played else []
             columns = {
                 "nsg_utility": [r.total_utility / n for r in nsg],
                 "fit_utility": [r.total_utility / n for r in fit],
@@ -284,15 +288,16 @@ def _payments(results) -> list[float]:
     return np.add.reduce(prices * np.array([r.energies for r in results]), axis=1).tolist()
 
 
-def _play(scenarios, n):
-    """run_games over the runs at n. A solver error is raised again from the
-    first run that raises it when played alone, naming that run. A sum that
-    overflows the float range is invalid input: a ValueError naming the run
-    and the fields that scale it."""
+def _play(scenarios, keys):
+    """run_games over the scenarios, keys holding each one's (n, run). A
+    solver error is raised again from the first run that raises it when
+    played alone, naming that run. A sum that overflows the float range is
+    invalid input: a ValueError naming the run and the fields that scale
+    it."""
     try:
         return run_games(scenarios)
     except (ProjectionError, ArmijoSearchError, OverflowError):
-        for run, scenario in enumerate(scenarios):
+        for (n, run), scenario in zip(keys, scenarios):
             try:
                 run_stackelberg(scenario)
             except (ProjectionError, ArmijoSearchError) as exc:

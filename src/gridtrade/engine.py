@@ -20,9 +20,10 @@ value and round texts set in between. The bytes are those of one
 json.dumps(..., sort_keys=True) line per message. orjson is imported when
 a transcript is first rendered, so `import gridtrade` does not load it.
 
-Games of one network size can be played in lockstep (run_games): one
+Games of any network sizes can be played in lockstep (run_games): one
 follower loop iterates every game's sellers as one row of a (games,
-sellers) batch, one breakpoint search prices every live game of a stage
+sellers) batch, each game padded to the batch width (see run_games), one
+breakpoint search per size prices the live games of a stage
 (price_opt._price_rows), and the stage results are row arithmetic. Each
 game keeps its own transcript, and its outcome does not depend on which
 games share the batch. run_stackelberg is a batch of one, played by the
@@ -365,10 +366,13 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
     """Run one follower best-response loop per game, in lockstep, logging a
     round per iteration into each game's own log.
 
-    s and prices hold one row per game. Returns (allocations, rounds,
-    residuals, converged), one row or entry per game.
+    s and prices hold one row per game, padded with zeros past the game's
+    size (see run_games). Returns (allocations, rounds, residuals,
+    converged), one row or entry per game.
     """
     m, n = s.shape
+    sizes = [sc.n_users for sc in scenarios]
+    widths = None if min(sizes) == n else sizes
     budget = [sc.grid.deficiency for sc in scenarios]
     margin = 1e-6 * np.maximum(1.0, s)
     upper_limit = s - margin
@@ -377,27 +381,31 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
     residual = [float("nan")] * m
 
     def on_iteration(iteration, rows, x, res, steps, z, mu, done):
+        # The loop cuts the batch to its widest live game.
+        k = x.shape[1]
         if done:
             stops = [True] * len(rows)
         else:
             # A stage's first round has no previous slacks to compare with.
             stops = [stop and rounds[r] > 0 for stop, r in zip(_interior_mu_stop(
-                x, mu, _take(prev_mu, rows), _take(margin, rows), _take(upper_limit, rows)),
-                rows.tolist())]
-        # One read-only copy of the round; each game's block holds its row.
+                x, mu, _take(prev_mu, rows)[:, :k], _take(margin, rows)[:, :k],
+                _take(upper_limit, rows)[:, :k]), rows.tolist())]
+        # One read-only copy of the round; each game's block holds its row,
+        # cut to the game's size.
         offers, slacks = _frozen(x), _frozen(mu)
         for j, r in enumerate(rows.tolist()):
-            log = logs[r]
+            log, size = logs[r], sizes[r]
             rnd = log.total_rounds + 1
             if stage == 1:
                 grid = scenarios[r].grid
-                log._append_frozen(_Announce(rnd, grid.deficiency, grid.total_price, n))
+                log._append_frozen(_Announce(rnd, grid.deficiency, grid.total_price, size))
             elif rounds[r] == 0:
-                log.append_prices(rnd, prices[r])
-            log._append_frozen(_RoundBlock(rnd, offers[j], slacks[j], not stops[j]))
+                log.append_prices(rnd, prices[r, :size])
+            log._append_frozen(_RoundBlock(rnd, offers[j, :size], slacks[j, :size],
+                                           not stops[j]))
             rounds[r] += 1
             residual[r] = res[j]
-        prev_mu[rows] = mu
+        prev_mu[rows, :k] = mu
         return stops
 
     # s and prices are finite, so a non-finite sum is an overflow, raised here
@@ -405,9 +413,9 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
         c = s + prices
     if not np.isfinite(c).all():
         raise OverflowError("a surplus plus its price is not finite")
-    anchor, lam, _ = _box_budget_rows(c, s, budget)
+    anchor, lam, _ = _box_budget_rows(c, s, budget, widths)
     x, reasons = _extragradient(np.zeros_like(s), s, prices, s, budget, anchor, lam, cfg,
-                                on_iteration)
+                                on_iteration, widths)
     return x, rounds, residual, [reason in ("residual", "caller") for reason in reasons]
 
 
@@ -439,33 +447,74 @@ def _costs(scenarios):
             np.array([sc.grid.cost_const for sc in scenarios]))
 
 
+def _padded(rows, width):
+    """The 1-D arrays rows as the rows of one (len(rows), width) array, each
+    padded with zeros."""
+    out = np.zeros((len(rows), width))
+    for i, row in enumerate(rows):
+        out[i, :len(row)] = row
+    return out
+
+
+def _by_size(sizes, at):
+    """The positions at grouped by network size, as (size, positions) pairs
+    in order of first appearance."""
+    groups: dict[int, list[int]] = {}
+    for i in at:
+        groups.setdefault(sizes[i], []).append(i)
+    return groups.items()
+
+
+def _block(a, at, size):
+    """The rows of a at the positions at, cut to their network size."""
+    return a if len(at) == len(a) and size == a.shape[1] else a[at, :size]
+
+
+def _stage_results(scenarios, s, x, prices, rounds, residuals) -> list[EquilibriumResult]:
+    """_stage_result of each game from its row of the padded arrays s, x and
+    prices, the games of one size taken as one unpadded block."""
+    sizes = [sc.n_users for sc in scenarios]
+    results: list = [None] * len(scenarios)
+    for n, at in _by_size(sizes, range(len(scenarios))):
+        rows = _stage_result(_block(s, at, n), _block(x, at, n), _block(prices, at, n),
+                             *_costs([scenarios[i] for i in at]), [rounds[i] for i in at],
+                             [residuals[i] for i in at])
+        for i, result in zip(at, rows):
+            results[i] = result
+    return results
+
+
 def run_games(scenarios, cfg: SolverConfig | None = None) -> list[GameOutcome]:
-    """Play the two-stage game of each scenario, all of one network size, in
-    lockstep, and return one outcome per scenario.
+    """Play the two-stage game of each scenario in lockstep, and return one
+    outcome per scenario.
 
     Both halves of each exchange work on the live games as rows of a
     (games, sellers) batch: one follower loop iterates every game's sellers
     and a game leaves the batch when its stage stops, one breakpoint search
-    prices every game that converged in stage 1, and each stage's results
-    are row arithmetic. Each game keeps its own transcript, and its outcome
-    is the same, bit for bit, whichever games share its batch.
+    per network size prices the games that converged in stage 1, and each
+    stage's results are row arithmetic. Each game keeps its own transcript,
+    and its outcome is the same, bit for bit, whichever games share its
+    batch.
+
+    Games of any sizes share the batch. A game's row is padded to the batch
+    width with inert sellers of surplus 0, price 0 and upper bound 0: they
+    stay at 0, and every sum, count, maximum, tolerance and message of the
+    game is taken over its own sellers alone. Whenever games leave the
+    follower loop, the batch is cut to its widest live game, so a lone last
+    game plays exactly as it does alone. The price stage and the stage
+    results take the games of each size as one unpadded block.
 
     A game whose optimized price row has the bytes of its uniform row
     replays stage 1 (see the module docstring): its stage-2 round blocks
     share stage 1's read-only arrays, and its stage-2 result is stage1
     itself. Only the other games go through the follower loop again.
 
-    Raises ValueError for scenarios of mixed size, ScenarioValidationError
-    for the first invalid one, and OverflowError when a surplus plus its
-    price overflows the float range.
+    Raises ScenarioValidationError for the first invalid scenario, and
+    OverflowError when a surplus plus its price overflows the float range.
     """
     scenarios = list(scenarios)
     if not scenarios:
         return []
-    n = scenarios[0].n_users
-    if any(sc.n_users != n for sc in scenarios):
-        raise ValueError("run_games plays scenarios of one network size, got sizes "
-                         f"{sorted({sc.n_users for sc in scenarios})}")
     for scenario in scenarios:
         problems = validate_scenario(scenario)
         if problems:
@@ -474,34 +523,36 @@ def run_games(scenarios, cfg: SolverConfig | None = None) -> list[GameOutcome]:
         cfg = SolverConfig()
 
     m = len(scenarios)
-    s = np.array([sc.surpluses for sc in scenarios], dtype=float)
-    a, b = _costs(scenarios)
+    sizes = [sc.n_users for sc in scenarios]
     grids = [sc.grid for sc in scenarios]
     logs = [MessageLog() for _ in scenarios]
-    uniform = np.array([np.full(n, g.total_price / n) for g in grids])
+    s = _padded([sc.surpluses for sc in scenarios], max(sizes))
+    uniform = _padded([np.full(n, g.total_price / n) for g, n in zip(grids, sizes)], max(sizes))
     x1, rounds1, res1, conv1 = _follower_stage(scenarios, s, uniform, cfg, logs, stage=1)
-    stage1 = _stage_result(s, x1, uniform, a, b, rounds1, res1)
+    stage1 = _stage_results(scenarios, s, x1, uniform, rounds1, res1)
     stage2: list[EquilibriumResult | None] = [None] * m
     converged = list(conv1)
 
-    live = [i for i in range(m) if conv1[i]]
-    p_star, _ = _price_rows(x1[live], a[live], [grids[i].p_min for i in live],
-                            [grids[i].p_max for i in live],
-                            [grids[i].total_price for i in live])
+    p_star = np.zeros_like(s)
     solve = []
-    for j, i in enumerate(live):
-        if p_star[j].tobytes() == uniform[i].tobytes():
-            _replay(logs[i], p_star[j])
-            stage2[i] = stage1[i]
-        else:
-            solve.append(j)
+    for n, at in _by_size(sizes, [i for i in range(m) if conv1[i]]):
+        p_star[at, :n] = _price_rows(_block(x1, at, n), _costs([scenarios[i] for i in at])[0],
+                                     [grids[i].p_min for i in at], [grids[i].p_max for i in at],
+                                     [grids[i].total_price for i in at])[0]
+        for i in at:
+            if p_star[i, :n].tobytes() == uniform[i, :n].tobytes():
+                _replay(logs[i], p_star[i, :n])
+                stage2[i] = stage1[i]
+            else:
+                solve.append(i)
     if solve:
-        games = [live[j] for j in solve]
+        solve.sort()
+        games = [scenarios[i] for i in solve]
+        cols = slice(max(sizes[i] for i in solve))
         x2, rounds2, res2, conv2 = _follower_stage(
-            [scenarios[i] for i in games], s[games], p_star[solve], cfg,
-            [logs[i] for i in games], stage=2)
-        results = _stage_result(s[games], x2, p_star[solve], a[games], b[games], rounds2, res2)
-        for i, result, conv in zip(games, results, conv2):
+            games, s[solve, cols], p_star[solve, cols], cfg, [logs[i] for i in solve], stage=2)
+        results = _stage_results(games, s[solve, cols], x2, p_star[solve, cols], rounds2, res2)
+        for i, result, conv in zip(solve, results, conv2):
             stage2[i], converged[i] = result, conv
     return [GameOutcome(stage1=stage1[i], stage2=stage2[i], log=logs[i], converged=converged[i])
             for i in range(m)]
@@ -611,7 +662,8 @@ def run_fit(scenario: Scenario, tariff: float) -> EquilibriumResult:
 
 
 def _fit_rows(scenarios, tariff: float) -> list[EquilibriumResult]:
-    """run_fit for each scenario, all of one network size, as rows."""
+    """run_fit for each scenario, all of one network size, as rows: the
+    sweep takes the runs at each n as one call."""
     if not tariff > 0.0:
         raise ValueError(f"tariff must be positive, got {tariff}")
     s = np.array([sc.surpluses for sc in scenarios], dtype=float)

@@ -184,7 +184,7 @@ def _searched_rows(x, a, p_min, p_max, target):
             prices[r], duals[r] = row, v
         return ok
 
-    pieces = _breakpoint_rows(-a, lo_all, hi_all, target, finish, slope)
+    pieces = _breakpoint_rows(-a, lo_all, hi_all, target, finish, slope=slope)
     for r, checked in enumerate(pieces):
         if checked is None:
             raise _uncertified(target[r], n)

@@ -151,6 +151,12 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 # one vector, and several rows take _move_path_rows, which on a lone row
 # gives the same bytes but makes follower_tight's solves take 46% longer
 # (in process, seed 211).
+#
+# The rows of a batch may be of different sizes. `widths` then gives each
+# row's size, its problem being its leading widths[r] components; the rest
+# are pads with bounds [0, 0], which every core keeps at zero and out of each
+# row's exact sums, counts, maxima, breakpoints and messages, so that a row
+# rounds as it does alone. widths None means every row spans the batch.
 
 def _take(a, rows):
     """The rows of `a` at the ascending index array `rows`; `a` itself when
@@ -167,6 +173,31 @@ def _col(values):
 def _row_fsums(a):
     """math.fsum of each row of a."""
     return list(map(math.fsum, a.tolist()))
+
+
+def _row_sums(a, widths=None):
+    """numpy's sum of each row of a over its first widths[r] entries (widths
+    None: the whole row), rounded as that row alone rounds it: the pairwise
+    sum rounds differently once zeros are appended. Rows of one width are
+    summed together."""
+    if widths is None:
+        return _sum(a, axis=1).tolist()
+    sums = [0.0] * len(a)
+    for w in set(widths):
+        at = [r for r, v in enumerate(widths) if v == w]
+        for r, total in zip(at, _sum(a[at, :w], axis=1).tolist()):
+            sums[r] = total
+    return sums
+
+
+def _at(widths, rows):
+    """The widths of the rows at the list rows; None stays None."""
+    return None if widths is None else [widths[r] for r in rows]
+
+
+def _pads(widths, n):
+    """The (rows, n) mask of the components past each row's width."""
+    return np.arange(n) >= np.array(widths)[:, None]
 
 
 def _masked_rows(a, mask):
@@ -213,9 +244,10 @@ def _exact_multiplier_rows(v, ub, budget, lam_guess):
     return lam
 
 
-def _breakpoint_rows(s, lo, hi, target, finish, slope=None):
+def _breakpoint_rows(s, lo, hi, target, finish, widths=None, slope=None):
     """Per row r, the root of f(lam) = sum(clip(slope*(s - lam), lo, hi)) =
-    target[r] by breakpoint search, s, lo, hi and slope being (rows, n).
+    target[r] by breakpoint search, s, lo, hi and slope being (rows, n), row
+    r's components its first widths[r] (see the note above).
 
     slope holds per-component slopes (None: all 1). Component i falls with
     slope_i between its breakpoints s_i - hi_i/slope_i and s_i - lo_i/slope_i;
@@ -237,6 +269,12 @@ def _breakpoint_rows(s, lo, hi, target, finish, slope=None):
     m, n = s.shape
     unit = slope is None
     t = np.concatenate((s - hi, s - lo) if unit else (s - hi / slope, s - lo / slope), axis=1)
+    ends, f0 = [2 * n] * m, None
+    if widths is not None:
+        # A pad's breakpoints sort after the row's own, where f is nan and
+        # the search never lands.
+        ends, f0 = [2 * w for w in widths], np.array(_row_sums(hi, widths))[:, None]
+        t[np.tile(_pads(widths, n), 2)] = math.inf
     order = t.argsort(1, kind="stable")
     # order indexes within each row; as indices into the flattened rows it
     # needs each row's offset, which a lone row does not.
@@ -253,7 +291,11 @@ def _breakpoint_rows(s, lo, hi, target, finish, slope=None):
         steps = np.isinf(w)
         has_steps = bool(steps.any())
         w[steps] = 0.0
-    f = _sum(hi, axis=1, keepdims=True) + (w * t).cumsum(1) - w.cumsum(1) * t
+    if f0 is None:
+        f = _sum(hi, axis=1, keepdims=True) + (w * t).cumsum(1) - w.cumsum(1) * t
+    else:
+        with np.errstate(invalid="ignore"):
+            f = f0 + (w * t).cumsum(1) - w.cumsum(1) * t
     if has_steps:
         f += np.cumsum(np.where(steps & entering, np.tile(lo - hi, 2).ravel()[flat], 0.0), axis=1)
 
@@ -275,8 +317,8 @@ def _breakpoint_rows(s, lo, hi, target, finish, slope=None):
                 return lam
         if k == 0:
             return tr[0] - (1.0 + abs(tr[0]))
-        if k == 2 * n:
-            return tr[-1] + (1.0 + abs(tr[-1]))
+        if k == ends[r]:
+            return tr[k - 1] + (1.0 + abs(tr[k - 1]))
         return 0.5 * (tr[k - 1] + tr[k])
 
     drop = -f
@@ -285,7 +327,7 @@ def _breakpoint_rows(s, lo, hi, target, finish, slope=None):
     pieces = [1 if good else None for good in ok]
     retry = []
     for r in (r for r, good in enumerate(ok) if not good):
-        first, last = 0, 2 * n
+        first, last = 0, ends[r]
         while first < last:
             mid = (first + last) // 2
             if math.fsum(right_limit(r, t[r, mid]).tolist()) <= target[r]:
@@ -302,23 +344,25 @@ def _breakpoint_rows(s, lo, hi, target, finish, slope=None):
     return pieces
 
 
-def _box_budget_rows(v, ub, budget):
+def _box_budget_rows(v, ub, budget, widths=None):
     """Projections of the rows of v onto their box-plus-budget sets, budget
-    holding one float per row: returns (points, multipliers, pieces).
-    Raises ProjectionError for the first row no piece certifies."""
+    holding one float per row and widths each row's size (see the note
+    above): returns (points, multipliers, pieces). Raises ProjectionError
+    for the first row no piece certifies."""
     x = np.minimum(np.maximum(v, 0.0), ub)
     m, n = v.shape
     lam, pieces = [0.0] * m, [0] * m
-    over = [r for r, (total, b) in enumerate(zip(_sum(x, axis=1).tolist(), budget)) if total > b]
+    over = [r for r, (total, b) in enumerate(zip(_row_sums(x, widths), budget)) if total > b]
     if not over:
         return x, lam, pieces
 
     vs, us = _take(v, over), _take(ub, over)
-    bs = [budget[i] for i in over]
+    bs, ws = [budget[i] for i in over], _at(widths, over)
+    sizes = [n] * len(over) if ws is None else ws
     # clamp(v - lam) carries an eps*|v| error per component, which bounds the
     # achievable sum accuracy for far-away inputs.
-    tol_sum = [1e-12 * max(1.0, b) + 16.0 * EPS * n * max(1.0, peak)
-               for b, peak in zip(bs, _max(np.abs(vs), axis=1).tolist())]
+    tol_sum = [1e-12 * max(1.0, b) + 16.0 * EPS * k * max(1.0, peak)
+               for b, k, peak in zip(bs, sizes, _max(np.abs(vs), axis=1).tolist())]
 
     def finish(rows, guesses):
         vr, ur = _take(vs, rows), _take(us, rows)
@@ -329,19 +373,20 @@ def _box_budget_rows(v, ub, budget):
         else:
             x[[over[i] for i in rows]] = xr
         ok = []
-        for i, total, lam_i in zip(rows, _sum(xr, axis=1).tolist(), lr):
+        for i, total, lam_i in zip(rows, _row_sums(xr, _at(ws, rows)), lr):
             lam[over[i]] = lam_i
             ok.append(abs(total - bs[i]) <= tol_sum[i])
         return ok
 
-    for i, checked in enumerate(_breakpoint_rows(vs, np.zeros(us.shape), us, bs, finish)):
+    for i, checked in enumerate(_breakpoint_rows(vs, np.zeros(us.shape), us, bs, finish, ws)):
         if checked is None:
-            raise _uncertified(bs[i], n)
+            raise _uncertified(bs[i], sizes[i])
         pieces[over[i]] = checked
     return x, lam, pieces
 
 
-def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
+def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None,
+                    widths=None):
     """The moves P_X(x - beta*n) - x over rows of feasible x, as the
     halfspace dual's probes, assembled as _move_path explains: returns
     probe(rows, betas), which probes the ascending list rows at one
@@ -354,7 +399,9 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
     the dict of failures.
 
     The caller passes hi_b, ub - x, and bounds, the masks x <= 0 and
-    x >= ub; n_max, each row's largest |n|, is computed unless given.
+    x >= ub; n_max, each row's largest |n|, is computed unless given. A pad
+    (see the note above) sits at both bounds, and its KKT interval is the
+    whole line.
     """
     m, dim = x.shape
     lo_b = -x
@@ -382,8 +429,8 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
                 ks.append(1), means.append(0.0), residues.append(0.0), cs.append(0.0)
         dev = nr - np.array(means)[:, None]
         slopes = list(map(math.fsum, _masked_rows(dev * dev, free)))
-        return free, np.array((bound, np.where(free, lb, np.where(upper, hb, -np.inf)),
-                               np.where(free, hb, np.where(lower, lb, np.inf)), dev)), \
+        return free, np.array((bound, np.where(free, lb, np.where(lower, -np.inf, hb)),
+                               np.where(free, hb, np.where(upper, np.inf, lb)), dev)), \
             np.array((ks, means, residues, cs, slopes, counts), dtype=float)
 
     # Each row's last piece, written in place, seeded with x's own bound
@@ -482,7 +529,7 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
                 stores[0][sr], stores[1][:, sr], stores[2][:, sr] = new
                 return got.tolist()
 
-            checked = _breakpoint_rows(ss, ls, hs, targets, finish)
+            checked = _breakpoint_rows(ss, ls, hs, targets, finish, _at(widths, at_rows))
             (sub, got, mv2, lam2, free2, slope2), *later = found
             if len(need) == k and not later and got.all():
                 mv, lam, free, slope = mv2, lam2, free2, slope2.tolist()
@@ -494,7 +541,8 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
                         slope[j] = value
             for j, c in enumerate(checked):
                 if c is None:
-                    failed[need[j]] = _uncertified(targets[j], dim)
+                    failed[need[j]] = _uncertified(
+                        targets[j], dim if widths is None else widths[at_rows[j]])
         lam = lam.tolist()
         g = [math.fsum(terms) + g_lin[r] for terms, r in zip((nr * mv).tolist(), rows)]
         if equality:
@@ -823,15 +871,22 @@ def _bracket(n, x, lo, evals, probe, errors):
     return out_move, out_beta, out_lam
 
 
-def _halfspace_dual_rows(x, ub, budget, sum_x, n, gap, face_mode, n_max=None):
+def _halfspace_dual_rows(x, ub, budget, sum_x, n, gap, face_mode, n_max=None, widths=None):
     """Rows of feasible x projected onto X (onto the budget face when
     face_mode) intersected with {w : <n, w - x + gap> <= 0}, the rows
     searching in lockstep (see _bracket): returns (points, betas,
     multipliers, errors), errors mapping a row whose search failed to its
     ProjectionError (its other entries are undefined). n_max, each row's
-    largest |n|, is computed unless given.
+    largest |n|, is computed unless given. The search runs on the columns
+    of the widest row, so that a lone row is its own problem.
     """
-    m = len(x)
+    m, dim = x.shape
+    if widths is not None:
+        top = max(widths)
+        if top < dim:
+            x, ub, n, gap = x[:, :top], ub[:, :top], n[:, :top], gap[:, :top]
+        if min(widths) == top:
+            widths = None
     g_lin = _row_fsums(n * gap)
     hi_b = ub - x
     # x's bound sets: at zero, and at ub (where ub - x <= 0 exactly when
@@ -839,8 +894,10 @@ def _halfspace_dual_rows(x, ub, budget, sum_x, n, gap, face_mode, n_max=None):
     # distance to its bounds also says whether x is in its box.
     lower, upper, low = x <= 0.0, hi_b <= 0.0, np.minimum(x, hi_b)
     # The probe is the one part chosen by batch size (see the note above).
-    probe, seed_slope = (_move_path if m == 1 else _move_path_rows)(
-        x, n, hi_b, (lower, upper), budget, sum_x, face_mode, g_lin, n_max)
+    probe, seed_slope = _move_path(
+        x, n, hi_b, (lower, upper), budget, sum_x, face_mode, g_lin, n_max) if m == 1 else \
+        _move_path_rows(x, n, hi_b, (lower, upper), budget, sum_x, face_mode, g_lin, n_max,
+                        widths)
     # With x in the box and within the budget (or on the face) the move at
     # beta = 0 is zero, so x's own bound set is a valid piece there and the
     # first probe is already a Newton step.
@@ -859,15 +916,19 @@ def _halfspace_dual_rows(x, ub, budget, sum_x, n, gap, face_mode, n_max=None):
                 errors[r] = failed[j]
     out, betas, lams = _bracket(n, x, (g, lam, binds, free, upper, moved, slope), evals, probe,
                                 errors)
-    return np.minimum(np.maximum(x + out, 0.0), ub), betas, lams, errors
+    points = np.minimum(np.maximum(x + out, 0.0), ub)
+    if points.shape[1] < dim:
+        points = np.concatenate((points, np.zeros((m, dim - points.shape[1]))), axis=1)
+    return points, betas, lams, errors
 
 
-def _halfspace_rows(x, normal, gap, ub, budget):
+def _halfspace_rows(x, normal, gap, ub, budget, widths=None):
     """Rows of feasible x projected onto their sets X intersected with the
     halfspaces {w : <normal, w - x + gap> <= 0}: the row core of
-    project_halfspace_then_set, budget holding one float per row. Raises
-    ProjectionError for the first row whose search fails."""
-    m = len(x)
+    project_halfspace_then_set, budget holding one float per row and widths
+    each row's size (see the note above). Raises ProjectionError for the
+    first row whose search fails."""
+    m, dim = x.shape
     sum_x = _row_fsums(x)
     # When x and the offset point both sit on the budget face, their sums
     # differ only by rounding jitter, yet that jitter enters the gap scaled
@@ -897,9 +958,13 @@ def _halfspace_rows(x, normal, gap, ub, budget):
         if 0 in counts:
             # A row with no support centers on its whole normal.
             n_sup = [v if c else row for v, c, row in zip(n_sup, counts, nf.tolist())]
-            counts = [c or nf.shape[1] for c in counts]
+            counts = [c or k for c, k in zip(counts, _at(widths, face) or [dim] * len(face))]
         shift = [math.fsum(v) / c for v, c in zip(n_sup, counts)]
         n_face = nf - _col(shift)
+        if widths is not None:
+            # The shift moves pads off zero; they go back before the normal's
+            # peak is taken.
+            n_face[_pads(_at(widths, face), dim)] = 0.0
         # A normal that is (numerically) a pure budget direction cannot cut
         # the face: max|n_face| <= 8 eps max(1, max|nf|), tested first against
         # the bound max|nf| <= 2 (max|n_face| + |shift|).
@@ -911,14 +976,14 @@ def _halfspace_rows(x, normal, gap, ub, budget):
         if any(flat):
             at = [r for r, v in zip(face, flat) if v]
             out = np.empty_like(x)
-            out[at] = _box_budget_rows(x[at], ub[at], [budget[r] for r in at])[0]
+            out[at] = _box_budget_rows(x[at], ub[at], [budget[r] for r in at], _at(widths, at))[0]
             keep = [j for j, v in enumerate(flat) if not v]
             face = [face[j] for j in keep]
             n_face, gf = n_face[keep], gf[keep]
             shift, peak = [shift[j] for j in keep], [peak[j] for j in keep]
         if face:
             points, betas, lams, errors = _halfspace_dual_rows(*rows_of(face), n_face, gf, True,
-                                                               peak)
+                                                               peak, _at(widths, face))
             kept = []
             for i, (r, beta, lam, sh) in enumerate(zip(face, betas, lams, shift)):
                 # A failed face search (no point of the face meets the cut),
@@ -937,7 +1002,8 @@ def _halfspace_rows(x, normal, gap, ub, budget):
     if plain:
         plain.sort()
         points, _, _, errors = _halfspace_dual_rows(*rows_of(plain), _take(normal, plain),
-                                                    _take(gap, plain), False)
+                                                    _take(gap, plain), False, None,
+                                                    _at(widths, plain))
         if errors:
             raise errors[min(errors)]
         if len(plain) == m:

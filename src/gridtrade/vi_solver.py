@@ -77,10 +77,6 @@ class PseudoGradient:
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return x - self.surpluses - self.prices
 
-    def mu(self, x: np.ndarray) -> np.ndarray:
-        """Slack values surpluses - x + prices (= -F(x))."""
-        return self.surpluses - x + self.prices
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -242,11 +238,12 @@ def _compensation(anchor, active, ub):
     return plan
 
 
-def _residual_rows(x, anchor, compensation):
+def _residual_rows(x, anchor, compensation, widths=None):
     """natural_residual over rows: per row of x, the projected point r (the
     row of `anchor`, compensated where `compensation`, its _compensation,
     says) and the norm ||x - r||, each rounded as natural_residual rounds
-    it."""
+    it. A row's norm is taken over its own width (see projection): a dot
+    product's blocking depends on the length."""
     r = anchor
     at = [i for i, c in enumerate(compensation) if c is not None]
     if at:
@@ -269,12 +266,17 @@ def _residual_rows(x, anchor, compensation):
                     if e <= 0.0:
                         break
     d = x - r
+    if widths is not None:
+        d = [row[:w] for row, w in zip(d, widths)]
     return r, [math.sqrt(row.dot(row)) for row in d]
 
 
-def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=None):
+def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, widths=None,
+                   lone=None):
     """The extragradient iteration over rows of independent problems
     F_r(x) = x - s_r - p_r on their box-plus-budget sets, in lockstep.
+    widths gives each row's size, its pads having bounds [0, 0] (see
+    projection); when rows leave, the batch is cut to its widest live row.
 
     Row r starts from x[r]; anchor[r] is the projection of s_r + p_r and
     lam[r] its budget multiplier. Each row takes its own Armijo step and
@@ -292,7 +294,7 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=Non
     otherwise they are built from the row when it is first alone.
     """
     rows = np.arange(len(x))
-    final = np.empty_like(x)
+    final = np.zeros_like(x)
     stops = ["max_iterations"] * len(x)
     budget, lam = list(budget), list(lam)
     plan = _compensation(anchor, [v > 0.0 for v in lam], ub)
@@ -306,11 +308,27 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=Non
     def leave(sel, reason):
         """Record the rows at positions sel as stopped and return the
         positions that stay."""
-        final[rows[sel]] = x[sel]
+        final[rows[sel], :x.shape[1]] = x[sel]
         for r in rows[sel]:
             stops[r] = reason
         gone = set(sel)
         return [j for j in range(len(rows)) if j not in gone]
+
+    def narrow(kept):
+        """The columns of the widest row at positions kept; widths and the
+        compensation plans follow those rows."""
+        nonlocal widths, plan
+        plan = [plan[j] for j in kept]
+        if widths is None:
+            return slice(None)
+        widths = [widths[j] for j in kept]
+        top = max(widths)
+        if min(widths) == top:
+            widths = None
+        if top == x.shape[1]:
+            return slice(None)
+        plan = [c and (c[0], c[1][:top]) for c in plan]
+        return slice(top)
 
     tol, gamma, shrink, delta = cfg.residual_tol, cfg.gamma, cfg.beta, cfg.delta
     for iteration in range(1, cfg.max_iterations + 1):
@@ -319,7 +337,7 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=Non
             r, v = natural_residual(x[0], *lone, plan)
             r, res = r[None], [v]
         else:
-            r, res = _residual_rows(x, anchor, plan)
+            r, res = _residual_rows(x, anchor, plan, widths)
         mu = s - x + p
         done = [j for j, v in enumerate(res) if v <= tol]
         if done:
@@ -329,9 +347,10 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=Non
             kept = leave(done, "residual")
             if not kept:
                 break
-            rows, x, s, p, ub, anchor, r, mu = (
-                a[kept] for a in (rows, x, s, p, ub, anchor, r, mu))
-            res, budget, lam, plan = ([a[j] for j in kept] for a in (res, budget, lam, plan))
+            cols = narrow(kept)
+            rows = rows[kept]
+            x, s, p, ub, anchor, r, mu = (a[kept, cols] for a in (x, s, p, ub, anchor, r, mu))
+            res, budget, lam = ([a[j] for j in kept] for a in (res, budget, lam))
 
         d = x - r
         t = [gamma] * len(x)
@@ -367,9 +386,10 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=Non
             kept = leave([j for j, v in enumerate(halt) if v], "caller")
             if not kept:
                 break
-            rows, x, s, p, ub, anchor, fz, td = (
-                a[kept] for a in (rows, x, s, p, ub, anchor, fz, td))
-            budget, lam, plan = ([a[j] for j in kept] for a in (budget, lam, plan))
+            cols = narrow(kept)
+            rows = rows[kept]
+            x, s, p, ub, anchor, fz, td = (a[kept, cols] for a in (x, s, p, ub, anchor, fz, td))
+            budget, lam = ([a[j] for j in kept] for a in (budget, lam))
         if iteration == cfg.max_iterations:
             leave(list(range(len(rows))), "max_iterations")
             break
@@ -378,5 +398,5 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, lone=Non
             raise ValueError("cannot project with a non-finite normal")
         # x - z equals t*d analytically; passing it keeps the halfspace gap
         # resolvable when d is small.
-        x = _halfspace_rows(x, fz, td, ub, budget)
+        x = _halfspace_rows(x, fz, td, ub, budget, widths)
     return final, stops

@@ -245,8 +245,61 @@ class TestSweepCsvPins:
 
 
 class TestLockstepSweep:
-    """A sweep plays each n's runs as one batch; a run's figures do not
-    depend on the batch, and a failing run is named."""
+    """A sweep plays every (n, run) of its experiment as one batch; a run's
+    figures do not depend on the batch, and a failing run is named."""
+
+    def test_one_batch_per_experiment(self, tmp_path, monkeypatch):
+        batches = []
+        real = cli.run_games
+
+        def counted(scenarios):
+            batches.append([sc.n_users for sc in scenarios])
+            return real(scenarios)
+
+        monkeypatch.setattr(cli, "run_games", counted)
+        run_experiment(small_cfg(tmp_path, n_values=[4, 2, 6], runs=2))
+        assert batches == [[4, 4, 2, 2, 6, 6]]
+
+    @pytest.mark.parametrize("error", [ProjectionError, ArmijoSearchError])
+    def test_failing_run_at_a_later_n_is_named(self, tmp_path, capsys, monkeypatch, error):
+        # the batch holds every run at n 4 and 6, so it raises; of the runs
+        # played alone, only (n=6, run=1) does
+        import gridtrade.engine as engine
+
+        cfg = small_cfg(tmp_path, preset="fig2_utility_vs_n", n_values=[4, 6], runs=3)
+        bad = sample_scenario(cfg, 6, 1).seed
+        real = engine._follower_stage
+        batches = []
+
+        def failing(scenarios, *args, **kwargs):
+            batches.append(len(scenarios))
+            if any(sc.seed == bad for sc in scenarios):
+                raise error("no progress")
+            return real(scenarios, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "_follower_stage", failing)
+        with pytest.raises(error, match=r"run \(n=6, run=1\): no progress"):
+            cli._sweep(cfg)
+        assert batches[0] == 6
+        out = tmp_path / "out"
+        assert main(["simulate", "--preset", "fig2_utility_vs_n", "--n-values", "4,6",
+                     "--runs", "3", "--dump-per-run", "--out", str(out)]) == 2
+        assert "(n=6, run=1): no progress" in one_line_error(capsys)
+        assert not out.exists()
+
+    def test_run_at_a_later_n_that_does_not_converge_exits_two(self, tmp_path, capsys,
+                                                                monkeypatch):
+        # the batch raises nothing; run 1 at the second n, the batch's fifth
+        # game, comes back unconverged
+        real = cli.run_games
+        monkeypatch.setattr(cli, "run_games", lambda scenarios: [
+            replace(o, converged=False) if i == 4 else o
+            for i, o in enumerate(real(scenarios))])
+        out = tmp_path / "out"
+        assert main(["simulate", "--preset", "fig2_utility_vs_n", "--n-values", "4,6",
+                     "--runs", "3", "--dump-per-run", "--out", str(out)]) == 2
+        assert one_line_error(capsys) == "run (n=6, run=1) did not converge\n"
+        assert not out.exists()
 
     def test_fewer_runs_give_the_leading_rows(self, tmp_path):
         def rows(runs):

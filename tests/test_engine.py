@@ -295,8 +295,8 @@ def assert_figures(result, scenario):
 
 
 class TestRunGames:
-    """run_games plays same-size games in lockstep; each game's outcome does
-    not depend on which games share its batch."""
+    """run_games plays games of any sizes in lockstep; each game's outcome
+    does not depend on which games share its batch."""
 
     def test_batch_matches_each_game_alone_in_either_order(self):
         scenarios = fig_scenarios("fig2_utility_vs_n", 5, 10)
@@ -439,9 +439,22 @@ class TestRunGames:
 
     def test_empty_batch_and_mixed_sizes(self):
         assert engine.run_games([]) == []
-        with pytest.raises(ValueError, match="one network size"):
-            engine.run_games(fig_scenarios("fig2_utility_vs_n", 5, 1)
-                             + fig_scenarios("fig2_utility_vs_n", 6, 1))
+        scenarios = (fig_scenarios("fig2_utility_vs_n", 5, 1)
+                     + fig_scenarios("fig2_utility_vs_n", 6, 1))
+        for outcome, scenario in zip(engine.run_games(scenarios), scenarios):
+            assert_same_game(outcome, run_stackelberg(scenario))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["fig2_utility_vs_n", "fig3_cost_vs_n"]),
+                              st.integers(1, 30), st.integers(0, 2)),
+                    min_size=2, max_size=10, unique=True))
+    def test_mixed_sizes_match_each_game_alone(self, keys):
+        # Each game's row is padded to the widest game, and the batch is cut
+        # as games leave it; neither may move a bit of any game.
+        scenarios = [sample_scenario(build_config({}, {"preset": preset, "seed": 1}), n, run)
+                     for preset, n, run in keys]
+        for outcome, scenario in zip(engine.run_games(scenarios), scenarios):
+            assert_same_game(outcome, run_stackelberg(scenario))
 
     def test_invalid_scenario_in_a_batch_raises(self):
         bad = make_scenario([10.0, 20.0], deficiency=-1.0)
@@ -474,17 +487,22 @@ class TestReplayedStage:
     """A game whose optimized price row has the bytes of its uniform row
     replays stage 1 as its stage 2, not solving it again."""
 
-    @pytest.mark.parametrize("batched", [False, True], ids=["alone", "batched"])
-    def test_24_game_transcripts_match_their_pinned_hash(self, batched):
-        # n 1, 25, 40 and 500 replay stage 1
+    @pytest.mark.parametrize("batch", ["alone", "batched", "mixed"])
+    def test_24_game_transcripts_match_their_pinned_hash(self, batch):
+        # n 1, 25, 40 and 500 replay stage 1. Batched, the two runs at each
+        # n share one batch; mixed, all 24 games of sizes 1 to 500 do.
+        groups = [fig_scenarios(preset, n, 2, seed=41)
+                  for preset in ("fig2_utility_vs_n", "fig3_cost_vs_n")
+                  for n in (1, 3, 5, 25, 40, 500)]
+        if batch == "alone":
+            outcomes = [run_stackelberg(sc) for group in groups for sc in group]
+        elif batch == "batched":
+            outcomes = [o for group in groups for o in engine.run_games(group)]
+        else:
+            outcomes = engine.run_games([sc for group in groups for sc in group])
         digest = hashlib.sha256()
-        for preset in ("fig2_utility_vs_n", "fig3_cost_vs_n"):
-            for n in (1, 3, 5, 25, 40, 500):
-                scenarios = fig_scenarios(preset, n, 2, seed=41)
-                outcomes = (engine.run_games(scenarios) if batched
-                            else [run_stackelberg(sc) for sc in scenarios])
-                for outcome in outcomes:
-                    digest.update(outcome.log.to_jsonl().encode())
+        for outcome in outcomes:
+            digest.update(outcome.log.to_jsonl().encode())
         assert digest.hexdigest() == TRANSCRIPTS_24_SHA256
 
     @pytest.mark.parametrize("preset, raised, solved_runs", [

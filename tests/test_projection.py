@@ -669,12 +669,15 @@ class TestLoneSearchExits:
 
     def test_cap_spent_at_beta_zero_takes_no_step(self, monkeypatch):
         # x lies above its budget, so the probe at beta = 0 spends the one
-        # evaluation allowed, and no row takes a first step.
+        # evaluation allowed: the row's first pick records the error, no row
+        # takes a first step, and _bracket returns before its probe loop.
         monkeypatch.setattr(projection, "_MAX_EVALS", 1)
+        calls = count_evaluations(monkeypatch)
         x, fs = np.array([1.0, 2.0, 0.75]), FeasibleSet(np.full(3, 4.0), 3.5)
         with pytest.raises(ProjectionError,
                            match="^no halfspace dual bracket within 1 evaluations$"):
             self.project(x, np.array([1.0, 2.0, 3.0]), np.array([0.5, 0.25, 0.0]), fs)
+        assert calls == [0.0]
 
     def test_newton_step_of_a_lone_row_centers_where_the_budget_binds(self):
         # The slope is unknown (nan), so it is summed over the free
@@ -690,6 +693,15 @@ class TestLoneSearchExits:
 
 def stacked(values):
     return np.array(list(values))
+
+
+def padded(rows):
+    """The 1-D arrays rows as the rows of one array, each padded with zeros
+    to the longest."""
+    out = np.zeros((len(rows), max(map(len, rows))))
+    for i, row in enumerate(rows):
+        out[i, :len(row)] = row
+    return out
 
 
 def halfspace_rows(batch):
@@ -777,6 +789,69 @@ class TestRowCores:
             return
         for point, want in zip(halfspace_rows(batch), alone):
             assert point.tobytes() == want.tobytes()
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.data())
+    def test_padded_rows_match_each_row_alone(self, data):
+        # Rows of different sizes, each padded with zero bounds to the
+        # widest: every row keeps the bytes it gets alone, and pads stay 0.
+        batch = data.draw(st.lists(st.integers(1, 12).flatmap(halfspace_instances),
+                                   min_size=2, max_size=5))
+        widths = [len(b[0]) for b in batch]
+        try:
+            alone = [project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
+                     for x, normal, offset, gap, fs in batch]
+            boxes = [project_box_budget(x + gap, fs) for x, _, _, gap, fs in batch]
+        except ProjectionError:
+            return
+        x, normal, gap = (padded([b[k] for b in batch]) for k in (0, 1, 3))
+        ub = padded([b[4].upper_bounds for b in batch])
+        budget = [b[4].budget for b in batch]
+        points = projection._halfspace_rows(x, normal, gap, ub, budget, widths)
+        box, lams, _ = projection._box_budget_rows(x + gap, ub, budget, widths)
+        for k, row, want, box_row, lam, box_want in zip(widths, points, alone, box, lams, boxes):
+            assert row[:k].tobytes() == want.tobytes() and not row[k:].any()
+            assert box_row[:k].tobytes() == box_want.point.tobytes() and not box_row[k:].any()
+            assert lam == box_want.multiplier
+
+    def test_padded_rows_with_nearly_flat_normals(self):
+        # On the budget face a normal within a few ulps of a pure budget
+        # direction is centered to (nearly) zero, and the flat-normal test
+        # decides the path. A pad must not enter that test: centering would
+        # move it to -shift, which is far from flat.
+        rng = np.random.default_rng(0)
+        for _ in range(300):
+            k = int(rng.integers(2, 9))
+            ub = rng.uniform(1.0, 3.0, k)
+            x = ub * rng.uniform(0.2, 0.8, k)
+            tilt = rng.choice([0.0, 1e-16, 4e-16, 1e-15, 1e-12], k)
+            normal = -rng.uniform(0.5, 2.0) * (1.0 + tilt)
+            gap = np.zeros(k)
+            gap[0] = rng.uniform(0.0, 1e-3)
+            gap[1] = -gap[0]
+            instance = (x, normal, x - gap, gap, FeasibleSet(ub, float(x.sum())))
+            full = (np.full(k + 2, 0.5), -np.ones(k + 2), None, np.zeros(k + 2),
+                    FeasibleSet(np.ones(k + 2), 0.5 * (k + 2)))
+            want = project_halfspace_then_set(*instance[:3], instance[4], offset_gap=gap)
+            xs, ns, gaps = (padded([instance[j], full[j]]) for j in (0, 1, 3))
+            ubs = padded([instance[4].upper_bounds, full[4].upper_bounds])
+            point = projection._halfspace_rows(xs, ns, gaps, ubs,
+                                               [instance[4].budget, full[4].budget], [k, k + 2])[0]
+            assert point[:k].tobytes() == want.tobytes() and not point[k:].any()
+
+    def test_rows_that_take_no_first_step_leave_the_search(self, monkeypatch):
+        # With one evaluation allowed, the row over its budget spends it at
+        # beta = 0 and fails at its first pick, while the row inside its
+        # set takes its first step alone: the search goes on without it.
+        monkeypatch.setattr(projection, "_MAX_EVALS", 1)
+        over = (np.array([1.0, 2.0, 0.75]), np.array([1.0, 2.0, 3.0]), None,
+                np.array([0.5, 0.25, 0.0]), FeasibleSet(np.full(3, 4.0), 3.5))
+        seen = record_row_probes(monkeypatch)
+        with pytest.raises(ProjectionError,
+                           match="^no halfspace dual bracket within 1 evaluations$"):
+            halfspace_rows([over, THREE_PROBES[:2] + (None,) + THREE_PROBES[2:]])
+        first = seen[THREE_PROBES[0].tobytes()]
+        assert seen[over[0].tobytes()] == [0.0] and len(first) == 1 and first[0] > 0.0
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())

@@ -260,7 +260,7 @@ class TestSolveVe:
             binding = abs(x.sum() - fset.budget) <= 1e-9
             if binding and interior.all() and x.size >= 2:
                 found += 1
-                mu = F.mu(x)
+                mu = -F(x)
                 assert mu.max() - mu.min() <= 1e-6
         assert found >= 10
 
@@ -270,12 +270,12 @@ class TestSolveVe:
         F = PseudoGradient(np.array([3.0, 50.0]), np.array([1.0, 2.0]))
         x = ve_closed_form(F, fset)
         assert x[0] == pytest.approx(3.0, abs=1e-12)
-        mu = F.mu(x)
+        mu = -F(x)
         assert mu[0] == pytest.approx(1.0, abs=1e-9)
 
     def test_mu_of_zero_vector(self):
         F, _ = running_example()
-        assert np.array_equal(F.mu(np.zeros(2)), [4.0, 6.0])
+        assert np.array_equal(-F(np.zeros(2)), [4.0, 6.0])
 
 
 class TestTrace:
