@@ -6,7 +6,6 @@ from .model import (
     FeasibleSet,
     GridParams,
     Scenario,
-    eu_utility,
     grid_cost,
     joint_utility,
     validate_scenario,
@@ -26,14 +25,19 @@ from .price_opt import InfeasiblePriceBudget, PriceSolution, optimize_prices
 from .engine import (
     GameOutcome,
     MessageLog,
-    NSEReport,
     ScenarioValidationError,
-    check_nse,
     run_fit,
     run_games,
     run_stackelberg,
 )
-from .oracle import OracleReport, price_grid_oracle, social_optimality_audit, ve_oracle
+from .oracle import (
+    NSEReport,
+    OracleReport,
+    check_nse,
+    price_grid_oracle,
+    social_optimality_audit,
+    ve_oracle,
+)
 from .cli import ExperimentConfig, run_experiment, sample_scenario
 
 __version__ = "0.1.0"

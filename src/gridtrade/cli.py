@@ -26,9 +26,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .engine import _fit_rows, check_nse, run_games, run_stackelberg
+from .engine import _fit_rows, run_games, run_stackelberg
 from .model import EnergyUser, FeasibleSet, GridParams, Scenario, validate_scenario
-from .oracle import social_optimality_audit, ve_oracle
+from .oracle import check_nse, social_optimality_audit, ve_oracle
 from .projection import ProjectionError
 from .vi_solver import ArmijoSearchError, PseudoGradient, solve_ve
 
@@ -143,8 +143,9 @@ def sample_scenario(cfg: ExperimentConfig, n: int, run_index: int) -> Scenario:
     """Draw one scenario from the (seed, n, run_index)-keyed generator.
 
     When n * p_min exceeds the price budget the floor is relaxed to
-    total_price / n (logged), keeping the price slice nonempty. The stored
-    scenario seed packs the key as seed*10**6 + n*10**3 + run_index.
+    total_price / n, stepped down until it fits (_relaxed_p_min; logged),
+    keeping the price slice nonempty. The stored scenario seed packs the
+    key as seed*10**6 + n*10**3 + run_index.
     """
     rng = np.random.default_rng([cfg.seed, n, run_index])
     low, high = cfg.surplus_range
@@ -157,7 +158,7 @@ def sample_scenario(cfg: ExperimentConfig, n: int, run_index: int) -> Scenario:
                              f"({deficiency}) for surpluses summing to {surpluses.sum()}")
     p_min = cfg.p_min
     if n * p_min > cfg.total_price:
-        p_min = cfg.total_price / n
+        p_min = _relaxed_p_min(cfg.total_price, n)
         key = (cfg.p_min, n, cfg.total_price)
         if key not in _warned_relaxations:
             _warned_relaxations.add(key)
@@ -178,6 +179,14 @@ def sample_scenario(cfg: ExperimentConfig, n: int, run_index: int) -> Scenario:
         cost_const=np.full(n, cfg.cost_const),
     )
     return Scenario(users=users, grid=grid, seed=cfg.seed * 10**6 + n * 10**3 + run_index)
+
+
+def _relaxed_p_min(total_price: float, n: int) -> float:
+    """total_price / n, less an ulp while n times it exceeds total_price."""
+    p_min = total_price / n
+    while n * p_min > total_price:
+        p_min = math.nextafter(p_min, 0.0)
+    return p_min
 
 
 @functools.cache
@@ -290,21 +299,31 @@ def _payments(results) -> list[float]:
 
 def _play(scenarios, keys):
     """run_games over the scenarios, keys holding each one's (n, run). A
-    solver error is raised again from the first run that raises it when
-    played alone, naming that run. A sum that overflows the float range is
-    invalid input: a ValueError naming the run and the fields that scale
-    it."""
+    solver error is raised again from the run that raises it when played
+    alone, naming that run, or as it came if that run plays alone without
+    one. A sum that overflows the float range is invalid input: a
+    ValueError naming the run and the fields that scale it."""
     try:
         return run_games(scenarios)
     except (ProjectionError, ArmijoSearchError, OverflowError):
-        for (n, run), scenario in zip(keys, scenarios):
+        # A game plays the same whichever games share its batch, so one half
+        # of a failed batch fails: the first if it fails as a batch of its
+        # own, else the second. Bisection ends on one run, played alone.
+        while len(scenarios) > 1:
+            half = len(scenarios) // 2
             try:
-                run_stackelberg(scenario)
-            except (ProjectionError, ArmijoSearchError) as exc:
-                raise type(exc)(f"run (n={n}, run={run}): {exc}") from exc
-            except OverflowError as exc:
-                raise ValueError(f"run (n={n}, run={run}): its sums overflow the float range "
-                                 f"({exc}); surplus_range or total_price is too large") from exc
+                run_games(scenarios[:half])
+                scenarios, keys = scenarios[half:], keys[half:]
+            except (ProjectionError, ArmijoSearchError, OverflowError):
+                scenarios, keys = scenarios[:half], keys[:half]
+        (n, run), = keys
+        try:
+            run_stackelberg(scenarios[0])
+        except (ProjectionError, ArmijoSearchError) as exc:
+            raise type(exc)(f"run (n={n}, run={run}): {exc}") from exc
+        except OverflowError as exc:
+            raise ValueError(f"run (n={n}, run={run}): its sums overflow the float range "
+                             f"({exc}); surplus_range or total_price is too large") from exc
         raise
 
 

@@ -135,22 +135,6 @@ class EquilibriumResult:
             object.__setattr__(self, name, _as_float_array(getattr(self, name), name))
 
 
-def eu_utility(x: float, surplus: float, price: float) -> float:
-    """Seller utility E*x - x**2/2 + p*x, evaluated raw (no clamping).
-
-    Rejects negative or non-finite trade amounts; the surplus must be a
-    positive finite number.
-    """
-    for name, v in (("x", x), ("surplus", surplus), ("price", price)):
-        if not math.isfinite(v):
-            raise ValueError(f"{name} must be finite, got {v}")
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
-    if surplus <= 0.0:
-        raise ValueError(f"surplus must be positive, got {surplus}")
-    return surplus * x - 0.5 * x * x + price * x
-
-
 def joint_utility(x, scenario: Scenario, p) -> float:
     """Sum of per-user utilities at allocation x and price vector p."""
     x = _as_float_array(x, "x")

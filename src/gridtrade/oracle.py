@@ -1,11 +1,15 @@
 """Independent verifiers for the follower equilibrium and the leader prices.
 
-Used only by tests and acceptance audits, never by the production path.
+Used only by `gridtrade verify`, the tests and the acceptance audits, never
+by the game itself: no module that plays the game imports this one.
 `ve_oracle` maximizes the joint seller utility directly by projected
 gradient ascent, sharing nothing with the extragradient solver except the
 projection primitive (which is itself grid-verified for small N).
-`price_grid_oracle` searches a lattice of the price slice exhaustively.
-`halfspace_projection_oracle` bisects the halfspace dual over the box projection.
+`social_optimality_audit` samples feasible allocations against a follower
+equilibrium. `check_nse` samples unilateral deviations of both sides of a
+played game (the Nash-Stackelberg audit). `price_grid_oracle` searches a
+lattice of the price slice exhaustively. `halfspace_projection_oracle`
+bisects the halfspace dual over the box projection.
 """
 
 from __future__ import annotations
@@ -15,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FeasibleSet, GridParams, Scenario, joint_utility
-from .price_opt import InfeasiblePriceBudget, PriceSolution, _solution
-from .projection import project_box_budget
+from .engine import GameOutcome
+from .model import FeasibleSet, GridParams, Scenario, grid_cost, joint_utility
+from .price_opt import InfeasiblePriceBudget, PriceSolution, _price_rows, _solution
+from .projection import _any, project_box_budget
 
 
 @dataclass(frozen=True)
@@ -159,3 +164,92 @@ def price_grid_oracle(x, grid: GridParams, resolution: float) -> PriceSolution:
     if best is None:
         raise InfeasiblePriceBudget("no lattice point satisfies the price constraints")
     return _solution(best, float("nan"), x, grid)
+
+
+@dataclass(frozen=True)
+class NSEReport:
+    """Unilateral-deviation audit of a converged outcome."""
+
+    follower_trials: int
+    follower_violations: int
+    max_follower_improvement: float
+    leader_trials: int
+    leader_violations: int
+    max_leader_improvement: float
+    tolerance: float
+
+    @property
+    def clean(self) -> bool:
+        return self.follower_violations == 0 and self.leader_violations == 0
+
+
+def check_nse(outcome: GameOutcome, scenario: Scenario, trials: int,
+              seed: int = 0, tol: float = 1e-6) -> NSEReport:
+    """Sample unilateral deviations on both sides of a converged outcome.
+
+    Follower side: random single-seller energy deviations, others fixed at
+    the stage-2 allocation, respecting the shared budget; the joint utility
+    must never improve beyond tol. Leader side: random price vectors on the
+    budget slice, costed against the energies the prices were optimized for
+    (the stage-1 offers); the optimized prices must stay within tol of the
+    best sample.
+
+    Leader samples are uniform draws from the slice's simplex, each draw
+    above p_max projected onto the slice (see _leader_prices), so every
+    valid scenario is audited, up to total_price = n*p_max.
+    """
+    if not outcome.converged or outcome.stage2 is None:
+        raise ValueError("check_nse requires a converged outcome")
+    rng = np.random.default_rng([seed, scenario.seed])
+    grid = scenario.grid
+    surpluses = scenario.surpluses
+    n = scenario.n_users
+
+    x2 = outcome.stage2.energies
+    p2 = outcome.stage2.prices
+    budget_slack = grid.deficiency - float(x2.sum())
+
+    idx = rng.integers(0, n, size=trials)
+    caps = np.minimum(surpluses[idx], x2[idx] + max(budget_slack, 0.0))
+    x_dev = rng.random(trials) * caps
+    c = surpluses + p2
+    gains = (c[idx] * x_dev - 0.5 * x_dev * x_dev) - (c[idx] * x2[idx] - 0.5 * x2[idx] * x2[idx])
+    follower_viol = int((gains > tol).sum())
+    max_follower = float(gains.max()) if trials else 0.0
+
+    x_off = outcome.stage1.energies
+    prices = _leader_prices(rng, grid, trials)
+    base_cost = grid_cost(p2, x_off, grid)
+    costs = (x_off * prices ** 2 + grid.cost_linear * prices + grid.cost_const).sum(axis=1)
+    improvements = base_cost - costs
+    leader_viol = int((improvements > tol).sum())
+    max_leader = float(improvements.max()) if trials else 0.0
+
+    return NSEReport(
+        follower_trials=trials,
+        follower_violations=follower_viol,
+        max_follower_improvement=max_follower,
+        leader_trials=trials,
+        leader_violations=leader_viol,
+        max_leader_improvement=max_leader,
+        tolerance=tol,
+    )
+
+
+def _leader_prices(rng, grid, trials) -> np.ndarray:
+    """`trials` price vectors on the slice {sum p = total_price, p_min <= p <= p_max}.
+
+    Each row is a uniform draw from the slice's simplex. A row above p_max
+    is replaced by its Euclidean projection onto the slice, the minimizer
+    of sum(p**2 - 2*v*p): the grid's price problem at unit energies, solved
+    for all such rows in one batch.
+    """
+    n = grid.cost_linear.size
+    span = grid.total_price - n * grid.p_min
+    prices = rng.dirichlet(np.ones(n), size=trials) * span + grid.p_min
+    over = np.flatnonzero(_any(prices > grid.p_max, axis=1))
+    if over.size:
+        k = over.size
+        prices[over] = _price_rows(np.ones((k, n)), -2.0 * prices[over], [grid.p_min] * k,
+                                   [grid.p_max] * k, [grid.total_price] * k)[0]
+    return prices

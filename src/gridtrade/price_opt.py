@@ -23,9 +23,9 @@ exactly representable (fig3 at n=500 relaxes p_min to 175/500).
 
 _price_rows prices a batch of independent rows, each with its own energies,
 costs, bounds and target, in one breakpoint search: the engine prices every
-live game of a stage at once, and check_nse projects its price draws the
-same way. optimize_prices is _price_rows on a batch of one, and each row of
-a batch gets the bits it gets alone.
+live game of a stage at once, and oracle.check_nse projects its price draws
+the same way. optimize_prices is _price_rows on a batch of one, and each row
+of a batch gets the bits it gets alone.
 """
 
 from __future__ import annotations

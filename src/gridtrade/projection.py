@@ -146,11 +146,12 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 #
 # The public projections above are these cores on a batch of one, behind
 # their input checks, and vi_solver's loop projects every batch size with
-# _halfspace_rows. The only choice made by batch size is the halfspace
+# _halfspace_rows. The main choice made by batch size is the halfspace
 # dual's probe: a lone row takes _move_path, which assembles its moves on
 # one vector, and several rows take _move_path_rows, which on a lone row
 # gives the same bytes but makes follower_tight's solves take 46% longer
-# (in process, seed 211).
+# (in process, seed 211). _newton_steps, _masked_rows and _counted_rows
+# also have a branch of their own for a lone row.
 #
 # The rows of a batch may be of different sizes. `widths` then gives each
 # row's size, its problem being its leading widths[r] components; the rest
@@ -893,7 +894,7 @@ def _halfspace_dual_rows(x, ub, budget, sum_x, n, gap, face_mode, n_max=None, wi
     # x >= ub); the components free of both move first. Each row's least
     # distance to its bounds also says whether x is in its box.
     lower, upper, low = x <= 0.0, hi_b <= 0.0, np.minimum(x, hi_b)
-    # The probe is the one part chosen by batch size (see the note above).
+    # The probe is chosen by batch size (see the note above).
     probe, seed_slope = _move_path(
         x, n, hi_b, (lower, upper), budget, sum_x, face_mode, g_lin, n_max) if m == 1 else \
         _move_path_rows(x, n, hi_b, (lower, upper), budget, sum_x, face_mode, g_lin, n_max,

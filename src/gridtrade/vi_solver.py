@@ -31,10 +31,9 @@ one finiteness test of the round's normals. A lone row (a lone problem, or
 a batch's last live row) forms its residual through the public
 `natural_residual`, which checks the iterate and is `_residual_rows` on a
 batch of one, so the bench counts a lone solve's rounds by its calls. The
-halfspace dual's probe is the one part chosen by batch size (see
-`projection`). With the rest on the row code, a lone problem's solve takes
-about 1.5% less time than with the separate one-vector projection and
-residual that code replaced (`follower_tight`, seed 211, in process).
+other parts chosen by batch size give a lone row the row code's bytes
+faster: the halfspace dual's probe (`_move_path`, see `projection`), and
+the one-row branches of `_newton_steps`, `_masked_rows` and `_counted_rows`.
 """
 
 from __future__ import annotations
@@ -177,41 +176,33 @@ def ve_closed_form(F: PseudoGradient, fset: FeasibleSet) -> np.ndarray:
     return project_box_budget(F.surpluses + F.prices, fset).point
 
 
-def solve_ve(F: PseudoGradient, fset: FeasibleSet, cfg: SolverConfig | None = None,
-             x0=None, on_iteration=None) -> tuple[np.ndarray, SolverTrace]:
-    """Run the extragradient iteration from x0 (default: the zero vector,
-    feasible because a FeasibleSet has ub > 0 and budget > 0).
+def solve_ve(F: PseudoGradient, fset: FeasibleSet,
+             cfg: SolverConfig | None = None) -> tuple[np.ndarray, SolverTrace]:
+    """Run the extragradient iteration from the zero vector (feasible
+    because a FeasibleSet has ub > 0 and budget > 0).
 
     Per iteration: compute r(x) and stop if the natural residual is within
     tolerance; otherwise backtrack for the largest step t = gamma * beta**m
     whose trial point z = x - t*(x - r) satisfies
     <F(z), x - r> >= delta * ||x - r||**2, then project x onto X intersected
     with {w : <F(z), w - z> <= 0}. This is _extragradient on a batch of one.
-
-    `on_iteration(record, residual_converged)` is invoked once per iteration
-    when given; returning True halts the solve after that record (used by the
-    round-based game driver). Non-convergence after max_iterations is
-    reported through trace.stop_reason, never raised.
+    Non-convergence after max_iterations is reported through
+    trace.stop_reason, never raised.
     """
     if cfg is None:
         cfg = SolverConfig()
-    x = np.zeros(fset.dim) if x0 is None else np.asarray(x0, dtype=float)
-    if x0 is not None and not fset.contains(x, tol=1e-9):
-        raise ValueError("initial iterate is not feasible")
-
     anchor = project_box_budget(F.surpluses + F.prices, fset)
     trace = SolverTrace()
 
     def record(iteration, rows, x, res, steps, z, mu, done):
         # z is x on the residual stop, else the accepted trial point.
         x, t = x[0], 0.0 if done else steps[0]
-        rec = IterationRecord(iteration, x, res[0], t, x if done else z[0], mu[0])
-        trace.records.append(rec)
-        return [on_iteration is not None and on_iteration(rec, done)]
+        trace.records.append(IterationRecord(iteration, x, res[0], t, x if done else z[0], mu[0]))
+        return [False]
 
-    final, stops = _extragradient(x[None], F.surpluses[None], F.prices[None],
+    final, stops = _extragradient(np.zeros((1, fset.dim)), F.surpluses[None], F.prices[None],
                                   fset.upper_bounds[None], [fset.budget], anchor.point[None],
-                                  [anchor.multiplier], cfg, record, lone=(F, fset, anchor))
+                                  [anchor.multiplier], cfg, record)
     trace.stop_reason = stops[0]
     # A copy, not a view that keeps the (1, n) batch alive.
     return final[0].copy(), trace
@@ -271,8 +262,7 @@ def _residual_rows(x, anchor, compensation, widths=None):
     return r, [math.sqrt(row.dot(row)) for row in d]
 
 
-def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, widths=None,
-                   lone=None):
+def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, widths=None):
     """The extragradient iteration over rows of independent problems
     F_r(x) = x - s_r - p_r on their box-plus-budget sets, in lockstep.
     widths gives each row's size, its pads having bounds [0, 0] (see
@@ -289,21 +279,15 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, widths=N
     row's final iterate and stop reason (`residual`, `caller` or
     `max_iterations`). A row's path does not depend on the rows beside it.
     A lone row (alone from the start or the last one left) forms its
-    residual with natural_residual, which rounds as _residual_rows; a batch
-    of one may pass its (operator, set, anchor projection) as `lone`,
-    otherwise they are built from the row when it is first alone.
+    residual with natural_residual, which rounds as _residual_rows, from its
+    (operator, set, anchor projection), built when the row is first alone.
     """
     rows = np.arange(len(x))
+    lone = None
     final = np.zeros_like(x)
     stops = ["max_iterations"] * len(x)
     budget, lam = list(budget), list(lam)
     plan = _compensation(anchor, [v > 0.0 for v in lam], ub)
-
-    def alone():
-        """The one live row as natural_residual takes it: its operator, set
-        and natural-map anchor."""
-        return (PseudoGradient(s[0], p[0]), FeasibleSet(ub[0], budget[0]),
-                ProjectionResult(anchor[0], lam[0], lam[0] > 0.0, 0))
 
     def leave(sel, reason):
         """Record the rows at positions sel as stopped and return the
@@ -333,7 +317,11 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, widths=N
     tol, gamma, shrink, delta = cfg.residual_tol, cfg.gamma, cfg.beta, cfg.delta
     for iteration in range(1, cfg.max_iterations + 1):
         if len(x) == 1:
-            lone = lone or alone()
+            if lone is None:
+                # The one live row as natural_residual takes it: its
+                # operator, set and natural-map anchor.
+                lone = (PseudoGradient(s[0], p[0]), FeasibleSet(ub[0], budget[0]),
+                        ProjectionResult(anchor[0], lam[0], lam[0] > 0.0, 0))
             r, v = natural_residual(x[0], *lone, plan)
             r, res = r[None], [v]
         else:

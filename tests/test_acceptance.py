@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from gridtrade.cli import ExperimentConfig, build_config, run_experiment, sample_scenario
-from gridtrade.engine import check_nse, run_fit, run_stackelberg
+from gridtrade.engine import run_fit, run_stackelberg
 from gridtrade.model import FeasibleSet, joint_utility
-from gridtrade.oracle import price_grid_oracle, ve_oracle
+from gridtrade.oracle import check_nse, price_grid_oracle, ve_oracle
 from gridtrade.price_opt import optimize_prices
 from gridtrade.vi_solver import PseudoGradient, SolverConfig, solve_ve, ve_closed_form
 from tests.conftest import make_scenario

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import subprocess
 import sys
@@ -68,6 +69,32 @@ class TestSampleScenario:
         assert s.grid.p_min == pytest.approx(7.0)
         assert any("relaxing p_min" in r.message for r in caplog.records)
         assert validate_scenario(s) == []
+
+    @pytest.mark.parametrize("total_price", [175.0, 100.0, 17.5, 3.0, 0.3, 1e-3])
+    def test_relaxed_floor_fits_the_budget_at_every_size(self, total_price):
+        # total_price / n can round up, so that n times it lands above the
+        # budget (n = 77 and 137 at the default 175). At every size from 1
+        # to 2000 the floor must pass validate_scenario's test, a size whose
+        # quotient fits keeps its bits, and the others step down only as far
+        # as they must; a scenario is drawn at each of those.
+        cfg = ExperimentConfig(total_price=total_price)
+        for n in range(1, 2001):
+            if n * cfg.p_min <= total_price:
+                continue
+            floor = cli._relaxed_p_min(total_price, n)
+            assert n * floor <= total_price
+            if n * (total_price / n) <= total_price:
+                assert floor == total_price / n
+            else:
+                assert floor < total_price / n
+                assert n * math.nextafter(floor, math.inf) > total_price
+                s = sample_scenario(cfg, n, 0)
+                assert s.grid.p_min == floor and validate_scenario(s) == []
+
+    def test_size_whose_quotient_rounds_up_plays(self, tmp_path):
+        assert 77 * (175.0 / 77) > 175.0
+        assert main(["simulate", "--preset", "fig2_utility_vs_n", "--n-values", "77",
+                     "--runs", "1", "--out", str(tmp_path)]) == 0
 
     def test_deficiency_rules(self):
         cfg_frac = ExperimentConfig(deficiency_rule="surplus_fraction:0.5")
@@ -286,6 +313,39 @@ class TestLockstepSweep:
                      "--runs", "3", "--dump-per-run", "--out", str(out)]) == 2
         assert "(n=6, run=1): no progress" in one_line_error(capsys)
         assert not out.exists()
+
+    def test_failing_run_is_found_in_logarithmically_many_batches(self, tmp_path,
+                                                                   monkeypatch):
+        # 64 runs, the last of which fails: bisection plays the batch, then
+        # one half per step, and only the run it ends on alone.
+        import gridtrade.engine as engine
+
+        cfg = small_cfg(tmp_path, preset="fig2_utility_vs_n", n_values=[2, 3, 4, 5], runs=16)
+        bad = sample_scenario(cfg, 5, 15).seed
+        real_stage, real_games, real_alone = (engine._follower_stage, cli.run_games,
+                                              cli.run_stackelberg)
+        batches, alone = [], []
+
+        def failing(scenarios, *args, **kwargs):
+            if any(sc.seed == bad for sc in scenarios):
+                raise ProjectionError("no progress")
+            return real_stage(scenarios, *args, **kwargs)
+
+        def counted(scenarios):
+            batches.append(len(scenarios))
+            return real_games(scenarios)
+
+        def counted_alone(scenario):
+            alone.append(scenario.seed)
+            return real_alone(scenario)
+
+        monkeypatch.setattr(engine, "_follower_stage", failing)
+        monkeypatch.setattr(cli, "run_games", counted)
+        monkeypatch.setattr(cli, "run_stackelberg", counted_alone)
+        with pytest.raises(ProjectionError, match=r"^run \(n=5, run=15\): no progress$"):
+            cli._sweep(cfg)
+        assert batches == [64, 32, 16, 8, 4, 2, 1]
+        assert alone == [bad]
 
     def test_run_at_a_later_n_that_does_not_converge_exits_two(self, tmp_path, capsys,
                                                                 monkeypatch):

@@ -13,15 +13,9 @@ from hypothesis import example, given, settings, strategies as st
 import gridtrade.engine as engine
 import gridtrade.vi_solver as vi_solver
 from gridtrade.cli import build_config, sample_scenario, scenario_from_dict
-from gridtrade.engine import (
-    MessageLog,
-    ScenarioValidationError,
-    _leader_prices,
-    check_nse,
-    run_fit,
-    run_stackelberg,
-)
+from gridtrade.engine import MessageLog, ScenarioValidationError, run_fit, run_stackelberg
 from gridtrade.model import FeasibleSet, GridParams, grid_cost
+from gridtrade.oracle import _leader_prices, check_nse
 from gridtrade.price_opt import optimize_prices
 from gridtrade.vi_solver import PseudoGradient, SolverConfig, ve_closed_form
 from tests.conftest import make_scenario, time_limit

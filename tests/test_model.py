@@ -9,7 +9,6 @@ from gridtrade.model import (
     FeasibleSet,
     GridParams,
     Scenario,
-    eu_utility,
     grid_cost,
     joint_utility,
     validate_scenario,
@@ -19,27 +18,29 @@ from tests.conftest import make_scenario
 finite = dict(allow_nan=False, allow_infinity=False)
 
 
+def seller_utility(x, surplus, price):
+    """One seller's utility E*x - x**2/2 + p*x: joint_utility of a one-seller
+    scenario."""
+    return joint_utility([x], make_scenario([surplus], 1.0), [price])
+
+
 class TestEuUtility:
+    """The utility of one energy user (EU), the game's seller."""
+
     def test_zero_trade_zero_utility(self):
-        assert eu_utility(0.0, 64.0, 35.0) == 0.0
+        assert seller_utility(0.0, 64.0, 35.0) == 0.0
 
     def test_hand_value_at_experiment_scale(self):
         # 64*100 - 100^2/2 + 35*100
-        assert eu_utility(100.0, 64.0, 35.0) == pytest.approx(4900.0, abs=1e-12)
+        assert seller_utility(100.0, 64.0, 35.0) == pytest.approx(4900.0, abs=1e-12)
 
     def test_unconstrained_maximum_at_surplus_plus_price(self):
         # single-variable calculus: the derivative E - x + p vanishes at x = E + p
-        best = eu_utility(4.0, 3.0, 1.0)
+        best = seller_utility(4.0, 3.0, 1.0)
         assert best == pytest.approx(8.0, abs=1e-12)
         for h in (1e-3, 0.1, 1.0):
-            assert eu_utility(4.0 - h, 3.0, 1.0) < best
-            assert eu_utility(4.0 + h, 3.0, 1.0) < best
-
-    @pytest.mark.parametrize("bad", [(-1.0, 3.0, 1.0), (float("nan"), 3.0, 1.0),
-                                     (1.0, 3.0, float("inf")), (1.0, -2.0, 1.0)])
-    def test_rejects_bad_inputs(self, bad):
-        with pytest.raises(ValueError):
-            eu_utility(*bad)
+            assert seller_utility(4.0 - h, 3.0, 1.0) < best
+            assert seller_utility(4.0 + h, 3.0, 1.0) < best
 
     @given(
         surplus=st.floats(0.5, 500.0, **finite),
@@ -50,8 +51,8 @@ class TestEuUtility:
     def test_strictly_concave_in_trade(self, surplus, price, x1, x2):
         if abs(x1 - x2) < 1e-6:
             return
-        mid = eu_utility(0.5 * (x1 + x2), surplus, price)
-        avg = 0.5 * (eu_utility(x1, surplus, price) + eu_utility(x2, surplus, price))
+        mid = seller_utility(0.5 * (x1 + x2), surplus, price)
+        avg = 0.5 * (seller_utility(x1, surplus, price) + seller_utility(x2, surplus, price))
         # Jensen gap is (x1 - x2)^2 / 8 exactly for unit curvature
         assert mid - avg > 0.1 * (x1 - x2) ** 2 / 8.0
 
@@ -62,9 +63,9 @@ class TestEuUtility:
         bump=st.floats(1e-3, 50.0, **finite),
     )
     def test_increasing_in_surplus_and_price(self, surplus, price, x, bump):
-        base = eu_utility(x, surplus, price)
-        assert eu_utility(x, surplus + bump, price) > base
-        assert eu_utility(x, surplus, price + bump) > base
+        base = seller_utility(x, surplus, price)
+        assert seller_utility(x, surplus + bump, price) > base
+        assert seller_utility(x, surplus, price + bump) > base
 
 
 class TestJointUtility:
@@ -94,8 +95,8 @@ class TestJointUtility:
         p = rng.uniform(8.45, 175, 8)
         x = rng.uniform(0, E)
         s = make_scenario(E, E.sum())
-        total = math.fsum(eu_utility(float(xi), float(Ei), float(pi))
-                          for xi, Ei, pi in zip(x, E, p))
+        total = math.fsum(Ei * xi - 0.5 * xi * xi + pi * xi
+                          for xi, Ei, pi in zip(x.tolist(), E.tolist(), p.tolist()))
         assert joint_utility(x, s, p) == pytest.approx(total, rel=1e-12)
 
     def test_length_mismatch(self):

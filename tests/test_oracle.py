@@ -1,6 +1,11 @@
+import ast
+import importlib
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gridtrade
 from gridtrade.model import FeasibleSet
 from gridtrade.oracle import social_optimality_audit, ve_oracle
 from gridtrade.vi_solver import PseudoGradient, ve_closed_form
@@ -66,3 +71,39 @@ class TestSocialOptimalityAudit:
         for seed in range(5):
             rep = social_optimality_audit(peak_scenario, x_star, p, samples=2000, seed=seed)
             assert rep.max_abs_gap <= 1e-6
+
+
+def imported_modules(module):
+    """Every module name a gridtrade module's import statements name,
+    relative imports resolved against the package."""
+    path = Path(importlib.import_module(f"gridtrade.{module}").__file__)
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["gridtrade" if node.level else "", node.module]))
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+class TestBoundary:
+    """The modules that play the game hold no verification code: the audits
+    live here, and nothing the game runs imports them."""
+
+    @pytest.mark.parametrize("module", ["engine", "vi_solver", "projection", "price_opt",
+                                        "model"])
+    def test_production_module_does_not_import_the_oracles(self, module):
+        names = imported_modules(module)
+        assert not {n for n in names if n == "gridtrade.oracle"
+                    or n.startswith("gridtrade.oracle.")}
+
+    def test_verify_takes_its_audits_from_the_oracles(self):
+        # `from .oracle import ...` in cli, resolved as the test above reads it
+        assert "gridtrade.oracle.check_nse" in imported_modules("cli")
+
+    def test_nse_audit_is_defined_among_the_oracles(self):
+        assert gridtrade.check_nse.__module__ == "gridtrade.oracle"
+        assert gridtrade.NSEReport.__module__ == "gridtrade.oracle"
+        assert not hasattr(importlib.import_module("gridtrade.engine"), "check_nse")

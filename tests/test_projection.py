@@ -533,6 +533,18 @@ def assert_matches_oracle(instance):
     assert np.abs(w - ref).max() <= bound
 
 
+def _mixed_scale():
+    x = np.array([0.0] * 4 + [6.25e-5, 6.25e-5, 2.5e4] + [0.0] * 4)
+    normal = np.array([-1e-3] * 5 + [-7.5e-4, -7.5e4, -1e5] + [-1e-3] * 3)
+    offset = np.array([0.0] * 4 + [6.25e-5, 6.25e-5, 1.875e4, 6.25e3] + [0.0] * 3)
+    ub = np.array([2.5e-4] * 6 + [2.5e4] * 2 + [2.5e-4] * 3)
+    return x, normal, offset, x - offset, FeasibleSet(ub, 25000.000125)
+
+
+# Bounds and normal components 1e8 apart (see test_mixed_scale_bounds_and_normal).
+MIXED_SCALE = _mixed_scale()
+
+
 class TestHalfspaceOracle:
     @settings(max_examples=300, deadline=None)
     @given(halfspace_instances())
@@ -610,11 +622,7 @@ class TestHalfspaceOracle:
         # x and the offset point sit on the budget face, and the projection
         # leaves the face for the plain dual, whose move search fails; the
         # oracle's point is (0,..., 18750.0005, 6249.999625, 0, 0, 0).
-        x = np.array([0.0] * 4 + [6.25e-5, 6.25e-5, 2.5e4] + [0.0] * 4)
-        normal = np.array([-1e-3] * 5 + [-7.5e-4, -7.5e4, -1e5] + [-1e-3] * 3)
-        offset = np.array([0.0] * 4 + [6.25e-5, 6.25e-5, 1.875e4, 6.25e3] + [0.0] * 3)
-        ub = np.array([2.5e-4] * 6 + [2.5e4] * 2 + [2.5e-4] * 3)
-        assert_matches_oracle((x, normal, offset, x - offset, FeasibleSet(ub, 25000.000125)))
+        assert_matches_oracle(MIXED_SCALE)
 
     def test_face_mode_with_no_point_of_the_face_in_the_halfspace(self):
         # The offset point is on the face's plane but outside the box, and
@@ -926,6 +934,57 @@ class TestRowCores:
         for point, want, b in zip(points, alone, batch):
             assert point.tobytes() == want.tobytes()
             assert_matches_oracle(b)
+
+    def test_row_with_no_free_component_probes_as_alone(self):
+        # On the face, at beta = 0, the first row sits at its upper bounds:
+        # its stored piece has no free component, and neither has the piece
+        # the breakpoint search lands on. Beside an ordinary row the column
+        # probe gives each row the probe it gets alone.
+        batch = [(np.full(2, 0.25), np.array([-1.0, 0.5]), np.full(2, 0.25), 0.0),
+                 (np.array([0.5, 1.0]), np.array([1.0, -2.0]), np.array([1.0, 2.0]), 0.25)]
+
+        def probe(make, rows):
+            x, normal, ub = (stacked(b[k] for b in rows) for k in range(3))
+            sum_x = [math.fsum(b[0]) for b in rows]
+            path, _ = make(x, normal, ub - x, (x <= 0.0, x >= ub), sum_x, sum_x, True,
+                           [0.0] * len(rows))
+            return path(list(range(len(rows))), [b[3] for b in rows])
+
+        together = probe(projection._move_path_rows, batch)
+        assert together[0][0] == 0.0 and not together[3][0].any()
+        for j, row in enumerate(batch):
+            g, lam, binds, free, up, move, slope, failed = probe(projection._move_path, [row])
+            assert (g[0], lam[0], binds[0], repr(slope[0])) == (
+                together[0][j], together[1][j], together[2][j], repr(together[6][j]))
+            for got, want in zip(together[3:6], (free, up, move)):
+                assert got[j].tobytes() == want[0].tobytes()
+            assert not failed and not together[7]
+
+    @pytest.mark.parametrize("order", [1, -1])
+    def test_row_that_no_piece_certifies_beside_an_ordinary_row(self, order):
+        # The mixed-scale row leaves the face and searches off it beside a
+        # smaller row, padded to its width. Each row gets what it gets
+        # alone: a point, or the error of the first row that raises alone.
+        batch = [MIXED_SCALE, EASY[0]][::order]
+        alone = []
+        for x, normal, offset, gap, fs in batch:
+            try:
+                alone.append(project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap))
+            except ProjectionError as exc:
+                alone.append(exc)
+        widths = [len(b[0]) for b in batch]
+        x, normal, gap = (padded([b[k] for b in batch]) for k in (0, 1, 3))
+        ub = padded([b[4].upper_bounds for b in batch])
+        args = x, normal, gap, ub, [b[4].budget for b in batch], widths
+        errors = [str(a) for a in alone if isinstance(a, ProjectionError)]
+        if errors:
+            with pytest.raises(ProjectionError) as raised:
+                projection._halfspace_rows(*args)
+            assert str(raised.value) == errors[0]
+        else:
+            points = projection._halfspace_rows(*args)
+            for k, row, want in zip(widths, points, alone):
+                assert row[:k].tobytes() == want.tobytes() and not row[k:].any()
 
     def test_batch_with_an_empty_intersection_raises(self):
         with pytest.raises(ProjectionError):

@@ -177,13 +177,6 @@ class TestSolveVe:
         assert trace.converged
         assert x == pytest.approx([3.0], abs=1e-8)
 
-    def test_warm_start_at_solution_stops_immediately(self):
-        F, fset = running_example()
-        x0 = ve_closed_form(F, fset)
-        x, trace = solve_ve(F, fset, x0=x0)
-        assert trace.iterations == 1
-        assert trace.converged
-
     def test_projects_the_natural_map_once_per_solve(self, monkeypatch):
         calls = []
 
@@ -199,23 +192,12 @@ class TestSolveVe:
             assert trace.converged and trace.iterations > 1
             assert len(calls) == 1
 
-    def test_infeasible_start_rejected(self):
-        F, fset = running_example()
-        with pytest.raises(ValueError):
-            solve_ve(F, fset, x0=np.array([5.0, 5.0]))
-
     def test_non_convergence_reported_not_raised(self):
         F, fset = running_example()
         cfg = SolverConfig(max_iterations=2, residual_tol=1e-14)
         _, trace = solve_ve(F, fset, cfg)
         assert trace.stop_reason == "max_iterations"
         assert not trace.converged
-
-    def test_callback_can_stop_the_solve(self):
-        F, fset = running_example()
-        x, trace = solve_ve(F, fset, on_iteration=lambda rec, done: rec.iteration >= 3)
-        assert trace.stop_reason == "caller"
-        assert trace.iterations == 3
 
     def test_oracle_agreement_and_fejer(self):
         rng = np.random.default_rng(7)
