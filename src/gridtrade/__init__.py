@@ -32,10 +32,9 @@ from .engine import (
 )
 from .oracle import (
     NSEReport,
-    OracleReport,
+    certify,
     check_nse,
     price_grid_oracle,
-    social_optimality_audit,
     ve_oracle,
 )
 from .cli import ExperimentConfig, run_experiment, sample_scenario

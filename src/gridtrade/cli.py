@@ -1,11 +1,12 @@
-"""Scenario sampling, seeded experiment sweeps, and CSV emission.
+"""Scenario sampling, seeded sweeps, CSV emission, and `verify`.
 
 Experiments are driven by an ExperimentConfig, loadable from a JSON file
-that mirrors the dataclass field for field; command-line flags override
-file values. Every run is reproducible: scenarios are drawn from a
-counter-based generator keyed by (seed, n, run_index), so any single
-scenario can be rebuilt without replaying the sweep, and CSV bodies are
-byte-identical across runs of the same config.
+that mirrors the dataclass field for field; flags override file values.
+Every run is reproducible: scenarios come from a counter-based generator
+keyed by (seed, n, run_index), so any one can be rebuilt alone, and CSV
+bodies are byte-identical across runs of the same config. `verify` prints
+one line a scenario file: its game's exact certificate (`oracle.certify`),
+or why there is none.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .engine import _fit_rows, run_games, run_stackelberg
 from .model import EnergyUser, FeasibleSet, GridParams, Scenario, validate_scenario
-from .oracle import check_nse, social_optimality_audit, ve_oracle
+from .oracle import certify
 from .projection import ProjectionError
 from .vi_solver import ArmijoSearchError, PseudoGradient, solve_ve
 
@@ -436,7 +437,7 @@ def _seed(value) -> int:
     raise ValueError(f"seed must be an integer, got {value!r}")
 
 
-def _audit_file(path: Path, trials: int, tol: float) -> tuple[int, str]:
+def _audit_file(path: Path) -> tuple[int, str]:
     """(exit code, report line) for one scenario JSON."""
     try:
         scenario = scenario_from_dict(json.loads(path.read_text(encoding="utf-8")))
@@ -446,7 +447,7 @@ def _audit_file(path: Path, trials: int, tol: float) -> tuple[int, str]:
     except (OSError, TypeError, ValueError, OverflowError) as exc:
         problems = [f"{type(exc).__name__}: {exc}"]
     if not problems:
-        # the game and the audits sum over the sellers
+        # the game and the certificate sum over the sellers
         with np.errstate(over="ignore"):
             total = float(scenario.surpluses.sum())
         if not math.isfinite(total):
@@ -461,27 +462,17 @@ def _audit_file(path: Path, trials: int, tol: float) -> tuple[int, str]:
         return 1, f"{path.name}: INVALID ({exc})"
     if not outcome.converged:
         return 2, f"{path.name}: NON-CONVERGENT"
-    report = check_nse(outcome, scenario, trials=trials, tol=tol)
-    x_check = ve_oracle(scenario, outcome.stage2.prices)
-    gap = float(np.abs(outcome.stage2.energies - x_check).max())
-    audit = social_optimality_audit(
-        scenario, outcome.stage2.energies, outcome.stage2.prices, samples=trials
-    )
-    ok = report.clean and gap <= 1e-4 and audit.max_abs_gap <= tol
-    return (0 if ok else 1), (
-        f"{path.name}: {'OK' if ok else 'FAIL'} "
-        f"nse_follower={report.max_follower_improvement:.3e} "
-        f"nse_leader={report.max_leader_improvement:.3e} "
-        f"oracle_gap={gap:.3e} social_gap={audit.max_abs_gap:.3e}"
-    )
+    passed, figures = certify(outcome, scenario)
+    return (0 if passed else 1), f"{path.name}: {'OK' if passed else 'FAIL'} " + " ".join(
+        f"{key}={value:.3e}" for key, value in figures.items())
 
 
-def verify_corpus(corpus: Path, trials: int = 2000, tol: float = 1e-6) -> int:
-    """Audit every scenario JSON in a directory and print one line each.
+def verify_corpus(corpus: Path) -> int:
+    """Certify every scenario JSON in a directory and print one line each.
 
     Returns the highest exit code over the files: 2 when a game does not
-    converge, 1 when a file is malformed or invalid or fails its audit,
-    0 when every file passes; 1 for an empty corpus.
+    converge, 1 when a file is malformed or invalid or fails its
+    certificate, 0 when every file passes; 1 for an empty corpus.
     """
     files = sorted(Path(corpus).glob("*.json"))
     if not files:
@@ -489,7 +480,7 @@ def verify_corpus(corpus: Path, trials: int = 2000, tol: float = 1e-6) -> int:
         return 1
     worst = 0
     for path in files:
-        code, line = _audit_file(path, trials, tol)
+        code, line = _audit_file(path)
         print(line)
         worst = max(worst, code)
     return worst
@@ -561,15 +552,12 @@ def main(argv=None) -> int:
     sim.add_argument("--dump-per-run", action="store_const", const=True,
                      dest="dump_per_run")
 
-    ver = sub.add_parser("verify", help="run oracle audits over a scenario corpus")
+    ver = sub.add_parser("verify", help="certify the game of each scenario in a corpus")
     ver.add_argument("--corpus", required=True)
-    ver.add_argument("--trials", type=int, default=2000)
 
     args = parser.parse_args(argv)
     if args.command == "verify":
-        if args.trials < 1:
-            ver.error("argument --trials: must be at least 1")
-        return verify_corpus(Path(args.corpus), trials=args.trials)
+        return verify_corpus(Path(args.corpus))
 
     flags = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     try:

@@ -105,16 +105,6 @@ class FeasibleSet:
     def dim(self) -> int:
         return self.upper_bounds.size
 
-    def contains(self, x, tol: float = 0.0) -> bool:
-        x = np.asarray(x, dtype=float)
-        if x.shape != self.upper_bounds.shape:
-            return False
-        return bool(
-            np.all(x >= -tol)
-            and np.all(x <= self.upper_bounds + tol)
-            and x.sum() <= self.budget + tol
-        )
-
 
 @dataclass(frozen=True)
 class EquilibriumResult:

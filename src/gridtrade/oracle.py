@@ -2,14 +2,12 @@
 
 Used only by `gridtrade verify`, the tests and the acceptance audits, never
 by the game itself: no module that plays the game imports this one.
-`ve_oracle` maximizes the joint seller utility directly by projected
-gradient ascent, sharing nothing with the extragradient solver except the
-projection primitive (which is itself grid-verified for small N).
-`social_optimality_audit` samples feasible allocations against a follower
-equilibrium. `check_nse` samples unilateral deviations of both sides of a
-played game (the Nash-Stackelberg audit). `price_grid_oracle` searches a
-lattice of the price slice exhaustively. `halfspace_projection_oracle`
-bisects the halfspace dual over the box projection.
+`certify`, what `verify` runs, checks a played game exactly, sharing no code
+with the solver. `ve_oracle` maximizes the joint utility by projected
+gradient ascent, sharing only the (grid-verified) projection primitive with
+the solver. `check_nse` samples unilateral deviations of both sides of a
+played game, `price_grid_oracle` a lattice of the price slice, and
+`halfspace_projection_oracle` bisects the halfspace dual.
 """
 
 from __future__ import annotations
@@ -20,18 +18,64 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import GameOutcome
-from .model import FeasibleSet, GridParams, Scenario, grid_cost, joint_utility
+from .model import FeasibleSet, GridParams, Scenario, grid_cost
 from .price_opt import InfeasiblePriceBudget, PriceSolution, _price_rows, _solution
 from .projection import _any, project_box_budget
 
+BOUND = 1e-6  # the one bound of every figure that certify checks
 
-@dataclass(frozen=True)
-class OracleReport:
-    """Outcome of a sampling audit: the largest utility excess found."""
 
-    max_abs_gap: float
-    argmax_case: str
-    trials: int
+def certify(outcome: GameOutcome, scenario: Scenario) -> tuple[bool, dict[str, float]]:
+    """(passed, figures) of a converged game, each figure relative; never raises.
+
+    x* = P_X(s + p2), the stage-2 equilibrium, comes from bisection on the
+    budget multiplier, each sum exactly rounded. `follower` is |x2 - x*|inf
+    / S, `social` (U(x*) - U(x2)) / |U(x*)|, `budget` |sum x* - deficiency|
+    / deficiency while x*'s multiplier is positive, and `leader` the KKT
+    violation of the price problem at the stage-1 offers x1 (no 2*x1*p + a
+    of a price above p_min may exceed one below p_max) or the prices'
+    distance from the slice. Each passes finite and at most BOUND. S = max(s).
+    """
+    grid, s = scenario.grid, scenario.surpluses
+    x2, p2, x1 = outcome.stage2.energies, outcome.stage2.prices, outcome.stage1.energies
+    with np.errstate(all="ignore"):
+        c = s + p2
+        lam = _budget_multiplier(c, s, grid.deficiency)
+        x = np.clip(c - lam, 0.0, s)
+        u, u2 = _fsum(c * x - 0.5 * x * x), _fsum(c * x2 - 0.5 * x2 * x2)
+        g = 2.0 * x1 * p2 + grid.cost_linear
+        kkt = g[p2 > grid.p_min].max(initial=-math.inf) - g[p2 < grid.p_max].min(initial=math.inf)
+        figures = {
+            "follower": np.abs(x2 - x).max() / s.max(),
+            "social": np.float64(u - u2) / abs(u) if u or u2 else 0.0,
+            "budget": abs(_fsum(x) - grid.deficiency) / grid.deficiency if lam > 0.0 else 0.0,
+            "leader": np.max([max(kkt, 0.0) / np.abs(g).max(),  # np.max keeps a nan
+                              abs(_fsum(p2) - grid.total_price) / grid.total_price,
+                              max(grid.p_min - p2.min(), p2.max() - grid.p_max, 0.0) / grid.p_max]),
+        }
+    passed = all(math.isfinite(f) and f <= BOUND for f in figures.values())
+    return passed, {key: float(f) for key, f in figures.items()} | {"scale": float(s.max())}
+
+
+def _budget_multiplier(c, upper, budget) -> float:
+    """The least lam >= 0 with sum(clip(c - lam, 0, upper)) <= budget, to the last bit."""
+    def over(lam):
+        return _fsum(np.clip(c - lam, 0.0, upper)) > budget
+
+    lo, hi = 0.0, float(c.max())
+    if not over(lo):
+        return lo
+    while lo < (mid := lo + 0.5 * (hi - lo)) < hi:
+        lo, hi = (mid, hi) if over(mid) else (lo, mid)
+    return hi
+
+
+def _fsum(values) -> float:
+    """math.fsum of an array; nan past the float range or for inf - inf."""
+    try:
+        return math.fsum(values.tolist())
+    except (OverflowError, ValueError):
+        return math.nan
 
 
 def ve_oracle(scenario: Scenario, p, grad_tol: float = 1e-10,
@@ -80,37 +124,6 @@ def halfspace_projection_oracle(x, normal, offset_point, fset: FeasibleSet,
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if point_and_gap(mid)[1] > 0.0 else (lo, mid)
     return point_and_gap(hi)[0]
-
-
-def social_optimality_audit(scenario: Scenario, x_star, p, samples: int,
-                            seed: int = 0) -> OracleReport:
-    """Sample random feasible allocations and report the largest joint
-    utility excess over x_star (0 when nothing beats it).
-
-    Points are drawn uniformly in the box and rescaled onto the budget face
-    when they overshoot it, covering both constraint regimes.
-    """
-    x_star = np.asarray(x_star, dtype=float)
-    p = np.asarray(p, dtype=float)
-    if samples <= 0:
-        return OracleReport(max_abs_gap=0.0, argmax_case="", trials=0)
-    surpluses = scenario.surpluses
-    budget = scenario.grid.deficiency
-    rng = np.random.default_rng([seed, scenario.seed])
-
-    base = joint_utility(x_star, scenario, p)
-    pts = rng.uniform(0.0, surpluses, size=(samples, surpluses.size))
-    sums = pts.sum(axis=1)
-    over = sums > budget
-    pts[over] *= (budget / sums[over])[:, None]
-    utilities = (surpluses * pts - 0.5 * pts * pts + p * pts).sum(axis=1)
-    idx = int(np.argmax(utilities))
-    gap = float(utilities[idx] - base)
-    return OracleReport(
-        max_abs_gap=max(gap, 0.0),
-        argmax_case=f"seed={scenario.seed}/sample={idx}",
-        trials=samples,
-    )
 
 
 def price_grid_oracle(x, grid: GridParams, resolution: float) -> PriceSolution:

@@ -1,5 +1,6 @@
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,27 @@ def make_scenario(surpluses, deficiency, total_price=175.0, p_min=8.45, p_max=17
         cost_const=np.full(n, float(cost_const)),
     )
     return Scenario(users=users, grid=grid, seed=seed)
+
+
+def scaled(scenario, k):
+    """The same game in other units: surpluses, deficiency and price terms
+    times k, linear costs times k**2, constant costs times k**3."""
+    g = scenario.grid
+    users = tuple(replace(u, surplus=u.surplus * k) for u in scenario.users)
+    grid = GridParams(deficiency=g.deficiency * k, total_price=g.total_price * k,
+                      p_min=g.p_min * k, p_max=g.p_max * k,
+                      cost_linear=g.cost_linear * k * k, cost_const=g.cost_const * k * k * k)
+    return Scenario(users=users, grid=grid, seed=scenario.seed)
+
+
+def in_feasible_set(fset, x, tol=0.0):
+    """Whether x has fset's shape and lies in its box and under its budget,
+    each within tol."""
+    x = np.asarray(x, dtype=float)
+    if x.shape != fset.upper_bounds.shape:
+        return False
+    return bool(np.all(x >= -tol) and np.all(x <= fset.upper_bounds + tol)
+                and x.sum() <= fset.budget + tol)
 
 
 @contextmanager

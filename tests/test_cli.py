@@ -4,6 +4,7 @@ import json
 import logging
 import math
 import os
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -25,7 +26,7 @@ from gridtrade.cli import (
 from gridtrade.model import validate_scenario
 from gridtrade.projection import ProjectionError
 from gridtrade.vi_solver import ArmijoSearchError
-from tests.conftest import make_scenario
+from tests.conftest import make_scenario, scaled
 
 SMALL = dict(n_values=[2, 3], runs=3, output_path="")
 
@@ -501,9 +502,11 @@ class TestMain:
         corpus = tmp_path / "corpus"
         corpus.mkdir()
         (corpus / "a.json").write_text(json.dumps(scenario_to_dict(peak_scenario)))
-        code = main(["verify", "--corpus", str(corpus), "--trials", "500"])
+        code = main(["verify", "--corpus", str(corpus)])
         assert code == 0
-        assert "OK" in capsys.readouterr().out
+        assert re.fullmatch(r"a\.json: OK follower=\S+e[-+]\d+ social=\S+e[-+]\d+ "
+                            r"budget=\S+e[-+]\d+ leader=\S+e[-+]\d+ scale=2\.\d{3}e\+02\n",
+                            capsys.readouterr().out)
 
     def test_verify_empty_corpus_exit_one(self, tmp_path, capsys):
         corpus = tmp_path / "empty"
@@ -568,20 +571,13 @@ class TestInvalidInputExitsOne:
         assert main(["simulate", "--config", str(tmp_path / "absent.json")]) == 1
         assert "absent.json" in one_line_error(capsys)
 
-    @pytest.mark.parametrize("trials", ["-1", "0"])
-    def test_verify_trials_below_one(self, tmp_path, capsys, peak_scenario, trials):
-        corpus = write_corpus(tmp_path, {"a.json": json.dumps(scenario_to_dict(peak_scenario))})
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--corpus", corpus, "--trials", trials])
-        assert exc.value.code == 1
-        assert "--trials" in one_line_error(capsys)
-
     @pytest.mark.parametrize("argv", [
         ["simulate", "--runs", "abc"],
         ["verify"],
         ["simulate", "--surplus-range", "1"],
         ["simulate", "--preset", "fig9"],
         [],
+        ["verify", "--corpus", "x", "--trials", "5"],  # verify takes no --trials
     ])
     def test_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:
@@ -762,7 +758,7 @@ class TestVerifyEveryFile:
         return json.dumps(scenario_to_dict(peak_scenario))
 
     def run(self, corpus, capsys):
-        code = main(["verify", "--corpus", corpus, "--trials", "300"])
+        code = main(["verify", "--corpus", corpus])
         return code, capsys.readouterr().out.splitlines()
 
     def test_missing_grid_is_invalid(self, tmp_path, capsys, good):
@@ -904,3 +900,65 @@ class TestVerifyEveryFile:
         assert code == 2
         assert [line.split(":")[0] for line in out] == ["a.json", "b.json", "c.json", "d.json"]
         assert [line.split()[1] for line in out] == ["INVALID", "NON-CONVERGENT", "INVALID", "OK"]
+
+
+def fig2_game(n=5, run=5, **flags):
+    """The default fig2 game at seed 1 (flags override the config)."""
+    return sample_scenario(build_config({}, {"preset": "fig2_utility_vs_n", **flags}), n, run)
+
+
+def verify_line_figures(line):
+    """The figures of an OK or FAIL line of verify, by name."""
+    _, verdict, *fields = line.split()
+    assert verdict in ("OK", "FAIL")
+    figures = dict(field.split("=") for field in fields)
+    assert list(figures) == ["follower", "social", "budget", "leader", "scale"], line
+    return {key: float(value) for key, value in figures.items()}
+
+
+class TestVerifyCertificate:
+    """verify judges a game by its exact certificate, each figure relative to
+    the game's own scale: a right game passes in any units, a wrong one
+    fails in any units."""
+
+    def test_corpus_through_python_dash_m(self, tmp_path, peak_scenario):
+        # b is the fig2 game in units of 2**-40, where the game stops 0.53 S
+        # from its equilibrium; c is the same game, right, in units of 1e6
+        game = fig2_game()
+        corpus = write_corpus(tmp_path, {
+            "a.json": json.dumps(scenario_to_dict(peak_scenario)),
+            "b.json": json.dumps(scenario_to_dict(scaled(game, 2.0 ** -40))),
+            "c.json": json.dumps(scenario_to_dict(scaled(game, 1e6))),
+        })
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "gridtrade", "verify", "--corpus", corpus],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        lines = proc.stdout.splitlines()
+        assert [line.split()[:2] for line in lines] == [
+            ["a.json:", "OK"], ["b.json:", "FAIL"], ["c.json:", "OK"]]
+        assert verify_line_figures(lines[1])["follower"] > 0.5
+
+    @pytest.mark.parametrize("case, figure", [
+        ("units_of_2**-20", "follower"),
+        ("small_scale", "follower"),
+        ("huge_scale_anchor", "budget"),
+    ])
+    def test_wrong_game_fails(self, tmp_path, capsys, case, figure):
+        scenario = {
+            # stops 1.7e-5 S from its equilibrium
+            "units_of_2**-20": lambda: scaled(fig2_game(), 2.0 ** -20),
+            # the strict xfail of the engine tests: prices 1e7 times the energies
+            "small_scale": lambda: make_scenario(np.linspace(1e-6, 3e-6, 5), 4e-6,
+                                                 total_price=50.0, p_min=8.0, p_max=12.0),
+            # certifies [0, 0] against a deficiency of 380
+            "huge_scale_anchor": lambda: fig2_game(2, 0, surplus_range=[1e200, 1e201]),
+        }[case]()
+        corpus = write_corpus(tmp_path, {"a.json": json.dumps(scenario_to_dict(scenario))})
+        assert main(["verify", "--corpus", corpus]) == 1
+        line, = capsys.readouterr().out.splitlines()
+        assert line.startswith("a.json: FAIL ")
+        assert verify_line_figures(line)[figure] > 1e-6

@@ -14,11 +14,11 @@ import gridtrade.engine as engine
 import gridtrade.vi_solver as vi_solver
 from gridtrade.cli import build_config, sample_scenario, scenario_from_dict
 from gridtrade.engine import MessageLog, ScenarioValidationError, run_fit, run_stackelberg
-from gridtrade.model import FeasibleSet, GridParams, grid_cost
-from gridtrade.oracle import _leader_prices, check_nse
+from gridtrade.model import FeasibleSet, grid_cost
+from gridtrade.oracle import check_nse
 from gridtrade.price_opt import optimize_prices
 from gridtrade.vi_solver import PseudoGradient, SolverConfig, ve_closed_form
-from tests.conftest import make_scenario, time_limit
+from tests.conftest import make_scenario
 
 GOLDEN_TRANSCRIPT = Path(__file__).parent / "data" / "peak_transcript.jsonl"
 
@@ -823,128 +823,6 @@ class TestMessageLog:
         first.clear()
         assert json.loads(log.messages[1])["payload"] == {"energy": 0.0, "eu_id": 0}
         assert "\n".join(log.messages) == log.to_jsonl() == reference_jsonl(log.calls)
-
-
-class TestCheckNse:
-    def test_clean_at_equilibrium(self, peak_scenario):
-        outcome = run_stackelberg(peak_scenario)
-        report = check_nse(outcome, peak_scenario, trials=10_000)
-        assert report.clean
-        assert report.max_follower_improvement <= 1e-6
-        assert report.max_leader_improvement <= 1e-6
-
-    def test_quadratic_cost_of_price_transfers(self, peak_scenario):
-        # moving mass between two interior prices raises the cost by
-        # (x_i + x_j) * eps^2 exactly, by stationarity
-        outcome = run_stackelberg(peak_scenario)
-        p = outcome.stage2.prices
-        x = outcome.stage1.energies
-        grid = peak_scenario.grid
-        interior = np.nonzero(
-            (p > grid.p_min + 1e-6) & (p < grid.p_max - 1e-6) & (x > 0)
-        )[0]
-        if interior.size >= 2:
-            i, j = interior[:2]
-            for eps in (1e-3, 1e-2):
-                q = p.copy()
-                q[i] += eps
-                q[j] -= eps
-                delta = grid_cost(q, x, grid) - grid_cost(p, x, grid)
-                assert delta >= 0.0
-                assert delta == pytest.approx((x[i] + x[j]) * eps * eps, rel=1e-4)
-
-    def test_requires_converged_outcome(self, peak_scenario):
-        outcome = run_stackelberg(peak_scenario)
-        broken = type(outcome)(stage1=outcome.stage1, stage2=None,
-                               log=outcome.log, converged=False)
-        with pytest.raises(ValueError):
-            check_nse(broken, peak_scenario, trials=10)
-
-    def test_deterministic_given_seed(self, peak_scenario):
-        outcome = run_stackelberg(peak_scenario)
-        a = check_nse(outcome, peak_scenario, trials=500, seed=3)
-        b = check_nse(outcome, peak_scenario, trials=500, seed=3)
-        assert a == b
-
-    def test_single_point_price_slice_at_p_max(self):
-        # total_price = n * p_max leaves one price vector, onto which every
-        # draw from the simplex is projected
-        s = make_scenario([100.0, 120.0, 140.0], 150.0, total_price=30.0, p_min=1.0, p_max=10.0)
-        outcome = run_stackelberg(s)
-        with time_limit(20):
-            report = check_nse(outcome, s, trials=2000)
-        assert report.clean
-        assert report.max_leader_improvement == pytest.approx(0.0, abs=1e-9)
-
-    def test_price_slice_just_below_n_p_max(self):
-        # almost no simplex draw fits under p_max here; the projected draws
-        # still give a full, clean audit
-        s = make_scenario([100.0, 120.0, 140.0], 150.0, total_price=29.999, p_min=1.0, p_max=10.0)
-        outcome = run_stackelberg(s)
-        with time_limit(20):
-            report = check_nse(outcome, s, trials=2000)
-        assert report.clean
-        assert report.leader_trials == 2000
-
-
-@st.composite
-def price_slices(draw):
-    """GridParams with n from 1 to 40 and total_price at n*p_min, at n*p_max,
-    within 1e-6 relative of n*p_max, or anywhere inside the slice."""
-    n = draw(st.integers(1, 40))
-    p_min = draw(st.floats(0.3, 10.0))
-    p_max = p_min + draw(st.floats(0.0, 170.0))
-    where = draw(st.sampled_from(["min", "max", "near_max", "inside"]))
-    if where == "min":
-        total = n * p_min
-    elif where == "max":
-        total = n * p_max
-    elif where == "near_max":
-        total = n * p_max * (1.0 - draw(st.floats(0.0, 1e-6)))
-    else:
-        total = n * p_min + draw(st.floats(0.0, 1.0)) * n * (p_max - p_min)
-    total = min(max(total, n * p_min), n * p_max)
-    return GridParams(deficiency=1.0, total_price=total, p_min=p_min, p_max=p_max,
-                      cost_linear=np.full(n, 0.01), cost_const=np.ones(n))
-
-
-class TestLeaderPrices:
-    @settings(max_examples=200, deadline=None)
-    @given(grid=price_slices(), trials=st.integers(0, 60), seed=st.integers(0, 2 ** 32 - 1))
-    def test_samples_lie_on_the_slice(self, grid, trials, seed):
-        n, total = grid.cost_linear.size, grid.total_price
-        prices = _leader_prices(np.random.default_rng(seed), grid, trials)
-        assert prices.shape == (trials, n)
-        assert np.all(prices >= grid.p_min) and np.all(prices <= grid.p_max)
-        for row in prices.tolist():
-            assert abs(math.fsum(row) - total) <= 1e-10 * max(1.0, total)
-        # rows already inside the bounds are the simplex draws themselves
-        drawn = np.random.default_rng(seed).dirichlet(np.ones(n), size=trials) \
-            * (total - n * grid.p_min) + grid.p_min
-        kept = np.all(drawn <= grid.p_max, axis=1)
-        assert np.array_equal(prices[kept], drawn[kept])
-        # the others are projections, p = clip(v - t, p_min, p_max) for one t:
-        # no shift v - p below p_max exceeds one above p_min
-        for v, p in zip(drawn[~kept], prices[~kept]):
-            shift = v - p
-            below, above = shift[p < grid.p_max], shift[p > grid.p_min]
-            assert below.max(initial=-np.inf) <= above.min(initial=np.inf) \
-                + 1e-9 * max(1.0, grid.p_max)
-
-    @pytest.mark.parametrize("n, total", [(4, 200.0), (9, 175.0), (30, 175.0)])
-    def test_projections_are_the_per_row_solves(self, n, total):
-        # each draw above p_max is solved in one batch; every row matches
-        # optimize_prices on that row alone, bit for bit
-        grid = GridParams(deficiency=1.0, total_price=total, p_min=1.0, p_max=3.0 * total / n,
-                          cost_linear=np.full(n, 0.01), cost_const=np.ones(n))
-        prices = _leader_prices(np.random.default_rng(8), grid, 300)
-        drawn = np.random.default_rng(8).dirichlet(np.ones(n), size=300) \
-            * (total - n * grid.p_min) + grid.p_min
-        over = np.any(drawn > grid.p_max, axis=1)
-        assert 0 < over.sum() < 300
-        for v, p in zip(drawn[over], prices[over]):
-            alone = optimize_prices(np.ones(n), replace(grid, cost_linear=-2.0 * v)).prices
-            assert p.tobytes() == alone.tobytes()
 
 
 class TestRunFit:

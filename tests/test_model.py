@@ -13,7 +13,7 @@ from gridtrade.model import (
     joint_utility,
     validate_scenario,
 )
-from tests.conftest import make_scenario
+from tests.conftest import in_feasible_set, make_scenario
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -149,13 +149,13 @@ class TestGridCost:
 class TestFeasibleSet:
     def test_membership(self):
         fs = FeasibleSet(np.array([3.0, 5.0]), 4.0)
-        assert fs.contains([1.0, 3.0])
-        assert not fs.contains([2.0, 3.0])          # budget
-        assert not fs.contains([-0.1, 0.0])         # lower box
-        assert not fs.contains([3.5, 0.0])          # upper box
-        assert fs.contains([2.0, 2.1], tol=0.2)
-        assert not fs.contains([1.0, 1.0, 1.0])     # shape
-        assert not fs.contains([[1.0, 3.0]])
+        assert in_feasible_set(fs, [1.0, 3.0])
+        assert not in_feasible_set(fs, [2.0, 3.0])          # budget
+        assert not in_feasible_set(fs, [-0.1, 0.0])         # lower box
+        assert not in_feasible_set(fs, [3.5, 0.0])          # upper box
+        assert in_feasible_set(fs, [2.0, 2.1], tol=0.2)
+        assert not in_feasible_set(fs, [1.0, 1.0, 1.0])     # shape
+        assert not in_feasible_set(fs, [[1.0, 3.0]])
 
     def test_rejects_bad_construction(self):
         with pytest.raises(ValueError):

@@ -16,7 +16,7 @@ from gridtrade.projection import (
     project_box_budget,
     project_halfspace_then_set,
 )
-from tests.conftest import time_limit
+from tests.conftest import in_feasible_set, time_limit
 
 
 def grid_search_projection(v, fset, steps=200, halfspace=None):
@@ -100,7 +100,7 @@ class TestProjectBoxBudget:
             fs = FeasibleSet(ub, float(rng.uniform(0.1, 1.5) * ub.sum()))
             v = rng.uniform(-100.0, 400.0, n)
             res = project_box_budget(v, fs)
-            assert fs.contains(res.point, tol=1e-10)
+            assert in_feasible_set(fs, res.point, tol=1e-10)
             assert res.multiplier >= 0.0
             if res.multiplier > 0.0:
                 assert res.active_budget

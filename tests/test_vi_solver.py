@@ -18,7 +18,7 @@ from gridtrade.vi_solver import (
     solve_ve,
     ve_closed_form,
 )
-from tests.conftest import make_scenario
+from tests.conftest import in_feasible_set, make_scenario
 
 # Written when the halfspace dual search began ending on the first probe
 # certified on its own piece; that moved 16 of the 40 records by at most
@@ -76,7 +76,7 @@ def residual_instances(draw):
     total = math.fsum(x.tolist())
     if total > fset.budget:
         x *= (1.0 - 1e-14) * fset.budget / total
-    assert fset.contains(x)
+    assert in_feasible_set(fset, x)
     return x, F, fset
 
 
