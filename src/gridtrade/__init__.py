@@ -15,7 +15,6 @@ from .vi_solver import (
     ArmijoSearchError,
     IterationRecord,
     PseudoGradient,
-    SolverConfig,
     SolverTrace,
     natural_residual,
     solve_ve,

@@ -413,28 +413,38 @@ def scenario_to_dict(scenario: Scenario) -> dict:
 
 
 def scenario_from_dict(data: dict) -> Scenario:
+    """The scenario of a JSON object. Raises KeyError for a missing field,
+    and ValueError naming a field of the wrong type."""
     users = tuple(
-        EnergyUser(id=u["id"], surplus=u["surplus"],
+        EnergyUser(id=_integer(u["id"], f"users[{i}].id"),
+                   surplus=_number(u["surplus"], f"users[{i}].surplus"),
                    aggregation_count=u.get("aggregation_count", 1))
-        for u in data["users"]
+        for i, u in enumerate(data["users"])
     )
     g = data["grid"]
     grid = GridParams(
-        deficiency=g["deficiency"], total_price=g["total_price"],
-        p_min=g["p_min"], p_max=g["p_max"],
-        cost_linear=np.asarray(g["cost_linear"], dtype=float),
-        cost_const=np.asarray(g["cost_const"], dtype=float),
+        **{k: _number(g[k], f"grid.{k}") for k in ("deficiency", "total_price", "p_min", "p_max")},
+        **{k: [_number(v, f"grid.{k}[{i}]") for i, v in enumerate(g[k])]
+           for k in ("cost_linear", "cost_const")},
     )
-    return Scenario(users=users, grid=grid, seed=_seed(data.get("seed", 0)))
+    return Scenario(users=users, grid=grid, seed=_integer(data.get("seed", 0), "seed"))
 
 
-def _seed(value) -> int:
-    """A scenario seed: an integer, or a float without a fractional part
-    (JSON writes 7 and 7.0 alike), as an int. Raises ValueError for
-    anything else."""
+def _number(value, name: str):
+    """value, unless it is a bool (which arithmetic reads as 0 or 1), a
+    string or null. Raises ValueError naming the field."""
+    if not _is_real(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _integer(value, name: str) -> int:
+    """An integer field: an integer, or a float without a fractional part
+    (JSON writes 7 and 7.0 alike), as an int. Raises ValueError naming the
+    field for anything else."""
     if _is_int(value) or (isinstance(value, float) and value.is_integer()):
         return int(value)
-    raise ValueError(f"seed must be an integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _audit_file(path: Path) -> tuple[int, str]:

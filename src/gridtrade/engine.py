@@ -57,8 +57,8 @@ import numpy as np
 
 from .model import EquilibriumResult, Scenario, _grid_cost_rows, validate_scenario
 from .price_opt import _price_rows
-from .projection import _box_budget_rows, _max, _min, _sum, _take
-from .vi_solver import SolverConfig, _extragradient
+from .projection import _max, _min, _sum, _take
+from .vi_solver import _extragradient
 
 PG = "pg"
 Message = str  # one transcript message: its JSON line
@@ -339,7 +339,7 @@ def _interior_mu_stop(x, mu, prev_mu, margin, upper_limit):
     return stops
 
 
-def _follower_stage(scenarios, s, prices, cfg, logs, stage):
+def _follower_stage(scenarios, s, prices, logs, stage):
     """Run one follower best-response loop per game, in lockstep, logging a
     round per iteration into each game's own log.
 
@@ -387,12 +387,10 @@ def _follower_stage(scenarios, s, prices, cfg, logs, stage):
 
     # s and prices are finite, so a non-finite sum is an overflow, raised here
     with np.errstate(over="ignore"):
-        c = s + prices
-    if not np.isfinite(c).all():
+        finite = np.isfinite(s + prices).all()
+    if not finite:
         raise OverflowError("a surplus plus its price is not finite")
-    anchor, lam, _ = _box_budget_rows(c, s, budget, widths)
-    x, reasons = _extragradient(np.zeros_like(s), s, prices, s, budget, anchor, lam, cfg,
-                                on_iteration, widths)
+    x, reasons = _extragradient(s, prices, s, budget, on_iteration, widths)
     return x, rounds, residual, [reason in ("residual", "caller") for reason in reasons]
 
 
@@ -461,9 +459,9 @@ def _stage_results(scenarios, s, x, prices, rounds, residuals) -> list[Equilibri
     return results
 
 
-def run_games(scenarios, cfg: SolverConfig | None = None) -> list[GameOutcome]:
-    """Play the two-stage game of each scenario in lockstep, and return one
-    outcome per scenario.
+def run_games(scenarios) -> list[GameOutcome]:
+    """Play the two-stage game of each scenario in lockstep, followers at
+    vi_solver.SOLVER, and return one outcome per scenario.
 
     Both halves of each exchange work on the live games as rows of a
     (games, sellers) batch: one follower loop iterates every game's sellers
@@ -496,8 +494,6 @@ def run_games(scenarios, cfg: SolverConfig | None = None) -> list[GameOutcome]:
         problems = validate_scenario(scenario)
         if problems:
             raise ScenarioValidationError(problems)
-    if cfg is None:
-        cfg = SolverConfig()
 
     m = len(scenarios)
     sizes = [sc.n_users for sc in scenarios]
@@ -505,7 +501,7 @@ def run_games(scenarios, cfg: SolverConfig | None = None) -> list[GameOutcome]:
     logs = [MessageLog() for _ in scenarios]
     s = _padded([sc.surpluses for sc in scenarios], max(sizes))
     uniform = _padded([np.full(n, g.total_price / n) for g, n in zip(grids, sizes)], max(sizes))
-    x1, rounds1, res1, conv1 = _follower_stage(scenarios, s, uniform, cfg, logs, stage=1)
+    x1, rounds1, res1, conv1 = _follower_stage(scenarios, s, uniform, logs, stage=1)
     stage1 = _stage_results(scenarios, s, x1, uniform, rounds1, res1)
     stage2: list[EquilibriumResult | None] = [None] * m
     converged = list(conv1)
@@ -527,7 +523,7 @@ def run_games(scenarios, cfg: SolverConfig | None = None) -> list[GameOutcome]:
         games = [scenarios[i] for i in solve]
         cols = slice(max(sizes[i] for i in solve))
         x2, rounds2, res2, conv2 = _follower_stage(
-            games, s[solve, cols], p_star[solve, cols], cfg, [logs[i] for i in solve], stage=2)
+            games, s[solve, cols], p_star[solve, cols], [logs[i] for i in solve], stage=2)
         results = _stage_results(games, s[solve, cols], x2, p_star[solve, cols], rounds2, res2)
         for i, result, conv in zip(solve, results, conv2):
             stage2[i], converged[i] = result, conv
@@ -546,7 +542,7 @@ def _replay(log: MessageLog, prices: np.ndarray) -> None:
         log._append_frozen(_RoundBlock(rnd + k, block.offers, block.slacks, block.repeat))
 
 
-def run_stackelberg(scenario: Scenario, cfg: SolverConfig | None = None) -> GameOutcome:
+def run_stackelberg(scenario: Scenario) -> GameOutcome:
     """Play the two-stage game and return both stage equilibria with the
     full message transcript: run_games with a batch of one.
 
@@ -554,7 +550,7 @@ def run_stackelberg(scenario: Scenario, cfg: SolverConfig | None = None) -> Game
     uniform price; stage 2 optimizes prices against the offered energies
     once and re-solves.
     """
-    return run_games([scenario], cfg)[0]
+    return run_games([scenario])[0]
 
 
 def run_fit(scenario: Scenario, tariff: float) -> EquilibriumResult:

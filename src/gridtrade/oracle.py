@@ -23,6 +23,9 @@ from .price_opt import InfeasiblePriceBudget, PriceSolution, _price_rows, _solut
 from .projection import _any, project_box_budget
 
 BOUND = 1e-6  # the one bound of every figure that certify checks
+GRAD_TOL = 1e-10  # ve_oracle stops on a gradient mapping at most this
+MAX_ITERATIONS = 20_000  # ve_oracle's cap on ascent steps
+NSE_TOL = 1e-6  # the gain a check_nse sample may show without a violation
 
 
 def certify(outcome: GameOutcome, scenario: Scenario) -> tuple[bool, dict[str, float]]:
@@ -78,27 +81,26 @@ def _fsum(values) -> float:
         return math.nan
 
 
-def ve_oracle(scenario: Scenario, p, grad_tol: float = 1e-10,
-              max_iterations: int = 20_000) -> np.ndarray:
+def ve_oracle(scenario: Scenario, p) -> np.ndarray:
     """Maximize the joint utility over the allocation set directly.
 
     Projected gradient ascent with a diminishing step schedule floored at
     one half (the objective has unit curvature, so any step in (0, 1] keeps
     linear convergence; a floor is required to reach the gradient-mapping
-    tolerance at all). Stops when the gradient mapping norm falls below
-    grad_tol.
+    tolerance at all). Stops when the gradient mapping norm falls to
+    GRAD_TOL, or after MAX_ITERATIONS steps.
     """
     p = np.asarray(p, dtype=float)
     surpluses = scenario.surpluses
     fset = FeasibleSet(surpluses, scenario.grid.deficiency)
     x = np.zeros(fset.dim)
-    for k in range(max_iterations):
+    for k in range(MAX_ITERATIONS):
         step = max(0.5, 0.95 / (1.0 + 0.05 * k))
         grad = surpluses - x + p
         x_next = project_box_budget(x + step * grad, fset).point
         mapping = float(np.linalg.norm(x - x_next)) / step
         x = x_next
-        if mapping <= grad_tol:
+        if mapping <= GRAD_TOL:
             break
     return x
 
@@ -189,23 +191,21 @@ class NSEReport:
     leader_trials: int
     leader_violations: int
     max_leader_improvement: float
-    tolerance: float
 
     @property
     def clean(self) -> bool:
         return self.follower_violations == 0 and self.leader_violations == 0
 
 
-def check_nse(outcome: GameOutcome, scenario: Scenario, trials: int,
-              seed: int = 0, tol: float = 1e-6) -> NSEReport:
+def check_nse(outcome: GameOutcome, scenario: Scenario, trials: int, seed: int = 0) -> NSEReport:
     """Sample unilateral deviations on both sides of a converged outcome.
 
     Follower side: random single-seller energy deviations, others fixed at
     the stage-2 allocation, respecting the shared budget; the joint utility
-    must never improve beyond tol. Leader side: random price vectors on the
-    budget slice, costed against the energies the prices were optimized for
-    (the stage-1 offers); the optimized prices must stay within tol of the
-    best sample.
+    must never improve beyond NSE_TOL. Leader side: random price vectors on
+    the budget slice, costed against the energies the prices were optimized
+    for (the stage-1 offers); the optimized prices must stay within NSE_TOL
+    of the best sample.
 
     Leader samples are uniform draws from the slice's simplex, each draw
     above p_max projected onto the slice (see _leader_prices), so every
@@ -227,7 +227,7 @@ def check_nse(outcome: GameOutcome, scenario: Scenario, trials: int,
     x_dev = rng.random(trials) * caps
     c = surpluses + p2
     gains = (c[idx] * x_dev - 0.5 * x_dev * x_dev) - (c[idx] * x2[idx] - 0.5 * x2[idx] * x2[idx])
-    follower_viol = int((gains > tol).sum())
+    follower_viol = int((gains > NSE_TOL).sum())
     max_follower = float(gains.max()) if trials else 0.0
 
     x_off = outcome.stage1.energies
@@ -235,7 +235,7 @@ def check_nse(outcome: GameOutcome, scenario: Scenario, trials: int,
     base_cost = grid_cost(p2, x_off, grid)
     costs = (x_off * prices ** 2 + grid.cost_linear * prices + grid.cost_const).sum(axis=1)
     improvements = base_cost - costs
-    leader_viol = int((improvements > tol).sum())
+    leader_viol = int((improvements > NSE_TOL).sum())
     max_leader = float(improvements.max()) if trials else 0.0
 
     return NSEReport(
@@ -245,7 +245,6 @@ def check_nse(outcome: GameOutcome, scenario: Scenario, trials: int,
         leader_trials=trials,
         leader_violations=leader_viol,
         max_leader_improvement=max_leader,
-        tolerance=tol,
     )
 
 

@@ -11,17 +11,18 @@ strongly monotone, and the VI has a unique solution; because F is a shifted
 identity that solution is also the projection of (surpluses + prices) onto X,
 which `ve_closed_form` exposes as an independent cross-check.
 
-`solve_ve` runs the hyperplane-projection (extragradient) method: per
-iteration the natural residual map r(x) = P_X(x - F(x)) is formed, an Armijo
-backtracking search places a trial point z on the segment [x, r(x)], and the
-iterate is projected onto X intersected with the separating halfspace
-{w : <F(z), w - z> <= 0}, which always contains the solution. Distances to
-the solution are therefore nonincreasing along the iteration. Since
-x - F(x) = surpluses + prices for every x, r(x) is projected once per solve
-(the anchor, the same point `ve_closed_form` returns) and each iteration only
-compensates its budget sum against x, on a component the solve also picks
-once. The halfspace projection seeds its dual with the active set of the
-iterate's own bounds (see `projection`).
+`solve_ve` runs the hyperplane-projection (extragradient) method at its one
+setting, `SOLVER` (see `SolverConfig`): per iteration the natural residual
+map r(x) = P_X(x - F(x)) is formed, an Armijo backtracking search places a
+trial point z on the segment [x, r(x)], and the iterate is projected onto X
+intersected with the separating halfspace {w : <F(z), w - z> <= 0}, which
+always contains the solution. Distances to the solution are therefore
+nonincreasing along the iteration. Since x - F(x) = surpluses + prices for
+every x, r(x) is projected once per solve (the anchor, the same point
+`ve_closed_form` returns) and each iteration only compensates its budget sum
+against x, on a component the solve also picks once. The halfspace
+projection seeds its dual with the active set of the iterate's own bounds
+(see `projection`).
 
 One loop, `_extragradient`, runs the iteration for every caller: the engine
 on a (games, sellers) batch of independent problems, `solve_ve` on a batch
@@ -47,6 +48,7 @@ from .model import FeasibleSet
 from .projection import (
     ProjectionResult,
     _all,
+    _box_budget_rows,
     _checked_vector,
     _col,
     _halfspace_rows,
@@ -79,12 +81,15 @@ class PseudoGradient:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tuning knobs for the extragradient solver.
+    """The solver's one setting, fixed as `SOLVER`, not a set of knobs.
 
-    gamma is the initial Armijo step, beta the backtracking ratio and delta
-    the acceptance coefficient, all in (0, 1): at a step of 1 the trial
-    point is r(x), the solution itself, whose cut only supports X.
-    Convergence is declared on the natural residual ||x - r(x)||.
+    gamma is the first Armijo step, beta the backtracking ratio and delta
+    the acceptance coefficient, each in (0, 1). For F(x) = x - c the
+    projection property gives <F(z), d> >= (1 - t)*||d||**2 at z = x - t*d,
+    d = x - r(x) (Facchinei & Pang 2003), so a first step gamma <= 1 - delta
+    passes; backtracking (max_backtracks shrinks by beta) guards rounding.
+    At t = 1, z = r(x) is the solution, whose cut only supports X. A solve
+    stops when ||x - r(x)|| <= residual_tol, or after max_iterations.
     """
 
     gamma: float = 0.95
@@ -94,17 +99,8 @@ class SolverConfig:
     max_iterations: int = 10_000
     max_backtracks: int = 60
 
-    def __post_init__(self):
-        if not (0.0 < self.gamma < 1.0):
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if not (0.0 < self.beta < 1.0):
-            raise ValueError(f"beta must be in (0, 1), got {self.beta}")
-        if not (0.0 < self.delta < 1.0):
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if not self.residual_tol > 0.0:
-            raise ValueError("residual_tol must be positive")
-        if self.max_iterations < 1 or self.max_backtracks < 1:
-            raise ValueError("iteration limits must be at least 1")
+
+SOLVER = SolverConfig()
 
 
 @dataclass(frozen=True)
@@ -176,22 +172,20 @@ def ve_closed_form(F: PseudoGradient, fset: FeasibleSet) -> np.ndarray:
     return project_box_budget(F.surpluses + F.prices, fset).point
 
 
-def solve_ve(F: PseudoGradient, fset: FeasibleSet,
-             cfg: SolverConfig | None = None) -> tuple[np.ndarray, SolverTrace]:
-    """Run the extragradient iteration from the zero vector (feasible
-    because a FeasibleSet has ub > 0 and budget > 0).
+def solve_ve(F: PseudoGradient, fset: FeasibleSet) -> tuple[np.ndarray, SolverTrace]:
+    """Run the extragradient iteration at `SOLVER` from the zero vector
+    (feasible because a FeasibleSet has ub > 0 and budget > 0).
 
     Per iteration: compute r(x) and stop if the natural residual is within
     tolerance; otherwise backtrack for the largest step t = gamma * beta**m
     whose trial point z = x - t*(x - r) satisfies
     <F(z), x - r> >= delta * ||x - r||**2, then project x onto X intersected
     with {w : <F(z), w - z> <= 0}. This is _extragradient on a batch of one.
-    Non-convergence after max_iterations is reported through
-    trace.stop_reason, never raised.
+    Raises ValueError when surpluses + prices is non-finite or does not
+    match the set's dimension. Non-convergence after max_iterations is
+    reported through trace.stop_reason, never raised.
     """
-    if cfg is None:
-        cfg = SolverConfig()
-    anchor = project_box_budget(F.surpluses + F.prices, fset)
+    _checked_vector(F.surpluses + F.prices, "vector", fset.upper_bounds.shape)
     trace = SolverTrace()
 
     def record(iteration, rows, x, res, steps, z, mu, done):
@@ -200,9 +194,8 @@ def solve_ve(F: PseudoGradient, fset: FeasibleSet,
         trace.records.append(IterationRecord(iteration, x, res[0], t, x if done else z[0], mu[0]))
         return [False]
 
-    final, stops = _extragradient(np.zeros((1, fset.dim)), F.surpluses[None], F.prices[None],
-                                  fset.upper_bounds[None], [fset.budget], anchor.point[None],
-                                  [anchor.multiplier], cfg, record)
+    final, stops = _extragradient(F.surpluses[None], F.prices[None], fset.upper_bounds[None],
+                                  [fset.budget], record)
     trace.stop_reason = stops[0]
     # A copy, not a view that keeps the (1, n) batch alive.
     return final[0].copy(), trace
@@ -262,31 +255,33 @@ def _residual_rows(x, anchor, compensation, widths=None):
     return r, [math.sqrt(row.dot(row)) for row in d]
 
 
-def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, widths=None):
-    """The extragradient iteration over rows of independent problems
-    F_r(x) = x - s_r - p_r on their box-plus-budget sets, in lockstep.
-    widths gives each row's size, its pads having bounds [0, 0] (see
-    projection); when rows leave, the batch is cut to its widest live row.
+def _extragradient(s, p, ub, budget, on_iteration, widths=None):
+    """The extragradient iteration at `SOLVER` over rows of independent
+    problems F_r(x) = x - s_r - p_r on their box-plus-budget sets, in
+    lockstep. widths gives each row's size, its pads having bounds [0, 0]
+    (see projection); when rows leave, the batch is cut to its widest live row.
 
-    Row r starts from x[r]; anchor[r] is the projection of s_r + p_r and
-    lam[r] its budget multiplier. Each row takes its own Armijo step and
-    stops on its own test, and a row that stops leaves the batch. After each
-    row's residual test, on_iteration(iteration, rows, x, residuals, steps,
-    z, mu, done) sees the live rows, their labels in `rows`: with done=True
-    the rows that stop on their residual (steps and z None), and with
-    done=False, after the Armijo search, the rest, whose trial points are
-    z = x - steps*d; it returns per row whether to halt it there. Returns each
-    row's final iterate and stop reason (`residual`, `caller` or
-    `max_iterations`). A row's path does not depend on the rows beside it.
-    A lone row (alone from the start or the last one left) forms its
-    residual with natural_residual, which rounds as _residual_rows, from its
-    (operator, set, anchor projection), built when the row is first alone.
+    Each row starts from zeros, its anchor the projection of s_r + p_r.
+    Each row takes its own Armijo step and stops on its own test, and a row
+    that stops leaves the batch. After each row's residual test,
+    on_iteration(iteration, rows, x, residuals, steps, z, mu, done) sees
+    the live rows, their labels in `rows`: with done=True the rows that stop
+    on their residual (steps and z None), and with done=False, after the
+    Armijo search, the rest, whose trial points are z = x - steps*d; it
+    returns per row whether to halt it there. Returns each row's final
+    iterate and stop reason (`residual`, `caller` or `max_iterations`). A
+    row's path does not depend on the rows beside it. A lone row (alone from
+    the start or the last one left) forms its residual with
+    natural_residual, which rounds as _residual_rows, from its (operator,
+    set, anchor projection), built when the row is first alone.
     """
+    anchor, lam, _ = _box_budget_rows(s + p, ub, budget, widths)
+    x = np.zeros_like(s)
     rows = np.arange(len(x))
     lone = None
     final = np.zeros_like(x)
     stops = ["max_iterations"] * len(x)
-    budget, lam = list(budget), list(lam)
+    budget = list(budget)
     plan = _compensation(anchor, [v > 0.0 for v in lam], ub)
 
     def leave(sel, reason):
@@ -314,8 +309,8 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, widths=N
         plan = [c and (c[0], c[1][:top]) for c in plan]
         return slice(top)
 
-    tol, gamma, shrink, delta = cfg.residual_tol, cfg.gamma, cfg.beta, cfg.delta
-    for iteration in range(1, cfg.max_iterations + 1):
+    tol, gamma, shrink, delta = SOLVER.residual_tol, SOLVER.gamma, SOLVER.beta, SOLVER.delta
+    for iteration in range(1, SOLVER.max_iterations + 1):
         if len(x) == 1:
             if lone is None:
                 # The one live row as natural_residual takes it: its
@@ -352,9 +347,9 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, widths=N
         backtracks = 0
         while short:
             backtracks += 1
-            if backtracks > cfg.max_backtracks:
+            if backtracks > SOLVER.max_backtracks:
                 raise ArmijoSearchError(
-                    f"no acceptable step within {cfg.max_backtracks} backtracks "
+                    f"no acceptable step within {SOLVER.max_backtracks} backtracks "
                     f"at iteration {iteration} (residual {res[short[0]]:.3e})"
                 )
             for j in short:
@@ -378,7 +373,7 @@ def _extragradient(x, s, p, ub, budget, anchor, lam, cfg, on_iteration, widths=N
             rows = rows[kept]
             x, s, p, ub, anchor, fz, td = (a[kept, cols] for a in (x, s, p, ub, anchor, fz, td))
             budget, lam = ([a[j] for j in kept] for a in (budget, lam))
-        if iteration == cfg.max_iterations:
+        if iteration == SOLVER.max_iterations:
             leave(list(range(len(rows))), "max_iterations")
             break
         # The projection's one check: fz is non-finite when x or t*d is.

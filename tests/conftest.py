@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from gridtrade import vi_solver
 from gridtrade.model import EnergyUser, GridParams, Scenario
 
 
@@ -35,6 +36,12 @@ def scaled(scenario, k):
                       p_min=g.p_min * k, p_max=g.p_max * k,
                       cost_linear=g.cost_linear * k * k, cost_const=g.cost_const * k * k * k)
     return Scenario(users=users, grid=grid, seed=scenario.seed)
+
+
+def use_solver(monkeypatch, **changes):
+    """Run the follower loop, for the rest of the test, at the default
+    setting with these fields changed."""
+    monkeypatch.setattr(vi_solver, "SOLVER", replace(vi_solver.SolverConfig(), **changes))
 
 
 def in_feasible_set(fset, x, tol=0.0):

@@ -16,7 +16,7 @@ from gridtrade.engine import run_fit, run_stackelberg
 from gridtrade.model import FeasibleSet, joint_utility
 from gridtrade.oracle import check_nse, price_grid_oracle, ve_oracle
 from gridtrade.price_opt import optimize_prices
-from gridtrade.vi_solver import PseudoGradient, SolverConfig, solve_ve, ve_closed_form
+from gridtrade.vi_solver import PseudoGradient, solve_ve, ve_closed_form
 from tests.conftest import make_scenario
 
 CORPUS_SIZE = 1000
@@ -194,10 +194,9 @@ def test_criterion_5_convergence_trace_scenario():
     scenario = sample_scenario(cfg, 5, 0)
     outcome = run_stackelberg(scenario)
     fset = FeasibleSet(scenario.surpluses, scenario.grid.deficiency)
-    solver_cfg = SolverConfig()
     iters = []
     for prices in (outcome.stage1.prices, outcome.stage2.prices):
-        x, trace = solve_ve(PseudoGradient(scenario.surpluses, prices), fset, solver_cfg)
+        x, trace = solve_ve(PseudoGradient(scenario.surpluses, prices), fset)
         assert trace.converged
         assert trace.residuals[-1] <= 1e-8
         iters.append(trace.iterations)

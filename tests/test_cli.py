@@ -442,6 +442,12 @@ class TestScenarioJson:
         seed = scenario_from_dict(json.loads(json.dumps(data))).seed
         assert seed == 7 and type(seed) is int
 
+    def test_id_without_a_fractional_part_is_an_integer(self, peak_scenario):
+        data = scenario_to_dict(peak_scenario)
+        data["users"][1]["id"] = 1.0
+        user = scenario_from_dict(json.loads(json.dumps(data))).users[1]
+        assert user.id == 1 and type(user.id) is int
+
 
 class TestMain:
     def test_simulate_exit_zero(self, tmp_path, capsys):
@@ -699,21 +705,27 @@ class TestInvalidInputExitsOne:
         assert "deficiency that is not finite (inf)" in err
         assert not out.exists()
 
-    def test_non_finite_figure(self, tmp_path):
-        # Surpluses near the float limit overflow the flat tariff's utility;
-        # the run must name the figure instead of writing inf into the CSVs.
+    @pytest.mark.parametrize("flags, n", [
+        # surpluses near the float limit; the game exits 1 here only because
+        # the box projection certifies [0, 0] at this scale, a known defect
+        (["--n-values", "2", "--surplus-range", "1e307,1.7e308"], 2),
+        # a well-posed game at the default surpluses, with a huge flat tariff
+        (["--n-values", "5", "--fit-tariff", "1e307"], 5),
+    ], ids=["huge_surpluses", "huge_tariff"])
+    def test_non_finite_figure(self, tmp_path, flags, n):
+        # The flat tariff's utility overflows; the run must name the figure
+        # instead of writing inf into the CSVs.
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         out = tmp_path / "out"
         proc = subprocess.run(
             [sys.executable, "-m", "gridtrade", "simulate", "--preset", "fig2_utility_vs_n",
-             "--runs", "1", "--n-values", "2", "--surplus-range", "1e307,1.7e308",
-             "--dump-per-run", "--out", str(out)],
+             "--runs", "1", *flags, "--dump-per-run", "--out", str(out)],
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 1
         assert proc.stderr.count("\n") == 1, proc.stderr
-        assert "(n=2, run=0)" in proc.stderr and "fit_utility" in proc.stderr
+        assert f"(n={n}, run=0)" in proc.stderr and "fit_utility" in proc.stderr
         assert not out.exists()
 
     def test_non_finite_figure_of_a_later_run(self, tmp_path):
@@ -797,6 +809,31 @@ class TestVerifyEveryFile:
                              capsys)
         assert code == 1
         assert out[0].startswith("a.json: INVALID (")
+        assert out[1].startswith("b.json: OK")
+
+    @pytest.mark.parametrize("field, value", [
+        # each of these four reads as 0 or 1 and plays a valid game
+        ("p_min", True), ("deficiency", True), ("surplus", True), ("id", False),
+        ("surplus", "100"), ("total_price", "175"), ("p_max", False), ("cost_linear", True),
+        ("cost_const", "1"), ("id", "0"), ("id", 0.5), ("surplus", None),
+    ])
+    def test_bool_or_string_in_a_numeric_field_is_invalid(self, tmp_path, capsys, good, field,
+                                                          value):
+        data = json.loads(good)
+        if field in ("surplus", "id"):
+            data["users"][0][field] = value
+            name = f"users[0].{field}"
+        elif field.startswith("cost"):
+            data["grid"][field][0] = value
+            name = f"grid.{field}[0]"
+        else:
+            data["grid"][field] = value
+            name = f"grid.{field}"
+        code, out = self.run(write_corpus(tmp_path, {"a.json": json.dumps(data), "b.json": good}),
+                             capsys)
+        kind = "an integer" if field == "id" else "a number"
+        assert code == 1
+        assert out[0] == f"a.json: INVALID (ValueError: {name} must be {kind}, got {value!r})"
         assert out[1].startswith("b.json: OK")
 
     @pytest.mark.parametrize("field", ["cost_linear", "cost_const"])

@@ -17,8 +17,8 @@ from gridtrade.engine import MessageLog, ScenarioValidationError, run_fit, run_s
 from gridtrade.model import FeasibleSet, grid_cost
 from gridtrade.oracle import check_nse
 from gridtrade.price_opt import optimize_prices
-from gridtrade.vi_solver import PseudoGradient, SolverConfig, ve_closed_form
-from tests.conftest import make_scenario
+from gridtrade.vi_solver import PseudoGradient, ve_closed_form
+from tests.conftest import make_scenario, use_solver
 
 GOLDEN_TRANSCRIPT = Path(__file__).parent / "data" / "peak_transcript.jsonl"
 
@@ -305,23 +305,21 @@ class TestRunGames:
         # A first step of 0.99 backtracks to 0.495 wherever a row sits on its
         # budget face; the rows of a batch reach their faces in different
         # rounds, so some rounds backtrack only part of the batch.
-        cfg = SolverConfig(gamma=0.99)
+        use_solver(monkeypatch, gamma=0.99)
         scenarios = fig_scenarios("fig2_utility_vs_n", 5, 4)
-        alone = [run_stackelberg(sc, cfg) for sc in scenarios]
+        alone = [run_stackelberg(sc) for sc in scenarios]
         steps = []
         loop = engine._extragradient
 
-        def recorded(*args):
-            on_iteration = args[8]
-
+        def recorded(s, p, ub, budget, on_iteration, widths=None):
             def seen(iteration, rows, x, res, t, d, mu, done):
                 if not done:
                     steps.append(set(t))
                 return on_iteration(iteration, rows, x, res, t, d, mu, done)
-            return loop(*args[:8], seen)
+            return loop(s, p, ub, budget, seen, widths)
 
         monkeypatch.setattr(engine, "_extragradient", recorded)
-        for outcome, single in zip(engine.run_games(scenarios, cfg), alone):
+        for outcome, single in zip(engine.run_games(scenarios), alone):
             assert_same_game(outcome, single)
         assert {0.99, 0.495} in steps
 
@@ -369,26 +367,27 @@ class TestRunGames:
         (6, [False, False, False]),  # every game stops in stage 1: none is priced
         (8, [False, True, False]),   # game 1 is priced, then stops in stage 2
     ], ids=["none-priced", "mixed"])
-    def test_games_that_do_not_converge_match_each_alone(self, peak_scenario, max_iterations,
-                                                         played_stage2):
+    def test_games_that_do_not_converge_match_each_alone(self, monkeypatch, peak_scenario,
+                                                         max_iterations, played_stage2):
         s = peak_scenario.surpluses
         games = [make_scenario(s, f * s.sum(), seed=5) for f in (0.1, 0.3, 0.5)]
-        cfg = SolverConfig(max_iterations=max_iterations)
-        alone = [run_stackelberg(sc, cfg) for sc in games]
+        use_solver(monkeypatch, max_iterations=max_iterations)
+        alone = [run_stackelberg(sc) for sc in games]
         assert [o.stage2 is not None for o in alone] == played_stage2
         assert not any(o.converged for o in alone)
-        forward = engine.run_games(games, cfg)
-        backward = engine.run_games(games[::-1], cfg)[::-1]
+        forward = engine.run_games(games)
+        backward = engine.run_games(games[::-1])[::-1]
         for a, b, c in zip(forward, backward, alone):
             assert_same_game(a, c)
             assert_same_game(b, c)
 
-    def test_residual_stop_on_a_stages_first_round_ends_the_stage(self, peak_scenario):
+    def test_residual_stop_on_a_stages_first_round_ends_the_stage(self, monkeypatch,
+                                                                   peak_scenario):
         # With a loose tolerance every stage stops on its residual at once:
         # each follower round's repeat bit is false, batched or alone.
-        loose = SolverConfig(residual_tol=1e9)
-        for outcome in (run_stackelberg(peak_scenario, loose),
-                        engine.run_games([peak_scenario] * 2, loose)[1]):
+        use_solver(monkeypatch, residual_tol=1e9)
+        for outcome in (run_stackelberg(peak_scenario),
+                        engine.run_games([peak_scenario] * 2)[1]):
             repeats = [m["payload"]["repeat"] for m in parsed(outcome.log)
                        if m["kind"] == "repeat_bit"]
             assert outcome.converged and repeats == [False, False]
@@ -546,10 +545,10 @@ class TestReplayedStage:
         outcome = run_stackelberg(scenario)
         assert [stage for stage, _ in solved] == [1]
         # both stages again, by hand, into a fresh log
-        s, cfg, log = scenario.surpluses[None], SolverConfig(), RecordingLog()
-        engine._follower_stage([scenario], s, outcome.stage1.prices[None], cfg, [log], stage=1)
+        s, log = scenario.surpluses[None], RecordingLog()
+        engine._follower_stage([scenario], s, outcome.stage1.prices[None], [log], stage=1)
         prices = outcome.stage2.prices[None]
-        x, rounds, res, conv = engine._follower_stage([scenario], s, prices, cfg, [log], stage=2)
+        x, rounds, res, conv = engine._follower_stage([scenario], s, prices, [log], stage=2)
         (direct,) = engine._stage_result(s, x, prices, *engine._costs([scenario]), rounds, res)
         assert conv == [True]
         assert_same_result(outcome.stage2, direct)

@@ -1,24 +1,24 @@
 import json
 import math
-import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gridtrade import projection, vi_solver
+from gridtrade import vi_solver
 from gridtrade.model import FeasibleSet, joint_utility
 from gridtrade.oracle import ve_oracle
 from gridtrade.projection import project_box_budget
 from gridtrade.vi_solver import (
+    SOLVER,
     PseudoGradient,
     SolverConfig,
     natural_residual,
     solve_ve,
     ve_closed_form,
 )
-from tests.conftest import in_feasible_set, make_scenario
+from tests.conftest import in_feasible_set, make_scenario, use_solver
 
 # Written when the halfspace dual search began ending on the first probe
 # certified on its own piece; that moved 16 of the 40 records by at most
@@ -179,12 +179,13 @@ class TestSolveVe:
 
     def test_projects_the_natural_map_once_per_solve(self, monkeypatch):
         calls = []
+        rows = vi_solver._box_budget_rows
 
-        def counted(v, fset):
+        def counted(*args):
             calls.append(1)
-            return project_box_budget(v, fset)
+            return rows(*args)
 
-        monkeypatch.setattr(vi_solver, "project_box_budget", counted)
+        monkeypatch.setattr(vi_solver, "_box_budget_rows", counted)
         rng = np.random.default_rng(5)
         for problem in [running_example()] + [random_instance(rng) for _ in range(5)]:
             calls.clear()
@@ -192,10 +193,20 @@ class TestSolveVe:
             assert trace.converged and trace.iterations > 1
             assert len(calls) == 1
 
-    def test_non_convergence_reported_not_raised(self):
+    @pytest.mark.parametrize("surpluses, prices", [
+        ([3.0, 5.0, 1.0], [1.0, 1.0, 1.0]),   # one seller more than the set has
+        ([3.0, 1.7e308], [1.0, 1.7e308]),     # a surplus plus its price overflows
+        ([3.0, np.nan], [1.0, 1.0]),
+    ], ids=["misshapen", "overflow", "nan"])
+    def test_rejects_a_natural_map_it_cannot_project(self, surpluses, prices):
+        _, fset = running_example()
+        with np.errstate(over="ignore"), pytest.raises(ValueError):
+            solve_ve(PseudoGradient(surpluses, prices), fset)
+
+    def test_non_convergence_reported_not_raised(self, monkeypatch):
         F, fset = running_example()
-        cfg = SolverConfig(max_iterations=2, residual_tol=1e-14)
-        _, trace = solve_ve(F, fset, cfg)
+        use_solver(monkeypatch, max_iterations=2, residual_tol=1e-14)
+        _, trace = solve_ve(F, fset)
         assert trace.stop_reason == "max_iterations"
         assert not trace.converged
 
@@ -263,12 +274,11 @@ class TestSolveVe:
 class TestTrace:
     def test_residuals_finite_and_final_below_tol(self):
         F, fset = running_example()
-        cfg = SolverConfig()
-        _, trace = solve_ve(F, fset, cfg)
+        _, trace = solve_ve(F, fset)
         assert trace.records[0].iteration == 1
         assert trace.residuals[0] == pytest.approx(np.sqrt(10.0))
         assert np.all(np.isfinite(trace.residuals))
-        assert trace.residuals[-1] <= cfg.residual_tol
+        assert trace.residuals[-1] <= SOLVER.residual_tol
 
 
 class TestIterationRecord:
@@ -290,44 +300,55 @@ class TestIterationRecord:
 
 
 class TestSolverConfig:
-    @pytest.mark.parametrize("kwargs", [
-        {"gamma": 0.0}, {"gamma": 1.5}, {"beta": 1.0}, {"delta": 0.0},
-        {"residual_tol": 0.0}, {"max_iterations": 0}, {"max_backtracks": 0},
-    ])
-    def test_validation(self, kwargs):
-        with pytest.raises(ValueError):
-            SolverConfig(**kwargs)
+    def test_fields_keep_the_armijo_argument(self):
+        # The invariants the first-step argument of TestArmijo needs.
+        assert SolverConfig() == SOLVER
+        for value in (SOLVER.gamma, SOLVER.beta, SOLVER.delta):
+            assert 0.0 < value < 1.0
+        assert SOLVER.gamma + SOLVER.delta <= 1.0
+        assert SOLVER.residual_tol > 0.0
+        assert SOLVER.max_iterations >= 1 and SOLVER.max_backtracks >= 1
 
-    def test_unit_gamma_rejected(self):
-        # With t = 1 the trial point z is the anchor P_X(c), the solution
-        # itself, and the cut through it only supports X: binding-budget
-        # solves then run out of iterations or find no dual bracket.
-        with pytest.raises(ValueError, match=re.escape("gamma must be in (0, 1), got 1.0")):
-            SolverConfig(gamma=1.0)
+    def test_every_round_accepts_its_first_step(self):
+        # The acceptance corpus's follower problems (n from 1 to 10, budgets
+        # from a fifth of the surplus sum to above it): no round backtracks.
+        rng = np.random.default_rng(20240801)
+        stepped = 0
+        for _ in range(1000):
+            _, trace = solve_ve(*random_instance(rng))
+            *rounds, last = trace.records
+            assert trace.converged and last.step == 0.0
+            assert all(rec.step == SOLVER.gamma for rec in rounds)
+            stepped += len(rounds)
+        assert stepped > 10_000
 
 
 class TestArmijo:
     """Backtracking. <F(z), d> >= (1 - t)*||d||**2 for z = x - t*d, so the
-    default first step 0.95 <= 1 - delta never backtracks; a first step
+    first step 0.95 <= 1 - delta of SOLVER never backtracks; a first step
     above 1 - delta does wherever x sits on the budget face."""
 
-    def test_backtracks_to_half_the_first_step(self):
+    def test_backtracks_to_half_the_first_step(self, monkeypatch):
         F, fset = running_example()
-        x, trace = solve_ve(F, fset, SolverConfig(gamma=0.99))
+        use_solver(monkeypatch, gamma=0.99)
+        x, trace = solve_ve(F, fset)
         steps = {rec.step for rec in trace.records}
         assert trace.converged and steps == {0.99, 0.495, 0.0}
         assert np.abs(x - ve_closed_form(F, fset)).max() <= 1e-9
 
-    def test_out_of_backtracks_raises(self):
+    def test_out_of_backtracks_raises(self, monkeypatch):
         # 0.99 * 0.98 = 0.9702 still exceeds 1 - delta = 0.96: a round on
         # the face needs two backtracks.
         F, fset = running_example()
-        _, trace = solve_ve(F, fset, SolverConfig(gamma=0.99, beta=0.98))
+        use_solver(monkeypatch, gamma=0.99, beta=0.98)
+        _, trace = solve_ve(F, fset)
         assert trace.converged and 0.99 * 0.98 * 0.98 in {rec.step for rec in trace.records}
+        use_solver(monkeypatch, gamma=0.99, beta=0.98, max_backtracks=1)
         with pytest.raises(vi_solver.ArmijoSearchError, match="within 1 backtracks"):
-            solve_ve(F, fset, SolverConfig(gamma=0.99, beta=0.98, max_backtracks=1))
+            solve_ve(F, fset)
         # One backtrack is within a limit of one.
-        assert solve_ve(F, fset, SolverConfig(gamma=0.99, max_backtracks=1))[1].converged
+        use_solver(monkeypatch, gamma=0.99, max_backtracks=1)
+        assert solve_ve(F, fset)[1].converged
 
 
 class TestFollowerGolden:
@@ -361,7 +382,6 @@ class TestRowLoop:
         s = np.array([F.surpluses for F, _ in problems])
         p = np.array([F.prices for F, _ in problems])
         budget = [fs.budget for _, fs in problems]
-        anchor, lam, _ = projection._box_budget_rows(s + p, s, budget)
         seen = [[] for _ in problems]
 
         def on_iteration(iteration, rows, x, res, steps, d, mu, done):
@@ -369,23 +389,19 @@ class TestRowLoop:
                 seen[r].append((x[j].tobytes(), res[j], 0.0 if done else steps[j]))
             return [False] * len(rows)
 
-        final, stops = vi_solver._extragradient(
-            np.zeros_like(s), s, p, s, budget, anchor, lam, SolverConfig(), on_iteration)
+        final, stops = vi_solver._extragradient(s, p, s, budget, on_iteration)
         for (x, trace), row, stop, path in zip(alone, final, stops, seen):
             assert row.tobytes() == x.tobytes() and stop == trace.stop_reason
             assert path == [(r.x.tobytes(), r.residual, r.step) for r in trace.records]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_lone_row_rejects_a_non_finite_normal(self, bad):
-        # The anchor is finite, so the residual passes; the price row makes
-        # the round's normal F(z) non-finite, which the lone row's one check
-        # must reject before projecting.
+        # The price row makes the round's normal F(z) non-finite (an inf
+        # price is clamped out of the anchor, so the residual is finite; a
+        # nan one leaves it nan, which no test stops on). The lone row's one
+        # check must reject the normal before projecting.
         F, fset = running_example()
-        s, p, ub = F.surpluses[None], F.prices[None], fset.upper_bounds[None]
-        anchor, lam, _ = projection._box_budget_rows(s + p, ub, [fset.budget])
-        assert np.all(anchor > 0.0)
-        p = p.copy()
+        s, p, ub = F.surpluses[None], F.prices[None].copy(), fset.upper_bounds[None]
         p[0, 0] = bad
-        with pytest.raises(ValueError, match="non-finite normal"):
-            vi_solver._extragradient(np.zeros_like(s), s, p, ub, [fset.budget], anchor, lam,
-                                     SolverConfig(), lambda *args: [False])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite normal"):
+            vi_solver._extragradient(s, p, ub, [fset.budget], lambda *args: [False])
