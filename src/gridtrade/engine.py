@@ -385,11 +385,6 @@ def _follower_stage(scenarios, s, prices, logs, stage):
         prev_mu[rows, :k] = mu
         return stops
 
-    # s and prices are finite, so a non-finite sum is an overflow, raised here
-    with np.errstate(over="ignore"):
-        finite = np.isfinite(s + prices).all()
-    if not finite:
-        raise OverflowError("a surplus plus its price is not finite")
     x, reasons = _extragradient(s, prices, s, budget, on_iteration, widths)
     return x, rounds, residual, [reason in ("residual", "caller") for reason in reasons]
 

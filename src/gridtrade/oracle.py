@@ -185,10 +185,8 @@ def price_grid_oracle(x, grid: GridParams, resolution: float) -> PriceSolution:
 class NSEReport:
     """Unilateral-deviation audit of a converged outcome."""
 
-    follower_trials: int
     follower_violations: int
     max_follower_improvement: float
-    leader_trials: int
     leader_violations: int
     max_leader_improvement: float
 
@@ -239,10 +237,8 @@ def check_nse(outcome: GameOutcome, scenario: Scenario, trials: int, seed: int =
     max_leader = float(improvements.max()) if trials else 0.0
 
     return NSEReport(
-        follower_trials=trials,
         follower_violations=follower_viol,
         max_follower_improvement=max_follower,
-        leader_trials=trials,
         leader_violations=leader_viol,
         max_leader_improvement=max_leader,
     )

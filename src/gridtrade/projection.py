@@ -23,9 +23,11 @@ active set's constants do not depend on beta), and the breakpoint search
 runs only when that piece fails its KKT check. Before any piece has
 certified, the active set of x's own bounds stands in for it: x is the
 previous projection's output, so that set is the previous projection's
-last piece, and near convergence the first probe usually stays on it. With
-x in the box and within the budget, the move at beta = 0 is zero and x's
-bound set is the piece there, so that probe is already a Newton step.
+last piece. With x in the box and within the budget, the move at beta = 0
+is zero and x's bound set is the piece there, so that probe is already a
+Newton step. Near convergence the solver's steady rounds no longer reach
+this search: once an iterate holds the active set of the solution, its
+projection is the trial point itself (see vi_solver).
 
 Numerical discipline matters more than usual here. The outer solver drives
 the halfspace gap <n, w(beta) - z> to the square of its own residual, far
@@ -923,14 +925,16 @@ def _halfspace_dual_rows(x, ub, budget, sum_x, n, gap, face_mode, n_max=None, wi
     return points, betas, lams, errors
 
 
-def _halfspace_rows(x, normal, gap, ub, budget, widths=None):
+def _halfspace_rows(x, normal, gap, ub, budget, widths=None, sum_x=None):
     """Rows of feasible x projected onto their sets X intersected with the
     halfspaces {w : <normal, w - x + gap> <= 0}: the row core of
     project_halfspace_then_set, budget holding one float per row and widths
-    each row's size (see the note above). Raises ProjectionError for the
-    first row whose search fails."""
+    each row's size (see the note above). sum_x, x's exactly rounded row
+    sums, is computed unless given. Raises ProjectionError for the first row
+    whose search fails."""
     m, dim = x.shape
-    sum_x = _row_fsums(x)
+    if sum_x is None:
+        sum_x = _row_fsums(x)
     # When x and the offset point both sit on the budget face, their sums
     # differ only by rounding jitter, yet that jitter enters the gap scaled
     # by the large all-ones component of the normal and can erase or invert

@@ -24,6 +24,20 @@ against x, on a component the solve also picks once. The halfspace
 projection seeds its dual with the active set of the iterate's own bounds
 (see `projection`).
 
+Once an iterate holds the anchor's strictly active set, its halfspace
+projection has a closed form: the trial point z itself. With the anchor
+x* = P_X(c), c = surpluses + prices, the vector w = c - x* lies in the
+normal cone N_X(x*); for z = x - t*(x - x*), t in (0, 1), and
+beta = t/(1 - t), x - z = beta*F(z) + beta*w. If x sits on every bound
+that x* holds with a positive multiplier, and on the budget face where the
+budget's multiplier is positive, so does z, a convex combination of x and
+x*. Then w lies in N_X(z) too, which with the cut met at z itself is the
+KKT system of projecting x onto X intersected with
+{y : <F(z), y - z> <= 0}, beta the cut's multiplier (Facchinei & Pang
+2003). The loop takes x <- z for such rows (the steady rounds) and runs the
+dual search only for the others (the transient); that search stays the
+only general projection.
+
 One loop, `_extragradient`, runs the iteration for every caller: the engine
 on a (games, sellers) batch of independent problems, `solve_ve` on a batch
 of one. Every batch size runs the same row code: the residuals of
@@ -46,12 +60,16 @@ import numpy as np
 
 from .model import FeasibleSet
 from .projection import (
+    EPS,
     ProjectionResult,
     _all,
+    _any,
+    _at,
     _box_budget_rows,
     _checked_vector,
     _col,
     _halfspace_rows,
+    _row_fsums,
     _take,
     project_box_budget,
 )
@@ -255,6 +273,28 @@ def _residual_rows(x, anchor, compensation, widths=None):
     return r, [math.sqrt(row.dot(row)) for row in d]
 
 
+def _strict_set(c, anchor, ub, lam):
+    """The bounds that each row's anchor, the projection of c with budget
+    multipliers lam, holds strictly (a positive multiplier): (strict, bound),
+    strict masking the components at zero with c < lam or at ub with
+    c - lam > ub, bound holding their values there (0 or ub)."""
+    lam = _col(lam)
+    at_low, at_up = (anchor == 0.0) & (c < lam), (anchor == ub) & (c - lam > ub)
+    return at_low | at_up, np.where(at_up, ub, 0.0)
+
+
+def _steady_rows(x, strict, bound, lam, budget, sum_x):
+    """Per row, whether x holds every constraint its anchor holds strictly:
+    x equals bound where strict (see _strict_set) and, where the budget
+    binds at the anchor (lam > 0), x is on the budget face within
+    _halfspace_rows' tolerance, sum_x being x's exactly rounded row sums.
+    Such a row's halfspace projection is its trial point (see
+    _extragradient)."""
+    off = _any(strict & (x != bound), axis=1).tolist()
+    return [not o and (v <= 0.0 or abs(b - sx) <= 64.0 * EPS * b)
+            for o, v, b, sx in zip(off, lam, budget, sum_x)]
+
+
 def _extragradient(s, p, ub, budget, on_iteration, widths=None):
     """The extragradient iteration at `SOLVER` over rows of independent
     problems F_r(x) = x - s_r - p_r on their box-plus-budget sets, in
@@ -274,8 +314,26 @@ def _extragradient(s, p, ub, budget, on_iteration, widths=None):
     the start or the last one left) forms its residual with
     natural_residual, which rounds as _residual_rows, from its (operator,
     set, anchor projection), built when the row is first alone.
+
+    Each round projects a row whose iterate holds its anchor's strictly
+    active set (_steady_rows, the masks of _strict_set taken once per
+    solve) in closed form: its projection onto X and the cut is its trial
+    point z, by the KKT argument of the module docstring, so the row takes
+    x <- z clipped to its box, which rounding already keeps it in. The
+    other rows go to _halfspace_rows' dual search with their exactly
+    rounded sums. The decision reads only the row's own state and exact
+    sums, so it does not depend on the batch. Raises OverflowError when
+    finite surpluses plus prices overflow the float range.
     """
-    anchor, lam, _ = _box_budget_rows(s + p, ub, budget, widths)
+    with np.errstate(over="ignore"):
+        c = s + p
+    # A non-finite surplus or price is no overflow: the normal check below
+    # rejects it.
+    if not _all(np.isfinite(c).ravel()) and _all(np.isfinite(s).ravel()) \
+            and _all(np.isfinite(p).ravel()):
+        raise OverflowError("a surplus plus its price is not finite")
+    anchor, lam, _ = _box_budget_rows(c, ub, budget, widths)
+    strict, bound = _strict_set(c, anchor, ub, lam)
     x = np.zeros_like(s)
     rows = np.arange(len(x))
     lone = None
@@ -332,7 +390,8 @@ def _extragradient(s, p, ub, budget, on_iteration, widths=None):
                 break
             cols = narrow(kept)
             rows = rows[kept]
-            x, s, p, ub, anchor, r, mu = (a[kept, cols] for a in (x, s, p, ub, anchor, r, mu))
+            x, s, p, ub, anchor, r, mu, strict, bound = (
+                a[kept, cols] for a in (x, s, p, ub, anchor, r, mu, strict, bound))
             res, budget, lam = ([a[j] for j in kept] for a in (res, budget, lam))
 
         d = x - r
@@ -371,7 +430,8 @@ def _extragradient(s, p, ub, budget, on_iteration, widths=None):
                 break
             cols = narrow(kept)
             rows = rows[kept]
-            x, s, p, ub, anchor, fz, td = (a[kept, cols] for a in (x, s, p, ub, anchor, fz, td))
+            x, s, p, ub, anchor, z, fz, td, strict, bound = (
+                a[kept, cols] for a in (x, s, p, ub, anchor, z, fz, td, strict, bound))
             budget, lam = ([a[j] for j in kept] for a in (budget, lam))
         if iteration == SOLVER.max_iterations:
             leave(list(range(len(rows))), "max_iterations")
@@ -379,7 +439,21 @@ def _extragradient(s, p, ub, budget, on_iteration, widths=None):
         # The projection's one check: fz is non-finite when x or t*d is.
         if not _all(np.isfinite(fz).ravel()):
             raise ValueError("cannot project with a non-finite normal")
-        # x - z equals t*d analytically; passing it keeps the halfspace gap
-        # resolvable when d is small.
-        x = _halfspace_rows(x, fz, td, ub, budget, widths)
+        sum_x = _row_fsums(x)
+        search = [j for j, v in enumerate(_steady_rows(x, strict, bound, lam, budget, sum_x))
+                  if not v]
+        # A steady row's projection is its trial point z; the clip guards
+        # the box that rounding already keeps z in.
+        step = np.minimum(np.maximum(z, 0.0), ub) if len(search) < len(x) else None
+        if search:
+            # x - z equals t*d analytically; passing it keeps the halfspace
+            # gap resolvable when d is small.
+            points = _halfspace_rows(*(_take(a, search) for a in (x, fz, td, ub)),
+                                     [budget[j] for j in search], _at(widths, search),
+                                     [sum_x[j] for j in search])
+            if step is None:
+                step = points
+            else:
+                step[search] = points
+        x = step
     return final, stops

@@ -69,9 +69,14 @@ def time_limit(seconds):
         signal.signal(signal.SIGALRM, previous)
 
 
-@pytest.fixture
-def peak_scenario():
+def make_peak_scenario():
     """A five-seller instance at experiment scale with a binding budget."""
     rng = np.random.default_rng(5)
     surpluses = rng.uniform(64.0, 240.0, 5)
     return make_scenario(surpluses, 0.5 * surpluses.sum(), seed=5)
+
+
+@pytest.fixture
+def peak_scenario():
+    """make_peak_scenario's game."""
+    return make_peak_scenario()

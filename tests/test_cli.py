@@ -251,12 +251,12 @@ class TestRunExperiment:
 # line, written by `simulate --dump-per-run --runs 20 --seed 11`.
 SWEEP_CSV_SHA256 = {
     "fig2_utility_vs_n": {
-        "per_run.csv": "15268f4a4675593804010ec2fe419890afcfa79c003f98a99e2b9e04912e1493",
-        "fig2_utility_vs_n.csv": "a3c5c305513b15928a30e503a23de8f0cdf45da696499211ad42c4422ad1265e",
+        "per_run.csv": "0f56aa16efa6490063278cc18f06800557ab611efa6328b71528e7d9cea52665",
+        "fig2_utility_vs_n.csv": "09dd25e19988a84e68d2261fca0735f11950fdf2de11d9a35182f00fe8b467fd",
     },
     "fig3_cost_vs_n": {
-        "per_run.csv": "61bf633cacc5ae3126ae27fad44be3bc1da2c041106c36d2547ab9bedad93ee8",
-        "fig3_cost_vs_n.csv": "38eba17d8c72c9f579c69ad0da32a342eaf0e32ebd9d7ff0f745b384c2caeea8",
+        "per_run.csv": "2a1737a4f5e8e60aedca182d5cd3b8465a4c4db68cae635400ecb56bbba71aab",
+        "fig3_cost_vs_n.csv": "76d7d7866de616b87250ea7b489410577c262757ee92a8b7ec847d552d0dd54b",
     },
 }
 

@@ -18,7 +18,7 @@ from gridtrade.model import FeasibleSet, grid_cost
 from gridtrade.oracle import check_nse
 from gridtrade.price_opt import optimize_prices
 from gridtrade.vi_solver import PseudoGradient, ve_closed_form
-from tests.conftest import make_scenario, use_solver
+from tests.conftest import make_peak_scenario, make_scenario, use_solver
 
 GOLDEN_TRANSCRIPT = Path(__file__).parent / "data" / "peak_transcript.jsonl"
 
@@ -338,7 +338,10 @@ class TestRunGames:
         # The first game plays stage 1 longer, the second stage 2. Once the
         # batch falls to one row, the survivor forms its residual with
         # natural_residual and projects as a batch of one, one call each per
-        # round it plays alone, and keeps its bytes.
+        # round it plays alone, and keeps its bytes. Each of those rounds
+        # projects it once: by the dual search, or in closed form. (A batch
+        # also sends a lone row to the search when its other rows are
+        # steady, so the batch's size is taken where the rows are decided.)
         s = peak_scenario.surpluses
         games = [make_scenario(s, f * s.sum(), seed=5) for f in (0.1, 0.3)]
         alone = [run_stackelberg(sc) for sc in games]
@@ -346,22 +349,64 @@ class TestRunGames:
                 ((alone[0].stage1, alone[1].stage1), (alone[0].stage2, alone[1].stage2))]
         assert alone[0].stage1.follower_iterations > alone[1].stage1.follower_iterations
         assert alone[0].stage2.follower_iterations < alone[1].stage2.follower_iterations
-        calls = {"natural_residual": 0, "lone projections": 0}
+        calls = {"natural_residual": 0, "lone projections": 0, "lone closed forms": 0}
         residual, rows = vi_solver.natural_residual, vi_solver._halfspace_rows
+        steady = vi_solver._steady_rows
+        batch = []
 
         def counted_residual(*args):
             calls["natural_residual"] += 1
             return residual(*args)
 
-        def counted_rows(x, *args):
-            calls["lone projections"] += len(x) == 1
-            return rows(x, *args)
+        def counted_rows(*args):
+            calls["lone projections"] += batch[-1] == 1
+            return rows(*args)
+
+        def counted_steady(x, *args):
+            held = steady(x, *args)
+            batch.append(len(x))
+            calls["lone closed forms"] += len(x) == 1 and held[0]
+            return held
 
         monkeypatch.setattr(vi_solver, "natural_residual", counted_residual)
         monkeypatch.setattr(vi_solver, "_halfspace_rows", counted_rows)
+        monkeypatch.setattr(vi_solver, "_steady_rows", counted_steady)
         for outcome, single in zip(engine.run_games(games), alone):
             assert_same_game(outcome, single)
-        assert calls == dict.fromkeys(calls, sum(gaps))
+        assert calls["natural_residual"] == sum(gaps)
+        assert calls["lone projections"] + calls["lone closed forms"] == sum(gaps)
+
+    def test_steady_rounds_take_the_closed_form(self, monkeypatch, peak_scenario):
+        # Per stage of the peak game, the rows sent to the halfspace dual
+        # search and the rows whose iterate holds its anchor's strictly
+        # active bounds, which take their trial point. Every round but the
+        # last projects one or the other.
+        counts = []
+        follower_stage, rows, steady = (engine._follower_stage, vi_solver._halfspace_rows,
+                                        vi_solver._steady_rows)
+
+        def staged(*args, stage):
+            counts.append({"searched": 0, "closed": 0})
+            return follower_stage(*args, stage=stage)
+
+        def counted_rows(x, *args):
+            counts[-1]["searched"] += len(x)
+            return rows(x, *args)
+
+        def counted_steady(*args):
+            held = steady(*args)
+            counts[-1]["closed"] += sum(held)
+            return held
+
+        monkeypatch.setattr(engine, "_follower_stage", staged)
+        monkeypatch.setattr(vi_solver, "_halfspace_rows", counted_rows)
+        monkeypatch.setattr(vi_solver, "_steady_rows", counted_steady)
+        for _ in range(2):
+            del counts[:]
+            outcome = run_stackelberg(peak_scenario)
+            assert counts == [{"searched": 3, "closed": 5}, {"searched": 2, "closed": 6}]
+            assert [c["searched"] + c["closed"] for c in counts] == [
+                outcome.stage1.follower_iterations - 1, outcome.stage2.follower_iterations - 1]
 
     @pytest.mark.parametrize("max_iterations, played_stage2", [
         (6, [False, False, False]),  # every game stops in stage 1: none is priced
@@ -473,7 +518,7 @@ def solved(monkeypatch):
 # SHA-256 of the concatenated to_jsonl texts of 24 games: fig2_utility_vs_n
 # then fig3_cost_vs_n at seed 41; per preset n in (1, 3, 5, 25, 40, 500),
 # per n runs 0 and 1 (sample_scenario).
-TRANSCRIPTS_24_SHA256 = "1da369dd71c9605f7a95ec304543c65ca3857a544835b69db5961cba875f468b"
+TRANSCRIPTS_24_SHA256 = "c3fa9ac35189c6d147713734a03ad45533dfb30bfff9042a09472d536e129bbd"
 
 
 class TestReplayedStage:
@@ -589,9 +634,9 @@ class TestMessageLog:
         assert all(c == 2 * total_rounds for c in counts.values())
 
     def test_matches_golden_transcript(self, peak_scenario):
-        # written by reference_jsonl, the per-message json.dumps renderer,
-        # when the halfspace dual search began ending on the first probe
-        # certified on its own piece
+        # written by reference_jsonl, the per-message json.dumps renderer
+        # (`python -m tests.test_engine`), when steady rounds began taking
+        # their trial point in closed form
         outcome = run_stackelberg(peak_scenario)
         text = outcome.log.to_jsonl()
         assert text.encode("utf-8") == GOLDEN_TRANSCRIPT.read_bytes()
@@ -865,3 +910,11 @@ class TestRunFit:
     def test_rejects_nonpositive_tariff(self, peak_scenario):
         with pytest.raises(ValueError):
             run_fit(peak_scenario, 0.0)
+
+
+if __name__ == "__main__":
+    # Rewrite the golden transcript on purpose only: the peak game played
+    # into a RecordingLog, rendered by reference_jsonl.
+    engine.MessageLog = RecordingLog
+    GOLDEN_TRANSCRIPT.write_bytes(
+        reference_jsonl(run_stackelberg(make_peak_scenario()).log.calls).encode("utf-8"))

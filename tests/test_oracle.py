@@ -106,7 +106,10 @@ class TestCheckNse:
         with time_limit(20):
             report = check_nse(outcome, s, trials=2000)
         assert report.clean
-        assert report.leader_trials == 2000
+        prices = _leader_prices(np.random.default_rng(0), s.grid, 2000)
+        assert prices.shape == (2000, 3)
+        assert np.all(prices >= s.grid.p_min) and np.all(prices <= s.grid.p_max)
+        assert np.abs(prices.sum(axis=1) - s.grid.total_price).max() <= 1e-9
 
 
 @st.composite

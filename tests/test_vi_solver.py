@@ -4,12 +4,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gridtrade import vi_solver
 from gridtrade.model import FeasibleSet, joint_utility
-from gridtrade.oracle import ve_oracle
-from gridtrade.projection import project_box_budget
+from gridtrade.oracle import halfspace_projection_oracle, ve_oracle
+from gridtrade.projection import EPS, _row_fsums, project_box_budget, project_halfspace_then_set
 from gridtrade.vi_solver import (
     SOLVER,
     PseudoGradient,
@@ -20,9 +20,9 @@ from gridtrade.vi_solver import (
 )
 from tests.conftest import in_feasible_set, make_scenario, use_solver
 
-# Written when the halfspace dual search began ending on the first probe
-# certified on its own piece; that moved 16 of the 40 records by at most
-# 1.4e-14 relative and kept every iteration count.
+# Written when steady rounds began taking their trial point in closed form;
+# that moved 24 of the 40 records by at most 3.7e-13 relative to their
+# largest entry and kept every iteration count.
 # Rewrite with `python -m tests.test_vi_solver` only on purpose.
 FOLLOWER_GOLDEN = Path(__file__).parent / "data" / "follower_golden.json"
 
@@ -405,3 +405,101 @@ class TestRowLoop:
         p[0, 0] = bad
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite normal"):
             vi_solver._extragradient(s, p, ub, [fset.budget], lambda *args: [False])
+
+
+@st.composite
+def steady_instances(draw):
+    """(c, ub, budget, t, x) with n from 1 to 8: c = s + p, a budget that
+    binds at P_X(c) or is slack, a step t in (0, 1), and x in X that holds
+    every bound P_X(c) holds strictly and, where the budget binds, sums to
+    it within an ulp."""
+    n = draw(st.integers(1, 8))
+    units = st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n).map(np.array)
+    s, p, ub = 64.0 + 176.0 * draw(units), 8.45 + 166.55 * draw(units), 16.0 + 224.0 * draw(units)
+    c = s + p
+    if draw(st.booleans()):
+        budget = draw(st.floats(0.05, 0.95)) * float(np.minimum(c, ub).sum())
+    else:
+        budget = draw(st.floats(1.0, 1.5)) * float(ub.sum())
+    anchor = project_box_budget(c, FeasibleSet(ub, budget))
+    (strict,), (bound,) = vi_solver._strict_set(c[None], anchor.point[None], ub[None],
+                                                [anchor.multiplier])
+    free = ~strict
+    x = bound.copy()
+    if anchor.active_budget:
+        # Along a zero-sum direction from the anchor, then onto the face.
+        assume(free.any())
+        v = np.where(free, draw(units) - 0.5, 0.0)
+        v[free] -= v[free].mean()
+        go, a = v != 0.0, anchor.point
+        reach = float(np.min(np.where(v[go] > 0.0, (ub - a)[go] / v[go], a[go] / -v[go]),
+                             initial=0.0 if not go.any() else np.inf))
+        x[free] = (a + draw(st.floats(0.0, 0.99)) * reach * v)[free]
+        k = int(np.argmax(np.where(free, np.minimum(x, ub - x), -np.inf)))
+        x[k] += budget - math.fsum(x.tolist())
+    else:
+        x[free] = (ub * draw(units))[free]
+    assert np.all(x >= 0.0) and np.all(x <= ub)
+    return c, ub, budget, draw(st.floats(1e-3, 0.999)), x
+
+
+class TestClosedFormRound:
+    """Where x holds every bound the anchor x* = P_X(c) holds strictly, the
+    halfspace projection of x is the trial point z = x - t*(x - x*): the
+    loop takes z there and skips the dual search."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(steady_instances(), st.integers(1, 3))
+    def test_trial_point_is_the_projection(self, instance, pad):
+        c, ub, budget, t, x = instance
+        fset = FeasibleSet(ub, budget)
+        anchor = project_box_budget(c, fset)
+        td = t * (x - anchor.point)
+        z = x - td
+        normal = z - c
+        assume(np.any(normal != 0.0))
+        scale = float(ub.max())
+        w = project_halfspace_then_set(x, normal, z, fset, offset_gap=td)
+        assert np.abs(w - z).max() <= 1e-12 * scale
+        # The oracle bisects the uncentered gap, whose w(beta) rounds at the
+        # scale of x - beta*n; a gap error moves its point by that error
+        # over the norm of the normal the free components see, centered
+        # where the budget binds (see test_projection.cut_slack).
+        beta = t / (1.0 - t)
+        n_free = normal[(z > 0.0) & (z < ub)]
+        if anchor.active_budget and n_free.size:
+            n_free = n_free - n_free.mean()
+        norm = float(np.sqrt(np.sum(n_free * n_free)))
+        rounding = EPS * math.fsum((np.abs(normal) * (np.abs(x) + beta * np.abs(normal))).tolist())
+        slack = 2.0 * rounding / norm if norm > 0.0 else 0.0
+        ref = halfspace_projection_oracle(x, normal, z, fset, offset_gap=td)
+        assert np.abs(ref - z).max() <= 1e-12 * scale + slack
+
+        # The helper on a batch of two rows padded past the problem's width:
+        # x, then x with one bound the anchor holds strictly let go, or off
+        # the budget face.
+        def padded(a):
+            return np.concatenate((a, np.zeros(pad)))
+
+        strict, bound = vi_solver._strict_set(*(np.array([padded(a)] * 2)
+                                               for a in (c, anchor.point, ub)),
+                                              [anchor.multiplier] * 2)
+        moved = []
+        held = np.flatnonzero(strict[0, :len(x)])
+        if held.size:
+            off = x.copy()
+            off[held[0]] = 0.5 * ub[held[0]]
+            moved.append(off)
+        if anchor.active_budget:
+            off = x.copy()
+            k = int(np.argmax(np.where(strict[0, :len(x)], -np.inf, x)))
+            assume(0.5 * x[k] > 1e-9 * budget)
+            off[k] *= 0.5
+            moved.append(off)
+        for off in moved:
+            rows = np.array([padded(x), padded(off)])
+            assert vi_solver._steady_rows(rows, strict, bound, [anchor.multiplier] * 2,
+                                          [budget] * 2, _row_fsums(rows)) == [True, False]
+        rows = np.array([padded(x)])
+        assert vi_solver._steady_rows(rows, strict[:1], bound[:1], [anchor.multiplier],
+                                      [budget], _row_fsums(rows)) == [True]
