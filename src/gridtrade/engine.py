@@ -194,24 +194,11 @@ class MessageLog:
         self._check_round(rnd)
         self._entries.append(_Announce(rnd, deficiency, total_price, n_users))
 
-    def append_round(self, round: int, offers, slacks, repeat: bool) -> None:
-        """Record one follower round: offer i and slack i come from seller
-        i, the repeat bit from the grid. The arrays are copied."""
-        rnd = operator.index(round)
-        offers = _snapshot(offers, "offers")
-        slacks = _snapshot(slacks, "slacks")
-        if offers.shape != slacks.shape:
-            raise ValueError(
-                f"offers and slacks must match, got shapes {offers.shape} and {slacks.shape}")
-        if not isinstance(repeat, bool):
-            raise ValueError("repeat_bit carries exactly one boolean")
-        self._check_round(rnd)
-        self._entries.append(_RoundBlock(rnd, offers, slacks, repeat))
-
     def _append_frozen(self, entry: _Announce | _RoundBlock) -> None:
-        """append or append_round for the engine's lockstep rounds: a round
-        block's arrays are read-only rows of the round's one copy and the
-        round follows the log's last, so nothing is copied or checked again."""
+        """Record an announce or a follower round of the engine's lockstep
+        rounds: a round block's arrays are read-only rows of the round's one
+        copy and the round follows the log's last, so nothing is copied or
+        checked again."""
         self._entries.append(entry)
 
     def append_prices(self, round: int, prices) -> None:
@@ -360,13 +347,11 @@ def _follower_stage(scenarios, s, prices, logs, stage):
     def on_iteration(iteration, rows, x, res, steps, z, mu, done):
         # The loop cuts the batch to its widest live game.
         k = x.shape[1]
-        if done:
-            stops = [True] * len(rows)
-        else:
-            # A stage's first round has no previous slacks to compare with.
-            stops = [stop and rounds[r] > 0 for stop, r in zip(_interior_mu_stop(
-                x, mu, _take(prev_mu, rows)[:, :k], _take(margin, rows)[:, :k],
-                _take(upper_limit, rows)[:, :k]), rows.tolist())]
+        # A row done on its residual stops; a stage's first round has no
+        # previous slacks to compare with.
+        stops = [a or (b and rounds[r] > 0) for a, b, r in zip(done, _interior_mu_stop(
+            x, mu, _take(prev_mu, rows)[:, :k], _take(margin, rows)[:, :k],
+            _take(upper_limit, rows)[:, :k]), rows.tolist())]
         # One read-only copy of the round; each game's block holds its row,
         # cut to the game's size.
         offers, slacks = _frozen(x), _frozen(mu)

@@ -175,10 +175,20 @@ def _searched_rows(x, a, p_min, p_max, target):
                     nu[i] = -(target[r] - fixed + lin) / den
             with np.errstate(divide="ignore", invalid="ignore"):
                 p = np.where(interior, (-_col(nu) - ar) / twice, p)
+        totals = _row_fsums(p)
+        for i, (r, n_free, total) in enumerate(zip(rows, counts, totals)):
+            if n_free and abs(total - target[r]) > tol_sum[r]:
+                # One ulp of nu moves a seller of slope 1/(2 x_i) past
+                # tol_sum when x_i is tiny: the steepest interior seller
+                # takes what the other prices leave of the target.
+                k = int(np.argmin(np.where(interior[i], twice[i], np.inf)))
+                p[i, k] = 0.0
+                p[i, k] = target[r] - math.fsum(p[i].tolist())
+                totals[i] = math.fsum(p[i].tolist())
         clipped = np.minimum(np.maximum(p, lo), hi)
         for j, r, v, low, high, total, row in zip(
                 piece, rows, nu, _min(p, axis=1).tolist(), _max(p, axis=1).tolist(),
-                _row_fsums(p), clipped):
+                totals, clipped):
             ok[j] = (p_min[r] - 1e-9 <= low and high <= p_max[r] + 1e-9
                      and abs(total - target[r]) <= tol_sum[r])
             prices[r], duals[r] = row, v

@@ -141,9 +141,9 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 # Row cores. The engine plays a sweep's games in lockstep through these:
 # each takes (rows, n) arrays of independent problems and keeps every row's
 # multiplier, bracket, certified piece and stop to itself. Elementwise work,
-# the halfspace dual's probes, piece comparisons and Newton steps run on the
-# live rows as columns; exactly rounded sums and each search's scalar rule
-# run row by row, so a row rounds as it does alone. A row leaves the batch
+# the halfspace dual's probes and Newton steps run on the live rows as
+# columns; exactly rounded sums, piece comparisons and each search's scalar
+# rule run row by row, so a row rounds as it does alone. A row leaves the batch
 # when its search ends.
 #
 # The public projections above are these cores on a batch of one, behind
@@ -151,8 +151,9 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 # _halfspace_rows. The main choice made by batch size is the halfspace
 # dual's probe: a lone row takes _move_path, which assembles its moves on
 # one vector, and several rows take _move_path_rows, which on a lone row
-# gives the same bytes but makes follower_tight's solves take 46% longer
-# (in process, seed 211). _newton_steps, _masked_rows and _counted_rows
+# gives the same bytes but makes follower_tight's 400 solves take 45% longer
+# (0.56 s against 0.39 s, the least of 6 alternating in-process passes at
+# seed 211 on a 2-core Xeon). _newton_steps, _masked_rows and _counted_rows
 # also have a branch of their own for a lone row.
 #
 # The rows of a batch may be of different sizes. `widths` then gives each
@@ -494,22 +495,16 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
             # The rows whose piece fails at their beta search for one.
             at = np.flatnonzero(~ok)
             need = at.tolist()
-            if len(need) < k:
-                at_rows = [rows[j] for j in need]
-                ss, ls, hs, bs, ns, ps = s[at], lb[at], hb[at], beta[at], nr[at], pk[at]
-            else:
-                at_rows, ss, ls, hs, bs, ns, ps = rows, s, lb, hb, beta, nr, pk
+            at_rows = [rows[j] for j in need]
+            ss, ls, hs, bs, ns, ps = s[at], lb[at], hb[at], beta[at], nr[at], pk[at]
             targets = [target[r] for r in at_rows]
             found = []
 
             def finish(sub, lam_guess):
                 """The moves on the pieces holding lam_guess at the positions
                 sub of need."""
-                if len(sub) == len(need):
-                    sr, s2, l2, h2, b2, n2, p2 = at_rows, ss, ls, hs, bs, ns, ps
-                else:
-                    sr = [at_rows[i] for i in sub]
-                    s2, l2, h2, b2, n2, p2 = ss[sub], ls[sub], hs[sub], bs[sub], ns[sub], ps[sub]
+                sr = [at_rows[i] for i in sub]
+                s2, l2, h2, b2, n2, p2 = ss[sub], ls[sub], hs[sub], bs[sub], ns[sub], ps[sub]
                 guess = np.array(lam_guess)
                 mm = np.minimum(np.maximum(s2 - guess[:, None], l2), h2)
                 new = piece_of(sr, mm <= l2, mm >= h2, n2, l2, h2)
@@ -533,15 +528,11 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
                 return got.tolist()
 
             checked = _breakpoint_rows(ss, ls, hs, targets, finish, _at(widths, at_rows))
-            (sub, got, mv2, lam2, free2, slope2), *later = found
-            if len(need) == k and not later and got.all():
-                mv, lam, free, slope = mv2, lam2, free2, slope2.tolist()
-            else:
-                for sub, got, mv2, lam2, free2, slope2 in found:
-                    pos = [need[i] for i, good in zip(sub, got.tolist()) if good]
-                    mv[pos], lam[pos], free[pos] = mv2[got], lam2[got], free2[got]
-                    for j, value in zip(pos, slope2[got].tolist()):
-                        slope[j] = value
+            for sub, got, mv2, lam2, free2, slope2 in found:
+                pos = [need[i] for i, good in zip(sub, got.tolist()) if good]
+                mv[pos], lam[pos], free[pos] = mv2[got], lam2[got], free2[got]
+                for j, value in zip(pos, slope2[got].tolist()):
+                    slope[j] = value
             for j, c in enumerate(checked):
                 if c is None:
                     failed[need[j]] = _uncertified(
@@ -717,6 +708,14 @@ def _newton_steps(n, free, binds, beta, g, slopes):
     return [b + v / slope if slope > 0.0 else math.inf for b, v, slope in zip(beta, g, slopes)]
 
 
+def _piece_keys(free, up, binds):
+    """Per row, its piece as one key: the bytes of its free and at-upper
+    masks and whether the budget binds."""
+    w = free.shape[1]
+    f, u = free.tobytes(), up.tobytes()
+    return [(f[i:i + w], u[i:i + w], b) for i, b in zip(range(0, w * len(binds), w), binds)]
+
+
 def _bracket(n, x, lo, evals, probe, errors):
     """The search for the root of each row's gap, all rows in lockstep.
 
@@ -733,8 +732,9 @@ def _bracket(n, x, lo, evals, probe, errors):
 
     Per row, probes step along the piece of one end of the bracket [lo, hi]
     (see project_halfspace_then_set); a piece is a probe's free mask,
-    at-upper mask and whether the budget binds. The rule runs row by row;
-    the probes, the comparisons of pieces and the Newton steps are batched.
+    at-upper mask and whether the budget binds, kept per end as one key
+    (_piece_keys). The rule runs row by row; the probes and the Newton
+    steps are batched.
     """
     g0, lam0, binds0, free0, up0, move0, slope0 = lo
     m = len(g0)
@@ -786,23 +786,18 @@ def _bracket(n, x, lo, evals, probe, errors):
 
     def take(sel):
         """Keep the rows at the positions sel."""
-        nonlocal rows, state, n, lo_free, lo_up, hi_free, hi_up
+        nonlocal rows, state, n
         rows, state = [rows[j] for j in sel], [state[j] for j in sel]
-        at = np.array(sel)
-        n, lo_free, lo_up = n[at], lo_free[at], lo_up[at]
-        if hi_free is not None:
-            hi_free, hi_up = hi_free[at], hi_up[at]
+        n = n[sel]
 
-    # Per row its bracket: [lo beta, lo g, lo's Newton step, lo binds, hi
-    # beta, hi's Newton step, hi multiplier, hi binds, hi move, evaluations];
-    # hi beta is None until a probe lands with g <= 0. lo's and hi's masks
-    # are columns over the same rows.
-    lo_free, lo_up, hi_free, hi_up = free0, up0, None, None
+    # Per row its bracket: [lo beta, lo g, lo's Newton step, lo piece, hi
+    # beta, hi's Newton step, hi multiplier, hi piece, hi move, evaluations];
+    # hi beta is None until a probe lands with g <= 0.
     state, betas, origin, go = [], [], [], []
-    for j, (r, g, step, b, spent) in enumerate(zip(
-            rows, g0, _newton_steps(n, free0, binds0, [0.0] * len(rows), g0, slope0), binds0,
-            evals)):
-        state.append([0.0, g, step, b, None, None, None, None, None, spent])
+    for j, (r, g, step, key, spent) in enumerate(zip(
+            rows, g0, _newton_steps(n, free0, binds0, [0.0] * len(rows), g0, slope0),
+            _piece_keys(free0, up0, binds0), evals)):
+        state.append([0.0, g, step, key, None, None, None, None, None, spent])
         beta, side = pick(r, j, state[-1])
         if beta is not None:
             go.append(j), betas.append(beta), origin.append(side)
@@ -812,7 +807,7 @@ def _bracket(n, x, lo, evals, probe, errors):
         take(go)
     while True:
         g, lam, binds, free, up, move, slope, failed = probe(rows, betas)
-        same = None
+        keys = _piece_keys(free, up, binds)
         stay, to_lo = [], []
         for j, (r, st, gj, side) in enumerate(zip(rows, state, g, origin)):
             st[9] += 1
@@ -820,49 +815,24 @@ def _bracket(n, x, lo, evals, probe, errors):
                 errors[r] = failed[j]
             elif gj > 0.0:
                 stay.append(j), to_lo.append(True)
+            elif gj == 0.0 or (side is not None and keys[j] == st[3 if side == 0 else 7]):
+                out_move[r], out_beta[r], out_lam[r] = move[j], betas[j], lam[j]
             else:
-                if same is None and gj != 0.0 and side is not None:
-                    # The pieces of the probes' origins, compared by row.
-                    if 1 in origin:
-                        on_hi = np.array([s == 1 for s in origin])[:, None]
-                        o_free = np.where(on_hi, hi_free, lo_free)
-                        o_up = np.where(on_hi, hi_up, lo_up)
-                    else:
-                        o_free, o_up = lo_free, lo_up
-                    if free.tobytes() == o_free.tobytes() and up.tobytes() == o_up.tobytes():
-                        # Every row's probe stayed on its origin's piece.
-                        same = [True] * len(rows)
-                    else:
-                        same = _all((free == o_free) & (up == o_up), 1).tolist()
-                if gj == 0.0 or (side is not None and same[j]
-                                 and binds[j] == st[3 if side == 0 else 7]):
-                    out_move[r], out_beta[r], out_lam[r] = move[j], betas[j], lam[j]
-                else:
-                    stay.append(j), to_lo.append(False)
+                stay.append(j), to_lo.append(False)
         if len(stay) < len(rows):
             if not stay:
                 break
             take(stay)
-            g, lam, binds, betas, slope = ([a[j] for j in stay] for a in (g, lam, binds, betas,
-                                                                         slope))
-            at = np.array(stay)
-            free, up, move = free[at], up[at], move[at]
-        if all(to_lo):
-            lo_free, lo_up = free, up
-        elif not any(to_lo):
-            hi_free, hi_up = free, up
-        else:
-            low = np.array(to_lo)[:, None]
-            lo_free, lo_up = np.where(low, free, lo_free), np.where(low, up, lo_up)
-            hi_free, hi_up = (free, up) if hi_free is None else (
-                np.where(low, hi_free, free), np.where(low, hi_up, up))
+            g, lam, binds, betas, slope, keys = ([a[j] for j in stay] for a in (
+                g, lam, binds, betas, slope, keys))
+            free, move = free[stay], move[stay]
         nxt, origin, go = [], [], []
         for j, (r, st, low, beta, step) in enumerate(zip(
                 rows, state, to_lo, betas, _newton_steps(n, free, binds, betas, g, slope))):
             if low:
-                st[:4] = beta, g[j], step, binds[j]
+                st[:4] = beta, g[j], step, keys[j]
             else:
-                st[4:9] = beta, step, lam[j], binds[j], move[j]
+                st[4:9] = beta, step, lam[j], keys[j], move[j]
             beta, side = pick(r, j, st)
             if beta is not None:
                 go.append(j), nxt.append(beta), origin.append(side)

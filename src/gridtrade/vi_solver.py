@@ -40,9 +40,13 @@ only general projection.
 
 One loop, `_extragradient`, runs the iteration for every caller: the engine
 on a (games, sellers) batch of independent problems, `solve_ve` on a batch
-of one. Every batch size runs the same row code: the residuals of
-`_residual_rows` and the projections of `projection._halfspace_rows`, after
-one finiteness test of the round's normals. A lone row (a lone problem, or
+of one. It calls its caller's round callback once per round with every live
+row and a per-row flag for the rows that stop on their residual; those rows,
+the rows the callback halts and, at max_iterations, all the others leave
+the batch through one exit. Every batch size runs the same row code: the
+residuals of `_residual_rows` and the projections of
+`projection._halfspace_rows`, after one finiteness test of the round's
+normals. A lone row (a lone problem, or
 a batch's last live row) forms its residual through the public
 `natural_residual`, which checks the iterate and is `_residual_rows` on a
 batch of one, so the bench counts a lone solve's rounds by its calls. The
@@ -208,8 +212,9 @@ def solve_ve(F: PseudoGradient, fset: FeasibleSet) -> tuple[np.ndarray, SolverTr
 
     def record(iteration, rows, x, res, steps, z, mu, done):
         # z is x on the residual stop, else the accepted trial point.
-        x, t = x[0], 0.0 if done else steps[0]
-        trace.records.append(IterationRecord(iteration, x, res[0], t, x if done else z[0], mu[0]))
+        x, stop = x[0], done[0]
+        trace.records.append(IterationRecord(iteration, x, res[0], 0.0 if stop else steps[0],
+                                             x if stop else z[0], mu[0]))
         return [False]
 
     final, stops = _extragradient(F.surpluses[None], F.prices[None], fset.upper_bounds[None],
@@ -302,18 +307,19 @@ def _extragradient(s, p, ub, budget, on_iteration, widths=None):
     (see projection); when rows leave, the batch is cut to its widest live row.
 
     Each row starts from zeros, its anchor the projection of s_r + p_r.
-    Each row takes its own Armijo step and stops on its own test, and a row
-    that stops leaves the batch. After each row's residual test,
-    on_iteration(iteration, rows, x, residuals, steps, z, mu, done) sees
-    the live rows, their labels in `rows`: with done=True the rows that stop
-    on their residual (steps and z None), and with done=False, after the
-    Armijo search, the rest, whose trial points are z = x - steps*d; it
-    returns per row whether to halt it there. Returns each row's final
-    iterate and stop reason (`residual`, `caller` or `max_iterations`). A
-    row's path does not depend on the rows beside it. A lone row (alone from
-    the start or the last one left) forms its residual with
-    natural_residual, which rounds as _residual_rows, from its (operator,
-    set, anchor projection), built when the row is first alone.
+    Each row takes its own Armijo step and stops on its own test. Once per
+    round, after the Armijo search of the rows whose residual is above
+    tolerance, on_iteration(iteration, rows, x, residuals, steps, z, mu,
+    done) sees every live row, their labels in `rows`: done[j] says whether
+    row j stops on its residual (its steps and z entries are then unused),
+    and the other rows' trial points are z = x - steps*d. It returns per row
+    whether to halt it there. The rows done or halted, and at
+    max_iterations every row, leave the batch together. Returns each row's
+    final iterate and stop reason (`residual`, `caller` or
+    `max_iterations`). A row's path does not depend on the rows beside it.
+    A lone row (alone from the start or the last one left) forms its
+    residual with natural_residual, which rounds as _residual_rows, from its
+    (operator, set, anchor projection), built when the row is first alone.
 
     Each round projects a row whose iterate holds its anchor's strictly
     active set (_steady_rows, the masks of _strict_set taken once per
@@ -338,18 +344,9 @@ def _extragradient(s, p, ub, budget, on_iteration, widths=None):
     rows = np.arange(len(x))
     lone = None
     final = np.zeros_like(x)
-    stops = ["max_iterations"] * len(x)
+    stops = [None] * len(x)
     budget = list(budget)
     plan = _compensation(anchor, [v > 0.0 for v in lam], ub)
-
-    def leave(sel, reason):
-        """Record the rows at positions sel as stopped and return the
-        positions that stay."""
-        final[rows[sel], :x.shape[1]] = x[sel]
-        for r in rows[sel]:
-            stops[r] = reason
-        gone = set(sel)
-        return [j for j in range(len(rows)) if j not in gone]
 
     def narrow(kept):
         """The columns of the widest row at positions kept; widths and the
@@ -380,20 +377,8 @@ def _extragradient(s, p, ub, budget, on_iteration, widths=None):
         else:
             r, res = _residual_rows(x, anchor, plan, widths)
         mu = s - x + p
-        done = [j for j, v in enumerate(res) if v <= tol]
-        if done:
-            at = _take(rows, done)
-            on_iteration(iteration, at, _take(x, done), [res[j] for j in done], None, None,
-                         _take(mu, done), True)
-            kept = leave(done, "residual")
-            if not kept:
-                break
-            cols = narrow(kept)
-            rows = rows[kept]
-            x, s, p, ub, anchor, r, mu, strict, bound = (
-                a[kept, cols] for a in (x, s, p, ub, anchor, r, mu, strict, bound))
-            res, budget, lam = ([a[j] for j in kept] for a in (res, budget, lam))
-
+        # A row that stops on its residual takes no step.
+        done = [v <= tol for v in res]
         d = x - r
         t = [gamma] * len(x)
         # The trial points z and steps t*d are kept as rows backtrack: the
@@ -402,7 +387,8 @@ def _extragradient(s, p, ub, budget, on_iteration, widths=None):
         z = x - td
         fz = z - s - p
         need = [delta * (v * v) for v in res]
-        short = [j for j, a in enumerate(map(math.fsum, (fz * d).tolist())) if a < need[j]]
+        short = [j for j, a in enumerate(map(math.fsum, (fz * d).tolist()))
+                 if a < need[j] and not done[j]]
         backtracks = 0
         while short:
             backtracks += 1
@@ -423,9 +409,16 @@ def _extragradient(s, p, ub, budget, on_iteration, widths=None):
                 td[short], z[short], fz[short] = tds, zs, fzs
             short = [j for j, a in zip(short, map(math.fsum, (fzs * ds).tolist())) if a < need[j]]
 
-        halt = on_iteration(iteration, rows, x, res, t, z, mu, False)
-        if any(halt):
-            kept = leave([j for j, v in enumerate(halt) if v], "caller")
+        halt = on_iteration(iteration, rows, x, res, t, z, mu, done)
+        last = iteration == SOLVER.max_iterations
+        if last or any(done) or any(halt):
+            kept = []
+            for j, (a, b) in enumerate(zip(done, halt)):
+                if a or b or last:
+                    final[rows[j], :x.shape[1]] = x[j]
+                    stops[rows[j]] = "residual" if a else "caller" if b else "max_iterations"
+                else:
+                    kept.append(j)
             if not kept:
                 break
             cols = narrow(kept)
@@ -433,9 +426,6 @@ def _extragradient(s, p, ub, budget, on_iteration, widths=None):
             x, s, p, ub, anchor, z, fz, td, strict, bound = (
                 a[kept, cols] for a in (x, s, p, ub, anchor, z, fz, td, strict, bound))
             budget, lam = ([a[j] for j in kept] for a in (budget, lam))
-        if iteration == SOLVER.max_iterations:
-            leave(list(range(len(rows))), "max_iterations")
-            break
         # The projection's one check: fz is non-finite when x or t*d is.
         if not _all(np.isfinite(fz).ravel()):
             raise ValueError("cannot project with a non-finite normal")

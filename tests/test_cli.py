@@ -492,6 +492,32 @@ class TestMain:
         }))
         assert main(["simulate", "--config", str(cfg_path)]) == 0
 
+    def test_simulate_with_a_tiny_offer_exit_zero(self, tmp_path, capsys):
+        # A stage-1 offer of run 4 is about 1e-14, far below the others, and
+        # the price stage must still certify a piece for it.
+        assert main(["simulate", "--preset", "custom", "--surplus-range", "0.01,0.1",
+                     "--n-values", "10", "--runs", "5", "--out", str(tmp_path)]) == 0
+
+    @pytest.mark.parametrize("flags, field", [
+        pytest.param(["--cost-linear", "1e308"], "cost_linear", marks=pytest.mark.xfail(
+            strict=True, raises=AssertionError, reason="the price stage certifies no "
+            "breakpoint piece and the run exits 2")),
+        pytest.param(["--total-price", "1.7e308", "--p-max", "1.7e308"], "total_price",
+                     marks=pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+                         "the halfspace dual finds no bracket within 10000 evaluations "
+                         "and the run exits 2"))),
+    ], ids=["huge_cost_linear", "huge_total_price"])
+    def test_valid_config_ends_in_a_result_or_names_its_input(self, tmp_path, capsys, flags,
+                                                              field):
+        # Each config passes validation, so it must be played to a result,
+        # or be rejected as an invalid input with exit 1, naming its field.
+        # Equal linear costs are constant on the price slice: the first
+        # should give the answer at the default costs.
+        code = main(["simulate", "--preset", "fig2_utility_vs_n", "--n-values", "5",
+                     "--runs", "2", "--out", str(tmp_path), *flags])
+        err = capsys.readouterr().err
+        assert code == 0 or (code == 1 and field in err), err
+
     def test_simulate_invalid_exit_one(self, tmp_path, capsys):
         code = main(["simulate", "--runs", "0", "--out", str(tmp_path)])
         assert code == 1

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import operator
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -33,6 +34,21 @@ EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072
     for v in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))]
 
 
+def append_round(log, round, offers, slacks, repeat):
+    """Record one follower round in log, checked: offer i and slack i come
+    from seller i, the repeat bit from the grid. The arrays are copied."""
+    rnd = operator.index(round)
+    offers = engine._snapshot(offers, "offers")
+    slacks = engine._snapshot(slacks, "slacks")
+    if offers.shape != slacks.shape:
+        raise ValueError(
+            f"offers and slacks must match, got shapes {offers.shape} and {slacks.shape}")
+    if not isinstance(repeat, bool):
+        raise ValueError("repeat_bit carries exactly one boolean")
+    log._check_round(rnd)
+    log._append_frozen(engine._RoundBlock(rnd, offers, slacks, repeat))
+
+
 class RecordingLog(MessageLog):
     """A MessageLog that also keeps the values of every accepted append, so
     a test can render the reference transcript from what went in."""
@@ -46,14 +62,9 @@ class RecordingLog(MessageLog):
         self.calls.append(("announce", round, {
             "deficiency": deficiency, "total_price": total_price, "n_users": n_users}))
 
-    def append_round(self, round, offers, slacks, repeat):
-        super().append_round(round, offers, slacks, repeat)
-        self.calls.append(("round", round, np.array(offers, dtype=float).tolist(),
-                           np.array(slacks, dtype=float).tolist(), repeat))
-
     def _append_frozen(self, entry):
         # the engine's lockstep announces and rounds come in here, past
-        # append and append_round
+        # append, and so do append_round's
         super()._append_frozen(entry)
         if isinstance(entry, engine._Announce):
             self.calls.append(("announce", entry.round, {
@@ -313,8 +324,8 @@ class TestRunGames:
 
         def recorded(s, p, ub, budget, on_iteration, widths=None):
             def seen(iteration, rows, x, res, t, d, mu, done):
-                if not done:
-                    steps.append(set(t))
+                # A row done on its residual takes no step.
+                steps.append({v for v, stop in zip(t, done) if not stop})
                 return on_iteration(iteration, rows, x, res, t, d, mu, done)
             return loop(s, p, ub, budget, seen, widths)
 
@@ -673,8 +684,8 @@ class TestMessageLog:
     def test_non_finite_round_values_render_like_json_dumps(self):
         log = RecordingLog()
         log.append(1, 5.0, 3.0, 3)
-        log.append_round(1, [0.0, np.nan, 1e-300], [np.inf, -np.inf, -0.0], True)
-        log.append_round(2, [2.5, 1.0 / 3.0, 7e22], [1.0, 2.0, 3.0], False)
+        append_round(log, 1, [0.0, np.nan, 1e-300], [np.inf, -np.inf, -0.0], True)
+        append_round(log, 2, [2.5, 1.0 / 3.0, 7e22], [1.0, 2.0, 3.0], False)
         assert log.to_jsonl() == reference_jsonl(log.calls)
         assert len(log) == 1 + 7 + 7
         assert log.total_rounds == 2
@@ -723,9 +734,9 @@ class TestMessageLog:
     def test_empty_round_and_non_finite_prices_render_like_json_dumps(self):
         log = RecordingLog()
         log.append(1, 5.0, 3.0, 5)
-        log.append_round(1, [], [], True)
+        append_round(log, 1, [], [], True)
         log.append_prices(2, [np.nan, np.inf, -np.inf, -0.0, 0.0])
-        log.append_round(2, [0.0, -0.0, 0.1, np.nan, 5e-324], [-0.0] * 5, False)
+        append_round(log, 2, [0.0, -0.0, 0.1, np.nan, 5e-324], [-0.0] * 5, False)
         text = log.to_jsonl()
         assert text == reference_jsonl(log.calls)
         assert "" not in text.split("\n")
@@ -757,9 +768,9 @@ class TestMessageLog:
         for n in (1, 3, 500, 3):
             log = RecordingLog()
             log.append(1, 5.0, 3.0, n)
-            log.append_round(1, rng.uniform(0, 240, n), rng.normal(size=n), True)
+            append_round(log, 1, rng.uniform(0, 240, n), rng.normal(size=n), True)
             log.append_prices(2, rng.uniform(0.35, 175, n))
-            log.append_round(2, rng.uniform(0, 240, n), -rng.random(n), False)
+            append_round(log, 2, rng.uniform(0, 240, n), -rng.random(n), False)
             assert log.to_jsonl() == reference_jsonl(log.calls)
         assert all(len(tails) == 500 for _, tails in engine._FRAGMENTS.values())
 
@@ -772,9 +783,9 @@ class TestMessageLog:
             if what == "announce":
                 log.append(rnd, **values[0])
             elif what == "round":
-                log.append_round(rnd, *values)
+                append_round(log, rnd, *values)
             else:
-                log.append_round(rnd, [], [], False)
+                append_round(log, rnd, [], [], False)
                 log.append_prices(rnd, values[0])
         kinds = [m["kind"] for m in parsed(log)]
         assert kinds.count("price_update") == 5
@@ -784,7 +795,7 @@ class TestMessageLog:
     def test_fragment_cache_is_bounded_by_the_largest_block(self, fresh_fragments):
         for n in range(1, 61):
             log = MessageLog()
-            log.append_round(n, np.arange(n, dtype=float), np.zeros(n), False)
+            append_round(log, n, np.arange(n, dtype=float), np.zeros(n), False)
             log.append_prices(n, np.ones(n))
             log.to_jsonl()
         assert set(engine._FRAGMENTS) == {"offer", "slack_report", "price_update"}
@@ -795,7 +806,7 @@ class TestMessageLog:
         logs = []
         for n in (7, 40, 3, 120, 60, 1):
             log = RecordingLog()
-            log.append_round(1, np.arange(n) / 3.0, -np.arange(n, dtype=float), True)
+            append_round(log, 1, np.arange(n) / 3.0, -np.arange(n, dtype=float), True)
             log.append_prices(2, np.full(n, 0.35))
             logs.append(log)
         expected = [reference_jsonl(log.calls) for log in logs] * 4
@@ -813,16 +824,16 @@ class TestMessageLog:
 
     def test_append_round_validates(self):
         log = MessageLog()
-        log.append_round(2, [1.0], [2.0], True)
+        append_round(log, 2, [1.0], [2.0], True)
         with pytest.raises(ValueError):
-            log.append_round(1, [1.0], [2.0], True)
+            append_round(log, 1, [1.0], [2.0], True)
         with pytest.raises(ValueError):
-            log.append_round(3, [1.0, 2.0], [2.0], True)
+            append_round(log, 3, [1.0, 2.0], [2.0], True)
         with pytest.raises(ValueError):
-            log.append_round(3, [[1.0]], [[2.0]], True)
+            append_round(log, 3, [[1.0]], [[2.0]], True)
         for bad_bit in (1, np.bool_(True), None):
             with pytest.raises(ValueError):
-                log.append_round(3, [1.0], [2.0], bad_bit)
+                append_round(log, 3, [1.0], [2.0], bad_bit)
         with pytest.raises(ValueError):
             log.append(1, 5.0, 3.0, 1)
         assert len(log) == 3
@@ -831,7 +842,7 @@ class TestMessageLog:
         offers = np.array([1.0, 2.0])
         slacks = np.array([3.0, 4.0])
         log = MessageLog()
-        log.append_round(1, offers, slacks, False)
+        append_round(log, 1, offers, slacks, False)
         before = log.to_jsonl()
         offers[:] = -1.0
         slacks[0] = np.nan

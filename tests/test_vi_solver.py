@@ -386,13 +386,52 @@ class TestRowLoop:
 
         def on_iteration(iteration, rows, x, res, steps, d, mu, done):
             for j, r in enumerate(rows):
-                seen[r].append((x[j].tobytes(), res[j], 0.0 if done else steps[j]))
+                seen[r].append((x[j].tobytes(), res[j], 0.0 if done[j] else steps[j]))
             return [False] * len(rows)
 
         final, stops = vi_solver._extragradient(s, p, s, budget, on_iteration)
         for (x, trace), row, stop, path in zip(alone, final, stops, seen):
             assert row.tobytes() == x.tobytes() and stop == trace.stop_reason
             assert path == [(r.x.tobytes(), r.residual, r.step) for r in trace.records]
+
+    def test_residual_stop_halt_and_cap_leave_through_one_exit(self, monkeypatch):
+        # Rows of 1, 6, 2 and 3 sellers, padded to 6: alone, the first stops
+        # on its residual in round 10 and the others in round 12. In round 10
+        # the callback halts the second, so one round sees a residual stop
+        # and a halt; the cap of 11 rounds stops the other two.
+        use_solver(monkeypatch, max_iterations=11)
+        rng = np.random.default_rng(2)
+        problems = []
+        for n, factor in ((1, 0.3), (6, 0.6), (2, 0.3), (3, 0.3)):
+            s = rng.uniform(64.0, 240.0, n)
+            problems.append((s, rng.uniform(8.45, 175.0, n), factor * float(s.sum())))
+
+        def halting(labels):
+            """A callback that halts the row labelled 1 in round 10, noting
+            each round's iteration and done flags."""
+            calls = []
+
+            def on_iteration(iteration, rows, x, res, steps, z, mu, done):
+                calls.append((iteration, dict(zip(labels[rows].tolist(), done))))
+                return [iteration == 10 and r == 1 for r in labels[rows].tolist()]
+            return on_iteration, calls
+
+        s, p = np.zeros((4, 6)), np.zeros((4, 6))
+        for i, (si, pi, _) in enumerate(problems):
+            s[i, :si.size], p[i, :si.size] = si, pi
+        on_iteration, calls = halting(np.arange(4))
+        final, stops = vi_solver._extragradient(s, p, s, [b for _, _, b in problems],
+                                                on_iteration, [si.size for si, _, _ in problems])
+        assert stops == ["residual", "caller", "max_iterations", "max_iterations"]
+        # One call per round, which sees every live row.
+        assert [it for it, _ in calls] == list(range(1, 12))
+        assert calls[9][1] == {0: True, 1: False, 2: False, 3: False}
+        assert calls[10][1] == {2: False, 3: False}
+        for i, (si, pi, b) in enumerate(problems):
+            alone, _ = halting(np.array([i]))
+            x, stop = vi_solver._extragradient(si[None], pi[None], si[None], [b], alone)
+            assert final[i, :si.size].tobytes() == x[0].tobytes() and stops[i] == stop[0]
+            assert not final[i, si.size:].any()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_lone_row_rejects_a_non_finite_normal(self, bad):
@@ -439,7 +478,10 @@ def steady_instances(draw):
         x[k] += budget - math.fsum(x.tolist())
     else:
         x[free] = (ub * draw(units))[free]
-    assert np.all(x >= 0.0) and np.all(x <= ub)
+    # The anchor may certify a sum an ulp off the budget with every free
+    # component on a bound (a zero multiplier there): no x of the box then
+    # reaches the face, and the draw has no instance.
+    assume(np.all(x >= 0.0) and np.all(x <= ub))
     return c, ub, budget, draw(st.floats(1e-3, 0.999)), x
 
 
