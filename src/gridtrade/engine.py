@@ -10,15 +10,19 @@ exchange can be replayed or audited against the round grammar
 
     (announce offer* slack* repeat)*  price*  (offer* slack* repeat)*
 
-The transcript is stored in columns: an announce as its three fields, a
-follower round as its offer and slack arrays plus the repeat bit, a price
-stage as its price array. Messages exist only as JSON lines, rendered
-from those columns: one orjson call formats every float of the log, each
-array once (a replayed stage's blocks share stage 1's arrays), and a
-block of n lines is joined from its kind's cached fixed text with the
-value and round texts set in between. The bytes are those of one
-json.dumps(..., sort_keys=True) line per message. orjson is imported when
-a transcript is first rendered, so `import gridtrade` does not load it.
+The transcript is stored in columns. A lockstep stage keeps one record
+for its whole batch: per round, the live games' labels, their offers and
+slacks as one read-only array each, and their stop bits. Each game's log
+holds its stage as a reference into that record (its label, its size,
+its first round and its round count) plus, for stage 1, the announce
+fields repeated before each round; a price stage is its price array.
+Messages exist only as JSON lines, rendered from those columns: one orjson
+call formats every float of the log, each game's stage once (a replayed
+stage refers to stage 1's record), and a block of n lines is joined from
+its kind's cached fixed text with the value and round texts set in
+between. The bytes are those of one json.dumps(..., sort_keys=True) line
+per message. orjson is imported when a transcript is first rendered, so
+`import gridtrade` does not load it.
 
 Games of any network sizes can be played in lockstep (run_games): one
 follower loop iterates every game's sellers as one row of a (games,
@@ -34,7 +38,7 @@ The grid sets its prices once: each game plays one price stage. The
 follower loop is deterministic, so a stage played again at the same prices
 is the same stage round for round. A game whose optimized price row has the
 bytes of its uniform row therefore replays stage 1 as stage 2, not solving
-it again: the price block, then stage 1's round blocks renumbered. This
+it again: the price block, then stage 1's rounds renumbered. This
 happens where the price slice is one point, n*p_min = total_price, which
 price_opt prices exactly at p_min: 10 of the 50 `sweep` benchmark games
 (n = 25), all 64 `large_n` games (n = 500), and all 100 n = 25 runs of a
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -83,15 +87,24 @@ class _Announce:
     n_users: int
 
 
-@dataclass(frozen=True)
-class _RoundBlock:
-    """One follower round: every seller's offer and slack report, then the
-    grid's repeat bit, held as arrays instead of 2n+1 messages."""
+@dataclass(frozen=True, eq=False)
+class _Stage:
+    """A game's follower rounds in one stage: `count` rounds numbered from
+    `round` on, each every seller's offer and slack report, then the grid's
+    repeat bit. They are row `label` of a batch record, cut to the game's
+    `size` sellers: the record holds, per round of the batch, (labels,
+    offers, slacks, stops), the labels of its live games in ascending order,
+    their offers and slacks as read-only (games, width) arrays and their
+    stop bits. The game is live in the record's first `count` rounds.
+    announce holds stage 1's deficiency and total price, sent before each
+    round with the size; stage 2 has none."""
 
     round: int
-    offers: np.ndarray
-    slacks: np.ndarray
-    repeat: bool
+    record: list
+    label: int
+    size: int
+    count: int
+    announce: tuple | None
 
 
 @dataclass(frozen=True)
@@ -170,22 +183,24 @@ def _snapshot(values, name: str) -> np.ndarray:
 class MessageLog:
     """Append-only transcript; round numbers never decrease.
 
-    The announce is kept as its three fields, a follower round as one block
-    of offer and slack arrays plus the repeat bit, and a price stage as one
-    block holding the price array. Messages exist only as JSON lines:
-    `to_jsonl` and `messages` render the blocks column by column, and one
-    _json_floats call formats every distinct array of the log once. A block
-    of n lines copies the first 4n of its kind's cached fragments, sets the
-    value texts and the round into their slots and joins them once. The
-    bytes are those of the per-message json.dumps renderer.
+    The announce is kept as its three fields, a price stage as one block
+    holding the price array, and a stage of follower rounds as a _Stage, a
+    reference into its batch's record. Messages exist only as JSON lines:
+    `to_jsonl` and `messages` render the entries column by column, and one
+    _json_floats call formats every distinct array and stage of the log
+    once. A block of n lines copies the first 4n of its kind's cached
+    fragments, sets the value texts and the round into their slots and
+    joins them once. The bytes are those of the per-message json.dumps
+    renderer.
     """
 
     def __init__(self) -> None:
-        self._entries: list[_Announce | _RoundBlock | _PriceBlock] = []
+        self._entries: list[_Announce | _Stage | _PriceBlock] = []
+        self._last = 0
 
     def _check_round(self, rnd) -> None:
-        if self._entries and rnd < self._entries[-1].round:
-            raise ValueError(f"round {rnd} precedes current round {self._entries[-1].round}")
+        if self._entries and rnd < self._last:
+            raise ValueError(f"round {rnd} precedes current round {self._last}")
 
     def append(self, round: int, deficiency, total_price, n_users) -> None:
         """Record the grid's announce of its deficiency, its price budget
@@ -193,13 +208,15 @@ class MessageLog:
         rnd = operator.index(round)
         self._check_round(rnd)
         self._entries.append(_Announce(rnd, deficiency, total_price, n_users))
+        self._last = rnd
 
-    def _append_frozen(self, entry: _Announce | _RoundBlock) -> None:
-        """Record an announce or a follower round of the engine's lockstep
-        rounds: a round block's arrays are read-only rows of the round's one
-        copy and the round follows the log's last, so nothing is copied or
-        checked again."""
-        self._entries.append(entry)
+    def _append_stage(self, stage: _Stage) -> None:
+        """Record a game's follower rounds of one stage: the record's arrays
+        are read-only and the stage's first round follows the log's last,
+        so nothing is copied or checked again."""
+        self._entries.append(stage)
+        if stage.count:
+            self._last = stage.round + stage.count - 1
 
     def append_prices(self, round: int, prices) -> None:
         """Record one price stage: the grid sends price i to seller i. The
@@ -208,6 +225,7 @@ class MessageLog:
         prices = _snapshot(prices, "prices")
         self._check_round(rnd)
         self._entries.append(_PriceBlock(rnd, prices))
+        self._last = rnd
 
     @property
     def messages(self) -> list[Message]:
@@ -219,8 +237,8 @@ class MessageLog:
     def __len__(self) -> int:
         total = 0
         for entry in self._entries:
-            if isinstance(entry, _RoundBlock):
-                total += 2 * entry.offers.size + 1
+            if isinstance(entry, _Stage):
+                total += entry.count * (2 * entry.size + 1 + (entry.announce is not None))
             elif isinstance(entry, _PriceBlock):
                 total += entry.prices.size
             else:
@@ -229,63 +247,75 @@ class MessageLog:
 
     @property
     def total_rounds(self) -> int:
-        return self._entries[-1].round if self._entries else 0
+        return self._last
 
     def to_jsonl(self) -> str:
         """The transcript as JSON lines, one per message."""
         return self._render()
 
     def _render(self) -> str:
-        # Each distinct array, by identity, is formatted once: a replayed
-        # stage's blocks share stage 1's arrays. starts[id] is where an
-        # array's texts begin.
+        # Each price array, by identity, and each game's stage, by its
+        # record and label, is formatted once: a replayed stage refers to
+        # stage 1's. starts[key] is where their texts begin, a stage's
+        # round by round, offers then slacks.
         columns = []
-        starts: dict[int, int] = {}
+        starts: dict = {}
+        bits: dict = {}
         size = 0
         for entry in self._entries:
-            if isinstance(entry, _RoundBlock):
-                arrays = (entry.offers, entry.slacks)
-            elif isinstance(entry, _PriceBlock):
-                arrays = (entry.prices,)
-            else:
-                continue
-            for values in arrays:
-                if id(values) not in starts:
-                    starts[id(values)] = size
-                    size += values.size
-                    columns.append(values)
+            if isinstance(entry, _Stage):
+                key = id(entry.record), entry.label
+                if key in starts:
+                    continue
+                starts[key], bits[key], n = size, [], entry.size
+                for labels, offers, slacks, stops in entry.record[:entry.count]:
+                    j = int(np.searchsorted(labels, entry.label))
+                    columns += offers[j, :n], slacks[j, :n]
+                    bits[key].append(stops[j])
+                size += 2 * n * entry.count
+            elif isinstance(entry, _PriceBlock) and id(entry.prices) not in starts:
+                starts[id(entry.prices)] = size
+                size += entry.prices.size
+                columns.append(entry.prices)
         texts = _json_floats(np.concatenate(columns)) if columns else []
         lines: list[str] = []
 
-        def fill(kind: str, rnd: str, values: np.ndarray) -> None:
-            n = values.size
+        def fill(kind: str, rnd: str, start: int, n: int) -> None:
             if n == 0:
                 return
             fragments, tails = _fragments(kind, n)
             parts = fragments[:4 * n]
-            start = starts[id(values)]
             parts[1::4] = texts[start:start + n]
             parts[3::4] = [rnd] * n
             parts.append(tails[n - 1])
             lines.append("".join(parts))
 
+        def announce(r: int, deficiency, total_price, n_users) -> None:
+            payload = {"deficiency": deficiency, "total_price": total_price, "n_users": n_users}
+            lines.append(json.dumps(
+                {"round": r, "sender": PG, "kind": "announce", "payload": payload},
+                sort_keys=True,
+            ))
+
         for entry in self._entries:
-            r = entry.round
-            if isinstance(entry, _RoundBlock):
-                fill("offer", str(r), entry.offers)
-                fill("slack_report", str(r), entry.slacks)
-                bit = "true" if entry.repeat else "false"
-                lines.append(f'{{"kind": "repeat_bit", "payload": {{"repeat": {bit}}}, '
-                             f'"round": {r}, "sender": "{PG}"}}')
+            if isinstance(entry, _Stage):
+                key, n = (id(entry.record), entry.label), entry.size
+                start = starts[key]
+                for k, stop in enumerate(bits[key]):
+                    r = entry.round + k
+                    if entry.announce is not None:
+                        announce(r, *entry.announce, n)
+                    fill("offer", str(r), start, n)
+                    fill("slack_report", str(r), start + n, n)
+                    start += 2 * n
+                    bit = "false" if stop else "true"
+                    lines.append(f'{{"kind": "repeat_bit", "payload": {{"repeat": {bit}}}, '
+                                 f'"round": {r}, "sender": "{PG}"}}')
             elif isinstance(entry, _PriceBlock):
-                fill("price_update", str(r), entry.prices)
+                fill("price_update", str(entry.round), starts[id(entry.prices)],
+                     entry.prices.size)
             else:
-                payload = {"deficiency": entry.deficiency, "total_price": entry.total_price,
-                           "n_users": entry.n_users}
-                lines.append(json.dumps(
-                    {"round": r, "sender": PG, "kind": "announce", "payload": payload},
-                    sort_keys=True,
-                ))
+                announce(entry.round, entry.deficiency, entry.total_price, entry.n_users)
         return "\n".join(lines)
 
 
@@ -298,41 +328,40 @@ class GameOutcome:
 
 
 def _interior_mu_stop(x, mu, prev_mu, margin, upper_limit):
-    """Slack-equalization stop, per row: interior spread within tolerance
-    and slack values stationary between rounds. A seller is interior when
-    its offer lies strictly between margin and upper_limit. The spread, the
-    peak and the movement are exact maxima of the batch; the interior mean
-    is taken per row, as numpy rounds it for that row alone. At a sweep's
-    batch sizes the per-row tests cost less as Python floats than as
-    column operations."""
+    """Slack-equalization stop, per row, as a list: interior spread within
+    tolerance and slack values stationary between rounds. A seller is
+    interior when its offer lies strictly between margin and upper_limit;
+    a row with fewer than two interior sellers stops on stationarity alone.
+    The spread, the peak and the movement are exact maxima, and every row
+    takes the bound below as columns; the interior mean is taken only for
+    the rows within it, one by one, as numpy rounds it for that row
+    alone."""
     interior = (x > margin) & (x < upper_limit)
-    top = _max(np.where(interior, mu, -np.inf), axis=1).tolist()
-    bottom = _min(np.where(interior, mu, np.inf), axis=1).tolist()
-    peak = _max(np.abs(mu), axis=1).tolist()
-    moved = _max(np.abs(mu - prev_mu), axis=1).tolist()
-    stops = []
-    for j, count in enumerate(_sum(interior, axis=1).tolist()):
-        if count < 2:
-            stops.append(moved[j] <= 1e-6 * (1.0 + peak[j]))
-            continue
-        spread = top[j] - bottom[j]
-        if max(moved[j], spread) > 2e-6 * (1.0 + max(abs(top[j]), abs(bottom[j]))):
-            # The mean lies within the interior values, so the tolerance
-            # below cannot reach this bound: no need to take the mean.
-            stops.append(False)
-        else:
-            tol = 1e-6 * (1.0 + abs(float(mu[j][interior[j]].mean())))
-            stops.append(moved[j] <= tol and spread <= tol)
+    count = _sum(interior, axis=1)
+    top = _max(np.where(interior, mu, -np.inf), axis=1)
+    bottom = _min(np.where(interior, mu, np.inf), axis=1)
+    moved = _max(np.abs(mu - prev_mu), axis=1)
+    spread = top - bottom
+    stops = (count < 2) & (moved <= 1e-6 * (1.0 + _max(np.abs(mu), axis=1)))
+    # The mean lies within the interior values, so the tolerance below
+    # cannot reach this bound: a row beyond it does not stop.
+    near = (count >= 2) & ~(np.where(spread > moved, spread, moved)
+                            > 2e-6 * (1.0 + np.maximum(np.abs(top), np.abs(bottom))))
+    stops = stops.tolist()
+    for j in np.flatnonzero(near).tolist():
+        tol = 1e-6 * (1.0 + abs(float(mu[j][interior[j]].mean())))
+        stops[j] = bool(moved[j] <= tol and spread[j] <= tol)
     return stops
 
 
 def _follower_stage(scenarios, s, prices, logs, stage):
-    """Run one follower best-response loop per game, in lockstep, logging a
-    round per iteration into each game's own log.
+    """Run one follower best-response loop per game, in lockstep, and log
+    each game's rounds into its own log.
 
     s and prices hold one row per game, padded with zeros past the game's
-    size (see run_games). Returns (allocations, rounds, residuals,
-    converged), one row or entry per game.
+    size (see run_games). The rounds are recorded once for the batch, and
+    each game's log refers to its row of that record (see _Stage). Returns
+    (allocations, rounds, residuals, converged), one row or entry per game.
     """
     m, n = s.shape
     sizes = [sc.n_users for sc in scenarios]
@@ -341,36 +370,37 @@ def _follower_stage(scenarios, s, prices, logs, stage):
     margin = 1e-6 * np.maximum(1.0, s)
     upper_limit = s - margin
     prev_mu = np.zeros_like(s)
-    rounds = [0] * m
-    residual = [float("nan")] * m
+    rounds = np.zeros(m, dtype=int)
+    residual = np.full(m, np.nan)
+    record = []
 
     def on_iteration(iteration, rows, x, res, steps, z, mu, done):
         # The loop cuts the batch to its widest live game.
         k = x.shape[1]
         # A row done on its residual stops; a stage's first round has no
         # previous slacks to compare with.
-        stops = [a or (b and rounds[r] > 0) for a, b, r in zip(done, _interior_mu_stop(
-            x, mu, _take(prev_mu, rows)[:, :k], _take(margin, rows)[:, :k],
-            _take(upper_limit, rows)[:, :k]), rows.tolist())]
-        # One read-only copy of the round; each game's block holds its row,
-        # cut to the game's size.
-        offers, slacks = _frozen(x), _frozen(mu)
-        for j, r in enumerate(rows.tolist()):
-            log, size = logs[r], sizes[r]
-            rnd = log.total_rounds + 1
-            if stage == 1:
-                grid = scenarios[r].grid
-                log._append_frozen(_Announce(rnd, grid.deficiency, grid.total_price, size))
-            elif rounds[r] == 0:
-                log.append_prices(rnd, prices[r, :size])
-            log._append_frozen(_RoundBlock(rnd, offers[j, :size], slacks[j, :size],
-                                           not stops[j]))
-            rounds[r] += 1
-            residual[r] = res[j]
+        stops = done
+        if iteration > 1:
+            stops = list(map(operator.or_, done, _interior_mu_stop(
+                x, mu, _take(prev_mu, rows)[:, :k], _take(margin, rows)[:, :k],
+                _take(upper_limit, rows)[:, :k])))
+        record.append((rows, _frozen(x), _frozen(mu), stops))
+        rounds[rows] = iteration
+        residual[rows] = res
         prev_mu[rows, :k] = mu
         return stops
 
     x, reasons = _extragradient(s, prices, s, budget, on_iteration, widths)
+    rounds, residual = rounds.tolist(), residual.tolist()
+    for r, (log, size) in enumerate(zip(logs, sizes)):
+        rnd = log.total_rounds + 1
+        announce = None
+        if stage == 1:
+            grid = scenarios[r].grid
+            announce = grid.deficiency, grid.total_price
+        else:
+            log.append_prices(rnd, prices[r, :size])
+        log._append_stage(_Stage(rnd, record, r, size, rounds[r], announce))
     return x, rounds, residual, [reason in ("residual", "caller") for reason in reasons]
 
 
@@ -460,9 +490,9 @@ def run_games(scenarios) -> list[GameOutcome]:
     results take the games of each size as one unpadded block.
 
     A game whose optimized price row has the bytes of its uniform row
-    replays stage 1 (see the module docstring): its stage-2 round blocks
-    share stage 1's read-only arrays, and its stage-2 result is stage1
-    itself. Only the other games go through the follower loop again.
+    replays stage 1 (see the module docstring): its stage-2 rounds refer to
+    stage 1's batch record, and its stage-2 result is stage1 itself. Only
+    the other games go through the follower loop again.
 
     Raises ScenarioValidationError for the first invalid scenario, and
     OverflowError when a surplus plus its price overflows the float range.
@@ -513,13 +543,12 @@ def run_games(scenarios) -> list[GameOutcome]:
 
 def _replay(log: MessageLog, prices: np.ndarray) -> None:
     """Log stage 1 again as stage 2, at the same prices: the price block,
-    then stage 1's round blocks renumbered from the price block's round,
-    sharing their arrays."""
-    blocks = [e for e in log._entries if isinstance(e, _RoundBlock)]
+    then stage 1's rounds renumbered from the price block's round, referring
+    to stage 1's record."""
+    (stage1,) = [e for e in log._entries if isinstance(e, _Stage)]
     rnd = log.total_rounds + 1
     log.append_prices(rnd, prices)
-    for k, block in enumerate(blocks):
-        log._append_frozen(_RoundBlock(rnd + k, block.offers, block.slacks, block.repeat))
+    log._append_stage(replace(stage1, round=rnd, announce=None))
 
 
 def run_stackelberg(scenario: Scenario) -> GameOutcome:

@@ -19,15 +19,18 @@ the piece of one end of the bracket holding the root. A piece (an active
 set) holds over the whole step, so a probe that lands with gap <= 0 on the
 piece it was stepped from is the root, and the search ends there. Each
 evaluation of w(beta) is first solved on the last certified piece (an
-active set's constants do not depend on beta), and the breakpoint search
-runs only when that piece fails its KKT check. Before any piece has
-certified, the active set of x's own bounds stands in for it: x is the
-previous projection's output, so that set is the previous projection's
-last piece. With x in the box and within the budget, the move at beta = 0
-is zero and x's bound set is the piece there, so that probe is already a
-Newton step. Near convergence the solver's steady rounds no longer reach
-this search: once an iterate holds the active set of the solution, its
-projection is the trial point itself (see vi_solver).
+active set's constants do not depend on beta). When that piece fails its
+KKT check, the move pivots once, to the piece of clip(s - lam) at the
+multiplier lam the failed piece computed (an active-set Newton step,
+Cominetti, Mascarenhas & Silva 2014), and the breakpoint search sorts
+only when the pivot fails too. Before any piece has certified, the active
+set of x's own bounds stands in for it: x is the previous projection's
+output, so that set is the previous projection's last piece. With x in
+the box and within the budget, the move at beta = 0 is zero and x's bound
+set is the piece there, so that probe is already a Newton step. Near
+convergence the solver's steady rounds no longer reach this search: once
+an iterate holds the active set of the solution, its projection is the
+trial point itself (see vi_solver).
 
 Numerical discipline matters more than usual here. The outer solver drives
 the halfspace gap <n, w(beta) - z> to the square of its own residual, far
@@ -148,13 +151,15 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 #
 # The public projections above are these cores on a batch of one, behind
 # their input checks, and vi_solver's loop projects every batch size with
-# _halfspace_rows. The main choice made by batch size is the halfspace
-# dual's probe: a lone row takes _move_path, which assembles its moves on
-# one vector, and several rows take _move_path_rows, which on a lone row
-# gives the same bytes but makes follower_tight's 400 solves take 45% longer
-# (0.56 s against 0.39 s, the least of 6 alternating in-process passes at
-# seed 211 on a 2-core Xeon). _newton_steps, _masked_rows and _counted_rows
-# also have a branch of their own for a lone row.
+# _halfspace_rows. A halfspace move whose stored piece fails pivots before
+# it sorts (_pivot) at every batch size, and the rows whose pivot fails
+# share one breakpoint search. The main choice made by batch size is the
+# halfspace dual's probe: a lone row takes _move_path, which assembles its
+# moves on one vector, and several rows take _move_path_rows, which on a
+# lone row gives the same bytes but makes follower_tight's 400 solves take
+# 45% longer (0.56 s against 0.39 s, the least of 6 alternating in-process
+# passes at seed 211 on a 2-core Xeon). _newton_steps, _masked_rows and
+# _counted_rows also have a branch of their own for a lone row.
 #
 # The rows of a batch may be of different sizes. `widths` then gives each
 # row's size, its problem being its leading widths[r] components; the rest
@@ -397,10 +402,10 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
     beta >= 0 each and returns their probe columns (see _bracket), the gap
     of row r being <n, move> + g_lin[r], and the slope of each row's own
     bound set (nan unless equality). Each row's move is first assembled on
-    its last certified piece, held with the others' as columns; the
-    breakpoint search runs on the rows whose piece fails its KKT check, and
-    a position whose search certifies no piece gets its ProjectionError in
-    the dict of failures.
+    its last certified piece, held with the others' as columns; the rows
+    whose piece fails its KKT check pivot (_pivot), the rows whose pivot
+    fails share one breakpoint search, and a position whose search
+    certifies no piece gets its ProjectionError in the dict of failures.
 
     The caller passes hi_b, ub - x, and bounds, the masks x <= 0 and
     x >= ub; n_max, each row's largest |n|, is computed unless given. A pad
@@ -441,7 +446,7 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
     # set: the last piece of the projection that produced x.
     stores = piece_of(range(m), *bounds, n, lo_b, hi_b)
 
-    def on_piece(free, arrays, scalars, beta, nb, s, lb, hb, peak):
+    def on_piece(free, arrays, scalars, beta, nb, s, lb, hb, peak, strict=False):
         """on_piece of _move_path for rows at beta (nb is -beta as a
         column): (ok, moves, multipliers), ok false where no component is
         free."""
@@ -450,6 +455,8 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
         c_adj = c - beta * residue / k
         lam = nb[:, 0] * nbar + c_adj
         tol = 64.0 * EPS * (beta * peak + np.abs(lam)) + 1e-300
+        if strict:
+            tol = -tol
         m_free = nb * dev - c_adj[:, None]
         tc = tol[:, None]
         v = np.where(free, m_free, s - lam[:, None])
@@ -492,7 +499,8 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
                 free = free.copy()
         failed = {}
         if not ok.all():
-            # The rows whose piece fails at their beta search for one.
+            # The rows whose piece fails at their beta pivot, and the rows
+            # whose pivot fails too search for their piece.
             at = np.flatnonzero(~ok)
             need = at.tolist()
             at_rows = [rows[j] for j in need]
@@ -500,17 +508,18 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
             targets = [target[r] for r in at_rows]
             found = []
 
-            def finish(sub, lam_guess):
+            def finish(sub, lam_guess, pivot=False):
                 """The moves on the pieces holding lam_guess at the positions
-                sub of need."""
+                sub of need; a pivot's piece certifies only with a free
+                component, by the strict test (see _pivot)."""
                 sr = [at_rows[i] for i in sub]
                 s2, l2, h2, b2, n2, p2 = ss[sub], ls[sub], hs[sub], bs[sub], ns[sub], ps[sub]
                 guess = np.array(lam_guess)
                 mm = np.minimum(np.maximum(s2 - guess[:, None], l2), h2)
                 new = piece_of(sr, mm <= l2, mm >= h2, n2, l2, h2)
-                got, mv2, lam2 = on_piece(*new, b2, -b2[:, None], s2, l2, h2, p2)
+                got, mv2, lam2 = on_piece(*new, b2, -b2[:, None], s2, l2, h2, p2, pivot)
                 empty = new[2][5] == 0.0
-                if empty.any():
+                if empty.any() and not pivot:
                     # A row with no free component has no multiplier of its
                     # own: its move is the clamp at lam_guess.
                     for j, total in zip(np.flatnonzero(empty).tolist(), _row_fsums(mm[empty])):
@@ -527,16 +536,21 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
                 stores[0][sr], stores[1][:, sr], stores[2][:, sr] = new
                 return got.tolist()
 
-            checked = _breakpoint_rows(ss, ls, hs, targets, finish, _at(widths, at_rows))
+            rest = _pivot(finish, lam[at].tolist(), (scalars[5][at] > 0.0).tolist())
+            if rest:
+                checked = _breakpoint_rows(
+                    ss[rest], ls[rest], hs[rest], [targets[i] for i in rest],
+                    lambda sub, lams: finish([rest[i] for i in sub], lams),
+                    _at(widths, [at_rows[i] for i in rest]))
+                for i, c in zip(rest, checked):
+                    if c is None:
+                        failed[need[i]] = _uncertified(
+                            targets[i], dim if widths is None else widths[at_rows[i]])
             for sub, got, mv2, lam2, free2, slope2 in found:
                 pos = [need[i] for i, good in zip(sub, got.tolist()) if good]
                 mv[pos], lam[pos], free[pos] = mv2[got], lam2[got], free2[got]
                 for j, value in zip(pos, slope2[got].tolist()):
                     slope[j] = value
-            for j, c in enumerate(checked):
-                if c is None:
-                    failed[need[j]] = _uncertified(
-                        targets[j], dim if widths is None else widths[at_rows[j]])
         lam = lam.tolist()
         g = [math.fsum(terms) + g_lin[r] for terms, r in zip((nr * mv).tolist(), rows)]
         if equality:
@@ -564,8 +578,10 @@ def _move_path(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
     the physical move near convergence. An active set's constants do not
     depend on beta, and successive probes of the dual mostly stay on one
     set, so each move is first assembled on the last certified piece, or
-    on x's bound set `bounds` (masks x <= 0, hi_b <= 0) until one certifies;
-    the breakpoint search runs only when that piece's KKT check fails.
+    on x's bound set `bounds` (masks x <= 0, hi_b <= 0) until one certifies.
+    When that piece's KKT check fails the move pivots (_pivot), and the
+    breakpoint search runs only when the pivot fails too, or when no piece
+    with a free component is stored.
 
     With equality=True the budget is treated as the equality sum(w) = sum(x)
     and the multiplier may take either sign; the caller uses this to keep
@@ -610,11 +626,12 @@ def _move_path(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
     # needs (its slope gives the first Newton step); off the face it may not.
     seeded, last = equality, piece_of(bounds[0][0], bounds[1][0]) if equality else None
 
-    def on_piece(piece, beta, s):
-        """The move of a piece at beta as (move, multiplier, free, slope), or
-        None when it fails. The rounded mean's residue folds into the
-        constant, so any piece's move sums to the target exactly; the piece
-        holds when it passes its KKT test at its own multiplier."""
+    def on_piece(piece, beta, s, strict=False):
+        """The move of a piece at beta as (move, multiplier, free, slope),
+        the move None when the piece fails. The rounded mean's residue folds
+        into the constant, so any piece's move sums to the target exactly;
+        the piece holds when it passes its KKT test at its own multiplier,
+        strict or not (see _pivot)."""
         nonlocal n_max
         if n_max is None:
             n_max = float(_max(np.abs(n)))
@@ -623,11 +640,14 @@ def _move_path(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
         m_free = -beta * dev - c_adj
         lam = -beta * nbar + c_adj
         tol = 64.0 * EPS * (beta * n_max + abs(lam)) + 1e-300
+        if strict:
+            tol = -tol
         v = np.where(free, m_free, s - lam)
-        if not ((equality or lam >= -tol) and not _any((v < lo_lim - tol) | (v > hi_lim + tol))):
-            return None
-        m = np.minimum(np.maximum(np.where(free, m_free, hi_lim), lo_b), hi_b)
-        return m, lam if equality else max(lam, 0.0), free, slope
+        held = (equality or lam >= -tol) and not _any((v < lo_lim - tol) | (v > hi_lim + tol))
+        lam = lam if equality else max(lam, 0.0)
+        if not held:
+            return None, lam, free, slope
+        return np.minimum(np.maximum(np.where(free, m_free, hi_lim), lo_b), hi_b), lam, free, slope
 
     def move(beta):
         """The move at beta as (move, multiplier, free, slope), slope None
@@ -640,29 +660,33 @@ def _move_path(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
                 return m0, 0.0, (m0 > lo_b) & (m0 < hi_b), None
         if not seeded:
             seeded, last = True, piece_of(bounds[0][0], bounds[1][0])
-        if last is not None:
-            result = on_piece(last, beta, s)
-            if result is not None:
-                return result
-
         found = []
 
-        def finish(rows, lams):
+        def finish(rows, lams, pivot=False):
             """The move on the piece holding lams[0], whose constants (see
-            on_piece) do not depend on beta."""
+            on_piece) do not depend on beta; a pivot's piece certifies only
+            with a free component, by the strict test (see _pivot)."""
             nonlocal last
             lam = lams[0]
             mm = np.minimum(np.maximum(s - lam, lo_b), hi_b)
             piece = piece_of(mm <= lo_b, mm >= hi_b)
             if piece is None:
+                if pivot:
+                    return [False]
                 found.append((mm, lam, np.zeros(mm.shape, dtype=bool), 0.0))
                 return [abs(math.fsum(mm.tolist()) - target) <= 1e-12 * max(1.0, abs(target))]
-            result = on_piece(piece, beta, s)
-            if result is not None:
+            result = on_piece(piece, beta, s, pivot)
+            if result[0] is not None:
                 last = piece
                 found.append(result)
-            return [result is not None]
+            return [result[0] is not None]
 
+        if last is not None:
+            result = on_piece(last, beta, s)
+            if result[0] is not None:
+                return result
+            if not _pivot(finish, [result[1]], [True]):
+                return found[-1]
         if _breakpoint_rows(s[None], lo_b[None], hi_b[None], [target], finish)[0] is None:
             return None
         return found[-1]
@@ -681,6 +705,29 @@ def _move_path(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
                 [slope if binds and slope is not None else math.nan], {})
 
     return probe, [(last[-1] if last is not None else 0.0) if equality else math.nan]
+
+
+def _pivot(finish, lams, free):
+    """One active-set pivot per row whose stored piece failed its KKT check
+    at a probe's beta: finish(rows, lams, True) solves and checks the piece
+    of clip(s - lam) at the multiplier lam that failed piece computed, as it
+    does a breakpoint search's guess (Cominetti, Mascarenhas & Silva, Math.
+    Prog. Comp. 6, 2014). lams holds each row's multiplier and free whether
+    its failed piece had a free component; a row without one has no
+    multiplier of its own to pivot on. Returns the positions whose pivot
+    fails, left to the breakpoint search.
+
+    The pivot's KKT test is strict: every component lies inside its interval
+    by the tolerance the search's test allows outside it, and a multiplier
+    off the face is that far above zero. f is monotone, so no other piece
+    then passes the search's test, and the pivot takes the piece the search
+    would find, bit for bit. A root within the tolerance of a breakpoint,
+    where two pieces pass, and a piece with no free component, whose
+    multiplier is the search's guess, are left to the search."""
+    tried = [j for j, f in enumerate(free) if f]
+    ok = finish(tried, [lams[j] for j in tried], True) if tried else []
+    done = {j for j, good in zip(tried, ok) if good}
+    return [j for j in range(len(lams)) if j not in done]
 
 
 def _newton_steps(n, free, binds, beta, g, slopes):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gridtrade.engine as engine
+import gridtrade.projection as projection
 import gridtrade.vi_solver as vi_solver
 from gridtrade.cli import build_config, sample_scenario, scenario_from_dict
 from gridtrade.engine import MessageLog, ScenarioValidationError, run_fit, run_stackelberg
@@ -34,6 +35,12 @@ EDGE_FLOATS = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 2.2250738585072
     for v in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))]
 
 
+def one_round_stage(round, offers, slacks, repeat, announce=None):
+    """A stage of one follower round, its record a batch of one game."""
+    record = [(np.zeros(1, dtype=int), offers[None], slacks[None], [not repeat])]
+    return engine._Stage(round, record, 0, offers.size, 1, announce)
+
+
 def append_round(log, round, offers, slacks, repeat):
     """Record one follower round in log, checked: offer i and slack i come
     from seller i, the repeat bit from the grid. The arrays are copied."""
@@ -46,7 +53,7 @@ def append_round(log, round, offers, slacks, repeat):
     if not isinstance(repeat, bool):
         raise ValueError("repeat_bit carries exactly one boolean")
     log._check_round(rnd)
-    log._append_frozen(engine._RoundBlock(rnd, offers, slacks, repeat))
+    log._append_stage(one_round_stage(rnd, offers, slacks, repeat))
 
 
 class RecordingLog(MessageLog):
@@ -62,17 +69,19 @@ class RecordingLog(MessageLog):
         self.calls.append(("announce", round, {
             "deficiency": deficiency, "total_price": total_price, "n_users": n_users}))
 
-    def _append_frozen(self, entry):
-        # the engine's lockstep announces and rounds come in here, past
-        # append, and so do append_round's
-        super()._append_frozen(entry)
-        if isinstance(entry, engine._Announce):
-            self.calls.append(("announce", entry.round, {
-                "deficiency": entry.deficiency, "total_price": entry.total_price,
-                "n_users": entry.n_users}))
-        else:
-            self.calls.append(("round", entry.round, entry.offers.tolist(),
-                               entry.slacks.tolist(), entry.repeat))
+    def _append_stage(self, stage):
+        # the engine's lockstep stages come in here, past append, and so do
+        # append_round's rounds: each round's values are read from the
+        # stage's batch record at the game's own row
+        super()._append_stage(stage)
+        for k, (labels, offers, slacks, stops) in enumerate(stage.record[:stage.count]):
+            j, rnd, n = list(labels).index(stage.label), stage.round + k, stage.size
+            if stage.announce is not None:
+                deficiency, total_price = stage.announce
+                self.calls.append(("announce", rnd, {
+                    "deficiency": deficiency, "total_price": total_price, "n_users": n}))
+            self.calls.append(("round", rnd, offers[j, :n].tolist(), slacks[j, :n].tolist(),
+                               not stops[j]))
 
     def append_prices(self, round, prices):
         super().append_prices(round, prices)
@@ -419,6 +428,43 @@ class TestRunGames:
             assert [c["searched"] + c["closed"] for c in counts] == [
                 outcome.stage1.follower_iterations - 1, outcome.stage2.follower_iterations - 1]
 
+    def test_moves_pivot_before_they_sort(self, monkeypatch, peak_scenario):
+        # Per stage of the peak game, the halfspace moves whose stored piece
+        # failed and that pivoted, the pivots that certified, and the moves
+        # sent to the breakpoint search. Its one failed piece pivots; with
+        # every pivot declined, the sort takes that move, and no byte of the
+        # game moves.
+        counts, declined = [], []
+        follower_stage, pivot, search = (engine._follower_stage, projection._pivot,
+                                         projection._breakpoint_rows)
+
+        def staged(*args, stage):
+            counts.append({"pivots": 0, "certified": 0, "sorts": 0})
+            return follower_stage(*args, stage=stage)
+
+        def counted_pivot(finish, lams, free):
+            rest = list(range(len(lams))) if declined else pivot(finish, lams, free)
+            counts[-1]["pivots"] += sum(free)
+            counts[-1]["certified"] += len(lams) - len(rest)
+            return rest
+
+        def counted_search(s, lo, hi, target, finish, *args):
+            # the anchors' box projections sort too; only moves count
+            counts[-1]["sorts"] += len(target) * ("_move_path" in finish.__qualname__)
+            return search(s, lo, hi, target, finish, *args)
+
+        monkeypatch.setattr(engine, "_follower_stage", staged)
+        monkeypatch.setattr(projection, "_pivot", counted_pivot)
+        monkeypatch.setattr(projection, "_breakpoint_rows", counted_search)
+        outcome = run_stackelberg(peak_scenario)
+        assert counts == [{"pivots": 1, "certified": 1, "sorts": 0},
+                          {"pivots": 0, "certified": 0, "sorts": 0}]
+        del counts[:]
+        declined.append(True)
+        assert run_stackelberg(peak_scenario).log.to_jsonl() == outcome.log.to_jsonl()
+        assert counts == [{"pivots": 1, "certified": 0, "sorts": 1},
+                          {"pivots": 0, "certified": 0, "sorts": 0}]
+
     @pytest.mark.parametrize("max_iterations, played_stage2", [
         (6, [False, False, False]),  # every game stops in stage 1: none is priced
         (8, [False, True, False]),   # game 1 is priced, then stops in stage 2
@@ -478,13 +524,15 @@ class TestRunGames:
         games = [make_scenario(peak_scenario.surpluses, f * peak_scenario.surpluses.sum())
                  for f in (0.2, 0.5)]
         for outcome in engine.run_games(games):
-            blocks = [e for e in outcome.log._entries if isinstance(e, engine._RoundBlock)]
-            assert blocks
-            for block in blocks:
-                assert not block.offers.flags.writeable
-                assert not block.slacks.flags.writeable
-                with pytest.raises(ValueError):
-                    block.offers[0] = -1.0
+            stages = [e for e in outcome.log._entries if isinstance(e, engine._Stage)]
+            assert len(stages) == 2
+            for stage in stages:
+                assert 0 < stage.count <= len(stage.record)
+                for _, offers, slacks, _ in stage.record:
+                    assert not offers.flags.writeable
+                    assert not slacks.flags.writeable
+                    with pytest.raises(ValueError):
+                        offers[0, 0] = -1.0
 
     def test_empty_batch_and_mixed_sizes(self):
         assert engine.run_games([]) == []
@@ -612,6 +660,97 @@ class TestReplayedStage:
         assert outcome.log.to_jsonl() == log.to_jsonl()
 
 
+def reference_interior_mu_stop(x, mu, prev_mu, margin, upper_limit):
+    """engine._interior_mu_stop as a per-row loop over Python floats, the
+    form it had before it took its bound on all rows as columns."""
+    interior = (x > margin) & (x < upper_limit)
+    top = np.max(np.where(interior, mu, -np.inf), axis=1).tolist()
+    bottom = np.min(np.where(interior, mu, np.inf), axis=1).tolist()
+    peak = np.max(np.abs(mu), axis=1).tolist()
+    moved = np.max(np.abs(mu - prev_mu), axis=1).tolist()
+    stops = []
+    for j, count in enumerate(np.sum(interior, axis=1).tolist()):
+        if count < 2:
+            stops.append(moved[j] <= 1e-6 * (1.0 + peak[j]))
+            continue
+        spread = top[j] - bottom[j]
+        if max(moved[j], spread) > 2e-6 * (1.0 + max(abs(top[j]), abs(bottom[j]))):
+            stops.append(False)
+        else:
+            tol = 1e-6 * (1.0 + abs(float(mu[j][interior[j]].mean())))
+            stops.append(moved[j] <= tol and spread <= tol)
+    return stops
+
+
+@st.composite
+def stop_rows(draw, n):
+    """One row of the slack-equalization stop, (x, mu, prev_mu, s), its n
+    sellers at surpluses s: the first 0 to n - 1 of them interior (strictly
+    between the limits 1e-6*max(1, s) and s less that), the rest at 0, on
+    either limit or at s. The slacks lie about a centre and moved from
+    their previous values by multiples of the 2e-6 bound there. In three
+    rows out of four the last seller has slack 0 and moved by exactly one
+    of the stop's bounds (the spread's, the mean's or the peak's), so that
+    the tests run right at their limits."""
+    s = np.array(draw(st.lists(st.floats(0.5, 300.0), min_size=n, max_size=n)))
+    margin = 1e-6 * np.maximum(1.0, s)
+    interior = draw(st.integers(0, n - 1))
+    outside = draw(st.lists(st.sampled_from(["zero", "low", "high", "full"]),
+                            min_size=n - interior, max_size=n - interior))
+    x = np.empty(n)
+    x[:interior] = s[:interior] * np.array(draw(st.lists(
+        st.floats(0.01, 0.99), min_size=interior, max_size=interior)))
+    for i, where in enumerate(outside, interior):
+        x[i] = {"zero": 0.0, "low": margin[i], "high": s[i] - margin[i], "full": s[i]}[where]
+    centre = draw(st.floats(-200.0, 200.0))
+    unit = 2e-6 * (1.0 + abs(centre))
+    steps = st.sampled_from([0.0, 0.25, 0.5, 0.5000001, 0.4999999, 1.0, 0.9999999, 2.0])
+    mu = centre + unit * np.array(draw(st.lists(steps, min_size=n, max_size=n)))
+    prev = mu - unit * np.array(draw(st.lists(steps, min_size=n, max_size=n)))
+    pin = draw(st.sampled_from(["spread", "mean", "peak", None]))
+    if pin is not None:
+        mu[-1] = 0.0
+        inside = mu[:interior]
+        if pin == "spread" and interior:
+            bound = 2e-6 * (1.0 + max(abs(float(inside.max())), abs(float(inside.min()))))
+        elif pin == "mean" and interior:
+            bound = 1e-6 * (1.0 + abs(float(inside.mean())))
+        else:
+            bound = 1e-6 * (1.0 + float(np.abs(mu).max()))
+        prev[-1] = -bound
+    return x, mu, prev, s
+
+
+class TestInteriorMuStop:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(lambda n: st.lists(stop_rows(n), min_size=1, max_size=6)))
+    def test_matches_the_per_row_loop(self, rows):
+        x, mu, prev, s = (np.array([row[k] for row in rows]) for k in range(4))
+        margin = 1e-6 * np.maximum(1.0, s)
+        args = x, mu, prev, margin, s - margin
+        stops = engine._interior_mu_stop(*args)
+        assert stops == reference_interior_mu_stop(*args)
+        assert all(type(v) is bool for v in stops)
+
+    def test_rows_at_each_bound(self):
+        # Row 0, with one interior seller, moves by exactly its peak's bound
+        # and row 1, with two, by exactly its mean's: both stop. Row 2 moves
+        # one ulp more than row 1 and does not. Row 3 moves by exactly its
+        # 2e-6 bound, which lets it through to the mean's bound, which does
+        # not.
+        s = np.full((4, 3), 100.0)
+        x = np.array([[50.0, 0.0, 0.0], [50.0, 60.0, 0.0], [50.0, 60.0, 0.0],
+                      [50.0, 60.0, 0.0]])
+        mu = np.array([[3.0, 1.0, 0.0], [3.0, 3.0, 0.0], [3.0, 3.0, 0.0], [3.0, 3.0, 0.0]])
+        prev = mu.copy()
+        prev[:, 2] = -np.array([1e-6 * 4.0, 1e-6 * 4.0, 1e-6 * 4.0, 2e-6 * 4.0])
+        prev[2, 2] = -np.nextafter(1e-6 * 4.0, np.inf)
+        margin = 1e-6 * np.maximum(1.0, s)
+        args = x, mu, prev, margin, s - margin
+        assert engine._interior_mu_stop(*args) == reference_interior_mu_stop(*args) == [
+            True, True, False, False]
+
+
 class TestMessageLog:
     def test_round_monotonicity_enforced(self):
         log = MessageLog()
@@ -718,18 +857,22 @@ class TestMessageLog:
         # what the bench counts per game
         assert len(log.messages) == len(log) == len(text.split("\n"))
 
-    def test_blocks_sharing_arrays_render_like_json_dumps(self):
-        # two round blocks share one array (in either column), a price block
-        # shares it too, and a third round block holds equal values in a
-        # distinct array
+    def test_stages_sharing_records_render_like_json_dumps(self):
+        # two stages hold one array (in either column), a price block holds
+        # it too, a third stage holds equal values in a distinct array, and
+        # a fourth refers to the first stage's record again, as a replayed
+        # stage does
         values, other = engine._frozen(np.array([0.1, 1e-5, 2.5])), engine._frozen(-np.ones(3))
         log = RecordingLog()
         log.append(1, 5.0, 3.0, 3)
-        log._append_frozen(engine._RoundBlock(1, values, other, True))
+        first = one_round_stage(1, values, other, True)
+        log._append_stage(first)
         log.append_prices(2, values)
-        log._append_frozen(engine._RoundBlock(2, other, values, True))
-        log._append_frozen(engine._RoundBlock(3, engine._frozen(values), values, False))
+        log._append_stage(one_round_stage(2, other, values, True))
+        log._append_stage(one_round_stage(3, engine._frozen(values), values, False))
+        log._append_stage(replace(first, round=4))
         assert log.to_jsonl() == reference_jsonl(log.calls)
+        assert len(log) == len(log.messages) == 1 + 4 * 7 + 3 and log.total_rounds == 4
 
     def test_empty_round_and_non_finite_prices_render_like_json_dumps(self):
         log = RecordingLog()
@@ -870,6 +1013,34 @@ class TestMessageLog:
         assert log.to_jsonl() == before
         assert [json.loads(line)["payload"] for line in log.messages] == [
             {"eu_id": 0, "price": 1.5}, {"eu_id": 1, "price": 2.5}]
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["fig2_utility_vs_n", "fig3_cost_vs_n"]),
+                              st.one_of(st.integers(1, 30), st.just(25)), st.integers(0, 2)),
+                    min_size=2, max_size=8, unique=True))
+    @example([("fig2_utility_vs_n", 25, 0), ("fig3_cost_vs_n", 7, 1), ("fig2_utility_vs_n", 3, 2)])
+    def test_batch_logs_count_what_they_render(self, keys):
+        # Games of mixed sizes share one batch record per stage, and a game
+        # at fig2 n = 25 replays stage 1 as stage 2: each game's size, last
+        # round and messages are those of its own text, which is the
+        # reference rendered from the values the engine handed its log.
+        scenarios = [sample_scenario(build_config({}, {"preset": preset, "seed": 1}), n, run)
+                     for preset, n, run in keys]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "MessageLog", RecordingLog)
+            outcomes = engine.run_games(scenarios)
+        for outcome, (preset, n, _) in zip(outcomes, keys):
+            log = outcome.log
+            text = log.to_jsonl()
+            lines = text.split("\n")
+            assert text == reference_jsonl(log.calls)
+            assert log.messages == lines and len(log) == len(lines)
+            assert log.total_rounds == json.loads(lines[-1])["round"]
+            rounds = outcome.stage1.follower_iterations + outcome.stage2.follower_iterations
+            assert log.total_rounds == rounds
+            assert len(lines) == rounds * (2 * n + 1) + outcome.stage1.follower_iterations + n
+            if (preset, n) == ("fig2_utility_vs_n", 25):
+                assert outcome.stage2 is outcome.stage1
 
     def test_messages_are_rebuilt_on_each_read(self, recording, peak_scenario):
         log = run_stackelberg(peak_scenario).log

@@ -350,9 +350,30 @@ def no_piece_certifies(s, lo, hi, target, finish, slope=None):
     return [None] * len(target)
 
 
+def decline(finish, lams, free):
+    """A pivot that certifies no row: every move whose stored piece fails
+    goes to the breakpoint search."""
+    return list(range(len(lams)))
+
+
+def declined_pivots(monkeypatch):
+    """Make every pivot decline, so the breakpoint search does every search
+    of a move; returns a list that grows by the rows offered to each
+    pivot."""
+    offered = []
+
+    def declined(finish, lams, free):
+        offered.append(len(lams))
+        return decline(finish, lams, free)
+
+    monkeypatch.setattr(projection, "_pivot", declined)
+    return offered
+
+
 class TestUncertifiedSearch:
     """A search that no breakpoint piece certifies ends in ProjectionError
-    naming its target and component count."""
+    naming its target and component count. A move whose stored piece fails
+    pivots first, so the moves below make their pivots fail as well."""
 
     def test_box_projection_raises(self, monkeypatch):
         monkeypatch.setattr(projection, "_breakpoint_rows", no_piece_certifies)
@@ -362,33 +383,40 @@ class TestUncertifiedSearch:
 
     def test_move_raises(self, monkeypatch):
         monkeypatch.setattr(projection, "_breakpoint_rows", no_piece_certifies)
+        offered = declined_pivots(monkeypatch)
         # At beta = 1 the seller at 0 leaves x's bound set, whose KKT test
-        # fails, so the move searches for its piece.
+        # fails, so the move pivots and then searches for its piece.
         x, normal = np.array([1.0, 2.0, 0.0]), np.array([-1.0, -2.0, -3.0])
         ub = np.full(3, 4.0)
         _, _, failed = probe_once(x, normal, ub, 3.5, False, 1.0)
+        assert offered == [1]
         with pytest.raises(ProjectionError, match=re.escape("(target 5.000e-01, 3 components)")):
             raise failed[0]
 
     def test_failed_probe_inside_the_search_raises(self, monkeypatch):
-        # The first Newton probe leaves x's bound set, so its move searches
-        # for a piece, and the bracket search hands the failure on.
+        # The first Newton probe leaves x's bound set, so its move pivots and
+        # searches for a piece, and the bracket search hands the failure on:
+        # on the face, whose failed search sends the row off it, and there.
         monkeypatch.setattr(projection, "_breakpoint_rows", no_piece_certifies)
+        offered = declined_pivots(monkeypatch)
         x, normal, offset, gap, fs = SEED_FAILS
         with pytest.raises(ProjectionError, match=re.escape(
                 "no breakpoint piece certifies the multiplier (target 0.000e+00, 3 components)")):
             project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
+        assert offered == [1, 1]
 
     def test_failed_probe_at_beta_zero_raises(self, monkeypatch):
         # x lies 1 above its budget, so the dual first probes beta = 0, where
         # the seller at 0.1 cannot give up its share of the excess on x's
-        # bound set: that move searches for a piece too.
+        # bound set: that move pivots and searches for a piece too.
         monkeypatch.setattr(projection, "_breakpoint_rows", no_piece_certifies)
+        offered = declined_pivots(monkeypatch)
         x, normal, gap = np.array([0.1, 3.9]), np.array([1.0, 2.0]), np.array([0.5, 0.25])
         fs = FeasibleSet(np.full(2, 4.0), 3.0)
         with pytest.raises(ProjectionError, match=re.escape(
                 "no breakpoint piece certifies the multiplier (target -1.000e+00, 2 components)")):
             project_halfspace_then_set(x, normal, x - gap, fs, offset_gap=gap)
+        assert offered == [1]
 
 
 @st.composite
@@ -577,14 +605,19 @@ class TestHalfspaceOracle:
 
     @pytest.mark.parametrize("instance,searches", [(SEED_CERTIFIES, 0), (SEED_FAILS, 1)])
     def test_certified_seed_skips_the_breakpoint_search(self, instance, searches, monkeypatch):
+        # A search is a pivot or a breakpoint search: a move whose stored
+        # piece fails pivots, and sorts only when the pivot fails too.
         calls = []
-        search = projection._breakpoint_rows
+        pivot, search = projection._pivot, projection._breakpoint_rows
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return search(*args, **kwargs)
+        def counted(what, call):
+            def wrapped(*args, **kwargs):
+                calls.append(what)
+                return call(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(projection, "_breakpoint_rows", counted)
+        monkeypatch.setattr(projection, "_pivot", counted("pivot", pivot))
+        monkeypatch.setattr(projection, "_breakpoint_rows", counted("sort", search))
         x, normal, offset, gap, fs = instance
         project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
         assert len(calls) == searches
@@ -1014,3 +1047,35 @@ class TestRowCores:
         assert batches == [1]
         halfspace_rows([SEED_FAILS, SEED_CERTIFIES])
         assert batches == [1, 2]
+
+
+class TestPivot:
+    """A move whose stored piece fails its KKT check pivots to the piece of
+    clip(s - lam) at that piece's multiplier before any breakpoint search.
+    A pivot that certifies takes the piece the search finds, so no bit of a
+    projection depends on the pivot."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_declined_pivots_move_no_bit(self, data):
+        # A lone row probes with _move_path; 2-6 rows padded to mixed widths
+        # probe with _move_path_rows. Each batch is projected with its pivots
+        # and with every pivot declined, so that the sort does every search.
+        size = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6]))
+        batch = data.draw(st.lists(st.integers(1, 12).flatmap(halfspace_instances),
+                                   min_size=size, max_size=size))
+        widths = [len(b[0]) for b in batch]
+        x, normal, gap = (padded([b[k] for b in batch]) for k in (0, 1, 3))
+        ub = padded([b[4].upper_bounds for b in batch])
+        budget = [b[4].budget for b in batch]
+
+        def project():
+            try:
+                return projection._halfspace_rows(x, normal, gap, ub, budget, widths).tobytes()
+            except ProjectionError as error:
+                return str(error)
+
+        pivoted = project()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(projection, "_pivot", decline)
+            assert project() == pivoted
