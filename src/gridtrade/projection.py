@@ -20,17 +20,20 @@ set) holds over the whole step, so a probe that lands with gap <= 0 on the
 piece it was stepped from is the root, and the search ends there. Each
 evaluation of w(beta) is first solved on the last certified piece (an
 active set's constants do not depend on beta). When that piece fails its
-KKT check, the move pivots once, to the piece of clip(s - lam) at the
-multiplier lam the failed piece computed (an active-set Newton step,
-Cominetti, Mascarenhas & Silva 2014), and the breakpoint search sorts
-only when the pivot fails too. Before any piece has certified, the active
-set of x's own bounds stands in for it: x is the previous projection's
-output, so that set is the previous projection's last piece. With x in
-the box and within the budget, the move at beta = 0 is zero and x's bound
-set is the piece there, so that probe is already a Newton step. Near
-convergence the solver's steady rounds no longer reach this search: once
-an iterate holds the active set of the solution, its projection is the
-trial point itself (see vi_solver).
+KKT check, the move runs a chain of active-set Newton steps on the budget
+multiplier (Cominetti, Mascarenhas & Silva 2014): it pivots to the piece
+of clip(s - lam) at the multiplier lam the failed piece computed, and on
+from each piece that fails to the next, until one certifies or a
+multiplier comes round again. A stored piece with no free component
+computes no multiplier, and its chain starts at the clamp at lam = 0. The
+breakpoint search sorts only when the chain fails. Before any piece has
+certified, the active set of x's own bounds stands in for it: x is the
+previous projection's output, so that set is the previous projection's
+last piece. With x in the box and within the budget, the move at
+beta = 0 is zero and x's bound set is the piece there, so that probe is
+already a Newton step. Near convergence the solver's steady rounds no
+longer reach this search: once an iterate holds the active set of the
+solution, its projection is the trial point itself (see vi_solver).
 
 Numerical discipline matters more than usual here. The outer solver drives
 the halfspace gap <n, w(beta) - z> to the square of its own residual, far
@@ -151,9 +154,11 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 #
 # The public projections above are these cores on a batch of one, behind
 # their input checks, and vi_solver's loop projects every batch size with
-# _halfspace_rows. A halfspace move whose stored piece fails pivots before
-# it sorts (_pivot) at every batch size, and the rows whose pivot fails
-# share one breakpoint search. The main choice made by batch size is the
+# _halfspace_rows. Its rows on the budget face and its other rows share
+# one halfspace dual search, the face being a flag per row. A halfspace
+# move that finds no certified piece runs a chain of pivots before it
+# sorts (_pivot) at every batch size, and the rows whose chain fails share
+# one breakpoint search. The main choice made by batch size is the
 # halfspace dual's probe: a lone row takes _move_path, which assembles its
 # moves on one vector, and several rows take _move_path_rows, which on a
 # lone row gives the same bytes but makes follower_tight's 400 solves take
@@ -394,18 +399,19 @@ def _box_budget_rows(v, ub, budget, widths=None):
     return x, lam, pieces
 
 
-def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None,
-                    widths=None):
+def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, face, g_lin, n_max=None, widths=None):
     """The moves P_X(x - beta*n) - x over rows of feasible x, as the
     halfspace dual's probes, assembled as _move_path explains: returns
     probe(rows, betas), which probes the ascending list rows at one
     beta >= 0 each and returns their probe columns (see _bracket), the gap
     of row r being <n, move> + g_lin[r], and the slope of each row's own
-    bound set (nan unless equality). Each row's move is first assembled on
-    its last certified piece, held with the others' as columns; the rows
-    whose piece fails its KKT check pivot (_pivot), the rows whose pivot
-    fails share one breakpoint search, and a position whose search
-    certifies no piece gets its ProjectionError in the dict of failures.
+    bound set (nan off the face). face holds one flag per row: a face row
+    keeps its move on the budget face (_move_path's equality), the others
+    move within the budget. Each row's move is first assembled on its last
+    certified piece, held with the others' as columns; the rows whose piece
+    fails its KKT check pivot (_pivot), the rows whose chain of pivots fails
+    share one breakpoint search, and a position whose search certifies no
+    piece gets its ProjectionError in the dict of failures.
 
     The caller passes hi_b, ub - x, and bounds, the masks x <= 0 and
     x >= ub; n_max, each row's largest |n|, is computed unless given. A pad
@@ -415,8 +421,10 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
     m, dim = x.shape
     lo_b = -x
     peak = _max(np.abs(n), axis=1) if n_max is None else np.array(n_max)
-    target = [0.0 if equality or (0.0 <= b - sx <= 64.0 * EPS * b) else b - sx
-              for b, sx in zip(budget, sum_x)]
+    target = [0.0 if f or (0.0 <= b - sx <= 64.0 * EPS * b) else b - sx
+              for f, b, sx in zip(face, budget, sum_x)]
+    # A batch all on the face skips the clamp at lam = 0 and the sign test.
+    on_face, face = all(face), np.array(face)
 
     def piece_of(rows, lower, upper, nr, lb, hb):
         """piece_of of _move_path for rows: the free masks, the arrays (bound,
@@ -446,10 +454,10 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
     # set: the last piece of the projection that produced x.
     stores = piece_of(range(m), *bounds, n, lo_b, hi_b)
 
-    def on_piece(free, arrays, scalars, beta, nb, s, lb, hb, peak, strict=False):
-        """on_piece of _move_path for rows at beta (nb is -beta as a
-        column): (ok, moves, multipliers), ok false where no component is
-        free."""
+    def on_piece(free, arrays, scalars, beta, nb, s, lb, hb, peak, eq, strict=False):
+        """on_piece of _move_path for rows at beta (nb is -beta as a column,
+        eq the rows' face flags): (ok, moves, multipliers), ok false where
+        no component is free. A piece with none computes the multiplier 0."""
         bound, lo_lim, hi_lim, dev = arrays
         k, nbar, residue, c, _, count = scalars
         c_adj = c - beta * residue / k
@@ -461,33 +469,36 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
         tc = tol[:, None]
         v = np.where(free, m_free, s - lam[:, None])
         ok = (count > 0.0) & ~_any((v < lo_lim - tc) | (v > hi_lim + tc), axis=1)
-        if not equality:
-            ok &= lam >= -tol
-            lam = np.where(lam < 0.0, 0.0, lam)
+        if not on_face:
+            ok &= eq | (lam >= -tol)
+            lam = np.where((lam < 0.0) & ~eq, 0.0, lam)
         return ok, np.minimum(np.maximum(np.where(free, m_free, bound), lb), hb), lam
 
     def probe(rows, betas):
         k = len(rows)
         if k == m:
-            nr, lb, hb, pk = n, lo_b, hi_b, peak
+            nr, lb, hb, pk, eq = n, lo_b, hi_b, peak, face
             free, arrays, scalars = stores
         else:
             at = np.array(rows)
-            nr, lb, hb, pk = n[at], lo_b[at], hi_b[at], peak[at]
+            nr, lb, hb, pk, eq = n[at], lo_b[at], hi_b[at], peak[at], face[at]
             free, arrays, scalars = stores[0][at], stores[1][:, at], stores[2][:, at]
         beta = np.array(betas)
         nb = -beta[:, None]
         s = nb * nr
         inside = None
-        if not equality:
+        if not on_face:
+            # A row off the face whose clamp at lam = 0 keeps within its
+            # budget moves there.
             m0 = np.minimum(np.maximum(s, lb), hb)
-            inside = list(map(operator.le, _row_fsums(m0),
-                              target if k == m else [target[r] for r in rows]))
+            off, inside = np.flatnonzero(~eq).tolist(), [False] * k
+            for j, total in zip(off, _row_fsums(_take(m0, off))):
+                inside[j] = total <= target[rows[j]]
         if inside is not None and all(inside):
             ok, mv, lam = np.ones(k, dtype=bool), m0, np.zeros(k)
             free, slope = (m0 > lb) & (m0 < hb), [math.nan] * k
         else:
-            ok, mv, lam = on_piece(free, arrays, scalars, beta, nb, s, lb, hb, pk)
+            ok, mv, lam = on_piece(free, arrays, scalars, beta, nb, s, lb, hb, pk, eq)
             slope = scalars[4].tolist()
             if inside is not None and any(inside):
                 at = np.array(inside)
@@ -500,43 +511,48 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
         failed = {}
         if not ok.all():
             # The rows whose piece fails at their beta pivot, and the rows
-            # whose pivot fails too search for their piece.
+            # whose chain of pivots fails too search for their piece.
             at = np.flatnonzero(~ok)
             need = at.tolist()
             at_rows = [rows[j] for j in need]
-            ss, ls, hs, bs, ns, ps = s[at], lb[at], hb[at], beta[at], nr[at], pk[at]
+            ss, ls, hs, bs, ns, ps, es = s[at], lb[at], hb[at], beta[at], nr[at], pk[at], eq[at]
             targets = [target[r] for r in at_rows]
             found = []
 
             def finish(sub, lam_guess, pivot=False):
                 """The moves on the pieces holding lam_guess at the positions
-                sub of need; a pivot's piece certifies only with a free
-                component, by the strict test (see _pivot)."""
+                sub of need. A pivot's piece certifies only with a free
+                component, by the strict test, and a pivot gets back each
+                piece's multiplier as well (see _pivot)."""
                 sr = [at_rows[i] for i in sub]
                 s2, l2, h2, b2, n2, p2 = ss[sub], ls[sub], hs[sub], bs[sub], ns[sub], ps[sub]
                 guess = np.array(lam_guess)
                 mm = np.minimum(np.maximum(s2 - guess[:, None], l2), h2)
                 new = piece_of(sr, mm <= l2, mm >= h2, n2, l2, h2)
-                got, mv2, lam2 = on_piece(*new, b2, -b2[:, None], s2, l2, h2, p2, pivot)
+                got, mv2, lam2 = on_piece(*new, b2, -b2[:, None], s2, l2, h2, p2, es[sub], pivot)
                 empty = new[2][5] == 0.0
-                if empty.any() and not pivot:
+                keep = got
+                if empty.any():
                     # A row with no free component has no multiplier of its
-                    # own: its move is the clamp at lam_guess.
-                    for j, total in zip(np.flatnonzero(empty).tolist(), _row_fsums(mm[empty])):
-                        t = targets[sub[j]]
-                        got[j] = abs(total - t) <= 1e-12 * max(1.0, abs(t))
+                    # own: its move is the clamp at lam_guess, which only the
+                    # search takes.
                     mv2[empty], lam2[empty] = mm[empty], guess[empty]
-                    keep = got & ~empty
-                else:
-                    keep = got
+                    if not pivot:
+                        for j, total in zip(np.flatnonzero(empty).tolist(),
+                                            _row_fsums(mm[empty])):
+                            t = targets[sub[j]]
+                            got[j] = abs(total - t) <= 1e-12 * max(1.0, abs(t))
+                        keep = got & ~empty
                 found.append((sub, got, mv2, lam2, new[0], new[2][4]))
                 if not keep.all():
                     sr = [r for r, good in zip(sr, keep.tolist()) if good]
                     new = new[0][keep], new[1][:, keep], new[2][:, keep]
                 stores[0][sr], stores[1][:, sr], stores[2][:, sr] = new
-                return got.tolist()
+                return (got.tolist(), lam2.tolist()) if pivot else got.tolist()
 
-            rest = _pivot(finish, lam[at].tolist(), (scalars[5][at] > 0.0).tolist())
+            # A stored piece with no free component computed lam = 0, so its
+            # chain starts at the clamp there.
+            rest = _pivot(finish, lam[at].tolist())
             if rest:
                 checked = _breakpoint_rows(
                     ss[rest], ls[rest], hs[rest], [targets[i] for i in rest],
@@ -553,20 +569,21 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=No
                     slope[j] = value
         lam = lam.tolist()
         g = [math.fsum(terms) + g_lin[r] for terms, r in zip((nr * mv).tolist(), rows)]
-        if equality:
+        if on_face:
             binds = [True] * k
         else:
-            binds = [value > 0.0 for value in lam]
+            binds = [e or value > 0.0 for e, value in zip(eq.tolist(), lam)]
             slope = [v if b else math.nan for v, b in zip(slope, binds)]
         return g, lam, binds, free, mv >= hb, mv, slope, failed
 
-    return probe, stores[2][4].tolist() if equality else [math.nan] * m
+    return probe, [v if f else math.nan for v, f in zip(stores[2][4].tolist(), face.tolist())]
 
 
-def _move_path(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
+def _move_path(x, n, hi_b, bounds, budget, sum_x, face, g_lin, n_max=None):
     """_move_path_rows for a batch of one: the same probe(rows, betas) and
     seed slopes, the moves assembled on one vector with scalar bookkeeping,
-    which a lone row runs faster than columns.
+    which a lone row runs faster than columns; face[0] is the row's
+    equality below.
 
     Solves for the budget multiplier directly in move coordinates
     m(lam) = clamp(-beta*n - lam, -x, hi_b), hi_b = ub - x, targeting
@@ -579,9 +596,9 @@ def _move_path(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
     depend on beta, and successive probes of the dual mostly stay on one
     set, so each move is first assembled on the last certified piece, or
     on x's bound set `bounds` (masks x <= 0, hi_b <= 0) until one certifies.
-    When that piece's KKT check fails the move pivots (_pivot), and the
-    breakpoint search runs only when the pivot fails too, or when no piece
-    with a free component is stored.
+    When that piece's KKT check fails, or no piece with a free component is
+    stored, the move runs a chain of pivots (_pivot), and the breakpoint
+    search runs only when the chain fails.
 
     With equality=True the budget is treated as the equality sum(w) = sum(x)
     and the multiplier may take either sign; the caller uses this to keep
@@ -590,7 +607,7 @@ def _move_path(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
     an ulp of slack opens a spurious off-face segment in the dual whose root
     sits within rounding of zero, freezing the caller's iteration.
     """
-    x, n, hi_b, g_lin, budget = x[0], n[0], hi_b[0], g_lin[0], budget[0]
+    x, n, hi_b, g_lin, budget, equality = x[0], n[0], hi_b[0], g_lin[0], budget[0], face[0]
     lo_b = -x
     # Only a move on a piece needs the largest |n|; off the face a move
     # inside the budget does not.
@@ -664,29 +681,34 @@ def _move_path(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
 
         def finish(rows, lams, pivot=False):
             """The move on the piece holding lams[0], whose constants (see
-            on_piece) do not depend on beta; a pivot's piece certifies only
-            with a free component, by the strict test (see _pivot)."""
+            on_piece) do not depend on beta. A pivot's piece certifies only
+            with a free component, by the strict test, and a pivot gets back
+            the piece's multiplier as well, its guess where none is free
+            (see _pivot)."""
             nonlocal last
             lam = lams[0]
             mm = np.minimum(np.maximum(s - lam, lo_b), hi_b)
             piece = piece_of(mm <= lo_b, mm >= hi_b)
             if piece is None:
                 if pivot:
-                    return [False]
+                    return [False], [lam]
                 found.append((mm, lam, np.zeros(mm.shape, dtype=bool), 0.0))
                 return [abs(math.fsum(mm.tolist()) - target) <= 1e-12 * max(1.0, abs(target))]
             result = on_piece(piece, beta, s, pivot)
             if result[0] is not None:
                 last = piece
                 found.append(result)
-            return [result[0] is not None]
+            return ([result[0] is not None], [result[1]]) if pivot else [result[0] is not None]
 
+        # Without a stored piece the chain starts at the clamp at lam = 0.
+        guess = 0.0
         if last is not None:
             result = on_piece(last, beta, s)
             if result[0] is not None:
                 return result
-            if not _pivot(finish, [result[1]], [True]):
-                return found[-1]
+            guess = result[1]
+        if not _pivot(finish, [guess]):
+            return found[-1]
         if _breakpoint_rows(s[None], lo_b[None], hi_b[None], [target], finish)[0] is None:
             return None
         return found[-1]
@@ -707,27 +729,44 @@ def _move_path(x, n, hi_b, bounds, budget, sum_x, equality, g_lin, n_max=None):
     return probe, [(last[-1] if last is not None else 0.0) if equality else math.nan]
 
 
-def _pivot(finish, lams, free):
-    """One active-set pivot per row whose stored piece failed its KKT check
-    at a probe's beta: finish(rows, lams, True) solves and checks the piece
-    of clip(s - lam) at the multiplier lam that failed piece computed, as it
-    does a breakpoint search's guess (Cominetti, Mascarenhas & Silva, Math.
-    Prog. Comp. 6, 2014). lams holds each row's multiplier and free whether
-    its failed piece had a free component; a row without one has no
-    multiplier of its own to pivot on. Returns the positions whose pivot
-    fails, left to the breakpoint search.
+def _pivot(finish, lams):
+    """A chain of active-set pivots per row whose move found no certified
+    piece at a probe's beta (Cominetti, Mascarenhas & Silva, Math. Prog.
+    Comp. 6, 2014): finish(rows, lams, True) solves and checks the piece of
+    clip(s - lam) at each row's multiplier lam, as it does a breakpoint
+    search's guess, and returns (ok, multipliers), the multiplier each
+    piece computed. lams holds each row's first multiplier: the one its
+    failed stored piece computed, or 0 where the stored piece has no free
+    component, so that its chain starts at the clamp at lam = 0. A failed
+    pivot pivots again at the multiplier its own piece computed. A chain
+    ends at a piece that certifies, or at a multiplier it has already tried
+    (a piece with no free component hands back its own guess); f has
+    finitely many pieces, so every chain ends. Returns the positions whose
+    chain fails, left to the breakpoint search.
 
     The pivot's KKT test is strict: every component lies inside its interval
     by the tolerance the search's test allows outside it, and a multiplier
     off the face is that far above zero. f is monotone, so no other piece
     then passes the search's test, and the pivot takes the piece the search
     would find, bit for bit. A root within the tolerance of a breakpoint,
-    where two pieces pass, and a piece with no free component, whose
-    multiplier is the search's guess, are left to the search."""
-    tried = [j for j, f in enumerate(free) if f]
-    ok = finish(tried, [lams[j] for j in tried], True) if tried else []
-    done = {j for j, good in zip(tried, ok) if good}
-    return [j for j in range(len(lams)) if j not in done]
+    where two pieces pass, and a root on a piece with no free component,
+    whose multiplier is the search's guess, are left to the search."""
+    lams, rows, rest = list(lams), list(range(len(lams))), []
+    tried = [{lam} for lam in lams]
+    while rows:
+        ok, got = finish(rows, [lams[j] for j in rows], True)
+        again = []
+        for j, good, lam in zip(rows, ok, got):
+            if good:
+                continue
+            if lam in tried[j] or lam != lam:
+                rest.append(j)
+            else:
+                tried[j].add(lam)
+                lams[j] = lam
+                again.append(j)
+        rows = again
+    return sorted(rest)
 
 
 def _newton_steps(n, free, binds, beta, g, slopes):
@@ -891,10 +930,10 @@ def _bracket(n, x, lo, evals, probe, errors):
     return out_move, out_beta, out_lam
 
 
-def _halfspace_dual_rows(x, ub, budget, sum_x, n, gap, face_mode, n_max=None, widths=None):
-    """Rows of feasible x projected onto X (onto the budget face when
-    face_mode) intersected with {w : <n, w - x + gap> <= 0}, the rows
-    searching in lockstep (see _bracket): returns (points, betas,
+def _halfspace_dual_rows(x, ub, budget, sum_x, n, gap, face, n_max=None, widths=None):
+    """Rows of feasible x projected onto X (onto the budget face where the
+    row's face flag holds) intersected with {w : <n, w - x + gap> <= 0},
+    the rows searching in lockstep (see _bracket): returns (points, betas,
     multipliers, errors), errors mapping a row whose search failed to its
     ProjectionError (its other entries are undefined). n_max, each row's
     largest |n|, is computed unless given. The search runs on the columns
@@ -915,16 +954,15 @@ def _halfspace_dual_rows(x, ub, budget, sum_x, n, gap, face_mode, n_max=None, wi
     lower, upper, low = x <= 0.0, hi_b <= 0.0, np.minimum(x, hi_b)
     # The probe is chosen by batch size (see the note above).
     probe, seed_slope = _move_path(
-        x, n, hi_b, (lower, upper), budget, sum_x, face_mode, g_lin, n_max) if m == 1 else \
-        _move_path_rows(x, n, hi_b, (lower, upper), budget, sum_x, face_mode, g_lin, n_max,
-                        widths)
+        x, n, hi_b, (lower, upper), budget, sum_x, face, g_lin, n_max) if m == 1 else \
+        _move_path_rows(x, n, hi_b, (lower, upper), budget, sum_x, face, g_lin, n_max, widths)
     # With x in the box and within the budget (or on the face) the move at
     # beta = 0 is zero, so x's own bound set is a valid piece there and the
     # first probe is already a Newton step.
     lowest = _min(low, 1).tolist()
     start = [r for r in range(m)
-             if not (lowest[r] >= 0.0 and (face_mode or sum_x[r] <= budget[r]))]
-    g, lam, binds, slope = list(g_lin), [0.0] * m, [face_mode] * m, seed_slope
+             if not (lowest[r] >= 0.0 and (face[r] or sum_x[r] <= budget[r]))]
+    g, lam, binds, slope = list(g_lin), [0.0] * m, list(face), seed_slope
     free, moved, evals, errors = low > 0.0, np.zeros(x.shape), [0] * m, {}
     if start:
         g_s, lam_s, binds_s, free_s, up_s, moved_s, slope_s, failed = probe(
@@ -947,8 +985,9 @@ def _halfspace_rows(x, normal, gap, ub, budget, widths=None, sum_x=None):
     halfspaces {w : <normal, w - x + gap> <= 0}: the row core of
     project_halfspace_then_set, budget holding one float per row and widths
     each row's size (see the note above). sum_x, x's exactly rounded row
-    sums, is computed unless given. Raises ProjectionError for the first row
-    whose search fails."""
+    sums, is computed unless given. The face rows (below) and the others
+    share one dual search; only a face row that leaves its face searches
+    again. Raises ProjectionError for the first row whose search fails."""
     m, dim = x.shape
     if sum_x is None:
         sum_x = _row_fsums(x)
@@ -959,9 +998,8 @@ def _halfspace_rows(x, normal, gap, ub, budget, widths=None, sum_x=None):
     # face the centered halfspace is the exact-arithmetic one, and the dual
     # path P_X(x - beta*n) is unchanged where the budget binds. Such rows
     # project on the face.
-    face, plain = [], []
-    for r, (b, sx, sg) in enumerate(zip(budget, sum_x, _row_fsums(gap))):
-        (face if b - sx <= 64.0 * EPS * b and abs(sg) <= 256.0 * EPS * b else plain).append(r)
+    face = [b - sx <= 64.0 * EPS * b and abs(sg) <= 256.0 * EPS * b
+            for b, sx, sg in zip(budget, sum_x, _row_fsums(gap))]
 
     def rows_of(at):
         """x, ub, budget and sum_x of the rows at the ascending list `at`."""
@@ -969,9 +1007,10 @@ def _halfspace_rows(x, normal, gap, ub, budget, widths=None, sum_x=None):
             return x, ub, budget, sum_x
         return x[at], ub[at], [budget[r] for r in at], [sum_x[r] for r in at]
 
-    out = None
-    if face:
-        nf, gf = _take(normal, face), _take(gap, face)
+    out, rows, n, n_max, shift = None, list(range(m)), normal, None, {}
+    on = [r for r, f in enumerate(face) if f]
+    if on:
+        nf, gf = _take(normal, on), _take(gap, on)
         # Shifting the normal by a multiple of the all-ones vector leaves the
         # halfspace unchanged on the face. Centering on the gap's support
         # (where the normal's dominant component is constant) stops the
@@ -980,56 +1019,61 @@ def _halfspace_rows(x, normal, gap, ub, budget, widths=None, sum_x=None):
         if 0 in counts:
             # A row with no support centers on its whole normal.
             n_sup = [v if c else row for v, c, row in zip(n_sup, counts, nf.tolist())]
-            counts = [c or k for c, k in zip(counts, _at(widths, face) or [dim] * len(face))]
-        shift = [math.fsum(v) / c for v, c in zip(n_sup, counts)]
-        n_face = nf - _col(shift)
+            counts = [c or k for c, k in zip(counts, _at(widths, on) or [dim] * len(on))]
+        shifts = [math.fsum(v) / c for v, c in zip(n_sup, counts)]
+        n_face = nf - _col(shifts)
         if widths is not None:
             # The shift moves pads off zero; they go back before the normal's
             # peak is taken.
-            n_face[_pads(_at(widths, face), dim)] = 0.0
+            n_face[_pads(_at(widths, on), dim)] = 0.0
         # A normal that is (numerically) a pure budget direction cannot cut
         # the face: max|n_face| <= 8 eps max(1, max|nf|), tested first against
         # the bound max|nf| <= 2 (max|n_face| + |shift|).
         peak = _max(np.abs(n_face), axis=1).tolist()
-        flat = [p <= 16.0 * EPS * max(0.5, p + abs(sh)) for p, sh in zip(peak, shift)]
+        flat = [p <= 16.0 * EPS * max(0.5, p + abs(sh)) for p, sh in zip(peak, shifts)]
         if any(flat):
             flat = list(map(operator.le, peak, [8.0 * EPS * max(1.0, a)
                                                 for a in _max(np.abs(nf), axis=1).tolist()]))
+        if len(on) == m:
+            n = n_face
+        else:
+            n = normal.copy()
+            n[on] = n_face
+        shift = dict(zip(on, shifts))
         if any(flat):
-            at = [r for r, v in zip(face, flat) if v]
+            at = [r for r, v in zip(on, flat) if v]
             out = np.empty_like(x)
             out[at] = _box_budget_rows(x[at], ub[at], [budget[r] for r in at], _at(widths, at))[0]
-            keep = [j for j, v in enumerate(flat) if not v]
-            face = [face[j] for j in keep]
-            n_face, gf = n_face[keep], gf[keep]
-            shift, peak = [shift[j] for j in keep], [peak[j] for j in keep]
-        if face:
-            points, betas, lams, errors = _halfspace_dual_rows(*rows_of(face), n_face, gf, True,
-                                                               peak, _at(widths, face))
-            kept = []
-            for i, (r, beta, lam, sh) in enumerate(zip(face, betas, lams, shift)):
-                # A failed face search (no point of the face meets the cut),
-                # or a negative budget multiplier lam - beta*shift of the
-                # original halfspace, sends the row off the face.
-                if i not in errors and lam - beta * sh >= -64.0 * EPS * (
-                        abs(lam) + beta * abs(sh)):
-                    kept.append(i)
-                else:
-                    plain.append(r)
-            if len(kept) == m:
-                return points
-            if kept:
-                out = np.empty_like(x) if out is None else out
-                out[[face[i] for i in kept]] = points[kept]
-    if plain:
-        plain.sort()
-        points, _, _, errors = _halfspace_dual_rows(*rows_of(plain), _take(normal, plain),
-                                                    _take(gap, plain), False, None,
-                                                    _at(widths, plain))
-        if errors:
-            raise errors[min(errors)]
-        if len(plain) == m:
-            return points
-        out = np.empty_like(x) if out is None else out
-        out[plain] = points
+            drop = set(at)
+            rows = [r for r in rows if r not in drop]
+            peak = [p for p, v in zip(peak, flat) if not v]
+            if not rows:
+                return out
+        # A search of face rows alone takes their peaks. Otherwise the probe
+        # takes each row's largest |n| itself (a lone row's only when a move
+        # needs it), which on a face row is its peak: its pads are zero.
+        if len(peak) == len(rows):
+            n_max = peak
+    fs = face if len(rows) == m else [face[r] for r in rows]
+    points, betas, lams, errors = _halfspace_dual_rows(
+        *rows_of(rows), _take(n, rows), _take(gap, rows), fs, n_max, _at(widths, rows))
+    failed = {rows[i]: error for i, error in errors.items() if not fs[i]} if errors else {}
+    # A failed face search (no point of the face meets the cut), or a
+    # negative budget multiplier lam - beta*shift of the original
+    # halfspace, sends a face row off the face, to search again there.
+    back = [i for i, (r, f, beta, lam) in enumerate(zip(rows, fs, betas, lams))
+            if f and (i in errors or not lam - beta * shift[r] >= -64.0 * EPS * (
+                abs(lam) + beta * abs(shift[r])))] if on else []
+    if back:
+        again = [rows[i] for i in back]
+        moved, _, _, errors = _halfspace_dual_rows(
+            *rows_of(again), _take(normal, again), _take(gap, again), [False] * len(again),
+            None, _at(widths, again))
+        points[back] = moved
+        failed.update((again[i], error) for i, error in errors.items())
+    if failed:
+        raise failed[min(failed)]
+    if len(rows) == m:
+        return points
+    out[rows] = points
     return out

@@ -15,19 +15,30 @@ Run from the repository root. It prints two digests:
   the final iterate, the stop reason and every iterate's record.
 
 The digests of two checkouts agree exactly when every one of those bits
-does. This module is no test: its name keeps pytest from collecting it,
-and it takes a few seconds.
+does. Two counts over the whole corpus follow them:
+
+* `sorted rows`: the rows each caller of `projection._breakpoint_rows`
+  sorted: box projections (the follower stages' anchors, and face rows
+  whose normal is flat), batched and lone halfspace moves, and the price
+  multiplier.
+* `pivot chains`: per probe kind, how many move searches ran a chain of
+  that many pivots (`projection._pivot`) before it certified or gave up.
+
+This module is no test: its name keeps pytest from collecting it, and it
+takes a few seconds.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import hashlib
 import struct
 
 import numpy as np
 
 from bench.workloads import FollowerTight
-from gridtrade import engine, vi_solver
+from gridtrade import engine, price_opt, projection, vi_solver
 from gridtrade.cli import build_config, sample_scenario
 
 SEEDS = (1, 11, 211)
@@ -84,9 +95,64 @@ def solves_digest() -> tuple[str, int]:
     return digest.hexdigest(), count
 
 
+def _caller(finish) -> str:
+    """The kind of search that passed finish: a box projection or a batched
+    or lone halfspace move."""
+    name = finish.__qualname__
+    if "_move_path_rows" in name:
+        return "batched moves"
+    return "lone moves" if "_move_path" in name else "box projections"
+
+
+@contextlib.contextmanager
+def counted_searches():
+    """Count, while the block runs, the rows each caller of _breakpoint_rows
+    sorts and the length of every pivot chain; yields (sorted, chains), a
+    Counter of rows per caller and a Counter per probe kind of chains per
+    length."""
+    sorted_rows = collections.Counter()
+    chains = collections.defaultdict(collections.Counter)
+    search, price_search, pivot = (projection._breakpoint_rows, price_opt._breakpoint_rows,
+                                   projection._pivot)
+
+    def counted(kind, call):
+        def wrapped(s, lo, hi, target, finish, *args, **kwargs):
+            sorted_rows[kind or _caller(finish)] += len(target)
+            return call(s, lo, hi, target, finish, *args, **kwargs)
+        return wrapped
+
+    def counted_pivot(finish, lams):
+        steps = [0] * len(lams)
+
+        def step(rows, guesses, strict):
+            for j in rows:
+                steps[j] += 1
+            return finish(rows, guesses, strict)
+
+        rest = pivot(step, lams)
+        chains[_caller(finish)].update(steps)
+        return rest
+
+    projection._breakpoint_rows = counted(None, search)
+    price_opt._breakpoint_rows = counted("price multiplier", price_search)
+    projection._pivot = counted_pivot
+    try:
+        yield sorted_rows, chains
+    finally:
+        projection._breakpoint_rows, price_opt._breakpoint_rows = search, price_search
+        projection._pivot = pivot
+
+
 def main() -> None:
-    for name, (value, count) in (("games", games_digest()), ("solves", solves_digest())):
-        print(f"{name} ({count}): {value}")
+    with counted_searches() as (sorted_rows, chains):
+        for name, (value, count) in (("games", games_digest()), ("solves", solves_digest())):
+            print(f"{name} ({count}): {value}")
+    kinds = ("box projections", "batched moves", "lone moves", "price multiplier")
+    print("sorted rows: " + ", ".join(f"{kind} {sorted_rows[kind]:,}" for kind in kinds))
+    print("pivot chains by length: " + "; ".join(
+        f"{kind} " + ", ".join(f"{length}: {chains[kind][length]:,}"
+                               for length in sorted(chains[kind]))
+        for kind in kinds[1:3]))
 
 
 if __name__ == "__main__":

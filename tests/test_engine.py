@@ -429,11 +429,11 @@ class TestRunGames:
                 outcome.stage1.follower_iterations - 1, outcome.stage2.follower_iterations - 1]
 
     def test_moves_pivot_before_they_sort(self, monkeypatch, peak_scenario):
-        # Per stage of the peak game, the halfspace moves whose stored piece
-        # failed and that pivoted, the pivots that certified, and the moves
-        # sent to the breakpoint search. Its one failed piece pivots; with
-        # every pivot declined, the sort takes that move, and no byte of the
-        # game moves.
+        # Per stage of the peak game, the halfspace moves that found no
+        # certified piece and ran a chain of pivots, the chains that
+        # certified, and the moves sent to the breakpoint search. Its one
+        # failed piece runs a chain that certifies; with every pivot
+        # declined, the sort takes that move, and no byte of the game moves.
         counts, declined = [], []
         follower_stage, pivot, search = (engine._follower_stage, projection._pivot,
                                          projection._breakpoint_rows)
@@ -442,9 +442,9 @@ class TestRunGames:
             counts.append({"pivots": 0, "certified": 0, "sorts": 0})
             return follower_stage(*args, stage=stage)
 
-        def counted_pivot(finish, lams, free):
-            rest = list(range(len(lams))) if declined else pivot(finish, lams, free)
-            counts[-1]["pivots"] += sum(free)
+        def counted_pivot(finish, lams):
+            rest = list(range(len(lams))) if declined else pivot(finish, lams)
+            counts[-1]["pivots"] += len(lams)
             counts[-1]["certified"] += len(lams) - len(rest)
             return rest
 

@@ -340,7 +340,7 @@ def probe_once(x, normal, ub, budget, equality, beta):
     that no piece certifies."""
     probe, _ = _move_path(x[None], normal[None], (ub - x)[None],
                           ((x <= 0.0)[None], (x >= ub)[None]), [budget], [math.fsum(x)],
-                          equality, [0.0])
+                          [equality], [0.0])
     _, lam, _, _, _, move, _, failed = probe([0], [beta])
     return move[0], lam[0], failed
 
@@ -350,21 +350,21 @@ def no_piece_certifies(s, lo, hi, target, finish, slope=None):
     return [None] * len(target)
 
 
-def decline(finish, lams, free):
-    """A pivot that certifies no row: every move whose stored piece fails
-    goes to the breakpoint search."""
+def decline(finish, lams):
+    """A pivot that certifies no row: every move that finds no certified
+    piece goes to the breakpoint search."""
     return list(range(len(lams)))
 
 
 def declined_pivots(monkeypatch):
-    """Make every pivot decline, so the breakpoint search does every search
-    of a move; returns a list that grows by the rows offered to each
-    pivot."""
+    """Make every chain of pivots decline, so the breakpoint search does
+    every search of a move; returns a list that grows by the rows offered
+    to each chain."""
     offered = []
 
-    def declined(finish, lams, free):
+    def declined(finish, lams):
         offered.append(len(lams))
-        return decline(finish, lams, free)
+        return decline(finish, lams)
 
     monkeypatch.setattr(projection, "_pivot", declined)
     return offered
@@ -372,8 +372,10 @@ def declined_pivots(monkeypatch):
 
 class TestUncertifiedSearch:
     """A search that no breakpoint piece certifies ends in ProjectionError
-    naming its target and component count. A move whose stored piece fails
-    pivots first, so the moves below make their pivots fail as well."""
+    naming its target and component count. A move that finds no certified
+    piece runs a chain of pivots first, whether its stored piece fails or
+    has no free component, so the moves below decline their pivots as
+    well."""
 
     def test_box_projection_raises(self, monkeypatch):
         monkeypatch.setattr(projection, "_breakpoint_rows", no_piece_certifies)
@@ -392,11 +394,18 @@ class TestUncertifiedSearch:
         assert offered == [1]
         with pytest.raises(ProjectionError, match=re.escape("(target 5.000e-01, 3 components)")):
             raise failed[0]
+        # At x = 0 the stored piece has no free component; its chain starts
+        # at the clamp at lam = 0 before the search.
+        _, _, failed = probe_once(np.zeros(3), normal, ub, 3.5, False, 1.0)
+        assert offered == [1, 1]
+        with pytest.raises(ProjectionError, match=re.escape("(target 3.500e+00, 3 components)")):
+            raise failed[0]
 
     def test_failed_probe_inside_the_search_raises(self, monkeypatch):
-        # The first Newton probe leaves x's bound set, so its move pivots and
-        # searches for a piece, and the bracket search hands the failure on:
-        # on the face, whose failed search sends the row off it, and there.
+        # The first Newton probe leaves x's bound set, so its move runs a
+        # chain of pivots and searches for a piece, and the bracket search
+        # hands the failure on: on the face, whose failed search sends the
+        # row off it, and there.
         monkeypatch.setattr(projection, "_breakpoint_rows", no_piece_certifies)
         offered = declined_pivots(monkeypatch)
         x, normal, offset, gap, fs = SEED_FAILS
@@ -408,7 +417,7 @@ class TestUncertifiedSearch:
     def test_failed_probe_at_beta_zero_raises(self, monkeypatch):
         # x lies 1 above its budget, so the dual first probes beta = 0, where
         # the seller at 0.1 cannot give up its share of the excess on x's
-        # bound set: that move pivots and searches for a piece too.
+        # bound set: that move runs a chain and searches for a piece too.
         monkeypatch.setattr(projection, "_breakpoint_rows", no_piece_certifies)
         offered = declined_pivots(monkeypatch)
         x, normal, gap = np.array([0.1, 3.9]), np.array([1.0, 2.0]), np.array([0.5, 0.25])
@@ -420,10 +429,10 @@ class TestUncertifiedSearch:
 
 
 @st.composite
-def halfspace_instances(draw, n=None):
+def halfspace_instances(draw, n=None, face=None):
     """(x, normal, offset, gap, fset) with x feasible, n from 1 to 60 (or the
     n given) and per-component scales from 1e-6 to 1e6, components of x at 0
-    and at ub.
+    and at ub, on the budget face or off it (drawn unless face says which).
 
     On the budget face the gap is a set of exact transfers between disjoint
     pairs of components, so it sums to exactly zero and the projection runs
@@ -439,7 +448,7 @@ def halfspace_instances(draw, n=None):
     ub = scale * draw(unit_values(n, 0.25, 2.0))
     x = ub * draw(unit_values(n, 0.0, 1.0))
     normal = scale * (draw(unit_values(n, 0.0, 2.0)) - 1.0)
-    if draw(st.booleans()):
+    if draw(st.booleans()) if face is None else face:
         pairs = np.arange(n - n % 2).reshape(-1, 2)
         room = np.minimum(x[pairs[:, 0]], (ub - x)[pairs[:, 1]])
         moved = room * draw(unit_values(len(pairs), 0.0, 1.0))
@@ -605,8 +614,9 @@ class TestHalfspaceOracle:
 
     @pytest.mark.parametrize("instance,searches", [(SEED_CERTIFIES, 0), (SEED_FAILS, 1)])
     def test_certified_seed_skips_the_breakpoint_search(self, instance, searches, monkeypatch):
-        # A search is a pivot or a breakpoint search: a move whose stored
-        # piece fails pivots, and sorts only when the pivot fails too.
+        # A search is a chain of pivots or a breakpoint search: a move whose
+        # stored piece fails runs a chain, and sorts only when the chain
+        # fails too.
         calls = []
         pivot, search = projection._pivot, projection._breakpoint_rows
 
@@ -751,6 +761,43 @@ def halfspace_rows(batch):
     return projection._halfspace_rows(
         stacked(b[0] for b in batch), stacked(b[1] for b in batch), stacked(b[3] for b in batch),
         stacked(b[4].upper_bounds for b in batch), [b[4].budget for b in batch])
+
+
+def padded_rows(batch):
+    """The instances of batch, of any sizes, padded to the widest and
+    projected as the rows of one call to the row core."""
+    x, normal, gap = (padded([b[k] for b in batch]) for k in (0, 1, 3))
+    ub = padded([b[4].upper_bounds for b in batch])
+    return projection._halfspace_rows(x, normal, gap, ub, [b[4].budget for b in batch],
+                                      [len(b[0]) for b in batch])
+
+
+def projected_alone(batch):
+    """Per instance of batch, project_halfspace_then_set's point, or the
+    ProjectionError it raises."""
+    alone = []
+    for x, normal, offset, gap, fs in batch:
+        try:
+            alone.append(project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap))
+        except ProjectionError as exc:
+            alone.append(exc)
+    return alone
+
+
+def assert_rows_match_each_row_alone(batch):
+    """One call of the row core on batch, padded to mixed widths, gives
+    each row the point it gets alone, or raises the error of the first row
+    that raises alone."""
+    alone = projected_alone(batch)
+    errors = [str(a) for a in alone if isinstance(a, ProjectionError)]
+    if errors:
+        with pytest.raises(ProjectionError) as raised:
+            padded_rows(batch)
+        assert str(raised.value) == errors[0]
+        return
+    for row, want in zip(padded_rows(batch), alone):
+        k = len(want)
+        assert row[:k].tobytes() == want.tobytes() and not row[k:].any()
 
 
 def record_row_probes(monkeypatch):
@@ -979,8 +1026,8 @@ class TestRowCores:
         def probe(make, rows):
             x, normal, ub = (stacked(b[k] for b in rows) for k in range(3))
             sum_x = [math.fsum(b[0]) for b in rows]
-            path, _ = make(x, normal, ub - x, (x <= 0.0, x >= ub), sum_x, sum_x, True,
-                           [0.0] * len(rows))
+            path, _ = make(x, normal, ub - x, (x <= 0.0, x >= ub), sum_x, sum_x,
+                           [True] * len(rows), [0.0] * len(rows))
             return path(list(range(len(rows))), [b[3] for b in rows])
 
         together = probe(projection._move_path_rows, batch)
@@ -998,26 +1045,27 @@ class TestRowCores:
         # The mixed-scale row leaves the face and searches off it beside a
         # smaller row, padded to its width. Each row gets what it gets
         # alone: a point, or the error of the first row that raises alone.
-        batch = [MIXED_SCALE, EASY[0]][::order]
-        alone = []
-        for x, normal, offset, gap, fs in batch:
-            try:
-                alone.append(project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap))
-            except ProjectionError as exc:
-                alone.append(exc)
-        widths = [len(b[0]) for b in batch]
-        x, normal, gap = (padded([b[k] for b in batch]) for k in (0, 1, 3))
-        ub = padded([b[4].upper_bounds for b in batch])
-        args = x, normal, gap, ub, [b[4].budget for b in batch], widths
-        errors = [str(a) for a in alone if isinstance(a, ProjectionError)]
-        if errors:
-            with pytest.raises(ProjectionError) as raised:
-                projection._halfspace_rows(*args)
-            assert str(raised.value) == errors[0]
-        else:
-            points = projection._halfspace_rows(*args)
-            for k, row, want in zip(widths, points, alone):
-                assert row[:k].tobytes() == want.tobytes() and not row[k:].any()
+        assert_rows_match_each_row_alone([MIXED_SCALE, EASY[0]][::order])
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_face_and_plain_rows_match_each_row_alone(self, data):
+        # Face rows and plain rows share one dual search, at mixed widths,
+        # beside rows at x = 0 and rows that leave their face. (A failing
+        # row's error is compared in the test above.)
+        assert_rows_match_each_row_alone(
+            data.draw(mixed_batches(2, 6, ("face", "plain", "zero", "leaving"))))
+
+    def test_negative_multiplier_on_the_face_beside_plain_rows(self):
+        # On its face the budget is an equality, and this row's multiplier
+        # there comes out negative, so the original halfspace's is negative
+        # too and the row leaves the face. In the one search beside plain
+        # rows, whose multipliers are clamped at zero, its own is not.
+        x, gap = np.array([0.25, 0.75, 1.0, 1.0]), np.array([0.0625, -0.0625, 0.0, 0.0])
+        row = (x, np.array([0.5, -1.0, 1.0, -1.0]), x - gap, gap, FeasibleSet(np.ones(4), 3.0))
+        assert math.fsum(project_halfspace_then_set(*row[:3], row[4], offset_gap=gap)) < 3.0
+        assert_rows_match_each_row_alone([row, EASY[0]])
+        assert_rows_match_each_row_alone([EASY[1], row, AT_ZERO])
 
     def test_batch_with_an_empty_intersection_raises(self):
         with pytest.raises(ProjectionError):
@@ -1047,31 +1095,80 @@ class TestRowCores:
         assert batches == [1]
         halfspace_rows([SEED_FAILS, SEED_CERTIFIES])
         assert batches == [1, 2]
+        # Face rows and plain rows share one search; only a face row that
+        # leaves its face searches again, alone.
+        del batches[:]
+        padded_rows([EASY[0], SEED_FAILS, EASY[1], SEED_CERTIFIES])
+        assert batches == [4]
+        padded_rows([EASY[0], SEED_FAILS, LEAVES_FACE, SEED_CERTIFIES])
+        assert batches == [4, 4, 1]
+
+
+# A row at x = 0, as in a stage's first round, whose root [0, 0, 2] lies on
+# its budget.
+AT_ZERO = (np.zeros(3), np.array([-1.0, -2.0, -3.0]), np.array([0.0, 0.0, 2.0]),
+           np.array([0.0, 0.0, -2.0]), FeasibleSet(np.full(3, 4.0), 2.0))
+# A row off its face whose chains pivot twice and three times.
+CHAINED = (np.array([0.25, 0.0, 3.0, 0.0]), np.array([-1.0, -0.5, 2.0, -3.0]),
+           np.array([0.25, 0.5, 0.0, 2.0]), np.array([0.0, -0.5, 3.0, -2.0]),
+           FeasibleSet(np.array([1.0, 2.0, 4.0, 4.0]), 4.25))
+# Fixed rows whose search leaves the face, and rows whose search fails
+# (MIXED_SCALE leaves the face first).
+LEAVING = (LEAVES_FACE, NO_FACE_POINT)
+FAILING = (EMPTY, MIXED_SCALE)
+
+
+@st.composite
+def batch_rows(draw, kind):
+    """One row of a mixed batch: a halfspace instance of 1-12 components on
+    its budget face ("face") or off it ("plain"), or a row of LEAVING
+    ("leaving") or FAILING ("failing"). A "zero" row is a plain one moved to
+    x = 0 with a normal of no positive entry, as in a stage's first round,
+    and a budget near the offset point's sum: its moves grow until the
+    budget binds, and x's bound set has no free component."""
+    if kind in ("leaving", "failing"):
+        return draw(st.sampled_from(LEAVING if kind == "leaving" else FAILING))
+    n = draw(st.integers(1, 12))
+    x, normal, offset, gap, fs = draw(halfspace_instances(n, face=kind == "face"))
+    if kind == "zero":
+        # A budget at most twice as full as the offset point binds early.
+        budget = math.fsum(offset) * draw(st.sampled_from([1.0, 1.25, 2.0]))
+        assume(budget > 0.0)
+        x, normal, fs = np.zeros(n), -np.abs(normal), FeasibleSet(fs.upper_bounds, budget)
+        gap = x - offset
+    return x, normal, offset, gap, fs
+
+
+@st.composite
+def mixed_batches(draw, low, high, kinds=("face", "plain", "zero", "leaving", "failing")):
+    """low to high batch_rows of the given kinds; a batch of two or more
+    holds a face row and a plain row."""
+    kinds = draw(st.lists(st.sampled_from(kinds), min_size=low, max_size=high))
+    if len(kinds) > 1:
+        kinds = draw(st.permutations(["face", "plain"] + kinds[2:]))
+    return [draw(batch_rows(kind)) for kind in kinds]
 
 
 class TestPivot:
-    """A move whose stored piece fails its KKT check pivots to the piece of
-    clip(s - lam) at that piece's multiplier before any breakpoint search.
-    A pivot that certifies takes the piece the search finds, so no bit of a
-    projection depends on the pivot."""
+    """A move that finds no certified piece runs a chain of pivots, each to
+    the piece of clip(s - lam) at the multiplier the last piece computed,
+    before any breakpoint search; a stored piece with no free component
+    starts the chain at lam = 0. A pivot that certifies takes the piece the
+    search finds, so no bit of a projection depends on the pivots."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_declined_pivots_move_no_bit(self, data):
         # A lone row probes with _move_path; 2-6 rows padded to mixed widths
-        # probe with _move_path_rows. Each batch is projected with its pivots
-        # and with every pivot declined, so that the sort does every search.
-        size = data.draw(st.sampled_from([1, 2, 3, 4, 5, 6]))
-        batch = data.draw(st.lists(st.integers(1, 12).flatmap(halfspace_instances),
-                                   min_size=size, max_size=size))
-        widths = [len(b[0]) for b in batch]
-        x, normal, gap = (padded([b[k] for b in batch]) for k in (0, 1, 3))
-        ub = padded([b[4].upper_bounds for b in batch])
-        budget = [b[4].budget for b in batch]
+        # probe with _move_path_rows. The rows are on their face or off it
+        # (a batch holds both), at x = 0, or leave their face or fail. Each
+        # batch is projected with its pivots and with every pivot declined,
+        # so that the sort does every search.
+        batch = data.draw(mixed_batches(1, 6))
 
         def project():
             try:
-                return projection._halfspace_rows(x, normal, gap, ub, budget, widths).tobytes()
+                return padded_rows(batch).tobytes()
             except ProjectionError as error:
                 return str(error)
 
@@ -1079,3 +1176,38 @@ class TestPivot:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(projection, "_pivot", decline)
             assert project() == pivoted
+
+    @pytest.mark.parametrize("row, lengths", [(AT_ZERO, [1, 1]), (CHAINED, [2, 3])],
+                             ids=["at-zero", "chained"])
+    @pytest.mark.parametrize("beside", [[], [EASY[0]]], ids=["lone", "batched"])
+    def test_chains_certify_without_a_sort(self, row, lengths, beside, monkeypatch):
+        # Each row's first chain starts at lam = 0 (AT_ZERO's stored piece
+        # has no free component; CHAINED's computes a negative multiplier,
+        # clamped at zero), and every chain certifies after the pivots
+        # given: no move sorts. With every pivot declined, the sort finds
+        # the same points.
+        chains, sorts = [], []
+        pivot, search = projection._pivot, projection._breakpoint_rows
+
+        def counted_pivot(finish, lams):
+            steps = []
+
+            def step(rows, guesses, strict):
+                steps.append(guesses)
+                return finish(rows, guesses, strict)
+
+            rest = pivot(step, lams)
+            chains.append((lams, len(steps), rest))
+            return rest
+
+        def counted_search(s, lo, hi, target, finish, *args):
+            sorts.append(len(target))
+            return search(s, lo, hi, target, finish, *args)
+
+        monkeypatch.setattr(projection, "_pivot", counted_pivot)
+        monkeypatch.setattr(projection, "_breakpoint_rows", counted_search)
+        points = padded_rows([row] + beside)
+        assert chains[0][0] == [0.0] and [length for _, length, _ in chains] == lengths
+        assert all(not rest for _, _, rest in chains) and sorts == []
+        monkeypatch.setattr(projection, "_pivot", decline)
+        assert padded_rows([row] + beside).tobytes() == points.tobytes() and sorts
