@@ -399,7 +399,7 @@ def _box_budget_rows(v, ub, budget, widths=None):
     return x, lam, pieces
 
 
-def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, face, g_lin, n_max=None, widths=None):
+def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, face, g_lin, widths=None):
     """The moves P_X(x - beta*n) - x over rows of feasible x, as the
     halfspace dual's probes, assembled as _move_path explains: returns
     probe(rows, betas), which probes the ascending list rows at one
@@ -414,17 +414,16 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, face, g_lin, n_max=None, 
     piece gets its ProjectionError in the dict of failures.
 
     The caller passes hi_b, ub - x, and bounds, the masks x <= 0 and
-    x >= ub; n_max, each row's largest |n|, is computed unless given. A pad
+    x >= ub. A pad
     (see the note above) sits at both bounds, and its KKT interval is the
     whole line.
     """
     m, dim = x.shape
     lo_b = -x
-    peak = _max(np.abs(n), axis=1) if n_max is None else np.array(n_max)
+    peak = _max(np.abs(n), axis=1)
     target = [0.0 if f or (0.0 <= b - sx <= 64.0 * EPS * b) else b - sx
               for f, b, sx in zip(face, budget, sum_x)]
-    # A batch all on the face skips the clamp at lam = 0 and the sign test.
-    on_face, face = all(face), np.array(face)
+    face = np.array(face)
 
     def piece_of(rows, lower, upper, nr, lb, hb):
         """piece_of of _move_path for rows: the free masks, the arrays (bound,
@@ -469,9 +468,8 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, face, g_lin, n_max=None, 
         tc = tol[:, None]
         v = np.where(free, m_free, s - lam[:, None])
         ok = (count > 0.0) & ~_any((v < lo_lim - tc) | (v > hi_lim + tc), axis=1)
-        if not on_face:
-            ok &= eq | (lam >= -tol)
-            lam = np.where((lam < 0.0) & ~eq, 0.0, lam)
+        ok &= eq | (lam >= -tol)
+        lam = np.where((lam < 0.0) & ~eq, 0.0, lam)
         return ok, np.minimum(np.maximum(np.where(free, m_free, bound), lb), hb), lam
 
     def probe(rows, betas):
@@ -486,21 +484,20 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, face, g_lin, n_max=None, 
         beta = np.array(betas)
         nb = -beta[:, None]
         s = nb * nr
-        inside = None
-        if not on_face:
-            # A row off the face whose clamp at lam = 0 keeps within its
-            # budget moves there.
+        # A row off the face whose clamp at lam = 0 keeps within its budget
+        # moves there.
+        off, inside = np.flatnonzero(~eq).tolist(), [False] * k
+        if off:
             m0 = np.minimum(np.maximum(s, lb), hb)
-            off, inside = np.flatnonzero(~eq).tolist(), [False] * k
             for j, total in zip(off, _row_fsums(_take(m0, off))):
                 inside[j] = total <= target[rows[j]]
-        if inside is not None and all(inside):
+        if all(inside):
             ok, mv, lam = np.ones(k, dtype=bool), m0, np.zeros(k)
             free, slope = (m0 > lb) & (m0 < hb), [math.nan] * k
         else:
             ok, mv, lam = on_piece(free, arrays, scalars, beta, nb, s, lb, hb, pk, eq)
             slope = scalars[4].tolist()
-            if inside is not None and any(inside):
+            if any(inside):
                 at = np.array(inside)
                 mv, lam = np.where(at[:, None], m0, mv), np.where(at, 0.0, lam)
                 free = np.where(at[:, None], (m0 > lb) & (m0 < hb), free)
@@ -569,17 +566,14 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, face, g_lin, n_max=None, 
                     slope[j] = value
         lam = lam.tolist()
         g = [math.fsum(terms) + g_lin[r] for terms, r in zip((nr * mv).tolist(), rows)]
-        if on_face:
-            binds = [True] * k
-        else:
-            binds = [e or value > 0.0 for e, value in zip(eq.tolist(), lam)]
-            slope = [v if b else math.nan for v, b in zip(slope, binds)]
+        binds = [e or value > 0.0 for e, value in zip(eq.tolist(), lam)]
+        slope = [v if b else math.nan for v, b in zip(slope, binds)]
         return g, lam, binds, free, mv >= hb, mv, slope, failed
 
     return probe, [v if f else math.nan for v, f in zip(stores[2][4].tolist(), face.tolist())]
 
 
-def _move_path(x, n, hi_b, bounds, budget, sum_x, face, g_lin, n_max=None):
+def _move_path(x, n, hi_b, bounds, budget, sum_x, face, g_lin):
     """_move_path_rows for a batch of one: the same probe(rows, betas) and
     seed slopes, the moves assembled on one vector with scalar bookkeeping,
     which a lone row runs faster than columns; face[0] is the row's
@@ -611,7 +605,7 @@ def _move_path(x, n, hi_b, bounds, budget, sum_x, face, g_lin, n_max=None):
     lo_b = -x
     # Only a move on a piece needs the largest |n|; off the face a move
     # inside the budget does not.
-    n_max = None if n_max is None else n_max[0]
+    n_max = None
     target = budget - sum_x[0]
     if equality or (0.0 <= target <= 64.0 * EPS * budget):
         target = 0.0
@@ -930,14 +924,13 @@ def _bracket(n, x, lo, evals, probe, errors):
     return out_move, out_beta, out_lam
 
 
-def _halfspace_dual_rows(x, ub, budget, sum_x, n, gap, face, n_max=None, widths=None):
+def _halfspace_dual_rows(x, ub, budget, sum_x, n, gap, face, widths=None):
     """Rows of feasible x projected onto X (onto the budget face where the
     row's face flag holds) intersected with {w : <n, w - x + gap> <= 0},
     the rows searching in lockstep (see _bracket): returns (points, betas,
     multipliers, errors), errors mapping a row whose search failed to its
-    ProjectionError (its other entries are undefined). n_max, each row's
-    largest |n|, is computed unless given. The search runs on the columns
-    of the widest row, so that a lone row is its own problem.
+    ProjectionError (its other entries are undefined). The search runs on
+    the columns of the widest row, so that a lone row is its own problem.
     """
     m, dim = x.shape
     if widths is not None:
@@ -954,8 +947,8 @@ def _halfspace_dual_rows(x, ub, budget, sum_x, n, gap, face, n_max=None, widths=
     lower, upper, low = x <= 0.0, hi_b <= 0.0, np.minimum(x, hi_b)
     # The probe is chosen by batch size (see the note above).
     probe, seed_slope = _move_path(
-        x, n, hi_b, (lower, upper), budget, sum_x, face, g_lin, n_max) if m == 1 else \
-        _move_path_rows(x, n, hi_b, (lower, upper), budget, sum_x, face, g_lin, n_max, widths)
+        x, n, hi_b, (lower, upper), budget, sum_x, face, g_lin) if m == 1 else \
+        _move_path_rows(x, n, hi_b, (lower, upper), budget, sum_x, face, g_lin, widths)
     # With x in the box and within the budget (or on the face) the move at
     # beta = 0 is zero, so x's own bound set is a valid piece there and the
     # first probe is already a Newton step.
@@ -1007,7 +1000,7 @@ def _halfspace_rows(x, normal, gap, ub, budget, widths=None, sum_x=None):
             return x, ub, budget, sum_x
         return x[at], ub[at], [budget[r] for r in at], [sum_x[r] for r in at]
 
-    out, rows, n, n_max, shift = None, list(range(m)), normal, None, {}
+    out, rows, n, shift = None, list(range(m)), normal, {}
     on = [r for r, f in enumerate(face) if f]
     if on:
         nf, gf = _take(normal, on), _take(gap, on)
@@ -1046,17 +1039,11 @@ def _halfspace_rows(x, normal, gap, ub, budget, widths=None, sum_x=None):
             out[at] = _box_budget_rows(x[at], ub[at], [budget[r] for r in at], _at(widths, at))[0]
             drop = set(at)
             rows = [r for r in rows if r not in drop]
-            peak = [p for p, v in zip(peak, flat) if not v]
             if not rows:
                 return out
-        # A search of face rows alone takes their peaks. Otherwise the probe
-        # takes each row's largest |n| itself (a lone row's only when a move
-        # needs it), which on a face row is its peak: its pads are zero.
-        if len(peak) == len(rows):
-            n_max = peak
     fs = face if len(rows) == m else [face[r] for r in rows]
     points, betas, lams, errors = _halfspace_dual_rows(
-        *rows_of(rows), _take(n, rows), _take(gap, rows), fs, n_max, _at(widths, rows))
+        *rows_of(rows), _take(n, rows), _take(gap, rows), fs, _at(widths, rows))
     failed = {rows[i]: error for i, error in errors.items() if not fs[i]} if errors else {}
     # A failed face search (no point of the face meets the cut), or a
     # negative budget multiplier lam - beta*shift of the original
@@ -1068,7 +1055,7 @@ def _halfspace_rows(x, normal, gap, ub, budget, widths=None, sum_x=None):
         again = [rows[i] for i in back]
         moved, _, _, errors = _halfspace_dual_rows(
             *rows_of(again), _take(normal, again), _take(gap, again), [False] * len(again),
-            None, _at(widths, again))
+            _at(widths, again))
         points[back] = moved
         failed.update((again[i], error) for i, error in errors.items())
     if failed:

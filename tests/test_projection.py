@@ -878,13 +878,14 @@ class TestRowCores:
         for point, want in zip(halfspace_rows(batch), alone):
             assert point.tobytes() == want.tobytes()
 
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_padded_rows_match_each_row_alone(self, data):
         # Rows of different sizes, each padded with zero bounds to the
         # widest: every row keeps the bytes it gets alone, and pads stay 0.
-        batch = data.draw(st.lists(st.integers(1, 12).flatmap(halfspace_instances),
-                                   min_size=2, max_size=5))
+        # Face rows and plain rows share one dual search, beside rows at
+        # x = 0 and rows that leave their face.
+        batch = data.draw(mixed_batches(2, 5, ("face", "plain", "zero", "leaving")))
         widths = [len(b[0]) for b in batch]
         try:
             alone = [project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
@@ -1047,15 +1048,6 @@ class TestRowCores:
         # alone: a point, or the error of the first row that raises alone.
         assert_rows_match_each_row_alone([MIXED_SCALE, EASY[0]][::order])
 
-    @settings(max_examples=60, deadline=None)
-    @given(data=st.data())
-    def test_face_and_plain_rows_match_each_row_alone(self, data):
-        # Face rows and plain rows share one dual search, at mixed widths,
-        # beside rows at x = 0 and rows that leave their face. (A failing
-        # row's error is compared in the test above.)
-        assert_rows_match_each_row_alone(
-            data.draw(mixed_batches(2, 6, ("face", "plain", "zero", "leaving"))))
-
     def test_negative_multiplier_on_the_face_beside_plain_rows(self):
         # On its face the budget is an equality, and this row's multiplier
         # there comes out negative, so the original halfspace's is negative
@@ -1121,15 +1113,16 @@ FAILING = (EMPTY, MIXED_SCALE)
 @st.composite
 def batch_rows(draw, kind):
     """One row of a mixed batch: a halfspace instance of 1-12 components on
-    its budget face ("face") or off it ("plain"), or a row of LEAVING
-    ("leaving") or FAILING ("failing"). A "zero" row is a plain one moved to
+    its budget face ("face"), off it ("plain") or either ("any"), or a row
+    of LEAVING ("leaving") or FAILING ("failing"). A "zero" row is a plain one moved to
     x = 0 with a normal of no positive entry, as in a stage's first round,
     and a budget near the offset point's sum: its moves grow until the
     budget binds, and x's bound set has no free component."""
     if kind in ("leaving", "failing"):
         return draw(st.sampled_from(LEAVING if kind == "leaving" else FAILING))
     n = draw(st.integers(1, 12))
-    x, normal, offset, gap, fs = draw(halfspace_instances(n, face=kind == "face"))
+    face = None if kind == "any" else kind == "face"
+    x, normal, offset, gap, fs = draw(halfspace_instances(n, face=face))
     if kind == "zero":
         # A budget at most twice as full as the offset point binds early.
         budget = math.fsum(offset) * draw(st.sampled_from([1.0, 1.25, 2.0]))
@@ -1141,10 +1134,14 @@ def batch_rows(draw, kind):
 
 @st.composite
 def mixed_batches(draw, low, high, kinds=("face", "plain", "zero", "leaving", "failing")):
-    """low to high batch_rows of the given kinds; a batch of two or more
-    holds a face row and a plain row."""
+    """low to high batch_rows. Half the batches hold "any" rows only, so
+    that batches all on the face and all plain are drawn; in the others the
+    rows are of the given kinds, and a batch of two or more holds a face row
+    and a plain row."""
     kinds = draw(st.lists(st.sampled_from(kinds), min_size=low, max_size=high))
-    if len(kinds) > 1:
+    if draw(st.booleans()):
+        kinds = ["any"] * len(kinds)
+    elif len(kinds) > 1:
         kinds = draw(st.permutations(["face", "plain"] + kinds[2:]))
     return [draw(batch_rows(kind)) for kind in kinds]
 
@@ -1156,14 +1153,14 @@ class TestPivot:
     starts the chain at lam = 0. A pivot that certifies takes the piece the
     search finds, so no bit of a projection depends on the pivots."""
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=240, deadline=None)
     @given(data=st.data())
     def test_declined_pivots_move_no_bit(self, data):
         # A lone row probes with _move_path; 2-6 rows padded to mixed widths
         # probe with _move_path_rows. The rows are on their face or off it
-        # (a batch holds both), at x = 0, or leave their face or fail. Each
-        # batch is projected with its pivots and with every pivot declined,
-        # so that the sort does every search.
+        # (all on it, all off it, or both), at x = 0, or leave their face or
+        # fail. Each batch is projected with its pivots and with every pivot
+        # declined, so that the sort does every search.
         batch = data.draw(mixed_batches(1, 6))
 
         def project():
