@@ -414,9 +414,8 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, face, g_lin, widths=None)
     piece gets its ProjectionError in the dict of failures.
 
     The caller passes hi_b, ub - x, and bounds, the masks x <= 0 and
-    x >= ub. A pad
-    (see the note above) sits at both bounds, and its KKT interval is the
-    whole line.
+    x >= ub. A pad (see the note above) sits at both bounds, and its KKT
+    interval is the whole line.
     """
     m, dim = x.shape
     lo_b = -x
