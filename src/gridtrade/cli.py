@@ -82,6 +82,8 @@ class ExperimentConfig:
             problems.append("n_values must be nonempty")
         if any(n < 1 for n in self.n_values):
             problems.append("n_values must be positive")
+        if len(set(self.n_values)) < len(self.n_values):
+            problems.append("n_values must be distinct")
         if self.runs < 1:
             problems.append("runs must be at least 1")
         # a nonnegative low keeps high - low, the sampler's width, finite
@@ -418,7 +420,8 @@ def scenario_from_dict(data: dict) -> Scenario:
     users = tuple(
         EnergyUser(id=_integer(u["id"], f"users[{i}].id"),
                    surplus=_number(u["surplus"], f"users[{i}].surplus"),
-                   aggregation_count=u.get("aggregation_count", 1))
+                   aggregation_count=_integer(u.get("aggregation_count", 1),
+                                              f"users[{i}].aggregation_count"))
         for i, u in enumerate(data["users"])
     )
     g = data["grid"]

@@ -177,6 +177,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     for u in users:
         if not (math.isfinite(u.surplus) and u.surplus > 0.0):
             problems.append(f"user {u.id}: surplus must be positive and finite, got {u.surplus}")
+        if u.aggregation_count < 1:
+            problems.append(
+                f"user {u.id}: aggregation_count must be at least 1, got {u.aggregation_count}")
 
     g = scenario.grid
     if not (math.isfinite(g.deficiency) and g.deficiency > 0.0):

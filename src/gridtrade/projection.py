@@ -24,16 +24,14 @@ KKT check, the move runs a chain of active-set Newton steps on the budget
 multiplier (Cominetti, Mascarenhas & Silva 2014): it pivots to the piece
 of clip(s - lam) at the multiplier lam the failed piece computed, and on
 from each piece that fails to the next, until one certifies or a
-multiplier comes round again. A stored piece with no free component
-computes no multiplier, and its chain starts at the clamp at lam = 0. The
-breakpoint search sorts only when the chain fails. Before any piece has
-certified, the active set of x's own bounds stands in for it: x is the
-previous projection's output, so that set is the previous projection's
-last piece. With x in the box and within the budget, the move at
-beta = 0 is zero and x's bound set is the piece there, so that probe is
-already a Newton step. Near convergence the solver's steady rounds no
-longer reach this search: once an iterate holds the active set of the
-solution, its projection is the trial point itself (see vi_solver).
+multiplier comes round again. Before any piece has certified, and after
+a stored piece with no free component, the chain starts at the clamp at
+lam = 0. The breakpoint search sorts only when the chain fails. With x in
+the box and within the budget, the move at beta = 0 is zero and the
+piece there is that of x's own bounds, so the first probe is already a
+Newton step. Near convergence the solver's steady rounds no longer reach
+this search: once an iterate holds the active set of the solution, its
+projection is the trial point itself (see vi_solver).
 
 Numerical discipline matters more than usual here. The outer solver drives
 the halfspace gap <n, w(beta) - z> to the square of its own residual, far
@@ -156,15 +154,17 @@ def project_halfspace_then_set(x, normal, offset_point, fset: FeasibleSet,
 # their input checks, and vi_solver's loop projects every batch size with
 # _halfspace_rows. Its rows on the budget face and its other rows share
 # one halfspace dual search, the face being a flag per row. A halfspace
-# move that finds no certified piece runs a chain of pivots before it
-# sorts (_pivot) at every batch size, and the rows whose chain fails share
-# one breakpoint search. The main choice made by batch size is the
-# halfspace dual's probe: a lone row takes _move_path, which assembles its
-# moves on one vector, and several rows take _move_path_rows, which on a
-# lone row gives the same bytes but makes follower_tight's 400 solves take
-# 45% longer (0.56 s against 0.39 s, the least of 6 alternating in-process
-# passes at seed 211 on a 2-core Xeon). _newton_steps, _masked_rows and
-# _counted_rows also have a branch of their own for a lone row.
+# move that finds no certified piece, as every row's first move, runs a
+# chain of pivots before it sorts (_pivot) at every batch size, and the
+# rows whose chain fails share one breakpoint search. The main choice made
+# by batch size is the halfspace dual's probe: a lone row takes _move_path,
+# which assembles its moves on one vector, and several rows take
+# _move_path_rows, which on a lone row gives the same bytes but makes
+# follower_tight's 400 solves take 45% longer (0.56 s against 0.39 s, the
+# least of 6 alternating in-process passes at seed 211 on a 2-core Xeon).
+# _halfspace_dual_rows gives either probe each row's move target and
+# largest |n|. _newton_steps, _masked_rows and _counted_rows also have a
+# branch of their own for a lone row.
 #
 # The rows of a batch may be of different sizes. `widths` then gives each
 # row's size, its problem being its leading widths[r] components; the rest
@@ -399,29 +399,26 @@ def _box_budget_rows(v, ub, budget, widths=None):
     return x, lam, pieces
 
 
-def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, face, g_lin, widths=None):
+def _move_path_rows(x, n, hi_b, target, peak, face, g_lin, widths=None):
     """The moves P_X(x - beta*n) - x over rows of feasible x, as the
     halfspace dual's probes, assembled as _move_path explains: returns
     probe(rows, betas), which probes the ascending list rows at one
     beta >= 0 each and returns their probe columns (see _bracket), the gap
-    of row r being <n, move> + g_lin[r], and the slope of each row's own
-    bound set (nan off the face). face holds one flag per row: a face row
-    keeps its move on the budget face (_move_path's equality), the others
-    move within the budget. Each row's move is first assembled on its last
-    certified piece, held with the others' as columns; the rows whose piece
-    fails its KKT check pivot (_pivot), the rows whose chain of pivots fails
-    share one breakpoint search, and a position whose search certifies no
-    piece gets its ProjectionError in the dict of failures.
+    of row r being <n, move> + g_lin[r]. face holds one flag per row: a
+    face row keeps its move on the budget face (_move_path's equality), the
+    others move within the budget. Each row's move is first assembled on its
+    last certified piece, held with the others' as columns; the rows whose
+    piece fails its KKT check, or that have none yet, pivot (_pivot), the
+    rows whose chain of pivots fails share one breakpoint search, and a
+    position whose search certifies no piece gets its ProjectionError in
+    the dict of failures.
 
-    The caller passes hi_b, ub - x, and bounds, the masks x <= 0 and
-    x >= ub. A pad (see the note above) sits at both bounds, and its KKT
-    interval is the whole line.
+    The caller passes hi_b, ub - x, and per row the move's budget target
+    and the largest |n| (see _halfspace_dual_rows). A pad (see the note
+    above) sits at both bounds, and its KKT interval is the whole line.
     """
     m, dim = x.shape
     lo_b = -x
-    peak = _max(np.abs(n), axis=1)
-    target = [0.0 if f or (0.0 <= b - sx <= 64.0 * EPS * b) else b - sx
-              for f, b, sx in zip(face, budget, sum_x)]
     face = np.array(face)
 
     def piece_of(rows, lower, upper, nr, lb, hb):
@@ -448,9 +445,12 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, face, g_lin, widths=None)
                                np.where(free, hb, np.where(upper, np.inf, lb)), dev)), \
             np.array((ks, means, residues, cs, slopes, counts), dtype=float)
 
-    # Each row's last piece, written in place, seeded with x's own bound
-    # set: the last piece of the projection that produced x.
-    stores = piece_of(range(m), *bounds, n, lo_b, hi_b)
+    # Each row's last piece, written in place. None has certified yet, and a
+    # piece with no free component computes the multiplier 0, so each row's
+    # first move runs the chain from the clamp at lam = 0.
+    scalars = np.zeros((6, m))
+    scalars[0] = 1.0
+    stores = np.zeros((m, dim), dtype=bool), np.zeros((4, m, dim)), scalars
 
     def on_piece(free, arrays, scalars, beta, nb, s, lb, hb, peak, eq, strict=False):
         """on_piece of _move_path for rows at beta (nb is -beta as a column,
@@ -483,6 +483,8 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, face, g_lin, widths=None)
         beta = np.array(betas)
         nb = -beta[:, None]
         s = nb * nr
+        ok, mv, lam = on_piece(free, arrays, scalars, beta, nb, s, lb, hb, pk, eq)
+        slope = scalars[4].tolist()
         # A row off the face whose clamp at lam = 0 keeps within its budget
         # moves there.
         off, inside = np.flatnonzero(~eq).tolist(), [False] * k
@@ -490,20 +492,14 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, face, g_lin, widths=None)
             m0 = np.minimum(np.maximum(s, lb), hb)
             for j, total in zip(off, _row_fsums(_take(m0, off))):
                 inside[j] = total <= target[rows[j]]
-        if all(inside):
-            ok, mv, lam = np.ones(k, dtype=bool), m0, np.zeros(k)
-            free, slope = (m0 > lb) & (m0 < hb), [math.nan] * k
-        else:
-            ok, mv, lam = on_piece(free, arrays, scalars, beta, nb, s, lb, hb, pk, eq)
-            slope = scalars[4].tolist()
-            if any(inside):
-                at = np.array(inside)
-                mv, lam = np.where(at[:, None], m0, mv), np.where(at, 0.0, lam)
-                free = np.where(at[:, None], (m0 > lb) & (m0 < hb), free)
-                ok |= at
-            elif k == m:
-                # The stored masks are written in place as pieces move on.
-                free = free.copy()
+        if any(inside):
+            at = np.array(inside)
+            mv, lam = np.where(at[:, None], m0, mv), np.where(at, 0.0, lam)
+            free = np.where(at[:, None], (m0 > lb) & (m0 < hb), free)
+            ok |= at
+        elif k == m:
+            # The stored masks are written in place as pieces move on.
+            free = free.copy()
         failed = {}
         if not ok.all():
             # The rows whose piece fails at their beta pivot, and the rows
@@ -513,11 +509,11 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, face, g_lin, widths=None)
             at_rows = [rows[j] for j in need]
             ss, ls, hs, bs, ns, ps, es = s[at], lb[at], hb[at], beta[at], nr[at], pk[at], eq[at]
             targets = [target[r] for r in at_rows]
-            found = []
 
             def finish(sub, lam_guess, pivot=False):
                 """The moves on the pieces holding lam_guess at the positions
-                sub of need. A pivot's piece certifies only with a free
+                sub of need, each written to the probe's columns where it
+                certifies. A pivot's piece certifies only with a free
                 component, by the strict test, and a pivot gets back each
                 piece's multiplier as well (see _pivot)."""
                 sr = [at_rows[i] for i in sub]
@@ -539,7 +535,10 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, face, g_lin, widths=None)
                             t = targets[sub[j]]
                             got[j] = abs(total - t) <= 1e-12 * max(1.0, abs(t))
                         keep = got & ~empty
-                found.append((sub, got, mv2, lam2, new[0], new[2][4]))
+                pos = [need[i] for i, good in zip(sub, got.tolist()) if good]
+                mv[pos], lam[pos], free[pos] = mv2[got], lam2[got], new[0][got]
+                for j, value in zip(pos, new[2][4][got].tolist()):
+                    slope[j] = value
                 if not keep.all():
                     sr = [r for r, good in zip(sr, keep.tolist()) if good]
                     new = new[0][keep], new[1][:, keep], new[2][:, keep]
@@ -558,56 +557,42 @@ def _move_path_rows(x, n, hi_b, bounds, budget, sum_x, face, g_lin, widths=None)
                     if c is None:
                         failed[need[i]] = _uncertified(
                             targets[i], dim if widths is None else widths[at_rows[i]])
-            for sub, got, mv2, lam2, free2, slope2 in found:
-                pos = [need[i] for i, good in zip(sub, got.tolist()) if good]
-                mv[pos], lam[pos], free[pos] = mv2[got], lam2[got], free2[got]
-                for j, value in zip(pos, slope2[got].tolist()):
-                    slope[j] = value
         lam = lam.tolist()
         g = [math.fsum(terms) + g_lin[r] for terms, r in zip((nr * mv).tolist(), rows)]
         binds = [e or value > 0.0 for e, value in zip(eq.tolist(), lam)]
         slope = [v if b else math.nan for v, b in zip(slope, binds)]
         return g, lam, binds, free, mv >= hb, mv, slope, failed
 
-    return probe, [v if f else math.nan for v, f in zip(stores[2][4].tolist(), face.tolist())]
+    return probe
 
 
-def _move_path(x, n, hi_b, bounds, budget, sum_x, face, g_lin):
-    """_move_path_rows for a batch of one: the same probe(rows, betas) and
-    seed slopes, the moves assembled on one vector with scalar bookkeeping,
-    which a lone row runs faster than columns; face[0] is the row's
-    equality below.
+def _move_path(x, n, hi_b, target, peak, face, g_lin):
+    """_move_path_rows for a batch of one: the same probe(rows, betas), the
+    moves assembled on one vector with scalar bookkeeping, which a lone row
+    runs faster than columns; face[0] is the row's equality below.
 
     Solves for the budget multiplier directly in move coordinates
     m(lam) = clamp(-beta*n - lam, -x, hi_b), hi_b = ub - x, targeting
-    fsum(m) = budget - sum(x). The breakpoint search only identifies the
-    active set; the accepted move is reassembled as
-    -beta*(n_i - mean(n_free)) - c on free components, which keeps every
-    piece exactly rounded at its own scale. Computing clamp(-beta*n - lam)
-    directly would round at the beta*||n|| scale, orders of magnitude above
-    the physical move near convergence. An active set's constants do not
-    depend on beta, and successive probes of the dual mostly stay on one
-    set, so each move is first assembled on the last certified piece, or
-    on x's bound set `bounds` (masks x <= 0, hi_b <= 0) until one certifies.
-    When that piece's KKT check fails, or no piece with a free component is
-    stored, the move runs a chain of pivots (_pivot), and the breakpoint
-    search runs only when the chain fails.
+    fsum(m) = target[0], the slack budget - sum(x) as _halfspace_dual_rows
+    sets it. The breakpoint search only identifies the active set; the
+    accepted move is reassembled as -beta*(n_i - mean(n_free)) - c on free
+    components, which keeps every piece exactly rounded at its own scale.
+    Computing clamp(-beta*n - lam) directly would round at the beta*||n||
+    scale, orders of magnitude above the physical move near convergence. An
+    active set's constants do not depend on beta, and successive probes of
+    the dual mostly stay on one set, so each move is first assembled on the
+    last certified piece. When that piece's KKT check fails, or no piece is
+    stored yet, the move runs a chain of pivots (_pivot), and the
+    breakpoint search runs only when the chain fails.
 
     With equality=True the budget is treated as the equality sum(w) = sum(x)
     and the multiplier may take either sign; the caller uses this to keep
     iterates on the budget face when that is where the geometry lives.
-    Otherwise a genuine slack below the face tolerance is snapped to zero:
-    an ulp of slack opens a spurious off-face segment in the dual whose root
-    sits within rounding of zero, freezing the caller's iteration.
     """
-    x, n, hi_b, g_lin, budget, equality = x[0], n[0], hi_b[0], g_lin[0], budget[0], face[0]
-    lo_b = -x
-    # Only a move on a piece needs the largest |n|; off the face a move
-    # inside the budget does not.
-    n_max = None
-    target = budget - sum_x[0]
-    if equality or (0.0 <= target <= 64.0 * EPS * budget):
-        target = 0.0
+    x, n, hi_b, g_lin, target, equality = x[0], n[0], hi_b[0], g_lin[0], target[0], face[0]
+    lo_b, n_max = -x, float(peak[0])
+    # The last certified piece with a free component, None until one is.
+    last = None
 
     def piece_of(lower, upper):
         """The beta-free constants of the piece whose components in `lower`
@@ -631,20 +616,12 @@ def _move_path(x, n, hi_b, bounds, budget, sum_x, face, g_lin):
                 math.fsum(lo_b[lower].tolist() + hi_b[upper].tolist() + [-target]) / k,
                 math.fsum((centered * centered).tolist()))
 
-    # Until a piece certifies, try x's own bounds: the last piece of the
-    # projection that produced x, which on the face the first move always
-    # needs (its slope gives the first Newton step); off the face it may not.
-    seeded, last = equality, piece_of(bounds[0][0], bounds[1][0]) if equality else None
-
     def on_piece(piece, beta, s, strict=False):
         """The move of a piece at beta as (move, multiplier, free, slope),
         the move None when the piece fails. The rounded mean's residue folds
         into the constant, so any piece's move sums to the target exactly;
         the piece holds when it passes its KKT test at its own multiplier,
         strict or not (see _pivot)."""
-        nonlocal n_max
-        if n_max is None:
-            n_max = float(_max(np.abs(n)))
         free, k, lo_lim, hi_lim, dev, nbar, residue, c, slope = piece
         c_adj = c - beta * residue / k
         m_free = -beta * dev - c_adj
@@ -662,37 +639,11 @@ def _move_path(x, n, hi_b, bounds, budget, sum_x, face, g_lin):
     def move(beta):
         """The move at beta as (move, multiplier, free, slope), slope None
         for a move inside the budget; None when no piece certifies."""
-        nonlocal last, seeded
         s = -beta * n
         if not equality:
             m0 = np.minimum(np.maximum(s, lo_b), hi_b)
             if math.fsum(m0.tolist()) <= target:
                 return m0, 0.0, (m0 > lo_b) & (m0 < hi_b), None
-        if not seeded:
-            seeded, last = True, piece_of(bounds[0][0], bounds[1][0])
-        found = []
-
-        def finish(rows, lams, pivot=False):
-            """The move on the piece holding lams[0], whose constants (see
-            on_piece) do not depend on beta. A pivot's piece certifies only
-            with a free component, by the strict test, and a pivot gets back
-            the piece's multiplier as well, its guess where none is free
-            (see _pivot)."""
-            nonlocal last
-            lam = lams[0]
-            mm = np.minimum(np.maximum(s - lam, lo_b), hi_b)
-            piece = piece_of(mm <= lo_b, mm >= hi_b)
-            if piece is None:
-                if pivot:
-                    return [False], [lam]
-                found.append((mm, lam, np.zeros(mm.shape, dtype=bool), 0.0))
-                return [abs(math.fsum(mm.tolist()) - target) <= 1e-12 * max(1.0, abs(target))]
-            result = on_piece(piece, beta, s, pivot)
-            if result[0] is not None:
-                last = piece
-                found.append(result)
-            return ([result[0] is not None], [result[1]]) if pivot else [result[0] is not None]
-
         # Without a stored piece the chain starts at the clamp at lam = 0.
         guess = 0.0
         if last is not None:
@@ -700,11 +651,33 @@ def _move_path(x, n, hi_b, bounds, budget, sum_x, face, g_lin):
             if result[0] is not None:
                 return result
             guess = result[1]
-        if not _pivot(finish, [guess]):
-            return found[-1]
-        if _breakpoint_rows(s[None], lo_b[None], hi_b[None], [target], finish)[0] is None:
-            return None
-        return found[-1]
+        moved = None
+
+        def finish(rows, lams, pivot=False):
+            """The move on the piece holding lams[0], whose constants (see
+            on_piece) do not depend on beta, kept as `moved` where it
+            certifies. A pivot's piece certifies only with a free component,
+            by the strict test, and a pivot gets back the piece's multiplier
+            as well, its guess where none is free (see _pivot)."""
+            nonlocal last, moved
+            lam = lams[0]
+            mm = np.minimum(np.maximum(s - lam, lo_b), hi_b)
+            piece = piece_of(mm <= lo_b, mm >= hi_b)
+            if piece is None:
+                if pivot:
+                    return [False], [lam]
+                if abs(math.fsum(mm.tolist()) - target) > 1e-12 * max(1.0, abs(target)):
+                    return [False]
+                moved = mm, lam, np.zeros(mm.shape, dtype=bool), 0.0
+                return [True]
+            result = on_piece(piece, beta, s, pivot)
+            if result[0] is not None:
+                last, moved = piece, result
+            return ([result[0] is not None], [result[1]]) if pivot else [result[0] is not None]
+
+        if _pivot(finish, [guess]):
+            _breakpoint_rows(s[None], lo_b[None], hi_b[None], [target], finish)
+        return moved
 
     def probe(rows, betas):
         result = move(betas[0])
@@ -719,7 +692,7 @@ def _move_path(x, n, hi_b, bounds, budget, sum_x, face, g_lin):
                 (delta >= hi_b)[None], delta[None],
                 [slope if binds and slope is not None else math.nan], {})
 
-    return probe, [(last[-1] if last is not None else 0.0) if equality else math.nan]
+    return probe
 
 
 def _pivot(finish, lams):
@@ -815,18 +788,18 @@ def _bracket(n, x, lo, evals, probe, errors):
     (_piece_keys). The rule runs row by row; the probes and the Newton
     steps are batched.
     """
-    g0, lam0, binds0, free0, up0, move0, slope0 = lo
-    m = len(g0)
+    g, lam, binds, free, up, move, slope = lo
+    m = len(g)
     # A row whose gap at beta = 0 is not positive is its own root, and a
     # failed row keeps its move there.
-    out_move, out_beta, out_lam = move0, [0.0] * m, list(lam0)
-    rows = [r for r, g in enumerate(g0) if g > 0.0 and r not in errors]
+    out_move, out_beta, out_lam = move, [0.0] * m, list(lam)
+    rows = [r for r, gr in enumerate(g) if gr > 0.0 and r not in errors]
     if len(rows) < m:
         if not rows:
             return out_move, out_beta, out_lam
         at = np.array(rows)
-        n, free0, up0 = n[at], free0[at], up0[at]
-        g0, binds0, slope0, evals = ([a[r] for r in rows] for a in (g0, binds0, slope0, evals))
+        n, free, up = n[at], free[at], up[at]
+        g, binds, slope, evals = ([a[r] for r in rows] for a in (g, binds, slope, evals))
 
     def pick(r, j, st):
         """Row r's next beta and the end it steps from (0 lo, 1 hi, None for
@@ -871,20 +844,26 @@ def _bracket(n, x, lo, evals, probe, errors):
 
     # Per row its bracket: [lo beta, lo g, lo's Newton step, lo piece, hi
     # beta, hi's Newton step, hi multiplier, hi piece, hi move, evaluations];
-    # hi beta is None until a probe lands with g <= 0.
-    state, betas, origin, go = [], [], [], []
-    for j, (r, g, step, key, spent) in enumerate(zip(
-            rows, g0, _newton_steps(n, free0, binds0, [0.0] * len(rows), g0, slope0),
-            _piece_keys(free0, up0, binds0), evals)):
-        state.append([0.0, g, step, key, None, None, None, None, None, spent])
-        beta, side = pick(r, j, state[-1])
-        if beta is not None:
-            go.append(j), betas.append(beta), origin.append(side)
-    if len(go) < len(rows):
-        if not go:
-            return out_move, out_beta, out_lam
-        take(go)
+    # hi beta is None until a probe lands with g <= 0. Every row enters
+    # with its probe at beta = 0 as lo.
+    state = [[None] * 9 + [spent] for spent in evals]
+    betas, to_lo, keys = [0.0] * len(rows), [True] * len(rows), _piece_keys(free, up, binds)
     while True:
+        nxt, origin, go = [], [], []
+        for j, (r, st, low, beta, step) in enumerate(zip(
+                rows, state, to_lo, betas, _newton_steps(n, free, binds, betas, g, slope))):
+            if low:
+                st[:4] = beta, g[j], step, keys[j]
+            else:
+                st[4:9] = beta, step, lam[j], keys[j], move[j]
+            beta, side = pick(r, j, st)
+            if beta is not None:
+                go.append(j), nxt.append(beta), origin.append(side)
+        betas = nxt
+        if len(go) < len(rows):
+            if not go:
+                break
+            take(go)
         g, lam, binds, free, up, move, slope, failed = probe(rows, betas)
         keys = _piece_keys(free, up, binds)
         stay, to_lo = [], []
@@ -905,21 +884,6 @@ def _bracket(n, x, lo, evals, probe, errors):
             g, lam, binds, betas, slope, keys = ([a[j] for j in stay] for a in (
                 g, lam, binds, betas, slope, keys))
             free, move = free[stay], move[stay]
-        nxt, origin, go = [], [], []
-        for j, (r, st, low, beta, step) in enumerate(zip(
-                rows, state, to_lo, betas, _newton_steps(n, free, binds, betas, g, slope))):
-            if low:
-                st[:4] = beta, g[j], step, keys[j]
-            else:
-                st[4:9] = beta, step, lam[j], keys[j], move[j]
-            beta, side = pick(r, j, st)
-            if beta is not None:
-                go.append(j), nxt.append(beta), origin.append(side)
-        betas = nxt
-        if len(go) < len(rows):
-            if not go:
-                break
-            take(go)
     return out_move, out_beta, out_lam
 
 
@@ -930,6 +894,12 @@ def _halfspace_dual_rows(x, ub, budget, sum_x, n, gap, face, widths=None):
     multipliers, errors), errors mapping a row whose search failed to its
     ProjectionError (its other entries are undefined). The search runs on
     the columns of the widest row, so that a lone row is its own problem.
+
+    Each row's moves target the slack budget - sum(x), and 0 on the face,
+    where the budget is an equality. A genuine slack within 64 eps of the
+    budget is snapped to 0 as well: an ulp of slack opens a spurious
+    off-face segment in the dual whose root sits within rounding of zero,
+    freezing the caller's iteration.
     """
     m, dim = x.shape
     if widths is not None:
@@ -940,21 +910,23 @@ def _halfspace_dual_rows(x, ub, budget, sum_x, n, gap, face, widths=None):
             widths = None
     g_lin = _row_fsums(n * gap)
     hi_b = ub - x
-    # x's bound sets: at zero, and at ub (where ub - x <= 0 exactly when
-    # x >= ub); the components free of both move first. Each row's least
-    # distance to its bounds also says whether x is in its box.
-    lower, upper, low = x <= 0.0, hi_b <= 0.0, np.minimum(x, hi_b)
+    target = [0.0 if f or (0.0 <= b - sx <= 64.0 * EPS * b) else b - sx
+              for f, b, sx in zip(face, budget, sum_x)]
+    peak = _max(np.abs(n), axis=1)
     # The probe is chosen by batch size (see the note above).
-    probe, seed_slope = _move_path(
-        x, n, hi_b, (lower, upper), budget, sum_x, face, g_lin) if m == 1 else \
-        _move_path_rows(x, n, hi_b, (lower, upper), budget, sum_x, face, g_lin, widths)
-    # With x in the box and within the budget (or on the face) the move at
-    # beta = 0 is zero, so x's own bound set is a valid piece there and the
-    # first probe is already a Newton step.
+    probe = _move_path(x, n, hi_b, target, peak, face, g_lin) if m == 1 else \
+        _move_path_rows(x, n, hi_b, target, peak, face, g_lin, widths)
+    # x's bound sets: at zero, and at ub (where ub - x <= 0 exactly when
+    # x >= ub). Each row's least distance to its bounds also says whether x
+    # is in its box. With x in the box and within the budget (or on the
+    # face) the move at beta = 0 is zero, so the piece of x's bounds holds
+    # there and the first probe is already a Newton step from it; the other
+    # rows probe beta = 0 first.
+    upper, low = hi_b <= 0.0, np.minimum(x, hi_b)
     lowest = _min(low, 1).tolist()
     start = [r for r in range(m)
              if not (lowest[r] >= 0.0 and (face[r] or sum_x[r] <= budget[r]))]
-    g, lam, binds, slope = list(g_lin), [0.0] * m, list(face), seed_slope
+    g, lam, binds, slope = list(g_lin), [0.0] * m, list(face), [math.nan] * m
     free, moved, evals, errors = low > 0.0, np.zeros(x.shape), [0] * m, {}
     if start:
         g_s, lam_s, binds_s, free_s, up_s, moved_s, slope_s, failed = probe(

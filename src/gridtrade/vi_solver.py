@@ -21,8 +21,8 @@ nonincreasing along the iteration. Since x - F(x) = surpluses + prices for
 every x, r(x) is projected once per solve (the anchor, the same point
 `ve_closed_form` returns) and each iteration only compensates its budget sum
 against x, on a component the solve also picks once. The halfspace
-projection seeds its dual with the active set of the iterate's own bounds
-(see `projection`).
+projection's first Newton step is taken on the piece of the iterate's own
+bounds (see `projection`).
 
 Once an iterate holds the anchor's strictly active set, its halfspace
 projection has a closed form: the trial point z itself. With the anchor

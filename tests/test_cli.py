@@ -581,8 +581,11 @@ class TestInvalidInputExitsOne:
     @pytest.mark.parametrize("values, flags, message", [
         ({"preset": "nope"}, [], "unknown preset 'nope'"),
         ({}, ["--n-values", "0,5"], "n_values must be positive"),
+        # a repeated n would write its rows twice and count its sample twice
+        ({"preset": "fig2_utility_vs_n", "runs": 3}, ["--n-values", "5,5"],
+         "n_values must be distinct"),
         ({}, ["--seed", "-1"], "seed must be nonnegative"),
-    ], ids=["preset", "n_values", "seed"])
+    ], ids=["preset", "n_values", "n_values-repeated", "seed"])
     def test_out_of_range_config_value_names_its_field(self, tmp_path, capsys, values, flags,
                                                         message):
         out = tmp_path / "out"
@@ -842,11 +845,12 @@ class TestVerifyEveryFile:
         ("p_min", True), ("deficiency", True), ("surplus", True), ("id", False),
         ("surplus", "100"), ("total_price", "175"), ("p_max", False), ("cost_linear", True),
         ("cost_const", "1"), ("id", "0"), ("id", 0.5), ("surplus", None),
+        ("aggregation_count", "many"), ("aggregation_count", None),
     ])
     def test_bool_or_string_in_a_numeric_field_is_invalid(self, tmp_path, capsys, good, field,
                                                           value):
         data = json.loads(good)
-        if field in ("surplus", "id"):
+        if field in ("surplus", "id", "aggregation_count"):
             data["users"][0][field] = value
             name = f"users[0].{field}"
         elif field.startswith("cost"):
@@ -857,9 +861,18 @@ class TestVerifyEveryFile:
             name = f"grid.{field}"
         code, out = self.run(write_corpus(tmp_path, {"a.json": json.dumps(data), "b.json": good}),
                              capsys)
-        kind = "an integer" if field == "id" else "a number"
+        kind = "an integer" if field in ("id", "aggregation_count") else "a number"
         assert code == 1
         assert out[0] == f"a.json: INVALID (ValueError: {name} must be {kind}, got {value!r})"
+        assert out[1].startswith("b.json: OK")
+
+    def test_negative_aggregation_count_is_invalid(self, tmp_path, capsys, good):
+        data = json.loads(good)
+        data["users"][0]["aggregation_count"] = -3
+        code, out = self.run(write_corpus(tmp_path, {"a.json": json.dumps(data), "b.json": good}),
+                             capsys)
+        assert code == 1
+        assert out[0] == "a.json: INVALID (user 0: aggregation_count must be at least 1, got -3)"
         assert out[1].startswith("b.json: OK")
 
     @pytest.mark.parametrize("field", ["cost_linear", "cost_const"])

@@ -431,9 +431,12 @@ class TestRunGames:
     def test_moves_pivot_before_they_sort(self, monkeypatch, peak_scenario):
         # Per stage of the peak game, the halfspace moves that found no
         # certified piece and ran a chain of pivots, the chains that
-        # certified, and the moves sent to the breakpoint search. Its one
-        # failed piece runs a chain that certifies; with every pivot
-        # declined, the sort takes that move, and no byte of the game moves.
+        # certified, and the moves sent to the breakpoint search. The game
+        # makes three halfspace dual searches, two in stage 1 and one in
+        # stage 2. Each one's first move has no stored piece, so it runs a
+        # chain, which certifies, and no later move needs one. With every
+        # pivot declined, the sort takes those three moves, and no byte of
+        # the game moves.
         counts, declined = [], []
         follower_stage, pivot, search = (engine._follower_stage, projection._pivot,
                                          projection._breakpoint_rows)
@@ -457,13 +460,13 @@ class TestRunGames:
         monkeypatch.setattr(projection, "_pivot", counted_pivot)
         monkeypatch.setattr(projection, "_breakpoint_rows", counted_search)
         outcome = run_stackelberg(peak_scenario)
-        assert counts == [{"pivots": 1, "certified": 1, "sorts": 0},
-                          {"pivots": 0, "certified": 0, "sorts": 0}]
+        assert counts == [{"pivots": 2, "certified": 2, "sorts": 0},
+                          {"pivots": 1, "certified": 1, "sorts": 0}]
         del counts[:]
         declined.append(True)
         assert run_stackelberg(peak_scenario).log.to_jsonl() == outcome.log.to_jsonl()
-        assert counts == [{"pivots": 1, "certified": 0, "sorts": 1},
-                          {"pivots": 0, "certified": 0, "sorts": 0}]
+        assert counts == [{"pivots": 2, "certified": 0, "sorts": 2},
+                          {"pivots": 1, "certified": 0, "sorts": 1}]
 
     @pytest.mark.parametrize("max_iterations, played_stage2", [
         (6, [False, False, False]),  # every game stops in stage 1: none is priced

@@ -185,7 +185,9 @@ class TestValidateScenario:
     def test_reports_all_violations(self):
         s = make_scenario([100.0, -5.0], -2.0, seed=-1)
         grid = replace(s.grid, cost_linear=np.full(3, 0.01))
-        assert validate_scenario(Scenario(s.users, grid, s.seed)) == [
+        users = (replace(s.users[0], aggregation_count=0), s.users[1])
+        assert validate_scenario(Scenario(users, grid, s.seed)) == [
+            "user 0: aggregation_count must be at least 1, got 0",
             "user 1: surplus must be positive and finite, got -5.0",
             "deficiency must be positive, got -2.0",
             "cost vectors must have length 2, got a:3 b:2",

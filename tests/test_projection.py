@@ -315,11 +315,10 @@ class TestBreakpointKernel:
         move_scale = float(np.abs(beta * normal).max()) + abs(lam) + float(np.abs(move).max())
         kkt_tol = 128.0 * EPS * move_scale + 1e-300
         assert np.abs(move - np.clip(-beta * normal - lam, -x, ub - x)).max() <= kkt_tol
-        slack = budget - math.fsum(x)
         face_tol = 64.0 * EPS * max(1.0, budget)
-        # _move_path snaps a slack of at most 64 eps of the budget itself,
+        # The target snaps a slack of at most 64 eps of the budget itself,
         # so below unit budgets a slack under face_tol can still be a target.
-        target = 0.0 if equality or 0.0 <= slack <= 64.0 * EPS * budget else slack
+        target = move_target(x, budget, equality)
         if equality or lam > 0.0:
             assert abs(math.fsum(move) - target) <= x.size * kkt_tol
         v = x - beta * normal
@@ -334,13 +333,19 @@ class TestBreakpointKernel:
         assert np.abs(move - ref).max() <= atol
 
 
+def move_target(x, budget, equality):
+    """The budget target of x's moves, as _halfspace_dual_rows sets it: the
+    slack, snapped to 0 within 64 eps of the budget, or 0 on the face."""
+    slack = budget - math.fsum(x)
+    return 0.0 if equality or 0.0 <= slack <= 64.0 * EPS * budget else slack
+
+
 def probe_once(x, normal, ub, budget, equality, beta):
     """The lone row's halfspace-dual move of x along -normal at beta:
     (move, multiplier, failures), failures mapping 0 to the error of a move
     that no piece certifies."""
-    probe, _ = _move_path(x[None], normal[None], (ub - x)[None],
-                          ((x <= 0.0)[None], (x >= ub)[None]), [budget], [math.fsum(x)],
-                          [equality], [0.0])
+    probe = _move_path(x[None], normal[None], (ub - x)[None], [move_target(x, budget, equality)],
+                       np.abs(normal).max(keepdims=True), [equality], [0.0])
     _, lam, _, _, _, move, _, failed = probe([0], [beta])
     return move[0], lam[0], failed
 
@@ -374,8 +379,7 @@ class TestUncertifiedSearch:
     """A search that no breakpoint piece certifies ends in ProjectionError
     naming its target and component count. A move that finds no certified
     piece runs a chain of pivots first, whether its stored piece fails or
-    has no free component, so the moves below decline their pivots as
-    well."""
+    it has none yet, so the moves below decline their pivots as well."""
 
     def test_box_projection_raises(self, monkeypatch):
         monkeypatch.setattr(projection, "_breakpoint_rows", no_piece_certifies)
@@ -386,38 +390,38 @@ class TestUncertifiedSearch:
     def test_move_raises(self, monkeypatch):
         monkeypatch.setattr(projection, "_breakpoint_rows", no_piece_certifies)
         offered = declined_pivots(monkeypatch)
-        # At beta = 1 the seller at 0 leaves x's bound set, whose KKT test
-        # fails, so the move pivots and then searches for its piece.
+        # The move has no stored piece, so its chain starts at the clamp at
+        # lam = 0, and then it searches for its piece.
         x, normal = np.array([1.0, 2.0, 0.0]), np.array([-1.0, -2.0, -3.0])
         ub = np.full(3, 4.0)
         _, _, failed = probe_once(x, normal, ub, 3.5, False, 1.0)
         assert offered == [1]
         with pytest.raises(ProjectionError, match=re.escape("(target 5.000e-01, 3 components)")):
             raise failed[0]
-        # At x = 0 the stored piece has no free component; its chain starts
-        # at the clamp at lam = 0 before the search.
+        # The same at x = 0, where the clamp at lam = 0 has no free
+        # component.
         _, _, failed = probe_once(np.zeros(3), normal, ub, 3.5, False, 1.0)
         assert offered == [1, 1]
         with pytest.raises(ProjectionError, match=re.escape("(target 3.500e+00, 3 components)")):
             raise failed[0]
 
     def test_failed_probe_inside_the_search_raises(self, monkeypatch):
-        # The first Newton probe leaves x's bound set, so its move runs a
+        # The first Newton probe's move has no stored piece, so it runs a
         # chain of pivots and searches for a piece, and the bracket search
         # hands the failure on: on the face, whose failed search sends the
         # row off it, and there.
         monkeypatch.setattr(projection, "_breakpoint_rows", no_piece_certifies)
         offered = declined_pivots(monkeypatch)
-        x, normal, offset, gap, fs = SEED_FAILS
+        x, normal, offset, gap, fs = LEAVES_X_BOUNDS
         with pytest.raises(ProjectionError, match=re.escape(
                 "no breakpoint piece certifies the multiplier (target 0.000e+00, 3 components)")):
             project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
         assert offered == [1, 1]
 
     def test_failed_probe_at_beta_zero_raises(self, monkeypatch):
-        # x lies 1 above its budget, so the dual first probes beta = 0, where
-        # the seller at 0.1 cannot give up its share of the excess on x's
-        # bound set: that move runs a chain and searches for a piece too.
+        # x lies 1 above its budget, so the dual first probes beta = 0; that
+        # move has no stored piece, and runs a chain and searches for a
+        # piece too.
         monkeypatch.setattr(projection, "_breakpoint_rows", no_piece_certifies)
         offered = declined_pivots(monkeypatch)
         x, normal, gap = np.array([0.1, 3.9]), np.array([1.0, 2.0]), np.array([0.5, 0.25])
@@ -492,12 +496,12 @@ def face_instance(normal):
     return x, np.array(normal), x - gap, gap, FeasibleSet(np.full(3, 4.0), 3.0)
 
 
-# At the first probe the idle seller stays at 0, so x's own bound set is
-# the piece and certifies; the root lies on it.
-SEED_CERTIFIES = face_instance([-1.0, -2.0, -0.5])
-# Here the idle seller leaves 0 at the first probe: x's bound set fails its
-# KKT test and the breakpoint search runs.
-SEED_FAILS = face_instance([-1.0, -2.0, -3.0])
+# At the first probe the idle seller stays at 0, so the piece of x's own
+# bounds, which the first Newton step is taken on, holds there; the root
+# lies on it.
+ROOT_ON_X_BOUNDS = face_instance([-1.0, -2.0, -0.5])
+# Here the idle seller leaves 0 at the first probe, onto another piece.
+LEAVES_X_BOUNDS = face_instance([-1.0, -2.0, -3.0])
 
 
 def hex_array(values):
@@ -534,12 +538,12 @@ def count_evaluations(monkeypatch):
     make = projection._move_path
 
     def counted_path(*args):
-        probe, seed_slope = make(*args)
+        probe = make(*args)
 
         def counted(rows, betas):
             calls.extend(betas)
             return probe(rows, betas)
-        return counted, seed_slope
+        return counted
 
     monkeypatch.setattr(projection, "_move_path", counted_path)
     return calls
@@ -585,8 +589,8 @@ MIXED_SCALE = _mixed_scale()
 class TestHalfspaceOracle:
     @settings(max_examples=300, deadline=None)
     @given(halfspace_instances())
-    @example(instance=SEED_CERTIFIES)
-    @example(instance=SEED_FAILS)
+    @example(instance=ROOT_ON_X_BOUNDS)
+    @example(instance=LEAVES_X_BOUNDS)
     # a budget far below 1 with x off its face: tolerances must scale with
     # the budget, or the whole slack is snapped away and the bracket diverges
     @example(instance=(np.zeros(3), np.array([-1.0, -1.0, 0.0]), np.array([0.0, 1e-20, 5e-21]),
@@ -606,17 +610,18 @@ class TestHalfspaceOracle:
         assert 1 <= len(calls) <= 8
 
     def test_root_on_the_bound_set_piece_takes_one_evaluation(self, monkeypatch):
-        # In the box on the face, x's own bound set is the piece at beta = 0,
-        # so the first probe is a Newton step on it and lands on the root.
+        # In the box on the face, the piece of x's own bounds holds at
+        # beta = 0, so the first probe is a Newton step on it and lands on
+        # the root.
         calls = count_evaluations(monkeypatch)
-        assert_matches_oracle(SEED_CERTIFIES)
+        assert_matches_oracle(ROOT_ON_X_BOUNDS)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("instance,searches", [(SEED_CERTIFIES, 0), (SEED_FAILS, 1)])
-    def test_certified_seed_skips_the_breakpoint_search(self, instance, searches, monkeypatch):
-        # A search is a chain of pivots or a breakpoint search: a move whose
-        # stored piece fails runs a chain, and sorts only when the chain
-        # fails too.
+    @pytest.mark.parametrize("instance", [ROOT_ON_X_BOUNDS, LEAVES_X_BOUNDS])
+    def test_first_move_chains_without_a_sort(self, instance, monkeypatch):
+        # A search is a chain of pivots or a breakpoint search. Each
+        # instance's one move has no stored piece, so it runs a chain, which
+        # certifies; it would sort only if the chain failed.
         calls = []
         pivot, search = projection._pivot, projection._breakpoint_rows
 
@@ -630,7 +635,7 @@ class TestHalfspaceOracle:
         monkeypatch.setattr(projection, "_breakpoint_rows", counted("sort", search))
         x, normal, offset, gap, fs = instance
         project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
-        assert len(calls) == searches
+        assert calls == ["pivot"]
 
     def test_face_mode_projection_leaving_the_face(self):
         # x and the offset point sit on the face, so the search runs in face
@@ -707,7 +712,7 @@ class TestLoneSearchExits:
         # The first probe lands with g > 0, and the cap stops the search
         # before any probe has closed a bracket.
         monkeypatch.setattr(projection, "_MAX_EVALS", 1)
-        x, normal, offset, gap, fs = SEED_FAILS
+        x, normal, offset, gap, fs = LEAVES_X_BOUNDS
         with pytest.raises(ProjectionError,
                            match="^no halfspace dual bracket within 1 evaluations$"):
             project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
@@ -808,14 +813,14 @@ def record_row_probes(monkeypatch):
 
     def recorder(make):
         def recorded_path(x, *args):
-            probe, seed_slope = make(x, *args)
+            probe = make(x, *args)
             keys = [row.tobytes() for row in x]
 
             def recorded(rows, betas):
                 for r, beta in zip(rows, betas):
                     seen[keys[r]].append(beta)
                 return probe(rows, betas)
-            return recorded, seed_slope
+            return recorded
         return recorded_path
 
     for name in ("_move_path", "_move_path_rows"):
@@ -1018,17 +1023,17 @@ class TestRowCores:
 
     def test_row_with_no_free_component_probes_as_alone(self):
         # On the face, at beta = 0, the first row sits at its upper bounds:
-        # its stored piece has no free component, and neither has the piece
-        # the breakpoint search lands on. Beside an ordinary row the column
-        # probe gives each row the probe it gets alone.
+        # the clamp at lam = 0, where its chain starts, has no free
+        # component, and neither has the piece the breakpoint search lands
+        # on. Beside an ordinary row the column probe gives each row the
+        # probe it gets alone.
         batch = [(np.full(2, 0.25), np.array([-1.0, 0.5]), np.full(2, 0.25), 0.0),
                  (np.array([0.5, 1.0]), np.array([1.0, -2.0]), np.array([1.0, 2.0]), 0.25)]
 
         def probe(make, rows):
             x, normal, ub = (stacked(b[k] for b in rows) for k in range(3))
-            sum_x = [math.fsum(b[0]) for b in rows]
-            path, _ = make(x, normal, ub - x, (x <= 0.0, x >= ub), sum_x, sum_x,
-                           [True] * len(rows), [0.0] * len(rows))
+            path = make(x, normal, ub - x, [0.0] * len(rows), np.abs(normal).max(axis=1),
+                        [True] * len(rows), [0.0] * len(rows))
             return path(list(range(len(rows))), [b[3] for b in rows])
 
         together = probe(projection._move_path_rows, batch)
@@ -1082,17 +1087,17 @@ class TestRowCores:
             return search(n, *args)
 
         monkeypatch.setattr(projection, "_bracket", counted)
-        x, normal, offset, gap, fs = SEED_FAILS
+        x, normal, offset, gap, fs = LEAVES_X_BOUNDS
         project_halfspace_then_set(x, normal, offset, fs, offset_gap=gap)
         assert batches == [1]
-        halfspace_rows([SEED_FAILS, SEED_CERTIFIES])
+        halfspace_rows([LEAVES_X_BOUNDS, ROOT_ON_X_BOUNDS])
         assert batches == [1, 2]
         # Face rows and plain rows share one search; only a face row that
         # leaves its face searches again, alone.
         del batches[:]
-        padded_rows([EASY[0], SEED_FAILS, EASY[1], SEED_CERTIFIES])
+        padded_rows([EASY[0], LEAVES_X_BOUNDS, EASY[1], ROOT_ON_X_BOUNDS])
         assert batches == [4]
-        padded_rows([EASY[0], SEED_FAILS, LEAVES_FACE, SEED_CERTIFIES])
+        padded_rows([EASY[0], LEAVES_X_BOUNDS, LEAVES_FACE, ROOT_ON_X_BOUNDS])
         assert batches == [4, 4, 1]
 
 
@@ -1117,7 +1122,7 @@ def batch_rows(draw, kind):
     of LEAVING ("leaving") or FAILING ("failing"). A "zero" row is a plain one moved to
     x = 0 with a normal of no positive entry, as in a stage's first round,
     and a budget near the offset point's sum: its moves grow until the
-    budget binds, and x's bound set has no free component."""
+    budget binds, and the clamp at lam = 0 has no free component."""
     if kind in ("leaving", "failing"):
         return draw(st.sampled_from(LEAVING if kind == "leaving" else FAILING))
     n = draw(st.integers(1, 12))
@@ -1149,9 +1154,10 @@ def mixed_batches(draw, low, high, kinds=("face", "plain", "zero", "leaving", "f
 class TestPivot:
     """A move that finds no certified piece runs a chain of pivots, each to
     the piece of clip(s - lam) at the multiplier the last piece computed,
-    before any breakpoint search; a stored piece with no free component
-    starts the chain at lam = 0. A pivot that certifies takes the piece the
-    search finds, so no bit of a projection depends on the pivots."""
+    before any breakpoint search; a row's first move, which has no stored
+    piece, starts the chain at lam = 0. A pivot that certifies takes the
+    piece the search finds, so no bit of a projection depends on the
+    pivots."""
 
     @settings(max_examples=240, deadline=None)
     @given(data=st.data())
@@ -1178,11 +1184,10 @@ class TestPivot:
                              ids=["at-zero", "chained"])
     @pytest.mark.parametrize("beside", [[], [EASY[0]]], ids=["lone", "batched"])
     def test_chains_certify_without_a_sort(self, row, lengths, beside, monkeypatch):
-        # Each row's first chain starts at lam = 0 (AT_ZERO's stored piece
-        # has no free component; CHAINED's computes a negative multiplier,
-        # clamped at zero), and every chain certifies after the pivots
-        # given: no move sorts. With every pivot declined, the sort finds
-        # the same points.
+        # Each row's first chain starts at lam = 0, its first move having no
+        # stored piece, and every chain certifies after the pivots given: no
+        # move sorts. With every pivot declined, the sort finds the same
+        # points.
         chains, sorts = [], []
         pivot, search = projection._pivot, projection._breakpoint_rows
 
